@@ -38,14 +38,12 @@ from .errors import (
     XesStructureError,
 )
 from .terms import (
-    EXT,
     EXT_EVENT_CASE,
     EXT_EVENT_OBJECT_CLASS,
     EXT_EVENT_TYPE,
-    EXT_FIXED_PREDICATES,
     EXT_OBJECT_TYPE,
-    Iri,
     RDF_TYPE,
+    object_object_triples,
 )
 from .transform import default_bpic2013_config, load_mapping_config, transform_log
 from .triple_query import TriplePattern, TripleStore, Var
@@ -120,7 +118,10 @@ def _read_bytes(path: str) -> bytes:
 def _read_text(path: str) -> str:
     data = _read_bytes(path)
     if data[:2] == b"\x1f\x8b":
-        data = gzip.decompress(data)
+        try:
+            data = gzip.decompress(data)
+        except (OSError, EOFError) as exc:
+            raise OSError(f"{path}: bad gzip stream: {exc}") from exc
     return data.decode("utf-8")
 
 
@@ -189,15 +190,7 @@ def _turtle_summary(store: TripleStore) -> list[tuple[str, int | str]]:
     events = subjects(EXT_EVENT_TYPE)
     objects = subjects(EXT_OBJECT_TYPE)
     eo_nodes = store.match_pattern(TriplePattern(Var("s"), RDF_TYPE, EXT_EVENT_OBJECT_CLASS))
-    oo = [
-        t
-        for t in store.triples()
-        if t.subject in objects
-        and isinstance(t.object, Iri)
-        and t.object in objects
-        and t.predicate.value.startswith(EXT)
-        and t.predicate not in EXT_FIXED_PREDICATES
-    ]
+    oo_relations = sum(1 for _ in object_object_triples(store, objects))
     event_types = {sol["v"] for sol in store.match_pattern(TriplePattern(Var("s"), EXT_EVENT_TYPE, Var("v")))}
     object_types = {sol["v"] for sol in store.match_pattern(TriplePattern(Var("s"), EXT_OBJECT_TYPE, Var("v")))}
     cases = {sol["o"] for sol in store.match_pattern(TriplePattern(Var("s"), EXT_EVENT_CASE, Var("o")))}
@@ -207,7 +200,7 @@ def _turtle_summary(store: TripleStore) -> list[tuple[str, int | str]]:
         ("events", len(events)),
         ("objects", len(objects)),
         ("eo_relations", len(eo_nodes)),
-        ("oo_relations", len(oo)),
+        ("oo_relations", oo_relations),
         ("event_types", len(event_types)),
         ("object_types", len(object_types)),
         ("cases", len(cases)),

@@ -14,7 +14,6 @@ from .terms import (
     EXT_EVENT,
     EXT_EVENT_OBJECT_CLASS,
     EXT_EVENT_TYPE,
-    EXT_FIXED_PREDICATES,
     EXT_OBJECT,
     EXT_OBJECT_TYPE,
     OBSERVED_AT,
@@ -22,6 +21,7 @@ from .terms import (
     Iri,
     PlainLiteral,
     TypedLiteral,
+    object_object_triples,
 )
 from .triple_query import TriplePattern, TripleStore, Var
 from .turtle_io import render_term
@@ -83,16 +83,9 @@ def store_to_dot(store: TripleStore) -> str:
         label = classifier.value if isinstance(classifier, PlainLiteral) else None
         edges.append((render_term(sol["event"]), render_term(sol["object"]), label))
 
-    for triple in store.triples():
-        if (
-            triple.subject in objects
-            and isinstance(triple.object, Iri)
-            and triple.object in objects
-            and triple.predicate.value.startswith(EXT)
-            and triple.predicate not in EXT_FIXED_PREDICATES
-        ):
-            qualifier = unescape_id(triple.predicate.value[len(EXT):])
-            edges.append((render_term(triple.subject), render_term(triple.object), qualifier))
+    for triple in object_object_triples(store, objects):
+        qualifier = unescape_id(triple.predicate.value[len(EXT):])
+        edges.append((render_term(triple.subject), render_term(triple.object), qualifier))
 
     for source, target, label in sorted(edges, key=lambda e: (e[0], e[1], e[2] or "")):
         attrs = f" [label={_dot_quote(label)}]" if label else ""

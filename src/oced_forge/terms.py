@@ -4,6 +4,7 @@ Three term kinds exist: IRIs, typed literals, and plain literals (optionally
 language-tagged).  Triples restrict subject and predicate to IRIs.
 """
 
+from collections.abc import Container, Iterable, Iterator
 from dataclasses import dataclass, field
 from typing import Union
 
@@ -135,3 +136,16 @@ EXT_FIXED_PREDICATES = frozenset(
         EXT_OBJECT_TYPE,
     }
 )
+
+
+def object_object_triples(triples: Iterable[Triple], objects: Container[Term]) -> Iterator[Triple]:
+    """The object-object relations among triples: a data-derived ext:
+    qualifier predicate between two members of objects."""
+    for triple in triples:
+        if (
+            triple.subject in objects
+            and triple.object in objects
+            and triple.predicate.value.startswith(EXT)
+            and triple.predicate not in EXT_FIXED_PREDICATES
+        ):
+            yield triple

@@ -158,9 +158,9 @@ def derive_event_type(event: XesEvent, config: MappingConfig) -> str:
 def transform_log(log_: XesLog, config: MappingConfig | None = None) -> tuple[OcedGraph, TransformReport]:
     """Build an OcedGraph from a parsed XES log.
 
-    Never raises for data problems: events without a parseable timestamp are
-    skipped into the report, duplicate case ids reuse the existing case
-    object with a warning.
+    Never raises for data problems: events without a parseable timestamp, or
+    whose timestamp has no UTC instant in years 1..9999, are skipped into the
+    report, duplicate case ids reuse the existing case object with a warning.
     """
     config = config or default_bpic2013_config()
     config.validate()
@@ -199,14 +199,17 @@ def transform_log(log_: XesLog, config: MappingConfig | None = None) -> tuple[Oc
                 attr = event.get(key)
                 if attr is not None:
                     attributes[key] = TypedValue(kind=attr.kind, value=attr.value)
-            oced_event = graph.add_event(
-                OcedEvent(
+            try:
+                oced_event = OcedEvent(
                     id=f"e{ordinal}",
                     event_type=derive_event_type(event, config),
                     observed_at=ts.value,
                     attributes=attributes,
                 )
-            )
+            except OverflowError:  # the instant in UTC falls outside datetime's years 1..9999
+                report.events_skipped.append(SkippedEvent(ti, ei, "timestamp out of range"))
+                continue
+            graph.add_event(oced_event)
             report.events_emitted += 1
             graph.relate_event_object(oced_event.id, case_id, config.case_eo_qualifier)
 

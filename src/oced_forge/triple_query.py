@@ -9,6 +9,7 @@ remaining pattern with the cheapest index estimate (given the variables
 already bound) is evaluated next via index lookups.
 """
 
+from collections import defaultdict
 from dataclasses import dataclass
 from datetime import datetime
 
@@ -91,10 +92,10 @@ class TripleStore:
     def __init__(self, triples=()):
         # dicts double as insertion-ordered sets
         self._triples: dict[Triple, None] = {}
-        self._by_s: dict[Term, dict[Triple, None]] = {}
-        self._by_p: dict[Term, dict[Triple, None]] = {}
-        self._by_o: dict[Term, dict[Triple, None]] = {}
-        self._by_po: dict[tuple[Term, Term], dict[Triple, None]] = {}
+        self._by_s: defaultdict[Term, dict[Triple, None]] = defaultdict(dict)
+        self._by_p: defaultdict[Term, dict[Triple, None]] = defaultdict(dict)
+        self._by_o: defaultdict[Term, dict[Triple, None]] = defaultdict(dict)
+        self._by_po: defaultdict[tuple[Term, Term], dict[Triple, None]] = defaultdict(dict)
         self._frozen = False
         for t in triples:
             self.insert(t)
@@ -112,13 +113,16 @@ class TripleStore:
         """Add a triple; duplicates are ignored (set semantics)."""
         if self._frozen:
             raise RuntimeError("store is frozen")
-        if triple in self._triples:
+        triples = self._triples
+        size = len(triples)
+        triples[triple] = None  # re-adding a key keeps its first position
+        if len(triples) == size:
             return self
-        self._triples[triple] = None
-        self._by_s.setdefault(triple.subject, {})[triple] = None
-        self._by_p.setdefault(triple.predicate, {})[triple] = None
-        self._by_o.setdefault(triple.object, {})[triple] = None
-        self._by_po.setdefault((triple.predicate, triple.object), {})[triple] = None
+        predicate, obj = triple.predicate, triple.object
+        self._by_s[triple.subject][triple] = None
+        self._by_p[predicate][triple] = None
+        self._by_o[obj][triple] = None
+        self._by_po[predicate, obj][triple] = None
         return self
 
     def freeze(self) -> "TripleStore":

@@ -15,6 +15,16 @@ The parser supports prefix declarations, IRIs, prefixed names, plain / typed
 / language-tagged literals, numeric and boolean shorthand, the ';' and ','
 abbreviations, and 'a' for rdf:type.  Blank nodes, collections, long
 strings, and @base are rejected as unsupported constructs.
+
+Parsing takes two paths through one text.  A line fast path matches each
+line with one regex while it has the shape write_turtle emits: a
+`@prefix p: <absolute-iri> .` line or one `S P O .` statement of prefixed
+names, absolute IRIs and simple literals.  At the first line that does not
+fit, or that names an unknown prefix, the general tokenizer takes over from
+the start of that line with the prefixes and triples read so far.  The fast
+path accepts only lines the tokenizer reads the same way and never raises,
+so the triples, their order and every error message, line and column are
+those of the tokenizer alone.
 """
 
 import re
@@ -355,11 +365,30 @@ class _Tokenizer:
                 self._error(f"unexpected character {ch!r}", pos=start)
 
 
+# The line fast path reads what write_turtle emits: one `@prefix p: <iri> .`
+# or one `S P O .` statement per line.  Every line it accepts tokenizes to
+# the same statement, so it may stop at any line and leave the rest to the
+# tokenizer: pnames have no '.' in the local part, IRIs are absolute and
+# free of _BAD_IRI_CHARS, and strings carry only escapes _unescape accepts.
+_FAST_IRIREF = r'<[A-Za-z][A-Za-z0-9+.\-]*:[^\x00-\x20<>"{}|^`\\]*>'
+_FAST_PNAME = r"(?:[A-Za-z][A-Za-z0-9_\-]*)?:[A-Za-z0-9_\-]*(?:%[0-9A-Fa-f]{2}[A-Za-z0-9_\-]*)*"
+_FAST_IRI = rf"(?:{_FAST_PNAME}|{_FAST_IRIREF})"
+_FAST_LITERAL = (
+    r'"[^"\\\n]*(?:(?:\\[\\"nrtbf]|\\u[0-9A-Fa-f]{4})[^"\\\n]*)*"'
+    rf"(?:\^\^{_FAST_IRI}|@[A-Za-z][A-Za-z0-9\-]*)?"
+)
+_LINE_RE = re.compile(
+    r"(?:[ \t\r]*\n)*"
+    rf"(?:@prefix[ \t]+([A-Za-z][A-Za-z0-9_\-]*)?:[ \t]+({_FAST_IRIREF})"
+    rf"|({_FAST_IRI})[ \t]+({_FAST_IRI})[ \t]+({_FAST_IRI}|{_FAST_LITERAL}))"
+    r"[ \t]*\.[ \t\r]*(?:\n|\Z)"
+)
+
+
 class _TurtleParser:
     def __init__(self, text: str):
         self.text = text
-        self._tokens = _Tokenizer(text).tokens()
-        self._lookahead = next(self._tokens)
+        self._tokenizer = _Tokenizer(text)
         self.prefixes: dict[str, str] = {}
         self.store = TripleStore()
         self._iri_cache: dict[str, Iri] = {}
@@ -391,6 +420,9 @@ class _TurtleParser:
             self._error(f"expected {value!r}", token)
 
     def parse(self) -> TripleStore:
+        self._tokenizer.pos = self._fast_lines()
+        self._tokens = self._tokenizer.tokens()
+        self._lookahead = next(self._tokens)
         while self._peek().kind != _EOF:
             token = self._peek()
             if token.kind == _ATWORD:
@@ -409,6 +441,55 @@ class _TurtleParser:
             else:
                 self._triples()
         return self.store
+
+    def _fast_lines(self) -> int:
+        """Insert the statements of the leading lines that _LINE_RE matches;
+        return the offset of the first line left to the tokenizer."""
+        text = self.text
+        match = _LINE_RE.match
+        insert = self.store.insert
+        terms: dict[str, Term] = {}  # token -> term, valid while prefixes hold
+        pos = 0
+        while (m := match(text, pos)) is not None:
+            name, namespace, s, p, o = m.groups()
+            if namespace is not None:
+                self.prefixes[name or ""] = namespace[1:-1]
+                terms.clear()
+            else:
+                subject = terms.get(s) or self._fast_term(s, m.start(3), terms)
+                predicate = terms.get(p) or self._fast_term(p, m.start(4), terms)
+                obj = terms.get(o) or self._fast_term(o, m.start(5), terms)
+                if subject is None or predicate is None or obj is None:
+                    break
+                insert(Triple(subject, predicate, obj))
+            pos = m.end()
+        return pos
+
+    def _fast_term(self, token: str, pos: int, terms: dict[str, Term]) -> Term | None:
+        """Term for a token _LINE_RE matched at pos, or None when it names an
+        unknown prefix (the tokenizer then reports it)."""
+        if token[0] == "<":
+            term = self._intern(token[1:-1])
+        elif token[0] == '"':
+            end = token.rindex('"')
+            body = token[1:end]
+            lexical = self._tokenizer._unescape(body, pos + 1) if "\\" in body else body
+            suffix = token[end + 1 :]
+            if suffix.startswith("^^"):
+                datatype = self._fast_term(suffix[2:], pos + end + 3, terms)
+                if datatype is None:
+                    return None
+                term = TypedLiteral(lexical, datatype)
+            else:
+                term = PlainLiteral(lexical, suffix[1:] or None)
+        else:
+            prefix, _, local = token.partition(":")
+            namespace = self.prefixes.get(prefix)
+            if namespace is None:
+                return None
+            term = self._intern(namespace + local)
+        terms[token] = term
+        return term
 
     def _directive(self, needs_dot: bool):
         name = self._next()

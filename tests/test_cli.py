@@ -170,6 +170,20 @@ class TestAnalyze:
         assert "blank node" in err
 
 
+@pytest.mark.parametrize(
+    "command", [["analyze", "--analysis", "ping-pong"], ["export-dot"]], ids=["analyze", "export-dot"]
+)
+def test_truncated_gzip_turtle_exits_2(command, converted_ttl, tmp_path, capsys):
+    zipped = gzip.compress(converted_ttl.read_bytes())
+    truncated = tmp_path / "truncated.ttl.gz"
+    truncated.write_bytes(zipped[: len(zipped) // 2])
+    code, out, err = run([command[0], str(truncated), *command[1:]], capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("oced-forge: ") and "bad gzip stream" in err
+    assert err.count("\n") == 1
+
+
 class TestStats:
     def test_ttl_counts_match_graph_stats(self, converted_ttl, bpic_xes_bytes, capsys):
         code, out, _ = run(["stats", str(converted_ttl)], capsys)

@@ -127,6 +127,18 @@ class TestTransform:
         _, report = transform_log(parse_xes(doc))
         assert report.events_skipped[0].reason == "timestamp not a date"
 
+    def test_timestamp_out_of_range_skipped_keeps_numbering(self):
+        doc = b"""<log xes.version="1.0"><trace>
+          <event><date key="time:timestamp" value="9999-12-31T23:59:59.000-05:00"/></event>
+          <event><date key="time:timestamp" value="2012-01-01T00:00:00.000Z"/></event>
+        </trace></log>"""
+        graph, report = transform_log(parse_xes(doc))
+        assert [(s.trace_index, s.event_index, s.reason) for s in report.events_skipped] == [
+            (0, 0, "timestamp out of range")
+        ]
+        assert list(graph.events) == ["e2"]
+        assert report.events_emitted == 1
+
     def test_case_id_fallback_is_trace_index(self):
         doc = b"""<log xes.version="1.0">
           <trace><event><date key="time:timestamp" value="2012-01-01T00:00:00.000Z"/></event></trace>

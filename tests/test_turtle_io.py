@@ -21,6 +21,7 @@ from oced_forge import (
 )
 from oced_forge.terms import EX, EXT, OCEDO, RDF, XSD
 from oced_forge.triple_query import TripleStore
+from oced_forge.turtle_io import _TurtleParser
 
 from oracles import random_oced_graph
 
@@ -255,3 +256,83 @@ class TestRoundTrip:
                 obj = triple.object
                 if isinstance(obj, TypedLiteral) and obj.datatype.value.endswith("dateTime"):
                     assert pattern.match(obj.lexical), obj.lexical
+
+
+# A leading comment line is outside the line fast path, so prepending one
+# makes the general tokenizer read the whole document.
+GENERAL = "# c\n"
+
+
+def outcome(doc: str):
+    """Triples in insertion order, or the error's class, message, line and column."""
+    try:
+        return list(parse_turtle(doc))
+    except TurtleSyntaxError as exc:
+        return type(exc), str(exc).rsplit(" (line ", 1)[0], exc.line, exc.column
+
+
+class TestLineFastPath:
+    def test_same_triples_in_same_order_as_general_path_200_graphs(self):
+        rng = random.Random(4040)
+        for _ in range(200):
+            text = write_turtle(graph_to_triples(random_oced_graph(rng)))
+            assert list(parse_turtle(text)) == list(parse_turtle(GENERAL + text))
+
+    def test_canonical_line_shapes_read_by_fast_path(self):
+        doc = (
+            "@prefix ex: <http://example.org/oced/> .\n"
+            "@prefix xsd: <http://www.w3.org/2001/XMLSchema#> .\n"
+            "\n"
+            "<http://other.example/x?a=1#f> ex:p <urn:isbn:123> .\n"
+            "ex:Accepted%2BIn%20Progress ex:p ex:-a_1 .\n"
+            'ex:s ex:p "q\\"uote \\\\ back\\nline\\ttab \\u00e9" .\n'
+            'ex:s ex:p "hallo"@de-AT .\n'
+            'ex:s ex:p "7"^^xsd:integer .\n'
+            'ex:s ex:p "7"^^<http://www.w3.org/2001/XMLSchema#integer> .\n'
+            'ex:s ex:p "" .\n'
+            "ex:s\tex:p   ex:o.\r\n"
+            "@prefix ex: <http://redefined.example/> .\n"
+            "@prefix : <http://empty.example/> .\n"
+            "ex:s ex:p ex:o .\n"
+            ":s ex:p ex:o ."
+        )
+        assert _TurtleParser(doc)._fast_lines() == len(doc)
+        triples = list(parse_turtle(doc))
+        assert triples == list(parse_turtle(GENERAL + doc))
+        assert Triple(Iri(EX + "s"), Iri(EX + "p"), PlainLiteral('q"uote \\ back\nline\ttab \u00e9')) in triples
+        assert Triple(Iri(EX + "s"), Iri(EX + "p"), PlainLiteral("hallo", lang="de-AT")) in triples
+        p, o = Iri("http://redefined.example/p"), Iri("http://redefined.example/o")
+        assert triples[-2:] == [
+            Triple(Iri("http://redefined.example/s"), p, o),
+            Triple(Iri("http://empty.example/s"), p, o),
+        ]
+
+    @pytest.mark.parametrize(
+        "line, column",
+        [
+            ('ex:s ex:p "unterminated .', 11),
+            ("ex:s nope:p ex:o .", 6),
+            ("ex:s ex:p <rel> .", 11),
+            ('ex:s ex:p "bad\\q" .', 15),
+            ("ex:s ex:p [ ] .", 11),
+            ("ex:s ex:p ex:o", 15),
+            ("ex:s ex:p ex:o .5", 16),
+        ],
+    )
+    def test_error_after_1000_canonical_lines_keeps_class_line_and_column(self, line, column):
+        good = "".join(f"ex:s{i} ext:p ex:o{i} .\n" for i in range(1000))
+        doc = write_turtle(TripleStore()) + "\n" + good + line
+        fast, general = outcome(doc), outcome(GENERAL + doc)
+        assert fast[2:] == (1007, column)
+        assert fast == (general[0], general[1], general[2] - 1, general[3])
+
+    def test_general_path_continues_after_hand_over(self):
+        doc = (
+            "@prefix ex: <http://e/> .\n"
+            "ex:a ex:p ex:b .\n"
+            'ex:a ex:p "\\U0001F600" ; a ex:T .\n'
+            "ex:c ex:p ex:d .\n"
+        )
+        triples = list(parse_turtle(doc))
+        assert triples == list(parse_turtle(GENERAL + doc))
+        assert len(triples) == 4
