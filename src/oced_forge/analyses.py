@@ -33,7 +33,6 @@ from .terms import (
     OBSERVED_AT,
     RDF_TYPE,
     Iri,
-    PlainLiteral,
     Term,
     TypedLiteral,
 )
@@ -244,13 +243,6 @@ def enumerate_event_objects(store: TripleStore) -> list[EventObjectRow]:
     skipped with a warning.
     """
     node, event, obj = Var("node"), Var("event"), Var("object")
-    for sol in store.match_pattern(TriplePattern(node, RDF_TYPE, EXT_EVENT_OBJECT_CLASS)):
-        n = sol["node"]
-        if not store.match_pattern(TriplePattern(n, EXT_EVENT, Var("e"))):
-            log.warning("EventObject %s lacks ext:event; skipped", _key(n))
-        elif not store.match_pattern(TriplePattern(n, EXT_OBJECT, Var("o"))):
-            log.warning("EventObject %s lacks ext:object; skipped", _key(n))
-
     solutions = store.match_optional(
         required=[
             TriplePattern(node, RDF_TYPE, EXT_EVENT_OBJECT_CLASS),
@@ -264,6 +256,16 @@ def enumerate_event_objects(store: TripleStore) -> list[EventObjectRow]:
             [TriplePattern(obj, EXT_OBJECT_TYPE, Var("object_type"))],
         ],
     )
+    joined = {sol["node"] for sol in solutions}
+    for sol in store.match_pattern(TriplePattern(node, RDF_TYPE, EXT_EVENT_OBJECT_CLASS)):
+        n = sol["node"]
+        if n in joined:
+            continue
+        if not store.match_pattern(TriplePattern(n, EXT_EVENT, event)):
+            log.warning("EventObject %s lacks ext:event; skipped", _key(n))
+        else:
+            log.warning("EventObject %s lacks ext:object; skipped", _key(n))
+
     rows = []
     for sol in solutions:
         time_term = sol.get("time")

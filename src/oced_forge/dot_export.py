@@ -31,40 +31,39 @@ def _dot_quote(text: str) -> str:
     return '"' + text.replace("\\", "\\\\").replace('"', '\\"').replace("\n", "\\n") + '"'
 
 
-def _literal_of(store: TripleStore, subject: Iri, predicate: Iri) -> str | None:
-    for sol in store.match_pattern(TriplePattern(subject, predicate, Var("v"))):
-        value = sol["v"]
+def _labels(store: TripleStore, predicate: Iri) -> dict[Iri, str | None]:
+    """Each subject of predicate with its first literal object in insertion
+    order (None when every object is an IRI)."""
+    labels: dict[Iri, str | None] = {}
+    for sol in store.match_pattern(TriplePattern(Var("s"), predicate, Var("v"))):
+        subject, value = sol["s"], sol["v"]
+        if labels.get(subject) is not None:
+            continue
         if isinstance(value, PlainLiteral):
-            return value.value
-        if isinstance(value, TypedLiteral):
-            return value.lexical
-    return None
-
-
-def _events_and_objects(store: TripleStore) -> tuple[set[Iri], set[Iri]]:
-    events = {s["s"] for s in store.match_pattern(TriplePattern(Var("s"), EXT_EVENT_TYPE, Var("v")))}
-    events |= {s["s"] for s in store.match_pattern(TriplePattern(Var("s"), OBSERVED_AT, Var("v")))}
-    objects = {s["s"] for s in store.match_pattern(TriplePattern(Var("s"), EXT_OBJECT_TYPE, Var("v")))}
-    return events, objects
+            labels[subject] = value.value
+        elif isinstance(value, TypedLiteral):
+            labels[subject] = value.lexical
+        else:
+            labels[subject] = None
+    return labels
 
 
 def store_to_dot(store: TripleStore) -> str:
-    events, objects = _events_and_objects(store)
+    event_types = _labels(store, EXT_EVENT_TYPE)
+    times = _labels(store, OBSERVED_AT)
+    object_types = _labels(store, EXT_OBJECT_TYPE)
     lines = ["digraph oced {", "  rankdir=LR;"]
 
-    for iri in sorted(events, key=lambda t: t.value):
-        label_parts = []
-        event_type = _literal_of(store, iri, EXT_EVENT_TYPE)
-        time = _literal_of(store, iri, OBSERVED_AT)
-        label_parts.append(event_type or render_term(iri))
+    for iri in sorted(event_types.keys() | times.keys(), key=lambda t: t.value):
+        label_parts = [event_types.get(iri) or render_term(iri)]
+        time = times.get(iri)
         if time:
             label_parts.append(time)
         lines.append(
             f"  {_dot_quote(render_term(iri))} [shape=box, label={_dot_quote(chr(10).join(label_parts))}];"
         )
-    for iri in sorted(objects, key=lambda t: t.value):
-        object_type = _literal_of(store, iri, EXT_OBJECT_TYPE) or "object"
-        label = f"{object_type}\n{render_term(iri)}"
+    for iri in sorted(object_types, key=lambda t: t.value):
+        label = f"{object_types[iri] or 'object'}\n{render_term(iri)}"
         lines.append(
             f"  {_dot_quote(render_term(iri))} [shape=ellipse, label={_dot_quote(label)}];"
         )
@@ -83,7 +82,7 @@ def store_to_dot(store: TripleStore) -> str:
         label = classifier.value if isinstance(classifier, PlainLiteral) else None
         edges.append((render_term(sol["event"]), render_term(sol["object"]), label))
 
-    for triple in object_object_triples(store, objects):
+    for triple in object_object_triples(store, object_types):
         qualifier = unescape_id(triple.predicate.value[len(EXT):])
         edges.append((render_term(triple.subject), render_term(triple.object), qualifier))
 

@@ -13,9 +13,11 @@ README for the schema.
 import json
 import logging
 from dataclasses import asdict, dataclass, field
+from datetime import datetime
 
 from .errors import ConfigError, GraphIntegrityError
 from .oced_model import OcedEvent, OcedGraph, OcedObject, TypedValue, escape_id
+from .timeutil import to_utc_millis
 from .xes_parser import XesEvent, XesLog, _attribute_text
 
 log = logging.getLogger(__name__)
@@ -155,12 +157,22 @@ def derive_event_type(event: XesEvent, config: MappingConfig) -> str:
     return "+".join(parts) if parts else "unknown"
 
 
+def _has_utc_instant(value: datetime) -> bool:
+    try:
+        to_utc_millis(value)
+    except OverflowError:  # the instant in UTC falls outside datetime's years 1..9999
+        return False
+    return True
+
+
 def transform_log(log_: XesLog, config: MappingConfig | None = None) -> tuple[OcedGraph, TransformReport]:
     """Build an OcedGraph from a parsed XES log.
 
     Never raises for data problems: events without a parseable timestamp, or
     whose timestamp has no UTC instant in years 1..9999, are skipped into the
-    report, duplicate case ids reuse the existing case object with a warning.
+    report; a passthrough date attribute without such an instant is left out
+    of its event with a warning; duplicate case ids reuse the existing case
+    object with a warning.
     """
     config = config or default_bpic2013_config()
     config.validate()
@@ -195,10 +207,15 @@ def transform_log(log_: XesLog, config: MappingConfig | None = None) -> tuple[Oc
                 report.events_skipped.append(SkippedEvent(ti, ei, "timestamp not a date"))
                 continue
             attributes = {}
+            dates_out_of_range = []
             for key in config.attribute_passthrough:
                 attr = event.get(key)
-                if attr is not None:
-                    attributes[key] = TypedValue(kind=attr.kind, value=attr.value)
+                if attr is None:
+                    continue
+                if attr.kind == "date" and not _has_utc_instant(attr.value):
+                    dates_out_of_range.append(key)
+                    continue
+                attributes[key] = TypedValue(kind=attr.kind, value=attr.value)
             try:
                 oced_event = OcedEvent(
                     id=f"e{ordinal}",
@@ -209,6 +226,11 @@ def transform_log(log_: XesLog, config: MappingConfig | None = None) -> tuple[Oc
             except OverflowError:  # the instant in UTC falls outside datetime's years 1..9999
                 report.events_skipped.append(SkippedEvent(ti, ei, "timestamp out of range"))
                 continue
+            for key in dates_out_of_range:
+                report.warnings.append(
+                    f"trace {ti} event {ei}: date attribute {key!r} has no UTC instant "
+                    f"in years 1..9999; attribute left out"
+                )
             graph.add_event(oced_event)
             report.events_emitted += 1
             graph.relate_event_object(oced_event.id, case_id, config.case_eo_qualifier)

@@ -6,10 +6,15 @@ hash order, so query results are deterministic across processes.
 
 BGP evaluation joins patterns most-selective-first: at each step the
 remaining pattern with the cheapest index estimate (given the variables
-already bound) is evaluated next via index lookups.
+already bound) is joined next.  OPTIONAL evaluation left-joins each optional
+group onto the required block's solutions.  Both join steps plan once per
+binding shape (which of the step's variables a solution already binds): the
+pattern or group is matched once, unsubstituted, and hash-joined onto the
+solutions on those variables, unless its index candidates outnumber the
+solutions, in which case it is matched per solution through the indexes.
 """
 
-from collections import defaultdict
+from collections import Counter, defaultdict
 from dataclasses import dataclass
 from datetime import datetime
 
@@ -153,9 +158,8 @@ class TripleStore:
 
     def match_pattern(self, pattern: TriplePattern) -> list[BindingSet]:
         """One binding set per matching triple; equals an exhaustive scan."""
-        consts = [None if isinstance(t, Var) else t for t in pattern.positions()]
         out: list[BindingSet] = []
-        for triple in self._candidates(*consts):
+        for triple in self._candidates(*_constants(pattern)):
             binding: BindingSet = {}
             ok = True
             for want, got in zip(pattern.positions(), (triple.subject, triple.predicate, triple.object)):
@@ -204,14 +208,7 @@ class TripleStore:
         """Natural join of the patterns' matches (deterministic order)."""
         solutions: list[BindingSet] = [{}]
         for pattern in self._plan(list(patterns)):
-            next_solutions: list[BindingSet] = []
-            for solution in solutions:
-                bound_pattern = _substitute(pattern, solution)
-                for match in self.match_pattern(bound_pattern):
-                    merged = dict(solution)
-                    merged.update(match)
-                    next_solutions.append(merged)
-            solutions = next_solutions
+            solutions = self._join(solutions, [pattern], optional=False)
             if not solutions:
                 break
         return solutions
@@ -226,19 +223,61 @@ class TripleStore:
         as-is when a group has no compatible match."""
         solutions = self.match_bgp(required)
         for group in optional_groups:
-            extended: list[BindingSet] = []
-            for solution in solutions:
-                bound_group = [_substitute(p, solution) for p in group]
-                matches = self.match_bgp(bound_group)
-                if matches:
-                    for match in matches:
-                        merged = dict(solution)
-                        merged.update(match)
-                        extended.append(merged)
-                else:
-                    extended.append(solution)
-            solutions = extended
+            solutions = self._join(solutions, group, optional=True)
         return solutions
+
+    def _join(self, solutions: list[BindingSet], group: list[TriplePattern], optional: bool):
+        """Extend each solution, in order, by every compatible match of the
+        group; an optional group keeps a solution it has no match for.
+
+        Solutions are split by which of the group's variables they bind
+        (their shape).  Per shape the group is matched once, unsubstituted,
+        and its matches are bucketed by the values of those variables, so
+        extending a solution is one dict lookup.  A shape with fewer
+        solutions than the group's constant-only index candidates is matched
+        per solution with its bindings substituted instead: scanning those
+        candidates would cost more than the lookups.  Either way a one-pattern
+        group extends each solution by its matching triples in insertion
+        order, so the result order does not depend on the path taken."""
+        cost = sum(len(self._candidates(*_constants(pattern))) for pattern in group)
+        if cost > len(solutions):  # no shape has enough solutions: skip telling them apart
+            shapes = [None] * len(solutions)
+        else:
+            names = sorted({name for pattern in group for name in pattern.variables()})
+            shapes = [tuple(name for name in names if name in solution) for solution in solutions]
+        tables = {
+            shape: self._buckets(group, shape) if cost <= count else None
+            for shape, count in Counter(shapes).items()
+        }
+        extended: list[BindingSet] = []
+        for solution, shape in zip(solutions, shapes):
+            table = tables[shape]
+            if table is None:
+                if len(group) == 1:
+                    matches = self.match_pattern(_substitute(group[0], solution))
+                else:
+                    matches = self.match_bgp([_substitute(p, solution) for p in group])
+            else:
+                matches = table.get(tuple(solution[name] for name in shape), ())
+            for match in matches:
+                merged = dict(solution)
+                merged.update(match)
+                extended.append(merged)
+            if optional and not matches:
+                extended.append(solution)
+        return extended
+
+    def _buckets(self, group: list[TriplePattern], shape: tuple[str, ...]):
+        """The group's matches keyed by their values for the shape's variables."""
+        buckets: defaultdict[tuple[Term, ...], list[BindingSet]] = defaultdict(list)
+        matches = self.match_pattern(group[0]) if len(group) == 1 else self.match_bgp(group)
+        for match in matches:
+            buckets[tuple(match[name] for name in shape)].append(match)
+        return buckets
+
+
+def _constants(pattern: TriplePattern) -> list[Term | None]:
+    return [None if isinstance(t, Var) else t for t in pattern.positions()]
 
 
 def _substitute(pattern: TriplePattern, binding: BindingSet) -> TriplePattern:

@@ -262,7 +262,10 @@ class _Tokenizer:
                 digits = body[i + 2 : i + 2 + width]
                 if len(digits) != width or any(d not in _HEX for d in digits):
                     self._error(f"bad \\{esc} escape", pos=start + i)
-                out.append(chr(int(digits, 16)))
+                code = int(digits, 16)
+                if code > 0x10FFFF or 0xD800 <= code <= 0xDFFF:
+                    self._error(f"\\{esc}{digits} is not a Unicode scalar value", pos=start + i)
+                out.append(chr(code))
                 i += 2 + width
             else:
                 self._error(f"unknown string escape \\{esc}", pos=start + i)
@@ -456,10 +459,16 @@ class _TurtleParser:
                 self.prefixes[name or ""] = namespace[1:-1]
                 terms.clear()
             else:
+                # hand over at the first unknown prefix, before cooking a later
+                # string: the tokenizer decides which of the two errors comes first
                 subject = terms.get(s) or self._fast_term(s, m.start(3), terms)
+                if subject is None:
+                    break
                 predicate = terms.get(p) or self._fast_term(p, m.start(4), terms)
+                if predicate is None:
+                    break
                 obj = terms.get(o) or self._fast_term(o, m.start(5), terms)
-                if subject is None or predicate is None or obj is None:
+                if obj is None:
                     break
                 insert(Triple(subject, predicate, obj))
             pos = m.end()

@@ -56,6 +56,35 @@ def nested_loop_bgp(triples, patterns, limit=None):
     return solutions
 
 
+def _compatible(solution, match):
+    return all(match[name] == value for name, value in solution.items() if name in match)
+
+
+def nested_loop_optional(triples, required, optional_groups, limit=None):
+    """Left-outer-join oracle: each group's matches come from nested_loop_bgp
+    once, unbound; every solution is merged with each compatible match, in
+    match order, or kept as-is when none is compatible.
+
+    Returns None when a result exceeds `limit` rows, like nested_loop_bgp.
+    """
+    solutions = nested_loop_bgp(triples, required, limit)
+    for group in optional_groups:
+        matches = nested_loop_bgp(triples, group, limit)
+        if solutions is None or matches is None:
+            return None
+        extended = []
+        for solution in solutions:
+            compatible = [match for match in matches if _compatible(solution, match)]
+            if compatible:
+                extended.extend({**solution, **match} for match in compatible)
+            else:
+                extended.append(solution)
+            if limit is not None and len(extended) > limit:
+                return None
+        solutions = extended
+    return solutions
+
+
 def as_bag(solutions):
     """Order-insensitive multiset view of a solution sequence."""
     bag: dict[frozenset, int] = {}

@@ -79,6 +79,22 @@ class TestConvert:
         assert "ext:performed_by" in out
         assert "handled_by_support_team" not in out
 
+    def test_passthrough_date_out_of_range_keeps_event(self, tmp_path, capsys):
+        xes = tmp_path / "one.xes"
+        xes.write_text(
+            '<log xes.version="1.0"><trace><string key="concept:name" value="c1"/><event>'
+            '<date key="time:timestamp" value="2012-01-01T00:00:00.000Z"/>'
+            '<date key="seen" value="9999-12-31T23:59:59.000-05:00"/>'
+            "</event></trace></log>"
+        )
+        config = tmp_path / "map.json"
+        config.write_text(json.dumps({"config_version": 1, "attribute_passthrough": ["seen"]}))
+        code, out, err = run(["convert", str(xes), "--config", str(config)], capsys)
+        assert code == 0
+        assert "ex:e1 ext:event_case ex:c1 ." in out
+        assert "ext:seen" not in out
+        assert "1 events emitted, 0 skipped" in err and "1 warnings" in err
+
     def test_invalid_config_exits_2(self, bpic_xes_path, tmp_path, capsys):
         config = tmp_path / "map.json"
         config.write_text(json.dumps({"config_version": 7}))

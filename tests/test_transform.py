@@ -139,6 +139,28 @@ class TestTransform:
         assert list(graph.events) == ["e2"]
         assert report.events_emitted == 1
 
+    def test_passthrough_date_out_of_range_left_out_with_warning(self):
+        doc = b"""<log xes.version="1.0"><trace>
+          <event>
+            <date key="time:timestamp" value="2012-01-01T00:00:00.000Z"/>
+            <date key="seen" value="9999-12-31T23:59:59.000-05:00"/>
+          </event>
+          <event>
+            <date key="time:timestamp" value="2012-01-02T00:00:00.000Z"/>
+            <date key="seen" value="2012-01-01T00:00:00.000-05:00"/>
+          </event>
+        </trace></log>"""
+        graph, report = transform_log(parse_xes(doc), MappingConfig(attribute_passthrough=["seen"]))
+        assert list(graph.events) == ["e1", "e2"]
+        assert graph.events["e1"].attributes == {}
+        assert "seen" in graph.events["e2"].attributes
+        assert report.events_skipped == []
+        assert report.warnings == [
+            "trace 0 event 0: date attribute 'seen' has no UTC instant in years 1..9999; "
+            "attribute left out"
+        ]
+        assert "ext:seen" in write_turtle(graph_to_triples(graph))
+
     def test_case_id_fallback_is_trace_index(self):
         doc = b"""<log xes.version="1.0">
           <trace><event><date key="time:timestamp" value="2012-01-01T00:00:00.000Z"/></event></trace>

@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from datetime import datetime, timezone
 
 import pytest
@@ -16,9 +17,10 @@ from oced_forge import (
     graph_to_triples,
 )
 from oced_forge.oced_model import OcedEvent, OcedGraph, OcedObject
+from oced_forge import triple_query
 from oced_forge.terms import EX, EXT, OCEDO, XSD
 
-from oracles import as_bag, nested_loop_bgp
+from oracles import as_bag, nested_loop_bgp, nested_loop_optional
 
 DT = Iri(XSD + "dateTime")
 
@@ -217,6 +219,146 @@ class TestMatchOptional:
             optional_groups=[[TriplePattern(iri("e1"), iri("classifier"), Var("k"))]],
         )
         assert {sol["k"].value for sol in solutions} == {"x", "y"}
+
+
+    def test_random_optional_equals_left_outer_join_oracle(self, monkeypatch):
+        paths = Counter()
+        buckets, substitute = TripleStore._buckets, triple_query._substitute
+
+        def counted_buckets(store, group, shape):
+            paths["hash join"] += 1
+            return buckets(store, group, shape)
+
+        def counted_substitute(pattern, binding):
+            paths["per solution"] += 1
+            return substitute(pattern, binding)
+
+        monkeypatch.setattr(TripleStore, "_buckets", counted_buckets)
+        monkeypatch.setattr(triple_query, "_substitute", counted_substitute)
+        features = Counter()
+        rng = random.Random(29)
+        for _ in range(400):
+            store, triples, required, groups = _random_optional_query(rng)
+            expected = nested_loop_optional(triples, required, groups, limit=20_000)
+            if expected is None:
+                continue
+            features["checked"] += 1
+            features.update(_optional_features(triples, required, groups))
+            actual = store.match_optional(required, groups)
+            assert as_bag(actual) == as_bag(expected)
+            for patterns in (required, *groups):  # a BGP keeps its order exactly
+                assert store.match_bgp(patterns) == _per_solution_bgp(store, patterns)
+            if all(len(group) == 1 for group in groups):
+                features["order checked"] += 1
+                assert actual == _per_solution_optional(store, required, groups)
+        assert features["checked"] >= 300
+        for feature in (
+            "order checked",
+            "empty required",
+            "multi-pattern group",
+            "constant-only group",
+            "repeated variable",
+            "mixed shapes",
+        ):
+            assert features[feature] >= 20, (feature, features)
+        assert paths["hash join"] >= 100 and paths["per solution"] >= 100, paths
+
+
+_OPTIONAL_VARIABLES = [Var(v) for v in "wxyz"]
+
+
+def _random_optional_query(rng):
+    """A small store, its triples in insertion order, and a random required
+    block with optional groups; a third of the queries chain each group onto
+    a variable only the previous group binds."""
+    names = [f"n{i}" for i in range(rng.randint(2, 6))]
+    predicates = [f"p{i}" for i in range(rng.randint(1, 3))]
+    store, triples = TripleStore(), []
+    for _ in range(rng.randint(0, 40)):
+        obj = PlainLiteral(rng.choice(names)) if rng.random() < 0.15 else rng.choice(names)
+        triple = t(rng.choice(names), rng.choice(predicates), obj)
+        if triple not in store:
+            triples.append(triple)
+        store.insert(triple)
+
+    def constant(pool):
+        return iri(rng.choice(pool))
+
+    def position():
+        return rng.choice(_OPTIONAL_VARIABLES) if rng.random() < 0.55 else constant(names)
+
+    def pattern():
+        roll = rng.random()
+        if roll < 0.15:
+            return TriplePattern(constant(names), constant(predicates), constant(names))
+        if roll < 0.3:
+            var = rng.choice(_OPTIONAL_VARIABLES)
+            return TriplePattern(var, rng.choice([var, constant(predicates)]), var)
+        predicate = rng.choice(_OPTIONAL_VARIABLES) if rng.random() < 0.2 else constant(predicates)
+        return TriplePattern(position(), predicate, position())
+
+    if rng.random() < 1 / 3:
+        w, x, y, z = _OPTIONAL_VARIABLES
+        required = [TriplePattern(w, constant(predicates), x)]
+        groups = [
+            [TriplePattern(x, constant(predicates), y)],
+            [TriplePattern(y, constant(predicates), z)],
+            [TriplePattern(z, constant(predicates), w), pattern()][: rng.randint(1, 2)],
+        ]
+        return store, triples, required, groups
+    required = [pattern() for _ in range(rng.choice([0, 1, 1, 2]))]
+    groups = [[pattern() for _ in range(rng.choice([1, 1, 2, 3]))] for _ in range(rng.randint(1, 3))]
+    return store, triples, required, groups
+
+
+def _optional_features(triples, required, groups):
+    found = set()
+    if not required:
+        found.add("empty required")
+    for k, group in enumerate(groups):
+        if len(group) > 1:
+            found.add("multi-pattern group")
+        if not any(p.variables() for p in group):
+            found.add("constant-only group")
+        if any(len(p.variables()) < sum(isinstance(x, Var) for x in p.positions()) for p in group):
+            found.add("repeated variable")
+        names = set().union(*(p.variables() for p in group))
+        before = nested_loop_optional(triples, required, groups[:k])
+        if len({frozenset(names & sol.keys()) for sol in before}) > 1:
+            found.add("mixed shapes")
+    return found
+
+
+def _substituted(pattern, solution):
+    return TriplePattern(*(solution.get(x.name, x) if isinstance(x, Var) else x for x in pattern.positions()))
+
+
+def _per_solution_bgp(store, patterns):
+    """match_bgp as first written: each planned pattern matched once for
+    every solution with the solution's bindings substituted."""
+    solutions = [{}]
+    for pattern in store._plan(list(patterns)):
+        solutions = [
+            {**solution, **match}
+            for solution in solutions
+            for match in store.match_pattern(_substituted(pattern, solution))
+        ]
+    return solutions
+
+
+def _per_solution_optional(store, required, groups):
+    """match_optional as first written: each group planned and matched once
+    for every solution with the solution's bindings substituted."""
+    solutions = _per_solution_bgp(store, required)
+    for group in groups:
+        extended = []
+        for solution in solutions:
+            matches = _per_solution_bgp(store, [_substituted(p, solution) for p in group])
+            extended.extend({**solution, **match} for match in matches)
+            if not matches:
+                extended.append(solution)
+        solutions = extended
+    return solutions
 
 
 class TestCompareTerms:

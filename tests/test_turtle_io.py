@@ -336,3 +336,30 @@ class TestLineFastPath:
         triples = list(parse_turtle(doc))
         assert triples == list(parse_turtle(GENERAL + doc))
         assert len(triples) == 4
+
+    @pytest.mark.parametrize(
+        "escape", ["\\U00110000", "\\UFFFFFFFF", "\\uD800", "\\uDFFF", "\\U0000DBFF"]
+    )
+    def test_escape_outside_unicode_scalar_values_is_a_syntax_error(self, escape):
+        doc = '@prefix ex: <http://e/> .\nex:s ex:p ex:o .\nex:s ex:p "ab' + escape + '" .\n'
+        fast, general = outcome(doc), outcome(GENERAL + doc)
+        assert fast == (TurtleSyntaxError, f"{escape} is not a Unicode scalar value", 3, 14)
+        assert fast == (general[0], general[1], general[2] - 1, general[3])
+
+    @pytest.mark.parametrize(
+        "escape, char", [("\\uD7FF", "\ud7ff"), ("\\uE000", "\ue000"), ("\\U0010FFFF", "\U0010ffff")]
+    )
+    def test_escapes_next_to_the_excluded_ranges_are_read(self, escape, char):
+        doc = '@prefix ex: <http://e/> .\nex:s ex:p "' + escape + '" .\n'
+        assert outcome(doc) == outcome(GENERAL + doc) == [
+            Triple(Iri("http://e/s"), Iri("http://e/p"), PlainLiteral(char))
+        ]
+
+    @pytest.mark.parametrize(
+        "line", ['zz:s ex:p "\\uD800" .', 'ex:s zz:p "\\uD800" .', 'ex:s ex:p "\\uD800"^^zz:t .']
+    )
+    def test_unknown_prefix_and_bad_escape_on_one_line_fail_as_on_general_path(self, line):
+        doc = "@prefix ex: <http://e/> .\nex:s ex:p ex:o .\n" + line + "\n"
+        fast, general = outcome(doc), outcome(GENERAL + doc)
+        assert fast[2] == 3
+        assert fast == (general[0], general[1], general[2] - 1, general[3])
