@@ -7,11 +7,9 @@ team involvement) over an in-memory triple store.
 """
 
 from .analyses import (
-    CaseTimeline,
     EventObjectRow,
     PingPongRow,
     TeamInvolvement,
-    build_case_timelines,
     detect_ping_pong,
     enumerate_event_objects,
     team_involvement,
@@ -20,7 +18,6 @@ from .dot_export import store_to_dot
 from .errors import (
     ConfigError,
     GraphIntegrityError,
-    IncomparableTermsError,
     OcedForgeError,
     SerializationError,
     TurtleSyntaxError,
@@ -29,13 +26,11 @@ from .errors import (
     XesStructureError,
 )
 from .oced_model import (
-    GraphStats,
     OcedEvent,
     OcedGraph,
     OcedObject,
     TypedValue,
     escape_id,
-    graph_stats,
     unescape_id,
 )
 from .terms import Iri, PlainLiteral, Triple, TypedLiteral
@@ -45,11 +40,10 @@ from .transform import (
     TransformReport,
     default_bpic2013_config,
     derive_event_type,
-    dump_mapping_config,
     load_mapping_config,
     transform_log,
 )
-from .triple_query import TriplePattern, TripleStore, Var, compare_terms
+from .triple_query import TriplePattern, TripleStore, Var
 from .turtle_io import graph_to_triples, parse_turtle, write_turtle
 from .xes_parser import (
     XesAttribute,
@@ -58,19 +52,14 @@ from .xes_parser import (
     XesTrace,
     load_xes,
     parse_xes,
-    validate_globals,
-    write_xes,
 )
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "CaseTimeline",
     "ConfigError",
     "EventObjectRow",
     "GraphIntegrityError",
-    "GraphStats",
-    "IncomparableTermsError",
     "Iri",
     "MappingConfig",
     "ObjectRule",
@@ -97,15 +86,11 @@ __all__ = [
     "XesParseError",
     "XesStructureError",
     "XesTrace",
-    "build_case_timelines",
-    "compare_terms",
     "default_bpic2013_config",
     "derive_event_type",
     "detect_ping_pong",
-    "dump_mapping_config",
     "enumerate_event_objects",
     "escape_id",
-    "graph_stats",
     "graph_to_triples",
     "load_mapping_config",
     "load_xes",
@@ -115,7 +100,5 @@ __all__ = [
     "team_involvement",
     "transform_log",
     "unescape_id",
-    "validate_globals",
     "write_turtle",
-    "write_xes",
 ]

@@ -67,18 +67,6 @@ class TeamInvolvement:
     witness_count: int
 
 
-@dataclass(frozen=True)
-class TimelineEntry:
-    time: datetime
-    teams: tuple[str, ...]  # sorted
-
-
-@dataclass(frozen=True)
-class CaseTimeline:
-    case: str
-    entries: tuple[TimelineEntry, ...]  # ascending by time
-
-
 def _key(term: Term) -> str:
     if isinstance(term, Iri):
         return term.value
@@ -104,8 +92,7 @@ class HandledEvent:
 def handled_events(store: TripleStore) -> list[HandledEvent]:
     """All (event, case, time, team) rows with a well-formed dateTime.
 
-    Rows whose time literal is not a parseable xsd:dateTime are dropped,
-    mirroring filter-error-is-false query semantics.
+    Rows whose time literal is not a parseable xsd:dateTime are dropped.
     """
     event = Var("event")
     solutions = store.match_bgp(
@@ -218,21 +205,6 @@ def team_involvement(store: TripleStore) -> list[TeamInvolvement]:
     ]
     ranking.sort(key=lambda ti: (-ti.cases_involved, ti.team))
     return ranking
-
-
-def build_case_timelines(store: TripleStore) -> list[CaseTimeline]:
-    """Per case, the time-sorted sequence of (instant, sorted team set)."""
-    out = []
-    for case, rows in sorted(_by_case(handled_events(store)).items()):
-        teams_at: dict[datetime, set[str]] = {}
-        for row in rows:
-            teams_at.setdefault(row.time, set()).add(row.team)
-        entries = tuple(
-            TimelineEntry(time=time, teams=tuple(sorted(teams_at[time])))
-            for time in sorted(teams_at)
-        )
-        out.append(CaseTimeline(case=case, entries=entries))
-    return out
 
 
 def enumerate_event_objects(store: TripleStore) -> list[EventObjectRow]:

@@ -83,7 +83,11 @@ def store_to_dot(store: TripleStore) -> str:
         edges.append((render_term(sol["event"]), render_term(sol["object"]), label))
 
     for triple in object_object_triples(store, object_types):
-        qualifier = unescape_id(triple.predicate.value[len(EXT):])
+        qualifier = triple.predicate.value[len(EXT):]
+        try:
+            qualifier = unescape_id(qualifier)
+        except ValueError:  # a malformed %-escape, or one that is not UTF-8: label as written
+            pass
         edges.append((render_term(triple.subject), render_term(triple.object), qualifier))
 
     for source, target, label in sorted(edges, key=lambda e: (e[0], e[1], e[2] or "")):

@@ -47,9 +47,3 @@ class UnsupportedConstructError(TurtleSyntaxError):
 class SerializationError(OcedForgeError):
     """A graph cannot be serialized to Turtle (unescapable or colliding ids)."""
 
-
-class IncomparableTermsError(OcedForgeError):
-    """Terms of different comparable classes were ordered against each other.
-
-    Query filters treat this as false rather than propagating the error.
-    """

@@ -9,7 +9,6 @@ reproducible.
 """
 
 import re
-from collections import Counter
 from dataclasses import dataclass, field
 from datetime import datetime
 
@@ -46,14 +45,10 @@ def unescape_id(escaped: str) -> str:
     return data.decode("utf-8")
 
 
-def is_valid_id(value: str) -> bool:
-    return bool(_ID_RE.match(value))
-
-
 def _check_id(value: str, what: str):
     if not isinstance(value, str) or not value:
         raise ValueError(f"{what} id must be a non-empty string")
-    if not is_valid_id(value):
+    if not _ID_RE.match(value):
         raise ValueError(
             f"{what} id {value!r} contains characters outside the escaped id alphabet; "
             f"apply escape_id() first"
@@ -111,16 +106,6 @@ class ObjectObjectRelation:
     source: str
     target: str
     qualifier: str
-
-
-@dataclass(frozen=True)
-class GraphStats:
-    event_count: int
-    object_count: int
-    eo_relation_count: int
-    oo_relation_count: int
-    event_type_histogram: dict[str, int]
-    object_type_histogram: dict[str, int]
 
 
 class OcedGraph:
@@ -193,17 +178,3 @@ class OcedGraph:
         )
         self.object_object_relations.append(relation)
         return relation
-
-    def stats(self) -> GraphStats:
-        return GraphStats(
-            event_count=len(self.events),
-            object_count=len(self.objects),
-            eo_relation_count=len(self.event_object_relations),
-            oo_relation_count=len(self.object_object_relations),
-            event_type_histogram=dict(Counter(e.event_type for e in self.events.values())),
-            object_type_histogram=dict(Counter(o.object_type for o in self.objects.values())),
-        )
-
-
-def graph_stats(graph: OcedGraph) -> GraphStats:
-    return graph.stats()

@@ -119,12 +119,6 @@ XSD_DOUBLE = Iri(XSD + "double")
 XSD_DECIMAL = Iri(XSD + "decimal")
 XSD_BOOLEAN = Iri(XSD + "boolean")
 
-# Datatypes whose literals compare as numbers.
-NUMERIC_DATATYPES = frozenset(
-    Iri(XSD + local)
-    for local in ("integer", "decimal", "double", "float", "long", "int", "short", "byte")
-)
-
 # ext: predicates with a fixed meaning; every other ext: predicate between
 # entities is a data-derived qualifier.
 EXT_FIXED_PREDICATES = frozenset(

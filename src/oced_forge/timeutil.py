@@ -50,17 +50,11 @@ def to_utc_millis(dt: datetime) -> datetime:
 
 def format_utc_millis(dt: datetime) -> str:
     """Render an aware datetime as ISO-8601 UTC with milliseconds: ...T...sss'Z'."""
-    dt = to_utc_millis(dt)
-    return dt.strftime("%Y-%m-%dT%H:%M:%S.") + f"{dt.microsecond // 1000:03d}Z"
+    return to_utc_millis(dt).isoformat(timespec="milliseconds")[:-6] + "Z"  # "+00:00" -> "Z"
 
 
 def format_offset_millis(dt: datetime) -> str:
     """Render an aware datetime with its own offset, '+HH:MM' form, milliseconds."""
     if dt.tzinfo is None:
         raise ValueError("naive datetime; a zone offset is required")
-    off = dt.utcoffset()
-    total = int(off.total_seconds() // 60)
-    sign = "+" if total >= 0 else "-"
-    total = abs(total)
-    base = dt.strftime("%Y-%m-%dT%H:%M:%S.") + f"{dt.microsecond // 1000:03d}"
-    return f"{base}{sign}{total // 60:02d}:{total % 60:02d}"
+    return dt.isoformat(timespec="milliseconds")

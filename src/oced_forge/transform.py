@@ -12,7 +12,7 @@ README for the schema.
 
 import json
 import logging
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from datetime import datetime
 
 from .errors import ConfigError, GraphIntegrityError
@@ -62,8 +62,28 @@ class MappingConfig:
 
     def validate(self):
         for name in ("case_object_type", "case_id_key", "timestamp_key", "case_eo_qualifier"):
-            if not getattr(self, name):
+            value = getattr(self, name)
+            if not isinstance(value, str):
+                raise ConfigError(f"{name} must be a string, got {value!r}")
+            if not value:
                 raise ConfigError(f"{name} must be non-empty")
+        for name in ("event_type_keys", "attribute_passthrough"):
+            value = getattr(self, name)
+            if not isinstance(value, list) or not all(isinstance(key, str) for key in value):
+                raise ConfigError(f"{name} must be a list of strings, got {value!r}")
+        if not isinstance(self.object_rules, list):
+            raise ConfigError(f"object_rules must be a list, got {self.object_rules!r}")
+        for rule in self.object_rules:
+            if not (
+                isinstance(rule, ObjectRule)
+                and all(
+                    isinstance(v, str) for v in (rule.xes_key, rule.object_type, rule.eo_qualifier)
+                )
+                and isinstance(rule.oo_qualifier, str | None)
+            ):
+                raise ConfigError(
+                    f"object rule fields must be strings (oo_qualifier may be null): {rule!r}"
+                )
         keys = [rule.xes_key for rule in self.object_rules]
         if len(set(keys)) != len(keys):
             raise ConfigError("object_rules xes_keys must be distinct")
@@ -120,7 +140,7 @@ def load_mapping_config(path: str) -> MappingConfig:
         raise ConfigError(f"{path}: unknown keys {unknown}")
     rules = data.pop("object_rules", None)
     kwargs = dict(data)
-    if rules is not None:
+    if isinstance(rules, list):
         parsed_rules = []
         for i, raw in enumerate(rules):
             if not isinstance(raw, dict):
@@ -133,17 +153,12 @@ def load_mapping_config(path: str) -> MappingConfig:
             except TypeError as exc:
                 raise ConfigError(f"{path}: object_rules[{i}]: {exc}") from exc
         kwargs["object_rules"] = parsed_rules
+    elif rules is not None:
+        kwargs["object_rules"] = rules  # not a list: validate() rejects it
     try:
         return MappingConfig(**kwargs)
     except TypeError as exc:
         raise ConfigError(f"{path}: {exc}") from exc
-
-
-def dump_mapping_config(config: MappingConfig) -> str:
-    """JSON text for a config, suitable as a starting point for editing."""
-    data = {"config_version": CONFIG_VERSION}
-    data.update(asdict(config))
-    return json.dumps(data, indent=2) + "\n"
 
 
 def derive_event_type(event: XesEvent, config: MappingConfig) -> str:

@@ -12,14 +12,16 @@ binding shape (which of the step's variables a solution already binds): the
 pattern or group is matched once, unsubstituted, and hash-joined onto the
 solutions on those variables, unless its index candidates outnumber the
 solutions, in which case it is matched per solution through the indexes.
+
+There are no FILTER expressions: callers decode the literals they compare
+(datetime_value) and compare the values themselves.
 """
 
 from collections import Counter, defaultdict
 from dataclasses import dataclass
 from datetime import datetime
 
-from .errors import IncomparableTermsError
-from .terms import Iri, PlainLiteral, Term, Triple, TypedLiteral, NUMERIC_DATATYPES, XSD_DATETIME
+from .terms import Term, Triple, TypedLiteral, XSD_DATETIME
 from .timeutil import parse_instant
 
 
@@ -48,39 +50,6 @@ class TriplePattern:
 
 
 BindingSet = dict[str, Term]
-
-
-def compare_terms(a: Term, b: Term) -> int:
-    """Total order within a comparable class; returns <0, 0, or >0.
-
-    Comparable classes: two xsd:dateTime literals (by instant), two numeric
-    literals (by value), two plain literals (by string).  IRIs support
-    equality only.  Anything else raises IncomparableTermsError, which query
-    filters treat as false.
-    """
-    if isinstance(a, Iri) and isinstance(b, Iri):
-        if a.value == b.value:
-            return 0
-        raise IncomparableTermsError("IRIs have no order, only equality")
-    if isinstance(a, TypedLiteral) and isinstance(b, TypedLiteral):
-        if a.datatype == XSD_DATETIME and b.datatype == XSD_DATETIME:
-            try:
-                da, db = parse_instant(a.lexical), parse_instant(b.lexical)
-            except ValueError as exc:
-                raise IncomparableTermsError(f"malformed dateTime literal: {exc}") from None
-            return (da > db) - (da < db)
-        if a.datatype in NUMERIC_DATATYPES and b.datatype in NUMERIC_DATATYPES:
-            try:
-                na, nb = float(a.lexical), float(b.lexical)
-            except ValueError as exc:
-                raise IncomparableTermsError(f"malformed numeric literal: {exc}") from None
-            return (na > nb) - (na < nb)
-        raise IncomparableTermsError(
-            f"cannot compare literals of datatypes {a.datatype.value} and {b.datatype.value}"
-        )
-    if isinstance(a, PlainLiteral) and isinstance(b, PlainLiteral):
-        return (a.value > b.value) - (a.value < b.value)
-    raise IncomparableTermsError(f"cannot compare {type(a).__name__} with {type(b).__name__}")
 
 
 def datetime_value(term: Term) -> datetime | None:
@@ -134,10 +103,6 @@ class TripleStore:
         """Make the store immutable; analyses expect a frozen store."""
         self._frozen = True
         return self
-
-    @property
-    def frozen(self) -> bool:
-        return self._frozen
 
     def triples(self):
         return list(self._triples)

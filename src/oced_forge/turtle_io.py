@@ -213,7 +213,6 @@ _NUMBER_RE = re.compile(r"[+-]?\d+(\.\d+)?([eE][+-]?\d+)?")
 _IRIREF_RE = re.compile(r"<([^>\n]*)>")
 _IRI_ILLEGAL_RE = re.compile(r'[ <"{}|^`\\]')
 _STRING_RE = re.compile(r'"((?:[^"\\\n]|\\.)*)"')
-_ESCAPE_RE = re.compile(r"\\(.)")
 _ATWORD_RE = re.compile(r"@([A-Za-z][A-Za-z0-9\-]*)")
 _PNAME_RE = re.compile(r"([A-Za-z][A-Za-z0-9_.\-]*)?:((?:[A-Za-z0-9_.\-]|%[0-9A-Fa-f]{2})*)")
 _WORD_RE = re.compile(r"[A-Za-z][A-Za-z0-9_.\-]*")

@@ -5,13 +5,9 @@ in-memory log that preserves document order of traces, events, and
 attributes.  Nested attributes are kept; the XES list/container construct is
 rejected.  Unknown elements are skipped and recorded as warnings on the
 returned log.
-
-A canonical writer (`write_xes`) exists so tests can check that parsing is
-lossless; it is not a general-purpose XES exporter.
 """
 
 import gzip
-import io
 import sys
 from dataclasses import dataclass, field
 from xml.etree import ElementTree
@@ -87,18 +83,6 @@ class XesLog:
     @property
     def event_count(self) -> int:
         return sum(len(t.events) for t in self.traces)
-
-
-@dataclass(frozen=True)
-class GlobalViolation:
-    """One missing declared global attribute, or a classifier key not covered
-    by the declared event globals."""
-
-    scope: str  # "trace", "event", or "classifier"
-    key: str
-    trace_index: int | None = None
-    event_index: int | None = None
-    detail: str = ""
 
 
 def _local(tag: str) -> str:
@@ -298,110 +282,3 @@ def load_xes(path: str | None) -> XesLog:
         with open(path, "rb") as fh:
             data = fh.read()
     return parse_xes(data)
-
-
-def validate_globals(log: XesLog) -> list[GlobalViolation]:
-    """Check every declared global attribute against every trace/event.
-
-    Also reports classifier keys that are not declared event globals.  Pure
-    check: returns violation records, never raises.
-    """
-    violations: list[GlobalViolation] = []
-    trace_keys = [a.key for a in log.globals.trace]
-    event_keys = [a.key for a in log.globals.event]
-    for ti, trace in enumerate(log.traces):
-        present = {a.key for a in trace.attributes}
-        for key in trace_keys:
-            if key not in present:
-                violations.append(
-                    GlobalViolation(
-                        scope="trace",
-                        key=key,
-                        trace_index=ti,
-                        detail=f"trace {ti} lacks global trace attribute {key!r}",
-                    )
-                )
-        for ei, event in enumerate(trace.events):
-            present = {a.key for a in event.attributes}
-            for key in event_keys:
-                if key not in present:
-                    violations.append(
-                        GlobalViolation(
-                            scope="event",
-                            key=key,
-                            trace_index=ti,
-                            event_index=ei,
-                            detail=f"event {ei} of trace {ti} lacks global event attribute {key!r}",
-                        )
-                    )
-    declared = set(event_keys) | set(trace_keys)
-    for classifier in log.classifiers:
-        for key in classifier.keys:
-            if key not in declared:
-                violations.append(
-                    GlobalViolation(
-                        scope="classifier",
-                        key=key,
-                        detail=f"classifier {classifier.name!r} references undeclared key {key!r}",
-                    )
-                )
-    return violations
-
-
-def _xml_escape(text: str) -> str:
-    return (
-        text.replace("&", "&amp;")
-        .replace("<", "&lt;")
-        .replace(">", "&gt;")
-        .replace('"', "&quot;")
-    )
-
-
-def _write_attribute(out: io.StringIO, attr: XesAttribute, indent: int):
-    pad = "  " * indent
-    value = _attribute_text(attr)
-    head = f'{pad}<{attr.kind} key="{_xml_escape(attr.key)}" value="{_xml_escape(value)}"'
-    if attr.children:
-        out.write(head + ">\n")
-        for child in attr.children:
-            _write_attribute(out, child, indent + 1)
-        out.write(f"{pad}</{attr.kind}>\n")
-    else:
-        out.write(head + "/>\n")
-
-
-def write_xes(log: XesLog) -> str:
-    """Serialize a log back to canonical XES (round-trip support for tests)."""
-    out = io.StringIO()
-    out.write('<?xml version="1.0" encoding="UTF-8"?>\n')
-    out.write(f'<log xes.version="{_xml_escape(log.xes_version)}">\n')
-    for ext in log.extensions:
-        out.write(
-            f'  <extension name="{_xml_escape(ext.name)}" '
-            f'prefix="{_xml_escape(ext.prefix)}" uri="{_xml_escape(ext.uri)}"/>\n'
-        )
-    for scope, attrs in (("trace", log.globals.trace), ("event", log.globals.event)):
-        if attrs:
-            out.write(f'  <global scope="{scope}">\n')
-            for attr in attrs:
-                _write_attribute(out, attr, 2)
-            out.write("  </global>\n")
-    for clf in log.classifiers:
-        out.write(
-            f'  <classifier name="{_xml_escape(clf.name)}" '
-            f'keys="{_xml_escape(" ".join(clf.keys))}"/>\n'
-        )
-    for attr in log.attributes:
-        _write_attribute(out, attr, 1)
-    for trace in log.traces:
-        out.write("  <trace>\n")
-        for attr in trace.attributes:
-            _write_attribute(out, attr, 2)
-        for event in trace.events:
-            out.write("    <event>\n")
-            for attr in event.attributes:
-                _write_attribute(out, attr, 3)
-            out.write("    </event>\n")
-        out.write("  </trace>\n")
-    out.write("</log>\n")
-    return out.getvalue()

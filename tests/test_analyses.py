@@ -8,13 +8,12 @@ from oced_forge import (
     Triple,
     TripleStore,
     TypedLiteral,
-    build_case_timelines,
     detect_ping_pong,
     enumerate_event_objects,
     graph_to_triples,
     team_involvement,
 )
-from oced_forge.terms import EX, EXT, OCEDO, RDF, XSD
+from oced_forge.terms import EX, EXT, OBSERVED_AT, OCEDO, RDF, XSD
 
 from oracles import (
     BASE_TIME,
@@ -31,6 +30,18 @@ def ts(minutes: int) -> datetime:
 
 def store_for(handoffs) -> TripleStore:
     return graph_to_triples(build_handoff_graph(handoffs)).freeze()
+
+
+def with_time_lexicals(store: TripleStore, lexicals: dict[str, str]) -> TripleStore:
+    """Copy of store whose events named in lexicals observe those xsd:dateTime strings."""
+    out = TripleStore()
+    for triple in store.triples():
+        name = triple.subject.value.rsplit("/", 1)[1]
+        if triple.predicate == OBSERVED_AT and name in lexicals:
+            literal = TypedLiteral(lexicals[name], Iri(XSD + "dateTime"))
+            triple = Triple(triple.subject, triple.predicate, literal)
+        out.insert(triple)
+    return out.freeze()
 
 
 class TestDetectPingPong:
@@ -97,6 +108,42 @@ class TestDetectPingPong:
 
     def test_empty_store(self):
         assert detect_ping_pong(TripleStore().freeze()) == []
+
+    def test_times_compared_as_instants_across_zones(self):
+        # as strings 10:00Z < 10:30+01:00 < 10:45Z; as instants B (09:30Z) comes first
+        store = with_time_lexicals(
+            store_for([("c1", "A", ts(1)), ("c1", "B", ts(2)), ("c1", "A", ts(3))]),
+            {
+                "e1": "2012-01-01T10:00:00.000Z",
+                "e2": "2012-01-01T10:30:00.000+01:00",
+                "e3": "2012-01-01T10:45:00.000Z",
+            },
+        )
+        (row,) = detect_ping_pong(store)
+        assert row.has_ping_pong is False
+        assert row.min_time == datetime(2012, 1, 1, 9, 30, tzinfo=timezone.utc)
+        assert row.max_time == datetime(2012, 1, 1, 10, 45, tzinfo=timezone.utc)
+
+    def test_malformed_time_literal_is_ignored(self):
+        store = with_time_lexicals(
+            store_for([("c1", "A", ts(1)), ("c1", "B", ts(2)), ("c1", "A", ts(3))]),
+            {"e2": "not a date"},
+        )
+        (row,) = detect_ping_pong(store)
+        assert row.has_ping_pong is False
+        assert (row.min_time, row.max_time) == (ts(1), ts(3))
+        assert team_involvement(store) == []
+
+    def test_rows_independent_of_triple_insertion_order(self):
+        rng = random.Random(77)
+        for _ in range(40):
+            graph, _ = random_handoff_graph(rng, max_cases=5, max_events=8, max_teams=3)
+            store = graph_to_triples(graph).freeze()
+            shuffled = list(store.triples())
+            rng.shuffle(shuffled)
+            reordered = TripleStore(shuffled).freeze()
+            assert detect_ping_pong(reordered) == detect_ping_pong(store)
+            assert team_involvement(reordered) == team_involvement(store)
 
     def test_matches_oracle_on_random_graphs(self):
         rng = random.Random(2024)
@@ -198,26 +245,6 @@ class TestTeamInvolvement:
             graph, _ = random_handoff_graph(rng, max_cases=5, max_events=8)
             for row in team_involvement(graph_to_triples(graph).freeze()):
                 assert row.cases_involved <= row.witness_count
-
-
-class TestCaseTimelines:
-    def test_same_instant_groups_teams(self):
-        store = store_for([("c1", "A", ts(1)), ("c1", "B", ts(1))])
-        (timeline,) = build_case_timelines(store)
-        assert len(timeline.entries) == 1
-        assert timeline.entries[0].teams == (EX + "A", EX + "B")
-
-    def test_entries_sorted_by_time_regardless_of_insertion(self):
-        store = store_for([("c1", "A", ts(9)), ("c1", "B", ts(1)), ("c1", "A", ts(5))])
-        (timeline,) = build_case_timelines(store)
-        assert [e.time for e in timeline.entries] == [ts(1), ts(5), ts(9)]
-
-    def test_empty_store(self):
-        assert build_case_timelines(TripleStore().freeze()) == []
-
-    def test_cases_sorted(self):
-        store = store_for([("c_b", "A", ts(1)), ("c_a", "A", ts(1))])
-        assert [t.case for t in build_case_timelines(store)] == [EX + "c_a", EX + "c_b"]
 
 
 def _eo_node(store, node, event=None, obj=None, classifier=None):

@@ -2,10 +2,20 @@ import gzip
 import json
 import subprocess
 import sys
+from datetime import datetime, timezone
 
 import pytest
 
-from oced_forge import graph_to_triples, parse_turtle, parse_xes, transform_log
+from oced_forge import (
+    OcedEvent,
+    OcedGraph,
+    OcedObject,
+    graph_to_triples,
+    parse_turtle,
+    parse_xes,
+    transform_log,
+    write_turtle,
+)
 from oced_forge.cli import main
 
 from conftest import BPIC_STYLE_XES, cli_env
@@ -101,6 +111,47 @@ class TestConvert:
         code, _, err = run(["convert", str(bpic_xes_path), "--config", str(config)], capsys)
         assert code == 2
         assert "config_version" in err
+
+    @pytest.mark.parametrize(
+        "fields",
+        [
+            {"object_rules": 5},
+            {"case_object_type": 5},
+            {"attribute_passthrough": 7},
+            {"event_type_keys": "concept:name"},
+            {"object_rules": [{"xes_key": 5, "object_type": "team", "eo_qualifier": "q"}]},
+            {"case_id_key": ["x"]},
+        ],
+        ids=lambda fields: json.dumps(fields),
+    )
+    def test_ill_typed_config_exits_2(self, fields, bpic_xes_path, tmp_path, capsys):
+        config = tmp_path / "map.json"
+        config.write_text(json.dumps({"config_version": 1, **fields}))
+        code, out, err = run(["convert", str(bpic_xes_path), "--config", str(config)], capsys)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("oced-forge: ") and err.count("\n") == 1, err
+
+
+def test_years_below_1000_keep_their_ping_pong_row(tmp_path, capsys):
+    events = "".join(
+        f'<event><date key="time:timestamp" value="0999-01-01T{hour}:00:00.000Z"/>'
+        f'<string key="org:group" value="{team}"/></event>'
+        for hour, team in (("10", "A"), ("11", "B"), ("12", "A"))
+    )
+    xes = tmp_path / "old.xes"
+    xes.write_text(
+        f'<log xes.version="1.0"><trace><string key="concept:name" value="c1"/>{events}</trace></log>'
+    )
+    ttl = tmp_path / "old.ttl"
+    assert main(["convert", str(xes), "--output", str(ttl), "--quiet"]) == 0
+    assert '"0999-01-01T10:00:00.000Z"^^xsd:dateTime' in ttl.read_text()
+    code, out, _ = run(["analyze", str(ttl), "--analysis", "ping-pong", "--quiet"], capsys)
+    assert code == 0
+    assert out.splitlines() == [
+        "case,has_ping_pong,min_time,max_time",
+        "http://example.org/oced/c1,true,0999-01-01T10:00:00.000Z,0999-01-01T12:00:00.000Z",
+    ]
 
 
 @pytest.fixture
@@ -205,16 +256,59 @@ class TestStats:
         code, out, _ = run(["stats", str(converted_ttl)], capsys)
         assert code == 0
         graph, _ = transform_log(parse_xes(bpic_xes_bytes))
-        stats = graph.stats()
         values = dict(line.split(None, 1) for line in out.strip().splitlines())
         assert values["format"] == "ttl"
-        assert int(values["events"]) == stats.event_count
-        assert int(values["objects"]) == stats.object_count
-        assert int(values["eo_relations"]) == stats.eo_relation_count
-        assert int(values["oo_relations"]) == stats.oo_relation_count
-        assert int(values["event_types"]) == len(stats.event_type_histogram)
-        assert int(values["object_types"]) == len(stats.object_type_histogram)
+        assert int(values["events"]) == len(graph.events)
+        assert int(values["objects"]) == len(graph.objects)
+        assert int(values["eo_relations"]) == len(graph.event_object_relations)
+        assert int(values["oo_relations"]) == len(graph.object_object_relations)
+        assert int(values["event_types"]) == len({e.event_type for e in graph.events.values()})
+        assert int(values["object_types"]) == len({o.object_type for o in graph.objects.values()})
         assert int(values["cases"]) == 3
+
+    def test_empty_graph_all_zero(self, tmp_path, capsys):
+        ttl = tmp_path / "empty.ttl"
+        ttl.write_text(write_turtle(graph_to_triples(OcedGraph())))
+        code, out, _ = run(["stats", str(ttl)], capsys)
+        assert code == 0
+        values = dict(line.split(None, 1) for line in out.strip().splitlines())
+        assert values.pop("format") == "ttl"
+        assert values == {
+            name: "0"
+            for name in (
+                "triples",
+                "events",
+                "objects",
+                "eo_relations",
+                "oo_relations",
+                "event_types",
+                "object_types",
+                "cases",
+            )
+        }
+
+    def test_types_counted_once_each(self, tmp_path, capsys):
+        when = datetime(2012, 1, 1, 9, tzinfo=timezone.utc)
+        graph = OcedGraph()
+        graph.add_object(OcedObject(id="c1", object_type="case"))
+        graph.add_object(OcedObject(id="t1", object_type="support_team"))
+        graph.add_object(OcedObject(id="t2", object_type="support_team"))
+        for event_id, event_type in (("e1", "Queued"), ("e2", "Queued"), ("e3", "Accepted")):
+            graph.add_event(OcedEvent(id=event_id, event_type=event_type, observed_at=when))
+            graph.relate_event_object(event_id, "c1", "event_case")
+        graph.relate_objects("c1", "t1", "involves_team")
+        ttl = tmp_path / "types.ttl"
+        ttl.write_text(write_turtle(graph_to_triples(graph)))
+        code, out, _ = run(["stats", str(ttl)], capsys)
+        assert code == 0
+        values = dict(line.split(None, 1) for line in out.strip().splitlines())
+        assert int(values["events"]) == 3
+        assert int(values["event_types"]) == 2
+        assert int(values["objects"]) == 3
+        assert int(values["object_types"]) == 2
+        assert int(values["eo_relations"]) == 3
+        assert int(values["oo_relations"]) == 1
+        assert int(values["cases"]) == 1
 
     def test_xes_counts_match_parse(self, bpic_xes_path, capsys):
         code, out, _ = run(["stats", str(bpic_xes_path)], capsys)
@@ -248,6 +342,25 @@ class TestExportDot:
     def test_unknown_command_exits_64(self, capsys):
         code, _, _ = run(["frobnicate", "x"], capsys)
         assert code == 64
+
+    @pytest.mark.parametrize(
+        "qualifier, label", [("<https://w3id.org/ocedo/ext#q%ZZ>", "q%ZZ"), ("ext:q%FF", "q%FF")]
+    )
+    def test_malformed_qualifier_escape_labels_the_edge_as_written(
+        self, qualifier, label, tmp_path, capsys
+    ):
+        ttl = tmp_path / "qualifier.ttl"
+        ttl.write_text(
+            "@prefix ext: <https://w3id.org/ocedo/ext#> .\n"
+            "@prefix ex: <http://example.org/oced/> .\n"
+            'ex:a ext:object_type "case" .\n'
+            'ex:b ext:object_type "team" .\n'
+            f"ex:a {qualifier} ex:b .\n"
+        )
+        code, out, err = run(["export-dot", str(ttl)], capsys)
+        assert code == 0
+        assert err == ""
+        assert f'"ex:a" -> "ex:b" [label="{label}"];' in out
 
 
 class TestDeterminismAcrossProcesses:

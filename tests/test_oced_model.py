@@ -9,7 +9,6 @@ from oced_forge import (
     OcedGraph,
     OcedObject,
     escape_id,
-    graph_stats,
     unescape_id,
 )
 
@@ -72,7 +71,7 @@ class TestAddEvent:
     def test_add_to_empty_graph(self):
         graph = OcedGraph()
         graph.add_event(make_event("e1"))
-        assert graph.stats().event_count == 1
+        assert len(graph.events) == 1
 
     def test_duplicate_id_rejected(self):
         graph = OcedGraph()
@@ -84,14 +83,14 @@ class TestAddEvent:
         graph = OcedGraph()
         for i in range(3):
             graph.add_event(make_event(f"e{i}"))
-        assert graph.stats().event_count == 3
+        assert len(graph.events) == 3
 
 
 class TestAddObject:
     def test_add_case_object(self):
         graph = OcedGraph()
         graph.add_object(OcedObject(id="c1", object_type="case"))
-        assert graph.stats().object_count == 1
+        assert len(graph.objects) == 1
 
     def test_duplicate_rejected(self):
         graph = OcedGraph()
@@ -103,8 +102,7 @@ class TestAddObject:
         graph = OcedGraph()
         graph.add_event(make_event("x1"))
         graph.add_object(OcedObject(id="x1", object_type="case"))
-        stats = graph.stats()
-        assert (stats.event_count, stats.object_count) == (1, 1)
+        assert (len(graph.events), len(graph.objects)) == (1, 1)
 
 
 class TestRelateEventObject:
@@ -118,7 +116,7 @@ class TestRelateEventObject:
         graph = self._graph()
         relation = graph.relate_event_object("e1", "o1", "event_case")
         assert relation.id == "eo_1"
-        assert graph.stats().eo_relation_count == 1
+        assert len(graph.event_object_relations) == 1
 
     def test_dangling_object_rejected(self):
         graph = self._graph()
@@ -140,7 +138,7 @@ class TestRelateEventObject:
         graph = self._graph()
         graph.relate_event_object("e1", "o1", "event_case")
         graph.relate_event_object("e1", "o1", "touched")
-        assert graph.stats().eo_relation_count == 2
+        assert len(graph.event_object_relations) == 2
 
 
 class TestRelateObjects:
@@ -154,7 +152,7 @@ class TestRelateObjects:
         graph = self._graph()
         relation = graph.relate_objects("c1", "t1", "involves_team")
         assert relation.id == "oo_1"
-        assert graph.stats().oo_relation_count == 1
+        assert len(graph.object_object_relations) == 1
 
     def test_self_relation_rejected_by_default(self):
         graph = self._graph()
@@ -164,7 +162,7 @@ class TestRelateObjects:
     def test_self_relation_optionally_allowed(self):
         graph = self._graph()
         graph.relate_objects("c1", "c1", "loop", allow_self=True)
-        assert graph.stats().oo_relation_count == 1
+        assert len(graph.object_object_relations) == 1
 
     def test_dangling_target_rejected(self):
         graph = self._graph()
@@ -178,22 +176,6 @@ class TestRelateObjects:
 
 
 class TestStats:
-    def test_empty_graph_all_zero(self):
-        stats = graph_stats(OcedGraph())
-        assert stats.event_count == 0
-        assert stats.object_count == 0
-        assert stats.eo_relation_count == 0
-        assert stats.oo_relation_count == 0
-        assert stats.event_type_histogram == {}
-        assert stats.object_type_histogram == {}
-
-    def test_type_histograms(self):
-        graph = OcedGraph()
-        graph.add_event(make_event("e1", "Queued"))
-        graph.add_event(make_event("e2", "Queued"))
-        graph.add_event(make_event("e3", "Accepted"))
-        assert graph.stats().event_type_histogram == {"Queued": 2, "Accepted": 1}
-
     def test_counts_equal_exhaustive_recount_after_random_mutations(self):
         rng = random.Random(13)
         graph = OcedGraph()
@@ -224,9 +206,9 @@ class TestStats:
             for relation in graph.object_object_relations:
                 assert relation.source in graph.objects
                 assert relation.target in graph.objects
-        stats = graph.stats()
-        assert stats.event_count == len(graph.events)
-        assert stats.object_count == len(graph.objects)
-        assert stats.eo_relation_count == len(graph.event_object_relations)
-        assert stats.oo_relation_count == len(graph.object_object_relations)
-        assert sum(stats.event_type_histogram.values()) == stats.event_count
+        # accepted relations are distinct and numbered in insertion order
+        eo = graph.event_object_relations
+        assert len({(r.event, r.object, r.qualifier) for r in eo}) == len(eo)
+        assert [r.id for r in eo] == [f"eo_{i}" for i in range(1, len(eo) + 1)]
+        oo = graph.object_object_relations
+        assert [r.id for r in oo] == [f"oo_{i}" for i in range(1, len(oo) + 1)]

@@ -1,18 +1,26 @@
-"""Property tests: hostile Turtle input ends in a result or one error line.
+"""Property tests: hostile Turtle input ends in a result or one error line,
+and every timestamp the tool writes reads back as the same instant.
 
 Needs hypothesis; without it the module is skipped.
 """
 
 import contextlib
 import io
+from datetime import datetime, timedelta, timezone
 
 import pytest
 
 pytest.importorskip("hypothesis")
 
-from hypothesis import given, settings, strategies as st  # noqa: E402
+from hypothesis import assume, example, given, settings, strategies as st  # noqa: E402
 
 from oced_forge.cli import main  # noqa: E402
+from oced_forge.timeutil import (  # noqa: E402
+    format_offset_millis,
+    format_utc_millis,
+    parse_instant,
+    to_utc_millis,
+)
 
 _code_points = st.one_of(
     st.integers(0xD7F0, 0xE010),  # around the surrogates
@@ -70,3 +78,19 @@ def test_string_escapes_never_crash_analyze(tmp_path_factory, body, grouped, ana
     assert "Traceback" not in err
     if code == 3:
         assert err.startswith("oced-forge: ") and err.count("\n") == 1, err
+
+
+_offsets = st.integers(-(24 * 60 - 1), 24 * 60 - 1).map(
+    lambda minutes: timezone(timedelta(minutes=minutes))
+)
+
+
+@example(datetime(999, 12, 31, 23, 59, 59, 999999, tzinfo=timezone(timedelta(hours=-5))))
+@given(moment=st.datetimes(timezones=_offsets))
+def test_formatted_instants_parse_back_truncated(moment):
+    try:
+        truncated = to_utc_millis(moment)
+    except OverflowError:  # the UTC instant falls outside years 1..9999
+        assume(False)
+    assert parse_instant(format_utc_millis(moment)) == truncated
+    assert parse_instant(format_offset_millis(moment)) == truncated

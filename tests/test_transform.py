@@ -9,7 +9,6 @@ from oced_forge import (
     ObjectRule,
     default_bpic2013_config,
     derive_event_type,
-    dump_mapping_config,
     graph_to_triples,
     load_mapping_config,
     parse_xes,
@@ -85,9 +84,8 @@ class TestDeriveEventType:
 class TestTransform:
     def test_hand_enumerated_example(self):
         graph, report = transform_log(parse_xes(THREE_EVENTS_ONE_TEAM))
-        stats = graph.stats()
-        assert stats.event_count == 3
-        assert stats.object_count == 2
+        assert len(graph.events) == 3
+        assert len(graph.objects) == 2
         assert set(graph.objects) == {"case_1", "support_team_V3_2"}
         case_rels = [r for r in graph.event_object_relations if r.qualifier == "event_case"]
         team_rels = [
@@ -104,8 +102,8 @@ class TestTransform:
 
     def test_empty_log(self):
         graph, report = transform_log(parse_xes(b'<log xes.version="1.0"/>'))
-        assert graph.stats().event_count == 0
-        assert graph.stats().object_count == 0
+        assert len(graph.events) == 0
+        assert len(graph.objects) == 0
         assert report.events_emitted == 0
         assert report.objects_emitted == 0
 
@@ -182,8 +180,8 @@ class TestTransform:
         assert report.events_emitted == 6
         assert len(report.events_skipped) == 1
         # 3 cases + teams {V3_2, V5_3, V2}
-        assert graph.stats().object_count == 6
-        assert graph.stats().oo_relation_count == 4
+        assert len(graph.objects) == 6
+        assert len(graph.object_object_relations) == 4
 
     def test_passthrough_attributes_copied(self, bpic_xes_bytes):
         config = MappingConfig(attribute_passthrough=["org:resource", "impact"])
@@ -264,7 +262,23 @@ class TestConfigFile:
             attribute_passthrough=["impact"],
         )
         path = tmp_path / "mapping.json"
-        path.write_text(dump_mapping_config(config))
+        path.write_text(
+            json.dumps(
+                {
+                    "config_version": 1,
+                    "case_object_type": "incident",
+                    "object_rules": [
+                        {
+                            "xes_key": "org:role",
+                            "object_type": "role",
+                            "eo_qualifier": "performed_by",
+                            "oo_qualifier": None,
+                        }
+                    ],
+                    "attribute_passthrough": ["impact"],
+                }
+            )
+        )
         assert load_mapping_config(str(path)) == config
 
     def test_defaults_fill_missing_keys(self, tmp_path):

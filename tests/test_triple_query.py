@@ -5,7 +5,6 @@ from datetime import datetime, timezone
 import pytest
 
 from oced_forge import (
-    IncomparableTermsError,
     Iri,
     PlainLiteral,
     Triple,
@@ -13,11 +12,11 @@ from oced_forge import (
     TripleStore,
     TypedLiteral,
     Var,
-    compare_terms,
     graph_to_triples,
 )
 from oced_forge.oced_model import OcedEvent, OcedGraph, OcedObject
 from oced_forge import triple_query
+from oced_forge.triple_query import datetime_value
 from oced_forge.terms import EX, EXT, OCEDO, XSD
 
 from oracles import as_bag, nested_loop_bgp, nested_loop_optional
@@ -361,35 +360,25 @@ def _per_solution_optional(store, required, groups):
     return solutions
 
 
-class TestCompareTerms:
+class TestDatetimeValue:
     def test_datetime_ordering(self):
-        early = TypedLiteral("2012-01-01T10:00:00.000Z", DT)
-        late = TypedLiteral("2012-01-01T11:00:00.000Z", DT)
-        assert compare_terms(early, late) < 0
-        assert compare_terms(late, early) > 0
+        early = datetime_value(TypedLiteral("2012-01-01T10:00:00.000Z", DT))
+        late = datetime_value(TypedLiteral("2012-01-01T11:00:00.000Z", DT))
+        assert early < late
 
     def test_same_instant_different_zones_equal(self):
-        a = TypedLiteral("2012-01-01T10:00:00.000+01:00", DT)
-        b = TypedLiteral("2012-01-01T09:00:00.000Z", DT)
-        assert compare_terms(a, b) == 0
+        a = datetime_value(TypedLiteral("2012-01-01T10:00:00.000+01:00", DT))
+        b = datetime_value(TypedLiteral("2012-01-01T09:00:00.000Z", DT))
+        assert a == b == datetime(2012, 1, 1, 9, tzinfo=timezone.utc)
 
-    def test_datetime_vs_plain_string_is_a_type_error(self):
-        with pytest.raises(IncomparableTermsError):
-            compare_terms(TypedLiteral("2012-01-01T10:00:00.000Z", DT), PlainLiteral("x"))
+    def test_string_literals_are_not_datetimes(self):
+        lexical = "2012-01-01T10:00:00.000Z"
+        assert datetime_value(PlainLiteral(lexical)) is None
+        assert datetime_value(TypedLiteral(lexical, Iri(XSD + "string"))) is None
 
-    def test_numeric_comparison_across_numeric_datatypes(self):
-        five = TypedLiteral("5", Iri(XSD + "integer"))
-        five_and_a_half = TypedLiteral("5.5", Iri(XSD + "double"))
-        assert compare_terms(five, five_and_a_half) < 0
+    def test_iri_is_not_a_datetime(self):
+        assert datetime_value(iri("2012-01-01T10:00:00.000Z")) is None
 
-    def test_plain_literal_string_order(self):
-        assert compare_terms(PlainLiteral("a"), PlainLiteral("b")) < 0
-
-    def test_iri_equality_only(self):
-        assert compare_terms(iri("a"), iri("a")) == 0
-        with pytest.raises(IncomparableTermsError):
-            compare_terms(iri("a"), iri("b"))
-
-    def test_malformed_datetime_is_a_type_error(self):
-        with pytest.raises(IncomparableTermsError):
-            compare_terms(TypedLiteral("not a date", DT), TypedLiteral("also bad", DT))
+    def test_malformed_datetime_is_none(self):
+        for lexical in ("not a date", "2012-01-01T10:00:00.000", "2012-13-01T10:00:00.000Z"):
+            assert datetime_value(TypedLiteral(lexical, DT)) is None, lexical

@@ -3,13 +3,9 @@ from datetime import datetime, timedelta, timezone
 
 import pytest
 
-from oced_forge import (
-    XesParseError,
-    XesStructureError,
-    parse_xes,
-    validate_globals,
-    write_xes,
-)
+from oced_forge import XesParseError, XesStructureError, parse_xes
+
+from xes_writer import write_xes
 
 MINIMAL = b'<log xes.version="1.0"/>'
 
@@ -142,50 +138,6 @@ def test_same_instant_different_zones_compare_equal():
     a = parse_xes(b'<log xes.version="1.0"><date key="t" value="2012-01-01T10:00:00.000+01:00"/></log>')
     b = parse_xes(b'<log xes.version="1.0"><date key="t" value="2012-01-01T09:00:00.000Z"/></log>')
     assert a.attributes[0].value == b.attributes[0].value
-
-
-class TestValidateGlobals:
-    def test_no_globals_no_violations(self):
-        assert validate_globals(parse_xes(ONE_EVENT)) == []
-
-    def test_missing_event_global_reported_once_with_index(self):
-        doc = b"""<log xes.version="1.0">
-          <global scope="event"><date key="time:timestamp" value="1970-01-01T00:00:00.000Z"/></global>
-          <trace>
-            <event><date key="time:timestamp" value="2012-01-01T00:00:00.000Z"/></event>
-            <event><string key="concept:name" value="no stamp"/></event>
-          </trace>
-        </log>"""
-        violations = validate_globals(parse_xes(doc))
-        assert len(violations) == 1
-        v = violations[0]
-        assert (v.scope, v.trace_index, v.event_index, v.key) == ("event", 0, 1, "time:timestamp")
-
-    def test_missing_trace_global(self):
-        doc = b"""<log xes.version="1.0">
-          <global scope="trace"><string key="concept:name" value="x"/></global>
-          <trace><event/></trace>
-        </log>"""
-        violations = validate_globals(parse_xes(doc))
-        assert [v.scope for v in violations] == ["trace"]
-
-    def test_satisfied_fixture_clean_after_exhaustive_scan(self, bpic_xes_bytes):
-        log = parse_xes(bpic_xes_bytes)
-        violations = validate_globals(log)
-        assert violations == []
-        # cross-check by scanning every trace/event directly
-        for trace in log.traces:
-            assert trace.get("concept:name") is not None
-            for event in trace.events:
-                assert event.get("concept:name") is not None
-
-    def test_classifier_key_not_declared(self):
-        doc = b"""<log xes.version="1.0">
-          <classifier name="Act" keys="concept:name"/>
-        </log>"""
-        violations = validate_globals(parse_xes(doc))
-        assert [v.scope for v in violations] == ["classifier"]
-        assert violations[0].key == "concept:name"
 
 
 class TestRoundTrip:
