@@ -44,7 +44,7 @@ from .transform import (
     transform_log,
 )
 from .triple_query import TriplePattern, TripleStore, Var
-from .turtle_io import graph_to_triples, parse_turtle, write_turtle
+from .turtle_io import graph_to_triples, graph_to_turtle, parse_turtle, write_turtle
 from .xes_parser import (
     XesAttribute,
     XesEvent,
@@ -92,6 +92,7 @@ __all__ = [
     "enumerate_event_objects",
     "escape_id",
     "graph_to_triples",
+    "graph_to_turtle",
     "load_mapping_config",
     "load_xes",
     "parse_turtle",

@@ -45,9 +45,14 @@ from .terms import (
     RDF_TYPE,
     object_object_triples,
 )
-from .transform import default_bpic2013_config, load_mapping_config, transform_log
+from .transform import (
+    default_bpic2013_config,
+    load_mapping_config,
+    trace_case_ids,
+    transform_log,
+)
 from .triple_query import TriplePattern, TripleStore, Var
-from .turtle_io import graph_to_triples, parse_turtle, write_turtle
+from .turtle_io import graph_to_turtle, parse_turtle
 from .xes_parser import parse_xes
 
 EXIT_OK = 0
@@ -143,17 +148,18 @@ def _load_store(path: str) -> TripleStore:
 
 
 def cmd_convert(args) -> int:
-    data = _read_bytes(args.input)
-    log = parse_xes(data)
+    log = parse_xes(_read_bytes(args.input))
     config = load_mapping_config(args.config) if args.config else default_bpic2013_config()
     graph, report = transform_log(log, config)
-    store = graph_to_triples(graph)
-    _write_text(args.output, write_turtle(store))
+    traces, log_warnings = len(log.traces), len(log.warnings)
+    del log  # the graph holds everything the Turtle needs
+    text, triples = graph_to_turtle(graph)
+    _write_text(args.output, text)
     if not args.quiet:
         print(
-            f"convert: {len(log.traces)} traces, {report.events_emitted} events emitted, "
+            f"convert: {traces} traces, {report.events_emitted} events emitted, "
             f"{len(report.events_skipped)} skipped, {report.objects_emitted} objects, "
-            f"{len(store)} triples, {len(report.warnings) + len(log.warnings)} warnings",
+            f"{triples} triples, {len(report.warnings) + log_warnings} warnings",
             file=sys.stderr,
         )
         for skipped in report.events_skipped:
@@ -224,11 +230,12 @@ def cmd_stats(args) -> int:
     head = text.lstrip("﻿ \t\r\n")
     if head.startswith("<"):
         log = parse_xes(data)
+        cases = {case_id for _, case_id in trace_case_ids(log, default_bpic2013_config())}
         rows = [
             ("format", "xes"),
             ("traces", len(log.traces)),
             ("events", log.event_count),
-            ("cases", len(log.traces)),
+            ("cases", len(cases)),
         ]
     elif head.startswith(("@prefix", "@PREFIX", "PREFIX", "prefix", "#")):
         rows = _turtle_summary(parse_turtle(text).freeze())

@@ -172,6 +172,18 @@ def derive_event_type(event: XesEvent, config: MappingConfig) -> str:
     return "+".join(parts) if parts else "unknown"
 
 
+def trace_case_ids(log_: XesLog, config: MappingConfig) -> list[tuple[str, str]]:
+    """Each trace's case id, as (raw, escaped): the value at case_id_key, or
+    trace_<index> when the trace lacks it.  Traces whose escaped ids are
+    equal are one case."""
+    ids = []
+    for ti, trace in enumerate(log_.traces):
+        attr = trace.get(config.case_id_key)
+        raw = _attribute_text(attr) if attr is not None else f"trace_{ti}"
+        ids.append((raw, escape_id(raw)))
+    return ids
+
+
 def _has_utc_instant(value: datetime) -> bool:
     try:
         to_utc_millis(value)
@@ -195,10 +207,7 @@ def transform_log(log_: XesLog, config: MappingConfig | None = None) -> tuple[Oc
     report = TransformReport()
 
     case_ids: list[str] = []
-    for ti, trace in enumerate(log_.traces):
-        attr = trace.get(config.case_id_key)
-        raw = _attribute_text(attr) if attr is not None else f"trace_{ti}"
-        case_id = escape_id(raw)
+    for ti, (raw, case_id) in enumerate(trace_case_ids(log_, config)):
         if case_id in graph.objects:
             report.warnings.append(
                 f"trace {ti}: case id {raw!r} already seen; events merged into one case"

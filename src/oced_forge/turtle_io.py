@@ -6,6 +6,13 @@ Serialization is deterministic: prefixes are declared in a fixed order
 rendered (subject, predicate, object) tokens, and all dateTime lexical forms
 are UTC with milliseconds.
 
+One generator lists a graph's statements.  graph_to_turtle renders them
+straight to text, with no triple store: each distinct IRI is rendered once,
+a statement emitted twice is written once, and the rows are sorted and
+joined once.  graph_to_triples collects the same statements into a
+TripleStore for querying, and write_turtle renders any store with the same
+renderer, so write_turtle(graph_to_triples(g)) is graph_to_turtle(g)'s text.
+
 Event-object relations are emitted twice on purpose: once as a reified
 ext:EventObject node (ext:event / ext:object / ext:classifier) and once as a
 direct qualifier predicate from the event to the object, so both the
@@ -28,6 +35,7 @@ those of the tokenizer alone.
 """
 
 import re
+from collections.abc import Callable, Iterator
 
 from .errors import SerializationError, TurtleSyntaxError, UnsupportedConstructError
 from .oced_model import OcedGraph, TypedValue, escape_id
@@ -64,13 +72,31 @@ _ABSOLUTE_IRI_RE = re.compile(r"^[A-Za-z][A-Za-z0-9+.\-]*:")
 _BAD_IRI_CHARS = re.compile(r'[\x00-\x20<>"{}|^`\\]')
 
 
-# -- graph -> triples --------------------------------------------------------
+# -- graph -> statements ----------------------------------------------------
+
+# statements carry IRIs as strings
+_RDF_TYPE, _OBSERVED_AT, _XSD_DATETIME = RDF_TYPE.value, OBSERVED_AT.value, XSD_DATETIME.value
+_EXT_EVENT_TYPE, _EXT_OBJECT_TYPE = EXT_EVENT_TYPE.value, EXT_OBJECT_TYPE.value
+_EXT_EVENT, _EXT_OBJECT, _EXT_CLASSIFIER = EXT_EVENT.value, EXT_OBJECT.value, EXT_CLASSIFIER.value
+_EXT_EVENT_OBJECT_CLASS = EXT_EVENT_OBJECT_CLASS.value
 
 
-def _ext_iri(name: str) -> Iri:
+class _Memo(dict):
+    """fn(key), computed once per distinct key."""
+
+    def __init__(self, fn):
+        super().__init__()
+        self.fn = fn
+
+    def __missing__(self, key):
+        value = self[key] = self.fn(key)
+        return value
+
+
+def _ext_iri(name: str) -> str:
     if not name:
         raise SerializationError("cannot mint an IRI from an empty name")
-    return Iri(EXT + escape_id(name))
+    return EXT + escape_id(name)
 
 
 def _float_lexical(value: float) -> str:
@@ -83,31 +109,33 @@ def _float_lexical(value: float) -> str:
     return repr(value)
 
 
-def _value_literal(tv: TypedValue) -> Term:
+def _value_literal(tv: TypedValue) -> tuple[str, str | None]:
     if tv.kind in ("string", "id"):
-        return PlainLiteral(str(tv.value))
+        return str(tv.value), None
     if tv.kind == "date":
-        return TypedLiteral(format_utc_millis(tv.value), XSD_DATETIME)
+        return format_utc_millis(tv.value), _XSD_DATETIME
     if tv.kind == "int":
-        return TypedLiteral(str(tv.value), XSD_INTEGER)
+        return str(tv.value), XSD_INTEGER.value
     if tv.kind == "float":
-        return TypedLiteral(_float_lexical(float(tv.value)), XSD_DOUBLE)
+        return _float_lexical(float(tv.value)), XSD_DOUBLE.value
     if tv.kind == "boolean":
-        return TypedLiteral("true" if tv.value else "false", XSD_BOOLEAN)
+        return ("true" if tv.value else "false"), XSD_BOOLEAN.value
     raise SerializationError(f"attribute value kind {tv.kind!r} cannot be serialized")
 
 
-def graph_to_triples(graph: OcedGraph) -> TripleStore:
-    """Emit the Turtle-level triples for a graph.
+def _statements(graph: OcedGraph) -> Iterator[tuple[str, str, str | tuple[str, str | None]]]:
+    """The graph's statements, in emission order and possibly repeated.
 
-    Events and objects share the ex: instance namespace, so an event id that
-    equals an object id (legal in the graph's separate namespaces) cannot be
-    serialized and raises SerializationError.
+    Subject and predicate are IRI strings; the object is an IRI string or a
+    literal as a (lexical form, datatype IRI) pair, the datatype None for a
+    plain literal.  Events and objects share the ex: instance namespace, so
+    an event id that equals an object id (legal in the graph's separate
+    namespaces) cannot be serialized and raises SerializationError.
     """
-    store = TripleStore()
     owner: dict[str, tuple[str, str]] = {}
+    ext_iri = _Memo(_ext_iri)
 
-    def instance_iri(entity_id: str, kind: str) -> Iri:
+    def instance_iri(entity_id: str, kind: str) -> str:
         iri = EX + entity_id
         previous = owner.get(iri)
         if previous is not None and previous != (kind, entity_id):
@@ -116,39 +144,48 @@ def graph_to_triples(graph: OcedGraph) -> TripleStore:
                 f"ids share one IRI namespace in Turtle output"
             )
         owner[iri] = (kind, entity_id)
-        return Iri(iri)
+        return iri
 
     for event in graph.events.values():
         e_iri = instance_iri(event.id, "event")
-        store.insert(Triple(e_iri, RDF_TYPE, _ext_iri(event.event_type)))
-        store.insert(
-            Triple(e_iri, OBSERVED_AT, TypedLiteral(format_utc_millis(event.observed_at), XSD_DATETIME))
-        )
-        store.insert(Triple(e_iri, EXT_EVENT_TYPE, PlainLiteral(event.event_type)))
+        yield e_iri, _RDF_TYPE, ext_iri[event.event_type]
+        yield e_iri, _OBSERVED_AT, (format_utc_millis(event.observed_at), _XSD_DATETIME)
+        yield e_iri, _EXT_EVENT_TYPE, (event.event_type, None)
         for key in sorted(event.attributes):
-            store.insert(Triple(e_iri, _ext_iri(key), _value_literal(event.attributes[key])))
+            yield e_iri, ext_iri[key], _value_literal(event.attributes[key])
 
     for obj in graph.objects.values():
         o_iri = instance_iri(obj.id, "object")
-        store.insert(Triple(o_iri, RDF_TYPE, _ext_iri(obj.object_type)))
-        store.insert(Triple(o_iri, EXT_OBJECT_TYPE, PlainLiteral(obj.object_type)))
+        yield o_iri, _RDF_TYPE, ext_iri[obj.object_type]
+        yield o_iri, _EXT_OBJECT_TYPE, (obj.object_type, None)
 
     for rel in graph.event_object_relations:
         node = instance_iri(rel.id, "relation")
-        e_iri = Iri(EX + rel.event)
-        o_iri = Iri(EX + rel.object)
-        store.insert(Triple(node, RDF_TYPE, EXT_EVENT_OBJECT_CLASS))
-        store.insert(Triple(node, EXT_EVENT, e_iri))
-        store.insert(Triple(node, EXT_OBJECT, o_iri))
+        e_iri = EX + rel.event
+        o_iri = EX + rel.object
+        yield node, _RDF_TYPE, _EXT_EVENT_OBJECT_CLASS
+        yield node, _EXT_EVENT, e_iri
+        yield node, _EXT_OBJECT, o_iri
         if rel.qualifier is not None:
-            store.insert(Triple(node, EXT_CLASSIFIER, PlainLiteral(rel.qualifier)))
-            store.insert(Triple(e_iri, _ext_iri(rel.qualifier), o_iri))
+            yield node, _EXT_CLASSIFIER, (rel.qualifier, None)
+            yield e_iri, ext_iri[rel.qualifier], o_iri
 
     for rel in graph.object_object_relations:
-        store.insert(
-            Triple(Iri(EX + rel.source), _ext_iri(rel.qualifier), Iri(EX + rel.target))
-        )
+        yield EX + rel.source, ext_iri[rel.qualifier], EX + rel.target
 
+
+def graph_to_triples(graph: OcedGraph) -> TripleStore:
+    """The graph's Turtle-level triples as a store (see _statements)."""
+    iri = _Memo(Iri)
+    store = TripleStore()
+    for s, p, o in _statements(graph):
+        if o.__class__ is str:
+            o = iri[o]
+        elif o[1] is None:
+            o = PlainLiteral(o[0])
+        else:
+            o = TypedLiteral(o[0], iri[o[1]])
+        store.insert(Triple(iri[s], iri[p], o))
     return store
 
 
@@ -165,40 +202,70 @@ def _escape_literal(text: str) -> str:
     )
 
 
-def _render_iri(iri: Iri) -> str:
+def _iri_token(value: str) -> str:
     for prefix, namespace in PREFIXES:
-        if iri.value.startswith(namespace):
-            local = iri.value[len(namespace):]
+        if value.startswith(namespace):
+            local = value[len(namespace):]
             if local and _PN_LOCAL_RE.match(local):
                 return f"{prefix}:{local}"
-    if _BAD_IRI_CHARS.search(iri.value):
-        raise SerializationError(f"IRI contains characters illegal in Turtle: {iri.value!r}")
-    return f"<{iri.value}>"
+    if _BAD_IRI_CHARS.search(value):
+        raise SerializationError(f"IRI contains characters illegal in Turtle: {value!r}")
+    return f"<{value}>"
 
 
-def render_term(term: Term) -> str:
+def _literal_token(lexical: str, datatype_token: str | None = None, lang: str | None = None) -> str:
+    rendered = f'"{_escape_literal(lexical)}"'
+    if datatype_token is not None:
+        return f"{rendered}^^{datatype_token}"
+    return f"{rendered}@{lang}" if lang else rendered
+
+
+def render_term(term: Term, iri_token: Callable[[str], str] = _iri_token) -> str:
     """Turtle token for one term, using the fixed prefixes where possible."""
     if isinstance(term, Iri):
-        return _render_iri(term)
+        return iri_token(term.value)
     if isinstance(term, TypedLiteral):
-        return f'"{_escape_literal(term.lexical)}"^^{_render_iri(term.datatype)}'
+        return _literal_token(term.lexical, iri_token(term.datatype.value))
     if isinstance(term, PlainLiteral):
-        rendered = f'"{_escape_literal(term.value)}"'
-        return f"{rendered}@{term.lang}" if term.lang else rendered
+        return _literal_token(term.value, lang=term.lang)
     raise TypeError(f"not a term: {term!r}")
+
+
+def _document(rows: list[tuple[str, str, str]]) -> str:
+    """Fixed prefix header, then one `S P O .` line per row, in order."""
+    header = "".join(f"@prefix {prefix}: <{namespace}> .\n" for prefix, namespace in PREFIXES)
+    if not rows:
+        return header
+    return header + "\n" + "".join([f"{s} {p} {o} .\n" for s, p, o in rows])
+
+
+def graph_to_turtle(graph: OcedGraph) -> tuple[str, int]:
+    """Turtle text of a graph and its number of distinct triples.
+
+    Equal to write_turtle(graph_to_triples(graph)) and its length, without
+    the store: each distinct IRI is rendered once, and repeated statements
+    (say, a passthrough attribute keyed event_type that equals the event
+    type) are written once.
+    """
+    iri = _Memo(_iri_token)
+    rows = sorted(
+        {
+            (iri[s], iri[p], iri[o] if o.__class__ is str else _literal_token(o[0], o[1] and iri[o[1]]))
+            for s, p, o in _statements(graph)
+        }
+    )
+    return _document(rows), len(rows)
 
 
 def write_turtle(store: TripleStore) -> str:
     """Deterministic Turtle text: fixed prefix header, sorted triples."""
-    lines = [f"@prefix {prefix}: <{namespace}> ." for prefix, namespace in PREFIXES]
-    body = sorted(
-        (render_term(t.subject), render_term(t.predicate), render_term(t.object))
-        for t in store
+    iri = _Memo(_iri_token).__getitem__
+    return _document(
+        sorted(
+            (render_term(t.subject, iri), render_term(t.predicate, iri), render_term(t.object, iri))
+            for t in store
+        )
     )
-    if body:
-        lines.append("")
-        lines.extend(f"{s} {p} {o} ." for s, p, o in body)
-    return "\n".join(lines) + "\n"
 
 
 # -- parsing -----------------------------------------------------------------

@@ -5,9 +5,16 @@ in-memory log that preserves document order of traces, events, and
 attributes.  Nested attributes are kept; the XES list/container construct is
 rejected.  Unknown elements are skipped and recorded as warnings on the
 returned log.
+
+The XML is read as a stream (ElementTree.iterparse): each direct child of
+<log> is turned into log data when its end tag is read and then dropped, so
+only one trace's elements are in memory at a time.  The first structural
+error is held until the whole document has been read, so malformed XML
+anywhere in it is reported instead, as a whole-document parse would.
 """
 
 import gzip
+import io
 import sys
 from dataclasses import dataclass, field
 from xml.etree import ElementTree
@@ -101,8 +108,19 @@ def _attribute_text(attr: XesAttribute) -> str:
 
 
 class _Parser:
+    """Reads one log: open_log with the root element, then add_child with
+    each direct child of the root in document order, then log()."""
+
     def __init__(self):
         self.warnings: list[str] = []
+        self.version = ""
+        self.extensions: list[XesExtension] = []
+        self.classifiers: list[XesClassifier] = []
+        self.globals_trace: tuple[XesAttribute, ...] = ()
+        self.globals_event: tuple[XesAttribute, ...] = ()
+        self.attributes: list[XesAttribute] = []
+        self.traces: list[XesTrace] = []
+        self.prefixes: set[str] = set()
 
     def warn(self, message: str):
         self.warnings.append(message)
@@ -196,82 +214,109 @@ class _Parser:
                     attributes.append(parsed)
         return XesTrace(attributes=tuple(attributes), events=tuple(events))
 
-    def parse_log(self, root) -> XesLog:
+    def open_log(self, root):
         if _local(root.tag) != "log":
             raise XesStructureError(f"root element is <{_local(root.tag)}>, expected <log>")
-        version = root.get("xes.version", "")
-        if not version:
+        self.version = root.get("xes.version", "")
+        if not self.version:
             self.warn("log element has no xes.version attribute")
 
-        extensions: list[XesExtension] = []
-        classifiers: list[XesClassifier] = []
-        globals_trace: tuple[XesAttribute, ...] = ()
-        globals_event: tuple[XesAttribute, ...] = ()
-        attributes: list[XesAttribute] = []
-        traces: list[XesTrace] = []
-        prefixes: set[str] = set()
-
-        for child in root:
-            tag = _local(child.tag)
-            if tag == "extension":
-                name, prefix, uri = child.get("name"), child.get("prefix"), child.get("uri")
-                if not (name and prefix and uri):
-                    self.warn("skipped extension element missing name/prefix/uri")
-                    continue
-                if prefix in prefixes:
-                    raise XesStructureError(f"duplicate extension prefix {prefix!r}")
-                prefixes.add(prefix)
-                extensions.append(XesExtension(name=name, prefix=prefix, uri=uri))
-            elif tag == "global":
-                scope = child.get("scope")
-                if scope == "trace":
-                    globals_trace = self.parse_attribute_list(child)
-                elif scope == "event":
-                    globals_event = self.parse_attribute_list(child)
-                else:
-                    self.warn(f"skipped global element with scope {scope!r}")
-            elif tag == "classifier":
-                name, keys = child.get("name"), child.get("keys")
-                if not (name and keys):
-                    self.warn("skipped classifier element missing name/keys")
-                    continue
-                classifiers.append(XesClassifier(name=name, keys=tuple(keys.split())))
-            elif tag == "trace":
-                traces.append(self.parse_trace(child))
+    def add_child(self, child):
+        tag = _local(child.tag)
+        if tag == "extension":
+            name, prefix, uri = child.get("name"), child.get("prefix"), child.get("uri")
+            if not (name and prefix and uri):
+                self.warn("skipped extension element missing name/prefix/uri")
+                return
+            if prefix in self.prefixes:
+                raise XesStructureError(f"duplicate extension prefix {prefix!r}")
+            self.prefixes.add(prefix)
+            self.extensions.append(XesExtension(name=name, prefix=prefix, uri=uri))
+        elif tag == "global":
+            scope = child.get("scope")
+            if scope == "trace":
+                self.globals_trace = self.parse_attribute_list(child)
+            elif scope == "event":
+                self.globals_event = self.parse_attribute_list(child)
             else:
-                parsed = self.parse_attribute(child)
-                if parsed is not None:
-                    attributes.append(parsed)
+                self.warn(f"skipped global element with scope {scope!r}")
+        elif tag == "classifier":
+            name, keys = child.get("name"), child.get("keys")
+            if not (name and keys):
+                self.warn("skipped classifier element missing name/keys")
+                return
+            self.classifiers.append(XesClassifier(name=name, keys=tuple(keys.split())))
+        elif tag == "trace":
+            self.traces.append(self.parse_trace(child))
+        else:
+            parsed = self.parse_attribute(child)
+            if parsed is not None:
+                self.attributes.append(parsed)
 
+    def log(self) -> XesLog:
         return XesLog(
-            xes_version=version,
-            extensions=tuple(extensions),
-            globals=XesGlobals(trace=globals_trace, event=globals_event),
-            classifiers=tuple(classifiers),
-            attributes=tuple(attributes),
-            traces=tuple(traces),
+            xes_version=self.version,
+            extensions=tuple(self.extensions),
+            globals=XesGlobals(trace=self.globals_trace, event=self.globals_event),
+            classifiers=tuple(self.classifiers),
+            attributes=tuple(self.attributes),
+            traces=tuple(self.traces),
             warnings=tuple(self.warnings),
         )
+
+
+def _log_elements(data: bytes):
+    """Yield ("start", root) for the root element, then ("end", child) for
+    each direct child of the root once it is complete.  A child is dropped
+    from the tree when the caller resumes, so the tree holds only the child
+    being read and what the current input chunk has added after it."""
+    depth = 0
+    for event, elem in ElementTree.iterparse(io.BytesIO(data), ("start", "end")):
+        if event == "start":
+            depth += 1
+            if depth == 1:
+                root = elem
+                yield event, elem
+        else:
+            depth -= 1
+            if depth == 1:
+                yield event, elem
+                root.clear()
 
 
 def parse_xes(data: bytes) -> XesLog:
     """Parse XES XML bytes (gzip-compressed input is detected and inflated).
 
     Raises XesParseError for malformed XML (with line/column) and
-    XesStructureError for XES-level violations.
+    XesStructureError for XES-level violations.  The first structural error
+    is raised only once the whole document has been read, so malformed XML
+    anywhere in it is reported instead, as a whole-document parse would.
     """
     if data[:2] == b"\x1f\x8b":
         try:
             data = gzip.decompress(data)
         except (OSError, EOFError) as exc:
             raise XesParseError(f"bad gzip stream: {exc}") from exc
+    parser = _Parser()
+    held: XesStructureError | None = None
     try:
-        root = ElementTree.fromstring(data)
+        for event, elem in _log_elements(data):
+            if held is not None:
+                continue
+            try:
+                if event == "start":
+                    parser.open_log(elem)
+                else:
+                    parser.add_child(elem)
+            except XesStructureError as exc:
+                held = exc
     except ElementTree.ParseError as exc:
         line, column = exc.position if exc.position else (None, None)
         message = str(exc).rsplit(": line ", 1)[0]
         raise XesParseError(message, line, column) from exc
-    return _Parser().parse_log(root)
+    if held is not None:
+        raise held
+    return parser.log()
 
 
 def load_xes(path: str | None) -> XesLog:

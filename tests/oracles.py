@@ -5,12 +5,23 @@ scans, exhaustive enumeration over ordered event triples) so the fast
 implementations are checked against a path they share no code with.
 """
 
+import gzip
 import random
 from datetime import datetime, timedelta, timezone
+from xml.etree import ElementTree
 
+from oced_forge.errors import XesParseError, XesStructureError
 from oced_forge.oced_model import OcedEvent, OcedGraph, OcedObject, TypedValue, escape_id
 from oced_forge.terms import EX
 from oced_forge.triple_query import TriplePattern, Var
+from oced_forge.xes_parser import (
+    XesClassifier,
+    XesExtension,
+    XesGlobals,
+    XesLog,
+    _local,
+    _Parser,
+)
 
 BASE_TIME = datetime(2012, 1, 1, tzinfo=timezone.utc)
 
@@ -290,3 +301,75 @@ def random_xes(rng: random.Random):
         lines.append("  </trace>")
     lines.append("</log>")
     return "\n".join(lines), total, retained, len(groups)
+
+
+# -- whole-document XES reader (ElementTree.fromstring, then each <log> child) --
+
+
+def fromstring_parse_xes(data: bytes) -> XesLog:
+    """Reference for the streaming parse_xes: the whole DOM is built first, so
+    any XML syntax error wins over every structural error, and then the
+    <log> children are read in document order, stopping at the first
+    structural error.  Attribute, event and trace parsing is the package's.
+    """
+    if data[:2] == b"\x1f\x8b":
+        try:
+            data = gzip.decompress(data)
+        except (OSError, EOFError) as exc:
+            raise XesParseError(f"bad gzip stream: {exc}") from exc
+    try:
+        root = ElementTree.fromstring(data)
+    except ElementTree.ParseError as exc:
+        line, column = exc.position if exc.position else (None, None)
+        message = str(exc).rsplit(": line ", 1)[0]
+        raise XesParseError(message, line, column) from exc
+
+    parser = _Parser()
+    if _local(root.tag) != "log":
+        raise XesStructureError(f"root element is <{_local(root.tag)}>, expected <log>")
+    version = root.get("xes.version", "")
+    if not version:
+        parser.warn("log element has no xes.version attribute")
+    extensions, classifiers, attributes, traces = [], [], [], []
+    globals_trace = globals_event = ()
+    prefixes = set()
+    for child in root:
+        tag = _local(child.tag)
+        if tag == "extension":
+            name, prefix, uri = child.get("name"), child.get("prefix"), child.get("uri")
+            if not (name and prefix and uri):
+                parser.warn("skipped extension element missing name/prefix/uri")
+                continue
+            if prefix in prefixes:
+                raise XesStructureError(f"duplicate extension prefix {prefix!r}")
+            prefixes.add(prefix)
+            extensions.append(XesExtension(name=name, prefix=prefix, uri=uri))
+        elif tag == "global":
+            scope = child.get("scope")
+            if scope == "trace":
+                globals_trace = parser.parse_attribute_list(child)
+            elif scope == "event":
+                globals_event = parser.parse_attribute_list(child)
+            else:
+                parser.warn(f"skipped global element with scope {scope!r}")
+        elif tag == "classifier":
+            name, keys = child.get("name"), child.get("keys")
+            if not (name and keys):
+                parser.warn("skipped classifier element missing name/keys")
+                continue
+            classifiers.append(XesClassifier(name=name, keys=tuple(keys.split())))
+        elif tag == "trace":
+            traces.append(parser.parse_trace(child))
+        else:
+            parsed = parser.parse_attribute(child)
+            if parsed is not None:
+                attributes.append(parsed)
+    return XesLog(
+        xes_version=version,
+        extensions=tuple(extensions),
+        globals=XesGlobals(trace=globals_trace, event=globals_event),
+        classifiers=tuple(classifiers),
+        attributes=tuple(attributes),
+        traces=tuple(traces),
+        warnings=tuple(parser.warnings),
+    )

@@ -317,6 +317,24 @@ class TestStats:
         assert values["format"] == "xes"
         assert int(values["traces"]) == 3
         assert int(values["events"]) == 7
+        assert int(values["cases"]) == 3
+
+    def test_xes_cases_count_merged_traces_once_as_convert_does(self, tmp_path, capsys):
+        xes = tmp_path / "twice.xes"
+        xes.write_text(
+            '<log xes.version="1.0">'
+            + '<trace><string key="concept:name" value="c1"/><event>'
+            '<date key="time:timestamp" value="2012-01-01T00:00:00.000Z"/></event></trace>' * 2
+            + "</log>"
+        )
+        ttl = tmp_path / "twice.ttl"
+        assert run(["convert", str(xes), "-o", str(ttl)], capsys)[0] == 0
+        for path, traces in ((xes, "2"), (ttl, None)):
+            code, out, _ = run(["stats", str(path)], capsys)
+            assert code == 0
+            values = dict(line.split(None, 1) for line in out.strip().splitlines())
+            assert values.get("traces") == traces
+            assert values["cases"] == "1"
 
     def test_binary_junk_exits_65(self, tmp_path, capsys):
         junk = tmp_path / "junk.bin"

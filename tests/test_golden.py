@@ -1,8 +1,11 @@
-"""Byte-exact outputs of the event-objects analysis and the DOT export.
+"""Byte-exact outputs of convert, the event-objects analysis and the DOT
+export.
 
 The files under tests/golden/ hold stdout and stderr of
-``python -m oced_forge`` for each command below, on the converted test
-fixture log and on tests/golden/hostile.ttl.  Refresh them with
+``python -m oced_forge`` for each command below.  ``convert`` reads the test
+fixture log and tests/golden/hostile.xes (with hostile.config.json); the
+other commands read the converted fixture log and tests/golden/hostile.ttl.
+Refresh them with
 ``PYTHONPATH=src python tests/test_golden.py`` only when an output change
 is intended.
 """
@@ -18,6 +21,7 @@ from conftest import BPIC_STYLE_XES, cli_env
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
 COMMANDS = {
+    "convert": ["convert"],
     "event-objects.csv": ["analyze", "--analysis", "event-objects"],
     "event-objects.jsonl": ["analyze", "--analysis", "event-objects", "--format", "jsonl"],
     "export-dot": ["export-dot"],
@@ -45,6 +49,10 @@ def _input_path(source: str, workdir: Path) -> Path:
 
 
 def _run(source: str, name: str, workdir: Path):
+    if name == "convert":
+        if source == "hostile":
+            return _cli("convert", str(GOLDEN / "hostile.xes"), "--config", str(GOLDEN / "hostile.config.json"))
+        return _cli("convert", "-", stdin=BPIC_STYLE_XES.encode())
     command = COMMANDS[name]
     return _cli(command[0], str(_input_path(source, workdir)), *command[1:])
 

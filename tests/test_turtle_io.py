@@ -1,5 +1,6 @@
 import random
 from datetime import datetime, timedelta, timezone
+from pathlib import Path
 
 import pytest
 
@@ -15,15 +16,24 @@ from oced_forge import (
     TypedLiteral,
     TypedValue,
     UnsupportedConstructError,
+    escape_id,
     graph_to_triples,
+    graph_to_turtle,
+    load_mapping_config,
     parse_turtle,
+    parse_xes,
+    transform_log,
     write_turtle,
 )
+from oced_forge.cli import main
 from oced_forge.terms import EX, EXT, OCEDO, RDF, XSD
 from oced_forge.triple_query import TripleStore
 from oced_forge.turtle_io import _TurtleParser
 
+from conftest import BPIC_STYLE_XES
 from oracles import random_oced_graph
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
 
 T0 = datetime(2012, 1, 1, 10, 0, tzinfo=timezone(timedelta(hours=1)))
 
@@ -118,6 +128,78 @@ class TestGraphToTriples:
         graph.add_object(OcedObject(id="shared", object_type="case"))
         with pytest.raises(SerializationError, match="shared"):
             graph_to_triples(graph)
+
+
+class TestGraphToTurtle:
+    """graph_to_turtle renders a graph without a store; write_turtle over
+    graph_to_triples is its reference, text and triple count."""
+
+    @staticmethod
+    def assert_same_as_store_path(graph):
+        store = graph_to_triples(graph)
+        assert graph_to_turtle(graph) == (write_turtle(store), len(store))
+
+    def test_acceptance_seed_graphs(self):
+        rng = random.Random(4040)
+        for _ in range(200):
+            self.assert_same_as_store_path(random_oced_graph(rng))
+
+    def test_empty_graph(self):
+        self.assert_same_as_store_path(OcedGraph())
+
+    def test_converted_fixture_and_hostile_logs(self):
+        hostile = load_mapping_config(str(GOLDEN / "hostile.config.json"))
+        for data, config in (
+            (BPIC_STYLE_XES.encode(), None),
+            ((GOLDEN / "hostile.xes").read_bytes(), hostile),
+        ):
+            graph, _ = transform_log(parse_xes(data), config)
+            self.assert_same_as_store_path(graph)
+
+    def test_passthrough_event_type_is_written_once(self):
+        graph = OcedGraph()
+        graph.add_event(
+            OcedEvent(
+                id="e1",
+                event_type="Accepted",
+                observed_at=T0,
+                attributes={"event_type": TypedValue("string", "Accepted")},
+            )
+        )
+        text, count = graph_to_turtle(graph)
+        assert text.count('ex:e1 ext:event_type "Accepted" .') == 1
+        assert count == 3
+        self.assert_same_as_store_path(graph)
+
+    def test_literals_and_ids_needing_escapes(self):
+        odd = 'q"b\\n\nt\tr\r é 日本 😀'
+        graph = OcedGraph()
+        graph.add_event(
+            OcedEvent(
+                id="e1",
+                event_type=odd,
+                observed_at=T0,
+                attributes={odd: TypedValue("string", odd), "k": TypedValue("id", odd)},
+            )
+        )
+        graph.add_object(OcedObject(id=escape_id("case " + odd), object_type=odd))
+        graph.relate_event_object("e1", escape_id("case " + odd), odd)
+        text, _ = graph_to_turtle(graph)
+        assert '"q\\"b\\\\n\\nt\\tr\\r é 日本 😀"' in text
+        self.assert_same_as_store_path(graph)
+
+    def test_trace_named_like_an_event_id_raises_the_same_error(self, tmp_path, capsys):
+        data = BPIC_STYLE_XES.replace('value="1-364285768"', 'value="e1"').encode()
+        graph, _ = transform_log(parse_xes(data))
+        message = "id 'e1' is used as both event and object; ids share one IRI namespace in Turtle output"
+        for render in (graph_to_triples, graph_to_turtle):
+            with pytest.raises(SerializationError) as raised:
+                render(graph)
+            assert str(raised.value) == message
+        xes = tmp_path / "e1.xes"
+        xes.write_bytes(data)
+        assert main(["convert", str(xes)]) == 1
+        assert capsys.readouterr().err == f"oced-forge: {message}\n"
 
 
 class TestWriteTurtle:

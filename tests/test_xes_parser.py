@@ -1,10 +1,13 @@
 import gzip
+import random
 from datetime import datetime, timedelta, timezone
 
 import pytest
 
 from oced_forge import XesParseError, XesStructureError, parse_xes
 
+from conftest import BPIC_STYLE_XES
+from oracles import fromstring_parse_xes
 from xes_writer import write_xes
 
 MINIMAL = b'<log xes.version="1.0"/>'
@@ -162,3 +165,100 @@ class TestRoundTrip:
         log = parse_xes(doc.encode("utf-8"))
         assert log.attributes[0].value == 'a&b <c> "d"'
         assert parse_xes(write_xes(log).encode("utf-8")) == log
+
+
+def _many_traces(copies: int) -> bytes:
+    """The fixture log with its traces repeated, long enough that the
+    reader sees it in several chunks."""
+    head, _, rest = BPIC_STYLE_XES.partition("  <trace>")
+    traces, _, tail = ("  <trace>" + rest).rpartition("</log>")
+    return (head + traces * copies + tail + "</log>\n").encode("utf-8")
+
+
+def _outcome(parse, data: bytes):
+    try:
+        log = parse(data)
+    except Exception as exc:  # the comparison covers every way either reader can end
+        return ("raised", type(exc), str(exc), getattr(exc, "line", None), getattr(exc, "column", None))
+    return ("parsed", log, log.warnings)
+
+
+_FILLER = '<trace><string key="concept:name" value="filler"/><event/></trace>' * 1500
+STREAMING_CORPUS = {
+    "syntax error after a structural error": (
+        b'<log xes.version="1.0"><trace><int key="n" value="x"/></trace><trace></log>'
+    ),
+    "syntax error chunks after a structural error": (
+        '<log xes.version="1.0"><trace><int key="n" value="x"/></trace>' + _FILLER + "<trace></log>"
+    ).encode(),
+    "structural error chunks after a warning": (
+        '<log xes.version="1.0"><widget/>' + _FILLER + '<trace><list key="l"/></trace></log>'
+    ).encode(),
+    "wrong root followed by a syntax error": b"<foo><bar></foo>",
+    "wrong root": b'<foo xes.version="1.0"><trace/></foo>',
+    "truncated document": b'<log xes.version="1.0"><trace><event>',
+    "truncated after the root": b'<log xes.version="1.0"><trace/></log',
+    "empty document": b"",
+    "junk after the root": b'<log xes.version="1.0"/>junk',
+    "second root element": b"<log/><log/>",
+    "undefined entity": b'<log><string key="k" value="&nope;"/></log>',
+    "duplicate extension prefix": (
+        b'<log xes.version="1.0"><extension name="A" prefix="p" uri="u1"/>'
+        b'<extension name="B" prefix="p" uri="u2"/></log>'
+    ),
+    "list attribute": b'<log xes.version="1.0"><trace><list key="l"><string key="a" value="b"/></list></trace></log>',
+    "duplicate event key": (
+        b'<log xes.version="1.0"><trace><event><string key="k" value="1"/>'
+        b'<string key="k" value="2"/></event></trace></log>'
+    ),
+    "warnings in document order": (
+        b'<log><mystery/><trace><widget/><event><gadget/></event></trace>'
+        b'<extension name="x"/><global scope="odd"/><classifier name="c"/>'
+        b'<global scope="event"><string key="g" value="v"/><thing/></global></log>'
+    ),
+    "byte order mark and encoding declaration": (
+        b'\xef\xbb\xbf<?xml version="1.0" encoding="UTF-8"?>\n<log xes.version="1.0">'
+        b'<string key="k" value="\xc3\xa9"/></log>'
+    ),
+    "latin-1 declaration": (
+        '<?xml version="1.0" encoding="ISO-8859-1"?><log xes.version="1.0">'
+        '<string key="k" value="\u00e9"/></log>'
+    ).encode("latin-1"),
+    "utf-16 with byte order mark": (
+        '<?xml version="1.0" encoding="UTF-16"?><log xes.version="1.0">'
+        '<string key="k" value="\u65e5\u672c"/></log>'
+    ).encode("utf-16"),
+    "default namespace": b'<log xmlns="http://www.xes-standard.org/" xes.version="1.0"><trace/></log>',
+    "gzip": gzip.compress(BPIC_STYLE_XES.encode()),
+    "truncated gzip": gzip.compress(BPIC_STYLE_XES.encode())[:-12],
+    "fixture over several chunks": _many_traces(12),
+}
+
+
+class TestStreamingReader:
+    """parse_xes reads the document as a stream; the whole-document reader in
+    tests/oracles.py is its reference for the result and for the error."""
+
+    @pytest.mark.parametrize("name", sorted(STREAMING_CORPUS))
+    def test_hand_corpus_matches_whole_document_reader(self, name):
+        data = STREAMING_CORPUS[name]
+        assert _outcome(parse_xes, data) == _outcome(fromstring_parse_xes, data)
+
+    def test_seeded_truncations_and_byte_flips_match_whole_document_reader(self):
+        base = _many_traces(8)
+        rng = random.Random(20260601)
+        kinds = []
+        for i in range(300):
+            if i % 2 == 0:
+                data = base[: rng.randrange(len(base))]
+            else:
+                mutated = bytearray(base)
+                for _ in range(rng.randint(1, 3)):
+                    mutated[rng.randrange(len(mutated))] = rng.choice(b'<>/"=&\x00\xff a7-:')
+                data = bytes(mutated)
+            expected = _outcome(fromstring_parse_xes, data)
+            assert _outcome(parse_xes, data) == expected, f"mutation {i}"
+            kinds.append(expected[1] if expected[0] == "raised" else "parsed")
+        assert kinds.count(XesParseError) >= 100
+        assert kinds.count(XesStructureError) >= 5
+        assert kinds.count("parsed") >= 20
