@@ -190,25 +190,24 @@ def cmd_analyze(args) -> int:
 
 
 def _turtle_summary(store: TripleStore) -> list[tuple[str, int | str]]:
-    def subjects(predicate):
-        return {sol["s"] for sol in store.match_pattern(TriplePattern(Var("s"), predicate, Var("v")))}
+    def matches(predicate):
+        return store.match_pattern(TriplePattern(Var("s"), predicate, Var("v")))
 
-    events = subjects(EXT_EVENT_TYPE)
-    objects = subjects(EXT_OBJECT_TYPE)
+    typed_events = matches(EXT_EVENT_TYPE)
+    typed_objects = matches(EXT_OBJECT_TYPE)
+    objects = {sol["s"] for sol in typed_objects}
     eo_nodes = store.match_pattern(TriplePattern(Var("s"), RDF_TYPE, EXT_EVENT_OBJECT_CLASS))
     oo_relations = sum(1 for _ in object_object_triples(store, objects))
-    event_types = {sol["v"] for sol in store.match_pattern(TriplePattern(Var("s"), EXT_EVENT_TYPE, Var("v")))}
-    object_types = {sol["v"] for sol in store.match_pattern(TriplePattern(Var("s"), EXT_OBJECT_TYPE, Var("v")))}
-    cases = {sol["o"] for sol in store.match_pattern(TriplePattern(Var("s"), EXT_EVENT_CASE, Var("o")))}
+    cases = {sol["v"] for sol in matches(EXT_EVENT_CASE)}
     return [
         ("format", "ttl"),
         ("triples", len(store)),
-        ("events", len(events)),
+        ("events", len({sol["s"] for sol in typed_events})),
         ("objects", len(objects)),
         ("eo_relations", len(eo_nodes)),
         ("oo_relations", oo_relations),
-        ("event_types", len(event_types)),
-        ("object_types", len(object_types)),
+        ("event_types", len({sol["v"] for sol in typed_events})),
+        ("object_types", len({sol["v"] for sol in typed_objects})),
         ("cases", len(cases)),
     ]
 

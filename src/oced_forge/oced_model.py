@@ -84,7 +84,6 @@ class OcedEvent:
 class OcedObject:
     id: str
     object_type: str
-    attributes: dict[str, TypedValue] = field(default_factory=dict)
 
     def __post_init__(self):
         _check_id(self.id, "object")
@@ -160,7 +159,7 @@ class OcedGraph:
         return relation
 
     def relate_objects(
-        self, source_id: str, target_id: str, qualifier: str, allow_self: bool = False
+        self, source_id: str, target_id: str, qualifier: str
     ) -> ObjectObjectRelation:
         if source_id not in self.objects:
             raise GraphIntegrityError(f"relation endpoint {source_id!r} is not a known object")
@@ -168,7 +167,7 @@ class OcedGraph:
             raise GraphIntegrityError(f"relation endpoint {target_id!r} is not a known object")
         if not qualifier:
             raise GraphIntegrityError("object-object relations require a qualifier")
-        if source_id == target_id and not allow_self:
+        if source_id == target_id:
             raise GraphIntegrityError(f"self-relation on object {source_id!r} rejected")
         relation = ObjectObjectRelation(
             id=f"oo_{len(self.object_object_relations) + 1}",

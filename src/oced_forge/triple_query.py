@@ -1,23 +1,22 @@
 """Indexed in-memory triple store with basic-graph-pattern matching.
 
-The store has set semantics and four indexes (subject, predicate, object,
+The store has set semantics and three indexes (subject, predicate,
 predicate+object).  Iteration order everywhere is insertion order, never
 hash order, so query results are deterministic across processes.
 
 BGP evaluation joins patterns most-selective-first: at each step the
 remaining pattern with the cheapest index estimate (given the variables
 already bound) is joined next.  OPTIONAL evaluation left-joins each optional
-group onto the required block's solutions.  Both join steps plan once per
-binding shape (which of the step's variables a solution already binds): the
-pattern or group is matched once, unsubstituted, and hash-joined onto the
-solutions on those variables, unless its index candidates outnumber the
-solutions, in which case it is matched per solution through the indexes.
+group onto the required block's solutions.  Both join steps are hash joins
+planned once per binding shape (which of the step's variables a solution
+already binds): the pattern or group is matched once, unsubstituted, and its
+matches are joined onto the solutions on those variables.
 
 There are no FILTER expressions: callers decode the literals they compare
 (datetime_value) and compare the values themselves.
 """
 
-from collections import Counter, defaultdict
+from collections import defaultdict
 from dataclasses import dataclass
 from datetime import datetime
 
@@ -68,7 +67,6 @@ class TripleStore:
         self._triples: dict[Triple, None] = {}
         self._by_s: defaultdict[Term, dict[Triple, None]] = defaultdict(dict)
         self._by_p: defaultdict[Term, dict[Triple, None]] = defaultdict(dict)
-        self._by_o: defaultdict[Term, dict[Triple, None]] = defaultdict(dict)
         self._by_po: defaultdict[tuple[Term, Term], dict[Triple, None]] = defaultdict(dict)
         self._frozen = False
         for t in triples:
@@ -95,7 +93,6 @@ class TripleStore:
         predicate, obj = triple.predicate, triple.object
         self._by_s[triple.subject][triple] = None
         self._by_p[predicate][triple] = None
-        self._by_o[obj][triple] = None
         self._by_po[predicate, obj][triple] = None
         return self
 
@@ -115,8 +112,6 @@ class TripleStore:
             return self._by_po.get((p, o), {})
         if s is not None:
             return self._by_s.get(s, {})
-        if o is not None:
-            return self._by_o.get(o, {})
         if p is not None:
             return self._by_p.get(p, {})
         return self._triples
@@ -198,32 +193,17 @@ class TripleStore:
         Solutions are split by which of the group's variables they bind
         (their shape).  Per shape the group is matched once, unsubstituted,
         and its matches are bucketed by the values of those variables, so
-        extending a solution is one dict lookup.  A shape with fewer
-        solutions than the group's constant-only index candidates is matched
-        per solution with its bindings substituted instead: scanning those
-        candidates would cost more than the lookups.  Either way a one-pattern
-        group extends each solution by its matching triples in insertion
-        order, so the result order does not depend on the path taken."""
-        cost = sum(len(self._candidates(*_constants(pattern))) for pattern in group)
-        if cost > len(solutions):  # no shape has enough solutions: skip telling them apart
-            shapes = [None] * len(solutions)
-        else:
-            names = sorted({name for pattern in group for name in pattern.variables()})
-            shapes = [tuple(name for name in names if name in solution) for solution in solutions]
-        tables = {
-            shape: self._buckets(group, shape) if cost <= count else None
-            for shape, count in Counter(shapes).items()
-        }
+        extending a solution is one dict lookup.  A one-pattern group
+        extends each solution by its matching triples in insertion order."""
+        names = sorted({name for pattern in group for name in pattern.variables()})
+        tables = {}
         extended: list[BindingSet] = []
-        for solution, shape in zip(solutions, shapes):
-            table = tables[shape]
+        for solution in solutions:
+            shape = tuple(name for name in names if name in solution)
+            table = tables.get(shape)
             if table is None:
-                if len(group) == 1:
-                    matches = self.match_pattern(_substitute(group[0], solution))
-                else:
-                    matches = self.match_bgp([_substitute(p, solution) for p in group])
-            else:
-                matches = table.get(tuple(solution[name] for name in shape), ())
+                table = tables[shape] = self._buckets(group, shape)
+            matches = table.get(tuple(solution[name] for name in shape), ())
             for match in matches:
                 merged = dict(solution)
                 merged.update(match)
@@ -243,12 +223,3 @@ class TripleStore:
 
 def _constants(pattern: TriplePattern) -> list[Term | None]:
     return [None if isinstance(t, Var) else t for t in pattern.positions()]
-
-
-def _substitute(pattern: TriplePattern, binding: BindingSet) -> TriplePattern:
-    def sub(term):
-        if isinstance(term, Var) and term.name in binding:
-            return binding[term.name]
-        return term
-
-    return TriplePattern(sub(pattern.subject), sub(pattern.predicate), sub(pattern.object))

@@ -135,6 +135,10 @@ class _Parser:
                 raise XesStructureError(
                     f"unparseable date for key {key!r}: {raw!r}"
                 ) from None
+        # int() and float() also read "1_2" and non-ASCII digits such as
+        # "١٢", which xsd:long and xsd:double do not allow
+        if kind in ("int", "float") and ("_" in raw or not raw.isascii()):
+            raise XesStructureError(f"unparseable {kind} for key {key!r}: {raw!r}")
         if kind == "int":
             try:
                 value = int(raw)

@@ -105,6 +105,22 @@ class TestConvert:
         assert "ext:seen" not in out
         assert "1 events emitted, 0 skipped" in err and "1 warnings" in err
 
+    def test_int_group_with_digit_separator_exits_3(self, tmp_path, capsys):
+        # read as int() would, "1_2" is group 12 and the trace would bounce 12 -> 3 -> 12
+        events = "".join(
+            f'<event><date key="time:timestamp" value="2012-01-01T{hour}:00:00.000Z"/>'
+            f'<int key="org:group" value="{group}"/></event>'
+            for hour, group in (("10", "12"), ("11", "3"), ("12", "1_2"))
+        )
+        xes = tmp_path / "one.xes"
+        xes.write_text(
+            f'<log xes.version="1.0"><trace><string key="concept:name" value="c1"/>{events}</trace></log>'
+        )
+        code, out, err = run(["convert", str(xes)], capsys)
+        assert code == 3
+        assert out == ""
+        assert err == "oced-forge: unparseable int for key 'org:group': '1_2'\n"
+
     def test_invalid_config_exits_2(self, bpic_xes_path, tmp_path, capsys):
         config = tmp_path / "map.json"
         config.write_text(json.dumps({"config_version": 7}))

@@ -159,11 +159,6 @@ class TestRelateObjects:
         with pytest.raises(GraphIntegrityError, match="self-relation"):
             graph.relate_objects("c1", "c1", "loop")
 
-    def test_self_relation_optionally_allowed(self):
-        graph = self._graph()
-        graph.relate_objects("c1", "c1", "loop", allow_self=True)
-        assert len(graph.object_object_relations) == 1
-
     def test_dangling_target_rejected(self):
         graph = self._graph()
         with pytest.raises(GraphIntegrityError, match="nowhere"):

@@ -1,6 +1,6 @@
 import random
 from collections import Counter
-from datetime import datetime, timezone
+from datetime import datetime, timedelta, timezone
 
 import pytest
 
@@ -15,11 +15,11 @@ from oced_forge import (
     graph_to_triples,
 )
 from oced_forge.oced_model import OcedEvent, OcedGraph, OcedObject
-from oced_forge import triple_query
+from oced_forge.analyses import handled_events
 from oced_forge.triple_query import datetime_value
 from oced_forge.terms import EX, EXT, OCEDO, XSD
 
-from oracles import as_bag, nested_loop_bgp, nested_loop_optional
+from oracles import BASE_TIME, as_bag, build_handoff_graph, nested_loop_bgp, nested_loop_optional
 
 DT = Iri(XSD + "dateTime")
 
@@ -220,20 +220,7 @@ class TestMatchOptional:
         assert {sol["k"].value for sol in solutions} == {"x", "y"}
 
 
-    def test_random_optional_equals_left_outer_join_oracle(self, monkeypatch):
-        paths = Counter()
-        buckets, substitute = TripleStore._buckets, triple_query._substitute
-
-        def counted_buckets(store, group, shape):
-            paths["hash join"] += 1
-            return buckets(store, group, shape)
-
-        def counted_substitute(pattern, binding):
-            paths["per solution"] += 1
-            return substitute(pattern, binding)
-
-        monkeypatch.setattr(TripleStore, "_buckets", counted_buckets)
-        monkeypatch.setattr(triple_query, "_substitute", counted_substitute)
+    def test_random_optional_equals_left_outer_join_oracle(self):
         features = Counter()
         rng = random.Random(29)
         for _ in range(400):
@@ -260,7 +247,53 @@ class TestMatchOptional:
             "mixed shapes",
         ):
             assert features[feature] >= 20, (feature, features)
-        assert paths["hash join"] >= 100 and paths["per solution"] >= 100, paths
+
+
+class TestJoinSteps:
+    """Each join step matches its pattern or group once per binding shape,
+    however many solutions it extends."""
+
+    def _counted(self, monkeypatch):
+        calls = []
+        match_pattern = TripleStore.match_pattern
+
+        def counted(store, pattern):
+            calls.append(pattern)
+            return match_pattern(store, pattern)
+
+        monkeypatch.setattr(TripleStore, "match_pattern", counted)
+        return calls
+
+    def test_bgp_matches_each_pattern_once(self, monkeypatch):
+        # every other event has no team, so after the first step each later
+        # pattern has twice as many matches as there are solutions
+        handoffs = [
+            (f"case_{i % 5}", f"team_{i % 3}" if i % 2 else None, BASE_TIME + timedelta(minutes=i))
+            for i in range(50)
+        ]
+        store = graph_to_triples(build_handoff_graph(handoffs)).freeze()
+        calls = self._counted(monkeypatch)
+        assert len(handled_events(store)) == 25
+        assert len(calls) == 3
+
+    def test_optional_group_matches_once_per_shape(self, monkeypatch):
+        triples = (
+            [t(f"e{i}", "event_case", f"c{i % 4}") for i in range(40)]
+            + [t(f"e{i}", "classifier", f"k{i}") for i in range(0, 40, 2)]
+            + [t(f"k{i}", "label", PlainLiteral(str(i))) for i in range(60)]
+        )
+        store = TripleStore(triples)
+        required = [TriplePattern(Var("e"), iri("event_case"), Var("c"))]
+        # half the solutions bind ?k before the last group, half do not
+        groups = [
+            [TriplePattern(Var("e"), iri("classifier"), Var("k"))],
+            [TriplePattern(Var("k"), iri("label"), Var("v"))],
+        ]
+        calls = self._counted(monkeypatch)
+        solutions = store.match_optional(required, groups)
+        assert len(calls) == 4
+        assert len(solutions) == 20 + 20 * 60
+        assert as_bag(solutions) == as_bag(nested_loop_optional(triples, required, groups))
 
 
 _OPTIONAL_VARIABLES = [Var(v) for v in "wxyz"]

@@ -121,6 +121,30 @@ def test_boolean_and_float_values():
     assert log.attributes[1].value == 1.5
 
 
+@pytest.mark.parametrize(
+    "kind, raw",
+    [("int", "1_2"), ("int", "١٢"), ("int", "１２"), ("float", "1_000.5"), ("float", "١.٥")],
+)
+def test_digit_separators_and_non_ascii_digits_rejected(kind, raw):
+    doc = f'<log xes.version="1.0"><{kind} key="org:group" value="{raw}"/></log>'.encode()
+    with pytest.raises(XesStructureError, match=f"unparseable {kind} for key 'org:group': '{raw}'"):
+        parse_xes(doc)
+
+
+@pytest.mark.parametrize(
+    "kind, raw, value",
+    [("int", " 12 ", 12), ("int", "+7", 7), ("float", "inf", float("inf")), ("float", "-1.5e3 ", -1500.0)],
+)
+def test_numbers_keep_surrounding_whitespace_signs_and_infinity(kind, raw, value):
+    log = parse_xes(f'<log xes.version="1.0"><{kind} key="n" value="{raw}"/></log>'.encode())
+    assert log.attributes[0].value == value
+
+
+def test_float_nan_accepted():
+    log = parse_xes(b'<log xes.version="1.0"><float key="n" value="NaN"/></log>')
+    assert log.attributes[0].value != log.attributes[0].value
+
+
 def test_nested_attributes_preserved():
     doc = b"""<log xes.version="1.0">
       <string key="outer" value="o"><int key="inner" value="3"/></string>
