@@ -4,9 +4,9 @@ Ping-pong detection (BPIC 2013 question 2): a case shows ping-pong when some
 team handles it, a different team handles it strictly later, and the first
 team handles it strictly later again.  The three events need not be
 consecutive, and equal timestamps never witness ping-pong (strict
-inequalities throughout).  Detection avoids enumerating event triples: for
-each team, any other team's event strictly between the team's first and last
-handling times completes a witness.
+inequalities throughout).  Such a triple is a witness; a case shows
+ping-pong exactly when it has one.  Both analyses count witnesses per team
+from sorted time arrays instead of enumerating event triples.
 
 Team involvement ranks teams by the number of distinct cases in which they
 appear in at least one witnessing event triple, with the total number of
@@ -125,26 +125,6 @@ def _by_case(rows: list[HandledEvent]) -> dict[str, list[HandledEvent]]:
     return grouped
 
 
-def _case_has_ping_pong(rows: list[HandledEvent]) -> bool:
-    # team T bounces iff another team's event falls strictly between T's
-    # first and last handling times
-    first: dict[str, datetime] = {}
-    last: dict[str, datetime] = {}
-    for row in rows:
-        if row.team not in first or row.time < first[row.team]:
-            first[row.team] = row.time
-        if row.team not in last or row.time > last[row.team]:
-            last[row.team] = row.time
-    for team, lo in first.items():
-        hi = last[team]
-        if lo == hi:
-            continue
-        for row in rows:
-            if row.team != team and lo < row.time < hi:
-                return True
-    return False
-
-
 def detect_ping_pong(store: TripleStore) -> list[PingPongRow]:
     """One row per case with at least one team-handled timestamped event,
     ordered by has_ping_pong (false first) then case."""
@@ -154,7 +134,7 @@ def detect_ping_pong(store: TripleStore) -> list[PingPongRow]:
         out.append(
             PingPongRow(
                 case=case,
-                has_ping_pong=_case_has_ping_pong(rows),
+                has_ping_pong=bool(_case_witness_counts(rows)),
                 min_time=min(times),
                 max_time=max(times),
             )

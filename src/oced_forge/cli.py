@@ -53,7 +53,7 @@ from .transform import (
 )
 from .triple_query import TriplePattern, TripleStore, Var
 from .turtle_io import graph_to_turtle, parse_turtle
-from .xes_parser import parse_xes
+from .xes_parser import XesLog, parse_xes
 
 EXIT_OK = 0
 EXIT_UNREADABLE = 2
@@ -212,6 +212,16 @@ def _turtle_summary(store: TripleStore) -> list[tuple[str, int | str]]:
     ]
 
 
+def _xes_summary(log: XesLog) -> list[tuple[str, int | str]]:
+    cases = {case_id for _, case_id in trace_case_ids(log, default_bpic2013_config())}
+    return [
+        ("format", "xes"),
+        ("traces", len(log.traces)),
+        ("events", log.event_count),
+        ("cases", len(cases)),
+    ]
+
+
 def cmd_stats(args) -> int:
     data = _read_bytes(args.input)
     if data[:2] == b"\x1f\x8b":
@@ -220,28 +230,26 @@ def cmd_stats(args) -> int:
         except (OSError, EOFError):
             print(f"stats: {args.input}: bad gzip stream", file=sys.stderr)
             return EXIT_BAD_FORMAT
-    try:
-        text = data.decode("utf-8")
-    except UnicodeDecodeError:
-        print(f"stats: {args.input}: not XES or Turtle", file=sys.stderr)
-        return EXIT_BAD_FORMAT
-
-    head = text.lstrip("﻿ \t\r\n")
-    if head.startswith("<"):
-        log = parse_xes(data)
-        cases = {case_id for _, case_id in trace_case_ids(log, default_bpic2013_config())}
-        rows = [
-            ("format", "xes"),
-            ("traces", len(log.traces)),
-            ("events", log.event_count),
-            ("cases", len(cases)),
-        ]
-    elif head.startswith(("@prefix", "@PREFIX", "PREFIX", "prefix", "#")):
-        rows = _turtle_summary(parse_turtle(text).freeze())
+    if data.removeprefix("\ufeff".encode()).lstrip(b" \t\r\n").startswith(b"<"):
+        # XES, or Turtle whose first statement starts with an absolute <iri>
+        try:
+            rows = _xes_summary(parse_xes(data))
+        except XesParseError as xml_error:
+            try:
+                rows = _turtle_summary(parse_turtle(data.decode("utf-8")).freeze())
+            except (UnicodeDecodeError, TurtleSyntaxError):
+                raise xml_error from None
     else:
+        try:
+            text = data.decode("utf-8")
+        except UnicodeDecodeError:
+            print(f"stats: {args.input}: not XES or Turtle", file=sys.stderr)
+            return EXIT_BAD_FORMAT
         try:
             store = parse_turtle(text).freeze()
         except TurtleSyntaxError:
+            if text.lstrip("\ufeff \t\r\n").startswith(("@prefix", "@PREFIX", "PREFIX", "prefix", "#")):
+                raise  # Turtle by its header: a parse error, exit 3
             print(f"stats: {args.input}: not XES or Turtle", file=sys.stderr)
             return EXIT_BAD_FORMAT
         rows = _turtle_summary(store)

@@ -2,11 +2,15 @@
 
 Three term kinds exist: IRIs, typed literals, and plain literals (optionally
 language-tagged).  Triples restrict subject and predicate to IRIs.
+
+Terms and triples are named tuples, so they hash and compare as tuples, in C
+(also with plain tuples: Iri("x") == ("x",)).  The kinds never compare equal
+to each other: an IRI is a 1-tuple, a literal a pair whose second field is an
+Iri (typed) or a str or None (plain).
 """
 
 from collections.abc import Container, Iterable, Iterator
-from dataclasses import dataclass, field
-from typing import Union
+from typing import NamedTuple, Union
 
 # Namespace IRIs.  The ocedo/ext pair is fixed by the vocabulary this tool
 # emits; ex is the instance namespace minted for converted entities.
@@ -25,52 +29,25 @@ PREFIXES: tuple[tuple[str, str], ...] = (
     ("ex", EX),
 )
 
-# Terms and triples live in dict-based indexes, so their hashes are computed
-# constantly; each caches its hash at construction.
 
-
-@dataclass(frozen=True)
-class Iri:
+class Iri(NamedTuple):
     value: str
-    _h: int = field(init=False, repr=False, compare=False, default=0)
-
-    def __post_init__(self):
-        object.__setattr__(self, "_h", hash(("iri", self.value)))
-
-    def __hash__(self):
-        return self._h
 
     def __repr__(self):
         return f"Iri({self.value!r})"
 
 
-@dataclass(frozen=True)
-class TypedLiteral:
+class TypedLiteral(NamedTuple):
     lexical: str
     datatype: Iri
-    _h: int = field(init=False, repr=False, compare=False, default=0)
-
-    def __post_init__(self):
-        object.__setattr__(self, "_h", hash(("typed", self.lexical, self.datatype.value)))
-
-    def __hash__(self):
-        return self._h
 
     def __repr__(self):
         return f"TypedLiteral({self.lexical!r}, {self.datatype.value!r})"
 
 
-@dataclass(frozen=True)
-class PlainLiteral:
+class PlainLiteral(NamedTuple):
     value: str
     lang: str | None = None
-    _h: int = field(init=False, repr=False, compare=False, default=0)
-
-    def __post_init__(self):
-        object.__setattr__(self, "_h", hash(("plain", self.value, self.lang)))
-
-    def __hash__(self):
-        return self._h
 
     def __repr__(self):
         if self.lang:
@@ -81,24 +58,25 @@ class PlainLiteral:
 Term = Union[Iri, TypedLiteral, PlainLiteral]
 
 
-@dataclass(frozen=True)
-class Triple:
+class _Triple(NamedTuple):
     subject: Iri
     predicate: Iri
     object: Term
-    _h: int = field(init=False, repr=False, compare=False, default=0)
 
-    def __post_init__(self):
-        if not isinstance(self.subject, Iri):
-            raise TypeError(f"triple subject must be an IRI, got {self.subject!r}")
-        if not isinstance(self.predicate, Iri):
-            raise TypeError(f"triple predicate must be an IRI, got {self.predicate!r}")
-        object.__setattr__(
-            self, "_h", hash((self.subject._h, self.predicate._h, hash(self.object)))
-        )
 
-    def __hash__(self):
-        return self._h
+class Triple(_Triple):
+    __slots__ = ()
+
+    def __new__(cls, subject: Iri, predicate: Iri, object: Term):
+        if not isinstance(subject, Iri):
+            raise TypeError(f"triple subject must be an IRI, got {subject!r}")
+        if not isinstance(predicate, Iri):
+            raise TypeError(f"triple predicate must be an IRI, got {predicate!r}")
+        return tuple.__new__(cls, (subject, predicate, object))
+
+    @classmethod
+    def _make(cls, iterable):  # also used by _replace: keep the checks
+        return cls(*iterable)
 
 
 # Fixed predicates and classes.

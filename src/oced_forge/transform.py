@@ -163,23 +163,24 @@ def load_mapping_config(path: str) -> MappingConfig:
 
 def derive_event_type(event: XesEvent, config: MappingConfig) -> str:
     """Join the values at event_type_keys with '+', skipping absent keys;
-    'unknown' when every key is absent."""
+    'unknown' when that gives the empty string (every key absent, or the
+    only value present empty)."""
     parts = []
     for key in config.event_type_keys:
         attr = event.get(key)
         if attr is not None:
             parts.append(_attribute_text(attr))
-    return "+".join(parts) if parts else "unknown"
+    return "+".join(parts) or "unknown"
 
 
 def trace_case_ids(log_: XesLog, config: MappingConfig) -> list[tuple[str, str]]:
     """Each trace's case id, as (raw, escaped): the value at case_id_key, or
-    trace_<index> when the trace lacks it.  Traces whose escaped ids are
-    equal are one case."""
+    trace_<index> when the trace lacks it or its value is empty.  Traces whose
+    escaped ids are equal are one case."""
     ids = []
     for ti, trace in enumerate(log_.traces):
         attr = trace.get(config.case_id_key)
-        raw = _attribute_text(attr) if attr is not None else f"trace_{ti}"
+        raw = (_attribute_text(attr) if attr is not None else "") or f"trace_{ti}"
         ids.append((raw, escape_id(raw)))
     return ids
 
@@ -230,6 +231,9 @@ def transform_log(log_: XesLog, config: MappingConfig | None = None) -> tuple[Oc
             if ts.kind != "date":
                 report.events_skipped.append(SkippedEvent(ti, ei, "timestamp not a date"))
                 continue
+            if not _has_utc_instant(ts.value):
+                report.events_skipped.append(SkippedEvent(ti, ei, "timestamp out of range"))
+                continue
             attributes = {}
             dates_out_of_range = []
             for key in config.attribute_passthrough:
@@ -240,16 +244,12 @@ def transform_log(log_: XesLog, config: MappingConfig | None = None) -> tuple[Oc
                     dates_out_of_range.append(key)
                     continue
                 attributes[key] = TypedValue(kind=attr.kind, value=attr.value)
-            try:
-                oced_event = OcedEvent(
-                    id=f"e{ordinal}",
-                    event_type=derive_event_type(event, config),
-                    observed_at=ts.value,
-                    attributes=attributes,
-                )
-            except OverflowError:  # the instant in UTC falls outside datetime's years 1..9999
-                report.events_skipped.append(SkippedEvent(ti, ei, "timestamp out of range"))
-                continue
+            oced_event = OcedEvent(
+                id=f"e{ordinal}",
+                event_type=derive_event_type(event, config),
+                observed_at=ts.value,
+                attributes=attributes,
+            )
             for key in dates_out_of_range:
                 report.warnings.append(
                     f"trace {ti} event {ei}: date attribute {key!r} has no UTC instant "
@@ -264,7 +264,7 @@ def transform_log(log_: XesLog, config: MappingConfig | None = None) -> tuple[Oc
                 if attr is None:
                     continue
                 value_text = _attribute_text(attr)
-                object_id = f"{rule.object_type}_{escape_id(value_text)}"
+                object_id = f"{escape_id(rule.object_type)}_{escape_id(value_text)}"
                 existing = graph.objects.get(object_id)
                 if existing is None:
                     graph.add_object(OcedObject(id=object_id, object_type=rule.object_type))

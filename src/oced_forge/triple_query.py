@@ -1,8 +1,9 @@
 """Indexed in-memory triple store with basic-graph-pattern matching.
 
-The store has set semantics and three indexes (subject, predicate,
-predicate+object).  Iteration order everywhere is insertion order, never
-hash order, so query results are deterministic across processes.
+The store has set semantics: one insertion-ordered set of triples, and three
+indexes (subject, predicate, predicate+object) that list each triple once, in
+insertion order.  Iteration order everywhere is insertion order, never hash
+order, so query results are deterministic across processes.
 
 BGP evaluation joins patterns most-selective-first: at each step the
 remaining pattern with the cheapest index estimate (given the variables
@@ -24,6 +25,7 @@ from .terms import Term, Triple, TypedLiteral, XSD_DATETIME
 from .timeutil import parse_instant
 
 
+# a dataclass, not a named tuple like the terms: a Var never equals a term
 @dataclass(frozen=True)
 class Var:
     name: str
@@ -63,11 +65,10 @@ def datetime_value(term: Term) -> datetime | None:
 
 class TripleStore:
     def __init__(self, triples=()):
-        # dicts double as insertion-ordered sets
-        self._triples: dict[Triple, None] = {}
-        self._by_s: defaultdict[Term, dict[Triple, None]] = defaultdict(dict)
-        self._by_p: defaultdict[Term, dict[Triple, None]] = defaultdict(dict)
-        self._by_po: defaultdict[tuple[Term, Term], dict[Triple, None]] = defaultdict(dict)
+        self._triples: dict[Triple, None] = {}  # an insertion-ordered set
+        self._by_s: defaultdict[Term, list[Triple]] = defaultdict(list)
+        self._by_p: defaultdict[Term, list[Triple]] = defaultdict(list)
+        self._by_po: defaultdict[tuple[Term, Term], list[Triple]] = defaultdict(list)
         self._frozen = False
         for t in triples:
             self.insert(t)
@@ -85,15 +86,13 @@ class TripleStore:
         """Add a triple; duplicates are ignored (set semantics)."""
         if self._frozen:
             raise RuntimeError("store is frozen")
-        triples = self._triples
-        size = len(triples)
-        triples[triple] = None  # re-adding a key keeps its first position
-        if len(triples) == size:
+        if triple in self._triples:
             return self
-        predicate, obj = triple.predicate, triple.object
-        self._by_s[triple.subject][triple] = None
-        self._by_p[predicate][triple] = None
-        self._by_po[predicate, obj][triple] = None
+        self._triples[triple] = None
+        subject, predicate, obj = triple
+        self._by_s[subject].append(triple)
+        self._by_p[predicate].append(triple)
+        self._by_po[predicate, obj].append(triple)
         return self
 
     def freeze(self) -> "TripleStore":
@@ -109,11 +108,11 @@ class TripleStore:
     def _candidates(self, s, p, o):
         """Smallest applicable index for the constant positions (None = variable)."""
         if p is not None and o is not None:
-            return self._by_po.get((p, o), {})
+            return self._by_po.get((p, o), ())
         if s is not None:
-            return self._by_s.get(s, {})
+            return self._by_s.get(s, ())
         if p is not None:
-            return self._by_p.get(p, {})
+            return self._by_p.get(p, ())
         return self._triples
 
     def match_pattern(self, pattern: TriplePattern) -> list[BindingSet]:
@@ -122,7 +121,7 @@ class TripleStore:
         for triple in self._candidates(*_constants(pattern)):
             binding: BindingSet = {}
             ok = True
-            for want, got in zip(pattern.positions(), (triple.subject, triple.predicate, triple.object)):
+            for want, got in zip(pattern.positions(), triple):
                 if isinstance(want, Var):
                     if want.name in binding and binding[want.name] != got:
                         ok = False

@@ -121,6 +121,42 @@ class TestConvert:
         assert out == ""
         assert err == "oced-forge: unparseable int for key 'org:group': '1_2'\n"
 
+    @pytest.mark.parametrize(
+        "trace, event, expected",
+        [
+            ('value=""', 'value="Queued"', "ex:trace_0 rdf:type ext:case ."),
+            ('value="c1"', 'value=""', "ex:e1 rdf:type ext:unknown ."),
+        ],
+        ids=["empty case id", "empty event type"],
+    )
+    def test_empty_name_takes_the_default(self, trace, event, expected, tmp_path, capsys):
+        xes = tmp_path / "one.xes"
+        xes.write_text(
+            f'<log xes.version="1.0"><trace><string key="concept:name" {trace}/><event>'
+            f'<string key="concept:name" {event}/>'
+            '<date key="time:timestamp" value="2012-01-01T00:00:00.000Z"/></event></trace></log>'
+        )
+        code, out, err = run(["convert", str(xes)], capsys)
+        assert code == 0
+        assert "Traceback" not in err
+        assert expected in out
+
+    def test_object_type_outside_id_alphabet_is_escaped(self, tmp_path, capsys):
+        xes = tmp_path / "one.xes"
+        xes.write_text(
+            '<log xes.version="1.0"><trace><string key="concept:name" value="c1"/><event>'
+            '<date key="time:timestamp" value="2012-01-01T00:00:00.000Z"/>'
+            '<string key="org:group" value="G1"/></event></trace></log>'
+        )
+        rule = {"xes_key": "org:group", "object_type": "support team", "eo_qualifier": "handled"}
+        config = tmp_path / "map.json"
+        config.write_text(json.dumps({"config_version": 1, "object_rules": [rule]}))
+        code, out, err = run(["convert", str(xes), "--config", str(config)], capsys)
+        assert code == 0
+        assert "Traceback" not in err
+        assert "ex:support%20team_G1 rdf:type ext:support%20team ." in out
+        assert "ex:e1 ext:handled ex:support%20team_G1 ." in out
+
     def test_invalid_config_exits_2(self, bpic_xes_path, tmp_path, capsys):
         config = tmp_path / "map.json"
         config.write_text(json.dumps({"config_version": 7}))
@@ -351,6 +387,38 @@ class TestStats:
             values = dict(line.split(None, 1) for line in out.strip().splitlines())
             assert values.get("traces") == traces
             assert values["cases"] == "1"
+
+    def test_turtle_starting_with_an_absolute_iri(self, tmp_path, capsys):
+        ttl = tmp_path / "abs.ttl"
+        ttl.write_text("<http://a.example/s> <http://a.example/p> <http://a.example/o> .\n")
+        code, out, _ = run(["stats", str(ttl)], capsys)
+        assert code == 0
+        values = dict(line.split(None, 1) for line in out.strip().splitlines())
+        assert values["format"] == "ttl"
+        assert values["triples"] == "1"
+
+    def test_latin1_xes_counts_as_its_utf8_twin(self, tmp_path, capsys):
+        body = (
+            '<log xes.version="1.0"><trace><string key="concept:name" value="caf\u00e9"/><event>'
+            '<date key="time:timestamp" value="2012-01-01T00:00:00.000Z"/></event></trace></log>'
+        )
+        outs = []
+        for encoding in ("ISO-8859-1", "UTF-8"):
+            xes = tmp_path / f"{encoding}.xes"
+            xes.write_bytes(f'<?xml version="1.0" encoding="{encoding}"?>\n{body}'.encode(encoding))
+            code, out, _ = run(["stats", str(xes)], capsys)
+            assert code == 0
+            outs.append(out)
+        assert outs[0] == outs[1]
+        assert "format  xes\n" in outs[0]
+
+    def test_malformed_xml_keeps_its_xml_error(self, tmp_path, capsys):
+        bad = tmp_path / "bad.xes"
+        bad.write_text("<log><trace></log>")
+        code, out, err = run(["stats", str(bad)], capsys)
+        assert code == 3
+        assert out == ""
+        assert err == "oced-forge: mismatched tag (line 1, column 14)\n"
 
     def test_binary_junk_exits_65(self, tmp_path, capsys):
         junk = tmp_path / "junk.bin"

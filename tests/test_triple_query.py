@@ -17,7 +17,7 @@ from oced_forge import (
 from oced_forge.oced_model import OcedEvent, OcedGraph, OcedObject
 from oced_forge.analyses import handled_events
 from oced_forge.triple_query import datetime_value
-from oced_forge.terms import EX, EXT, OCEDO, XSD
+from oced_forge.terms import EX, EXT, OCEDO, XSD, XSD_INTEGER
 
 from oracles import BASE_TIME, as_bag, build_handoff_graph, nested_loop_bgp, nested_loop_optional
 
@@ -59,6 +59,49 @@ class TestInsert:
         before = store.match_pattern(pattern)
         store.insert(t("a", "p", "b"))
         assert store.match_pattern(pattern) == before
+
+    def test_duplicate_insert_leaves_one_entry_per_index(self):
+        store = TripleStore([t("a", "p", "b"), t("b", "q", "c")])
+        store.insert(t("a", "p", "b"))
+        assert len(store) == 2
+        # one pattern per index: subject, predicate, predicate+object
+        for shape, binding in (
+            (TriplePattern(iri("a"), Var("p"), Var("o")), {"p": iri("p"), "o": iri("b")}),
+            (TriplePattern(Var("s"), iri("p"), Var("o")), {"s": iri("a"), "o": iri("b")}),
+            (TriplePattern(Var("s"), iri("p"), iri("b")), {"s": iri("a")}),
+        ):
+            assert store.match_pattern(shape) == [binding]
+
+
+class TestTerms:
+    def test_kinds_never_compare_equal(self):
+        terms = [Iri("x"), PlainLiteral("x"), PlainLiteral("x", "en"), TypedLiteral("x", XSD_INTEGER)]
+        for i, a in enumerate(terms):
+            for b in terms[i + 1 :]:
+                assert a != b
+        assert len(dict.fromkeys(terms)) == len(terms)
+        assert Var("x") != Iri("x")
+
+    @pytest.mark.parametrize("role", ["subject", "predicate"])
+    def test_triple_rejects_literal_subject_or_predicate(self, role):
+        parts = {"subject": iri("s"), "predicate": iri("p"), "object": iri("o"), role: PlainLiteral("x")}
+        with pytest.raises(TypeError) as excinfo:
+            Triple(**parts)
+        assert str(excinfo.value) == f"triple {role} must be an IRI, got PlainLiteral('x')"
+
+    @pytest.mark.parametrize("role", ["subject", "predicate"])
+    def test_replace_keeps_the_iri_checks(self, role):
+        with pytest.raises(TypeError, match=f"triple {role} must be an IRI"):
+            Triple(iri("s"), iri("p"), iri("o"))._replace(**{role: PlainLiteral("x")})
+
+    def test_reprs(self):
+        assert repr(Iri("x")) == "Iri('x')"
+        assert repr(PlainLiteral("x")) == "PlainLiteral('x')"
+        assert repr(PlainLiteral("x", "en")) == "PlainLiteral('x', lang='en')"
+        assert repr(TypedLiteral("1", XSD_INTEGER)) == f"TypedLiteral('1', '{XSD}integer')"
+        assert repr(Triple(Iri("s"), Iri("p"), PlainLiteral("o"))) == (
+            "Triple(subject=Iri('s'), predicate=Iri('p'), object=PlainLiteral('o'))"
+        )
 
 
 class TestMatchPattern:
