@@ -209,14 +209,14 @@ def enumerate_event_objects(store: TripleStore) -> list[EventObjectRow]:
         ],
     )
     joined = {sol["node"] for sol in solutions}
-    for sol in store.match_pattern(TriplePattern(node, RDF_TYPE, EXT_EVENT_OBJECT_CLASS)):
-        n = sol["node"]
-        if n in joined:
-            continue
-        if not store.match_pattern(TriplePattern(n, EXT_EVENT, event)):
-            log.warning("EventObject %s lacks ext:event; skipped", _key(n))
-        else:
-            log.warning("EventObject %s lacks ext:object; skipped", _key(n))
+    nodes = store.match_pattern(TriplePattern(node, RDF_TYPE, EXT_EVENT_OBJECT_CLASS))
+    skipped = [sol["node"] for sol in nodes if sol["node"] not in joined]
+    if skipped:  # one read of ext:event tells the two warnings apart for every node
+        has_event = store.match_pattern(TriplePattern(node, EXT_EVENT, event))
+        with_event = {sol["node"] for sol in has_event}
+        for n in skipped:
+            lacks = "ext:object" if n in with_event else "ext:event"
+            log.warning("EventObject %s lacks %s; skipped", _key(n), lacks)
 
     rows = []
     for sol in solutions:

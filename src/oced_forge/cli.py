@@ -6,8 +6,8 @@ export-dot (Turtle -> Graphviz DOT).  Data goes to stdout or --output;
 diagnostics go to stderr, so output is pipe-safe and byte-deterministic.
 
 Exit codes: 0 success (also with skipped-event warnings), 2 unreadable or
-invalid input file, 3 parse error (XML or Turtle, with location), 64 usage
-error, 65 unrecognized input format for stats.
+invalid input file (a bad gzip stream too), 3 parse error (XML or Turtle,
+with location), 64 usage error, 65 unrecognized input format for stats.
 """
 
 import argparse
@@ -15,6 +15,7 @@ import gzip
 import logging
 import os
 import sys
+import zlib
 
 from .analyses import (
     EVENT_OBJECT_COLUMNS,
@@ -113,21 +114,19 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _read_bytes(path: str) -> bytes:
+def _read_input(path: str) -> bytes:
+    """The file's bytes (stdin for -), inflated when they start with the gzip magic."""
     if path == "-":
-        return sys.stdin.buffer.read()
-    with open(path, "rb") as fh:
-        return fh.read()
-
-
-def _read_text(path: str) -> str:
-    data = _read_bytes(path)
+        data = sys.stdin.buffer.read()
+    else:
+        with open(path, "rb") as fh:
+            data = fh.read()
     if data[:2] == b"\x1f\x8b":
         try:
-            data = gzip.decompress(data)
-        except (OSError, EOFError) as exc:
+            return gzip.decompress(data)
+        except (OSError, EOFError, zlib.error) as exc:
             raise OSError(f"{path}: bad gzip stream: {exc}") from exc
-    return data.decode("utf-8")
+    return data
 
 
 def _write_text(path: str | None, text: str):
@@ -141,14 +140,14 @@ def _write_text(path: str | None, text: str):
 
 def _load_store(path: str) -> TripleStore:
     try:
-        text = _read_text(path)
+        text = _read_input(path).decode("utf-8")
     except UnicodeDecodeError as exc:
         raise TurtleSyntaxError(f"{path}: not UTF-8 text: {exc}") from exc
     return parse_turtle(text).freeze()
 
 
 def cmd_convert(args) -> int:
-    log = parse_xes(_read_bytes(args.input))
+    log = parse_xes(_read_input(args.input))
     config = load_mapping_config(args.config) if args.config else default_bpic2013_config()
     graph, report = transform_log(log, config)
     traces, log_warnings = len(log.traces), len(log.warnings)
@@ -223,15 +222,10 @@ def _xes_summary(log: XesLog) -> list[tuple[str, int | str]]:
 
 
 def cmd_stats(args) -> int:
-    data = _read_bytes(args.input)
-    if data[:2] == b"\x1f\x8b":
-        try:
-            data = gzip.decompress(data)
-        except (OSError, EOFError):
-            print(f"stats: {args.input}: bad gzip stream", file=sys.stderr)
-            return EXIT_BAD_FORMAT
-    if data.removeprefix("\ufeff".encode()).lstrip(b" \t\r\n").startswith(b"<"):
-        # XES, or Turtle whose first statement starts with an absolute <iri>
+    data = _read_input(args.input)
+    text_start = data.removeprefix("\ufeff".encode()).lstrip(b" \t\r\n")
+    if text_start.startswith(b"<") or data.startswith((b"\xff\xfe", b"\xfe\xff")):
+        # XES (UTF-16 by its BOM), or Turtle whose first statement starts with an absolute <iri>
         try:
             rows = _xes_summary(parse_xes(data))
         except XesParseError as xml_error:

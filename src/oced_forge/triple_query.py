@@ -1,9 +1,10 @@
 """Indexed in-memory triple store with basic-graph-pattern matching.
 
-The store has set semantics: one insertion-ordered set of triples, and three
-indexes (subject, predicate, predicate+object) that list each triple once, in
-insertion order.  Iteration order everywhere is insertion order, never hash
-order, so query results are deterministic across processes.
+The store has set semantics: one insertion-ordered set of triples, and one
+predicate index that lists each triple once, in insertion order.  A pattern
+with a constant predicate reads that predicate's triples; any other pattern
+reads every triple.  Iteration order everywhere is insertion order, never
+hash order, so query results are deterministic across processes.
 
 BGP evaluation joins patterns most-selective-first: at each step the
 remaining pattern with the cheapest index estimate (given the variables
@@ -66,9 +67,7 @@ def datetime_value(term: Term) -> datetime | None:
 class TripleStore:
     def __init__(self, triples=()):
         self._triples: dict[Triple, None] = {}  # an insertion-ordered set
-        self._by_s: defaultdict[Term, list[Triple]] = defaultdict(list)
         self._by_p: defaultdict[Term, list[Triple]] = defaultdict(list)
-        self._by_po: defaultdict[tuple[Term, Term], list[Triple]] = defaultdict(list)
         self._frozen = False
         for t in triples:
             self.insert(t)
@@ -89,10 +88,7 @@ class TripleStore:
         if triple in self._triples:
             return self
         self._triples[triple] = None
-        subject, predicate, obj = triple
-        self._by_s[subject].append(triple)
-        self._by_p[predicate].append(triple)
-        self._by_po[predicate, obj].append(triple)
+        self._by_p[triple.predicate].append(triple)
         return self
 
     def freeze(self) -> "TripleStore":
@@ -105,20 +101,16 @@ class TripleStore:
 
     # -- pattern matching ---------------------------------------------------
 
-    def _candidates(self, s, p, o):
-        """Smallest applicable index for the constant positions (None = variable)."""
-        if p is not None and o is not None:
-            return self._by_po.get((p, o), ())
-        if s is not None:
-            return self._by_s.get(s, ())
-        if p is not None:
-            return self._by_p.get(p, ())
-        return self._triples
+    def _candidates(self, pattern: TriplePattern):
+        """The predicate's triples for a constant predicate, else every triple."""
+        if isinstance(pattern.predicate, Var):
+            return self._triples
+        return self._by_p.get(pattern.predicate, ())
 
     def match_pattern(self, pattern: TriplePattern) -> list[BindingSet]:
         """One binding set per matching triple; equals an exhaustive scan."""
         out: list[BindingSet] = []
-        for triple in self._candidates(*_constants(pattern)):
+        for triple in self._candidates(pattern):
             binding: BindingSet = {}
             ok = True
             for want, got in zip(pattern.positions(), triple):
@@ -136,16 +128,8 @@ class TripleStore:
 
     def _estimate(self, pattern: TriplePattern, bound: set[str]) -> float:
         """Cardinality estimate used for join ordering; deterministic."""
-        consts = []
-        n_bound = 0
-        for t in pattern.positions():
-            if isinstance(t, Var):
-                consts.append(None)
-                if t.name in bound:
-                    n_bound += 1
-            else:
-                consts.append(t)
-        base = len(self._candidates(*consts))
+        n_bound = sum(isinstance(t, Var) and t.name in bound for t in pattern.positions())
+        base = len(self._candidates(pattern))
         # variables already bound by earlier patterns act as constants at
         # evaluation time; discount them
         return base / (10.0**n_bound)
@@ -218,7 +202,3 @@ class TripleStore:
         for match in matches:
             buckets[tuple(match[name] for name in shape)].append(match)
         return buckets
-
-
-def _constants(pattern: TriplePattern) -> list[Term | None]:
-    return [None if isinstance(t, Var) else t for t in pattern.positions()]

@@ -16,6 +16,7 @@ anywhere in it is reported instead, as a whole-document parse would.
 import gzip
 import io
 import sys
+import zlib
 from dataclasses import dataclass, field
 from xml.etree import ElementTree
 
@@ -299,7 +300,7 @@ def parse_xes(data: bytes) -> XesLog:
     if data[:2] == b"\x1f\x8b":
         try:
             data = gzip.decompress(data)
-        except (OSError, EOFError) as exc:
+        except (OSError, EOFError, zlib.error) as exc:
             raise XesParseError(f"bad gzip stream: {exc}") from exc
     parser = _Parser()
     held: XesStructureError | None = None

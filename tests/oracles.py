@@ -7,6 +7,7 @@ implementations are checked against a path they share no code with.
 
 import gzip
 import random
+import zlib
 from datetime import datetime, timedelta, timezone
 from xml.etree import ElementTree
 
@@ -315,7 +316,7 @@ def fromstring_parse_xes(data: bytes) -> XesLog:
     if data[:2] == b"\x1f\x8b":
         try:
             data = gzip.decompress(data)
-        except (OSError, EOFError) as exc:
+        except (OSError, EOFError, zlib.error) as exc:
             raise XesParseError(f"bad gzip stream: {exc}") from exc
     try:
         root = ElementTree.fromstring(data)

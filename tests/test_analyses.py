@@ -316,6 +316,40 @@ class TestEnumerateEventObjects:
         assert len(rows) == 1
         assert any("broken" in record.message for record in caplog.records)
 
+    @staticmethod
+    def _warnings_and_pattern_calls(lacking_object: int, monkeypatch, caplog):
+        store = TripleStore()
+        _eo_node(store, "good", event="e0", obj="o0")
+        _eo_node(store, "no_event", obj="o1")
+        for i in range(lacking_object):
+            _eo_node(store, f"no_object{i}", event=f"e{i + 2}")
+        calls = []
+        match_pattern = TripleStore.match_pattern
+
+        def counted(self, pattern):
+            calls.append(pattern)
+            return match_pattern(self, pattern)
+
+        monkeypatch.setattr(TripleStore, "match_pattern", counted)
+        caplog.clear()
+        with caplog.at_level(logging.WARNING):
+            rows = enumerate_event_objects(store.freeze())
+        assert [row.event for row in rows] == [EX + "e0"]
+        return [record.getMessage() for record in caplog.records], len(calls)
+
+    def test_skipped_nodes_cost_no_lookup_each(self, monkeypatch, caplog):
+        """Telling a node without ext:event from one without ext:object takes
+        the same number of pattern matches for 1 such node as for 200, and the
+        warnings keep the nodes' insertion order."""
+        results = {
+            n: self._warnings_and_pattern_calls(n, monkeypatch, caplog) for n in (1, 200)
+        }
+        for n, (messages, _) in results.items():
+            assert messages == [f"EventObject {EX}no_event lacks ext:event; skipped"] + [
+                f"EventObject {EX}no_object{i} lacks ext:object; skipped" for i in range(n)
+            ]
+        assert results[1][1] == results[200][1]
+
     def test_row_count_equals_well_formed_node_count(self):
         rng = random.Random(11)
         store = TripleStore()

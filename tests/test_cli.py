@@ -3,6 +3,7 @@ import json
 import subprocess
 import sys
 from datetime import datetime, timezone
+from pathlib import Path
 
 import pytest
 
@@ -10,6 +11,8 @@ from oced_forge import (
     OcedEvent,
     OcedGraph,
     OcedObject,
+    TripleStore,
+    Var,
     graph_to_triples,
     parse_turtle,
     parse_xes,
@@ -290,17 +293,58 @@ class TestAnalyze:
 
 
 @pytest.mark.parametrize(
-    "command", [["analyze", "--analysis", "ping-pong"], ["export-dot"]], ids=["analyze", "export-dot"]
+    "command, source",
+    [
+        (["analyze", "--analysis", "ping-pong"], "ttl"),
+        (["export-dot"], "ttl"),
+        (["convert"], "xes"),
+        (["stats"], "ttl"),
+        (["stats"], "xes"),
+    ],
+    ids=["analyze", "export-dot", "convert", "stats-ttl", "stats-xes"],
 )
-def test_truncated_gzip_turtle_exits_2(command, converted_ttl, tmp_path, capsys):
-    zipped = gzip.compress(converted_ttl.read_bytes())
-    truncated = tmp_path / "truncated.ttl.gz"
-    truncated.write_bytes(zipped[: len(zipped) // 2])
-    code, out, err = run([command[0], str(truncated), *command[1:]], capsys)
-    assert code == 2
-    assert out == ""
-    assert err.startswith("oced-forge: ") and "bad gzip stream" in err
-    assert err.count("\n") == 1
+def test_truncated_gzip_turtle_exits_2(
+    command, source, converted_ttl, bpic_xes_bytes, tmp_path, capsys
+):
+    """Every command inflates through one reader: a truncated or corrupt
+    gzip stream exits 2 with one line, whatever the payload."""
+    zipped = gzip.compress(converted_ttl.read_bytes() if source == "ttl" else bpic_xes_bytes)
+    corrupt = bytearray(zipped)
+    corrupt[12] ^= 0xFF  # breaks the deflate stream itself (a zlib error, not EOF)
+    for name, broken in (("truncated", zipped[: len(zipped) // 2]), ("corrupt", bytes(corrupt))):
+        path = tmp_path / f"{name}.{source}.gz"
+        path.write_bytes(broken)
+        code, out, err = run([command[0], str(path), *command[1:]], capsys)
+        assert code == 2, name
+        assert out == ""
+        assert err.startswith(f"oced-forge: {path}: bad gzip stream: ")
+        assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("source", ["fixture", "hostile"])
+def test_every_cli_query_reads_the_predicate_index(source, converted_ttl, monkeypatch, capsys):
+    """The store keeps one index, by predicate: every pattern the analyses,
+    stats and export-dot look up has a constant predicate, so none of them
+    scans the whole store."""
+    path = converted_ttl if source == "fixture" else Path(__file__).parent / "golden" / "hostile.ttl"
+    lookups = []
+    candidates = TripleStore._candidates
+
+    def recorded(self, pattern):
+        lookups.append(pattern)
+        return candidates(self, pattern)
+
+    monkeypatch.setattr(TripleStore, "_candidates", recorded)
+    for command in (
+        *(["analyze", "--analysis", analysis] for analysis in ("ping-pong", "event-objects", "teams")),
+        ["stats"],
+        ["export-dot"],
+    ):
+        lookups.clear()
+        code, _, _ = run([command[0], str(path), *command[1:]], capsys)
+        assert code == 0
+        assert lookups, command
+        assert [p for p in lookups if isinstance(p.predicate, Var)] == [], command
 
 
 class TestStats:
@@ -410,6 +454,25 @@ class TestStats:
             assert code == 0
             outs.append(out)
         assert outs[0] == outs[1]
+        assert "format  xes\n" in outs[0]
+
+    def test_utf16_xes_counts_as_its_utf8_twin(self, tmp_path, capsys):
+        body = (
+            '<log xes.version="1.0"><trace><string key="concept:name" value="caf\u00e9"/><event>'
+            '<date key="time:timestamp" value="2012-01-01T00:00:00.000Z"/></event></trace></log>'
+        )
+        outs = []
+        for bom, declared, codec in (
+            (b"\xff\xfe", "UTF-16", "utf-16-le"),
+            (b"\xfe\xff", "UTF-16", "utf-16-be"),
+            (b"", "UTF-8", "utf-8"),
+        ):
+            xes = tmp_path / f"{codec}.xes"
+            xes.write_bytes(bom + f'<?xml version="1.0" encoding="{declared}"?>\n{body}'.encode(codec))
+            code, out, _ = run(["stats", str(xes)], capsys)
+            assert code == 0, codec
+            outs.append(out)
+        assert outs[0] == outs[1] == outs[2]
         assert "format  xes\n" in outs[0]
 
     def test_malformed_xml_keeps_its_xml_error(self, tmp_path, capsys):

@@ -64,7 +64,8 @@ class TestInsert:
         store = TripleStore([t("a", "p", "b"), t("b", "q", "c")])
         store.insert(t("a", "p", "b"))
         assert len(store) == 2
-        # one pattern per index: subject, predicate, predicate+object
+        # the whole set (variable predicate), then the predicate index with
+        # a variable and with a constant object
         for shape, binding in (
             (TriplePattern(iri("a"), Var("p"), Var("o")), {"p": iri("p"), "o": iri("b")}),
             (TriplePattern(Var("s"), iri("p"), Var("o")), {"s": iri("a"), "o": iri("b")}),

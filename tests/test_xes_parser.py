@@ -1,5 +1,6 @@
 import gzip
 import random
+import zlib
 from datetime import datetime, timedelta, timezone
 
 import pytest
@@ -104,6 +105,21 @@ def test_gzip_detected_by_magic_bytes():
     plain = parse_xes(ONE_EVENT)
     zipped = parse_xes(gzip.compress(ONE_EVENT))
     assert zipped == plain
+
+
+def _corrupt_gzip(data: bytes) -> bytes:
+    """gzip of data with one byte of the deflate stream flipped."""
+    zipped = bytearray(gzip.compress(data))
+    zipped[12] ^= 0xFF
+    return bytes(zipped)
+
+
+def test_corrupt_gzip_is_a_parse_error():
+    corrupt = _corrupt_gzip(ONE_EVENT)
+    with pytest.raises(zlib.error):
+        gzip.decompress(corrupt)
+    with pytest.raises(XesParseError, match="bad gzip stream"):
+        parse_xes(corrupt)
 
 
 def test_int_parsing_and_64bit_range():
@@ -255,6 +271,7 @@ STREAMING_CORPUS = {
     "default namespace": b'<log xmlns="http://www.xes-standard.org/" xes.version="1.0"><trace/></log>',
     "gzip": gzip.compress(BPIC_STYLE_XES.encode()),
     "truncated gzip": gzip.compress(BPIC_STYLE_XES.encode())[:-12],
+    "corrupt gzip": _corrupt_gzip(BPIC_STYLE_XES.encode()),
     "fixture over several chunks": _many_traces(12),
 }
 
