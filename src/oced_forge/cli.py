@@ -6,8 +6,9 @@ export-dot (Turtle -> Graphviz DOT).  Data goes to stdout or --output;
 diagnostics go to stderr, so output is pipe-safe and byte-deterministic.
 
 Exit codes: 0 success (also with skipped-event warnings), 2 unreadable or
-invalid input file (a bad gzip stream too), 3 parse error (XML or Turtle,
-with location), 64 usage error, 65 unrecognized input format for stats.
+invalid input file (a bad gzip stream or config encoding too) or input that
+cannot be converted (colliding ids), 3 parse error (XML or Turtle, with
+location), 64 usage error, 65 unrecognized input format for stats.
 """
 
 import argparse
@@ -32,7 +33,6 @@ from .analyses import (
 )
 from .dot_export import store_to_dot
 from .errors import (
-    ConfigError,
     OcedForgeError,
     TurtleSyntaxError,
     XesParseError,
@@ -77,7 +77,7 @@ def build_parser() -> argparse.ArgumentParser:
         prog="oced-forge",
         description="Convert XES event logs to object-centric event data in Turtle "
         "and run object-centric analyses over them.",
-        epilog="exit codes: 0 ok, 2 unreadable input, 3 parse error, 64 usage, "
+        epilog="exit codes: 0 ok, 2 unreadable or unconvertible input, 3 parse error, 64 usage, "
         "65 unrecognized format. Set OCED_FORGE_LOG=debug|info|warning for diagnostics.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
@@ -278,18 +278,12 @@ def main(argv=None) -> int:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     try:
         return args.func(args)
-    except OSError as exc:
-        print(f"oced-forge: {exc}", file=sys.stderr)
-        return EXIT_UNREADABLE
-    except ConfigError as exc:
-        print(f"oced-forge: {exc}", file=sys.stderr)
-        return EXIT_UNREADABLE
     except (XesParseError, XesStructureError, TurtleSyntaxError) as exc:
         print(f"oced-forge: {exc}", file=sys.stderr)
         return EXIT_PARSE
-    except OcedForgeError as exc:
+    except (OSError, OcedForgeError) as exc:
         print(f"oced-forge: {exc}", file=sys.stderr)
-        return 1
+        return EXIT_UNREADABLE
 
 
 def entrypoint():

@@ -460,7 +460,7 @@ class _TurtleParser:
         self._tokenizer = _Tokenizer(text)
         self.prefixes: dict[str, str] = {}
         self.store = TripleStore()
-        self._iri_cache: dict[str, Iri] = {}
+        self._intern = _Memo(Iri).__getitem__
 
     def _peek(self) -> _Token:
         return self._lookahead
@@ -470,13 +470,6 @@ class _TurtleParser:
         if token.kind != _EOF:
             self._lookahead = next(self._tokens)
         return token
-
-    def _intern(self, value: str) -> Iri:
-        iri = self._iri_cache.get(value)
-        if iri is None:
-            iri = Iri(value)
-            self._iri_cache[value] = iri
-        return iri
 
     def _error(self, message, token=None):
         token = token or self._peek()

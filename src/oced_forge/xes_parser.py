@@ -1,10 +1,12 @@
 """Parser for XES event logs.
 
 Reads XES XML (optionally gzip-compressed, detected by magic bytes) into an
-in-memory log that preserves document order of traces, events, and
-attributes.  Nested attributes are kept; the XES list/container construct is
-rejected.  Unknown elements are skipped and recorded as warnings on the
-returned log.
+in-memory log of what the conversion reads: the traces, their events, and
+the top-level attributes of each, in document order.  The log header
+(extensions, globals, classifiers, log-level attributes) and attributes
+nested in other attributes are checked but not kept; the XES list/container
+construct is rejected.  Unknown elements are skipped and recorded as
+warnings on the returned log.
 
 The XML is read as a stream (ElementTree.iterparse): each direct child of
 <log> is turned into log data when its end tag is read and then dropped, so
@@ -33,18 +35,21 @@ class XesAttribute:
     key: str
     kind: str  # one of VALUE_KINDS
     value: object
-    children: tuple["XesAttribute", ...] = ()
+
+
+def _get(self, key: str) -> XesAttribute | None:
+    """The attribute with this key, or None."""
+    for attr in self.attributes:
+        if attr.key == key:
+            return attr
+    return None
 
 
 @dataclass(frozen=True)
 class XesEvent:
     attributes: tuple[XesAttribute, ...]
 
-    def get(self, key: str) -> XesAttribute | None:
-        for attr in self.attributes:
-            if attr.key == key:
-                return attr
-        return None
+    get = _get
 
 
 @dataclass(frozen=True)
@@ -52,39 +57,11 @@ class XesTrace:
     attributes: tuple[XesAttribute, ...]
     events: tuple[XesEvent, ...]
 
-    def get(self, key: str) -> XesAttribute | None:
-        for attr in self.attributes:
-            if attr.key == key:
-                return attr
-        return None
-
-
-@dataclass(frozen=True)
-class XesExtension:
-    name: str
-    prefix: str
-    uri: str
-
-
-@dataclass(frozen=True)
-class XesClassifier:
-    name: str
-    keys: tuple[str, ...]
-
-
-@dataclass(frozen=True)
-class XesGlobals:
-    trace: tuple[XesAttribute, ...] = ()
-    event: tuple[XesAttribute, ...] = ()
+    get = _get
 
 
 @dataclass(frozen=True)
 class XesLog:
-    xes_version: str
-    extensions: tuple[XesExtension, ...]
-    globals: XesGlobals
-    classifiers: tuple[XesClassifier, ...]
-    attributes: tuple[XesAttribute, ...]
     traces: tuple[XesTrace, ...]
     warnings: tuple[str, ...] = field(default=(), compare=False)
 
@@ -114,12 +91,6 @@ class _Parser:
 
     def __init__(self):
         self.warnings: list[str] = []
-        self.version = ""
-        self.extensions: list[XesExtension] = []
-        self.classifiers: list[XesClassifier] = []
-        self.globals_trace: tuple[XesAttribute, ...] = ()
-        self.globals_event: tuple[XesAttribute, ...] = ()
-        self.attributes: list[XesAttribute] = []
         self.traces: list[XesTrace] = []
         self.prefixes: set[str] = set()
 
@@ -160,9 +131,7 @@ class _Parser:
             return lowered == "true"
         raise XesStructureError(f"unknown attribute kind {kind!r}")
 
-    def parse_attribute(self, elem) -> XesAttribute | None:
-        """Parse one attribute element; None when the element is not an
-        attribute (skipped with a warning)."""
+    def _attribute(self, elem) -> XesAttribute | None:
         tag = _local(elem.tag)
         if tag in _LIST_TAGS:
             raise XesStructureError(
@@ -177,21 +146,21 @@ class _Parser:
         raw = elem.get("value")
         if raw is None:
             raise XesStructureError(f"<{tag}> element for key {key!r} without a value")
-        value = self.parse_value(tag, key, raw)
-        children = []
-        for child in elem:
-            parsed = self.parse_attribute(child)
-            if parsed is not None:
-                children.append(parsed)
-        return XesAttribute(key=key, kind=tag, value=value, children=tuple(children))
+        return XesAttribute(key=key, kind=tag, value=self.parse_value(tag, key, raw))
 
-    def parse_attribute_list(self, elem) -> tuple[XesAttribute, ...]:
-        out = []
-        for child in elem:
-            parsed = self.parse_attribute(child)
-            if parsed is not None:
-                out.append(parsed)
-        return tuple(out)
+    def parse_attribute(self, elem) -> XesAttribute | None:
+        """Parse one attribute element; None when the element is not an
+        attribute (skipped with a warning).  The attributes nested in it are
+        checked in document order, without recursion, and not kept; an
+        element that is not an attribute is skipped with what it contains."""
+        parsed = self._attribute(elem)
+        if parsed is not None:
+            stack = list(reversed(elem))
+            while stack:
+                child = stack.pop()
+                if self._attribute(child) is not None:
+                    stack.extend(reversed(child))
+        return parsed
 
     def parse_event(self, elem) -> XesEvent:
         attributes = []
@@ -222,52 +191,36 @@ class _Parser:
     def open_log(self, root):
         if _local(root.tag) != "log":
             raise XesStructureError(f"root element is <{_local(root.tag)}>, expected <log>")
-        self.version = root.get("xes.version", "")
-        if not self.version:
+        if not root.get("xes.version"):
             self.warn("log element has no xes.version attribute")
 
     def add_child(self, child):
         tag = _local(child.tag)
         if tag == "extension":
-            name, prefix, uri = child.get("name"), child.get("prefix"), child.get("uri")
-            if not (name and prefix and uri):
+            prefix = child.get("prefix")
+            if not (child.get("name") and prefix and child.get("uri")):
                 self.warn("skipped extension element missing name/prefix/uri")
-                return
-            if prefix in self.prefixes:
+            elif prefix in self.prefixes:
                 raise XesStructureError(f"duplicate extension prefix {prefix!r}")
-            self.prefixes.add(prefix)
-            self.extensions.append(XesExtension(name=name, prefix=prefix, uri=uri))
+            else:
+                self.prefixes.add(prefix)
         elif tag == "global":
             scope = child.get("scope")
-            if scope == "trace":
-                self.globals_trace = self.parse_attribute_list(child)
-            elif scope == "event":
-                self.globals_event = self.parse_attribute_list(child)
+            if scope in ("trace", "event"):
+                for attr in child:
+                    self.parse_attribute(attr)
             else:
                 self.warn(f"skipped global element with scope {scope!r}")
         elif tag == "classifier":
-            name, keys = child.get("name"), child.get("keys")
-            if not (name and keys):
+            if not (child.get("name") and child.get("keys")):
                 self.warn("skipped classifier element missing name/keys")
-                return
-            self.classifiers.append(XesClassifier(name=name, keys=tuple(keys.split())))
         elif tag == "trace":
             self.traces.append(self.parse_trace(child))
         else:
-            parsed = self.parse_attribute(child)
-            if parsed is not None:
-                self.attributes.append(parsed)
+            self.parse_attribute(child)
 
     def log(self) -> XesLog:
-        return XesLog(
-            xes_version=self.version,
-            extensions=tuple(self.extensions),
-            globals=XesGlobals(trace=self.globals_trace, event=self.globals_event),
-            classifiers=tuple(self.classifiers),
-            attributes=tuple(self.attributes),
-            traces=tuple(self.traces),
-            warnings=tuple(self.warnings),
-        )
+        return XesLog(traces=tuple(self.traces), warnings=tuple(self.warnings))
 
 
 def _log_elements(data: bytes):

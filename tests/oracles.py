@@ -15,14 +15,7 @@ from oced_forge.errors import XesParseError, XesStructureError
 from oced_forge.oced_model import OcedEvent, OcedGraph, OcedObject, TypedValue, escape_id
 from oced_forge.terms import EX
 from oced_forge.triple_query import TriplePattern, Var
-from oced_forge.xes_parser import (
-    XesClassifier,
-    XesExtension,
-    XesGlobals,
-    XesLog,
-    _local,
-    _Parser,
-)
+from oced_forge.xes_parser import XesLog, _local, _Parser
 
 BASE_TIME = datetime(2012, 1, 1, tzinfo=timezone.utc)
 
@@ -328,11 +321,9 @@ def fromstring_parse_xes(data: bytes) -> XesLog:
     parser = _Parser()
     if _local(root.tag) != "log":
         raise XesStructureError(f"root element is <{_local(root.tag)}>, expected <log>")
-    version = root.get("xes.version", "")
-    if not version:
+    if not root.get("xes.version"):
         parser.warn("log element has no xes.version attribute")
-    extensions, classifiers, attributes, traces = [], [], [], []
-    globals_trace = globals_event = ()
+    traces = []
     prefixes = set()
     for child in root:
         tag = _local(child.tag)
@@ -344,33 +335,18 @@ def fromstring_parse_xes(data: bytes) -> XesLog:
             if prefix in prefixes:
                 raise XesStructureError(f"duplicate extension prefix {prefix!r}")
             prefixes.add(prefix)
-            extensions.append(XesExtension(name=name, prefix=prefix, uri=uri))
         elif tag == "global":
             scope = child.get("scope")
-            if scope == "trace":
-                globals_trace = parser.parse_attribute_list(child)
-            elif scope == "event":
-                globals_event = parser.parse_attribute_list(child)
+            if scope == "trace" or scope == "event":
+                for attribute in child:
+                    parser.parse_attribute(attribute)
             else:
                 parser.warn(f"skipped global element with scope {scope!r}")
         elif tag == "classifier":
-            name, keys = child.get("name"), child.get("keys")
-            if not (name and keys):
+            if not (child.get("name") and child.get("keys")):
                 parser.warn("skipped classifier element missing name/keys")
-                continue
-            classifiers.append(XesClassifier(name=name, keys=tuple(keys.split())))
         elif tag == "trace":
             traces.append(parser.parse_trace(child))
         else:
-            parsed = parser.parse_attribute(child)
-            if parsed is not None:
-                attributes.append(parsed)
-    return XesLog(
-        xes_version=version,
-        extensions=tuple(extensions),
-        globals=XesGlobals(trace=globals_trace, event=globals_event),
-        classifiers=tuple(classifiers),
-        attributes=tuple(attributes),
-        traces=tuple(traces),
-        warnings=tuple(parser.warnings),
-    )
+            parser.parse_attribute(child)
+    return XesLog(traces=tuple(traces), warnings=tuple(parser.warnings))

@@ -187,6 +187,51 @@ class TestConvert:
         assert out == ""
         assert err.startswith("oced-forge: ") and err.count("\n") == 1, err
 
+    def test_config_not_utf8_exits_2(self, bpic_xes_path, tmp_path, capsys):
+        config = tmp_path / "map.json"
+        config.write_bytes(b'{"config_version": 1, "case_object_type": "\xff"}')
+        code, out, err = run(["convert", str(bpic_xes_path), "--config", str(config)], capsys)
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"oced-forge: {config}: not UTF-8 text: ")
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "case, kind", [("e1", "event and object"), ("eo_1", "object and relation")]
+    )
+    def test_case_id_colliding_with_a_generated_id_exits_2(self, case, kind, tmp_path, capsys):
+        xes = tmp_path / "one.xes"
+        xes.write_text(
+            f'<log xes.version="1.0"><trace><string key="concept:name" value="{case}"/><event>'
+            '<date key="time:timestamp" value="2012-01-01T00:00:00.000Z"/></event></trace></log>'
+        )
+        code, out, err = run(["convert", str(xes)], capsys)
+        assert code == 2
+        assert out == ""
+        assert err == (
+            f"oced-forge: id {case!r} is used as both {kind}; "
+            "ids share one IRI namespace in Turtle output\n"
+        )
+
+    def test_deeply_nested_attribute_is_checked_without_recursion(self, tmp_path, capsys):
+        depth = 5000
+        xes = tmp_path / "deep.xes"
+        xes.write_text(
+            '<log xes.version="1.0"><trace><string key="concept:name" value="c1"/><event>'
+            '<date key="time:timestamp" value="2012-01-01T00:00:00.000Z"/>'
+            + '<string key="note" value="n">' * depth
+            + "<widget/>"
+            + "</string>" * depth
+            + "</event></trace></log>"
+        )
+        code, out, err = run(["convert", str(xes)], capsys)
+        assert code == 0
+        assert "ex:e1 ext:event_case ex:c1 ." in out
+        assert err.startswith("convert: 1 traces, 1 events emitted, 0 skipped") and "1 warnings" in err
+        code, out, err = run(["stats", str(xes)], capsys)
+        assert code == 0
+        assert (out, err) == ("format  xes\ntraces  1\nevents  1\ncases   1\n", "")
+
 
 def test_years_below_1000_keep_their_ping_pong_row(tmp_path, capsys):
     events = "".join(

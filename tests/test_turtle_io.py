@@ -198,7 +198,7 @@ class TestGraphToTurtle:
             assert str(raised.value) == message
         xes = tmp_path / "e1.xes"
         xes.write_bytes(data)
-        assert main(["convert", str(xes)]) == 1
+        assert main(["convert", str(xes)]) == 2
         assert capsys.readouterr().err == f"oced-forge: {message}\n"
 
 

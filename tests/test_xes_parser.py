@@ -5,7 +5,8 @@ from datetime import datetime, timedelta, timezone
 
 import pytest
 
-from oced_forge import XesParseError, XesStructureError, parse_xes
+from oced_forge import XesAttribute, XesParseError, XesStructureError, parse_xes
+from oced_forge.cli import main
 
 from conftest import BPIC_STYLE_XES
 from oracles import fromstring_parse_xes
@@ -27,11 +28,16 @@ ONE_EVENT = b"""<?xml version="1.0"?>
 """
 
 
+def _event_attributes(body: str):
+    """The attributes parse_xes reads from one event holding body."""
+    log = parse_xes(f'<log xes.version="1.0"><trace><event>{body}</event></trace></log>'.encode())
+    return log.traces[0].events[0].attributes
+
+
 def test_minimal_log():
     log = parse_xes(MINIMAL)
-    assert log.xes_version == "1.0"
     assert log.traces == ()
-    assert log.extensions == ()
+    assert log.warnings == ()
 
 
 def test_one_event_fixture():
@@ -123,18 +129,15 @@ def test_corrupt_gzip_is_a_parse_error():
 
 
 def test_int_parsing_and_64bit_range():
-    ok = parse_xes(b'<log xes.version="1.0"><int key="n" value="-42"/></log>')
-    assert ok.attributes[0].value == -42
+    assert _event_attributes('<int key="n" value="-42"/>')[0].value == -42
     with pytest.raises(XesStructureError, match="64-bit"):
         parse_xes(b'<log xes.version="1.0"><int key="n" value="9223372036854775808"/></log>')
 
 
 def test_boolean_and_float_values():
-    log = parse_xes(
-        b'<log xes.version="1.0"><boolean key="b" value="true"/><float key="f" value="1.5"/></log>'
-    )
-    assert log.attributes[0].value is True
-    assert log.attributes[1].value == 1.5
+    attributes = _event_attributes('<boolean key="b" value="true"/><float key="f" value="1.5"/>')
+    assert attributes[0].value is True
+    assert attributes[1].value == 1.5
 
 
 @pytest.mark.parametrize(
@@ -152,23 +155,56 @@ def test_digit_separators_and_non_ascii_digits_rejected(kind, raw):
     [("int", " 12 ", 12), ("int", "+7", 7), ("float", "inf", float("inf")), ("float", "-1.5e3 ", -1500.0)],
 )
 def test_numbers_keep_surrounding_whitespace_signs_and_infinity(kind, raw, value):
-    log = parse_xes(f'<log xes.version="1.0"><{kind} key="n" value="{raw}"/></log>'.encode())
-    assert log.attributes[0].value == value
+    assert _event_attributes(f'<{kind} key="n" value="{raw}"/>')[0].value == value
 
 
 def test_float_nan_accepted():
-    log = parse_xes(b'<log xes.version="1.0"><float key="n" value="NaN"/></log>')
-    assert log.attributes[0].value != log.attributes[0].value
+    (nan,) = _event_attributes('<float key="n" value="NaN"/>')
+    assert nan.value != nan.value
 
 
-def test_nested_attributes_preserved():
-    doc = b"""<log xes.version="1.0">
-      <string key="outer" value="o"><int key="inner" value="3"/></string>
-    </log>"""
-    log = parse_xes(doc)
-    outer = log.attributes[0]
-    assert outer.children[0].key == "inner"
-    assert outer.children[0].value == 3
+NESTED_PLACES = {
+    "log": '<log xes.version="1.0">{}</log>',
+    "global": '<log xes.version="1.0"><global scope="event">{}</global></log>',
+    "trace": '<log xes.version="1.0"><trace>{}</trace></log>',
+    "event": '<log xes.version="1.0"><trace><event>{}</event></trace></log>',
+}
+
+
+@pytest.mark.parametrize("place", sorted(NESTED_PLACES))
+def test_nested_attributes_are_checked_but_not_kept(place):
+    def nested(inner):
+        doc = NESTED_PLACES[place].format(
+            f'<string key="outer" value="o"><string key="mid" value="m">{inner}</string></string>'
+        )
+        return doc.encode()
+
+    with pytest.raises(XesStructureError, match="unparseable int for key 'inner': 'x'"):
+        parse_xes(nested('<int key="inner" value="x"/>'))
+    with pytest.raises(XesStructureError, match="<int> element for key 'inner' without a value"):
+        parse_xes(nested('<int key="inner"/>'))
+    log = parse_xes(nested('<widget><int key="inner" value="x"/></widget><gadget/>'))
+    assert log.warnings == ("skipped unknown element <widget>", "skipped unknown element <gadget>")
+    if place == "event":
+        assert log.traces[0].events[0].attributes == (XesAttribute("outer", "string", "o"),)
+
+
+def test_bad_nested_int_exits_3_and_unknown_nested_element_warns(tmp_path, capsys):
+    def convert(inner):
+        xes = tmp_path / "nested.xes"
+        xes.write_text(
+            '<log xes.version="1.0"><trace><event>'
+            '<date key="time:timestamp" value="2012-01-01T00:00:00.000Z"/>'
+            f'<string key="note" value="n">{inner}</string></event></trace></log>'
+        )
+        code = main(["convert", str(xes)])
+        return code, capsys.readouterr().err
+
+    code, err = convert('<int key="n" value="1.5"/>')
+    assert (code, err) == (3, "oced-forge: unparseable int for key 'n': '1.5'\n")
+    code, err = convert("<widget/>")
+    assert code == 0
+    assert ", 1 warnings" in err
 
 
 def test_event_count_matches_raw_element_count(bpic_xes_bytes):
@@ -178,9 +214,9 @@ def test_event_count_matches_raw_element_count(bpic_xes_bytes):
 
 
 def test_same_instant_different_zones_compare_equal():
-    a = parse_xes(b'<log xes.version="1.0"><date key="t" value="2012-01-01T10:00:00.000+01:00"/></log>')
-    b = parse_xes(b'<log xes.version="1.0"><date key="t" value="2012-01-01T09:00:00.000Z"/></log>')
-    assert a.attributes[0].value == b.attributes[0].value
+    (a,) = _event_attributes('<date key="t" value="2012-01-01T10:00:00.000+01:00"/>')
+    (b,) = _event_attributes('<date key="t" value="2012-01-01T09:00:00.000Z"/>')
+    assert a.value == b.value
 
 
 class TestRoundTrip:
@@ -194,16 +230,22 @@ class TestRoundTrip:
         assert parse_xes(write_xes(log).encode("utf-8")) == log
 
     def test_date_literal_round_trips_at_millisecond_precision(self):
-        doc = b'<log xes.version="1.0"><date key="t" value="2012-06-01T12:34:56.789+05:30"/></log>'
+        doc = (
+            b'<log xes.version="1.0"><trace><event>'
+            b'<date key="t" value="2012-06-01T12:34:56.789+05:30"/></event></trace></log>'
+        )
         log = parse_xes(doc)
         text = write_xes(log)
         assert 'value="2012-06-01T12:34:56.789+05:30"' in text
         assert parse_xes(text.encode("utf-8")) == log
 
     def test_special_characters_survive(self):
-        doc = '<log xes.version="1.0"><string key="k" value="a&amp;b &lt;c&gt; &quot;d&quot;"/></log>'
+        doc = (
+            '<log xes.version="1.0"><trace>'
+            '<string key="k" value="a&amp;b &lt;c&gt; &quot;d&quot;"/></trace></log>'
+        )
         log = parse_xes(doc.encode("utf-8"))
-        assert log.attributes[0].value == 'a&b <c> "d"'
+        assert log.traces[0].attributes[0].value == 'a&b <c> "d"'
         assert parse_xes(write_xes(log).encode("utf-8")) == log
 
 
