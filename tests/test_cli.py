@@ -216,14 +216,18 @@ class TestConvert:
     def test_deeply_nested_attribute_is_checked_without_recursion(self, tmp_path, capsys):
         depth = 5000
         xes = tmp_path / "deep.xes"
-        xes.write_text(
-            '<log xes.version="1.0"><trace><string key="concept:name" value="c1"/><event>'
-            '<date key="time:timestamp" value="2012-01-01T00:00:00.000Z"/>'
-            + '<string key="note" value="n">' * depth
-            + "<widget/>"
-            + "</string>" * depth
-            + "</event></trace></log>"
-        )
+
+        def write(inner):
+            xes.write_text(
+                '<log xes.version="1.0"><trace><string key="concept:name" value="c1"/><event>'
+                '<date key="time:timestamp" value="2012-01-01T00:00:00.000Z"/>'
+                + '<string key="note" value="n">' * depth
+                + inner
+                + "</string>" * depth
+                + "</event></trace></log>"
+            )
+
+        write("<widget/>")
         code, out, err = run(["convert", str(xes)], capsys)
         assert code == 0
         assert "ex:e1 ext:event_case ex:c1 ." in out
@@ -231,6 +235,9 @@ class TestConvert:
         code, out, err = run(["stats", str(xes)], capsys)
         assert code == 0
         assert (out, err) == ("format  xes\ntraces  1\nevents  1\ncases   1\n", "")
+        write('<int key="n" value="1.5"/>')
+        code, out, err = run(["convert", str(xes)], capsys)
+        assert (code, out, err) == (3, "", "oced-forge: unparseable int for key 'n': '1.5'\n")
 
 
 def test_years_below_1000_keep_their_ping_pong_row(tmp_path, capsys):

@@ -6,7 +6,6 @@ from datetime import datetime, timedelta, timezone
 import pytest
 
 from oced_forge import XesAttribute, XesParseError, XesStructureError, parse_xes
-from oced_forge.cli import main
 
 from conftest import BPIC_STYLE_XES
 from oracles import fromstring_parse_xes
@@ -189,24 +188,6 @@ def test_nested_attributes_are_checked_but_not_kept(place):
         assert log.traces[0].events[0].attributes == (XesAttribute("outer", "string", "o"),)
 
 
-def test_bad_nested_int_exits_3_and_unknown_nested_element_warns(tmp_path, capsys):
-    def convert(inner):
-        xes = tmp_path / "nested.xes"
-        xes.write_text(
-            '<log xes.version="1.0"><trace><event>'
-            '<date key="time:timestamp" value="2012-01-01T00:00:00.000Z"/>'
-            f'<string key="note" value="n">{inner}</string></event></trace></log>'
-        )
-        code = main(["convert", str(xes)])
-        return code, capsys.readouterr().err
-
-    code, err = convert('<int key="n" value="1.5"/>')
-    assert (code, err) == (3, "oced-forge: unparseable int for key 'n': '1.5'\n")
-    code, err = convert("<widget/>")
-    assert code == 0
-    assert ", 1 warnings" in err
-
-
 def test_event_count_matches_raw_element_count(bpic_xes_bytes):
     log = parse_xes(bpic_xes_bytes)
     # independent count straight off the source text
@@ -300,15 +281,15 @@ STREAMING_CORPUS = {
     ),
     "byte order mark and encoding declaration": (
         b'\xef\xbb\xbf<?xml version="1.0" encoding="UTF-8"?>\n<log xes.version="1.0">'
-        b'<string key="k" value="\xc3\xa9"/></log>'
+        b'<trace><string key="k" value="\xc3\xa9"/></trace></log>'
     ),
     "latin-1 declaration": (
         '<?xml version="1.0" encoding="ISO-8859-1"?><log xes.version="1.0">'
-        '<string key="k" value="\u00e9"/></log>'
+        '<trace><string key="k" value="\u00e9"/></trace></log>'
     ).encode("latin-1"),
     "utf-16 with byte order mark": (
         '<?xml version="1.0" encoding="UTF-16"?><log xes.version="1.0">'
-        '<string key="k" value="\u65e5\u672c"/></log>'
+        '<trace><string key="k" value="\u65e5\u672c"/></trace></log>'
     ).encode("utf-16"),
     "default namespace": b'<log xmlns="http://www.xes-standard.org/" xes.version="1.0"><trace/></log>',
     "gzip": gzip.compress(BPIC_STYLE_XES.encode()),
