@@ -219,15 +219,18 @@ def enumerate_event_objects(store: TripleStore) -> list[EventObjectRow]:
             log.warning("EventObject %s lacks %s; skipped", _key(n), lacks)
 
     rows = []
+    times = {None: None}  # each distinct literal decoded once; an event has a row per object
     for sol in solutions:
         time_term = sol.get("time")
+        if time_term not in times:
+            times[time_term] = datetime_value(time_term)
         rows.append(
             EventObjectRow(
                 event=_key(sol["event"]),
                 object=_key(sol["object"]),
                 classifier=_text(sol.get("classifier")),
                 event_type=_text(sol.get("event_type")),
-                time=datetime_value(time_term) if time_term is not None else None,
+                time=times[time_term],
                 object_type=_text(sol.get("object_type")),
             )
         )
@@ -263,13 +266,17 @@ def ping_pong_records(rows: list[PingPongRow]) -> list[dict]:
 
 
 def event_object_records(rows: list[EventObjectRow]) -> list[dict]:
+    times = {None: None}  # each distinct time formatted once
+    for row in rows:
+        if row.time not in times:
+            times[row.time] = format_utc_millis(row.time)
     return [
         {
             "event": row.event,
             "object": row.object,
             "classifier": row.classifier,
             "event_type": row.event_type,
-            "time": None if row.time is None else format_utc_millis(row.time),
+            "time": times[row.time],
             "object_type": row.object_type,
         }
         for row in rows

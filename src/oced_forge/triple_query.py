@@ -9,10 +9,17 @@ hash order, so query results are deterministic across processes.
 BGP evaluation joins patterns most-selective-first: at each step the
 remaining pattern with the cheapest index estimate (given the variables
 already bound) is joined next.  OPTIONAL evaluation left-joins each optional
-group onto the required block's solutions.  Both join steps are hash joins
-planned once per binding shape (which of the step's variables a solution
-already binds): the pattern or group is matched once, unsubstituted, and its
-matches are joined onto the solutions on those variables.
+group onto the required block's solutions.
+
+Inside the store a solution is a row: a tuple of terms aligned to a tuple of
+variable names, with None where an OPTIONAL group left a variable unbound
+(no term is None).  A pattern is read by one row scan, which applies its
+constants and repeated variables.  Both join steps are hash joins planned
+once per binding shape (which of the step's variables a row already binds):
+the pattern or group is scanned once, unsubstituted, its rows are keyed on
+those variables, and a row is extended by tuple concatenation.
+match_pattern, match_bgp and match_optional build binding dicts once, from
+the final rows; an unbound variable is an absent key.
 
 There are no FILTER expressions: callers decode the literals they compare
 (datetime_value) and compare the values themselves.
@@ -21,6 +28,7 @@ There are no FILTER expressions: callers decode the literals they compare
 from collections import defaultdict
 from dataclasses import dataclass
 from datetime import datetime
+from operator import itemgetter
 
 from .terms import Term, Triple, TypedLiteral, XSD_DATETIME
 from .timeutil import parse_instant
@@ -52,6 +60,8 @@ class TriplePattern:
 
 
 BindingSet = dict[str, Term]
+# variable names, and one row of terms per solution (see the module docstring)
+Rows = tuple[tuple[str, ...], list[tuple]]
 
 
 def datetime_value(term: Term) -> datetime | None:
@@ -107,24 +117,35 @@ class TripleStore:
             return self._triples
         return self._by_p.get(pattern.predicate, ())
 
+    def _scan(self, pattern: TriplePattern) -> Rows:
+        """The pattern's variables in first-seen order, and one row of their
+        values per matching triple, in candidate order."""
+        names: list[str] = []
+        columns: list[int] = []
+        constants: list[int] = []
+        repeats: list[tuple[int, int]] = []
+        for position, term in enumerate(pattern.positions()):
+            if isinstance(term, Var):
+                if term.name in names:
+                    repeats.append((position, columns[names.index(term.name)]))
+                else:
+                    names.append(term.name)
+                    columns.append(position)
+            elif position != 1:  # a constant predicate is the index key
+                constants.append(position)
+        triples = self._candidates(pattern)
+        if constants:
+            get = itemgetter(*constants)
+            want = get(pattern.positions())
+            triples = [triple for triple in triples if get(triple) == want]
+        for position, first in repeats:
+            triples = [triple for triple in triples if triple[position] == triple[first]]
+        return tuple(names), list(map(_columns(columns), triples))
+
     def match_pattern(self, pattern: TriplePattern) -> list[BindingSet]:
         """One binding set per matching triple; equals an exhaustive scan."""
-        out: list[BindingSet] = []
-        for triple in self._candidates(pattern):
-            binding: BindingSet = {}
-            ok = True
-            for want, got in zip(pattern.positions(), triple):
-                if isinstance(want, Var):
-                    if want.name in binding and binding[want.name] != got:
-                        ok = False
-                        break
-                    binding[want.name] = got
-                elif want != got:
-                    ok = False
-                    break
-            if ok:
-                out.append(binding)
-        return out
+        names, rows = self._scan(pattern)
+        return [dict(zip(names, row)) for row in rows]
 
     def _estimate(self, pattern: TriplePattern, bound: set[str]) -> float:
         """Cardinality estimate used for join ordering; deterministic."""
@@ -149,12 +170,8 @@ class TripleStore:
 
     def match_bgp(self, patterns: list[TriplePattern]) -> list[BindingSet]:
         """Natural join of the patterns' matches (deterministic order)."""
-        solutions: list[BindingSet] = [{}]
-        for pattern in self._plan(list(patterns)):
-            solutions = self._join(solutions, [pattern], optional=False)
-            if not solutions:
-                break
-        return solutions
+        names, rows = self._bgp(patterns)
+        return [dict(zip(names, row)) for row in rows]
 
     def match_optional(
         self,
@@ -164,41 +181,94 @@ class TripleStore:
         """Left-outer-join semantics: each solution of the required block is
         extended by every compatible match of each optional group, or kept
         as-is when a group has no compatible match."""
-        solutions = self.match_bgp(required)
+        names, rows = self._bgp(required)
         for group in optional_groups:
-            solutions = self._join(solutions, group, optional=True)
-        return solutions
+            names, rows = self._join(names, rows, group, optional=True)
+        return [{name: term for name, term in zip(names, row) if term is not None} for row in rows]
 
-    def _join(self, solutions: list[BindingSet], group: list[TriplePattern], optional: bool):
-        """Extend each solution, in order, by every compatible match of the
-        group; an optional group keeps a solution it has no match for.
+    def _bgp(self, patterns) -> Rows:
+        """match_bgp's solutions as rows."""
+        names, rows = (), [()]
+        for pattern in self._plan(list(patterns)):
+            names, rows = self._join(names, rows, [pattern], optional=False)
+            if not rows:
+                break
+        return names, rows
 
-        Solutions are split by which of the group's variables they bind
-        (their shape).  Per shape the group is matched once, unsubstituted,
-        and its matches are bucketed by the values of those variables, so
-        extending a solution is one dict lookup.  A one-pattern group
-        extends each solution by its matching triples in insertion order."""
-        names = sorted({name for pattern in group for name in pattern.variables()})
-        tables = {}
-        extended: list[BindingSet] = []
-        for solution in solutions:
-            shape = tuple(name for name in names if name in solution)
-            table = tables.get(shape)
-            if table is None:
-                table = tables[shape] = self._buckets(group, shape)
-            matches = table.get(tuple(solution[name] for name in shape), ())
-            for match in matches:
-                merged = dict(solution)
-                merged.update(match)
-                extended.append(merged)
-            if optional and not matches:
-                extended.append(solution)
-        return extended
+    def _join(self, names, rows, group: list[TriplePattern], optional: bool) -> Rows:
+        """Extend each row, in order, by every compatible match of the group;
+        an optional group keeps a row it has no match for, its new variables
+        unbound (None).
 
-    def _buckets(self, group: list[TriplePattern], shape: tuple[str, ...]):
-        """The group's matches keyed by their values for the shape's variables."""
-        buckets: defaultdict[tuple[Term, ...], list[BindingSet]] = defaultdict(list)
-        matches = self.match_pattern(group[0]) if len(group) == 1 else self.match_bgp(group)
-        for match in matches:
-            buckets[tuple(match[name] for name in shape)].append(match)
-        return buckets
+        Rows are split by which of the group's variables they bind (their
+        shape).  Per shape the group is scanned once, unsubstituted, and its
+        matches are keyed on the values of those variables, so extending a
+        row is one dict lookup and a tuple concatenation.  Most rows bind
+        every join variable; a row that an earlier OPTIONAL group left
+        unbound in one has its None slots filled from the match.  A
+        one-pattern group extends each row by its matching triples in
+        insertion order."""
+        variables = dict.fromkeys(
+            term.name for pattern in group for term in pattern.positions() if isinstance(term, Var)
+        )
+        new = tuple(name for name in variables if name not in names)
+        slots = tuple(names.index(name) for name in variables if name in names)
+        pad = (None,) * len(new)
+        row_key, single = _key(slots), len(slots) == 1
+        tables = {}  # bound slots -> (unbound slots, matches by key)
+        extended: list[tuple] = []
+        for row in rows:
+            key, bound = row_key(row), slots
+            if (key is None) if single else (None in key):  # an OPTIONAL group left one unbound
+                bound = tuple(slot for slot in slots if row[slot] is not None)
+                key = _key(bound)(row)
+            entry = tables.get(bound)
+            if entry is None:
+                free = tuple(slot for slot in slots if slot not in bound)
+                keyed = [names[slot] for slot in bound]
+                carried = [names[slot] for slot in free] + list(new)
+                entry = tables[bound] = free, self._matches(group, keyed, carried)
+            free, table = entry
+            matches = table.get(key)
+            if not matches:
+                if optional:
+                    extended.append(row + pad)
+            elif not free:
+                for match in matches:
+                    extended.append(row + match)
+            else:
+                for match in matches:
+                    filled = list(row)
+                    for slot, term in zip(free, match):
+                        filled[slot] = term
+                    extended.append(tuple(filled) + match[len(free):])
+        return names + new, extended
+
+    def _matches(self, group: list[TriplePattern], keyed: list[str], carried: list[str]):
+        """The group's matches, as their values for carried, listed in match
+        order under their values for keyed."""
+        names, rows = self._scan(group[0]) if len(group) == 1 else self._bgp(group)
+        table: defaultdict = defaultdict(list)
+        if rows:  # a group BGP that ends early has not bound all its names
+            key = _key([names.index(name) for name in keyed])
+            value = _columns([names.index(name) for name in carried])
+            for row in rows:
+                table[key(row)].append(value(row))
+        return table
+
+
+def _no_columns(row):
+    return ()
+
+
+def _key(columns):
+    """Row -> its values at columns; the bare term for one column."""
+    return itemgetter(*columns) if columns else _no_columns
+
+
+def _columns(columns):
+    """Row -> the tuple of its values at columns."""
+    if len(columns) == 1:
+        (column,) = columns
+        return lambda row: (row[column],)
+    return _key(columns)

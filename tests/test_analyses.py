@@ -13,6 +13,8 @@ from oced_forge import (
     graph_to_triples,
     team_involvement,
 )
+from oced_forge import triple_query
+from oced_forge.analyses import EventObjectRow
 from oced_forge.terms import EX, EXT, OBSERVED_AT, OCEDO, RDF, XSD
 
 from oracles import (
@@ -269,6 +271,41 @@ class TestEnumerateEventObjects:
         assert row.time == ts(0)
         assert row.event_type == "handover"
         assert row.object_type == "case"
+
+    def test_each_time_literal_is_decoded_once(self, monkeypatch):
+        """Every event has three ext:EventObject nodes, so three rows share its
+        time literal; each distinct literal is parsed once, and the rows keep
+        every field."""
+        times = {
+            "e0": ("2012-01-01T00:00:00.000Z", datetime(2012, 1, 1, tzinfo=timezone.utc)),
+            # e0's instant written another way: a distinct literal, decoded on its own
+            "e1": ("2012-01-01T01:00:00.000+01:00", datetime(2012, 1, 1, tzinfo=timezone.utc)),
+            "e2": ("2012-01-02T00:00:00.500Z", datetime(2012, 1, 2, 0, 0, 0, 500000, tzinfo=timezone.utc)),
+            "e3": ("not a time", None),
+            "e4": (None, None),
+        }
+        store = TripleStore()
+        expected = []
+        for event, (lexical, instant) in times.items():
+            if lexical is not None:
+                store.insert(Triple(Iri(EX + event), OBSERVED_AT, TypedLiteral(lexical, Iri(XSD + "dateTime"))))
+            store.insert(Triple(Iri(EX + event), Iri(EXT + "event_type"), PlainLiteral("handover")))
+            for k in range(3):
+                obj = f"{event}_o{k}"
+                _eo_node(store, f"{event}_n{k}", event=event, obj=obj, classifier=f"q{k}")
+                store.insert(Triple(Iri(EX + obj), Iri(EXT + "object_type"), PlainLiteral("team")))
+                expected.append(EventObjectRow(EX + event, EX + obj, f"q{k}", "handover", instant, "team"))
+        parsed = []
+        parse_instant = triple_query.parse_instant
+
+        def counted(text):
+            parsed.append(text)
+            return parse_instant(text)
+
+        monkeypatch.setattr(triple_query, "parse_instant", counted)
+        rows = enumerate_event_objects(store.freeze())
+        assert sorted(parsed) == sorted(lexical for lexical, _ in times.values() if lexical is not None)
+        assert rows == expected
 
     def test_empty_store(self):
         assert enumerate_event_objects(TripleStore().freeze()) == []

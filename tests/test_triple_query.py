@@ -263,6 +263,31 @@ class TestMatchOptional:
         )
         assert {sol["k"].value for sol in solutions} == {"x", "y"}
 
+    def test_later_group_fills_a_variable_an_earlier_group_left_unbound(self):
+        # ?k is bound by the classifier group for e0, e2 and e4 only; the label
+        # group joins the others on ?c alone and fills their ?k, and the weight
+        # group fills both ?k and ?w for the one row still without a ?k
+        triples = (
+            [t(f"e{i}", "event_case", f"c{i % 3}") for i in range(6)]
+            + [t(f"e{i}", "classifier", f"k{i}") for i in (0, 2, 4)]
+            + [t("c0", "label", "k0"), t("c0", "label", "k1"), t("c1", "label", "k2")]
+            + [t("k0", "weight", "w0"), t("k2", "weight", "w1"), t("k4", "weight", "w2"), t("k9", "weight", "w3")]
+        )
+        store = TripleStore(triples)
+        e, c, k = Var("e"), Var("c"), Var("k")
+        required = [TriplePattern(e, iri("event_case"), c)]
+        groups = [
+            [TriplePattern(e, iri("classifier"), k)],
+            [TriplePattern(c, iri("label"), k)],
+            [TriplePattern(k, iri("weight"), Var("w"))],
+        ]
+        solutions = store.match_optional(required, groups)
+        assert solutions == _per_solution_optional(store, required, groups)
+        assert as_bag(solutions) == as_bag(nested_loop_optional(triples, required, groups))
+        by_event = Counter(sol["e"] for sol in solutions)
+        assert by_event[iri("e1")] == 1 and by_event[iri("e3")] == 2 and by_event[iri("e5")] == 4
+        assert [sol["k"] for sol in solutions if sol["e"] == iri("e1")] == [iri("k2")]
+        assert len(solutions) == 10
 
     def test_random_optional_equals_left_outer_join_oracle(self):
         features = Counter()
@@ -294,18 +319,18 @@ class TestMatchOptional:
 
 
 class TestJoinSteps:
-    """Each join step matches its pattern or group once per binding shape,
+    """Each join step scans its pattern or group once per binding shape,
     however many solutions it extends."""
 
     def _counted(self, monkeypatch):
         calls = []
-        match_pattern = TripleStore.match_pattern
+        scan = TripleStore._scan
 
         def counted(store, pattern):
             calls.append(pattern)
-            return match_pattern(store, pattern)
+            return scan(store, pattern)
 
-        monkeypatch.setattr(TripleStore, "match_pattern", counted)
+        monkeypatch.setattr(TripleStore, "_scan", counted)
         return calls
 
     def test_bgp_matches_each_pattern_once(self, monkeypatch):
