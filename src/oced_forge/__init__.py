@@ -45,14 +45,7 @@ from .transform import (
 )
 from .triple_query import TriplePattern, TripleStore, Var
 from .turtle_io import graph_to_triples, graph_to_turtle, parse_turtle, write_turtle
-from .xes_parser import (
-    XesAttribute,
-    XesEvent,
-    XesLog,
-    XesTrace,
-    load_xes,
-    parse_xes,
-)
+from .xes_parser import XesLog, XesTrace, parse_xes
 
 __version__ = "0.1.0"
 
@@ -80,8 +73,6 @@ __all__ = [
     "TypedValue",
     "UnsupportedConstructError",
     "Var",
-    "XesAttribute",
-    "XesEvent",
     "XesLog",
     "XesParseError",
     "XesStructureError",
@@ -94,7 +85,6 @@ __all__ = [
     "graph_to_triples",
     "graph_to_turtle",
     "load_mapping_config",
-    "load_xes",
     "parse_turtle",
     "parse_xes",
     "store_to_dot",

@@ -5,8 +5,9 @@ class OcedForgeError(Exception):
     """Base class for all errors raised by this package."""
 
 
-class XesParseError(OcedForgeError):
-    """Malformed XML in an XES document."""
+class _LocatedError(OcedForgeError):
+    """An error at a place in a document; the message ends with
+    (line L, column C) when the line is known."""
 
     def __init__(self, message: str, line: int | None = None, column: int | None = None):
         if line is not None:
@@ -14,6 +15,10 @@ class XesParseError(OcedForgeError):
         super().__init__(message)
         self.line = line
         self.column = column
+
+
+class XesParseError(_LocatedError):
+    """Malformed XML in an XES document."""
 
 
 class XesStructureError(OcedForgeError):
@@ -29,15 +34,8 @@ class ConfigError(OcedForgeError):
     """Invalid mapping configuration."""
 
 
-class TurtleSyntaxError(OcedForgeError):
+class TurtleSyntaxError(_LocatedError):
     """Syntax error in a Turtle document."""
-
-    def __init__(self, message: str, line: int | None = None, column: int | None = None):
-        if line is not None:
-            message = f"{message} (line {line}, column {column})"
-        super().__init__(message)
-        self.line = line
-        self.column = column
 
 
 class UnsupportedConstructError(TurtleSyntaxError):

@@ -55,7 +55,7 @@ def _check_id(value: str, what: str):
         )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TypedValue:
     """Attribute value with its XES kind tag (string, date, int, float,
     boolean, or id).  Dates are aware datetimes."""

@@ -18,7 +18,7 @@ from datetime import datetime
 from .errors import ConfigError, GraphIntegrityError
 from .oced_model import OcedEvent, OcedGraph, OcedObject, TypedValue, escape_id
 from .timeutil import to_utc_millis
-from .xes_parser import XesEvent, XesLog, _attribute_text
+from .xes_parser import XesLog, _attribute_text
 
 log = logging.getLogger(__name__)
 
@@ -163,7 +163,7 @@ def load_mapping_config(path: str) -> MappingConfig:
         raise ConfigError(f"{path}: {exc}") from exc
 
 
-def derive_event_type(event: XesEvent, config: MappingConfig) -> str:
+def derive_event_type(event: dict[str, TypedValue], config: MappingConfig) -> str:
     """Join the values at event_type_keys with '+', skipping absent keys;
     'unknown' when that gives the empty string (every key absent, or the
     only value present empty)."""
@@ -181,7 +181,7 @@ def trace_case_ids(log_: XesLog, config: MappingConfig) -> list[tuple[str, str]]
     escaped ids are equal are one case."""
     ids = []
     for ti, trace in enumerate(log_.traces):
-        attr = trace.get(config.case_id_key)
+        attr = trace.attributes.get(config.case_id_key)
         raw = (_attribute_text(attr) if attr is not None else "") or f"trace_{ti}"
         ids.append((raw, escape_id(raw)))
     return ids
@@ -245,7 +245,7 @@ def transform_log(log_: XesLog, config: MappingConfig | None = None) -> tuple[Oc
                 if attr.kind == "date" and not _has_utc_instant(attr.value):
                     dates_out_of_range.append(key)
                     continue
-                attributes[key] = TypedValue(kind=attr.kind, value=attr.value)
+                attributes[key] = attr
             oced_event = OcedEvent(
                 id=f"e{ordinal}",
                 event_type=derive_event_type(event, config),

@@ -2,11 +2,13 @@
 
 Reads XES XML (optionally gzip-compressed, detected by magic bytes) into an
 in-memory log of what the conversion reads: the traces, their events, and
-the top-level attributes of each, in document order.  The log header
-(extensions, globals, classifiers, log-level attributes) and attributes
-nested in other attributes are checked but not kept; the XES list/container
-construct is rejected.  Unknown elements are skipped and recorded as
-warnings on the returned log.
+the top-level attributes of each.  An event is its attributes by key, a
+dict of TypedValue; a repeated key in an event is an error.  A trace keeps
+the first value of a repeated key; later repeats are still checked.  The
+log header (extensions, globals, classifiers, log-level attributes) and
+attributes nested in other attributes are checked but not kept; the XES
+list/container construct is rejected.  Unknown elements are skipped and
+recorded as warnings on the returned log.
 
 The XML is read as a stream (ElementTree.iterparse): each direct child of
 <log> is turned into log data when its end tag is read and then dropped, so
@@ -17,12 +19,12 @@ anywhere in it is reported instead, as a whole-document parse would.
 
 import gzip
 import io
-import sys
 import zlib
 from dataclasses import dataclass, field
 from xml.etree import ElementTree
 
 from .errors import XesParseError, XesStructureError
+from .oced_model import TypedValue
 from .timeutil import format_offset_millis, parse_instant
 
 VALUE_KINDS = ("string", "date", "int", "float", "boolean", "id")
@@ -31,33 +33,9 @@ _INT64_MAX = 2**63 - 1
 
 
 @dataclass(frozen=True)
-class XesAttribute:
-    key: str
-    kind: str  # one of VALUE_KINDS
-    value: object
-
-
-def _get(self, key: str) -> XesAttribute | None:
-    """The attribute with this key, or None."""
-    for attr in self.attributes:
-        if attr.key == key:
-            return attr
-    return None
-
-
-@dataclass(frozen=True)
-class XesEvent:
-    attributes: tuple[XesAttribute, ...]
-
-    get = _get
-
-
-@dataclass(frozen=True)
 class XesTrace:
-    attributes: tuple[XesAttribute, ...]
-    events: tuple[XesEvent, ...]
-
-    get = _get
+    attributes: dict[str, TypedValue]
+    events: tuple[dict[str, TypedValue], ...]
 
 
 @dataclass(frozen=True)
@@ -74,7 +52,7 @@ def _local(tag: str) -> str:
     return tag.rpartition("}")[2]
 
 
-def _attribute_text(attr: XesAttribute) -> str:
+def _attribute_text(attr: TypedValue) -> str:
     """Canonical string form of an attribute value (used for ids and types)."""
     if attr.kind == "date":
         return format_offset_millis(attr.value)
@@ -131,7 +109,7 @@ class _Parser:
             return lowered == "true"
         raise XesStructureError(f"unknown attribute kind {kind!r}")
 
-    def _attribute(self, elem) -> XesAttribute | None:
+    def _attribute(self, elem) -> tuple[str, TypedValue] | None:
         tag = _local(elem.tag)
         if tag in _LIST_TAGS:
             raise XesStructureError(
@@ -146,13 +124,14 @@ class _Parser:
         raw = elem.get("value")
         if raw is None:
             raise XesStructureError(f"<{tag}> element for key {key!r} without a value")
-        return XesAttribute(key=key, kind=tag, value=self.parse_value(tag, key, raw))
+        return key, TypedValue(tag, self.parse_value(tag, key, raw))
 
-    def parse_attribute(self, elem) -> XesAttribute | None:
-        """Parse one attribute element; None when the element is not an
-        attribute (skipped with a warning).  The attributes nested in it are
-        checked in document order, without recursion, and not kept; an
-        element that is not an attribute is skipped with what it contains."""
+    def parse_attribute(self, elem) -> tuple[str, TypedValue] | None:
+        """Parse one attribute element into (key, value); None when the
+        element is not an attribute (skipped with a warning).  The attributes
+        nested in it are checked in document order, without recursion, and
+        not kept; an element that is not an attribute is skipped with what it
+        contains."""
         parsed = self._attribute(elem)
         if parsed is not None:
             stack = list(reversed(elem))
@@ -162,21 +141,20 @@ class _Parser:
                     stack.extend(reversed(child))
         return parsed
 
-    def parse_event(self, elem) -> XesEvent:
-        attributes = []
-        seen: set[str] = set()
+    def parse_event(self, elem) -> dict[str, TypedValue]:
+        attributes = {}
         for child in elem:
             parsed = self.parse_attribute(child)
             if parsed is None:
                 continue
-            if parsed.key in seen:
-                raise XesStructureError(f"duplicate key {parsed.key!r} in event")
-            seen.add(parsed.key)
-            attributes.append(parsed)
-        return XesEvent(attributes=tuple(attributes))
+            key, value = parsed
+            if key in attributes:
+                raise XesStructureError(f"duplicate key {key!r} in event")
+            attributes[key] = value
+        return attributes
 
     def parse_trace(self, elem) -> XesTrace:
-        attributes = []
+        attributes = {}
         events = []
         for child in elem:
             tag = _local(child.tag)
@@ -185,8 +163,8 @@ class _Parser:
             else:
                 parsed = self.parse_attribute(child)
                 if parsed is not None:
-                    attributes.append(parsed)
-        return XesTrace(attributes=tuple(attributes), events=tuple(events))
+                    attributes.setdefault(*parsed)
+        return XesTrace(attributes=attributes, events=tuple(events))
 
     def open_log(self, root):
         if _local(root.tag) != "log":
@@ -275,13 +253,3 @@ def parse_xes(data: bytes) -> XesLog:
     if held is not None:
         raise held
     return parser.log()
-
-
-def load_xes(path: str | None) -> XesLog:
-    """Read and parse XES from a file path, or from stdin when path is None or '-'."""
-    if path is None or path == "-":
-        data = sys.stdin.buffer.read()
-    else:
-        with open(path, "rb") as fh:
-            data = fh.read()
-    return parse_xes(data)

@@ -144,6 +144,26 @@ class TestConvert:
         assert "Traceback" not in err
         assert expected in out
 
+    def test_repeated_trace_key_keeps_its_first_value(self, tmp_path, capsys):
+        xes = tmp_path / "one.xes"
+        xes.write_bytes(
+            b'<log xes.version="1.0"><trace><string key="concept:name" value="first"/>'
+            b'<string key="concept:name" value="second"/><event>'
+            b'<date key="time:timestamp" value="2012-01-01T00:00:00.000Z"/></event></trace></log>'
+        )
+        (trace,) = parse_xes(xes.read_bytes()).traces
+        assert trace.attributes["concept:name"].value == "first"
+        code, out, err = run(["convert", str(xes)], capsys)
+        assert code == 0
+        assert "ex:e1 ext:event_case ex:first ." in out
+        assert "second" not in out
+        # a later repeat is not kept, but its value is still checked
+        second = b'<string key="concept:name" value="second"/>'
+        xes.write_bytes(xes.read_bytes().replace(second, b'<int key="concept:name" value="x"/>'))
+        code, _, err = run(["convert", str(xes)], capsys)
+        assert code == 3
+        assert err == "oced-forge: unparseable int for key 'concept:name': 'x'\n"
+
     def test_object_type_outside_id_alphabet_is_escaped(self, tmp_path, capsys):
         xes = tmp_path / "one.xes"
         xes.write_text(

@@ -15,7 +15,7 @@ from oced_forge import (
     transform_log,
     write_turtle,
 )
-from oced_forge.xes_parser import XesAttribute, XesEvent
+from oced_forge.oced_model import TypedValue
 
 from oracles import random_xes
 
@@ -41,10 +41,8 @@ THREE_EVENTS_ONE_TEAM = b"""<log xes.version="1.0">
 </log>"""
 
 
-def string_event(**attrs) -> XesEvent:
-    return XesEvent(
-        attributes=tuple(XesAttribute(key=k, kind="string", value=v) for k, v in attrs.items())
-    )
+def string_event(**attrs) -> dict[str, TypedValue]:
+    return {k: TypedValue("string", v) for k, v in attrs.items()}
 
 
 class TestDefaultConfig:

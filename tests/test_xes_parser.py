@@ -5,7 +5,7 @@ from datetime import datetime, timedelta, timezone
 
 import pytest
 
-from oced_forge import XesAttribute, XesParseError, XesStructureError, parse_xes
+from oced_forge import TypedValue, XesParseError, XesStructureError, parse_xes
 
 from conftest import BPIC_STYLE_XES
 from oracles import fromstring_parse_xes
@@ -28,9 +28,9 @@ ONE_EVENT = b"""<?xml version="1.0"?>
 
 
 def _event_attributes(body: str):
-    """The attributes parse_xes reads from one event holding body."""
+    """The attributes parse_xes reads from one event holding body, by key."""
     log = parse_xes(f'<log xes.version="1.0"><trace><event>{body}</event></trace></log>'.encode())
-    return log.traces[0].events[0].attributes
+    return log.traces[0].events[0]
 
 
 def test_minimal_log():
@@ -45,7 +45,7 @@ def test_one_event_fixture():
     trace = log.traces[0]
     assert len(trace.events) == 1
     event = trace.events[0]
-    assert len(event.attributes) == 3
+    assert len(event) == 3
     stamp = event.get("time:timestamp")
     assert stamp.kind == "date"
     # 10:00+01:00 is 09:00Z; independent expectation, not derived from the parser
@@ -128,15 +128,15 @@ def test_corrupt_gzip_is_a_parse_error():
 
 
 def test_int_parsing_and_64bit_range():
-    assert _event_attributes('<int key="n" value="-42"/>')[0].value == -42
+    assert _event_attributes('<int key="n" value="-42"/>')["n"].value == -42
     with pytest.raises(XesStructureError, match="64-bit"):
         parse_xes(b'<log xes.version="1.0"><int key="n" value="9223372036854775808"/></log>')
 
 
 def test_boolean_and_float_values():
     attributes = _event_attributes('<boolean key="b" value="true"/><float key="f" value="1.5"/>')
-    assert attributes[0].value is True
-    assert attributes[1].value == 1.5
+    assert attributes["b"].value is True
+    assert attributes["f"].value == 1.5
 
 
 @pytest.mark.parametrize(
@@ -154,11 +154,11 @@ def test_digit_separators_and_non_ascii_digits_rejected(kind, raw):
     [("int", " 12 ", 12), ("int", "+7", 7), ("float", "inf", float("inf")), ("float", "-1.5e3 ", -1500.0)],
 )
 def test_numbers_keep_surrounding_whitespace_signs_and_infinity(kind, raw, value):
-    assert _event_attributes(f'<{kind} key="n" value="{raw}"/>')[0].value == value
+    assert _event_attributes(f'<{kind} key="n" value="{raw}"/>')["n"].value == value
 
 
 def test_float_nan_accepted():
-    (nan,) = _event_attributes('<float key="n" value="NaN"/>')
+    (nan,) = _event_attributes('<float key="n" value="NaN"/>').values()
     assert nan.value != nan.value
 
 
@@ -185,7 +185,7 @@ def test_nested_attributes_are_checked_but_not_kept(place):
     log = parse_xes(nested('<widget><int key="inner" value="x"/></widget><gadget/>'))
     assert log.warnings == ("skipped unknown element <widget>", "skipped unknown element <gadget>")
     if place == "event":
-        assert log.traces[0].events[0].attributes == (XesAttribute("outer", "string", "o"),)
+        assert log.traces[0].events[0] == {"outer": TypedValue("string", "o")}
 
 
 def test_event_count_matches_raw_element_count(bpic_xes_bytes):
@@ -195,8 +195,8 @@ def test_event_count_matches_raw_element_count(bpic_xes_bytes):
 
 
 def test_same_instant_different_zones_compare_equal():
-    (a,) = _event_attributes('<date key="t" value="2012-01-01T10:00:00.000+01:00"/>')
-    (b,) = _event_attributes('<date key="t" value="2012-01-01T09:00:00.000Z"/>')
+    (a,) = _event_attributes('<date key="t" value="2012-01-01T10:00:00.000+01:00"/>').values()
+    (b,) = _event_attributes('<date key="t" value="2012-01-01T09:00:00.000Z"/>').values()
     assert a.value == b.value
 
 
@@ -226,7 +226,7 @@ class TestRoundTrip:
             '<string key="k" value="a&amp;b &lt;c&gt; &quot;d&quot;"/></trace></log>'
         )
         log = parse_xes(doc.encode("utf-8"))
-        assert log.traces[0].attributes[0].value == 'a&b <c> "d"'
+        assert log.traces[0].attributes["k"].value == 'a&b <c> "d"'
         assert parse_xes(write_xes(log).encode("utf-8")) == log
 
 

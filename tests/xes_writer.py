@@ -4,7 +4,8 @@ attribute it reads.  Not a general-purpose XES exporter."""
 
 import io
 
-from oced_forge.xes_parser import XesAttribute, XesLog, _attribute_text
+from oced_forge.oced_model import TypedValue
+from oced_forge.xes_parser import XesLog, _attribute_text
 
 
 def _xml_escape(text: str) -> str:
@@ -16,10 +17,10 @@ def _xml_escape(text: str) -> str:
     )
 
 
-def _write_attribute(out: io.StringIO, attr: XesAttribute, indent: int):
+def _write_attribute(out: io.StringIO, key: str, attr: TypedValue, indent: int):
     value = _attribute_text(attr)
     out.write(
-        f'{"  " * indent}<{attr.kind} key="{_xml_escape(attr.key)}" value="{_xml_escape(value)}"/>\n'
+        f'{"  " * indent}<{attr.kind} key="{_xml_escape(key)}" value="{_xml_escape(value)}"/>\n'
     )
 
 
@@ -30,12 +31,12 @@ def write_xes(log: XesLog) -> str:
     out.write('<log xes.version="1.0">\n')
     for trace in log.traces:
         out.write("  <trace>\n")
-        for attr in trace.attributes:
-            _write_attribute(out, attr, 2)
+        for key, attr in trace.attributes.items():
+            _write_attribute(out, key, attr, 2)
         for event in trace.events:
             out.write("    <event>\n")
-            for attr in event.attributes:
-                _write_attribute(out, attr, 3)
+            for key, attr in event.items():
+                _write_attribute(out, key, attr, 3)
             out.write("    </event>\n")
         out.write("  </trace>\n")
     out.write("</log>\n")
