@@ -85,7 +85,6 @@ def build_parser() -> argparse.ArgumentParser:
     convert = sub.add_parser("convert", help="convert an XES log (optionally .gz) to Turtle")
     convert.add_argument("input", help="XES file, or - for stdin")
     convert.add_argument("--config", help="mapping configuration JSON (default: BPIC 2013 rules)")
-    convert.add_argument("--format", choices=["ttl"], default="ttl")
     convert.add_argument("--output", "-o", help="output path (default: stdout)")
     convert.add_argument("--quiet", "-q", action="store_true", help="suppress the summary line")
     convert.set_defaults(func=cmd_convert)
@@ -101,14 +100,11 @@ def build_parser() -> argparse.ArgumentParser:
     stats = sub.add_parser("stats", help="print counts for an XES or Turtle file")
     stats.add_argument("input", help="XES or Turtle file, or - for stdin (format sniffed)")
     stats.add_argument("--output", "-o", help="output path (default: stdout)")
-    stats.add_argument("--quiet", "-q", action="store_true")
     stats.set_defaults(func=cmd_stats)
 
     export_dot = sub.add_parser("export-dot", help="render a Turtle file as a Graphviz digraph")
     export_dot.add_argument("input", help="Turtle file, or - for stdin")
-    export_dot.add_argument("--format", choices=["dot"], default="dot")
     export_dot.add_argument("--output", "-o", help="output path (default: stdout)")
-    export_dot.add_argument("--quiet", "-q", action="store_true")
     export_dot.set_defaults(func=cmd_export_dot)
 
     return parser
@@ -148,6 +144,8 @@ def _load_store(path: str) -> TripleStore:
 
 def cmd_convert(args) -> int:
     log = parse_xes(_read_input(args.input))
+    for warning in log.warnings:
+        logging.getLogger("oced_forge.xes_parser").warning("%s", warning)
     config = load_mapping_config(args.config) if args.config else default_bpic2013_config()
     graph, report = transform_log(log, config)
     traces, log_warnings = len(log.traces), len(log.warnings)

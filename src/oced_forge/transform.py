@@ -25,6 +25,17 @@ log = logging.getLogger(__name__)
 CONFIG_VERSION = 1
 
 
+def _is_text(value) -> bool:
+    """A string that encodes as UTF-8: JSON escapes can spell lone surrogates."""
+    if not isinstance(value, str):
+        return False
+    try:
+        value.encode("utf-8")
+    except UnicodeEncodeError:
+        return False
+    return True
+
+
 @dataclass(frozen=True)
 class ObjectRule:
     """Turn an event attribute into a shared object plus a qualified
@@ -63,23 +74,21 @@ class MappingConfig:
     def validate(self):
         for name in ("case_object_type", "case_id_key", "timestamp_key", "case_eo_qualifier"):
             value = getattr(self, name)
-            if not isinstance(value, str):
+            if not _is_text(value):
                 raise ConfigError(f"{name} must be a string, got {value!r}")
             if not value:
                 raise ConfigError(f"{name} must be non-empty")
         for name in ("event_type_keys", "attribute_passthrough"):
             value = getattr(self, name)
-            if not isinstance(value, list) or not all(isinstance(key, str) for key in value):
+            if not isinstance(value, list) or not all(_is_text(key) for key in value):
                 raise ConfigError(f"{name} must be a list of strings, got {value!r}")
         if not isinstance(self.object_rules, list):
             raise ConfigError(f"object_rules must be a list, got {self.object_rules!r}")
         for rule in self.object_rules:
             if not (
                 isinstance(rule, ObjectRule)
-                and all(
-                    isinstance(v, str) for v in (rule.xes_key, rule.object_type, rule.eo_qualifier)
-                )
-                and isinstance(rule.oo_qualifier, str | None)
+                and all(_is_text(v) for v in (rule.xes_key, rule.object_type, rule.eo_qualifier))
+                and (rule.oo_qualifier is None or _is_text(rule.oo_qualifier))
             ):
                 raise ConfigError(
                     f"object rule fields must be strings (oo_qualifier may be null): {rule!r}"

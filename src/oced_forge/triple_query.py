@@ -27,7 +27,7 @@ There are no FILTER expressions: callers decode the literals they compare
 
 from collections import defaultdict
 from dataclasses import dataclass
-from datetime import datetime
+from datetime import datetime, timezone
 from operator import itemgetter
 
 from .terms import Term, Triple, TypedLiteral, XSD_DATETIME
@@ -65,12 +65,15 @@ Rows = tuple[tuple[str, ...], list[tuple]]
 
 
 def datetime_value(term: Term) -> datetime | None:
-    """Instant of an xsd:dateTime literal, or None when term is not one."""
+    """Instant of an xsd:dateTime literal, or None when term is not one or
+    has no UTC instant in datetime's years 1..9999 (the transform's rule)."""
     if isinstance(term, TypedLiteral) and term.datatype == XSD_DATETIME:
         try:
-            return parse_instant(term.lexical)
-        except ValueError:
+            instant = parse_instant(term.lexical)
+            instant.astimezone(timezone.utc)
+        except (ValueError, OverflowError):
             return None
+        return instant
     return None
 
 

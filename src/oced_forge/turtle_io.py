@@ -27,11 +27,13 @@ Parsing takes two paths through one text.  A line fast path matches each
 line with one regex while it has the shape write_turtle emits: a
 `@prefix p: <absolute-iri> .` line or one `S P O .` statement of prefixed
 names, absolute IRIs and simple literals.  At the first line that does not
-fit, or that names an unknown prefix, the general tokenizer takes over from
-the start of that line with the prefixes and triples read so far.  The fast
-path accepts only lines the tokenizer reads the same way and never raises,
-so the triples, their order and every error message, line and column are
-those of the tokenizer alone.
+fit, or that names an unknown prefix, it hands over at that line's offset:
+the parser's `pos`, where the general reader reads on with the prefixes and
+triples read so far.  The general reader matches one token regex at `pos`,
+one named group per token kind, with one token of lookahead.  The fast
+path accepts only lines the general reader reads the same way, so the
+triples, their order and every error message, line and column are those of
+the general reader alone.
 """
 
 import re
@@ -275,14 +277,38 @@ _PUNCT = "punct"  # . ; , ^^
 _EOF = "eof"
 
 _HEX = "0123456789abcdefABCDEF"
-_SKIP_RE = re.compile(r"(?:[ \t\r\n]+|#[^\n]*)+")
-_NUMBER_RE = re.compile(r"[+-]?\d+(\.\d+)?([eE][+-]?\d+)?")
-_IRIREF_RE = re.compile(r"<([^>\n]*)>")
+
+# One match skips whitespace and comments, then reads one token; the named
+# group that matched is the token's kind.  The shapes are those of RDF 1.1
+# Turtle section 6.5, cut to the supported subset (numbers are ASCII digits).
+# pname is tried before word, which matches its leading letters; a `"""`
+# and a '.' before a digit match no kind.  When no kind fits, the empty last
+# alternative matches and _UNMATCHED names the error.
+_TOKEN_RE = re.compile(
+    r"(?:[ \t\r\n]|#[^\n]*)*"
+    r"(?:(?P<pname>(?:[A-Za-z][A-Za-z0-9_.\-]*)?:(?:[A-Za-z0-9_.\-]|%[0-9A-Fa-f]{2})*)"
+    r"|(?P<punct>[;,]|\.(?!\d)|\^\^)"
+    r'|(?P<string>"(?!"")(?:[^"\\\n]|\\.)*")'
+    r"|(?P<word>[A-Za-z][A-Za-z0-9_.\-]*)"
+    r"|(?P<iriref><[^>\n]*>)"
+    r"|(?P<number>[+-]?[0-9]+(?:\.[0-9]+)?(?:[eE][+-]?[0-9]+)?)"
+    r"|(?P<atword>@[A-Za-z][A-Za-z0-9\-]*)"
+    r"|(?P<eof>\Z)"
+    r"|)"
+)
+# the start of text that no token matches, and its error
+_UNMATCHED = (
+    ('"""', "long string literal", UnsupportedConstructError),
+    ('"', "unterminated string literal", TurtleSyntaxError),
+    ("'", "single-quoted literal", UnsupportedConstructError),
+    (("[", "]"), "blank node", UnsupportedConstructError),
+    (("(", ")"), "collection", UnsupportedConstructError),
+    ("_:", "blank node label", UnsupportedConstructError),
+    ("<", "unterminated IRI", TurtleSyntaxError),
+    ("@", "expected a name after '@'", TurtleSyntaxError),
+    ("^", "expected '^^'", TurtleSyntaxError),
+)
 _IRI_ILLEGAL_RE = re.compile(r'[ <"{}|^`\\]')
-_STRING_RE = re.compile(r'"((?:[^"\\\n]|\\.)*)"')
-_ATWORD_RE = re.compile(r"@([A-Za-z][A-Za-z0-9\-]*)")
-_PNAME_RE = re.compile(r"([A-Za-z][A-Za-z0-9_.\-]*)?:((?:[A-Za-z0-9_.\-]|%[0-9A-Fa-f]{2})*)")
-_WORD_RE = re.compile(r"[A-Za-z][A-Za-z0-9_.\-]*")
 
 _ESCAPES = {"\\": "\\", '"': '"', "n": "\n", "r": "\r", "t": "\t", "b": "\b", "f": "\f"}
 
@@ -297,18 +323,42 @@ class _Token:
 
     def __init__(self, kind, value, pos):
         self.kind = kind
-        self.value = value
+        self.value = value  # a pname's value is (prefix, local)
         self.pos = pos
 
 
-class _Tokenizer:
+# The line fast path reads what write_turtle emits: one `@prefix p: <iri> .`
+# or one `S P O .` statement per line.  The general reader reads every line
+# it accepts as the same statement, so it may stop at any line and leave the
+# rest to the general reader: pnames have no '.' in the local part, IRIs are
+# absolute and free of _BAD_IRI_CHARS, and strings carry only escapes
+# _unescape accepts.
+_FAST_IRIREF = r'<[A-Za-z][A-Za-z0-9+.\-]*:[^\x00-\x20<>"{}|^`\\]*>'
+_FAST_PNAME = r"(?:[A-Za-z][A-Za-z0-9_\-]*)?:[A-Za-z0-9_\-]*(?:%[0-9A-Fa-f]{2}[A-Za-z0-9_\-]*)*"
+_FAST_IRI = rf"(?:{_FAST_PNAME}|{_FAST_IRIREF})"
+_FAST_LITERAL = (
+    r'"[^"\\\n]*(?:(?:\\[\\"nrtbf]|\\u[0-9A-Fa-f]{4})[^"\\\n]*)*"'
+    rf"(?:\^\^{_FAST_IRI}|@[A-Za-z][A-Za-z0-9\-]*)?"
+)
+_LINE_RE = re.compile(
+    r"(?:[ \t\r]*\n)*"
+    rf"(?:@prefix[ \t]+([A-Za-z][A-Za-z0-9_\-]*)?:[ \t]+({_FAST_IRIREF})"
+    rf"|({_FAST_IRI})[ \t]+({_FAST_IRI})[ \t]+({_FAST_IRI}|{_FAST_LITERAL}))"
+    r"[ \t]*\.[ \t\r]*(?:\n|\Z)"
+)
+
+
+
+class _TurtleParser:
     def __init__(self, text: str):
         self.text = text
-        self.pos = 0
+        self.pos = 0  # where the general reader reads its next token
+        self.prefixes: dict[str, str] = {}
+        self.store = TripleStore()
+        self._intern = _Memo(Iri).__getitem__
 
-    def _error(self, message, pos=None, cls=TurtleSyntaxError):
-        line, col = _line_col(self.text, self.pos if pos is None else pos)
-        raise cls(message, line, col)
+    def _error(self, message, pos, cls=TurtleSyntaxError):
+        raise cls(message, *_line_col(self.text, pos))
 
     def _unescape(self, body: str, start: int) -> str:
         out = []
@@ -327,186 +377,94 @@ class _Tokenizer:
                 width = 4 if esc == "u" else 8
                 digits = body[i + 2 : i + 2 + width]
                 if len(digits) != width or any(d not in _HEX for d in digits):
-                    self._error(f"bad \\{esc} escape", pos=start + i)
+                    self._error(f"bad \\{esc} escape", start + i)
                 code = int(digits, 16)
                 if code > 0x10FFFF or 0xD800 <= code <= 0xDFFF:
-                    self._error(f"\\{esc}{digits} is not a Unicode scalar value", pos=start + i)
+                    self._error(f"\\{esc}{digits} is not a Unicode scalar value", start + i)
                 out.append(chr(code))
                 i += 2 + width
             else:
-                self._error(f"unknown string escape \\{esc}", pos=start + i)
+                self._error(f"unknown string escape \\{esc}", start + i)
         return "".join(out)
 
-    def tokens(self):
-        """Yield tokens one at a time; the EOF token is yielded last."""
+    def _read(self) -> _Token:
+        """The token after the whitespace and comments at self.pos; self.pos
+        moves past it."""
         text = self.text
-        length = len(text)
-        while True:
-            skip = _SKIP_RE.match(text, self.pos)
-            if skip is not None:
-                self.pos = skip.end()
-            start = self.pos
-            if start >= length:
-                yield _Token(_EOF, "", start)
-                return
-            ch = text[start]
-
-            if ch == "<":
-                m = _IRIREF_RE.match(text, start)
-                if m is None:
-                    self._error("unterminated IRI", pos=start)
-                bad = _IRI_ILLEGAL_RE.search(m.group(1))
-                if bad is not None:
-                    if bad.group(0) == "\\":
-                        self._error(
-                            "escape sequences in IRIs are not supported",
-                            pos=start + 1 + bad.start(),
-                        )
-                    self._error(
-                        f"character {bad.group(0)!r} is illegal inside an IRI",
-                        pos=start + 1 + bad.start(),
-                    )
-                self.pos = m.end()
-                yield _Token(_IRIREF, m.group(1), start)
-            elif ch == '"':
-                if text.startswith('"""', start):
-                    self._error("long string literal", pos=start, cls=UnsupportedConstructError)
-                m = _STRING_RE.match(text, start)
-                if m is None:
-                    self._error("unterminated string literal", pos=start)
-                body = m.group(1)
-                self.pos = m.end()
-                cooked = self._unescape(body, start + 1) if "\\" in body else body
-                yield _Token(_STRING, cooked, start)
-            elif ch == "'":
-                self._error("single-quoted literal", pos=start, cls=UnsupportedConstructError)
-            elif ch in "[]":
-                self._error("blank node", pos=start, cls=UnsupportedConstructError)
-            elif ch in "()":
-                self._error("collection", pos=start, cls=UnsupportedConstructError)
-            elif ch == "_" and text.startswith("_:", start):
-                self._error("blank node label", pos=start, cls=UnsupportedConstructError)
-            elif ch == "@":
-                m = _ATWORD_RE.match(text, start)
-                if m is None:
-                    self._error("expected a name after '@'", pos=start)
-                self.pos = m.end()
-                yield _Token(_ATWORD, m.group(1), start)
-            elif ch == "^":
-                if not text.startswith("^^", start):
-                    self._error("expected '^^'", pos=start)
-                self.pos = start + 2
-                yield _Token(_PUNCT, "^^", start)
-            elif ch in ".;,":
-                if ch != "." or not text[start + 1 : start + 2].isdigit():
-                    self.pos = start + 1
-                    yield _Token(_PUNCT, ch, start)
-                    continue
-                self._error("unexpected character '.'", pos=start)
-            elif ch.isdigit() or (ch in "+-" and text[start + 1 : start + 2].isdigit()):
-                m = _NUMBER_RE.match(text, start)
-                self.pos = m.end()
-                yield _Token(_NUMBER, m.group(0), start)
-            else:
-                m = _PNAME_RE.match(text, start)
-                if m is not None:
-                    prefix, local = m.group(1) or "", m.group(2)
-                    end = m.end()
-                    if text[end : end + 1] == "%":
-                        self._error("bad percent escape in local name", pos=end)
-                    # a trailing dot terminates the statement, not the name
-                    while local.endswith("."):
-                        local = local[:-1]
-                        end -= 1
-                    self.pos = end
-                    yield _Token(_PNAME, (prefix, local), start)
-                    continue
-                m = _WORD_RE.match(text, start)
-                if m is not None:
-                    word = m.group(0)
-                    end = m.end()
-                    while word.endswith("."):
-                        word = word[:-1]
-                        end -= 1
-                    self.pos = end
-                    yield _Token(_WORD, word, start)
-                    continue
-                self._error(f"unexpected character {ch!r}", pos=start)
-
-
-# The line fast path reads what write_turtle emits: one `@prefix p: <iri> .`
-# or one `S P O .` statement per line.  Every line it accepts tokenizes to
-# the same statement, so it may stop at any line and leave the rest to the
-# tokenizer: pnames have no '.' in the local part, IRIs are absolute and
-# free of _BAD_IRI_CHARS, and strings carry only escapes _unescape accepts.
-_FAST_IRIREF = r'<[A-Za-z][A-Za-z0-9+.\-]*:[^\x00-\x20<>"{}|^`\\]*>'
-_FAST_PNAME = r"(?:[A-Za-z][A-Za-z0-9_\-]*)?:[A-Za-z0-9_\-]*(?:%[0-9A-Fa-f]{2}[A-Za-z0-9_\-]*)*"
-_FAST_IRI = rf"(?:{_FAST_PNAME}|{_FAST_IRIREF})"
-_FAST_LITERAL = (
-    r'"[^"\\\n]*(?:(?:\\[\\"nrtbf]|\\u[0-9A-Fa-f]{4})[^"\\\n]*)*"'
-    rf"(?:\^\^{_FAST_IRI}|@[A-Za-z][A-Za-z0-9\-]*)?"
-)
-_LINE_RE = re.compile(
-    r"(?:[ \t\r]*\n)*"
-    rf"(?:@prefix[ \t]+([A-Za-z][A-Za-z0-9_\-]*)?:[ \t]+({_FAST_IRIREF})"
-    rf"|({_FAST_IRI})[ \t]+({_FAST_IRI})[ \t]+({_FAST_IRI}|{_FAST_LITERAL}))"
-    r"[ \t]*\.[ \t\r]*(?:\n|\Z)"
-)
-
-
-class _TurtleParser:
-    def __init__(self, text: str):
-        self.text = text
-        self._tokenizer = _Tokenizer(text)
-        self.prefixes: dict[str, str] = {}
-        self.store = TripleStore()
-        self._intern = _Memo(Iri).__getitem__
-
-    def _peek(self) -> _Token:
-        return self._lookahead
+        m = _TOKEN_RE.match(text, self.pos)
+        kind = m.lastgroup
+        if kind is None:
+            start = m.end()
+            for opening, message, cls in _UNMATCHED:
+                if text.startswith(opening, start):
+                    self._error(message, start, cls)
+            self._error(f"unexpected character {text[start]!r}", start)
+        value = m[kind]
+        start = m.start(kind)
+        end = self.pos = m.end()
+        if kind == _PNAME or kind == _WORD:
+            if kind == _PNAME and text.startswith("%", end):
+                self._error("bad percent escape in local name", end)
+            # a trailing dot terminates the statement, not the name
+            if value.endswith("."):
+                stripped = value.rstrip(".")
+                self.pos -= len(value) - len(stripped)
+                value = stripped
+            if kind == _PNAME:
+                prefix, _, local = value.partition(":")
+                value = (prefix, local)
+        elif kind == _STRING:
+            value = value[1:-1]
+            if "\\" in value:
+                value = self._unescape(value, start + 1)
+        elif kind == _IRIREF:
+            value = value[1:-1]
+            bad = _IRI_ILLEGAL_RE.search(value)
+            if bad is not None:
+                pos = start + 1 + bad.start()
+                if bad.group(0) == "\\":
+                    self._error("escape sequences in IRIs are not supported", pos)
+                self._error(f"character {bad.group(0)!r} is illegal inside an IRI", pos)
+        elif kind == _ATWORD:
+            value = value[1:]
+        return _Token(kind, value, start)
 
     def _next(self) -> _Token:
-        token = self._lookahead
+        """The lookahead token; the token after it becomes the lookahead."""
+        token = self.lookahead
         if token.kind != _EOF:
-            self._lookahead = next(self._tokens)
+            self.lookahead = self._read()
         return token
-
-    def _error(self, message, token=None):
-        token = token or self._peek()
-        line, col = _line_col(self.text, token.pos)
-        raise TurtleSyntaxError(message, line, col)
 
     def _expect_punct(self, value):
         token = self._next()
         if token.kind != _PUNCT or token.value != value:
-            self._error(f"expected {value!r}", token)
+            self._error(f"expected {value!r}", token.pos)
 
     def parse(self) -> TripleStore:
-        self._tokenizer.pos = self._fast_lines()
-        self._tokens = self._tokenizer.tokens()
-        self._lookahead = next(self._tokens)
-        while self._peek().kind != _EOF:
-            token = self._peek()
+        self.pos = self._fast_lines()
+        self.lookahead = self._read()
+        while (token := self.lookahead).kind != _EOF:
             if token.kind == _ATWORD:
                 if token.value.lower() == "prefix":
                     self._next()
                     self._directive(needs_dot=True)
                 elif token.value.lower() == "base":
-                    raise UnsupportedConstructError("@base directive", *_line_col(self.text, token.pos))
+                    self._error("@base directive", token.pos, UnsupportedConstructError)
                 else:
-                    self._error(f"unexpected @{token.value}", token)
+                    self._error(f"unexpected @{token.value}", token.pos)
             elif token.kind == _WORD and token.value.lower() == "prefix":
                 self._next()
                 self._directive(needs_dot=False)
             elif token.kind == _WORD and token.value.lower() == "base":
-                raise UnsupportedConstructError("BASE directive", *_line_col(self.text, token.pos))
+                self._error("BASE directive", token.pos, UnsupportedConstructError)
             else:
                 self._triples()
         return self.store
 
     def _fast_lines(self) -> int:
         """Insert the statements of the leading lines that _LINE_RE matches;
-        return the offset of the first line left to the tokenizer."""
+        return the offset of the first line left to the general reader."""
         text = self.text
         match = _LINE_RE.match
         insert = self.store.insert
@@ -518,8 +476,8 @@ class _TurtleParser:
                 self.prefixes[name or ""] = namespace[1:-1]
                 terms.clear()
             else:
-                # hand over at the first unknown prefix, before cooking a later
-                # string: the tokenizer decides which of the two errors comes first
+                # hand over at the first unknown prefix, before cooking a later string:
+                # the general reader decides which of the two errors comes first
                 subject = terms.get(s) or self._fast_term(s, m.start(3), terms)
                 if subject is None:
                     break
@@ -535,13 +493,13 @@ class _TurtleParser:
 
     def _fast_term(self, token: str, pos: int, terms: dict[str, Term]) -> Term | None:
         """Term for a token _LINE_RE matched at pos, or None when it names an
-        unknown prefix (the tokenizer then reports it)."""
+        unknown prefix (the general reader then reports it)."""
         if token[0] == "<":
             term = self._intern(token[1:-1])
         elif token[0] == '"':
             end = token.rindex('"')
             body = token[1:end]
-            lexical = self._tokenizer._unescape(body, pos + 1) if "\\" in body else body
+            lexical = self._unescape(body, pos + 1) if "\\" in body else body
             suffix = token[end + 1 :]
             if suffix.startswith("^^"):
                 datatype = self._fast_term(suffix[2:], pos + end + 3, terms)
@@ -562,10 +520,10 @@ class _TurtleParser:
     def _directive(self, needs_dot: bool):
         name = self._next()
         if name.kind != _PNAME or name.value[1] != "":
-            self._error("expected a prefix name ending in ':'", name)
+            self._error("expected a prefix name ending in ':'", name.pos)
         iri = self._next()
         if iri.kind != _IRIREF:
-            self._error("expected an IRI", iri)
+            self._error("expected an IRI", iri.pos)
         self._check_absolute(iri)
         self.prefixes[name.value[0]] = iri.value
         if needs_dot:
@@ -573,7 +531,7 @@ class _TurtleParser:
 
     def _check_absolute(self, token):
         if not _ABSOLUTE_IRI_RE.match(token.value):
-            self._error(f"relative IRI {token.value!r} (no base support)", token)
+            self._error(f"relative IRI {token.value!r} (no base support)", token.pos)
 
     def _iri(self, role: str) -> Iri:
         token = self._next()
@@ -583,24 +541,24 @@ class _TurtleParser:
         if token.kind == _PNAME:
             prefix, local = token.value
             if prefix not in self.prefixes:
-                self._error(f"unknown prefix {prefix + ':'!r}", token)
+                self._error(f"unknown prefix {prefix + ':'!r}", token.pos)
             return self._intern(self.prefixes[prefix] + local)
-        self._error(f"expected an IRI as {role}", token)
+        self._error(f"expected an IRI as {role}", token.pos)
 
     def _verb(self) -> Iri:
-        token = self._peek()
+        token = self.lookahead
         if token.kind == _WORD and token.value == "a":
             self._next()
             return RDF_TYPE
         return self._iri("predicate")
 
     def _object(self) -> Term:
-        token = self._peek()
+        token = self.lookahead
         if token.kind in (_IRIREF, _PNAME):
             return self._iri("object")
         if token.kind == _STRING:
             self._next()
-            nxt = self._peek()
+            nxt = self.lookahead
             if nxt.kind == _ATWORD:
                 self._next()
                 return PlainLiteral(token.value, lang=nxt.value)
@@ -619,7 +577,7 @@ class _TurtleParser:
         if token.kind == _WORD and token.value in ("true", "false"):
             self._next()
             return TypedLiteral(token.value, XSD_BOOLEAN)
-        self._error("expected an IRI or literal object", token)
+        self._error("expected an IRI or literal object", token.pos)
 
     def _triples(self):
         subject = self._iri("subject")
@@ -627,7 +585,7 @@ class _TurtleParser:
             predicate = self._verb()
             while True:
                 self.store.insert(Triple(subject, predicate, self._object()))
-                nxt = self._peek()
+                nxt = self.lookahead
                 if nxt.kind == _PUNCT and nxt.value == ",":
                     self._next()
                     continue
@@ -635,13 +593,13 @@ class _TurtleParser:
             nxt = self._next()
             if nxt.kind == _PUNCT and nxt.value == ";":
                 # tolerate trailing ';' before the final dot
-                if self._peek().kind == _PUNCT and self._peek().value == ".":
+                if self.lookahead.kind == _PUNCT and self.lookahead.value == ".":
                     self._next()
                     return
                 continue
             if nxt.kind == _PUNCT and nxt.value == ".":
                 return
-            self._error("expected ';', ',' or '.'", nxt)
+            self._error("expected ';', ',' or '.'", nxt.pos)
 
 
 def parse_turtle(text: str) -> TripleStore:

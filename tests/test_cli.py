@@ -196,6 +196,8 @@ class TestConvert:
             {"event_type_keys": "concept:name"},
             {"object_rules": [{"xes_key": 5, "object_type": "team", "eo_qualifier": "q"}]},
             {"case_id_key": ["x"]},
+            {"case_object_type": "\ud800"},
+            {"object_rules": [{"xes_key": "k", "object_type": "t\udc80", "eo_qualifier": "q"}]},
         ],
         ids=lambda fields: json.dumps(fields),
     )
@@ -279,6 +281,34 @@ def test_years_below_1000_keep_their_ping_pong_row(tmp_path, capsys):
         "case,has_ping_pong,min_time,max_time",
         "http://example.org/oced/c1,true,0999-01-01T10:00:00.000Z,0999-01-01T12:00:00.000Z",
     ]
+
+
+@pytest.mark.parametrize(
+    "lexical", ["0001-01-01T00:30:00.000+01:00", "9999-12-31T23:30:00.000-01:00"]
+)
+def test_time_without_utc_instant_in_years_1_to_9999_is_left_out(lexical, tmp_path, capsys):
+    events = "".join(
+        f'<event><date key="time:timestamp" value="2012-01-01T{hour}:00:00.000Z"/>'
+        f'<string key="org:group" value="{team}"/></event>'
+        for hour, team in (("10", "A"), ("11", "B"), ("12", "A"))
+    )
+    xes = tmp_path / "c1.xes"
+    xes.write_text(
+        f'<log xes.version="1.0"><trace><string key="concept:name" value="c1"/>{events}</trace></log>'
+    )
+    ttl = tmp_path / "c1.ttl"
+    assert main(["convert", str(xes), "--output", str(ttl), "--quiet"]) == 0
+    ttl.write_text(ttl.read_text().replace("2012-01-01T12:00:00.000Z", lexical))
+    code, out, err = run(["analyze", str(ttl), "--analysis", "ping-pong", "--quiet"], capsys)
+    assert (code, err) == (0, "")
+    assert out.splitlines() == [
+        "case,has_ping_pong,min_time,max_time",
+        "http://example.org/oced/c1,false,2012-01-01T10:00:00.000Z,2012-01-01T11:00:00.000Z",
+    ]
+    code, out, err = run(["analyze", str(ttl), "--analysis", "event-objects", "--quiet"], capsys)
+    assert (code, err) == (0, "")
+    e3 = [line for line in out.splitlines() if line.startswith("http://example.org/oced/e3,")]
+    assert [line.split(",")[4] for line in e3] == ["", ""]
 
 
 @pytest.fixture
@@ -417,6 +447,16 @@ def test_every_cli_query_reads_the_predicate_index(source, converted_ttl, monkey
         assert code == 0
         assert lookups, command
         assert [p for p in lookups if isinstance(p.predicate, Var)] == [], command
+
+
+@pytest.mark.parametrize(
+    "command, option",
+    [("convert", "--format=ttl"), ("export-dot", "--format=dot"), ("stats", "--quiet"), ("export-dot", "-q")],
+)
+def test_option_a_command_does_not_take_exits_64(command, option, converted_ttl, capsys):
+    code, out, err = run([command, str(converted_ttl), option], capsys)
+    assert (code, out) == (64, "")
+    assert f"unrecognized arguments: {option}" in err
 
 
 class TestStats:

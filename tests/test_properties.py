@@ -1,5 +1,6 @@
-"""Property tests: hostile Turtle input ends in a result or one error line,
-and every timestamp the tool writes reads back as the same instant.
+"""Property tests: hostile Turtle input ends in a result or one error line
+for every read command, and every timestamp the tool writes reads back as
+the same instant.
 
 Needs hypothesis; without it the module is skipped.
 """
@@ -43,7 +44,7 @@ _PREFIXES = (
 
 def _document(body: str, grouped: bool) -> str:
     literal = f'"{body}"'
-    if grouped:  # read by the general tokenizer
+    if grouped:  # read by the general reader
         return _PREFIXES + (
             f"ex:n a ext:EventObject ; ext:event ex:e ; ext:object ex:o ;\n"
             f"    ext:classifier {literal} .\n"
@@ -94,3 +95,63 @@ def test_formatted_instants_parse_back_truncated(moment):
         assume(False)
     assert parse_instant(format_utc_millis(moment)) == truncated
     assert parse_instant(format_offset_millis(moment)) == truncated
+
+
+_TIMES = [
+    "2012-01-01T10:00:00.000Z",
+    "2012-01-01T11:00:00.000+01:00",
+    "0001-01-01T00:30:00.000+01:00",  # UTC instant in year 0
+    "9999-12-31T23:30:00.000-01:00",  # UTC instant in year 10000
+    "0001-01-01T23:59:00-23:59",
+    "9999-12-31T00:00:00.0001+23:59",
+    "not a date",
+]
+_OBJECTS = st.one_of(
+    st.sampled_from(_TIMES).map(lambda t: f'"{t}"^^xsd:dateTime'),
+    # non-ASCII digits (one not even \d), numbers, stray punctuation and terms
+    st.sampled_from(["²", "٣", "5٣", "+٣", ".²", "-2.5", "1e3", "true", ";", ",", "ex:x", '"s"@en', "<rel>"]),
+)
+_EVENTS = st.lists(
+    st.tuples(st.sampled_from(["c1", "c2"]), st.sampled_from(["A", "B"]), _OBJECTS),
+    min_size=1,
+    max_size=5,
+)
+
+
+def _read_document(events) -> str:
+    """Events with a case, a team and a time, each also an EventObject node."""
+    lines = [
+        "@prefix ocedo: <https://w3id.org/ocedo/core#> .",
+        "@prefix xsd: <http://www.w3.org/2001/XMLSchema#> .",
+        _PREFIXES,
+    ]
+    for i, (case, team, time) in enumerate(events):
+        lines.append(
+            f"ex:e{i} a ext:T ; ext:event_case ex:{case} ; ext:handled_by_support_team ex:{team} ;\n"
+            f"    ocedo:observed_at {time} .\n"
+            f"ex:n{i} a ext:EventObject ; ext:event ex:e{i} ; ext:object ex:{case} ."
+        )
+    return "\n".join(lines) + "\n"
+
+
+_READ_COMMANDS = [
+    ["analyze", "--analysis", "ping-pong"],
+    ["analyze", "--analysis", "event-objects"],
+    ["analyze", "--analysis", "teams"],
+    ["export-dot"],
+    ["stats"],
+]
+
+
+@example(events=[("c1", "A", "²")])
+@example(events=[("c1", "A", '"0001-01-01T00:30:00.000+01:00"^^xsd:dateTime')])
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(events=_EVENTS)
+def test_read_commands_never_crash(tmp_path_factory, events):
+    path = tmp_path_factory.getbasetemp() / "read.ttl"
+    path.write_bytes(_read_document(events).encode("utf-8"))
+    for command in _READ_COMMANDS:
+        code, err = _run([command[0], str(path), *command[1:]])
+        assert code in (0, 3), err
+        if code == 3:
+            assert err.startswith("oced-forge: ") and err.count("\n") == 1, err

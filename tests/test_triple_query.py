@@ -484,3 +484,16 @@ class TestDatetimeValue:
     def test_malformed_datetime_is_none(self):
         for lexical in ("not a date", "2012-01-01T10:00:00.000", "2012-13-01T10:00:00.000Z"):
             assert datetime_value(TypedLiteral(lexical, DT)) is None, lexical
+
+    @pytest.mark.parametrize(
+        "lexical", ["0001-01-01T00:30:00.000+01:00", "9999-12-31T23:30:00.000-01:00"]
+    )
+    def test_instant_outside_years_1_to_9999_in_utc_is_none(self, lexical):
+        assert datetime_value(TypedLiteral(lexical, DT)) is None
+
+    def test_extreme_instants_inside_the_range_keep_sub_millisecond_order(self):
+        first = datetime_value(TypedLiteral("0001-01-01T00:30:00.0001+00:30", DT))
+        second = datetime_value(TypedLiteral("0001-01-01T00:00:00.0002Z", DT))
+        last = datetime_value(TypedLiteral("9999-12-31T23:59:59.9999999Z", DT))
+        assert first < second < last
+        assert last.microsecond == 999999

@@ -341,7 +341,7 @@ class TestRoundTrip:
 
 
 # A leading comment line is outside the line fast path, so prepending one
-# makes the general tokenizer read the whole document.
+# makes the general reader read the whole document.
 GENERAL = "# c\n"
 
 
@@ -445,3 +445,45 @@ class TestLineFastPath:
         fast, general = outcome(doc), outcome(GENERAL + doc)
         assert fast[2] == 3
         assert fast == (general[0], general[1], general[2] - 1, general[3])
+
+
+def _one(lexical, datatype):
+    return [Triple(Iri("http://e/s"), Iri("http://e/p"), TypedLiteral(lexical, Iri(XSD + datatype)))]
+
+
+SYNTAX, UNSUPPORTED = TurtleSyntaxError, UnsupportedConstructError
+
+
+class TestGeneralReader:
+    """Each branch of the general reader, read after a leading comment line."""
+
+    @pytest.mark.parametrize(
+        "body, expected",
+        [
+            ("ex:s ex:p 5 .", _one("5", "integer")),
+            ("ex:s ex:p -2.5 .", _one("-2.5", "decimal")),
+            ("ex:s ex:p 1e3 .", _one("1e3", "double")),
+            ("ex:s ex:p true .", _one("true", "boolean")),
+            ("ex:s ex:p <http://e/o .", (SYNTAX, "unterminated IRI", 3, 11)),
+            ("ex:s ex:p <http://e/a\\u0041> .", (SYNTAX, "escape sequences in IRIs are not supported", 3, 22)),
+            ("ex:s ex:p <http://e/a{b> .", (SYNTAX, "character '{' is illegal inside an IRI", 3, 22)),
+            ("ex:s ex:p 'x' .", (UNSUPPORTED, "single-quoted literal", 3, 11)),
+            ("_:b ex:p ex:o .", (UNSUPPORTED, "blank node label", 3, 1)),
+            ("ex:s ex:p @ .", (SYNTAX, "expected a name after '@'", 3, 11)),
+            ('ex:s ex:p "x"^ex:t .', (SYNTAX, "expected '^^'", 3, 14)),
+            ("ex:s ex:p ex:o%4 .", (SYNTAX, "bad percent escape in local name", 3, 15)),
+            ("ex:s ex:p $ .", (SYNTAX, "unexpected character '$'", 3, 11)),
+            ("@foo ex:s .", (SYNTAX, "unexpected @foo", 3, 1)),
+            ("BASE <http://e/> .", (UNSUPPORTED, "BASE directive", 3, 1)),
+            ("@prefix x <http://e/> .", (SYNTAX, "expected a prefix name ending in ':'", 3, 9)),
+            ("@prefix x: y .", (SYNTAX, "expected an IRI", 3, 12)),
+            ("@prefix x: <http://e/>", (SYNTAX, "expected '.'", 3, 23)),
+            ("ex:s ex:p ; .", (SYNTAX, "expected an IRI or literal object", 3, 11)),
+            ("ex:s ex:p ex:o ; .", [Triple(Iri("http://e/s"), Iri("http://e/p"), Iri("http://e/o"))]),
+            # numbers are ASCII digits, as in the Turtle INTEGER/DECIMAL/DOUBLE productions
+            ("ex:s ex:p ² .", (SYNTAX, "unexpected character '²'", 3, 11)),
+            ("ex:s ex:p ٣ .", (SYNTAX, "unexpected character '٣'", 3, 11)),
+        ],
+    )
+    def test_branch_outcome(self, body, expected):
+        assert outcome(GENERAL + "@prefix ex: <http://e/> .\n" + body) == expected
