@@ -142,10 +142,16 @@ def _load_store(path: str) -> TripleStore:
     return parse_turtle(text).freeze()
 
 
-def cmd_convert(args) -> int:
-    log = parse_xes(_read_input(args.input))
+def _parse_xes_logged(data: bytes) -> XesLog:
+    """parse_xes, with each of the reader's warnings logged."""
+    log = parse_xes(data)
     for warning in log.warnings:
         logging.getLogger("oced_forge.xes_parser").warning("%s", warning)
+    return log
+
+
+def cmd_convert(args) -> int:
+    log = _parse_xes_logged(_read_input(args.input))
     config = load_mapping_config(args.config) if args.config else default_bpic2013_config()
     graph, report = transform_log(log, config)
     traces, log_warnings = len(log.traces), len(log.warnings)
@@ -225,7 +231,7 @@ def cmd_stats(args) -> int:
     if text_start.startswith(b"<") or data.startswith((b"\xff\xfe", b"\xfe\xff")):
         # XES (UTF-16 by its BOM), or Turtle whose first statement starts with an absolute <iri>
         try:
-            rows = _xes_summary(parse_xes(data))
+            rows = _xes_summary(_parse_xes_logged(data))
         except XesParseError as xml_error:
             try:
                 rows = _turtle_summary(parse_turtle(data.decode("utf-8")).freeze())

@@ -23,17 +23,21 @@ The parser supports prefix declarations, IRIs, prefixed names, plain / typed
 abbreviations, and 'a' for rdf:type.  Blank nodes, collections, long
 strings, and @base are rejected as unsupported constructs.
 
-Parsing takes two paths through one text.  A line fast path matches each
-line with one regex while it has the shape write_turtle emits: a
-`@prefix p: <absolute-iri> .` line or one `S P O .` statement of prefixed
-names, absolute IRIs and simple literals.  At the first line that does not
-fit, or that names an unknown prefix, it hands over at that line's offset:
-the parser's `pos`, where the general reader reads on with the prefixes and
-triples read so far.  The general reader matches one token regex at `pos`,
-one named group per token kind, with one token of lookahead.  The fast
-path accepts only lines the general reader reads the same way, so the
-triples, their order and every error message, line and column are those of
-the general reader alone.
+Parsing takes two paths through one text.  A statement fast path matches
+one statement at a time with one regex while the text has the shape
+write_turtle emits or the subject-grouped shape of general RDF tools:
+after blank lines and whole-line comments, a `@prefix p: <absolute-iri> .`
+directive or a statement of prefixed names, absolute IRIs and simple
+literals, with `a`, `;` and `,` abbreviations, ending its line.  A second
+regex walks the statement's `;` and `,` items, and every term of a
+statement is resolved before any of its triples is inserted.  At the first
+statement that does not fit, or that names an unknown prefix, it hands
+over at that statement's offset: the parser's `pos`, where the general
+reader reads on with the prefixes and triples read so far.  The general
+reader matches one token regex at `pos`, one named group per token kind,
+with one token of lookahead.  The fast path accepts only statements the
+general reader reads the same way, so the triples, their order and every
+error message, line and column are those of the general reader alone.
 """
 
 import re
@@ -327,12 +331,21 @@ class _Token:
         self.pos = pos
 
 
-# The line fast path reads what write_turtle emits: one `@prefix p: <iri> .`
-# or one `S P O .` statement per line.  The general reader reads every line
-# it accepts as the same statement, so it may stop at any line and leave the
-# rest to the general reader: pnames have no '.' in the local part, IRIs are
-# absolute and free of _BAD_IRI_CHARS, and strings carry only escapes
-# _unescape accepts.
+# The statement fast path reads what write_turtle emits and the
+# subject-grouped layout of general RDF tools.  After blank lines and
+# whole-line comments, one match reads a `@prefix p: <iri> .` directive or a
+# whole statement: `S V O`, then any number of `; V O` and `, O` items, then
+# `.` at the end of its line, where a verb V is an IRI or `a`.  The general
+# reader reads every statement the fast path accepts as the same triples, so
+# it may take over before any statement: pnames have no '.' in the local
+# part, IRIs are absolute and free of _BAD_IRI_CHARS, strings carry only
+# escapes _unescape accepts, and whitespace separates subject, verb and
+# object.  The final '.' is tried before the items, so a one-triple line
+# never enters the item loop.  Each repeated group matches a given text in
+# one way only (a comment runs to its '\n', an item starts with ';' or ','),
+# so a failed match backtracks in linear time even without the possessive
+# quantifiers Python 3.10 lacks; `(?:[ \t\r\n]|#[^\n]*)*` would be
+# exponential on `# # # ...`.
 _FAST_IRIREF = r'<[A-Za-z][A-Za-z0-9+.\-]*:[^\x00-\x20<>"{}|^`\\]*>'
 _FAST_PNAME = r"(?:[A-Za-z][A-Za-z0-9_\-]*)?:[A-Za-z0-9_\-]*(?:%[0-9A-Fa-f]{2}[A-Za-z0-9_\-]*)*"
 _FAST_IRI = rf"(?:{_FAST_PNAME}|{_FAST_IRIREF})"
@@ -340,13 +353,16 @@ _FAST_LITERAL = (
     r'"[^"\\\n]*(?:(?:\\[\\"nrtbf]|\\u[0-9A-Fa-f]{4})[^"\\\n]*)*"'
     rf"(?:\^\^{_FAST_IRI}|@[A-Za-z][A-Za-z0-9\-]*)?"
 )
-_LINE_RE = re.compile(
-    r"(?:[ \t\r]*\n)*"
-    rf"(?:@prefix[ \t]+([A-Za-z][A-Za-z0-9_\-]*)?:[ \t]+({_FAST_IRIREF})"
-    rf"|({_FAST_IRI})[ \t]+({_FAST_IRI})[ \t]+({_FAST_IRI}|{_FAST_LITERAL}))"
-    r"[ \t]*\.[ \t\r]*(?:\n|\Z)"
+_FAST_VERB = rf"{_FAST_IRI}|a"
+_FAST_OBJECT = rf"{_FAST_IRI}|{_FAST_LITERAL}"
+_ITEM = rf"(?:;[ \t\r\n]*({_FAST_VERB})[ \t\r\n]+|,[ \t\r\n]*)({_FAST_OBJECT})[ \t\r\n]*"
+_ITEM_RE = re.compile(_ITEM)
+_STATEMENT_RE = re.compile(
+    r"[ \t\r\n]*(?:#[^\n]*\n[ \t\r\n]*)*"
+    rf"(?:@prefix[ \t]+([A-Za-z][A-Za-z0-9_\-]*)?:[ \t]+({_FAST_IRIREF})[ \t]*\."
+    rf"|({_FAST_IRI})[ \t\r\n]+({_FAST_VERB})[ \t\r\n]+({_FAST_OBJECT})[ \t\r\n]*(?:\.|((?:{_ITEM})+)\.))"
+    r"[ \t\r]*(?:\n|\Z)"
 )
-
 
 
 class _TurtleParser:
@@ -442,7 +458,7 @@ class _TurtleParser:
             self._error(f"expected {value!r}", token.pos)
 
     def parse(self) -> TripleStore:
-        self.pos = self._fast_lines()
+        self.pos = self._fast_statements()
         self.lookahead = self._read()
         while (token := self.lookahead).kind != _EOF:
             if token.kind == _ATWORD:
@@ -462,37 +478,57 @@ class _TurtleParser:
                 self._triples()
         return self.store
 
-    def _fast_lines(self) -> int:
-        """Insert the statements of the leading lines that _LINE_RE matches;
-        return the offset of the first line left to the general reader."""
+    def _fast_statements(self) -> int:
+        """Insert the triples of the leading statements that _STATEMENT_RE
+        matches; return the offset of the first one left to the general reader."""
         text = self.text
-        match = _LINE_RE.match
+        match = _STATEMENT_RE.match
+        items = _ITEM_RE.finditer
         insert = self.store.insert
-        terms: dict[str, Term] = {}  # token -> term, valid while prefixes hold
+        cook = self._fast_term
+        terms: dict[str, Term] = {"a": RDF_TYPE}  # token -> term, valid while prefixes hold
         pos = 0
         while (m := match(text, pos)) is not None:
-            name, namespace, s, p, o = m.groups()
+            # the last two groups are the last item's, which _ITEM_RE reads again
+            name, namespace, s, p, o, rest, _, _ = m.groups()
             if namespace is not None:
                 self.prefixes[name or ""] = namespace[1:-1]
-                terms.clear()
-            else:
-                # hand over at the first unknown prefix, before cooking a later string:
-                # the general reader decides which of the two errors comes first
-                subject = terms.get(s) or self._fast_term(s, m.start(3), terms)
-                if subject is None:
-                    break
-                predicate = terms.get(p) or self._fast_term(p, m.start(4), terms)
-                if predicate is None:
-                    break
-                obj = terms.get(o) or self._fast_term(o, m.start(5), terms)
-                if obj is None:
-                    break
+                terms = {"a": RDF_TYPE}
+                pos = m.end()
+                continue
+            # every term before any triple, and at the first unknown prefix hand the
+            # statement over before cooking a later string: the general reader reads
+            # it again and decides which of the two errors comes first
+            subject = terms.get(s) or cook(s, m.start(3), terms)
+            if subject is None:
+                return pos
+            predicate = terms.get(p) or cook(p, m.start(4), terms)
+            if predicate is None:
+                return pos
+            obj = terms.get(o) or cook(o, m.start(5), terms)
+            if obj is None:
+                return pos
+            if rest is None:
                 insert(Triple(subject, predicate, obj))
+            else:
+                triples = [Triple(subject, predicate, obj)]
+                for item in items(text, m.start(6), m.end(6)):
+                    p, o = item.groups()
+                    if p is not None:
+                        predicate = terms.get(p) or cook(p, item.start(1), terms)
+                        if predicate is None:
+                            return pos
+                    obj = terms.get(o) or cook(o, item.start(2), terms)
+                    if obj is None:
+                        return pos
+                    triples.append(Triple(subject, predicate, obj))
+                for triple in triples:
+                    insert(triple)
             pos = m.end()
         return pos
 
     def _fast_term(self, token: str, pos: int, terms: dict[str, Term]) -> Term | None:
-        """Term for a token _LINE_RE matched at pos, or None when it names an
+        """Term for a token _STATEMENT_RE matched at pos, or None when it names an
         unknown prefix (the general reader then reports it)."""
         if token[0] == "<":
             term = self._intern(token[1:-1])

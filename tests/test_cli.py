@@ -527,6 +527,22 @@ class TestStats:
         assert int(values["events"]) == 7
         assert int(values["cases"]) == 3
 
+    def test_xes_reader_warnings_are_printed_as_convert_prints_them(self):
+        golden = Path(__file__).resolve().parent / "golden"
+        result = subprocess.run(
+            [sys.executable, "-m", "oced_forge", "stats", str(golden / "hostile.xes")],
+            env=cli_env(),
+            capture_output=True,
+        )
+        convert_stderr = (golden / "hostile.convert.stderr").read_text(encoding="utf-8")
+        reader_warnings = [
+            line for line in convert_stderr.splitlines() if line.startswith("WARNING oced_forge.xes_parser: ")
+        ]
+        assert result.returncode == 0
+        assert len(reader_warnings) == 3
+        assert result.stderr.decode("utf-8").splitlines() == reader_warnings
+        assert result.stdout == b"format  xes\ntraces  4\nevents  8\ncases   3\n"
+
     def test_xes_cases_count_merged_traces_once_as_convert_does(self, tmp_path, capsys):
         xes = tmp_path / "twice.xes"
         xes.write_text(

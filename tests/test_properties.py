@@ -42,21 +42,24 @@ _PREFIXES = (
 )
 
 
-def _document(body: str, grouped: bool) -> str:
+def _document(body: str, layout: str) -> str:
     literal = f'"{body}"'
-    if grouped:  # read by the general reader
+    if layout == "lines":  # one statement per line, as convert writes it
         return _PREFIXES + (
-            f"ex:n a ext:EventObject ; ext:event ex:e ; ext:object ex:o ;\n"
-            f"    ext:classifier {literal} .\n"
+            "ex:n rdf:type ext:EventObject .\n"
+            "ex:n ext:event ex:e .\n"
+            "ex:n ext:object ex:o .\n"
+            f"ex:n ext:classifier {literal} .\n"
             f"ex:e ext:event_type {literal} .\n"
         )
-    return _PREFIXES + (  # one statement per line: the line fast path
-        "ex:n rdf:type ext:EventObject .\n"
-        "ex:n ext:event ex:e .\n"
-        "ex:n ext:object ex:o .\n"
-        f"ex:n ext:classifier {literal} .\n"
+    grouped = _PREFIXES + (
+        f"ex:n a ext:EventObject ; ext:event ex:e ; ext:object ex:o ;\n"
+        f"    ext:classifier {literal} .\n"
         f"ex:e ext:event_type {literal} .\n"
     )
+    if layout == "general":  # a leading SPARQL-style PREFIX line is outside the fast path
+        return "PREFIX g: <http://g.example/>\n" + grouped
+    return grouped
 
 
 def _run(argv) -> tuple[int, str]:
@@ -70,10 +73,14 @@ def _run(argv) -> tuple[int, str]:
 
 
 @settings(max_examples=300, deadline=None)
-@given(body=_body, grouped=st.booleans(), analysis=st.sampled_from(["event-objects", "teams"]))
-def test_string_escapes_never_crash_analyze(tmp_path_factory, body, grouped, analysis):
+@given(
+    body=_body,
+    layout=st.sampled_from(["lines", "grouped", "general"]),
+    analysis=st.sampled_from(["event-objects", "teams"]),
+)
+def test_string_escapes_never_crash_analyze(tmp_path_factory, body, layout, analysis):
     path = tmp_path_factory.getbasetemp() / "escapes.ttl"
-    path.write_bytes(_document(body, grouped).encode("utf-8"))
+    path.write_bytes(_document(body, layout).encode("utf-8"))
     code, err = _run(["analyze", str(path), "--analysis", analysis, "--quiet"])
     assert code in (0, 3), err
     assert "Traceback" not in err

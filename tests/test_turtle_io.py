@@ -340,9 +340,11 @@ class TestRoundTrip:
                     assert pattern.match(obj.lexical), obj.lexical
 
 
-# A leading comment line is outside the line fast path, so prepending one
-# makes the general reader read the whole document.
-GENERAL = "# c\n"
+# A SPARQL-style PREFIX line is outside the statement fast path, so
+# prepending one makes the general reader read the whole document.
+GENERAL = "PREFIX g: <http://g.example/>\n"
+
+SYNTAX, UNSUPPORTED = TurtleSyntaxError, UnsupportedConstructError
 
 
 def outcome(doc: str):
@@ -353,7 +355,16 @@ def outcome(doc: str):
         return type(exc), str(exc).rsplit(" (line ", 1)[0], exc.line, exc.column
 
 
-class TestLineFastPath:
+@pytest.fixture
+def group_turtle(monkeypatch):
+    """bench/grouped.py's canonical-to-subject-grouped rewriter, read-only."""
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "bench"))
+    from grouped import group_turtle
+
+    return group_turtle
+
+
+class TestFastPath:
     def test_same_triples_in_same_order_as_general_path_200_graphs(self):
         rng = random.Random(4040)
         for _ in range(200):
@@ -378,7 +389,7 @@ class TestLineFastPath:
             "ex:s ex:p ex:o .\n"
             ":s ex:p ex:o ."
         )
-        assert _TurtleParser(doc)._fast_lines() == len(doc)
+        assert _TurtleParser(doc)._fast_statements() == len(doc)
         triples = list(parse_turtle(doc))
         assert triples == list(parse_turtle(GENERAL + doc))
         assert Triple(Iri(EX + "s"), Iri(EX + "p"), PlainLiteral('q"uote \\ back\nline\ttab \u00e9')) in triples
@@ -446,16 +457,70 @@ class TestLineFastPath:
         assert fast[2] == 3
         assert fast == (general[0], general[1], general[2] - 1, general[3])
 
+    def test_grouped_layout_same_triples_in_same_order_200_graphs(self, group_turtle):
+        rng = random.Random(4141)
+        for _ in range(200):
+            canonical = write_turtle(graph_to_triples(random_oced_graph(rng)))
+            doc = group_turtle(canonical)
+            assert _TurtleParser(doc)._fast_statements() == len(doc)
+            triples = list(parse_turtle(doc))
+            assert triples == list(parse_turtle(GENERAL + doc)) == list(parse_turtle(canonical))
+
+    @pytest.mark.parametrize(
+        "tail, expected",
+        [
+            ("ex:s ext:p ex:o ;\n    zz:p ex:o .\n", (SYNTAX, "unknown prefix 'zz:'", 2, 5)),
+            ('ex:s ext:p ex:o ,\n    zz:o ,\n    "\\uD800" .\n', (SYNTAX, "unknown prefix 'zz:'", 2, 5)),
+            ('ex:s ext:p ex:o ,\n    "\\uD800" ,\n    zz:o .\n', (SYNTAX, "\\uD800 is not a Unicode scalar value", 2, 6)),
+            ("ex:s ext:p ex:o ;\n    .\n", 3001),
+            ("ex:s ab ex:o .\n", (SYNTAX, "expected an IRI as predicate", 1, 6)),
+            ("ex:s ext:p ex:o ; # ext:q ex:r .\n", (SYNTAX, "expected an IRI as predicate", 2, 1)),
+            ("ex:s ext:p # c\n    ex:o .\n", 3001),
+            ("ex:s ext:p ex:o .5\n", (SYNTAX, "unexpected character '.'", 1, 17)),
+            ("ex:s ext:p [ ] .\n", (UNSUPPORTED, "blank node", 1, 12)),
+            ("ex:s ext:p ex:o ;" + " " * 200_000 + "$ .\n", (SYNTAX, "unexpected character '$'", 1, 200_018)),
+            ("ex:s ext:p ex:o" + " " * 200_000 + "$ .\n", (SYNTAX, "unexpected character '$'", 1, 200_016)),
+            (" " * 200_000 + "ex:s ext:p [ ] .\n", (UNSUPPORTED, "blank node", 1, 200_012)),
+        ],
+        ids=[
+            "unknown-prefix-in-semicolon-item",
+            "unknown-prefix-before-bad-escape",
+            "unknown-prefix-after-bad-escape",
+            "trailing-semicolon",
+            "verb-ab",
+            "comment-eats-statement-end",
+            "comment-inside-statement",
+            "dot-before-digit",
+            "blank-node",
+            "blanks-after-semicolon",
+            "blanks-after-object",
+            "blanks-before-statement",
+        ],
+    )
+    def test_error_after_1000_grouped_statements_keeps_class_line_and_column(self, tail, expected):
+        good = "".join(f'ex:s{i} a ext:T ;\n    ext:p ex:o{i} ,\n        "v{i}" .\n' for i in range(1000))
+        doc = write_turtle(TripleStore()) + "\n# grouped\n" + good + tail
+        try:
+            handed_over = _TurtleParser(doc)._fast_statements()
+        except TurtleSyntaxError:
+            handed_over = None  # the fast path raised the error itself
+        assert handed_over in (None, len(doc) - len(tail))
+        fast, general = outcome(doc), outcome(GENERAL + doc)
+        if isinstance(expected, int):
+            assert len(fast) == expected
+            assert fast == general
+        else:
+            # 7 header lines and 3,000 statement lines come before the tail
+            assert fast == (*expected[:2], 3007 + expected[2], expected[3])
+            assert fast == (general[0], general[1], general[2] - 1, general[3])
+
 
 def _one(lexical, datatype):
     return [Triple(Iri("http://e/s"), Iri("http://e/p"), TypedLiteral(lexical, Iri(XSD + datatype)))]
 
 
-SYNTAX, UNSUPPORTED = TurtleSyntaxError, UnsupportedConstructError
-
-
 class TestGeneralReader:
-    """Each branch of the general reader, read after a leading comment line."""
+    """Each branch of the general reader, read after a leading PREFIX line."""
 
     @pytest.mark.parametrize(
         "body, expected",
