@@ -11,6 +11,11 @@ from sorted time arrays instead of enumerating event triples.
 Team involvement ranks teams by the number of distinct cases in which they
 appear in at least one witnessing event triple, with the total number of
 witnessing triples as a secondary metric.
+
+Each analysis returns named tuples, so its schema is declared once: the
+row type's fields are the output columns (the *_COLUMNS), and records()
+turns rows into tuples of output cells that records_to_csv and
+records_to_jsonl write in that order.
 """
 
 import csv
@@ -18,8 +23,8 @@ import io
 import json
 import logging
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
 from datetime import datetime
+from typing import NamedTuple, get_args
 
 from .terms import (
     EXT_CLASSIFIER,
@@ -37,13 +42,12 @@ from .terms import (
     TypedLiteral,
 )
 from .timeutil import format_utc_millis
-from .triple_query import TriplePattern, TripleStore, Var, datetime_value
+from .triple_query import BindingSet, TriplePattern, TripleStore, Var, datetime_value
 
 log = logging.getLogger(__name__)
 
 
-@dataclass(frozen=True)
-class EventObjectRow:
+class EventObjectRow(NamedTuple):
     event: str
     object: str
     classifier: str | None = None
@@ -52,16 +56,14 @@ class EventObjectRow:
     object_type: str | None = None
 
 
-@dataclass(frozen=True)
-class PingPongRow:
+class PingPongRow(NamedTuple):
     case: str
     has_ping_pong: bool
     min_time: datetime
     max_time: datetime
 
 
-@dataclass(frozen=True)
-class TeamInvolvement:
+class TeamInvolvement(NamedTuple):
     team: str
     cases_involved: int
     witness_count: int
@@ -79,20 +81,12 @@ def _text(term: Term | None) -> str | None:
     return None if term is None else _key(term)
 
 
-@dataclass(frozen=True)
-class HandledEvent:
-    """One solution of the query block: event with case, time, and team."""
+def _team_times(store: TripleStore) -> dict[str, dict[str, list[datetime]]]:
+    """Case -> team -> sorted times of the team's events in the case.
 
-    event: str
-    case: str
-    team: str
-    time: datetime
-
-
-def handled_events(store: TripleStore) -> list[HandledEvent]:
-    """All (event, case, time, team) rows with a well-formed dateTime.
-
-    Rows whose time literal is not a parseable xsd:dateTime are dropped.
+    One entry per solution of `?event ext:event_case ?case; ocedo:observedAt
+    ?time; ext:handled_by_team ?team`; solutions whose time literal is not a
+    parseable xsd:dateTime are dropped.
     """
     event = Var("event")
     solutions = store.match_bgp(
@@ -102,71 +96,53 @@ def handled_events(store: TripleStore) -> list[HandledEvent]:
             TriplePattern(event, EXT_HANDLED_BY_TEAM, Var("team")),
         ]
     )
-    rows = []
+    cases: dict[str, dict[str, list[datetime]]] = {}
     for sol in solutions:
         time = datetime_value(sol["time"])
-        if time is None:
-            continue
-        rows.append(
-            HandledEvent(
-                event=_key(sol["event"]),
-                case=_key(sol["case"]),
-                team=_key(sol["team"]),
-                time=time,
-            )
-        )
-    return rows
-
-
-def _by_case(rows: list[HandledEvent]) -> dict[str, list[HandledEvent]]:
-    grouped: dict[str, list[HandledEvent]] = {}
-    for row in rows:
-        grouped.setdefault(row.case, []).append(row)
-    return grouped
+        if time is not None:
+            teams = cases.setdefault(_key(sol["case"]), {})
+            teams.setdefault(_key(sol["team"]), []).append(time)
+    for teams in cases.values():
+        for times in teams.values():
+            times.sort()
+    return cases
 
 
 def detect_ping_pong(store: TripleStore) -> list[PingPongRow]:
     """One row per case with at least one team-handled timestamped event,
     ordered by has_ping_pong (false first) then case."""
-    out = []
-    for case, rows in _by_case(handled_events(store)).items():
-        times = [row.time for row in rows]
-        out.append(
-            PingPongRow(
-                case=case,
-                has_ping_pong=bool(_case_witness_counts(rows)),
-                min_time=min(times),
-                max_time=max(times),
-            )
+    out = [
+        PingPongRow(
+            case,
+            bool(_case_witness_counts(teams)),
+            min(times[0] for times in teams.values()),
+            max(times[-1] for times in teams.values()),
         )
+        for case, teams in _team_times(store).items()
+    ]
     out.sort(key=lambda row: (row.has_ping_pong, row.case))
     return out
 
 
-def _case_witness_counts(rows: list[HandledEvent]) -> dict[str, int]:
-    """Witnessing-triple count per team for one case.
+def _case_witness_counts(teams: dict[str, list[datetime]]) -> dict[str, int]:
+    """Witnessing-triple count per team for one case, from its team -> sorted
+    times map.
 
-    A witness is an ordered row triple (r1, r2, r3) with team(r1) = team(r3)
-    != team(r2) and time(r1) < time(r2) < time(r3); it counts once for each
-    of the two teams in it.  Counted via per-team sorted time arrays instead
-    of enumerating triples.
+    A witness is an ordered event triple (e1, e2, e3) with team(e1) =
+    team(e3) != team(e2) and time(e1) < time(e2) < time(e3); it counts once
+    for each of the two teams in it.  Counted by bisecting the sorted time
+    arrays instead of enumerating triples.
     """
-    times_by_team: dict[str, list[datetime]] = {}
-    for row in rows:
-        times_by_team.setdefault(row.team, []).append(row.time)
-    for times in times_by_team.values():
-        times.sort()
     counts: dict[str, int] = {}
-    for row in rows:  # row is the middle event, its team plays teamB
-        for team_a, times in times_by_team.items():
-            if team_a == row.team:
-                continue
-            before = bisect_left(times, row.time)
-            after = len(times) - bisect_right(times, row.time)
-            witnesses = before * after
-            if witnesses:
-                counts[team_a] = counts.get(team_a, 0) + witnesses
-                counts[row.team] = counts.get(row.team, 0) + witnesses
+    for team_b, middle_times in teams.items():
+        for time in middle_times:  # the middle event, handled by team_b
+            for team_a, times in teams.items():
+                if team_a == team_b:
+                    continue
+                witnesses = bisect_left(times, time) * (len(times) - bisect_right(times, time))
+                if witnesses:
+                    counts[team_a] = counts.get(team_a, 0) + witnesses
+                    counts[team_b] = counts.get(team_b, 0) + witnesses
     return counts
 
 
@@ -175,16 +151,30 @@ def team_involvement(store: TripleStore) -> list[TeamInvolvement]:
     team IRI; teams in no witness are omitted."""
     cases: dict[str, int] = {}
     witnesses: dict[str, int] = {}
-    for rows in _by_case(handled_events(store)).values():
-        for team, count in _case_witness_counts(rows).items():
+    for teams in _team_times(store).values():
+        for team, count in _case_witness_counts(teams).items():
             cases[team] = cases.get(team, 0) + 1
             witnesses[team] = witnesses.get(team, 0) + count
-    ranking = [
-        TeamInvolvement(team=team, cases_involved=cases[team], witness_count=witnesses[team])
-        for team in cases
-    ]
+    ranking = [TeamInvolvement(team, cases[team], witnesses[team]) for team in cases]
     ranking.sort(key=lambda ti: (-ti.cases_involved, ti.team))
     return ranking
+
+
+_NODE = Var("node")
+# ?node a ext:EventObject; ext:event ?event; ext:object ?object
+_EVENT_OBJECT = [
+    TriplePattern(_NODE, RDF_TYPE, EXT_EVENT_OBJECT_CLASS),
+    TriplePattern(_NODE, EXT_EVENT, Var("event")),
+    TriplePattern(_NODE, EXT_OBJECT, Var("object")),
+]
+
+
+def event_object_solutions(store: TripleStore, *groups: list[TriplePattern]) -> list[BindingSet]:
+    """Solutions of the EventObject block, binding ?node, ?event and ?object,
+    each extended by ?classifier and by the given OPTIONAL groups where they
+    match."""
+    classifier = [TriplePattern(_NODE, EXT_CLASSIFIER, Var("classifier"))]
+    return store.match_optional(required=_EVENT_OBJECT, optional_groups=[classifier, *groups])
 
 
 def enumerate_event_objects(store: TripleStore) -> list[EventObjectRow]:
@@ -194,26 +184,18 @@ def enumerate_event_objects(store: TripleStore) -> list[EventObjectRow]:
     and left unbound otherwise; nodes lacking ext:event or ext:object are
     skipped with a warning.
     """
-    node, event, obj = Var("node"), Var("event"), Var("object")
-    solutions = store.match_optional(
-        required=[
-            TriplePattern(node, RDF_TYPE, EXT_EVENT_OBJECT_CLASS),
-            TriplePattern(node, EXT_EVENT, event),
-            TriplePattern(node, EXT_OBJECT, obj),
-        ],
-        optional_groups=[
-            [TriplePattern(node, EXT_CLASSIFIER, Var("classifier"))],
-            [TriplePattern(event, EXT_EVENT_TYPE, Var("event_type"))],
-            [TriplePattern(event, OBSERVED_AT, Var("time"))],
-            [TriplePattern(obj, EXT_OBJECT_TYPE, Var("object_type"))],
-        ],
+    event, obj = Var("event"), Var("object")
+    solutions = event_object_solutions(
+        store,
+        [TriplePattern(event, EXT_EVENT_TYPE, Var("event_type"))],
+        [TriplePattern(event, OBSERVED_AT, Var("time"))],
+        [TriplePattern(obj, EXT_OBJECT_TYPE, Var("object_type"))],
     )
     joined = {sol["node"] for sol in solutions}
-    nodes = store.match_pattern(TriplePattern(node, RDF_TYPE, EXT_EVENT_OBJECT_CLASS))
+    nodes = store.match_pattern(_EVENT_OBJECT[0])
     skipped = [sol["node"] for sol in nodes if sol["node"] not in joined]
     if skipped:  # one read of ext:event tells the two warnings apart for every node
-        has_event = store.match_pattern(TriplePattern(node, EXT_EVENT, event))
-        with_event = {sol["node"] for sol in has_event}
+        with_event = {sol["node"] for sol in store.match_pattern(_EVENT_OBJECT[1])}
         for n in skipped:
             lacks = "ext:object" if n in with_event else "ext:event"
             log.warning("EventObject %s lacks %s; skipped", _key(n), lacks)
@@ -226,12 +208,12 @@ def enumerate_event_objects(store: TripleStore) -> list[EventObjectRow]:
             times[time_term] = datetime_value(time_term)
         rows.append(
             EventObjectRow(
-                event=_key(sol["event"]),
-                object=_key(sol["object"]),
-                classifier=_text(sol.get("classifier")),
-                event_type=_text(sol.get("event_type")),
-                time=times[time_term],
-                object_type=_text(sol.get("object_type")),
+                _key(sol["event"]),
+                _key(sol["object"]),
+                _text(sol.get("classifier")),
+                _text(sol.get("event_type")),
+                times[time_term],
+                _text(sol.get("object_type")),
             )
         )
     rows.sort(
@@ -248,50 +230,34 @@ def enumerate_event_objects(store: TripleStore) -> list[EventObjectRow]:
 
 # -- tabular output ----------------------------------------------------------
 
-PING_PONG_COLUMNS = ("case", "has_ping_pong", "min_time", "max_time")
-EVENT_OBJECT_COLUMNS = ("event", "object", "classifier", "event_type", "time", "object_type")
-TEAM_COLUMNS = ("team", "cases_involved", "witness_count")
+PING_PONG_COLUMNS = PingPongRow._fields
+EVENT_OBJECT_COLUMNS = EventObjectRow._fields
+TEAM_COLUMNS = TeamInvolvement._fields
 
 
-def ping_pong_records(rows: list[PingPongRow]) -> list[dict]:
-    return [
-        {
-            "case": row.case,
-            "has_ping_pong": row.has_ping_pong,
-            "min_time": format_utc_millis(row.min_time),
-            "max_time": format_utc_millis(row.max_time),
-        }
-        for row in rows
-    ]
-
-
-def event_object_records(rows: list[EventObjectRow]) -> list[dict]:
-    times = {None: None}  # each distinct time formatted once
+def records(rows: list[tuple]) -> list[tuple]:
+    """Rows of one row type as tuples of output cells in column order: each
+    field declared a datetime becomes its UTC millisecond text, each distinct
+    instant formatted once, and every other value stays as it is."""
+    if not rows:
+        return []
+    hints = type(rows[0]).__annotations__.values()
+    instants = [i for i, hint in enumerate(hints) if datetime in (hint, *get_args(hint))]
+    texts: dict[datetime | None, str | None] = {None: None}
+    out = []
     for row in rows:
-        if row.time not in times:
-            times[row.time] = format_utc_millis(row.time)
-    return [
-        {
-            "event": row.event,
-            "object": row.object,
-            "classifier": row.classifier,
-            "event_type": row.event_type,
-            "time": times[row.time],
-            "object_type": row.object_type,
-        }
-        for row in rows
-    ]
+        cells = list(row)
+        for i in instants:
+            instant = cells[i]
+            if instant not in texts:
+                texts[instant] = format_utc_millis(instant)
+            cells[i] = texts[instant]
+        out.append(tuple(cells))
+    return out
 
 
-def team_records(rows: list[TeamInvolvement]) -> list[dict]:
-    return [
-        {
-            "team": row.team,
-            "cases_involved": row.cases_involved,
-            "witness_count": row.witness_count,
-        }
-        for row in rows
-    ]
+# one name per analysis, all the same function
+ping_pong_records = event_object_records = team_records = records
 
 
 def _cell(value) -> str:
@@ -302,19 +268,18 @@ def _cell(value) -> str:
     return str(value)
 
 
-def records_to_csv(records: list[dict], columns: tuple[str, ...]) -> str:
-    """RFC 4180 CSV (CRLF line endings) with a header row."""
+def records_to_csv(records: list[tuple], columns: tuple[str, ...]) -> str:
+    """RFC 4180 CSV (CRLF line endings) with a header row; each record's
+    cells are in column order."""
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\r\n")
     writer.writerow(columns)
-    for record in records:
-        writer.writerow([_cell(record[c]) for c in columns])
+    writer.writerows(map(_cell, record) for record in records)
     return buf.getvalue()
 
 
-def records_to_jsonl(records: list[dict], columns: tuple[str, ...]) -> str:
+def records_to_jsonl(records: list[tuple], columns: tuple[str, ...]) -> str:
     """One UTF-8 JSON object per line, keys in column order."""
-    lines = [
-        json.dumps({c: record[c] for c in columns}, ensure_ascii=False) for record in records
-    ]
-    return "".join(line + "\n" for line in lines)
+    return "".join(
+        json.dumps(dict(zip(columns, record)), ensure_ascii=False) + "\n" for record in records
+    )

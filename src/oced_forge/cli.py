@@ -24,12 +24,10 @@ from .analyses import (
     TEAM_COLUMNS,
     detect_ping_pong,
     enumerate_event_objects,
-    event_object_records,
-    ping_pong_records,
+    records,
     records_to_csv,
     records_to_jsonl,
     team_involvement,
-    team_records,
 )
 from .dot_export import store_to_dot
 from .errors import (
@@ -62,7 +60,11 @@ EXIT_PARSE = 3
 EXIT_USAGE = 64
 EXIT_BAD_FORMAT = 65
 
-_ANALYSES = ("ping-pong", "event-objects", "teams")
+_ANALYSES = {
+    "ping-pong": (detect_ping_pong, PING_PONG_COLUMNS),
+    "event-objects": (enumerate_event_objects, EVENT_OBJECT_COLUMNS),
+    "teams": (team_involvement, TEAM_COLUMNS),
+}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -175,20 +177,12 @@ def cmd_convert(args) -> int:
 
 
 def cmd_analyze(args) -> int:
-    store = _load_store(args.input)
-    if args.analysis == "ping-pong":
-        records, columns = ping_pong_records(detect_ping_pong(store)), PING_PONG_COLUMNS
-    elif args.analysis == "event-objects":
-        records, columns = event_object_records(enumerate_event_objects(store)), EVENT_OBJECT_COLUMNS
-    else:
-        records, columns = team_records(team_involvement(store)), TEAM_COLUMNS
-    if args.format == "csv":
-        out = records_to_csv(records, columns)
-    else:
-        out = records_to_jsonl(records, columns)
-    _write_text(args.output, out)
+    analysis, columns = _ANALYSES[args.analysis]
+    rows = records(analysis(_load_store(args.input)))
+    write = records_to_csv if args.format == "csv" else records_to_jsonl
+    _write_text(args.output, write(rows, columns))
     if not args.quiet:
-        print(f"analyze {args.analysis}: {len(records)} rows", file=sys.stderr)
+        print(f"analyze {args.analysis}: {len(rows)} rows", file=sys.stderr)
     return EXIT_OK
 
 

@@ -7,17 +7,13 @@ and object-object edges from qualifier predicates between objects.  Output
 order is fully deterministic.
 """
 
+from .analyses import event_object_solutions
 from .oced_model import unescape_id
 from .terms import (
     EXT,
-    EXT_CLASSIFIER,
-    EXT_EVENT,
-    EXT_EVENT_OBJECT_CLASS,
     EXT_EVENT_TYPE,
-    EXT_OBJECT,
     EXT_OBJECT_TYPE,
     OBSERVED_AT,
-    RDF_TYPE,
     Iri,
     PlainLiteral,
     TypedLiteral,
@@ -69,15 +65,7 @@ def store_to_dot(store: TripleStore) -> str:
         )
 
     edges: list[tuple[str, str, str | None]] = []
-    node = Var("node")
-    for sol in store.match_optional(
-        required=[
-            TriplePattern(node, RDF_TYPE, EXT_EVENT_OBJECT_CLASS),
-            TriplePattern(node, EXT_EVENT, Var("event")),
-            TriplePattern(node, EXT_OBJECT, Var("object")),
-        ],
-        optional_groups=[[TriplePattern(node, EXT_CLASSIFIER, Var("classifier"))]],
-    ):
+    for sol in event_object_solutions(store):
         classifier = sol.get("classifier")
         label = classifier.value if isinstance(classifier, PlainLiteral) else None
         edges.append((render_term(sol["event"]), render_term(sol["object"]), label))

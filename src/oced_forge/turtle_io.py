@@ -21,7 +21,9 @@ reified and the direct query styles work against the same file.
 The parser supports prefix declarations, IRIs, prefixed names, plain / typed
 / language-tagged literals, numeric and boolean shorthand, the ';' and ','
 abbreviations, and 'a' for rdf:type.  Blank nodes, collections, long
-strings, and @base are rejected as unsupported constructs.
+strings, and @base are rejected as unsupported constructs.  An IRI holds
+no control character, space or any of <>"{}|^`\\ (RDF 1.1 Turtle's IRIREF,
+and the rule the writer checks), and no escape sequence.
 
 Parsing takes two paths through one text.  A statement fast path matches
 one statement at a time with one regex while the text has the shape
@@ -134,26 +136,22 @@ def _statements(graph: OcedGraph) -> Iterator[tuple[str, str, str | tuple[str, s
 
     Subject and predicate are IRI strings; the object is an IRI string or a
     literal as a (lexical form, datatype IRI) pair, the datatype None for a
-    plain literal.  Events and objects share the ex: instance namespace, so
-    an event id that equals an object id (legal in the graph's separate
-    namespaces) cannot be serialized and raises SerializationError.
+    plain literal.  Events, objects and event-object relation nodes share the
+    ex: instance namespace, so an id used by two of them (legal in the
+    graph's separate namespaces) cannot be serialized: the first object or
+    relation whose id the graph's events or objects already hold raises
+    SerializationError at its place in emission order.
     """
-    owner: dict[str, tuple[str, str]] = {}
     ext_iri = _Memo(_ext_iri)
 
-    def instance_iri(entity_id: str, kind: str) -> str:
-        iri = EX + entity_id
-        previous = owner.get(iri)
-        if previous is not None and previous != (kind, entity_id):
-            raise SerializationError(
-                f"id {entity_id!r} is used as both {previous[0]} and {kind}; "
-                f"ids share one IRI namespace in Turtle output"
-            )
-        owner[iri] = (kind, entity_id)
-        return iri
+    def collision(entity_id: str, first: str, kind: str) -> SerializationError:
+        return SerializationError(
+            f"id {entity_id!r} is used as both {first} and {kind}; "
+            f"ids share one IRI namespace in Turtle output"
+        )
 
     for event in graph.events.values():
-        e_iri = instance_iri(event.id, "event")
+        e_iri = EX + event.id
         yield e_iri, _RDF_TYPE, ext_iri[event.event_type]
         yield e_iri, _OBSERVED_AT, (format_utc_millis(event.observed_at), _XSD_DATETIME)
         yield e_iri, _EXT_EVENT_TYPE, (event.event_type, None)
@@ -161,12 +159,18 @@ def _statements(graph: OcedGraph) -> Iterator[tuple[str, str, str | tuple[str, s
             yield e_iri, ext_iri[key], _value_literal(event.attributes[key])
 
     for obj in graph.objects.values():
-        o_iri = instance_iri(obj.id, "object")
+        if obj.id in graph.events:
+            raise collision(obj.id, "event", "object")
+        o_iri = EX + obj.id
         yield o_iri, _RDF_TYPE, ext_iri[obj.object_type]
         yield o_iri, _EXT_OBJECT_TYPE, (obj.object_type, None)
 
     for rel in graph.event_object_relations:
-        node = instance_iri(rel.id, "relation")
+        if rel.id in graph.events:
+            raise collision(rel.id, "event", "relation")
+        if rel.id in graph.objects:
+            raise collision(rel.id, "object", "relation")
+        node = EX + rel.id
         e_iri = EX + rel.event
         o_iri = EX + rel.object
         yield node, _RDF_TYPE, _EXT_EVENT_OBJECT_CLASS
@@ -287,9 +291,11 @@ _HEX = "0123456789abcdefABCDEF"
 # Turtle section 6.5, cut to the supported subset (numbers are ASCII digits).
 # pname is tried before word, which matches its leading letters; a `"""`
 # and a '.' before a digit match no kind.  When no kind fits, the empty last
-# alternative matches and _UNMATCHED names the error.
+# alternative matches and _UNMATCHED names the error.  A run of blanks is
+# one single-character repeat, which the engine matches without keeping
+# state per character; only each comment is a repeat of its own.
 _TOKEN_RE = re.compile(
-    r"(?:[ \t\r\n]|#[^\n]*)*"
+    r"[ \t\r\n]*(?:#[^\n]*(?:\n[ \t\r\n]*|\Z))*"
     r"(?:(?P<pname>(?:[A-Za-z][A-Za-z0-9_.\-]*)?:(?:[A-Za-z0-9_.\-]|%[0-9A-Fa-f]{2})*)"
     r"|(?P<punct>[;,]|\.(?!\d)|\^\^)"
     r'|(?P<string>"(?!"")(?:[^"\\\n]|\\.)*")'
@@ -312,7 +318,6 @@ _UNMATCHED = (
     ("@", "expected a name after '@'", TurtleSyntaxError),
     ("^", "expected '^^'", TurtleSyntaxError),
 )
-_IRI_ILLEGAL_RE = re.compile(r'[ <"{}|^`\\]')
 
 _ESCAPES = {"\\": "\\", '"': '"', "n": "\n", "r": "\r", "t": "\t", "b": "\b", "f": "\f"}
 
@@ -435,7 +440,7 @@ class _TurtleParser:
                 value = self._unescape(value, start + 1)
         elif kind == _IRIREF:
             value = value[1:-1]
-            bad = _IRI_ILLEGAL_RE.search(value)
+            bad = _BAD_IRI_CHARS.search(value)
             if bad is not None:
                 pos = start + 1 + bad.start()
                 if bad.group(0) == "\\":

@@ -13,9 +13,20 @@ from oced_forge import (
     graph_to_triples,
     team_involvement,
 )
-from oced_forge import triple_query
-from oced_forge.analyses import EventObjectRow
+from oced_forge import analyses, triple_query
+from oced_forge.analyses import (
+    EVENT_OBJECT_COLUMNS,
+    PING_PONG_COLUMNS,
+    TEAM_COLUMNS,
+    EventObjectRow,
+    PingPongRow,
+    TeamInvolvement,
+    records,
+    records_to_csv,
+    records_to_jsonl,
+)
 from oced_forge.terms import EX, EXT, OBSERVED_AT, OCEDO, RDF, XSD
+from oced_forge.timeutil import format_utc_millis
 
 from oracles import (
     BASE_TIME,
@@ -403,3 +414,46 @@ class TestEnumerateEventObjects:
             if complete:
                 expected += 1
         assert len(enumerate_event_objects(store.freeze())) == expected
+
+
+class TestRecords:
+    def test_row_fields_are_the_output_columns(self):
+        assert PING_PONG_COLUMNS == PingPongRow._fields == ("case", "has_ping_pong", "min_time", "max_time")
+        assert TEAM_COLUMNS == TeamInvolvement._fields == ("team", "cases_involved", "witness_count")
+        assert EVENT_OBJECT_COLUMNS == EventObjectRow._fields == (
+            "event", "object", "classifier", "event_type", "time", "object_type",
+        )
+
+    def test_rows_compare_as_tuples(self):
+        assert TeamInvolvement("t", 2, 5) == ("t", 2, 5)
+        assert EventObjectRow("e", "o") == ("e", "o", None, None, None, None)
+
+    def test_each_distinct_instant_is_formatted_once(self, monkeypatch):
+        formatted = []
+
+        def counting(instant):
+            formatted.append(instant)
+            return format_utc_millis(instant)
+
+        monkeypatch.setattr(analyses, "format_utc_millis", counting)
+        same_instant = ts(0).astimezone(timezone(timedelta(hours=1)))
+        rows = [PingPongRow("c1", True, ts(0), ts(5)), PingPongRow("c2", False, same_instant, ts(5))]
+        assert records(rows) == [
+            ("c1", True, "2012-01-01T00:00:00.000Z", "2012-01-01T00:05:00.000Z"),
+            ("c2", False, "2012-01-01T00:00:00.000Z", "2012-01-01T00:05:00.000Z"),
+        ]
+        assert len(formatted) == 2
+        row = EventObjectRow("e", "o", time=ts(5))
+        assert records([row]) == [("e", "o", None, None, "2012-01-01T00:05:00.000Z", None)]
+        assert records([]) == []
+
+    def test_csv_and_jsonl_write_cells_in_column_order(self):
+        cells = records([EventObjectRow("e1", "o1", "q,x", None, ts(0), 'typ"e')])
+        assert records_to_csv(cells, EVENT_OBJECT_COLUMNS) == (
+            "event,object,classifier,event_type,time,object_type\r\n"
+            'e1,o1,"q,x",,2012-01-01T00:00:00.000Z,"typ""e"\r\n'
+        )
+        assert records_to_jsonl(cells, EVENT_OBJECT_COLUMNS) == (
+            '{"event": "e1", "object": "o1", "classifier": "q,x", "event_type": null, '
+            '"time": "2012-01-01T00:00:00.000Z", "object_type": "typ\\"e"}\n'
+        )

@@ -393,6 +393,21 @@ class TestAnalyze:
         assert code == 3
         assert "blank node" in err
 
+    @pytest.mark.parametrize("char", ["\t", "\x01"])
+    @pytest.mark.parametrize(
+        "command", [["stats"], ["analyze", "--analysis", "event-objects"], ["export-dot"]]
+    )
+    def test_control_character_in_an_iri_exits_3_for_every_read(self, command, char, tmp_path, capsys):
+        bad = tmp_path / "bad.ttl"
+        bad.write_text(
+            "@prefix ext: <https://w3id.org/ocedo/ext#> .\n"
+            f'<http://example.org/oced/e{char}1> ext:event_type "x" .\n'
+        )
+        code, out, err = run([command[0], str(bad), *command[1:]], capsys)
+        assert code == 3
+        assert out == ""
+        assert err == f"oced-forge: character {char!r} is illegal inside an IRI (line 2, column 27)\n"
+
 
 @pytest.mark.parametrize(
     "command, source",

@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from datetime import datetime, timedelta, timezone
 from pathlib import Path
 
@@ -128,6 +129,27 @@ class TestGraphToTriples:
         graph.add_object(OcedObject(id="shared", object_type="case"))
         with pytest.raises(SerializationError, match="shared"):
             graph_to_triples(graph)
+
+    def test_event_id_equal_to_a_relation_id_is_a_serialization_error(self):
+        graph = OcedGraph()
+        graph.add_event(OcedEvent(id="eo_1", event_type="t", observed_at=T0))
+        graph.add_object(OcedObject(id="case_1", object_type="case"))
+        assert graph.relate_event_object("eo_1", "case_1").id == "eo_1"
+        message = "id 'eo_1' is used as both event and relation; ids share one IRI namespace in Turtle output"
+        for render in (graph_to_triples, graph_to_turtle):
+            with pytest.raises(SerializationError) as raised:
+                render(graph)
+            assert str(raised.value) == message
+
+    def test_an_earlier_serialization_error_wins_over_an_id_collision(self):
+        graph = OcedGraph()
+        graph.add_event(
+            OcedEvent(id="shared", event_type="t", observed_at=T0, attributes={"": TypedValue("string", "x")})
+        )
+        graph.add_object(OcedObject(id="shared", object_type="case"))
+        for render in (graph_to_triples, graph_to_turtle):
+            with pytest.raises(SerializationError, match="cannot mint an IRI from an empty name"):
+                render(graph)
 
 
 class TestGraphToTurtle:
@@ -532,6 +554,9 @@ class TestGeneralReader:
             ("ex:s ex:p <http://e/o .", (SYNTAX, "unterminated IRI", 3, 11)),
             ("ex:s ex:p <http://e/a\\u0041> .", (SYNTAX, "escape sequences in IRIs are not supported", 3, 22)),
             ("ex:s ex:p <http://e/a{b> .", (SYNTAX, "character '{' is illegal inside an IRI", 3, 22)),
+            # control characters too, as in IRIREF and the writer's rule
+            ("ex:s ex:p <http://e/a\tb> .", (SYNTAX, "character '\\t' is illegal inside an IRI", 3, 22)),
+            ("ex:s ex:p <http://e/a\x01b> .", (SYNTAX, "character '\\x01' is illegal inside an IRI", 3, 22)),
             ("ex:s ex:p 'x' .", (UNSUPPORTED, "single-quoted literal", 3, 11)),
             ("_:b ex:p ex:o .", (UNSUPPORTED, "blank node label", 3, 1)),
             ("ex:s ex:p @ .", (SYNTAX, "expected a name after '@'", 3, 11)),
@@ -552,3 +577,14 @@ class TestGeneralReader:
     )
     def test_branch_outcome(self, body, expected):
         assert outcome(GENERAL + "@prefix ex: <http://e/> .\n" + body) == expected
+
+    def test_long_run_of_blanks_is_skipped_in_bounded_memory(self):
+        doc = GENERAL + " " * 2_000_000 + "²"
+        tracemalloc.start()
+        try:
+            result = outcome(doc)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert result == (SYNTAX, "unexpected character '²'", 2, 2_000_001)
+        assert peak < 1_000_000  # one repeat per blank held about 150 bytes each
