@@ -136,6 +136,8 @@ def load_mapping_config(path: str) -> MappingConfig:
             data = json.load(fh)
         except json.JSONDecodeError as exc:
             raise ConfigError(f"{path}: not valid JSON: {exc}") from exc
+        except RecursionError:
+            raise ConfigError(f"{path}: JSON nested too deeply") from None
         except UnicodeDecodeError as exc:
             raise ConfigError(f"{path}: not UTF-8 text: {exc}") from exc
     if not isinstance(data, dict):

@@ -10,18 +10,20 @@ attributes nested in other attributes are checked but not kept; the XES
 list/container construct is rejected.  Unknown elements are skipped and
 recorded as warnings on the returned log.
 
-The XML is read as a stream (ElementTree.iterparse): each direct child of
-<log> is turned into log data when its end tag is read and then dropped, so
-only one trace's elements are in memory at a time.  The first structural
-error is held until the whole document has been read, so malformed XML
-anywhere in it is reported instead, as a whole-document parse would.
+The XML is read in one expat pass, with no element tree: the start handler
+keeps one entry per open element (the log, a trace, an event, an element
+whose attributes are only checked, or one that is skipped with its content)
+and fills the trace's and event's dicts as the tags go by; the end handler
+closes events and traces.  The first structural error is held until the
+whole document has been read, so malformed XML anywhere in it is reported
+instead.  A reference to an undeclared or an external entity is an
+"undefined entity" parse error, as in ElementTree; no DTD or entity is read.
 """
 
 import gzip
-import io
 import zlib
 from dataclasses import dataclass, field
-from xml.etree import ElementTree
+from xml.parsers import expat
 
 from .errors import XesParseError, XesStructureError
 from .oced_model import TypedValue
@@ -30,6 +32,9 @@ from .timeutil import format_offset_millis, parse_instant
 VALUE_KINDS = ("string", "date", "int", "float", "boolean", "id")
 _LIST_TAGS = ("list", "container", "values")
 _INT64_MAX = 2**63 - 1
+
+# what an open element is, by the entry the reader keeps for it
+_LOG, _TRACE, _EVENT, _CHECK, _SKIP = "log", "trace", "event", "check", "skip"
 
 
 @dataclass(frozen=True)
@@ -48,10 +53,6 @@ class XesLog:
         return sum(len(t.events) for t in self.traces)
 
 
-def _local(tag: str) -> str:
-    return tag.rpartition("}")[2]
-
-
 def _attribute_text(attr: TypedValue) -> str:
     """Canonical string form of an attribute value (used for ids and types)."""
     if attr.kind == "date":
@@ -63,161 +64,139 @@ def _attribute_text(attr: TypedValue) -> str:
     return str(attr.value)
 
 
-class _Parser:
-    """Reads one log: open_log with the root element, then add_child with
-    each direct child of the root in document order, then log()."""
+def parse_value(kind: str, key: str, raw: str):
+    """The value of the XES attribute text raw, for a kind in VALUE_KINDS."""
+    if kind == "string" or kind == "id":
+        return raw
+    if kind == "date":
+        try:
+            return parse_instant(raw)
+        except ValueError:
+            raise XesStructureError(f"unparseable date for key {key!r}: {raw!r}") from None
+    # int() and float() also read "1_2" and non-ASCII digits such as
+    # "١٢", which xsd:long and xsd:double do not allow
+    if kind in ("int", "float") and ("_" in raw or not raw.isascii()):
+        raise XesStructureError(f"unparseable {kind} for key {key!r}: {raw!r}")
+    if kind == "int":
+        try:
+            value = int(raw)
+        except ValueError:
+            raise XesStructureError(f"unparseable int for key {key!r}: {raw!r}") from None
+        if not -_INT64_MAX - 1 <= value <= _INT64_MAX:
+            raise XesStructureError(f"int out of 64-bit range for key {key!r}: {raw!r}")
+        return value
+    if kind == "float":
+        try:
+            return float(raw)
+        except ValueError:
+            raise XesStructureError(f"unparseable float for key {key!r}: {raw!r}") from None
+    lowered = raw.strip().lower()
+    if lowered not in ("true", "false"):
+        raise XesStructureError(f"unparseable boolean for key {key!r}: {raw!r}")
+    return lowered == "true"
+
+
+class _Reader:
+    """The element handlers for one document.  stack holds the kind of each
+    open element, innermost last; an event attribute that repeats a key is
+    entered as its error, raised at its end tag so that the attributes
+    nested in it are checked first."""
 
     def __init__(self):
+        self.stack: list = [None]  # None stands for the document, the root's parent
         self.warnings: list[str] = []
         self.traces: list[XesTrace] = []
         self.prefixes: set[str] = set()
+        self.held: XesStructureError | None = None
+        self.trace_attributes: dict[str, TypedValue] = {}
+        self.events: list[dict[str, TypedValue]] = []
+        self.event: dict[str, TypedValue] = {}
 
-    def warn(self, message: str):
-        self.warnings.append(message)
-
-    def parse_value(self, kind: str, key: str, raw: str):
-        if kind == "string" or kind == "id":
-            return raw
-        if kind == "date":
+    def start(self, name: str, attrs: dict[str, str]):
+        if self.held is None:
             try:
-                return parse_instant(raw)
-            except ValueError:
-                raise XesStructureError(
-                    f"unparseable date for key {key!r}: {raw!r}"
-                ) from None
-        # int() and float() also read "1_2" and non-ASCII digits such as
-        # "١٢", which xsd:long and xsd:double do not allow
-        if kind in ("int", "float") and ("_" in raw or not raw.isascii()):
-            raise XesStructureError(f"unparseable {kind} for key {key!r}: {raw!r}")
-        if kind == "int":
-            try:
-                value = int(raw)
-            except ValueError:
-                raise XesStructureError(f"unparseable int for key {key!r}: {raw!r}") from None
-            if not -_INT64_MAX - 1 <= value <= _INT64_MAX:
-                raise XesStructureError(f"int out of 64-bit range for key {key!r}: {raw!r}")
-            return value
-        if kind == "float":
-            try:
-                return float(raw)
-            except ValueError:
-                raise XesStructureError(f"unparseable float for key {key!r}: {raw!r}") from None
-        if kind == "boolean":
-            lowered = raw.strip().lower()
-            if lowered not in ("true", "false"):
-                raise XesStructureError(f"unparseable boolean for key {key!r}: {raw!r}")
-            return lowered == "true"
-        raise XesStructureError(f"unknown attribute kind {kind!r}")
+                self.stack.append(self._kind(name.rpartition("}")[2], attrs, self.stack[-1]))
+            except XesStructureError as exc:
+                self.held = exc
 
-    def _attribute(self, elem) -> tuple[str, TypedValue] | None:
-        tag = _local(elem.tag)
-        if tag in _LIST_TAGS:
-            raise XesStructureError(
-                f"list attributes are not supported (element <{tag}>, key={elem.get('key')!r})"
-            )
-        if tag not in VALUE_KINDS:
-            self.warn(f"skipped unknown element <{tag}>")
-            return None
-        key = elem.get("key")
-        if not key:
-            raise XesStructureError(f"<{tag}> element without a key")
-        raw = elem.get("value")
-        if raw is None:
-            raise XesStructureError(f"<{tag}> element for key {key!r} without a value")
-        return key, TypedValue(tag, self.parse_value(tag, key, raw))
+    def end(self, name: str):
+        if self.held is None:
+            kind = self.stack.pop()
+            if kind is _EVENT:
+                self.events.append(self.event)
+            elif kind is _TRACE:
+                self.traces.append(XesTrace(self.trace_attributes, tuple(self.events)))
+            elif isinstance(kind, XesStructureError):
+                self.held = kind
 
-    def parse_attribute(self, elem) -> tuple[str, TypedValue] | None:
-        """Parse one attribute element into (key, value); None when the
-        element is not an attribute (skipped with a warning).  The attributes
-        nested in it are checked in document order, without recursion, and
-        not kept; an element that is not an attribute is skipped with what it
-        contains."""
-        parsed = self._attribute(elem)
-        if parsed is not None:
-            stack = list(reversed(elem))
-            while stack:
-                child = stack.pop()
-                if self._attribute(child) is not None:
-                    stack.extend(reversed(child))
-        return parsed
-
-    def parse_event(self, elem) -> dict[str, TypedValue]:
-        attributes = {}
-        for child in elem:
-            parsed = self.parse_attribute(child)
-            if parsed is None:
-                continue
+    def _kind(self, tag: str, attrs: dict[str, str], parent):
+        if parent is _SKIP:
+            return _SKIP
+        if parent is None:
+            if tag != "log":
+                raise XesStructureError(f"root element is <{tag}>, expected <log>")
+            if not attrs.get("xes.version"):
+                self.warnings.append("log element has no xes.version attribute")
+            return _LOG
+        if parent is _LOG:
+            return self._log_child(tag, attrs)
+        if parent is _TRACE and tag == "event":
+            self.event = {}
+            return _EVENT
+        parsed = self._attribute(tag, attrs)
+        if parsed is None:
+            return _SKIP
+        if parent is _EVENT:
             key, value = parsed
-            if key in attributes:
-                raise XesStructureError(f"duplicate key {key!r} in event")
-            attributes[key] = value
-        return attributes
+            if key in self.event:
+                return XesStructureError(f"duplicate key {key!r} in event")
+            self.event[key] = value
+        elif parent is _TRACE:
+            self.trace_attributes.setdefault(*parsed)
+        return _CHECK
 
-    def parse_trace(self, elem) -> XesTrace:
-        attributes = {}
-        events = []
-        for child in elem:
-            tag = _local(child.tag)
-            if tag == "event":
-                events.append(self.parse_event(child))
-            else:
-                parsed = self.parse_attribute(child)
-                if parsed is not None:
-                    attributes.setdefault(*parsed)
-        return XesTrace(attributes=attributes, events=tuple(events))
-
-    def open_log(self, root):
-        if _local(root.tag) != "log":
-            raise XesStructureError(f"root element is <{_local(root.tag)}>, expected <log>")
-        if not root.get("xes.version"):
-            self.warn("log element has no xes.version attribute")
-
-    def add_child(self, child):
-        tag = _local(child.tag)
+    def _log_child(self, tag: str, attrs: dict[str, str]):
+        if tag == "trace":
+            self.trace_attributes, self.events = {}, []
+            return _TRACE
         if tag == "extension":
-            prefix = child.get("prefix")
-            if not (child.get("name") and prefix and child.get("uri")):
-                self.warn("skipped extension element missing name/prefix/uri")
+            prefix = attrs.get("prefix")
+            if not (attrs.get("name") and prefix and attrs.get("uri")):
+                self.warnings.append("skipped extension element missing name/prefix/uri")
             elif prefix in self.prefixes:
                 raise XesStructureError(f"duplicate extension prefix {prefix!r}")
             else:
                 self.prefixes.add(prefix)
-        elif tag == "global":
-            scope = child.get("scope")
+            return _SKIP
+        if tag == "global":
+            scope = attrs.get("scope")
             if scope in ("trace", "event"):
-                for attr in child:
-                    self.parse_attribute(attr)
-            else:
-                self.warn(f"skipped global element with scope {scope!r}")
-        elif tag == "classifier":
-            if not (child.get("name") and child.get("keys")):
-                self.warn("skipped classifier element missing name/keys")
-        elif tag == "trace":
-            self.traces.append(self.parse_trace(child))
-        else:
-            self.parse_attribute(child)
+                return _CHECK
+            self.warnings.append(f"skipped global element with scope {scope!r}")
+            return _SKIP
+        if tag == "classifier":
+            if not (attrs.get("name") and attrs.get("keys")):
+                self.warnings.append("skipped classifier element missing name/keys")
+            return _SKIP
+        return _SKIP if self._attribute(tag, attrs) is None else _CHECK
 
-    def log(self) -> XesLog:
-        return XesLog(traces=tuple(self.traces), warnings=tuple(self.warnings))
-
-
-def _log_elements(data: bytes):
-    """Yield ("start", root) for the root element, then ("end", child) for
-    each direct child of the root once it is complete.  A child is dropped
-    from the tree when the caller resumes, so the tree holds only the child
-    being read and what the current input chunk has added after it."""
-    depth = 0
-    for event, elem in ElementTree.iterparse(io.BytesIO(data), ("start", "end")):
-        if event == "start":
-            depth += 1
-            if depth == 1:
-                root = elem
-                yield event, elem
-        else:
-            depth -= 1
-            if depth == 1:
-                yield event, elem
-                root.clear()
+    def _attribute(self, tag: str, attrs: dict[str, str]) -> tuple[str, TypedValue] | None:
+        """(key, value) of an attribute element; None, with a warning, for
+        an element that is not one."""
+        if tag in _LIST_TAGS:
+            raise XesStructureError(
+                f"list attributes are not supported (element <{tag}>, key={attrs.get('key')!r})"
+            )
+        if tag not in VALUE_KINDS:
+            self.warnings.append(f"skipped unknown element <{tag}>")
+            return None
+        key = attrs.get("key")
+        if not key:
+            raise XesStructureError(f"<{tag}> element without a key")
+        raw = attrs.get("value")
+        if raw is None:
+            raise XesStructureError(f"<{tag}> element for key {key!r} without a value")
+        return key, TypedValue(tag, parse_value(tag, key, raw))
 
 
 def parse_xes(data: bytes) -> XesLog:
@@ -233,23 +212,40 @@ def parse_xes(data: bytes) -> XesLog:
             data = gzip.decompress(data)
         except (OSError, EOFError, zlib.error) as exc:
             raise XesParseError(f"bad gzip stream: {exc}") from exc
-    parser = _Parser()
-    held: XesStructureError | None = None
+    reader = _Reader()
+    parser = expat.ParserCreate(namespace_separator="}")
+    parser.StartElementHandler = reader.start
+    parser.EndElementHandler = reader.end
+    external: set[str] = set()  # the external general entities declared
+
+    def declared(name, is_parameter_entity, value, *_):
+        if value is None and not is_parameter_entity:
+            external.add(name)
+
+    def undefined(name, is_parameter_entity=False):
+        # ElementTree's message, which keeps at most 100 bytes of the reference
+        if not is_parameter_entity:
+            reference = f"&{name};".encode()[:100].decode("utf-8", "replace")
+            line, column = parser.CurrentLineNumber, parser.CurrentColumnNumber
+            raise XesParseError(f"undefined entity {reference}", line, column)
+
+    def external_reference(context, *_):
+        # context names the open entities (and namespace bindings); the
+        # referenced one is the only external one among them
+        undefined(next(name for name in context.split("\x0c") if name in external))
+
+    parser.EntityDeclHandler = declared
+    parser.SkippedEntityHandler = undefined
+    parser.ExternalEntityRefHandler = external_reference
     try:
-        for event, elem in _log_elements(data):
-            if held is not None:
-                continue
-            try:
-                if event == "start":
-                    parser.open_log(elem)
-                else:
-                    parser.add_child(elem)
-            except XesStructureError as exc:
-                held = exc
-    except ElementTree.ParseError as exc:
-        line, column = exc.position if exc.position else (None, None)
-        message = str(exc).rsplit(": line ", 1)[0]
-        raise XesParseError(message, line, column) from exc
-    if held is not None:
-        raise held
-    return parser.log()
+        parser.Parse(data, True)
+    except expat.ExpatError as exc:
+        raise XesParseError(expat.ErrorString(exc.code), exc.lineno, exc.offset) from exc
+    except (LookupError, ValueError) as exc:
+        # an encoding the XML declaration names that expat cannot read
+        raise XesParseError(str(exc), parser.ErrorLineNumber, parser.ErrorColumnNumber) from exc
+    finally:
+        parser = None  # drop the cycle through the entity handlers, which hold it
+    if reader.held is not None:
+        raise reader.held
+    return XesLog(traces=tuple(reader.traces), warnings=tuple(reader.warnings))

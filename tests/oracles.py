@@ -15,7 +15,7 @@ from oced_forge.errors import XesParseError, XesStructureError
 from oced_forge.oced_model import OcedEvent, OcedGraph, OcedObject, TypedValue, escape_id
 from oced_forge.terms import EX
 from oced_forge.triple_query import TriplePattern, Var
-from oced_forge.xes_parser import XesLog, _local, _Parser
+from oced_forge.xes_parser import VALUE_KINDS, XesLog, XesTrace, parse_value
 
 BASE_TIME = datetime(2012, 1, 1, tzinfo=timezone.utc)
 
@@ -297,14 +297,76 @@ def random_xes(rng: random.Random):
     return "\n".join(lines), total, retained, len(groups)
 
 
-# -- whole-document XES reader (ElementTree.fromstring, then each <log> child) --
+# -- whole-document XES reader (ElementTree.fromstring, then an Element walk) --
+
+
+def _local(tag: str) -> str:
+    return tag.rpartition("}")[2]
+
+
+def _tree_attribute(elem, warnings) -> tuple[str, TypedValue] | None:
+    tag = _local(elem.tag)
+    if tag in ("list", "container", "values"):
+        raise XesStructureError(
+            f"list attributes are not supported (element <{tag}>, key={elem.get('key')!r})"
+        )
+    if tag not in VALUE_KINDS:
+        warnings.append(f"skipped unknown element <{tag}>")
+        return None
+    key = elem.get("key")
+    if not key:
+        raise XesStructureError(f"<{tag}> element without a key")
+    raw = elem.get("value")
+    if raw is None:
+        raise XesStructureError(f"<{tag}> element for key {key!r} without a value")
+    return key, TypedValue(tag, parse_value(tag, key, raw))
+
+
+def _tree_checked_attribute(elem, warnings) -> tuple[str, TypedValue] | None:
+    """_tree_attribute, after which the attributes nested in elem are checked
+    in document order, without recursion; an element that is not an
+    attribute is skipped with what it contains."""
+    parsed = _tree_attribute(elem, warnings)
+    if parsed is not None:
+        stack = list(reversed(elem))
+        while stack:
+            child = stack.pop()
+            if _tree_attribute(child, warnings) is not None:
+                stack.extend(reversed(child))
+    return parsed
+
+
+def _tree_event(elem, warnings) -> dict[str, TypedValue]:
+    attributes = {}
+    for child in elem:
+        parsed = _tree_checked_attribute(child, warnings)
+        if parsed is None:
+            continue
+        key, value = parsed
+        if key in attributes:
+            raise XesStructureError(f"duplicate key {key!r} in event")
+        attributes[key] = value
+    return attributes
+
+
+def _tree_trace(elem, warnings) -> XesTrace:
+    attributes = {}
+    events = []
+    for child in elem:
+        if _local(child.tag) == "event":
+            events.append(_tree_event(child, warnings))
+        else:
+            parsed = _tree_checked_attribute(child, warnings)
+            if parsed is not None:
+                attributes.setdefault(*parsed)
+    return XesTrace(attributes=attributes, events=tuple(events))
 
 
 def fromstring_parse_xes(data: bytes) -> XesLog:
-    """Reference for the streaming parse_xes: the whole DOM is built first, so
-    any XML syntax error wins over every structural error, and then the
-    <log> children are read in document order, stopping at the first
-    structural error.  Attribute, event and trace parsing is the package's.
+    """Reference for parse_xes: the whole DOM is built first, so any XML
+    syntax error wins over every structural error, and then the <log>
+    children are walked in document order, stopping at the first structural
+    error.  Only value parsing (parse_value) is the package's.
     """
     if data[:2] == b"\x1f\x8b":
         try:
@@ -318,11 +380,11 @@ def fromstring_parse_xes(data: bytes) -> XesLog:
         message = str(exc).rsplit(": line ", 1)[0]
         raise XesParseError(message, line, column) from exc
 
-    parser = _Parser()
+    warnings = []
     if _local(root.tag) != "log":
         raise XesStructureError(f"root element is <{_local(root.tag)}>, expected <log>")
     if not root.get("xes.version"):
-        parser.warn("log element has no xes.version attribute")
+        warnings.append("log element has no xes.version attribute")
     traces = []
     prefixes = set()
     for child in root:
@@ -330,7 +392,7 @@ def fromstring_parse_xes(data: bytes) -> XesLog:
         if tag == "extension":
             name, prefix, uri = child.get("name"), child.get("prefix"), child.get("uri")
             if not (name and prefix and uri):
-                parser.warn("skipped extension element missing name/prefix/uri")
+                warnings.append("skipped extension element missing name/prefix/uri")
                 continue
             if prefix in prefixes:
                 raise XesStructureError(f"duplicate extension prefix {prefix!r}")
@@ -339,14 +401,14 @@ def fromstring_parse_xes(data: bytes) -> XesLog:
             scope = child.get("scope")
             if scope == "trace" or scope == "event":
                 for attribute in child:
-                    parser.parse_attribute(attribute)
+                    _tree_checked_attribute(attribute, warnings)
             else:
-                parser.warn(f"skipped global element with scope {scope!r}")
+                warnings.append(f"skipped global element with scope {scope!r}")
         elif tag == "classifier":
             if not (child.get("name") and child.get("keys")):
-                parser.warn("skipped classifier element missing name/keys")
+                warnings.append("skipped classifier element missing name/keys")
         elif tag == "trace":
-            traces.append(parser.parse_trace(child))
+            traces.append(_tree_trace(child, warnings))
         else:
-            parser.parse_attribute(child)
-    return XesLog(traces=tuple(traces), warnings=tuple(parser.warnings))
+            _tree_checked_attribute(child, warnings)
+    return XesLog(traces=tuple(traces), warnings=tuple(warnings))

@@ -218,6 +218,12 @@ class TestConvert:
         assert err.startswith(f"oced-forge: {config}: not UTF-8 text: ")
         assert err.count("\n") == 1
 
+    def test_deeply_nested_config_exits_2(self, bpic_xes_path, tmp_path, capsys):
+        config = tmp_path / "map.json"
+        config.write_text("[" * 200_000)
+        code, out, err = run(["convert", str(bpic_xes_path), "--config", str(config)], capsys)
+        assert (code, out, err) == (2, "", f"oced-forge: {config}: JSON nested too deeply\n")
+
     @pytest.mark.parametrize(
         "case, kind", [("e1", "event and object"), ("eo_1", "object and relation")]
     )
@@ -261,6 +267,21 @@ class TestConvert:
         code, out, err = run(["convert", str(xes)], capsys)
         assert (code, out, err) == (3, "", "oced-forge: unparseable int for key 'n': '1.5'\n")
 
+
+@pytest.mark.parametrize("command", ["convert", "stats"])
+@pytest.mark.parametrize(
+    "encoding, message",
+    [
+        ("bogus", "unknown encoding: bogus"),
+        ("utf-32", "multi-byte encodings are not supported"),
+        ("shift_jis", "multi-byte encodings are not supported"),
+    ],
+)
+def test_encoding_expat_cannot_read_exits_3(command, encoding, message, tmp_path, capsys):
+    xes = tmp_path / "encoded.xes"
+    xes.write_bytes(f'<?xml version="1.0" encoding="{encoding}"?><log/>'.encode())
+    code, out, err = run([command, str(xes)], capsys)
+    assert (code, out, err) == (3, "", f"oced-forge: {message} (line 1, column 30)\n")
 
 def test_years_below_1000_keep_their_ping_pong_row(tmp_path, capsys):
     events = "".join(

@@ -296,6 +296,29 @@ STREAMING_CORPUS = {
     "truncated gzip": gzip.compress(BPIC_STYLE_XES.encode())[:-12],
     "corrupt gzip": _corrupt_gzip(BPIC_STYLE_XES.encode()),
     "fixture over several chunks": _many_traces(12),
+    "undeclared entity after an external DTD subset": b'<!DOCTYPE log SYSTEM "x.dtd"><log>&e;</log>',
+    "undeclared entity after a parameter entity": (
+        b'<!DOCTYPE log [<!ENTITY % p "x"> %p;]><log xes.version="1.0">\n  &e;</log>'
+    ),
+    "external entity": b'<!DOCTYPE log [<!ENTITY e SYSTEM "file:///etc/passwd">]><log>&e;</log>',
+    "external entity in a trace after a structural error": (
+        b'<!DOCTYPE log [<!ENTITY e SYSTEM "file:///etc/passwd">]><log xes.version="1.0">'
+        b'<trace><int key="n" value="x"/></trace><trace>&e;</trace></log>'
+    ),
+    "external entity inside internal ones": (
+        b'<!DOCTYPE log [<!ENTITY e SYSTEM "x.xml"><!ENTITY a "1&e;"><!ENTITY b "2&a;">'
+        b'<!ENTITY c "3&b;">]><log xes.version="1.0">\n <trace>&c;</trace></log>'
+    ),
+    "undeclared entity name over 100 bytes": (
+        '<!DOCTYPE log SYSTEM "x.dtd"><log>&' + "\u00e9" * 60 + ";</log>"
+    ).encode(),
+    "external parameter entity only": (
+        b'<!DOCTYPE log [<!ENTITY % q SYSTEM "q.dtd"> %q;]><log xes.version="1.0"/>'
+    ),
+    "duplicate event key holding a nested error": (
+        b'<log xes.version="1.0"><trace><event><string key="k" value="1"/>'
+        b'<string key="k" value="2"><int key="n" value="x"/></string></event></trace></log>'
+    ),
 }
 
 
