@@ -81,6 +81,35 @@ def _text(term: Term | None) -> str | None:
     return None if term is None else _key(term)
 
 
+_EVENT, _OBJECT, _NODE = Var("event"), Var("object"), Var("node")
+
+# The patterns each analysis reads; a load for one analysis keeps only
+# their predicates' triples.
+# ?event ext:event_case ?case; ocedo:observed_at ?time; ext:handled_by_support_team ?team
+TEAM_TIMES = [
+    TriplePattern(_EVENT, EXT_EVENT_CASE, Var("case")),
+    TriplePattern(_EVENT, OBSERVED_AT, Var("time")),
+    TriplePattern(_EVENT, EXT_HANDLED_BY_TEAM, Var("team")),
+]
+# ?node a ext:EventObject; ext:event ?event; ext:object ?object
+_EVENT_OBJECT = [
+    TriplePattern(_NODE, RDF_TYPE, EXT_EVENT_OBJECT_CLASS),
+    TriplePattern(_NODE, EXT_EVENT, _EVENT),
+    TriplePattern(_NODE, EXT_OBJECT, _OBJECT),
+]
+# OPTIONAL { ?node ext:classifier ?classifier }
+_CLASSIFIER = TriplePattern(_NODE, EXT_CLASSIFIER, Var("classifier"))
+# event_object_solutions without further groups
+EVENT_OBJECT_BLOCK = [*_EVENT_OBJECT, _CLASSIFIER]
+# enumerate_event_objects' further OPTIONAL groups, one pattern each
+_EVENT_OBJECT_DETAILS = [
+    TriplePattern(_EVENT, EXT_EVENT_TYPE, Var("event_type")),
+    TriplePattern(_EVENT, OBSERVED_AT, Var("time")),
+    TriplePattern(_OBJECT, EXT_OBJECT_TYPE, Var("object_type")),
+]
+EVENT_OBJECTS = [*EVENT_OBJECT_BLOCK, *_EVENT_OBJECT_DETAILS]
+
+
 def _team_times(store: TripleStore) -> dict[str, dict[str, list[datetime]]]:
     """Case -> team -> sorted times of the team's events in the case.
 
@@ -88,14 +117,7 @@ def _team_times(store: TripleStore) -> dict[str, dict[str, list[datetime]]]:
     ?time; ext:handled_by_team ?team`; solutions whose time literal is not a
     parseable xsd:dateTime are dropped.
     """
-    event = Var("event")
-    solutions = store.match_bgp(
-        [
-            TriplePattern(event, EXT_EVENT_CASE, Var("case")),
-            TriplePattern(event, OBSERVED_AT, Var("time")),
-            TriplePattern(event, EXT_HANDLED_BY_TEAM, Var("team")),
-        ]
-    )
+    solutions = store.match_bgp(TEAM_TIMES)
     cases: dict[str, dict[str, list[datetime]]] = {}
     for sol in solutions:
         time = datetime_value(sol["time"])
@@ -160,21 +182,11 @@ def team_involvement(store: TripleStore) -> list[TeamInvolvement]:
     return ranking
 
 
-_NODE = Var("node")
-# ?node a ext:EventObject; ext:event ?event; ext:object ?object
-_EVENT_OBJECT = [
-    TriplePattern(_NODE, RDF_TYPE, EXT_EVENT_OBJECT_CLASS),
-    TriplePattern(_NODE, EXT_EVENT, Var("event")),
-    TriplePattern(_NODE, EXT_OBJECT, Var("object")),
-]
-
-
 def event_object_solutions(store: TripleStore, *groups: list[TriplePattern]) -> list[BindingSet]:
     """Solutions of the EventObject block, binding ?node, ?event and ?object,
     each extended by ?classifier and by the given OPTIONAL groups where they
     match."""
-    classifier = [TriplePattern(_NODE, EXT_CLASSIFIER, Var("classifier"))]
-    return store.match_optional(required=_EVENT_OBJECT, optional_groups=[classifier, *groups])
+    return store.match_optional(required=_EVENT_OBJECT, optional_groups=[[_CLASSIFIER], *groups])
 
 
 def enumerate_event_objects(store: TripleStore) -> list[EventObjectRow]:
@@ -184,13 +196,7 @@ def enumerate_event_objects(store: TripleStore) -> list[EventObjectRow]:
     and left unbound otherwise; nodes lacking ext:event or ext:object are
     skipped with a warning.
     """
-    event, obj = Var("event"), Var("object")
-    solutions = event_object_solutions(
-        store,
-        [TriplePattern(event, EXT_EVENT_TYPE, Var("event_type"))],
-        [TriplePattern(event, OBSERVED_AT, Var("time"))],
-        [TriplePattern(obj, EXT_OBJECT_TYPE, Var("object_type"))],
-    )
+    solutions = event_object_solutions(store, *([pattern] for pattern in _EVENT_OBJECT_DETAILS))
     joined = {sol["node"] for sol in solutions}
     nodes = store.match_pattern(_EVENT_OBJECT[0])
     skipped = [sol["node"] for sol in nodes if sol["node"] not in joined]

@@ -5,6 +5,12 @@ event-objects / teams as CSV or JSONL), stats (XES or Turtle counts), and
 export-dot (Turtle -> Graphviz DOT).  Data goes to stdout or --output;
 diagnostics go to stderr, so output is pipe-safe and byte-deterministic.
 
+A command imports only the modules it runs: the XES reader, the transform
+and the graph model for convert and XES stats, the DOT writer for
+export-dot.  The read commands load Turtle with a keep rule derived from
+the patterns their queries look up (see _keep_rule; stats keeps every
+triple, because it counts them), with the cyclic GC off during the load.
+
 Exit codes: 0 success (also with skipped-event warnings), 2 unreadable or
 invalid input file (a bad gzip stream or config encoding too) or input that
 cannot be converted (colliding ids), 3 parse error (XML or Turtle, with
@@ -12,16 +18,21 @@ location), 64 usage error, 65 unrecognized input format for stats.
 """
 
 import argparse
+import gc
 import gzip
 import logging
 import os
 import sys
 import zlib
+from collections.abc import Callable
+from typing import TYPE_CHECKING
 
 from .analyses import (
     EVENT_OBJECT_COLUMNS,
+    EVENT_OBJECTS,
     PING_PONG_COLUMNS,
     TEAM_COLUMNS,
+    TEAM_TIMES,
     detect_ping_pong,
     enumerate_event_objects,
     records,
@@ -29,7 +40,6 @@ from .analyses import (
     records_to_jsonl,
     team_involvement,
 )
-from .dot_export import store_to_dot
 from .errors import (
     OcedForgeError,
     TurtleSyntaxError,
@@ -42,17 +52,15 @@ from .terms import (
     EXT_EVENT_TYPE,
     EXT_OBJECT_TYPE,
     RDF_TYPE,
+    Iri,
+    is_qualifier,
     object_object_triples,
 )
-from .transform import (
-    default_bpic2013_config,
-    load_mapping_config,
-    trace_case_ids,
-    transform_log,
-)
 from .triple_query import TriplePattern, TripleStore, Var
-from .turtle_io import graph_to_turtle, parse_turtle
-from .xes_parser import XesLog, parse_xes
+from .turtle_io import parse_turtle
+
+if TYPE_CHECKING:  # the read commands run without the XES reader
+    from .xes_parser import XesLog
 
 EXIT_OK = 0
 EXIT_UNREADABLE = 2
@@ -60,10 +68,11 @@ EXIT_PARSE = 3
 EXIT_USAGE = 64
 EXIT_BAD_FORMAT = 65
 
+# analysis -> (function, output columns, the patterns it reads)
 _ANALYSES = {
-    "ping-pong": (detect_ping_pong, PING_PONG_COLUMNS),
-    "event-objects": (enumerate_event_objects, EVENT_OBJECT_COLUMNS),
-    "teams": (team_involvement, TEAM_COLUMNS),
+    "ping-pong": (detect_ping_pong, PING_PONG_COLUMNS, TEAM_TIMES),
+    "event-objects": (enumerate_event_objects, EVENT_OBJECT_COLUMNS, EVENT_OBJECTS),
+    "teams": (team_involvement, TEAM_COLUMNS, TEAM_TIMES),
 }
 
 
@@ -136,16 +145,44 @@ def _write_text(path: str | None, text: str):
             fh.write(text)
 
 
-def _load_store(path: str) -> TripleStore:
+def _keep_rule(patterns: list[TriplePattern], qualifiers: bool = False) -> Callable[[Iri], bool] | None:
+    """parse_turtle's keep rule for a command that reads patterns: their
+    predicates, and with qualifiers every data-derived ext: predicate (what
+    object_object_triples reads).  None, keeping every triple, when a pattern
+    has a variable predicate."""
+    predicates = frozenset(pattern.predicate for pattern in patterns)
+    if any(isinstance(predicate, Var) for predicate in predicates):
+        return None
+    if qualifiers:
+        return lambda predicate: predicate in predicates or is_qualifier(predicate)
+    return predicates.__contains__
+
+
+def _parse_store(text: str, keep: Callable[[Iri], bool] | None = None) -> TripleStore:
+    """A frozen store of the text's triples (see parse_turtle's keep), read
+    with the cyclic GC off: a load allocates many long-lived terms and no
+    cycles, and each collection would walk them all again."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        return parse_turtle(text, keep).freeze()
+    finally:
+        if enabled:
+            gc.enable()
+
+
+def _load_store(path: str, keep: Callable[[Iri], bool] | None) -> TripleStore:
     try:
         text = _read_input(path).decode("utf-8")
     except UnicodeDecodeError as exc:
         raise TurtleSyntaxError(f"{path}: not UTF-8 text: {exc}") from exc
-    return parse_turtle(text).freeze()
+    return _parse_store(text, keep)
 
 
-def _parse_xes_logged(data: bytes) -> XesLog:
+def _parse_xes_logged(data: bytes) -> "XesLog":
     """parse_xes, with each of the reader's warnings logged."""
+    from .xes_parser import parse_xes
+
     log = parse_xes(data)
     for warning in log.warnings:
         logging.getLogger("oced_forge.xes_parser").warning("%s", warning)
@@ -153,6 +190,9 @@ def _parse_xes_logged(data: bytes) -> XesLog:
 
 
 def cmd_convert(args) -> int:
+    from .transform import default_bpic2013_config, load_mapping_config, transform_log
+    from .turtle_io import graph_to_turtle
+
     log = _parse_xes_logged(_read_input(args.input))
     config = load_mapping_config(args.config) if args.config else default_bpic2013_config()
     graph, report = transform_log(log, config)
@@ -177,8 +217,8 @@ def cmd_convert(args) -> int:
 
 
 def cmd_analyze(args) -> int:
-    analysis, columns = _ANALYSES[args.analysis]
-    rows = records(analysis(_load_store(args.input)))
+    analysis, columns, patterns = _ANALYSES[args.analysis]
+    rows = records(analysis(_load_store(args.input, _keep_rule(patterns))))
     write = records_to_csv if args.format == "csv" else records_to_jsonl
     _write_text(args.output, write(rows, columns))
     if not args.quiet:
@@ -187,29 +227,28 @@ def cmd_analyze(args) -> int:
 
 
 def _turtle_summary(store: TripleStore) -> list[tuple[str, int | str]]:
-    def matches(predicate):
-        return store.match_pattern(TriplePattern(Var("s"), predicate, Var("v")))
+    def matches(predicate, obj=Var("v")):
+        return store.match_triples(TriplePattern(Var("s"), predicate, obj))
 
     typed_events = matches(EXT_EVENT_TYPE)
     typed_objects = matches(EXT_OBJECT_TYPE)
-    objects = {sol["s"] for sol in typed_objects}
-    eo_nodes = store.match_pattern(TriplePattern(Var("s"), RDF_TYPE, EXT_EVENT_OBJECT_CLASS))
-    oo_relations = sum(1 for _ in object_object_triples(store, objects))
-    cases = {sol["v"] for sol in matches(EXT_EVENT_CASE)}
+    objects = {t.subject for t in typed_objects}
     return [
         ("format", "ttl"),
         ("triples", len(store)),
-        ("events", len({sol["s"] for sol in typed_events})),
+        ("events", len({t.subject for t in typed_events})),
         ("objects", len(objects)),
-        ("eo_relations", len(eo_nodes)),
-        ("oo_relations", oo_relations),
-        ("event_types", len({sol["v"] for sol in typed_events})),
-        ("object_types", len({sol["v"] for sol in typed_objects})),
-        ("cases", len(cases)),
+        ("eo_relations", len(matches(RDF_TYPE, EXT_EVENT_OBJECT_CLASS))),
+        ("oo_relations", sum(1 for _ in object_object_triples(store, objects))),
+        ("event_types", len({t.object for t in typed_events})),
+        ("object_types", len({t.object for t in typed_objects})),
+        ("cases", len({t.object for t in matches(EXT_EVENT_CASE)})),
     ]
 
 
-def _xes_summary(log: XesLog) -> list[tuple[str, int | str]]:
+def _xes_summary(log: "XesLog") -> list[tuple[str, int | str]]:
+    from .transform import default_bpic2013_config, trace_case_ids
+
     cases = {case_id for _, case_id in trace_case_ids(log, default_bpic2013_config())}
     return [
         ("format", "xes"),
@@ -228,7 +267,7 @@ def cmd_stats(args) -> int:
             rows = _xes_summary(_parse_xes_logged(data))
         except XesParseError as xml_error:
             try:
-                rows = _turtle_summary(parse_turtle(data.decode("utf-8")).freeze())
+                rows = _turtle_summary(_parse_store(data.decode("utf-8")))
             except (UnicodeDecodeError, TurtleSyntaxError):
                 raise xml_error from None
     else:
@@ -238,7 +277,7 @@ def cmd_stats(args) -> int:
             print(f"stats: {args.input}: not XES or Turtle", file=sys.stderr)
             return EXIT_BAD_FORMAT
         try:
-            store = parse_turtle(text).freeze()
+            store = _parse_store(text)
         except TurtleSyntaxError:
             if text.lstrip("\ufeff \t\r\n").startswith(("@prefix", "@PREFIX", "PREFIX", "prefix", "#")):
                 raise  # Turtle by its header: a parse error, exit 3
@@ -252,7 +291,9 @@ def cmd_stats(args) -> int:
 
 
 def cmd_export_dot(args) -> int:
-    store = _load_store(args.input)
+    from .dot_export import PATTERNS, store_to_dot
+
+    store = _load_store(args.input, _keep_rule(PATTERNS, qualifiers=True))
     _write_text(args.output, store_to_dot(store))
     return EXIT_OK
 

@@ -5,10 +5,13 @@ ellipses labeled with object type and id, event-object edges come from the
 reified ext:EventObject nodes (labeled with the classifier when present),
 and object-object edges from qualifier predicates between objects.  Output
 order is fully deterministic.
+
+store_to_dot reads the triples of PATTERNS' predicates and of every
+qualifier predicate (terms.is_qualifier), so a load for it may keep only
+those.
 """
 
-from .analyses import event_object_solutions
-from .oced_model import unescape_id
+from .analyses import EVENT_OBJECT_BLOCK, event_object_solutions
 from .terms import (
     EXT,
     EXT_EVENT_TYPE,
@@ -18,21 +21,28 @@ from .terms import (
     PlainLiteral,
     TypedLiteral,
     object_object_triples,
+    unescape_id,
 )
 from .triple_query import TriplePattern, TripleStore, Var
 from .turtle_io import render_term
+
+
+# ?s ext:event_type ?v, ?s ocedo:observed_at ?v and ?s ext:object_type ?v
+_EVENT_TYPES, _TIMES, _OBJECT_TYPES = (
+    TriplePattern(Var("s"), predicate, Var("v")) for predicate in (EXT_EVENT_TYPE, OBSERVED_AT, EXT_OBJECT_TYPE)
+)
+PATTERNS = [_EVENT_TYPES, _TIMES, _OBJECT_TYPES, *EVENT_OBJECT_BLOCK]
 
 
 def _dot_quote(text: str) -> str:
     return '"' + text.replace("\\", "\\\\").replace('"', '\\"').replace("\n", "\\n") + '"'
 
 
-def _labels(store: TripleStore, predicate: Iri) -> dict[Iri, str | None]:
-    """Each subject of predicate with its first literal object in insertion
-    order (None when every object is an IRI)."""
+def _labels(store: TripleStore, pattern: TriplePattern) -> dict[Iri, str | None]:
+    """Each subject of the pattern's predicate with its first literal object
+    in insertion order (None when every object is an IRI)."""
     labels: dict[Iri, str | None] = {}
-    for sol in store.match_pattern(TriplePattern(Var("s"), predicate, Var("v"))):
-        subject, value = sol["s"], sol["v"]
+    for subject, _, value in store.match_triples(pattern):
         if labels.get(subject) is not None:
             continue
         if isinstance(value, PlainLiteral):
@@ -45,9 +55,9 @@ def _labels(store: TripleStore, predicate: Iri) -> dict[Iri, str | None]:
 
 
 def store_to_dot(store: TripleStore) -> str:
-    event_types = _labels(store, EXT_EVENT_TYPE)
-    times = _labels(store, OBSERVED_AT)
-    object_types = _labels(store, EXT_OBJECT_TYPE)
+    event_types = _labels(store, _EVENT_TYPES)
+    times = _labels(store, _TIMES)
+    object_types = _labels(store, _OBJECT_TYPES)
     lines = ["digraph oced {", "  rankdir=LR;"]
 
     for iri in sorted(event_types.keys() | times.keys(), key=lambda t: t.value):

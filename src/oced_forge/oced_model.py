@@ -13,36 +13,10 @@ from dataclasses import dataclass, field
 from datetime import datetime
 
 from .errors import GraphIntegrityError
+from .terms import escape_id, unescape_id  # noqa: F401  (part of this module's API)
 from .timeutil import to_utc_millis
 
-_SAFE = frozenset("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789_-")
 _ID_RE = re.compile(r"^(?:[A-Za-z0-9_\-]|%[0-9A-Fa-f]{2})+$")
-
-
-def escape_id(raw: str) -> str:
-    """Percent-encode every character outside [A-Za-z0-9_-], reversibly."""
-    out = []
-    for ch in raw:
-        if ch in _SAFE:
-            out.append(ch)
-        else:
-            out.extend(f"%{b:02X}" for b in ch.encode("utf-8"))
-    return "".join(out)
-
-
-def unescape_id(escaped: str) -> str:
-    """Inverse of escape_id."""
-    data = bytearray()
-    i = 0
-    while i < len(escaped):
-        ch = escaped[i]
-        if ch == "%":
-            data.append(int(escaped[i + 1 : i + 3], 16))
-            i += 3
-        else:
-            data.extend(ch.encode("utf-8"))
-            i += 1
-    return data.decode("utf-8")
 
 
 def _check_id(value: str, what: str):

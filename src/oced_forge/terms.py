@@ -1,7 +1,12 @@
 """RDF terms and the fixed vocabulary used by the graph serialization.
 
 Three term kinds exist: IRIs, typed literals, and plain literals (optionally
-language-tagged).  Triples restrict subject and predicate to IRIs.
+language-tagged).  Triples restrict subject and predicate to IRIs.  Entity
+ids and qualifier names enter IRIs through escape_id and leave them through
+unescape_id; both live here, beside the terms, so the Turtle reader and the
+DOT export need nothing from the graph model.  is_qualifier tells a
+data-derived ext: predicate from the fixed vocabulary; object-object
+relations have one, and a load for the DOT export keeps them all.
 
 Terms and triples are named tuples, so they hash and compare as tuples, in C
 (also with plain tuples: Iri("x") == ("x",)).  The kinds never compare equal
@@ -11,6 +16,35 @@ Iri (typed) or a str or None (plain).
 
 from collections.abc import Container, Iterable, Iterator
 from typing import NamedTuple, Union
+
+_SAFE = frozenset("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789_-")
+
+
+def escape_id(raw: str) -> str:
+    """Percent-encode every character outside [A-Za-z0-9_-], reversibly."""
+    out = []
+    for ch in raw:
+        if ch in _SAFE:
+            out.append(ch)
+        else:
+            out.extend(f"%{b:02X}" for b in ch.encode("utf-8"))
+    return "".join(out)
+
+
+def unescape_id(escaped: str) -> str:
+    """Inverse of escape_id."""
+    data = bytearray()
+    i = 0
+    while i < len(escaped):
+        ch = escaped[i]
+        if ch == "%":
+            data.append(int(escaped[i + 1 : i + 3], 16))
+            i += 3
+        else:
+            data.extend(ch.encode("utf-8"))
+            i += 1
+    return data.decode("utf-8")
+
 
 # Namespace IRIs.  The ocedo/ext pair is fixed by the vocabulary this tool
 # emits; ex is the instance namespace minted for converted entities.
@@ -110,14 +144,15 @@ EXT_FIXED_PREDICATES = frozenset(
 )
 
 
+def is_qualifier(predicate: Iri) -> bool:
+    """Whether predicate is a data-derived ext: qualifier, the kind of
+    predicate an object-object relation has."""
+    return predicate.value.startswith(EXT) and predicate not in EXT_FIXED_PREDICATES
+
+
 def object_object_triples(triples: Iterable[Triple], objects: Container[Term]) -> Iterator[Triple]:
-    """The object-object relations among triples: a data-derived ext:
-    qualifier predicate between two members of objects."""
+    """The object-object relations among triples: a qualifier predicate
+    between two members of objects."""
     for triple in triples:
-        if (
-            triple.subject in objects
-            and triple.object in objects
-            and triple.predicate.value.startswith(EXT)
-            and triple.predicate not in EXT_FIXED_PREDICATES
-        ):
+        if triple.subject in objects and triple.object in objects and is_qualifier(triple.predicate):
             yield triple

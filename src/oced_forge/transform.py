@@ -16,7 +16,8 @@ from dataclasses import dataclass, field
 from datetime import datetime
 
 from .errors import ConfigError, GraphIntegrityError
-from .oced_model import OcedEvent, OcedGraph, OcedObject, TypedValue, escape_id
+from .oced_model import OcedEvent, OcedGraph, OcedObject, TypedValue
+from .terms import escape_id
 from .timeutil import to_utc_millis
 from .xes_parser import XesLog, _attribute_text
 

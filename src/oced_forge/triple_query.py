@@ -1,5 +1,8 @@
 """Indexed in-memory triple store with basic-graph-pattern matching.
 
+Var and TriplePattern are plain classes compared by value (no dataclass,
+so loading a store imports no dataclasses); a Var never equals a term.
+
 The store has set semantics: one insertion-ordered set of triples, and one
 predicate index that lists each triple once, in insertion order.  A pattern
 with a constant predicate reads that predicate's triples; any other pattern
@@ -19,14 +22,14 @@ once per binding shape (which of the step's variables a row already binds):
 the pattern or group is scanned once, unsubstituted, its rows are keyed on
 those variables, and a row is extended by tuple concatenation.
 match_pattern, match_bgp and match_optional build binding dicts once, from
-the final rows; an unbound variable is an absent key.
+the final rows; an unbound variable is an absent key.  match_triples
+returns a pattern's matching triples without binding anything.
 
 There are no FILTER expressions: callers decode the literals they compare
 (datetime_value) and compare the values themselves.
 """
 
 from collections import defaultdict
-from dataclasses import dataclass
 from datetime import datetime, timezone
 from operator import itemgetter
 
@@ -34,10 +37,23 @@ from .terms import Term, Triple, TypedLiteral, XSD_DATETIME
 from .timeutil import parse_instant
 
 
-# a dataclass, not a named tuple like the terms: a Var never equals a term
-@dataclass(frozen=True)
 class Var:
-    name: str
+    """A query variable.  Not a named tuple like the terms, so a Var never
+    equals a term: Var("x") != Iri("x")."""
+
+    __slots__ = ("name",)
+
+    def __init__(self, name: str):
+        object.__setattr__(self, "name", name)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __eq__(self, other):
+        return self.name == other.name if other.__class__ is Var else NotImplemented
+
+    def __hash__(self):
+        return hash((self.name,))
 
     def __repr__(self):
         return f"?{self.name}"
@@ -46,11 +62,25 @@ class Var:
 PatternTerm = Term | Var
 
 
-@dataclass(frozen=True)
 class TriplePattern:
-    subject: PatternTerm
-    predicate: PatternTerm
-    object: PatternTerm
+    """A triple whose positions may be variables."""
+
+    __slots__ = ("subject", "predicate", "object")
+
+    def __init__(self, subject: PatternTerm, predicate: PatternTerm, object: PatternTerm):
+        for field, value in zip(self.__slots__, (subject, predicate, object)):
+            super().__setattr__(field, value)
+
+    __setattr__ = Var.__setattr__
+
+    def __eq__(self, other):
+        return self.positions() == other.positions() if other.__class__ is TriplePattern else NotImplemented
+
+    def __hash__(self):
+        return hash(self.positions())
+
+    def __repr__(self):
+        return f"TriplePattern(subject={self.subject!r}, predicate={self.predicate!r}, object={self.object!r})"
 
     def positions(self):
         return (self.subject, self.predicate, self.object)
@@ -120,30 +150,33 @@ class TripleStore:
             return self._triples
         return self._by_p.get(pattern.predicate, ())
 
-    def _scan(self, pattern: TriplePattern) -> Rows:
-        """The pattern's variables in first-seen order, and one row of their
-        values per matching triple, in candidate order."""
-        names: list[str] = []
-        columns: list[int] = []
-        constants: list[int] = []
-        repeats: list[tuple[int, int]] = []
-        for position, term in enumerate(pattern.positions()):
-            if isinstance(term, Var):
-                if term.name in names:
-                    repeats.append((position, columns[names.index(term.name)]))
-                else:
-                    names.append(term.name)
-                    columns.append(position)
-            elif position != 1:  # a constant predicate is the index key
-                constants.append(position)
+    def match_triples(self, pattern: TriplePattern) -> list[Triple]:
+        """The triples that match pattern, in insertion order: its constants
+        applied, and a variable it repeats bound to equal terms."""
+        positions = pattern.positions()
         triples = self._candidates(pattern)
+        # a constant predicate is the index key
+        constants = [position for position in (0, 2) if not isinstance(positions[position], Var)]
         if constants:
             get = itemgetter(*constants)
-            want = get(pattern.positions())
+            want = get(positions)
             triples = [triple for triple in triples if get(triple) == want]
-        for position, first in repeats:
-            triples = [triple for triple in triples if triple[position] == triple[first]]
-        return tuple(names), list(map(_columns(columns), triples))
+        first: dict[str, int] = {}
+        for position, term in enumerate(positions):
+            if isinstance(term, Var):
+                seen = first.setdefault(term.name, position)
+                if seen != position:
+                    triples = [triple for triple in triples if triple[position] == triple[seen]]
+        return list(triples)
+
+    def _scan(self, pattern: TriplePattern) -> Rows:
+        """The pattern's variables in first-seen order, and one row of their
+        values per matching triple, in insertion order."""
+        first: dict[str, int] = {}
+        for position, term in enumerate(pattern.positions()):
+            if isinstance(term, Var):
+                first.setdefault(term.name, position)
+        return tuple(first), list(map(_columns(list(first.values())), self.match_triples(pattern)))
 
     def match_pattern(self, pattern: TriplePattern) -> list[BindingSet]:
         """One binding set per matching triple; equals an exhaustive scan."""

@@ -18,6 +18,12 @@ ext:EventObject node (ext:event / ext:object / ext:classifier) and once as a
 direct qualifier predicate from the event to the object, so both the
 reified and the direct query styles work against the same file.
 
+parse_turtle may take a keep rule, a function of the predicate: then only
+the triples it keeps are built and inserted, in the order a full parse
+inserts them.  Both readers still read and cook every statement, so every
+error keeps its class, message, line and column.  The reader needs nothing
+from the graph model (oced_model is an annotation only).
+
 The parser supports prefix declarations, IRIs, prefixed names, plain / typed
 / language-tagged literals, numeric and boolean shorthand, the ';' and ','
 abbreviations, and 'a' for rdf:type.  Blank nodes, collections, long
@@ -28,7 +34,9 @@ and the rule the writer checks), and no escape sequence.
 Parsing takes two paths through one text.  A statement fast path matches
 one statement at a time with one regex while the text has the shape
 write_turtle emits or the subject-grouped shape of general RDF tools:
-after blank lines and whole-line comments, a `@prefix p: <absolute-iri> .`
+after blank lines and whole-line comments (a run of comment lines is
+skipped by _past_comments, one str.find per line, not by a regex repeat
+that would keep state per line), a `@prefix p: <absolute-iri> .`
 directive or a statement of prefixed names, absolute IRIs and simple
 literals, with `a`, `;` and `,` abbreviations, ending its line.  A second
 regex walks the statement's `;` and `,` items, and every term of a
@@ -44,9 +52,9 @@ error message, line and column are those of the general reader alone.
 
 import re
 from collections.abc import Callable, Iterator
+from typing import TYPE_CHECKING
 
 from .errors import SerializationError, TurtleSyntaxError, UnsupportedConstructError
-from .oced_model import OcedGraph, TypedValue, escape_id
 from .terms import (
     EX,
     EXT,
@@ -69,9 +77,13 @@ from .terms import (
     Term,
     Triple,
     TypedLiteral,
+    escape_id,
 )
 from .timeutil import format_utc_millis
 from .triple_query import TripleStore
+
+if TYPE_CHECKING:  # the reader runs without the graph model
+    from .oced_model import OcedGraph, TypedValue
 
 _PN_LOCAL_RE = re.compile(
     r"^(?:[A-Za-z0-9_]|%[0-9A-Fa-f]{2})(?:[A-Za-z0-9_\-]|%[0-9A-Fa-f]{2})*$"
@@ -117,7 +129,7 @@ def _float_lexical(value: float) -> str:
     return repr(value)
 
 
-def _value_literal(tv: TypedValue) -> tuple[str, str | None]:
+def _value_literal(tv: "TypedValue") -> tuple[str, str | None]:
     if tv.kind in ("string", "id"):
         return str(tv.value), None
     if tv.kind == "date":
@@ -131,7 +143,7 @@ def _value_literal(tv: TypedValue) -> tuple[str, str | None]:
     raise SerializationError(f"attribute value kind {tv.kind!r} cannot be serialized")
 
 
-def _statements(graph: OcedGraph) -> Iterator[tuple[str, str, str | tuple[str, str | None]]]:
+def _statements(graph: "OcedGraph") -> Iterator[tuple[str, str, str | tuple[str, str | None]]]:
     """The graph's statements, in emission order and possibly repeated.
 
     Subject and predicate are IRI strings; the object is an IRI string or a
@@ -184,7 +196,7 @@ def _statements(graph: OcedGraph) -> Iterator[tuple[str, str, str | tuple[str, s
         yield EX + rel.source, ext_iri[rel.qualifier], EX + rel.target
 
 
-def graph_to_triples(graph: OcedGraph) -> TripleStore:
+def graph_to_triples(graph: "OcedGraph") -> TripleStore:
     """The graph's Turtle-level triples as a store (see _statements)."""
     iri = _Memo(Iri)
     store = TripleStore()
@@ -249,7 +261,7 @@ def _document(rows: list[tuple[str, str, str]]) -> str:
     return header + "\n" + "".join([f"{s} {p} {o} .\n" for s, p, o in rows])
 
 
-def graph_to_turtle(graph: OcedGraph) -> tuple[str, int]:
+def graph_to_turtle(graph: "OcedGraph") -> tuple[str, int]:
     """Turtle text of a graph and its number of distinct triples.
 
     Equal to write_turtle(graph_to_triples(graph)) and its length, without
@@ -286,16 +298,17 @@ _EOF = "eof"
 
 _HEX = "0123456789abcdefABCDEF"
 
-# One match skips whitespace and comments, then reads one token; the named
-# group that matched is the token's kind.  The shapes are those of RDF 1.1
-# Turtle section 6.5, cut to the supported subset (numbers are ASCII digits).
+# One match skips blanks, then reads one token; the named group that
+# matched is the token's kind.  The shapes are those of RDF 1.1 Turtle
+# section 6.5, cut to the supported subset (numbers are ASCII digits).
 # pname is tried before word, which matches its leading letters; a `"""`
 # and a '.' before a digit match no kind.  When no kind fits, the empty last
-# alternative matches and _UNMATCHED names the error.  A run of blanks is
-# one single-character repeat, which the engine matches without keeping
-# state per character; only each comment is a repeat of its own.
+# alternative matches: at a '#' _past_comments skips the comment lines, and
+# otherwise _UNMATCHED names the error.  A run of blanks is one
+# single-character repeat, which the engine matches without keeping state
+# per character.
 _TOKEN_RE = re.compile(
-    r"[ \t\r\n]*(?:#[^\n]*(?:\n[ \t\r\n]*|\Z))*"
+    r"[ \t\r\n]*"
     r"(?:(?P<pname>(?:[A-Za-z][A-Za-z0-9_.\-]*)?:(?:[A-Za-z0-9_.\-]|%[0-9A-Fa-f]{2})*)"
     r"|(?P<punct>[;,]|\.(?!\d)|\^\^)"
     r'|(?P<string>"(?!"")(?:[^"\\\n]|\\.)*")'
@@ -319,6 +332,25 @@ _UNMATCHED = (
     ("^", "expected '^^'", TurtleSyntaxError),
 )
 
+_BLANKS_RE = re.compile(r"[ \t\r\n]*")
+
+
+def _past_comments(text: str, pos: int) -> int:
+    """The offset past the blanks and whole comment lines at pos, or pos when
+    no comment follows its blanks.  One str.find per comment line: as a
+    repeated regex group, each line would hold engine state until the match
+    ended, about 200 bytes a line."""
+    end = _BLANKS_RE.match(text, pos).end()
+    if not text.startswith("#", end):
+        return pos
+    while text.startswith("#", end):
+        newline = text.find("\n", end)
+        if newline < 0:
+            return len(text)
+        end = _BLANKS_RE.match(text, newline + 1).end()
+    return end
+
+
 _ESCAPES = {"\\": "\\", '"': '"', "n": "\n", "r": "\r", "t": "\t", "b": "\b", "f": "\f"}
 
 
@@ -337,20 +369,19 @@ class _Token:
 
 
 # The statement fast path reads what write_turtle emits and the
-# subject-grouped layout of general RDF tools.  After blank lines and
-# whole-line comments, one match reads a `@prefix p: <iri> .` directive or a
-# whole statement: `S V O`, then any number of `; V O` and `, O` items, then
-# `.` at the end of its line, where a verb V is an IRI or `a`.  The general
-# reader reads every statement the fast path accepts as the same triples, so
-# it may take over before any statement: pnames have no '.' in the local
-# part, IRIs are absolute and free of _BAD_IRI_CHARS, strings carry only
-# escapes _unescape accepts, and whitespace separates subject, verb and
-# object.  The final '.' is tried before the items, so a one-triple line
-# never enters the item loop.  Each repeated group matches a given text in
-# one way only (a comment runs to its '\n', an item starts with ';' or ','),
-# so a failed match backtracks in linear time even without the possessive
-# quantifiers Python 3.10 lacks; `(?:[ \t\r\n]|#[^\n]*)*` would be
-# exponential on `# # # ...`.
+# subject-grouped layout of general RDF tools.  After blanks (and the
+# comment lines _past_comments skips when a match fails), one match reads a
+# `@prefix p: <iri> .` directive or a whole statement: `S V O`, then any
+# number of `; V O` and `, O` items, then `.` at the end of its line, where
+# a verb V is an IRI or `a`.  The general reader reads every statement the
+# fast path accepts as the same triples, so it may take over before any
+# statement: pnames have no '.' in the local part, IRIs are absolute and
+# free of _BAD_IRI_CHARS, strings carry only escapes _unescape accepts, and
+# whitespace separates subject, verb and object.  The final '.' is tried
+# before the items, so a one-triple line never enters the item loop.  Each repeated group matches a given text in
+# one way only (an item starts with ';' or ','), so a failed match
+# backtracks in linear time even without the possessive quantifiers Python
+# 3.10 lacks.
 _FAST_IRIREF = r'<[A-Za-z][A-Za-z0-9+.\-]*:[^\x00-\x20<>"{}|^`\\]*>'
 _FAST_PNAME = r"(?:[A-Za-z][A-Za-z0-9_\-]*)?:[A-Za-z0-9_\-]*(?:%[0-9A-Fa-f]{2}[A-Za-z0-9_\-]*)*"
 _FAST_IRI = rf"(?:{_FAST_PNAME}|{_FAST_IRIREF})"
@@ -363,7 +394,7 @@ _FAST_OBJECT = rf"{_FAST_IRI}|{_FAST_LITERAL}"
 _ITEM = rf"(?:;[ \t\r\n]*({_FAST_VERB})[ \t\r\n]+|,[ \t\r\n]*)({_FAST_OBJECT})[ \t\r\n]*"
 _ITEM_RE = re.compile(_ITEM)
 _STATEMENT_RE = re.compile(
-    r"[ \t\r\n]*(?:#[^\n]*\n[ \t\r\n]*)*"
+    r"[ \t\r\n]*"
     rf"(?:@prefix[ \t]+([A-Za-z][A-Za-z0-9_\-]*)?:[ \t]+({_FAST_IRIREF})[ \t]*\."
     rf"|({_FAST_IRI})[ \t\r\n]+({_FAST_VERB})[ \t\r\n]+({_FAST_OBJECT})[ \t\r\n]*(?:\.|((?:{_ITEM})+)\.))"
     r"[ \t\r]*(?:\n|\Z)"
@@ -371,12 +402,14 @@ _STATEMENT_RE = re.compile(
 
 
 class _TurtleParser:
-    def __init__(self, text: str):
+    def __init__(self, text: str, keep: Callable[[Iri], bool] | None = None):
         self.text = text
         self.pos = 0  # where the general reader reads its next token
         self.prefixes: dict[str, str] = {}
         self.store = TripleStore()
         self._intern = _Memo(Iri).__getitem__
+        # predicate -> whether its triples go into the store; None keeps all
+        self.kept = None if keep is None else _Memo(keep)
 
     def _error(self, message, pos, cls=TurtleSyntaxError):
         raise cls(message, *_line_col(self.text, pos))
@@ -416,6 +449,9 @@ class _TurtleParser:
         kind = m.lastgroup
         if kind is None:
             start = m.end()
+            if text.startswith("#", start):
+                self.pos = _past_comments(text, start)
+                return self._read()
             for opening, message, cls in _UNMATCHED:
                 if text.startswith(opening, start):
                     self._error(message, start, cls)
@@ -490,10 +526,18 @@ class _TurtleParser:
         match = _STATEMENT_RE.match
         items = _ITEM_RE.finditer
         insert = self.store.insert
+        kept = self.kept
         cook = self._fast_term
         terms: dict[str, Term] = {"a": RDF_TYPE}  # token -> term, valid while prefixes hold
         pos = 0
-        while (m := match(text, pos)) is not None:
+        while True:
+            m = match(text, pos)
+            if m is None:
+                resume = _past_comments(text, pos)
+                if resume == pos:
+                    return pos
+                pos = resume
+                continue
             # the last two groups are the last item's, which _ITEM_RE reads again
             name, namespace, s, p, o, rest, _, _ = m.groups()
             if namespace is not None:
@@ -514,9 +558,10 @@ class _TurtleParser:
             if obj is None:
                 return pos
             if rest is None:
-                insert(Triple(subject, predicate, obj))
+                if kept is None or kept[predicate]:
+                    insert(Triple(subject, predicate, obj))
             else:
-                triples = [Triple(subject, predicate, obj)]
+                triples = [Triple(subject, predicate, obj)] if kept is None or kept[predicate] else []
                 for item in items(text, m.start(6), m.end(6)):
                     p, o = item.groups()
                     if p is not None:
@@ -526,11 +571,11 @@ class _TurtleParser:
                     obj = terms.get(o) or cook(o, item.start(2), terms)
                     if obj is None:
                         return pos
-                    triples.append(Triple(subject, predicate, obj))
+                    if kept is None or kept[predicate]:
+                        triples.append(Triple(subject, predicate, obj))
                 for triple in triples:
                     insert(triple)
             pos = m.end()
-        return pos
 
     def _fast_term(self, token: str, pos: int, terms: dict[str, Term]) -> Term | None:
         """Term for a token _STATEMENT_RE matched at pos, or None when it names an
@@ -624,8 +669,11 @@ class _TurtleParser:
         subject = self._iri("subject")
         while True:
             predicate = self._verb()
+            keep = self.kept is None or self.kept[predicate]
             while True:
-                self.store.insert(Triple(subject, predicate, self._object()))
+                obj = self._object()
+                if keep:
+                    self.store.insert(Triple(subject, predicate, obj))
                 nxt = self.lookahead
                 if nxt.kind == _PUNCT and nxt.value == ",":
                     self._next()
@@ -643,10 +691,15 @@ class _TurtleParser:
             self._error("expected ';', ',' or '.'", nxt.pos)
 
 
-def parse_turtle(text: str) -> TripleStore:
+def parse_turtle(text: str, keep: Callable[[Iri], bool] | None = None) -> TripleStore:
     """Parse the supported Turtle subset into a triple store.
+
+    With keep, the store holds only the triples whose predicate keep(predicate)
+    is true for, in the order a full parse inserts them; keep is called once
+    per distinct predicate.  Every statement is still read, so errors do not
+    depend on keep.
 
     Raises TurtleSyntaxError (with line/column) on malformed input and
     UnsupportedConstructError for syntax outside the subset.
     """
-    return _TurtleParser(text).parse()
+    return _TurtleParser(text, keep).parse()

@@ -1,0 +1,206 @@
+"""The read commands (analyze, Turtle stats, export-dot) load only what they
+read: the modules their command runs, and the triples of the predicates
+their queries look up.  A kept-predicate load must give every query the
+same answer as a full load."""
+
+import gc
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+from oced_forge import cli, parse_turtle, parse_xes, transform_log
+from oced_forge.analyses import records
+from oced_forge.dot_export import PATTERNS, store_to_dot
+from oced_forge.triple_query import TripleStore
+from oced_forge.turtle_io import graph_to_turtle
+
+from conftest import BPIC_STYLE_XES, cli_env
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+BENCH = Path(__file__).resolve().parents[1] / "bench"
+
+# A SPARQL-style PREFIX line sends the whole document through the general reader.
+GENERAL = "PREFIX g: <http://g.example/>\n"
+
+
+@pytest.fixture(scope="module")
+def bench_turtle():
+    """The benchmark's seeded log at 40 cases, converted, in its canonical
+    and subject-grouped layouts."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.syspath_prepend(str(BENCH))
+        from grouped import group_turtle
+        from loggen import generate, to_xes
+
+        canonical, _ = graph_to_turtle(transform_log(parse_xes(to_xes(generate(1, 40)).encode()))[0])
+        return {"canonical": canonical, "grouped": group_turtle(canonical)}
+
+
+def _fixture_turtle() -> str:
+    return graph_to_turtle(transform_log(parse_xes(BPIC_STYLE_XES.encode()))[0])[0]
+
+
+SOURCES = ["canonical", "grouped", "hostile", "fixture", "general"]
+
+
+def _text(source: str, bench_turtle) -> str:
+    if source in bench_turtle:
+        return bench_turtle[source]
+    if source == "hostile":
+        return (GOLDEN / "hostile.ttl").read_text("utf-8")
+    if source == "fixture":
+        return _fixture_turtle()
+    return GENERAL + bench_turtle["canonical"]
+
+
+def _rules():
+    """(name, keep rule, query) for each read command that loads with a rule."""
+    for name, (analysis, _, patterns) in cli._ANALYSES.items():
+        yield name, cli._keep_rule(patterns), lambda store, analysis=analysis: records(analysis(store))
+    yield "export-dot", cli._keep_rule(PATTERNS, qualifiers=True), store_to_dot
+
+
+@pytest.mark.parametrize("source", SOURCES)
+def test_kept_predicate_load_gives_every_query_the_full_load_answer(source, bench_turtle):
+    text = _text(source, bench_turtle)
+    full = parse_turtle(text).freeze()
+    for name, keep, query in _rules():
+        kept = parse_turtle(text, keep).freeze()
+        # the full load's triples of the kept predicates, in the same order
+        assert kept.triples() == [t for t in full if keep(t.predicate)], name
+        assert query(kept) == query(full), name
+    if source in ("canonical", "grouped", "general"):
+        ping_pong = cli._keep_rule(cli._ANALYSES["ping-pong"][2])
+        assert 0 < len(parse_turtle(text, ping_pong)) < len(full) / 2
+
+
+def test_keep_is_called_once_per_distinct_predicate(bench_turtle):
+    for text in (bench_turtle["canonical"], GENERAL + bench_turtle["grouped"]):
+        asked = []
+        parse_turtle(text, lambda predicate: asked.append(predicate) or False)
+        assert len(asked) == len(set(asked)) == len({t.predicate for t in parse_turtle(text)})
+
+
+@pytest.fixture
+def rules(monkeypatch) -> list:
+    """The keep rule of each parse_turtle call the CLI makes."""
+    rules, parse = [], cli.parse_turtle
+
+    def parse_recording_keep(text, keep=None):
+        rules.append(keep)
+        return parse(text, keep)
+
+    monkeypatch.setattr(cli, "parse_turtle", parse_recording_keep)
+    return rules
+
+
+@pytest.mark.parametrize("source", ["fixture", "hostile"])
+def test_every_pattern_a_read_command_looks_up_is_kept(source, rules, tmp_path, monkeypatch, capsys):
+    """Each command's rule is derived from its own patterns: every pattern its
+    queries look up in the store has a predicate the rule keeps."""
+    path = GOLDEN / "hostile.ttl"
+    if source == "fixture":
+        path = tmp_path / "fixture.ttl"
+        path.write_text(_fixture_turtle(), "utf-8")
+    lookups = []
+    candidates = TripleStore._candidates
+
+    def recorded(self, pattern):
+        lookups.append(pattern)
+        return candidates(self, pattern)
+
+    monkeypatch.setattr(TripleStore, "_candidates", recorded)
+    for command in (
+        *(["analyze", "--analysis", analysis] for analysis in cli._ANALYSES),
+        ["export-dot"],
+    ):
+        rules.clear()
+        lookups.clear()
+        assert cli.main([command[0], str(path), *command[1:]]) == 0
+        capsys.readouterr()
+        [keep] = rules
+        assert keep is not None, command
+        assert lookups, command
+        assert [p for p in lookups if not keep(p.predicate)] == [], command
+
+
+def test_stats_keeps_every_triple_and_builds_no_binding_dicts(rules, tmp_path, monkeypatch, capsys):
+    text = _fixture_turtle()
+    path = tmp_path / "fixture.ttl"
+    path.write_text(text, "utf-8")
+
+    def no_bindings(self, pattern):
+        raise AssertionError("stats built binding dicts")
+
+    monkeypatch.setattr(TripleStore, "match_pattern", no_bindings)
+    assert cli.main(["stats", str(path)]) == 0
+    assert rules == [None]
+    assert f"triples       {len(parse_turtle(text))}\n" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+@pytest.mark.parametrize("body", ["ex:s ex:p ex:o .\n", "ex:s ex:p $ .\n"], ids=["good", "bad"])
+def test_a_load_restores_the_cyclic_gc_state(enabled, body, tmp_path, capsys):
+    path = tmp_path / "in.ttl"
+    path.write_text("@prefix ex: <http://e/> .\n" + body, "utf-8")
+    was = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        for command in (["analyze", "--analysis", "teams"], ["stats"], ["export-dot"]):
+            cli.main([command[0], str(path), *command[1:]])
+            assert gc.isenabled() == enabled, command
+    finally:
+        (gc.enable if was else gc.disable)()
+    capsys.readouterr()
+
+
+# Runs `python -m oced_forge ARGS` in this process and prints the loaded
+# modules; the command writes its output to a file.
+_LOADED = """
+import runpy, sys
+sys.argv = ["oced-forge", *sys.argv[1:]]
+try:
+    runpy.run_module("oced_forge", run_name="__main__", alter_sys=True)
+except SystemExit as exit:
+    assert exit.code == 0, exit.code
+print(" ".join(sorted(sys.modules)))
+"""
+_WRITE_PATH = {"oced_forge.xes_parser", "oced_forge.transform", "oced_forge.oced_model", "dataclasses"}
+
+
+def _loaded(*argv) -> set[str]:
+    result = subprocess.run(
+        [sys.executable, "-c", _LOADED, *argv], env=cli_env(), capture_output=True, text=True
+    )
+    assert result.returncode == 0, result.stderr
+    return set(result.stdout.split())
+
+
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["analyze", "--analysis", "ping-pong"],
+        ["analyze", "--analysis", "teams"],
+        ["analyze", "--analysis", "event-objects"],
+        ["stats"],
+        ["export-dot"],
+    ],
+    ids=lambda command: command[-1],
+)
+def test_read_commands_load_no_write_path_module(command, tmp_path):
+    path = tmp_path / "fixture.ttl"
+    path.write_text(_fixture_turtle(), "utf-8")
+    loaded = _loaded(command[0], str(path), *command[1:], "--output", str(tmp_path / "out"))
+    assert "oced_forge.cli" in loaded
+    assert loaded & _WRITE_PATH == set()
+    assert ("oced_forge.dot_export" in loaded) == (command == ["export-dot"])
+    assert (tmp_path / "out").stat().st_size > 0
+
+
+def test_convert_loads_the_write_path(bpic_xes_path, tmp_path):
+    """The check above can fail: convert loads every module it names."""
+    loaded = _loaded("convert", str(bpic_xes_path), "--output", str(tmp_path / "out"), "--quiet")
+    assert loaded >= _WRITE_PATH
+    assert "oced_forge.dot_export" not in loaded

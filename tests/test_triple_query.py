@@ -83,6 +83,26 @@ class TestTerms:
         assert len(dict.fromkeys(terms)) == len(terms)
         assert Var("x") != Iri("x")
 
+    def test_patterns_compare_by_value_and_are_immutable(self):
+        pattern = TriplePattern(Var("s"), iri("p"), Var("o"))
+        same = TriplePattern(Var("s"), iri("p"), Var("o"))
+        assert pattern == same and hash(pattern) == hash(same) and len({pattern, same}) == 1
+        assert pattern != TriplePattern(Var("s"), iri("p"), Var("x"))
+        assert TriplePattern(iri("s"), iri("p"), iri("o")) != t("s", "p", "o")
+        assert repr(pattern) == "TriplePattern(subject=?s, predicate=Iri('http://t/p'), object=?o)"
+        for value, field in ((Var("s"), "name"), (pattern, "subject")):
+            with pytest.raises(AttributeError):
+                setattr(value, field, Var("x"))
+
+    def test_match_triples_applies_constants_and_repeated_variables(self):
+        store = TripleStore([t("a", "p", "a"), t("a", "p", "b"), t("b", "q", "b"), t("b", "p", "b")])
+        assert store.match_triples(TriplePattern(Var("x"), iri("p"), Var("x"))) == [
+            t("a", "p", "a"),
+            t("b", "p", "b"),
+        ]
+        assert store.match_triples(TriplePattern(iri("a"), Var("p"), Var("o"))) == [t("a", "p", "a"), t("a", "p", "b")]
+        assert store.match_triples(TriplePattern(Var("s"), iri("r"), Var("o"))) == []
+
     @pytest.mark.parametrize("role", ["subject", "predicate"])
     def test_triple_rejects_literal_subject_or_predicate(self, role):
         parts = {"subject": iri("s"), "predicate": iri("p"), "object": iri("o"), role: PlainLiteral("x")}

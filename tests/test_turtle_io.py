@@ -369,10 +369,10 @@ GENERAL = "PREFIX g: <http://g.example/>\n"
 SYNTAX, UNSUPPORTED = TurtleSyntaxError, UnsupportedConstructError
 
 
-def outcome(doc: str):
+def outcome(doc: str, keep=None):
     """Triples in insertion order, or the error's class, message, line and column."""
     try:
-        return list(parse_turtle(doc))
+        return list(parse_turtle(doc, keep))
     except TurtleSyntaxError as exc:
         return type(exc), str(exc).rsplit(" (line ", 1)[0], exc.line, exc.column
 
@@ -384,6 +384,55 @@ def group_turtle(monkeypatch):
     from grouped import group_turtle
 
     return group_turtle
+
+
+CANONICAL_TAILS = [
+    ('ex:s ex:p "unterminated .', 11),
+    ("ex:s nope:p ex:o .", 6),
+    ("ex:s ex:p <rel> .", 11),
+    ('ex:s ex:p "bad\\q" .', 15),
+    ("ex:s ex:p [ ] .", 11),
+    ("ex:s ex:p ex:o", 15),
+    ("ex:s ex:p ex:o .5", 16),
+]
+GROUPED_TAILS = [
+    ("ex:s ext:p ex:o ;\n    zz:p ex:o .\n", (SYNTAX, "unknown prefix 'zz:'", 2, 5)),
+    ('ex:s ext:p ex:o ,\n    zz:o ,\n    "\\uD800" .\n', (SYNTAX, "unknown prefix 'zz:'", 2, 5)),
+    ('ex:s ext:p ex:o ,\n    "\\uD800" ,\n    zz:o .\n', (SYNTAX, "\\uD800 is not a Unicode scalar value", 2, 6)),
+    ("ex:s ext:p ex:o ;\n    .\n", 3001),
+    ("ex:s ab ex:o .\n", (SYNTAX, "expected an IRI as predicate", 1, 6)),
+    ("ex:s ext:p ex:o ; # ext:q ex:r .\n", (SYNTAX, "expected an IRI as predicate", 2, 1)),
+    ("ex:s ext:p # c\n    ex:o .\n", 3001),
+    ("ex:s ext:p ex:o .5\n", (SYNTAX, "unexpected character '.'", 1, 17)),
+    ("ex:s ext:p [ ] .\n", (UNSUPPORTED, "blank node", 1, 12)),
+    ("ex:s ext:p ex:o ;" + " " * 200_000 + "$ .\n", (SYNTAX, "unexpected character '$'", 1, 200_018)),
+    ("ex:s ext:p ex:o" + " " * 200_000 + "$ .\n", (SYNTAX, "unexpected character '$'", 1, 200_016)),
+    (" " * 200_000 + "ex:s ext:p [ ] .\n", (UNSUPPORTED, "blank node", 1, 200_012)),
+]
+GROUPED_TAIL_IDS = [
+    "unknown-prefix-in-semicolon-item",
+    "unknown-prefix-before-bad-escape",
+    "unknown-prefix-after-bad-escape",
+    "trailing-semicolon",
+    "verb-ab",
+    "comment-eats-statement-end",
+    "comment-inside-statement",
+    "dot-before-digit",
+    "blank-node",
+    "blanks-after-semicolon",
+    "blanks-after-object",
+    "blanks-before-statement",
+]
+
+
+def canonical_doc(tail: str) -> str:
+    good = "".join(f"ex:s{i} ext:p ex:o{i} .\n" for i in range(1000))
+    return write_turtle(TripleStore()) + "\n" + good + tail
+
+
+def grouped_doc(tail: str) -> str:
+    good = "".join(f'ex:s{i} a ext:T ;\n    ext:p ex:o{i} ,\n        "v{i}" .\n' for i in range(1000))
+    return write_turtle(TripleStore()) + "\n# grouped\n" + good + tail
 
 
 class TestFastPath:
@@ -422,21 +471,9 @@ class TestFastPath:
             Triple(Iri("http://empty.example/s"), p, o),
         ]
 
-    @pytest.mark.parametrize(
-        "line, column",
-        [
-            ('ex:s ex:p "unterminated .', 11),
-            ("ex:s nope:p ex:o .", 6),
-            ("ex:s ex:p <rel> .", 11),
-            ('ex:s ex:p "bad\\q" .', 15),
-            ("ex:s ex:p [ ] .", 11),
-            ("ex:s ex:p ex:o", 15),
-            ("ex:s ex:p ex:o .5", 16),
-        ],
-    )
+    @pytest.mark.parametrize("line, column", CANONICAL_TAILS)
     def test_error_after_1000_canonical_lines_keeps_class_line_and_column(self, line, column):
-        good = "".join(f"ex:s{i} ext:p ex:o{i} .\n" for i in range(1000))
-        doc = write_turtle(TripleStore()) + "\n" + good + line
+        doc = canonical_doc(line)
         fast, general = outcome(doc), outcome(GENERAL + doc)
         assert fast[2:] == (1007, column)
         assert fast == (general[0], general[1], general[2] - 1, general[3])
@@ -488,40 +525,9 @@ class TestFastPath:
             triples = list(parse_turtle(doc))
             assert triples == list(parse_turtle(GENERAL + doc)) == list(parse_turtle(canonical))
 
-    @pytest.mark.parametrize(
-        "tail, expected",
-        [
-            ("ex:s ext:p ex:o ;\n    zz:p ex:o .\n", (SYNTAX, "unknown prefix 'zz:'", 2, 5)),
-            ('ex:s ext:p ex:o ,\n    zz:o ,\n    "\\uD800" .\n', (SYNTAX, "unknown prefix 'zz:'", 2, 5)),
-            ('ex:s ext:p ex:o ,\n    "\\uD800" ,\n    zz:o .\n', (SYNTAX, "\\uD800 is not a Unicode scalar value", 2, 6)),
-            ("ex:s ext:p ex:o ;\n    .\n", 3001),
-            ("ex:s ab ex:o .\n", (SYNTAX, "expected an IRI as predicate", 1, 6)),
-            ("ex:s ext:p ex:o ; # ext:q ex:r .\n", (SYNTAX, "expected an IRI as predicate", 2, 1)),
-            ("ex:s ext:p # c\n    ex:o .\n", 3001),
-            ("ex:s ext:p ex:o .5\n", (SYNTAX, "unexpected character '.'", 1, 17)),
-            ("ex:s ext:p [ ] .\n", (UNSUPPORTED, "blank node", 1, 12)),
-            ("ex:s ext:p ex:o ;" + " " * 200_000 + "$ .\n", (SYNTAX, "unexpected character '$'", 1, 200_018)),
-            ("ex:s ext:p ex:o" + " " * 200_000 + "$ .\n", (SYNTAX, "unexpected character '$'", 1, 200_016)),
-            (" " * 200_000 + "ex:s ext:p [ ] .\n", (UNSUPPORTED, "blank node", 1, 200_012)),
-        ],
-        ids=[
-            "unknown-prefix-in-semicolon-item",
-            "unknown-prefix-before-bad-escape",
-            "unknown-prefix-after-bad-escape",
-            "trailing-semicolon",
-            "verb-ab",
-            "comment-eats-statement-end",
-            "comment-inside-statement",
-            "dot-before-digit",
-            "blank-node",
-            "blanks-after-semicolon",
-            "blanks-after-object",
-            "blanks-before-statement",
-        ],
-    )
+    @pytest.mark.parametrize("tail, expected", GROUPED_TAILS, ids=GROUPED_TAIL_IDS)
     def test_error_after_1000_grouped_statements_keeps_class_line_and_column(self, tail, expected):
-        good = "".join(f'ex:s{i} a ext:T ;\n    ext:p ex:o{i} ,\n        "v{i}" .\n' for i in range(1000))
-        doc = write_turtle(TripleStore()) + "\n# grouped\n" + good + tail
+        doc = grouped_doc(tail)
         try:
             handed_over = _TurtleParser(doc)._fast_statements()
         except TurtleSyntaxError:
@@ -588,3 +594,56 @@ class TestGeneralReader:
             tracemalloc.stop()
         assert result == (SYNTAX, "unexpected character '²'", 2, 2_000_001)
         assert peak < 1_000_000  # one repeat per blank held about 150 bytes each
+
+    @pytest.mark.parametrize(
+        "header, body, expected",
+        [
+            ("@prefix ex: <http://e/> .\n", "ex:s ex:p ex:o .\n", [Triple(Iri("http://e/s"), Iri("http://e/p"), Iri("http://e/o"))]),
+            (
+                "@prefix ex: <http://e/> .\n  # a\n\n\t# b\r\n",
+                "ex:s ex:p ex:o .\n# last line, no newline",
+                [Triple(Iri("http://e/s"), Iri("http://e/p"), Iri("http://e/o"))],
+            ),
+            (GENERAL + "@prefix ex: <http://e/> .\n", "ex:s ex:p $ .\n", (SYNTAX, "unexpected character '$'", 50_003, 11)),
+        ],
+        ids=["fast-path", "fast-path-blanks-between", "general-reader"],
+    )
+    def test_run_of_comment_lines_is_skipped_in_bounded_memory(self, header, body, expected):
+        doc = header + "#\n" * 50_000 + body
+        if not doc.startswith(GENERAL):
+            assert _TurtleParser(doc)._fast_statements() == len(doc)
+        tracemalloc.start()
+        try:
+            result = outcome(doc)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert result == expected
+        assert peak < len(doc)  # one regex repeat per comment line held about 200 bytes each
+
+
+# keep rules: none kept, the ext:p triples kept, all kept
+KEEPS = {"none": lambda p: False, "ext-p": lambda p: p.value == EXT + "p", "all": lambda p: True}
+
+
+class TestKeepRule:
+    @pytest.mark.parametrize("keep", KEEPS.values(), ids=KEEPS.keys())
+    def test_kept_triples_are_the_full_parse_filtered_200_graphs(self, keep, group_turtle):
+        rng = random.Random(4242)
+        for _ in range(200):
+            canonical = write_turtle(graph_to_triples(random_oced_graph(rng)))
+            for doc in (canonical, group_turtle(canonical), GENERAL + canonical):
+                assert outcome(doc, keep) == [t for t in parse_turtle(doc) if keep(t.predicate)]
+
+    @pytest.mark.parametrize("keep", KEEPS.values(), ids=KEEPS.keys())
+    @pytest.mark.parametrize(
+        "doc_of, tails", [(canonical_doc, CANONICAL_TAILS), (grouped_doc, GROUPED_TAILS)], ids=["canonical", "grouped"]
+    )
+    def test_error_tails_do_not_depend_on_the_keep_rule(self, doc_of, tails, keep):
+        for tail, _ in tails:
+            for doc in (doc_of(tail), GENERAL + doc_of(tail)):
+                full = outcome(doc)
+                if isinstance(full, list):
+                    assert outcome(doc, keep) == [t for t in full if keep(t.predicate)]
+                else:
+                    assert outcome(doc, keep) == full
