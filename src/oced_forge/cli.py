@@ -159,16 +159,8 @@ def _keep_rule(patterns: list[TriplePattern], qualifiers: bool = False) -> Calla
 
 
 def _parse_store(text: str, keep: Callable[[Iri], bool] | None = None) -> TripleStore:
-    """A frozen store of the text's triples (see parse_turtle's keep), read
-    with the cyclic GC off: a load allocates many long-lived terms and no
-    cycles, and each collection would walk them all again."""
-    enabled = gc.isenabled()
-    gc.disable()
-    try:
-        return parse_turtle(text, keep).freeze()
-    finally:
-        if enabled:
-            gc.enable()
+    """A frozen store of the text's triples (see parse_turtle's keep)."""
+    return parse_turtle(text, keep).freeze()
 
 
 def _load_store(path: str, keep: Callable[[Iri], bool] | None) -> TripleStore:
@@ -227,22 +219,19 @@ def cmd_analyze(args) -> int:
 
 
 def _turtle_summary(store: TripleStore) -> list[tuple[str, int | str]]:
-    def matches(predicate, obj=Var("v")):
-        return store.match_triples(TriplePattern(Var("s"), predicate, obj))
-
-    typed_events = matches(EXT_EVENT_TYPE)
-    typed_objects = matches(EXT_OBJECT_TYPE)
-    objects = {t.subject for t in typed_objects}
+    typed_events = store.pairs(EXT_EVENT_TYPE)
+    typed_objects = store.pairs(EXT_OBJECT_TYPE)
+    objects = {s for s, _ in typed_objects}
     return [
         ("format", "ttl"),
         ("triples", len(store)),
-        ("events", len({t.subject for t in typed_events})),
+        ("events", len({s for s, _ in typed_events})),
         ("objects", len(objects)),
-        ("eo_relations", len(matches(RDF_TYPE, EXT_EVENT_OBJECT_CLASS))),
+        ("eo_relations", sum(o == EXT_EVENT_OBJECT_CLASS for _, o in store.pairs(RDF_TYPE))),
         ("oo_relations", sum(1 for _ in object_object_triples(store, objects))),
-        ("event_types", len({t.object for t in typed_events})),
-        ("object_types", len({t.object for t in typed_objects})),
-        ("cases", len({t.object for t in matches(EXT_EVENT_CASE)})),
+        ("event_types", len({o for _, o in typed_events})),
+        ("object_types", len({o for _, o in typed_objects})),
+        ("cases", len({o for _, o in store.pairs(EXT_EVENT_CASE)})),
     ]
 
 
@@ -315,6 +304,10 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
+    # every command allocates many long-lived objects and no cycles worth
+    # collecting: the cyclic GC would only walk them all again, once per pass
+    enabled = gc.isenabled()
+    gc.disable()
     try:
         return args.func(args)
     except (XesParseError, XesStructureError, TurtleSyntaxError) as exc:
@@ -323,6 +316,9 @@ def main(argv=None) -> int:
     except (OSError, OcedForgeError) as exc:
         print(f"oced-forge: {exc}", file=sys.stderr)
         return EXIT_UNREADABLE
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def entrypoint():

@@ -42,7 +42,7 @@ def _labels(store: TripleStore, pattern: TriplePattern) -> dict[Iri, str | None]
     """Each subject of the pattern's predicate with its first literal object
     in insertion order (None when every object is an IRI)."""
     labels: dict[Iri, str | None] = {}
-    for subject, _, value in store.match_triples(pattern):
+    for subject, value in store.pairs(pattern.predicate):
         if labels.get(subject) is not None:
             continue
         if isinstance(value, PlainLiteral):

@@ -14,7 +14,7 @@ to each other: an IRI is a 1-tuple, a literal a pair whose second field is an
 Iri (typed) or a str or None (plain).
 """
 
-from collections.abc import Container, Iterable, Iterator
+from collections.abc import Container, Iterator
 from typing import NamedTuple, Union
 
 _SAFE = frozenset("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789_-")
@@ -150,9 +150,11 @@ def is_qualifier(predicate: Iri) -> bool:
     return predicate.value.startswith(EXT) and predicate not in EXT_FIXED_PREDICATES
 
 
-def object_object_triples(triples: Iterable[Triple], objects: Container[Term]) -> Iterator[Triple]:
-    """The object-object relations among triples: a qualifier predicate
-    between two members of objects."""
-    for triple in triples:
-        if triple.subject in objects and triple.object in objects and is_qualifier(triple.predicate):
-            yield triple
+def object_object_triples(store, objects: Container[Term]) -> Iterator[Triple]:
+    """The object-object relations in a TripleStore: a qualifier predicate
+    between two members of objects.  Only qualifier predicates' pairs are read."""
+    for predicate in store.predicates():
+        if is_qualifier(predicate):
+            for subject, obj in store.pairs(predicate):
+                if subject in objects and obj in objects:
+                    yield Triple(subject, predicate, obj)

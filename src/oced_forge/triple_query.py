@@ -1,13 +1,16 @@
-"""Indexed in-memory triple store with basic-graph-pattern matching.
+"""Predicate-partitioned in-memory triple store with basic-graph-pattern matching.
 
 Var and TriplePattern are plain classes compared by value (no dataclass,
 so loading a store imports no dataclasses); a Var never equals a term.
 
-The store has set semantics: one insertion-ordered set of triples, and one
-predicate index that lists each triple once, in insertion order.  A pattern
-with a constant predicate reads that predicate's triples; any other pattern
-reads every triple.  Iteration order everywhere is insertion order, never
-hash order, so query results are deterministic across processes.
+The store is its predicate partitions: one dict from each predicate to an
+insertion-ordered set of its (subject, object) pairs, with set semantics.
+A pattern with a constant predicate reads that predicate's pairs, and
+pairs(predicate) hands them to callers that need no bindings; a pattern
+with a variable predicate reads every partition.  Iteration yields Triples
+predicate-major: predicates in first-seen order, each predicate's triples in
+insertion order.  No order anywhere is hash order, so query results are
+deterministic across processes.
 
 BGP evaluation joins patterns most-selective-first: at each step the
 remaining pattern with the cheapest index estimate (given the variables
@@ -22,18 +25,18 @@ once per binding shape (which of the step's variables a row already binds):
 the pattern or group is scanned once, unsubstituted, its rows are keyed on
 those variables, and a row is extended by tuple concatenation.
 match_pattern, match_bgp and match_optional build binding dicts once, from
-the final rows; an unbound variable is an absent key.  match_triples
-returns a pattern's matching triples without binding anything.
+the final rows; an unbound variable is an absent key.
 
 There are no FILTER expressions: callers decode the literals they compare
 (datetime_value) and compare the values themselves.
 """
 
 from collections import defaultdict
+from collections.abc import KeysView
 from datetime import datetime, timezone
 from operator import itemgetter
 
-from .terms import Term, Triple, TypedLiteral, XSD_DATETIME
+from .terms import Iri, Term, Triple, TypedLiteral, XSD_DATETIME
 from .timeutil import parse_instant
 
 
@@ -109,30 +112,36 @@ def datetime_value(term: Term) -> datetime | None:
 
 class TripleStore:
     def __init__(self, triples=()):
-        self._triples: dict[Triple, None] = {}  # an insertion-ordered set
-        self._by_p: defaultdict[Term, list[Triple]] = defaultdict(list)
+        # predicate -> its (subject, object) pairs: an insertion-ordered set
+        self._partitions: defaultdict[Iri, dict[tuple[Term, Term], None]] = defaultdict(dict)
         self._frozen = False
         for t in triples:
             self.insert(t)
 
     def __len__(self):
-        return len(self._triples)
+        return sum(map(len, self._partitions.values()))
 
     def __iter__(self):
-        return iter(self._triples)
+        for predicate, pairs in self._partitions.items():
+            for subject, obj in pairs:
+                yield Triple(subject, predicate, obj)
 
     def __contains__(self, triple: Triple):
-        return triple in self._triples
+        subject, predicate, obj = triple
+        return (subject, obj) in self._partitions.get(predicate, ())
 
     def insert(self, triple: Triple) -> "TripleStore":
         """Add a triple; duplicates are ignored (set semantics)."""
         if self._frozen:
             raise RuntimeError("store is frozen")
-        if triple in self._triples:
-            return self
-        self._triples[triple] = None
-        self._by_p[triple.predicate].append(triple)
+        subject, predicate, obj = triple
+        self.partition(predicate)[subject, obj] = None
         return self
+
+    def partition(self, predicate: Iri) -> dict[tuple[Term, Term], None]:
+        """The predicate's pair set, which a loader adds (subject, object)
+        keys to, skipping insert's checks."""
+        return self._partitions[predicate]
 
     def freeze(self) -> "TripleStore":
         """Make the store immutable; analyses expect a frozen store."""
@@ -140,43 +149,42 @@ class TripleStore:
         return self
 
     def triples(self):
-        return list(self._triples)
+        return list(self)
+
+    def predicates(self) -> list[Iri]:
+        """The store's predicates, in first-seen order."""
+        return list(self._partitions)
+
+    def pairs(self, predicate: Term) -> KeysView[tuple[Term, Term]]:
+        """The (subject, object) pairs of the predicate's triples, in
+        insertion order."""
+        return self._partitions.get(predicate, {}).keys()
 
     # -- pattern matching ---------------------------------------------------
 
-    def _candidates(self, pattern: TriplePattern):
-        """The predicate's triples for a constant predicate, else every triple."""
-        if isinstance(pattern.predicate, Var):
-            return self._triples
-        return self._by_p.get(pattern.predicate, ())
-
-    def match_triples(self, pattern: TriplePattern) -> list[Triple]:
-        """The triples that match pattern, in insertion order: its constants
-        applied, and a variable it repeats bound to equal terms."""
-        positions = pattern.positions()
-        triples = self._candidates(pattern)
-        # a constant predicate is the index key
-        constants = [position for position in (0, 2) if not isinstance(positions[position], Var)]
-        if constants:
-            get = itemgetter(*constants)
-            want = get(positions)
-            triples = [triple for triple in triples if get(triple) == want]
-        first: dict[str, int] = {}
-        for position, term in enumerate(positions):
-            if isinstance(term, Var):
-                seen = first.setdefault(term.name, position)
-                if seen != position:
-                    triples = [triple for triple in triples if triple[position] == triple[seen]]
-        return list(triples)
-
     def _scan(self, pattern: TriplePattern) -> Rows:
         """The pattern's variables in first-seen order, and one row of their
-        values per matching triple, in insertion order."""
+        values per matching triple.  A constant predicate's rows are its
+        pairs, so `?s P ?o` is the pairs themselves; a variable one reads
+        (subject, predicate, object) rows from every partition."""
+        subject, predicate, obj = pattern.positions()
+        if isinstance(predicate, Var):
+            positions = (subject, predicate, obj)
+            rows = [(s, p, o) for p, pairs in self._partitions.items() for s, o in pairs]
+        else:
+            positions = (subject, obj)
+            rows = self.pairs(predicate)
         first: dict[str, int] = {}
-        for position, term in enumerate(pattern.positions()):
-            if isinstance(term, Var):
-                first.setdefault(term.name, position)
-        return tuple(first), list(map(_columns(list(first.values())), self.match_triples(pattern)))
+        for column, term in enumerate(positions):
+            if not isinstance(term, Var):
+                rows = [row for row in rows if row[column] == term]
+            elif first.setdefault(term.name, column) != column:
+                seen = first[term.name]
+                rows = [row for row in rows if row[column] == row[seen]]
+        columns = tuple(first.values())
+        if columns != tuple(range(len(positions))):
+            rows = map(_columns(columns), rows)
+        return tuple(first), list(rows)
 
     def match_pattern(self, pattern: TriplePattern) -> list[BindingSet]:
         """One binding set per matching triple; equals an exhaustive scan."""
@@ -186,7 +194,7 @@ class TripleStore:
     def _estimate(self, pattern: TriplePattern, bound: set[str]) -> float:
         """Cardinality estimate used for join ordering; deterministic."""
         n_bound = sum(isinstance(t, Var) and t.name in bound for t in pattern.positions())
-        base = len(self._candidates(pattern))
+        base = len(self) if isinstance(pattern.predicate, Var) else len(self.pairs(pattern.predicate))
         # variables already bound by earlier patterns act as constants at
         # evaluation time; discount them
         return base / (10.0**n_bound)

@@ -18,11 +18,14 @@ ext:EventObject node (ext:event / ext:object / ext:classifier) and once as a
 direct qualifier predicate from the event to the object, so both the
 reified and the direct query styles work against the same file.
 
-parse_turtle may take a keep rule, a function of the predicate: then only
-the triples it keeps are built and inserted, in the order a full parse
-inserts them.  Both readers still read and cook every statement, so every
-error keeps its class, message, line and column.  The reader needs nothing
-from the graph model (oced_model is an annotation only).
+Both readers add each (subject, object) pair straight to its predicate's
+partition in the store (see triple_query) and build no Triple.  One memo
+maps each predicate to its partition, or to None when parse_turtle's keep
+rule, a function of the predicate, drops it; the kept pairs go in the
+order a full parse adds them.  Both readers still read and cook every
+statement, so every error keeps its class, message, line and column.  The
+reader needs nothing from the graph model (oced_model is an annotation
+only).
 
 The parser supports prefix declarations, IRIs, prefixed names, plain / typed
 / language-tagged literals, numeric and boolean shorthand, the ';' and ','
@@ -31,19 +34,18 @@ strings, and @base are rejected as unsupported constructs.  An IRI holds
 no control character, space or any of <>"{}|^`\\ (RDF 1.1 Turtle's IRIREF,
 and the rule the writer checks), and no escape sequence.
 
-Parsing takes two paths through one text.  A statement fast path matches
-one statement at a time with one regex while the text has the shape
-write_turtle emits or the subject-grouped shape of general RDF tools:
-after blank lines and whole-line comments (a run of comment lines is
-skipped by _past_comments, one str.find per line, not by a regex repeat
-that would keep state per line), a `@prefix p: <absolute-iri> .`
-directive or a statement of prefixed names, absolute IRIs and simple
-literals, with `a`, `;` and `,` abbreviations, ending its line.  A second
-regex walks the statement's `;` and `,` items, and every term of a
-statement is resolved before any of its triples is inserted.  At the first
-statement that does not fit, or that names an unknown prefix, it hands
-over at that statement's offset: the parser's `pos`, where the general
-reader reads on with the prefixes and triples read so far.  The general
+Parsing takes two paths through one text.  A statement fast path reads
+one statement at a time, one regex match for its subject and one per
+`V O` item, while the text has the shape write_turtle emits or the
+subject-grouped shape of general RDF tools: after blank lines and
+whole-line comments (a run of comment lines is skipped by _past_comments,
+one str.find per line, not by a regex repeat that would keep state per
+line), a `@prefix p: <absolute-iri> .` directive or a statement of
+prefixed names, absolute IRIs and simple literals, with `a`, `;` and `,`
+abbreviations, ending its line.  At the first statement that does not fit,
+or that names an unknown prefix, it hands over at that statement's offset:
+the parser's `pos`, where the general reader reads on with the prefixes
+and triples read so far.  The general
 reader matches one token regex at `pos`, one named group per token kind,
 with one token of lookahead.  The fast path accepts only statements the
 general reader reads the same way, so the triples, their order and every
@@ -311,7 +313,7 @@ _TOKEN_RE = re.compile(
     r"[ \t\r\n]*"
     r"(?:(?P<pname>(?:[A-Za-z][A-Za-z0-9_.\-]*)?:(?:[A-Za-z0-9_.\-]|%[0-9A-Fa-f]{2})*)"
     r"|(?P<punct>[;,]|\.(?!\d)|\^\^)"
-    r'|(?P<string>"(?!"")(?:[^"\\\n]|\\.)*")'
+    r'|(?P<string>"(?!"")[^"\\\n]*(?:\\.[^"\\\n]*)*")'
     r"|(?P<word>[A-Za-z][A-Za-z0-9_.\-]*)"
     r"|(?P<iriref><[^>\n]*>)"
     r"|(?P<number>[+-]?[0-9]+(?:\.[0-9]+)?(?:[eE][+-]?[0-9]+)?)"
@@ -370,18 +372,16 @@ class _Token:
 
 # The statement fast path reads what write_turtle emits and the
 # subject-grouped layout of general RDF tools.  After blanks (and the
-# comment lines _past_comments skips when a match fails), one match reads a
-# `@prefix p: <iri> .` directive or a whole statement: `S V O`, then any
-# number of `; V O` and `, O` items, then `.` at the end of its line, where
-# a verb V is an IRI or `a`.  The general reader reads every statement the
-# fast path accepts as the same triples, so it may take over before any
-# statement: pnames have no '.' in the local part, IRIs are absolute and
-# free of _BAD_IRI_CHARS, strings carry only escapes _unescape accepts, and
-# whitespace separates subject, verb and object.  The final '.' is tried
-# before the items, so a one-triple line never enters the item loop.  Each repeated group matches a given text in
-# one way only (an item starts with ';' or ','), so a failed match
-# backtracks in linear time even without the possessive quantifiers Python
-# 3.10 lacks.
+# comment lines _past_comments skips when a match fails), _STATEMENT_RE
+# reads a `@prefix p: <iri> .` directive or a statement's subject S.  Then
+# _VERB_OBJECT_RE reads its first `V O` and _ITEM_RE each `; V O` or `, O`
+# after it, one match per item, until an item ends with the `.` that ends
+# its line; a verb V is an IRI or `a`.  No regex repeats a group per item,
+# so a long item list holds no engine state per item.  The general reader
+# reads every statement the fast path accepts as the same triples, so it
+# may take over at any statement: pnames have no '.' in the local part, IRIs
+# are absolute and free of _BAD_IRI_CHARS, strings carry only escapes
+# _unescape accepts, and whitespace separates subject, verb and object.
 _FAST_IRIREF = r'<[A-Za-z][A-Za-z0-9+.\-]*:[^\x00-\x20<>"{}|^`\\]*>'
 _FAST_PNAME = r"(?:[A-Za-z][A-Za-z0-9_\-]*)?:[A-Za-z0-9_\-]*(?:%[0-9A-Fa-f]{2}[A-Za-z0-9_\-]*)*"
 _FAST_IRI = rf"(?:{_FAST_PNAME}|{_FAST_IRIREF})"
@@ -391,13 +391,15 @@ _FAST_LITERAL = (
 )
 _FAST_VERB = rf"{_FAST_IRI}|a"
 _FAST_OBJECT = rf"{_FAST_IRI}|{_FAST_LITERAL}"
-_ITEM = rf"(?:;[ \t\r\n]*({_FAST_VERB})[ \t\r\n]+|,[ \t\r\n]*)({_FAST_OBJECT})[ \t\r\n]*"
-_ITEM_RE = re.compile(_ITEM)
+_END = r"\.[ \t\r]*(?:\n|\Z)"
+# the first `V O` of a statement, and each `; V O` or `, O` after it, with
+# the statement's end when it follows
+_VERB_OBJECT_RE = re.compile(rf"({_FAST_VERB})[ \t\r\n]+({_FAST_OBJECT})[ \t\r\n]*({_END})?")
+_ITEM_RE = re.compile(rf"(?:;[ \t\r\n]*({_FAST_VERB})[ \t\r\n]+|,[ \t\r\n]*)({_FAST_OBJECT})[ \t\r\n]*({_END})?")
 _STATEMENT_RE = re.compile(
     r"[ \t\r\n]*"
-    rf"(?:@prefix[ \t]+([A-Za-z][A-Za-z0-9_\-]*)?:[ \t]+({_FAST_IRIREF})[ \t]*\."
-    rf"|({_FAST_IRI})[ \t\r\n]+({_FAST_VERB})[ \t\r\n]+({_FAST_OBJECT})[ \t\r\n]*(?:\.|((?:{_ITEM})+)\.))"
-    r"[ \t\r]*(?:\n|\Z)"
+    rf"(?:@prefix[ \t]+([A-Za-z][A-Za-z0-9_\-]*)?:[ \t]+({_FAST_IRIREF})[ \t]*{_END}"
+    rf"|({_FAST_IRI})[ \t\r\n]+)"
 )
 
 
@@ -408,8 +410,9 @@ class _TurtleParser:
         self.prefixes: dict[str, str] = {}
         self.store = TripleStore()
         self._intern = _Memo(Iri).__getitem__
-        # predicate -> whether its triples go into the store; None keeps all
-        self.kept = None if keep is None else _Memo(keep)
+        # predicate -> its pair set in the store, or None when keep drops it
+        partition = self.store.partition  # a closure over self would make a cycle
+        self.partition = _Memo(lambda p: partition(p) if keep is None or keep(p) else None)
 
     def _error(self, message, pos, cls=TurtleSyntaxError):
         raise cls(message, *_line_col(self.text, pos))
@@ -520,13 +523,13 @@ class _TurtleParser:
         return self.store
 
     def _fast_statements(self) -> int:
-        """Insert the triples of the leading statements that _STATEMENT_RE
-        matches; return the offset of the first one left to the general reader."""
+        """Add the pairs of the leading statements the fast path reads; return
+        the offset of the first one left to the general reader.  That reader
+        reads a statement handed over midway from its start, and adds again,
+        as no-ops, the pairs added here."""
         text = self.text
-        match = _STATEMENT_RE.match
-        items = _ITEM_RE.finditer
-        insert = self.store.insert
-        kept = self.kept
+        match, item = _STATEMENT_RE.match, _ITEM_RE.match
+        partition = self.partition
         cook = self._fast_term
         terms: dict[str, Term] = {"a": RDF_TYPE}  # token -> term, valid while prefixes hold
         pos = 0
@@ -538,47 +541,39 @@ class _TurtleParser:
                     return pos
                 pos = resume
                 continue
-            # the last two groups are the last item's, which _ITEM_RE reads again
-            name, namespace, s, p, o, rest, _, _ = m.groups()
+            name, namespace, s = m.groups()
             if namespace is not None:
                 self.prefixes[name or ""] = namespace[1:-1]
                 terms = {"a": RDF_TYPE}
                 pos = m.end()
                 continue
-            # every term before any triple, and at the first unknown prefix hand the
-            # statement over before cooking a later string: the general reader reads
-            # it again and decides which of the two errors comes first
+            # at the first unknown prefix hand the statement over before cooking a
+            # later string: the general reader reads it again and decides which of
+            # the two errors comes first
             subject = terms.get(s) or cook(s, m.start(3), terms)
             if subject is None:
                 return pos
-            predicate = terms.get(p) or cook(p, m.start(4), terms)
-            if predicate is None:
-                return pos
-            obj = terms.get(o) or cook(o, m.start(5), terms)
-            if obj is None:
-                return pos
-            if rest is None:
-                if kept is None or kept[predicate]:
-                    insert(Triple(subject, predicate, obj))
-            else:
-                triples = [Triple(subject, predicate, obj)] if kept is None or kept[predicate] else []
-                for item in items(text, m.start(6), m.end(6)):
-                    p, o = item.groups()
-                    if p is not None:
-                        predicate = terms.get(p) or cook(p, item.start(1), terms)
-                        if predicate is None:
-                            return pos
-                    obj = terms.get(o) or cook(o, item.start(2), terms)
-                    if obj is None:
+            at, read, last = m.end(), _VERB_OBJECT_RE.match, None
+            while last is None:
+                i = read(text, at)
+                if i is None:
+                    return pos
+                p, o, last = i.groups()
+                if p is not None:
+                    predicate = terms.get(p) or cook(p, i.start(1), terms)
+                    if predicate is None:
                         return pos
-                    if kept is None or kept[predicate]:
-                        triples.append(Triple(subject, predicate, obj))
-                for triple in triples:
-                    insert(triple)
-            pos = m.end()
+                    pairs = partition[predicate]
+                obj = terms.get(o) or cook(o, i.start(2), terms)
+                if obj is None:
+                    return pos
+                if pairs is not None:
+                    pairs[subject, obj] = None
+                at, read = i.end(), item
+            pos = at
 
     def _fast_term(self, token: str, pos: int, terms: dict[str, Term]) -> Term | None:
-        """Term for a token _STATEMENT_RE matched at pos, or None when it names an
+        """Term for a token a fast-path regex matched at pos, or None when it names an
         unknown prefix (the general reader then reports it)."""
         if token[0] == "<":
             term = self._intern(token[1:-1])
@@ -668,12 +663,11 @@ class _TurtleParser:
     def _triples(self):
         subject = self._iri("subject")
         while True:
-            predicate = self._verb()
-            keep = self.kept is None or self.kept[predicate]
+            pairs = self.partition[self._verb()]
             while True:
                 obj = self._object()
-                if keep:
-                    self.store.insert(Triple(subject, predicate, obj))
+                if pairs is not None:
+                    pairs[subject, obj] = None
                 nxt = self.lookahead
                 if nxt.kind == _PUNCT and nxt.value == ",":
                     self._next()

@@ -461,18 +461,27 @@ def test_truncated_gzip_turtle_exits_2(
 
 @pytest.mark.parametrize("source", ["fixture", "hostile"])
 def test_every_cli_query_reads_the_predicate_index(source, converted_ttl, monkeypatch, capsys):
-    """The store keeps one index, by predicate: every pattern the analyses,
-    stats and export-dot look up has a constant predicate, so none of them
-    scans the whole store."""
+    """The store is its predicate partitions: every pattern the analyses,
+    stats and export-dot scan has a constant predicate, and none of them
+    iterates the whole store."""
     path = converted_ttl if source == "fixture" else Path(__file__).parent / "golden" / "hostile.ttl"
     lookups = []
-    candidates = TripleStore._candidates
+    scan, pairs = TripleStore._scan, TripleStore.pairs
 
-    def recorded(self, pattern):
-        lookups.append(pattern)
-        return candidates(self, pattern)
+    def scanned(self, pattern):
+        lookups.append(pattern.predicate)
+        return scan(self, pattern)
 
-    monkeypatch.setattr(TripleStore, "_candidates", recorded)
+    def read(self, predicate):
+        lookups.append(predicate)
+        return pairs(self, predicate)
+
+    def iterated(self):
+        raise AssertionError("a read command iterated the whole store")
+
+    monkeypatch.setattr(TripleStore, "_scan", scanned)
+    monkeypatch.setattr(TripleStore, "pairs", read)
+    monkeypatch.setattr(TripleStore, "__iter__", iterated)
     for command in (
         *(["analyze", "--analysis", analysis] for analysis in ("ping-pong", "event-objects", "teams")),
         ["stats"],
@@ -482,7 +491,7 @@ def test_every_cli_query_reads_the_predicate_index(source, converted_ttl, monkey
         code, _, _ = run([command[0], str(path), *command[1:]], capsys)
         assert code == 0
         assert lookups, command
-        assert [p for p in lookups if isinstance(p.predicate, Var)] == [], command
+        assert [p for p in lookups if isinstance(p, Var)] == [], command
 
 
 @pytest.mark.parametrize(
@@ -693,13 +702,35 @@ class TestExportDot:
 
 
 class TestDeterminismAcrossProcesses:
+    READS = [
+        ["analyze", "--analysis", "ping-pong"],
+        ["analyze", "--analysis", "teams"],
+        ["analyze", "--analysis", "event-objects"],
+        ["stats"],
+        ["export-dot"],
+    ]
+
+    @staticmethod
+    def outputs(env: dict, ttl: Path, tmp_path: Path) -> list[tuple[bytes, bytes]]:
+        """Output file and stderr of each read command on ttl."""
+        outputs = []
+        for index, command in enumerate(TestDeterminismAcrossProcesses.READS):
+            out = tmp_path / f"read{index}.out"
+            result = subprocess.run(
+                [sys.executable, "-m", "oced_forge", command[0], str(ttl), *command[1:], "-o", str(out)],
+                env=env,
+                capture_output=True,
+            )
+            assert result.returncode == 0, result.stderr.decode("utf-8", "replace")
+            outputs.append((out.read_bytes(), result.stderr))
+        return outputs
+
     def test_convert_analyze_byte_identical_under_different_hash_seeds(
         self, bpic_xes_path, tmp_path
     ):
         outputs = []
         for seed in ("1", "2"):
             ttl = tmp_path / f"out{seed}.ttl"
-            csv = tmp_path / f"out{seed}.csv"
             env = cli_env(PYTHONHASHSEED=seed)
             result = subprocess.run(
                 [sys.executable, "-m", "oced_forge", "convert", str(bpic_xes_path), "-o", str(ttl)],
@@ -707,24 +738,13 @@ class TestDeterminismAcrossProcesses:
                 capture_output=True,
             )
             assert result.returncode == 0, result.stderr.decode("utf-8", "replace")
-            result = subprocess.run(
-                [
-                    sys.executable,
-                    "-m",
-                    "oced_forge",
-                    "analyze",
-                    str(ttl),
-                    "--analysis",
-                    "ping-pong",
-                    "-o",
-                    str(csv),
-                ],
-                env=env,
-                capture_output=True,
-            )
-            assert result.returncode == 0, result.stderr.decode("utf-8", "replace")
-            outputs.append((ttl.read_bytes(), csv.read_bytes()))
+            outputs.append((ttl.read_bytes(), self.outputs(env, ttl, tmp_path)))
         assert outputs[0] == outputs[1]
+
+    def test_read_commands_on_hostile_turtle_byte_identical_under_different_hash_seeds(self, tmp_path):
+        hostile = Path(__file__).parent / "golden" / "hostile.ttl"
+        first, second = (self.outputs(cli_env(PYTHONHASHSEED=seed), hostile, tmp_path) for seed in ("1", "2"))
+        assert first == second
 
     def test_stdin_input(self, bpic_xes_bytes):
         result = subprocess.run(

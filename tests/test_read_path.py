@@ -13,7 +13,7 @@ import pytest
 from oced_forge import cli, parse_turtle, parse_xes, transform_log
 from oced_forge.analyses import records
 from oced_forge.dot_export import PATTERNS, store_to_dot
-from oced_forge.triple_query import TripleStore
+from oced_forge.triple_query import TripleStore, Var
 from oced_forge.turtle_io import graph_to_turtle
 
 from conftest import BPIC_STYLE_XES, cli_env
@@ -76,6 +76,22 @@ def test_kept_predicate_load_gives_every_query_the_full_load_answer(source, benc
         assert 0 < len(parse_turtle(text, ping_pong)) < len(full) / 2
 
 
+@pytest.mark.parametrize("source", SOURCES)
+def test_a_load_frees_its_parser_without_the_cyclic_gc(source, bench_turtle):
+    """The CLI runs with the cyclic GC off, so a parser left in a reference
+    cycle would hold the input text and its memos until the process ends."""
+    text = _text(source, bench_turtle)
+    was = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    try:
+        for keep in (None, *(keep for _, keep, _ in _rules())):
+            assert len(parse_turtle(text, keep)) > 0
+            assert gc.collect() == 0, keep
+    finally:
+        (gc.enable if was else gc.disable)()
+
+
 def test_keep_is_called_once_per_distinct_predicate(bench_turtle):
     for text in (bench_turtle["canonical"], GENERAL + bench_turtle["grouped"]):
         asked = []
@@ -105,13 +121,18 @@ def test_every_pattern_a_read_command_looks_up_is_kept(source, rules, tmp_path, 
         path = tmp_path / "fixture.ttl"
         path.write_text(_fixture_turtle(), "utf-8")
     lookups = []
-    candidates = TripleStore._candidates
+    scan, pairs = TripleStore._scan, TripleStore.pairs
 
-    def recorded(self, pattern):
-        lookups.append(pattern)
-        return candidates(self, pattern)
+    def scanned(self, pattern):
+        lookups.append(pattern.predicate)
+        return scan(self, pattern)
 
-    monkeypatch.setattr(TripleStore, "_candidates", recorded)
+    def read(self, predicate):
+        lookups.append(predicate)
+        return pairs(self, predicate)
+
+    monkeypatch.setattr(TripleStore, "_scan", scanned)
+    monkeypatch.setattr(TripleStore, "pairs", read)
     for command in (
         *(["analyze", "--analysis", analysis] for analysis in cli._ANALYSES),
         ["export-dot"],
@@ -123,7 +144,7 @@ def test_every_pattern_a_read_command_looks_up_is_kept(source, rules, tmp_path, 
         [keep] = rules
         assert keep is not None, command
         assert lookups, command
-        assert [p for p in lookups if not keep(p.predicate)] == [], command
+        assert [p for p in lookups if isinstance(p, Var) or not keep(p)] == [], command
 
 
 def test_stats_keeps_every_triple_and_builds_no_binding_dicts(rules, tmp_path, monkeypatch, capsys):
@@ -141,16 +162,24 @@ def test_stats_keeps_every_triple_and_builds_no_binding_dicts(rules, tmp_path, m
 
 
 @pytest.mark.parametrize("enabled", [True, False])
-@pytest.mark.parametrize("body", ["ex:s ex:p ex:o .\n", "ex:s ex:p $ .\n"], ids=["good", "bad"])
-def test_a_load_restores_the_cyclic_gc_state(enabled, body, tmp_path, capsys):
-    path = tmp_path / "in.ttl"
-    path.write_text("@prefix ex: <http://e/> .\n" + body, "utf-8")
+@pytest.mark.parametrize(
+    "turtle, xes", [("ex:s ex:p ex:o .\n", BPIC_STYLE_XES), ("ex:s ex:p $ .\n", "<log><trace>")], ids=["good", "bad"]
+)
+def test_a_load_restores_the_cyclic_gc_state(enabled, turtle, xes, tmp_path, monkeypatch, capsys):
+    """Every command runs with the cyclic GC off and restores its state."""
+    ttl, log = tmp_path / "in.ttl", tmp_path / "in.xes"
+    ttl.write_text("@prefix ex: <http://e/> .\n" + turtle, "utf-8")
+    log.write_text(xes, "utf-8")
+    written, write = [], cli._write_text
+    monkeypatch.setattr(cli, "_write_text", lambda *args: written.append(gc.isenabled()) or write(*args))
     was = gc.isenabled()
     (gc.enable if enabled else gc.disable)()
     try:
-        for command in (["analyze", "--analysis", "teams"], ["stats"], ["export-dot"]):
-            cli.main([command[0], str(path), *command[1:]])
+        for command in (["analyze", ttl, "--analysis", "teams"], ["stats", ttl], ["export-dot", ttl], ["convert", log]):
+            written.clear()
+            code = cli.main([command[0], str(command[1]), *command[2:], "--output", str(tmp_path / "out")])
             assert gc.isenabled() == enabled, command
+            assert (code == 0) == (turtle == "ex:s ex:p ex:o .\n") == (written == [False]), command
     finally:
         (gc.enable if was else gc.disable)()
     capsys.readouterr()

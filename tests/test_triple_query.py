@@ -94,14 +94,34 @@ class TestTerms:
             with pytest.raises(AttributeError):
                 setattr(value, field, Var("x"))
 
-    def test_match_triples_applies_constants_and_repeated_variables(self):
+    def test_scan_applies_constants_and_repeated_variables(self):
         store = TripleStore([t("a", "p", "a"), t("a", "p", "b"), t("b", "q", "b"), t("b", "p", "b")])
-        assert store.match_triples(TriplePattern(Var("x"), iri("p"), Var("x"))) == [
-            t("a", "p", "a"),
-            t("b", "p", "b"),
+        # on a partition's (subject, object) columns
+        assert store.match_pattern(TriplePattern(Var("x"), iri("p"), Var("x"))) == [{"x": iri("a")}, {"x": iri("b")}]
+        assert store.match_pattern(TriplePattern(iri("b"), iri("p"), Var("o"))) == [{"o": iri("b")}]
+        assert store.match_pattern(TriplePattern(iri("b"), iri("p"), iri("b"))) == [{}]
+        assert store.match_pattern(TriplePattern(Var("s"), iri("r"), Var("o"))) == []
+        # on every partition's (subject, predicate, object) columns, predicate-major
+        assert store.match_pattern(TriplePattern(iri("a"), Var("p"), Var("o"))) == [
+            {"p": iri("p"), "o": iri("a")},
+            {"p": iri("p"), "o": iri("b")},
         ]
-        assert store.match_triples(TriplePattern(iri("a"), Var("p"), Var("o"))) == [t("a", "p", "a"), t("a", "p", "b")]
-        assert store.match_triples(TriplePattern(Var("s"), iri("r"), Var("o"))) == []
+        assert store.match_pattern(TriplePattern(Var("x"), Var("p"), Var("x"))) == [
+            {"x": iri("a"), "p": iri("p")},
+            {"x": iri("b"), "p": iri("p")},
+            {"x": iri("b"), "p": iri("q")},
+        ]
+
+    def test_the_store_is_its_predicate_partitions(self):
+        store = TripleStore([t("a", "p", "a"), t("a", "q", "b"), t("b", "p", "b"), t("a", "p", "a")])
+        assert list(store.pairs(iri("p"))) == [(iri("a"), iri("a")), (iri("b"), iri("b"))]
+        assert list(store.pairs(iri("r"))) == []
+        assert store.predicates() == [iri("p"), iri("q")]
+        # predicates in first-seen order, each one's triples in insertion order
+        assert store.triples() == list(store) == [t("a", "p", "a"), t("b", "p", "b"), t("a", "q", "b")]
+        assert len(store) == 3
+        assert t("a", "q", "b") in store and (iri("a"), iri("q"), iri("b")) in store
+        assert t("b", "q", "a") not in store and t("a", "r", "b") not in store
 
     @pytest.mark.parametrize("role", ["subject", "predicate"])
     def test_triple_rejects_literal_subject_or_predicate(self, role):
