@@ -27,22 +27,20 @@ from .triple_query import TriplePattern, TripleStore, Var
 from .turtle_io import render_term
 
 
-# ?s ext:event_type ?v, ?s ocedo:observed_at ?v and ?s ext:object_type ?v
-_EVENT_TYPES, _TIMES, _OBJECT_TYPES = (
-    TriplePattern(Var("s"), predicate, Var("v")) for predicate in (EXT_EVENT_TYPE, OBSERVED_AT, EXT_OBJECT_TYPE)
-)
-PATTERNS = [_EVENT_TYPES, _TIMES, _OBJECT_TYPES, *EVENT_OBJECT_BLOCK]
+# ?s P ?v for each predicate _labels reads, then the event-object block
+_LABELED = (EXT_EVENT_TYPE, OBSERVED_AT, EXT_OBJECT_TYPE)
+PATTERNS = [*(TriplePattern(Var("s"), p, Var("v")) for p in _LABELED), *EVENT_OBJECT_BLOCK]
 
 
 def _dot_quote(text: str) -> str:
     return '"' + text.replace("\\", "\\\\").replace('"', '\\"').replace("\n", "\\n") + '"'
 
 
-def _labels(store: TripleStore, pattern: TriplePattern) -> dict[Iri, str | None]:
-    """Each subject of the pattern's predicate with its first literal object
-    in insertion order (None when every object is an IRI)."""
+def _labels(store: TripleStore, predicate: Iri) -> dict[Iri, str | None]:
+    """Each subject of the predicate with its first literal object in
+    insertion order (None when every object is an IRI)."""
     labels: dict[Iri, str | None] = {}
-    for subject, value in store.pairs(pattern.predicate):
+    for subject, value in store.pairs(predicate):
         if labels.get(subject) is not None:
             continue
         if isinstance(value, PlainLiteral):
@@ -55,9 +53,9 @@ def _labels(store: TripleStore, pattern: TriplePattern) -> dict[Iri, str | None]
 
 
 def store_to_dot(store: TripleStore) -> str:
-    event_types = _labels(store, _EVENT_TYPES)
-    times = _labels(store, _TIMES)
-    object_types = _labels(store, _OBJECT_TYPES)
+    event_types = _labels(store, EXT_EVENT_TYPE)
+    times = _labels(store, OBSERVED_AT)
+    object_types = _labels(store, EXT_OBJECT_TYPE)
     lines = ["digraph oced {", "  rankdir=LR;"]
 
     for iri in sorted(event_types.keys() | times.keys(), key=lambda t: t.value):

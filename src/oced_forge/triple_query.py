@@ -135,12 +135,12 @@ class TripleStore:
         if self._frozen:
             raise RuntimeError("store is frozen")
         subject, predicate, obj = triple
-        self.partition(predicate)[subject, obj] = None
+        self._partition(predicate)[subject, obj] = None
         return self
 
-    def partition(self, predicate: Iri) -> dict[tuple[Term, Term], None]:
-        """The predicate's pair set, which a loader adds (subject, object)
-        keys to, skipping insert's checks."""
+    def _partition(self, predicate: Iri) -> dict[tuple[Term, Term], None]:
+        """The predicate's pair set, created empty when new; the Turtle
+        reader adds (subject, object) keys to it, skipping insert's checks."""
         return self._partitions[predicate]
 
     def freeze(self) -> "TripleStore":

@@ -393,9 +393,11 @@ _FAST_VERB = rf"{_FAST_IRI}|a"
 _FAST_OBJECT = rf"{_FAST_IRI}|{_FAST_LITERAL}"
 _END = r"\.[ \t\r]*(?:\n|\Z)"
 # the first `V O` of a statement, and each `; V O` or `, O` after it, with
-# the statement's end when it follows
-_VERB_OBJECT_RE = re.compile(rf"({_FAST_VERB})[ \t\r\n]+({_FAST_OBJECT})[ \t\r\n]*({_END})?")
-_ITEM_RE = re.compile(rf"(?:;[ \t\r\n]*({_FAST_VERB})[ \t\r\n]+|,[ \t\r\n]*)({_FAST_OBJECT})[ \t\r\n]*({_END})?")
+# the statement's end when it follows; O must end where the general reader's
+# token ends (`ex:o.x` is one name there), as its pair is added at once
+_FAST_ITEM_OBJECT = rf"({_FAST_OBJECT})(?=[ \t\r\n;,]|{_END})[ \t\r\n]*({_END})?"
+_VERB_OBJECT_RE = re.compile(rf"({_FAST_VERB})[ \t\r\n]+{_FAST_ITEM_OBJECT}")
+_ITEM_RE = re.compile(rf"(?:;[ \t\r\n]*({_FAST_VERB})[ \t\r\n]+|,[ \t\r\n]*){_FAST_ITEM_OBJECT}")
 _STATEMENT_RE = re.compile(
     r"[ \t\r\n]*"
     rf"(?:@prefix[ \t]+([A-Za-z][A-Za-z0-9_\-]*)?:[ \t]+({_FAST_IRIREF})[ \t]*{_END}"
@@ -411,7 +413,7 @@ class _TurtleParser:
         self.store = TripleStore()
         self._intern = _Memo(Iri).__getitem__
         # predicate -> its pair set in the store, or None when keep drops it
-        partition = self.store.partition  # a closure over self would make a cycle
+        partition = self.store._partition  # a closure over self would make a cycle
         self.partition = _Memo(lambda p: partition(p) if keep is None or keep(p) else None)
 
     def _error(self, message, pos, cls=TurtleSyntaxError):

@@ -471,6 +471,21 @@ class TestFastPath:
             Triple(Iri("http://empty.example/s"), p, o),
         ]
 
+    @pytest.mark.parametrize(
+        "line",
+        [
+            "ex:s ex:p ex:o.x .",
+            "ex:s ex:p ex:a , ex:b.c .",
+            'ex:s ex:p "1"^^ex:d.v .',
+            "ex:s ex:p ex:a ; ex:q ex:b.c .",
+        ],
+    )
+    def test_local_name_with_an_inner_dot_is_one_term(self, line):
+        doc = "@prefix ex: <http://e/> .\n" + line + "\n"
+        triples = outcome(doc)
+        assert triples == outcome(GENERAL + doc)
+        assert len(triples) == 1 + line.count(",") + line.count(";")
+
     @pytest.mark.parametrize("line, column", CANONICAL_TAILS)
     def test_error_after_1000_canonical_lines_keeps_class_line_and_column(self, line, column):
         doc = canonical_doc(line)
