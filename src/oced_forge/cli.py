@@ -7,9 +7,11 @@ diagnostics go to stderr, so output is pipe-safe and byte-deterministic.
 
 A command imports only the modules it runs: the XES reader, the transform
 and the graph model for convert and XES stats, the DOT writer for
-export-dot.  The read commands load Turtle with a keep rule derived from
-the patterns their queries look up (see _keep_rule; stats keeps every
-triple, because it counts them), with the cyclic GC off during the load.
+export-dot.  An input is read whole and inflated once when it is gzip
+(_read_input); the XES reader is then given the XML as it is.  The read
+commands load Turtle with a keep rule made of the IRI predicates of the
+patterns their queries look up (see _keep_rule; stats keeps every triple,
+because it counts them), with the cyclic GC off during the load.
 
 Exit codes: 0 success (also with skipped-event warnings), 2 unreadable or
 invalid input file (a bad gzip stream or config encoding too) or input that
@@ -56,7 +58,7 @@ from .terms import (
     is_qualifier,
     object_object_triples,
 )
-from .triple_query import TriplePattern, TripleStore, Var
+from .triple_query import TriplePattern, TripleStore
 from .turtle_io import parse_turtle
 
 if TYPE_CHECKING:  # the read commands run without the XES reader
@@ -145,14 +147,11 @@ def _write_text(path: str | None, text: str):
             fh.write(text)
 
 
-def _keep_rule(patterns: list[TriplePattern], qualifiers: bool = False) -> Callable[[Iri], bool] | None:
+def _keep_rule(patterns: list[TriplePattern], qualifiers: bool = False) -> Callable[[Iri], bool]:
     """parse_turtle's keep rule for a command that reads patterns: their
-    predicates, and with qualifiers every data-derived ext: predicate (what
-    object_object_triples reads).  None, keeping every triple, when a pattern
-    has a variable predicate."""
+    predicates (each an IRI), and with qualifiers every data-derived ext:
+    predicate (what object_object_triples reads)."""
     predicates = frozenset(pattern.predicate for pattern in patterns)
-    if any(isinstance(predicate, Var) for predicate in predicates):
-        return None
     if qualifiers:
         return lambda predicate: predicate in predicates or is_qualifier(predicate)
     return predicates.__contains__
@@ -163,7 +162,7 @@ def _parse_store(text: str, keep: Callable[[Iri], bool] | None = None) -> Triple
     return parse_turtle(text, keep).freeze()
 
 
-def _load_store(path: str, keep: Callable[[Iri], bool] | None) -> TripleStore:
+def _load_store(path: str, keep: Callable[[Iri], bool]) -> TripleStore:
     try:
         text = _read_input(path).decode("utf-8")
     except UnicodeDecodeError as exc:
@@ -172,10 +171,11 @@ def _load_store(path: str, keep: Callable[[Iri], bool] | None) -> TripleStore:
 
 
 def _parse_xes_logged(data: bytes) -> "XesLog":
-    """parse_xes, with each of the reader's warnings logged."""
-    from .xes_parser import parse_xes
+    """The XES reader on bytes _read_input has already inflated (so never
+    inflated twice), with each of the reader's warnings logged."""
+    from .xes_parser import parse_xes_xml
 
-    log = parse_xes(data)
+    log = parse_xes_xml(data)
     for warning in log.warnings:
         logging.getLogger("oced_forge.xes_parser").warning("%s", warning)
     return log

@@ -5,25 +5,24 @@ so loading a store imports no dataclasses); a Var never equals a term.
 
 The store is its predicate partitions: one dict from each predicate to an
 insertion-ordered set of its (subject, object) pairs, with set semantics.
-A pattern with a constant predicate reads that predicate's pairs, and
-pairs(predicate) hands them to callers that need no bindings; a pattern
-with a variable predicate reads every partition.  Iteration yields Triples
-predicate-major: predicates in first-seen order, each predicate's triples in
-insertion order.  No order anywhere is hash order, so query results are
-deterministic across processes.
+A pattern's predicate is an IRI, so every pattern reads exactly one
+partition, and pairs(predicate) hands a partition to callers that need no
+bindings.  Iteration yields Triples predicate-major: predicates in
+first-seen order, each predicate's triples in insertion order.  No order
+anywhere is hash order, so query results are deterministic across
+processes.
 
-BGP evaluation joins patterns most-selective-first: at each step the
-remaining pattern with the cheapest index estimate (given the variables
-already bound) is joined next.  OPTIONAL evaluation left-joins each optional
-group onto the required block's solutions.
+The query language is what the analyses ask: a BGP joins its patterns in
+the order written, and match_optional left-joins each OPTIONAL group onto
+the required block's solutions.  A group joins on variables the required
+patterns bind, never on one that only an earlier group binds.
 
 Inside the store a solution is a row: a tuple of terms aligned to a tuple of
 variable names, with None where an OPTIONAL group left a variable unbound
 (no term is None).  A pattern is read by one row scan, which applies its
-constants and repeated variables.  Both join steps are hash joins planned
-once per binding shape (which of the step's variables a row already binds):
-the pattern or group is scanned once, unsubstituted, its rows are keyed on
-those variables, and a row is extended by tuple concatenation.
+constants and repeated variable.  Each join step is a hash join: the
+pattern or group is scanned once, unsubstituted, its rows are keyed on the
+variables already bound, and a row is extended by tuple concatenation.
 match_pattern, match_bgp and match_optional build binding dicts once, from
 the final rows; an unbound variable is an absent key.
 
@@ -66,11 +65,14 @@ PatternTerm = Term | Var
 
 
 class TriplePattern:
-    """A triple whose positions may be variables."""
+    """A triple whose subject and object may be variables; its predicate is
+    an IRI (TypeError otherwise)."""
 
     __slots__ = ("subject", "predicate", "object")
 
-    def __init__(self, subject: PatternTerm, predicate: PatternTerm, object: PatternTerm):
+    def __init__(self, subject: PatternTerm, predicate: Iri, object: PatternTerm):
+        if not isinstance(predicate, Iri):
+            raise TypeError(f"pattern predicate must be an IRI, got {predicate!r}")
         for field, value in zip(self.__slots__, (subject, predicate, object)):
             super().__setattr__(field, value)
 
@@ -131,10 +133,11 @@ class TripleStore:
         return (subject, obj) in self._partitions.get(predicate, ())
 
     def insert(self, triple: Triple) -> "TripleStore":
-        """Add a triple; duplicates are ignored (set semantics)."""
+        """Add a triple; duplicates are ignored (set semantics).  A subject or
+        predicate that is not an IRI raises TypeError, as Triple does."""
         if self._frozen:
             raise RuntimeError("store is frozen")
-        subject, predicate, obj = triple
+        subject, predicate, obj = Triple(*triple)
         self._partition(predicate)[subject, obj] = None
         return self
 
@@ -164,25 +167,19 @@ class TripleStore:
 
     def _scan(self, pattern: TriplePattern) -> Rows:
         """The pattern's variables in first-seen order, and one row of their
-        values per matching triple.  A constant predicate's rows are its
-        pairs, so `?s P ?o` is the pairs themselves; a variable one reads
-        (subject, predicate, object) rows from every partition."""
+        values per matching triple: the predicate's pairs, filtered by the
+        pattern's constants and repeated variable, so `?s P ?o` is the pairs
+        themselves."""
         subject, predicate, obj = pattern.positions()
-        if isinstance(predicate, Var):
-            positions = (subject, predicate, obj)
-            rows = [(s, p, o) for p, pairs in self._partitions.items() for s, o in pairs]
-        else:
-            positions = (subject, obj)
-            rows = self.pairs(predicate)
+        rows = self.pairs(predicate)
         first: dict[str, int] = {}
-        for column, term in enumerate(positions):
+        for column, term in enumerate((subject, obj)):
             if not isinstance(term, Var):
                 rows = [row for row in rows if row[column] == term]
             elif first.setdefault(term.name, column) != column:
-                seen = first[term.name]
-                rows = [row for row in rows if row[column] == row[seen]]
+                rows = [row for row in rows if row[0] == row[1]]
         columns = tuple(first.values())
-        if columns != tuple(range(len(positions))):
+        if columns != (0, 1):
             rows = map(_columns(columns), rows)
         return tuple(first), list(rows)
 
@@ -191,29 +188,8 @@ class TripleStore:
         names, rows = self._scan(pattern)
         return [dict(zip(names, row)) for row in rows]
 
-    def _estimate(self, pattern: TriplePattern, bound: set[str]) -> float:
-        """Cardinality estimate used for join ordering; deterministic."""
-        n_bound = sum(isinstance(t, Var) and t.name in bound for t in pattern.positions())
-        base = len(self) if isinstance(pattern.predicate, Var) else len(self.pairs(pattern.predicate))
-        # variables already bound by earlier patterns act as constants at
-        # evaluation time; discount them
-        return base / (10.0**n_bound)
-
-    def _plan(self, patterns):
-        remaining = list(enumerate(patterns))
-        bound: set[str] = set()
-        ordered = []
-        while remaining:
-            index, pattern = min(
-                remaining, key=lambda item: (self._estimate(item[1], bound), item[0])
-            )
-            remaining = [item for item in remaining if item[0] != index]
-            ordered.append(pattern)
-            bound |= pattern.variables()
-        return ordered
-
     def match_bgp(self, patterns: list[TriplePattern]) -> list[BindingSet]:
-        """Natural join of the patterns' matches (deterministic order)."""
+        """Natural join of the patterns' matches, in the order written."""
         names, rows = self._bgp(patterns)
         return [dict(zip(names, row)) for row in rows]
 
@@ -224,7 +200,20 @@ class TripleStore:
     ) -> list[BindingSet]:
         """Left-outer-join semantics: each solution of the required block is
         extended by every compatible match of each optional group, or kept
-        as-is when a group has no compatible match."""
+        as-is when a group has no compatible match.
+
+        A group may share with earlier groups only variables that the
+        required patterns bind; ValueError otherwise."""
+        required_names = {name for pattern in required for name in pattern.variables()}
+        earlier: set[str] = set()
+        for group in optional_groups:
+            variables = {name for pattern in group for name in pattern.variables()}
+            shared = sorted((variables & earlier) - required_names)
+            if shared:
+                raise ValueError(
+                    f"OPTIONAL group {group!r} joins on ?{', ?'.join(shared)}, which only an earlier group binds"
+                )
+            earlier |= variables
         names, rows = self._bgp(required)
         for group in optional_groups:
             names, rows = self._join(names, rows, group, optional=True)
@@ -233,7 +222,7 @@ class TripleStore:
     def _bgp(self, patterns) -> Rows:
         """match_bgp's solutions as rows."""
         names, rows = (), [()]
-        for pattern in self._plan(list(patterns)):
+        for pattern in patterns:
             names, rows = self._join(names, rows, [pattern], optional=False)
             if not rows:
                 break
@@ -244,51 +233,31 @@ class TripleStore:
         an optional group keeps a row it has no match for, its new variables
         unbound (None).
 
-        Rows are split by which of the group's variables they bind (their
-        shape).  Per shape the group is scanned once, unsubstituted, and its
-        matches are keyed on the values of those variables, so extending a
-        row is one dict lookup and a tuple concatenation.  Most rows bind
-        every join variable; a row that an earlier OPTIONAL group left
-        unbound in one has its None slots filled from the match.  A
-        one-pattern group extends each row by its matching triples in
-        insertion order."""
+        The group is scanned once, unsubstituted, and its matches are keyed
+        on the variables the rows already bind, so extending a row is one
+        dict lookup and a tuple concatenation per match.  Every row binds
+        every such variable: match_optional lets a group share only
+        required ones."""
         variables = dict.fromkeys(
             term.name for pattern in group for term in pattern.positions() if isinstance(term, Var)
         )
+        keyed = [name for name in variables if name in names]
         new = tuple(name for name in variables if name not in names)
-        slots = tuple(names.index(name) for name in variables if name in names)
-        pad = (None,) * len(new)
-        row_key, single = _key(slots), len(slots) == 1
-        tables = {}  # bound slots -> (unbound slots, matches by key)
+        if not rows:
+            return names + new, rows
+        table = self._matches(group, keyed, new)
+        row_key, pad = _key([names.index(name) for name in keyed]), (None,) * len(new)
         extended: list[tuple] = []
         for row in rows:
-            key, bound = row_key(row), slots
-            if (key is None) if single else (None in key):  # an OPTIONAL group left one unbound
-                bound = tuple(slot for slot in slots if row[slot] is not None)
-                key = _key(bound)(row)
-            entry = tables.get(bound)
-            if entry is None:
-                free = tuple(slot for slot in slots if slot not in bound)
-                keyed = [names[slot] for slot in bound]
-                carried = [names[slot] for slot in free] + list(new)
-                entry = tables[bound] = free, self._matches(group, keyed, carried)
-            free, table = entry
-            matches = table.get(key)
-            if not matches:
-                if optional:
-                    extended.append(row + pad)
-            elif not free:
+            matches = table.get(row_key(row))
+            if matches:
                 for match in matches:
                     extended.append(row + match)
-            else:
-                for match in matches:
-                    filled = list(row)
-                    for slot, term in zip(free, match):
-                        filled[slot] = term
-                    extended.append(tuple(filled) + match[len(free):])
+            elif optional:
+                extended.append(row + pad)
         return names + new, extended
 
-    def _matches(self, group: list[TriplePattern], keyed: list[str], carried: list[str]):
+    def _matches(self, group: list[TriplePattern], keyed: list[str], carried: tuple[str, ...]):
         """The group's matches, as their values for carried, listed in match
         order under their values for keyed."""
         names, rows = self._scan(group[0]) if len(group) == 1 else self._bgp(group)

@@ -77,7 +77,6 @@ from .terms import (
     Iri,
     PlainLiteral,
     Term,
-    Triple,
     TypedLiteral,
     escape_id,
 )
@@ -209,7 +208,7 @@ def graph_to_triples(graph: "OcedGraph") -> TripleStore:
             o = PlainLiteral(o[0])
         else:
             o = TypedLiteral(o[0], iri[o[1]])
-        store.insert(Triple(iri[s], iri[p], o))
+        store.insert((iri[s], iri[p], o))
     return store
 
 

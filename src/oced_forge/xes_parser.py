@@ -200,18 +200,24 @@ class _Reader:
 
 
 def parse_xes(data: bytes) -> XesLog:
-    """Parse XES XML bytes (gzip-compressed input is detected and inflated).
+    """Parse XES XML bytes (gzip-compressed input is detected and inflated,
+    once); see parse_xes_xml."""
+    if data[:2] == b"\x1f\x8b":
+        try:
+            data = gzip.decompress(data)
+        except (OSError, EOFError, zlib.error) as exc:
+            raise XesParseError(f"bad gzip stream: {exc}") from exc
+    return parse_xes_xml(data)
+
+
+def parse_xes_xml(data: bytes) -> XesLog:
+    """Parse XES XML bytes as they are, never inflated.
 
     Raises XesParseError for malformed XML (with line/column) and
     XesStructureError for XES-level violations.  The first structural error
     is raised only once the whole document has been read, so malformed XML
     anywhere in it is reported instead, as a whole-document parse would.
     """
-    if data[:2] == b"\x1f\x8b":
-        try:
-            data = gzip.decompress(data)
-        except (OSError, EOFError, zlib.error) as exc:
-            raise XesParseError(f"bad gzip stream: {exc}") from exc
     reader = _Reader()
     parser = expat.ParserCreate(namespace_separator="}")
     parser.StartElementHandler = reader.start

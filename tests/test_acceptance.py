@@ -123,9 +123,10 @@ def _random_store_and_bgp(rng):
         return PlainLiteral(rng.choice(["x", "y", "missing"]))
 
     def predicate():
+        # one in five names a predicate the store may not hold
         if rng.random() < 0.8:
             return Iri("http://t/" + rng.choice(predicates))
-        return rng.choice(variables)
+        return Iri(f"http://t/p{rng.randint(0, 4)}")
 
     patterns = [
         TriplePattern(subject_or_object(), predicate(), subject_or_object())

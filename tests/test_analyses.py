@@ -1,6 +1,7 @@
 import logging
 import random
 from datetime import datetime, timedelta, timezone
+from itertools import permutations
 
 from oced_forge import (
     Iri,
@@ -11,6 +12,7 @@ from oced_forge import (
     detect_ping_pong,
     enumerate_event_objects,
     graph_to_triples,
+    store_to_dot,
     team_involvement,
 )
 from oced_forge import analyses, triple_query
@@ -34,6 +36,7 @@ from oracles import (
     brute_force_witnesses,
     build_handoff_graph,
     random_handoff_graph,
+    random_oced_graph,
 )
 
 
@@ -414,6 +417,38 @@ class TestEnumerateEventObjects:
             if complete:
                 expected += 1
         assert len(enumerate_event_objects(store.freeze())) == expected
+
+
+def test_pattern_order_decides_no_output(monkeypatch):
+    """Joins run in the order written, so the order of an analysis's
+    patterns decides only its speed: every permutation of TEAM_TIMES and of
+    the EventObject block gives the same records and DOT bytes.  Each store
+    holds its triples shuffled, so its partitions list subjects in different
+    orders and each join order yields the solutions in a different order."""
+    rng = random.Random(23)
+    graphs = [random_handoff_graph(rng, max_cases=8)[0] for _ in range(10)]
+    graphs += [random_oced_graph(rng) for _ in range(30)]
+    stores = []
+    for graph in graphs:
+        triples = graph_to_triples(graph).triples()
+        stores.append(TripleStore(rng.sample(triples, len(triples))).freeze())
+
+    def outputs(store):
+        return (
+            records(detect_ping_pong(store)),
+            records(team_involvement(store)),
+            records(enumerate_event_objects(store)),
+            store_to_dot(store),
+        )
+
+    expected = [outputs(store) for store in stores]
+    assert any(out[0] for out in expected) and any(out[1] for out in expected)
+    assert any(out[2] for out in expected)
+    for team_times in permutations(analyses.TEAM_TIMES):
+        for event_object in permutations(analyses._EVENT_OBJECT):
+            monkeypatch.setattr(analyses, "TEAM_TIMES", list(team_times))
+            monkeypatch.setattr(analyses, "_EVENT_OBJECT", list(event_object))
+            assert [outputs(store) for store in stores] == expected, (team_times, event_object)
 
 
 class TestRecords:

@@ -459,6 +459,19 @@ def test_truncated_gzip_turtle_exits_2(
         assert err.count("\n") == 1
 
 
+def test_doubly_gzipped_xes_is_inflated_once(bpic_xes_bytes, tmp_path, capsys):
+    """The CLI inflates an input once, so XES gzipped twice is XES to
+    neither command: convert reads the inner gzip stream as XML."""
+    path = tmp_path / "log.xes.gz.gz"
+    path.write_bytes(gzip.compress(gzip.compress(bpic_xes_bytes)))
+    assert run(["convert", str(path)], capsys) == (
+        3,
+        "",
+        "oced-forge: not well-formed (invalid token) (line 1, column 0)\n",
+    )
+    assert run(["stats", str(path)], capsys) == (65, "", f"stats: {path}: not XES or Turtle\n")
+
+
 @pytest.mark.parametrize("source", ["fixture", "hostile"])
 def test_every_cli_query_reads_the_predicate_index(source, converted_ttl, monkeypatch, capsys):
     """The store is its predicate partitions: every pattern the analyses,

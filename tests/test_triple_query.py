@@ -64,14 +64,26 @@ class TestInsert:
         store = TripleStore([t("a", "p", "b"), t("b", "q", "c")])
         store.insert(t("a", "p", "b"))
         assert len(store) == 2
-        # the whole set (variable predicate), then the predicate index with
-        # a variable and with a constant object
+        # the predicate's partition with a constant subject, with none, and
+        # with a constant object
         for shape, binding in (
-            (TriplePattern(iri("a"), Var("p"), Var("o")), {"p": iri("p"), "o": iri("b")}),
+            (TriplePattern(iri("a"), iri("p"), Var("o")), {"o": iri("b")}),
             (TriplePattern(Var("s"), iri("p"), Var("o")), {"s": iri("a"), "o": iri("b")}),
             (TriplePattern(Var("s"), iri("p"), iri("b")), {"s": iri("a")}),
         ):
             assert store.match_pattern(shape) == [binding]
+
+    @pytest.mark.parametrize("role", ["subject", "predicate"])
+    def test_insert_rejects_literal_subject_or_predicate(self, role):
+        store = TripleStore([t("a", "p", "b")])
+        parts = {"subject": iri("s"), "predicate": iri("p"), "object": iri("o"), role: PlainLiteral("x")}
+        with pytest.raises(TypeError, match=f"triple {role} must be an IRI"):
+            store.insert(tuple(parts.values()))
+        with pytest.raises(TypeError, match=f"triple {role} must be an IRI"):
+            TripleStore([tuple(parts.values())])
+        # nothing was stored, so the store still iterates as Triples
+        assert list(store) == [t("a", "p", "b")]
+        assert tuple(parts.values()) not in store
 
 
 class TestTerms:
@@ -96,21 +108,19 @@ class TestTerms:
 
     def test_scan_applies_constants_and_repeated_variables(self):
         store = TripleStore([t("a", "p", "a"), t("a", "p", "b"), t("b", "q", "b"), t("b", "p", "b")])
-        # on a partition's (subject, object) columns
+        # on the predicate's partition, its (subject, object) columns
         assert store.match_pattern(TriplePattern(Var("x"), iri("p"), Var("x"))) == [{"x": iri("a")}, {"x": iri("b")}]
+        assert store.match_pattern(TriplePattern(Var("x"), iri("q"), Var("x"))) == [{"x": iri("b")}]
+        assert store.match_pattern(TriplePattern(Var("s"), iri("p"), iri("b"))) == [{"s": iri("a")}, {"s": iri("b")}]
         assert store.match_pattern(TriplePattern(iri("b"), iri("p"), Var("o"))) == [{"o": iri("b")}]
         assert store.match_pattern(TriplePattern(iri("b"), iri("p"), iri("b"))) == [{}]
         assert store.match_pattern(TriplePattern(Var("s"), iri("r"), Var("o"))) == []
-        # on every partition's (subject, predicate, object) columns, predicate-major
-        assert store.match_pattern(TriplePattern(iri("a"), Var("p"), Var("o"))) == [
-            {"p": iri("p"), "o": iri("a")},
-            {"p": iri("p"), "o": iri("b")},
-        ]
-        assert store.match_pattern(TriplePattern(Var("x"), Var("p"), Var("x"))) == [
-            {"x": iri("a"), "p": iri("p")},
-            {"x": iri("b"), "p": iri("p")},
-            {"x": iri("b"), "p": iri("q")},
-        ]
+
+    @pytest.mark.parametrize("predicate", [Var("p"), PlainLiteral("p"), TypedLiteral("1", XSD_INTEGER)])
+    def test_pattern_predicate_must_be_an_iri(self, predicate):
+        with pytest.raises(TypeError) as excinfo:
+            TriplePattern(Var("s"), predicate, Var("o"))
+        assert str(excinfo.value) == f"pattern predicate must be an IRI, got {predicate!r}"
 
     def test_the_store_is_its_predicate_partitions(self):
         store = TripleStore([t("a", "p", "a"), t("a", "q", "b"), t("b", "p", "b"), t("a", "p", "a")])
@@ -173,7 +183,7 @@ class TestMatchPattern:
             if triple not in triples:
                 triples.append(triple)
         for s in [Var("s"), iri("a")]:
-            for p in [Var("p"), iri("p")]:
+            for p in [iri("p"), iri("q"), iri("r")]:
                 for o in [Var("o"), iri("b"), PlainLiteral("nope")]:
                     pattern = TriplePattern(s, p, o)
                     assert as_bag(store.match_pattern(pattern)) == as_bag(
@@ -256,13 +266,15 @@ class TestMatchBgp:
                 return iri(rng.choice(predicates))
 
             patterns = [
-                TriplePattern(position(), rng.choice([iri(rng.choice(predicates)), rng.choice(variables)]), position())
+                TriplePattern(position(), iri(rng.choice(predicates)), position())
                 for _ in range(rng.randint(1, 4))
             ]
             expected = nested_loop_bgp(triples, patterns, limit=50_000)
             if expected is None:
                 continue
-            assert as_bag(store.match_bgp(patterns)) == as_bag(expected)
+            solutions = store.match_bgp(patterns)
+            assert as_bag(solutions) == as_bag(expected)
+            assert solutions == _per_solution_bgp(store, patterns)
 
 
 class TestMatchOptional:
@@ -303,31 +315,65 @@ class TestMatchOptional:
         )
         assert {sol["k"].value for sol in solutions} == {"x", "y"}
 
-    def test_later_group_fills_a_variable_an_earlier_group_left_unbound(self):
-        # ?k is bound by the classifier group for e0, e2 and e4 only; the label
-        # group joins the others on ?c alone and fills their ?k, and the weight
-        # group fills both ?k and ?w for the one row still without a ?k
-        triples = (
-            [t(f"e{i}", "event_case", f"c{i % 3}") for i in range(6)]
-            + [t(f"e{i}", "classifier", f"k{i}") for i in (0, 2, 4)]
-            + [t("c0", "label", "k0"), t("c0", "label", "k1"), t("c1", "label", "k2")]
-            + [t("k0", "weight", "w0"), t("k2", "weight", "w1"), t("k4", "weight", "w2"), t("k9", "weight", "w3")]
-        )
-        store = TripleStore(triples)
+    _TRIPLES = (
+        [t(f"e{i}", "event_case", f"c{i % 3}") for i in range(6)]
+        + [t(f"e{i}", "classifier", f"k{i}") for i in (0, 2, 4)]
+        + [t("c0", "label", "k0"), t("c0", "label", "k1"), t("c1", "label", "k2")]
+        + [t("k0", "weight", "w0"), t("k2", "weight", "w1"), t("k4", "weight", "w2"), t("k9", "weight", "w3")]
+    )
+
+    def test_group_joined_on_a_variable_only_an_earlier_group_binds_is_rejected(self):
+        store = TripleStore(self._TRIPLES)
+        e, c, k = Var("e"), Var("c"), Var("k")
+        required = [TriplePattern(e, iri("event_case"), c)]
+        for later in (
+            [TriplePattern(c, iri("label"), k)],
+            [TriplePattern(k, iri("weight"), Var("w"))],
+            [TriplePattern(c, iri("label"), Var("l")), TriplePattern(k, iri("weight"), Var("l"))],
+        ):
+            with pytest.raises(ValueError, match=r"joins on \?k, which only an earlier group binds"):
+                store.match_optional(required, [[TriplePattern(e, iri("classifier"), k)], later])
+        # a variable the required patterns bind joins however many groups share it
+        required.append(TriplePattern(e, iri("classifier"), k))
+        groups = [[TriplePattern(c, iri("label"), k)], [TriplePattern(c, iri("label"), Var("l"))]]
+        solutions = store.match_optional(required, groups)
+        assert solutions == _per_solution_optional(store, required, groups)
+        assert as_bag(solutions) == as_bag(nested_loop_optional(list(self._TRIPLES), required, groups))
+        assert len(solutions) == 4
+
+    def test_groups_join_on_required_variables_even_when_the_required_block_ends_early(self):
+        # ?k is a required variable: the block stops at its empty first
+        # pattern, before binding ?k, and the groups still may share it
+        store = TripleStore(self._TRIPLES)
+        required = [
+            TriplePattern(Var("e"), iri("missing"), Var("c")),
+            TriplePattern(Var("c"), iri("label"), Var("k")),
+        ]
+        groups = [[TriplePattern(Var("k"), iri("weight"), Var("w"))], [TriplePattern(Var("k"), iri("label"), Var("v"))]]
+        assert store.match_optional(required, groups) == []
+
+    def test_groups_extend_each_solution_on_required_variables(self):
+        # the classifier group binds ?k for e0, e2 and e4 only; the label group
+        # joins on ?c, and so does the last group, which joins on ?m inside itself
+        store = TripleStore(self._TRIPLES)
         e, c, k = Var("e"), Var("c"), Var("k")
         required = [TriplePattern(e, iri("event_case"), c)]
         groups = [
             [TriplePattern(e, iri("classifier"), k)],
-            [TriplePattern(c, iri("label"), k)],
-            [TriplePattern(k, iri("weight"), Var("w"))],
+            [TriplePattern(c, iri("label"), Var("l"))],
+            [TriplePattern(c, iri("label"), Var("m")), TriplePattern(Var("m"), iri("weight"), Var("w"))],
         ]
         solutions = store.match_optional(required, groups)
         assert solutions == _per_solution_optional(store, required, groups)
-        assert as_bag(solutions) == as_bag(nested_loop_optional(triples, required, groups))
+        assert as_bag(solutions) == as_bag(nested_loop_optional(list(self._TRIPLES), required, groups))
         by_event = Counter(sol["e"] for sol in solutions)
-        assert by_event[iri("e1")] == 1 and by_event[iri("e3")] == 2 and by_event[iri("e5")] == 4
-        assert [sol["k"] for sol in solutions if sol["e"] == iri("e1")] == [iri("k2")]
-        assert len(solutions) == 10
+        assert by_event[iri("e0")] == 2 and by_event[iri("e1")] == 1 and by_event[iri("e2")] == 1
+        assert [(sol["l"], sol["w"]) for sol in solutions if sol["e"] == iri("e3")] == [
+            (iri("k0"), iri("w0")),
+            (iri("k1"), iri("w0")),
+        ]
+        assert solutions[-1] == {"e": iri("e5"), "c": iri("c2")}
+        assert len(solutions) == 8
 
     def test_random_optional_equals_left_outer_join_oracle(self):
         features = Counter()
@@ -353,14 +399,17 @@ class TestMatchOptional:
             "multi-pattern group",
             "constant-only group",
             "repeated variable",
-            "mixed shapes",
+            "joined on a required variable",
         ):
             assert features[feature] >= 20, (feature, features)
+        # groups join on required variables only, so every solution before a
+        # group binds the same ones of its variables
+        assert features["mixed shapes"] == 0
 
 
 class TestJoinSteps:
-    """Each join step scans its pattern or group once per binding shape,
-    however many solutions it extends."""
+    """Each join step scans its pattern or group once, however many
+    solutions it extends."""
 
     def _counted(self, monkeypatch):
         calls = []
@@ -386,23 +435,24 @@ class TestJoinSteps:
         assert len(detect_ping_pong(store)) == 5
         assert len(calls) == 3
 
-    def test_optional_group_matches_once_per_shape(self, monkeypatch):
+    def test_optional_group_matches_once(self, monkeypatch):
         triples = (
             [t(f"e{i}", "event_case", f"c{i % 4}") for i in range(40)]
             + [t(f"e{i}", "classifier", f"k{i}") for i in range(0, 40, 2)]
-            + [t(f"k{i}", "label", PlainLiteral(str(i))) for i in range(60)]
+            + [t(f"c{i % 3}", "label", PlainLiteral(str(i))) for i in range(60)]
         )
         store = TripleStore(triples)
         required = [TriplePattern(Var("e"), iri("event_case"), Var("c"))]
-        # half the solutions bind ?k before the last group, half do not
+        # half the solutions get a ?k from the first group, and the solutions
+        # of three of the four cases get 20 labels each from the second
         groups = [
             [TriplePattern(Var("e"), iri("classifier"), Var("k"))],
-            [TriplePattern(Var("k"), iri("label"), Var("v"))],
+            [TriplePattern(Var("c"), iri("label"), Var("v"))],
         ]
         calls = self._counted(monkeypatch)
         solutions = store.match_optional(required, groups)
-        assert len(calls) == 4
-        assert len(solutions) == 20 + 20 * 60
+        assert len(calls) == 3
+        assert len(solutions) == 30 * 20 + 10
         assert as_bag(solutions) == as_bag(nested_loop_optional(triples, required, groups))
 
 
@@ -411,8 +461,10 @@ _OPTIONAL_VARIABLES = [Var(v) for v in "wxyz"]
 
 def _random_optional_query(rng):
     """A small store, its triples in insertion order, and a random required
-    block with optional groups; a third of the queries chain each group onto
-    a variable only the previous group binds."""
+    block with optional groups.  A group shares with earlier groups only the
+    required block's variables; its others are its own.  A third of the
+    queries have the EventObject block's shape: required patterns on one
+    subject, then one-pattern groups, each on one of their variables."""
     names = [f"n{i}" for i in range(rng.randint(2, 6))]
     predicates = [f"p{i}" for i in range(rng.randint(1, 3))]
     store, triples = TripleStore(), []
@@ -426,30 +478,32 @@ def _random_optional_query(rng):
     def constant(pool):
         return iri(rng.choice(pool))
 
-    def position():
-        return rng.choice(_OPTIONAL_VARIABLES) if rng.random() < 0.55 else constant(names)
+    def pattern(variables):
+        def position():
+            return rng.choice(variables) if rng.random() < 0.55 else constant(names)
 
-    def pattern():
         roll = rng.random()
         if roll < 0.15:
             return TriplePattern(constant(names), constant(predicates), constant(names))
         if roll < 0.3:
-            var = rng.choice(_OPTIONAL_VARIABLES)
-            return TriplePattern(var, rng.choice([var, constant(predicates)]), var)
-        predicate = rng.choice(_OPTIONAL_VARIABLES) if rng.random() < 0.2 else constant(predicates)
-        return TriplePattern(position(), predicate, position())
+            var = rng.choice(variables)
+            return TriplePattern(var, constant(predicates), var)
+        return TriplePattern(position(), constant(predicates), position())
 
     if rng.random() < 1 / 3:
-        w, x, y, z = _OPTIONAL_VARIABLES
-        required = [TriplePattern(w, constant(predicates), x)]
+        w, x, y, _ = _OPTIONAL_VARIABLES
+        required = [TriplePattern(w, constant(predicates), x), TriplePattern(w, constant(predicates), y)]
         groups = [
-            [TriplePattern(x, constant(predicates), y)],
-            [TriplePattern(y, constant(predicates), z)],
-            [TriplePattern(z, constant(predicates), w), pattern()][: rng.randint(1, 2)],
+            [TriplePattern(rng.choice((w, x, y)), constant(predicates), Var(f"g{k}"))]
+            for k in range(rng.randint(1, 4))
         ]
         return store, triples, required, groups
-    required = [pattern() for _ in range(rng.choice([0, 1, 1, 2]))]
-    groups = [[pattern() for _ in range(rng.choice([1, 1, 2, 3]))] for _ in range(rng.randint(1, 3))]
+    required = [pattern(_OPTIONAL_VARIABLES) for _ in range(rng.choice([0, 1, 1, 2]))]
+    bound = sorted({name for p in required for name in p.variables()})
+    groups = []
+    for k in range(rng.randint(1, 3)):
+        variables = [Var(name) for name in bound] + [Var(f"g{k}{v}") for v in "ab"]
+        groups.append([pattern(variables) for _ in range(rng.choice([1, 1, 2, 3]))])
     return store, triples, required, groups
 
 
@@ -457,6 +511,7 @@ def _optional_features(triples, required, groups):
     found = set()
     if not required:
         found.add("empty required")
+    required_names = set().union(*(p.variables() for p in required))
     for k, group in enumerate(groups):
         if len(group) > 1:
             found.add("multi-pattern group")
@@ -465,6 +520,8 @@ def _optional_features(triples, required, groups):
         if any(len(p.variables()) < sum(isinstance(x, Var) for x in p.positions()) for p in group):
             found.add("repeated variable")
         names = set().union(*(p.variables() for p in group))
+        if names & required_names:
+            found.add("joined on a required variable")
         before = nested_loop_optional(triples, required, groups[:k])
         if len({frozenset(names & sol.keys()) for sol in before}) > 1:
             found.add("mixed shapes")
@@ -476,10 +533,11 @@ def _substituted(pattern, solution):
 
 
 def _per_solution_bgp(store, patterns):
-    """match_bgp as first written: each planned pattern matched once for
-    every solution with the solution's bindings substituted."""
+    """match_bgp as first written: each pattern, in the order written,
+    matched once for every solution with the solution's bindings
+    substituted."""
     solutions = [{}]
-    for pattern in store._plan(list(patterns)):
+    for pattern in patterns:
         solutions = [
             {**solution, **match}
             for solution in solutions
@@ -489,8 +547,8 @@ def _per_solution_bgp(store, patterns):
 
 
 def _per_solution_optional(store, required, groups):
-    """match_optional as first written: each group planned and matched once
-    for every solution with the solution's bindings substituted."""
+    """match_optional as first written: each group matched once for every
+    solution with the solution's bindings substituted."""
     solutions = _per_solution_bgp(store, required)
     for group in groups:
         extended = []
