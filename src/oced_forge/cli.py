@@ -91,7 +91,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Convert XES event logs to object-centric event data in Turtle "
         "and run object-centric analyses over them.",
         epilog="exit codes: 0 ok, 2 unreadable or unconvertible input, 3 parse error, 64 usage, "
-        "65 unrecognized format. Set OCED_FORGE_LOG=debug|info|warning for diagnostics.",
+        "65 unrecognized format. Warnings go to stderr; OCED_FORGE_LOG=error silences them.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 

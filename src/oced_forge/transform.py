@@ -100,7 +100,7 @@ class MappingConfig:
         if self.timestamp_key in keys:
             raise ConfigError(f"timestamp key {self.timestamp_key!r} cannot also be an object rule")
         for rule in self.object_rules:
-            if not (rule.xes_key and rule.object_type and rule.eo_qualifier):
+            if not (rule.xes_key and rule.object_type and rule.eo_qualifier) or rule.oo_qualifier == "":
                 raise ConfigError(f"incomplete object rule: {rule}")
 
 
@@ -169,10 +169,7 @@ def load_mapping_config(path: str) -> MappingConfig:
         kwargs["object_rules"] = parsed_rules
     elif rules is not None:
         kwargs["object_rules"] = rules  # not a list: validate() rejects it
-    try:
-        return MappingConfig(**kwargs)
-    except TypeError as exc:
-        raise ConfigError(f"{path}: {exc}") from exc
+    return MappingConfig(**kwargs)
 
 
 def derive_event_type(event: dict[str, TypedValue], config: MappingConfig) -> str:

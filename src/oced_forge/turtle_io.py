@@ -34,22 +34,20 @@ strings, and @base are rejected as unsupported constructs.  An IRI holds
 no control character, space or any of <>"{}|^`\\ (RDF 1.1 Turtle's IRIREF,
 and the rule the writer checks), and no escape sequence.
 
-Parsing takes two paths through one text.  A statement fast path reads
-one statement at a time, one regex match for its subject and one per
-`V O` item, while the text has the shape write_turtle emits or the
-subject-grouped shape of general RDF tools: after blank lines and
-whole-line comments (a run of comment lines is skipped by _past_comments,
-one str.find per line, not by a regex repeat that would keep state per
-line), a `@prefix p: <absolute-iri> .` directive or a statement of
-prefixed names, absolute IRIs and simple literals, with `a`, `;` and `,`
-abbreviations, ending its line.  At the first statement that does not fit,
-or that names an unknown prefix, it hands over at that statement's offset:
-the parser's `pos`, where the general reader reads on with the prefixes
-and triples read so far.  The general
-reader matches one token regex at `pos`, one named group per token kind,
-with one token of lookahead.  The fast path accepts only statements the
-general reader reads the same way, so the triples, their order and every
-error message, line and column are those of the general reader alone.
+Parsing picks a reader per statement.  A statement fast path reads the
+shape write_turtle emits and the subject-grouped shape of general RDF
+tools, one regex match for a statement's subject and first `V O` and one
+per further item: after blank lines and whole-line comments (skipped by
+_past_comments, one str.find per line), a `@prefix p: <absolute-iri> .`
+directive or a statement of prefixed names, absolute IRIs and strings
+without escapes, with `a`, `;` and `,` abbreviations, ending its line.  It
+declines any other statement (escaped strings, numbers, booleans, `PREFIX`
+lines, comments inside a statement, unknown prefixes) without raising.  The
+general reader, one token regex at `pos` with one token of lookahead, reads
+that one statement, and the fast path resumes at the token after it.  The
+fast path accepts only statements the general reader reads as the same
+triples without error, so the triples, their order and every error
+message, line and column are those of the general reader alone.
 """
 
 import re
@@ -303,16 +301,17 @@ _HEX = "0123456789abcdefABCDEF"
 # matched is the token's kind.  The shapes are those of RDF 1.1 Turtle
 # section 6.5, cut to the supported subset (numbers are ASCII digits).
 # pname is tried before word, which matches its leading letters; a `"""`
-# and a '.' before a digit match no kind.  When no kind fits, the empty last
-# alternative matches: at a '#' _past_comments skips the comment lines, and
-# otherwise _UNMATCHED names the error.  A run of blanks is one
-# single-character repeat, which the engine matches without keeping state
-# per character.
+# and a '.' before a digit match no kind.  A string token is its opening
+# quote and first run; _read walks its escapes and closing quote.  When no
+# kind fits, the empty last alternative matches: at a '#' _past_comments
+# skips the comment lines, and otherwise _UNMATCHED names the error.  Every
+# repeat is of one character class (a run of blanks, a local name), which
+# the engine matches without keeping state per character.
 _TOKEN_RE = re.compile(
     r"[ \t\r\n]*"
-    r"(?:(?P<pname>(?:[A-Za-z][A-Za-z0-9_.\-]*)?:(?:[A-Za-z0-9_.\-]|%[0-9A-Fa-f]{2})*)"
+    r"(?:(?P<pname>(?:[A-Za-z][A-Za-z0-9_.\-]*)?:[A-Za-z0-9_.%\-]*)"
     r"|(?P<punct>[;,]|\.(?!\d)|\^\^)"
-    r'|(?P<string>"(?!"")[^"\\\n]*(?:\\.[^"\\\n]*)*")'
+    r'|(?P<string>"(?!"")[^"\\\n]*)'
     r"|(?P<word>[A-Za-z][A-Za-z0-9_.\-]*)"
     r"|(?P<iriref><[^>\n]*>)"
     r"|(?P<number>[+-]?[0-9]+(?:\.[0-9]+)?(?:[eE][+-]?[0-9]+)?)"
@@ -320,6 +319,11 @@ _TOKEN_RE = re.compile(
     r"|(?P<eof>\Z)"
     r"|)"
 )
+# one escape in a string and the run of plain characters after it
+_ESCAPE_RUN_RE = re.compile(r'\\.[^"\\\n]*')
+_ESCAPES = frozenset('\\"nrtbf')
+# a '%' in a local name that two hex digits do not follow
+_BAD_PERCENT_RE = re.compile(r"%(?![0-9A-Fa-f]{2})")
 # the start of text that no token matches, and its error
 _UNMATCHED = (
     ('"""', "long string literal", UnsupportedConstructError),
@@ -352,9 +356,6 @@ def _past_comments(text: str, pos: int) -> int:
     return end
 
 
-_ESCAPES = {"\\": "\\", '"': '"', "n": "\n", "r": "\r", "t": "\t", "b": "\b", "f": "\f"}
-
-
 def _line_col(text: str, pos: int) -> tuple[int, int]:
     line = text.count("\n", 0, pos) + 1
     return line, pos - text.rfind("\n", 0, pos)
@@ -372,35 +373,31 @@ class _Token:
 # The statement fast path reads what write_turtle emits and the
 # subject-grouped layout of general RDF tools.  After blanks (and the
 # comment lines _past_comments skips when a match fails), _STATEMENT_RE
-# reads a `@prefix p: <iri> .` directive or a statement's subject S.  Then
-# _VERB_OBJECT_RE reads its first `V O` and _ITEM_RE each `; V O` or `, O`
-# after it, one match per item, until an item ends with the `.` that ends
-# its line; a verb V is an IRI or `a`.  No regex repeats a group per item,
-# so a long item list holds no engine state per item.  The general reader
-# reads every statement the fast path accepts as the same triples, so it
-# may take over at any statement: pnames have no '.' in the local part, IRIs
-# are absolute and free of _BAD_IRI_CHARS, strings carry only escapes
-# _unescape accepts, and whitespace separates subject, verb and object.
+# reads a `@prefix p: <iri> .` directive, or a statement's subject S and
+# its first `V O`.  Then _ITEM_RE reads each `; V O` or `, O` after it, one
+# match per item, until an item ends with the `.` that ends its line; a verb
+# V is an IRI or `a`.  No regex repeats a group per item, so a long item
+# list holds no engine state per item.  It accepts only statements the
+# general reader reads as the same triples without error: pnames have no
+# '.' in the local part (and _fast_term declines a bad '%'), IRIs are
+# absolute and free of _BAD_IRI_CHARS, strings hold no escape, and
+# whitespace separates subject, verb and object.
 _FAST_IRIREF = r'<[A-Za-z][A-Za-z0-9+.\-]*:[^\x00-\x20<>"{}|^`\\]*>'
-_FAST_PNAME = r"(?:[A-Za-z][A-Za-z0-9_\-]*)?:[A-Za-z0-9_\-]*(?:%[0-9A-Fa-f]{2}[A-Za-z0-9_\-]*)*"
+_FAST_PNAME = r"(?:[A-Za-z][A-Za-z0-9_\-]*)?:[A-Za-z0-9_%\-]*"
 _FAST_IRI = rf"(?:{_FAST_PNAME}|{_FAST_IRIREF})"
-_FAST_LITERAL = (
-    r'"[^"\\\n]*(?:(?:\\[\\"nrtbf]|\\u[0-9A-Fa-f]{4})[^"\\\n]*)*"'
-    rf"(?:\^\^{_FAST_IRI}|@[A-Za-z][A-Za-z0-9\-]*)?"
-)
+_FAST_LITERAL = rf'"[^"\\\n]*"(?:\^\^{_FAST_IRI}|@[A-Za-z][A-Za-z0-9\-]*)?'
 _FAST_VERB = rf"{_FAST_IRI}|a"
 _FAST_OBJECT = rf"{_FAST_IRI}|{_FAST_LITERAL}"
 _END = r"\.[ \t\r]*(?:\n|\Z)"
-# the first `V O` of a statement, and each `; V O` or `, O` after it, with
-# the statement's end when it follows; O must end where the general reader's
-# token ends (`ex:o.x` is one name there), as its pair is added at once
+# a `V O` item's object, with the statement's end when it follows; O must
+# end where the general reader's token ends (`ex:o.x` is one name there), as
+# its pair is added at once
 _FAST_ITEM_OBJECT = rf"({_FAST_OBJECT})(?=[ \t\r\n;,]|{_END})[ \t\r\n]*({_END})?"
-_VERB_OBJECT_RE = re.compile(rf"({_FAST_VERB})[ \t\r\n]+{_FAST_ITEM_OBJECT}")
 _ITEM_RE = re.compile(rf"(?:;[ \t\r\n]*({_FAST_VERB})[ \t\r\n]+|,[ \t\r\n]*){_FAST_ITEM_OBJECT}")
 _STATEMENT_RE = re.compile(
     r"[ \t\r\n]*"
     rf"(?:@prefix[ \t]+([A-Za-z][A-Za-z0-9_\-]*)?:[ \t]+({_FAST_IRIREF})[ \t]*{_END}"
-    rf"|({_FAST_IRI})[ \t\r\n]+)"
+    rf"|({_FAST_IRI})[ \t\r\n]+({_FAST_VERB})[ \t\r\n]+{_FAST_ITEM_OBJECT})"
 )
 
 
@@ -409,6 +406,7 @@ class _TurtleParser:
         self.text = text
         self.pos = 0  # where the general reader reads its next token
         self.prefixes: dict[str, str] = {}
+        self.terms: dict[str, Term] = {"a": RDF_TYPE}  # fast-path token -> term, while prefixes hold
         self.store = TripleStore()
         self._intern = _Memo(Iri).__getitem__
         # predicate -> its pair set in the store, or None when keep drops it
@@ -418,20 +416,18 @@ class _TurtleParser:
     def _error(self, message, pos, cls=TurtleSyntaxError):
         raise cls(message, *_line_col(self.text, pos))
 
+    def _bind(self, prefix: str, namespace: str):
+        self.prefixes[prefix] = namespace
+        self.terms = {"a": RDF_TYPE}
+
     def _unescape(self, body: str, start: int) -> str:
-        out = []
-        i = 0
-        while i < len(body):
-            ch = body[i]
-            if ch != "\\":
-                out.append(ch)
-                i += 1
-                continue
+        """body's escapes, checked in order, then decoded by the codec for
+        Python's escapes, which match Turtle's once checked; a list of pieces
+        would hold a pointer per escape."""
+        for escape in _ESCAPE_RUN_RE.finditer(body):
+            i = escape.start()
             esc = body[i + 1]
-            if esc in _ESCAPES:
-                out.append(_ESCAPES[esc])
-                i += 2
-            elif esc in ("u", "U"):
+            if esc == "u" or esc == "U":
                 width = 4 if esc == "u" else 8
                 digits = body[i + 2 : i + 2 + width]
                 if len(digits) != width or any(d not in _HEX for d in digits):
@@ -439,11 +435,9 @@ class _TurtleParser:
                 code = int(digits, 16)
                 if code > 0x10FFFF or 0xD800 <= code <= 0xDFFF:
                     self._error(f"\\{esc}{digits} is not a Unicode scalar value", start + i)
-                out.append(chr(code))
-                i += 2 + width
-            else:
+            elif esc not in _ESCAPES:
                 self._error(f"unknown string escape \\{esc}", start + i)
-        return "".join(out)
+        return body.encode("latin-1", "backslashreplace").decode("unicode_escape")
 
     def _read(self) -> _Token:
         """The token after the whitespace and comments at self.pos; self.pos
@@ -460,24 +454,29 @@ class _TurtleParser:
                 if text.startswith(opening, start):
                     self._error(message, start, cls)
             self._error(f"unexpected character {text[start]!r}", start)
+        start, end = m.start(kind), m.end()
+        if kind == _STRING:
+            # one match per escape: a repeated regex group would keep state per escape
+            while (escape := _ESCAPE_RUN_RE.match(text, end)) is not None:
+                end = escape.end()
+            if not text.startswith('"', end):
+                self._error("unterminated string literal", start)
+            self.pos = end + 1
+            value = text[start + 1 : end]
+            return _Token(kind, self._unescape(value, start + 1) if "\\" in value else value, start)
         value = m[kind]
-        start = m.start(kind)
-        end = self.pos = m.end()
+        self.pos = end
         if kind == _PNAME or kind == _WORD:
-            if kind == _PNAME and text.startswith("%", end):
-                self._error("bad percent escape in local name", end)
             # a trailing dot terminates the statement, not the name
             if value.endswith("."):
                 stripped = value.rstrip(".")
                 self.pos -= len(value) - len(stripped)
                 value = stripped
             if kind == _PNAME:
+                if "%" in value and (bad := _BAD_PERCENT_RE.search(value)) is not None:
+                    self._error("bad percent escape in local name", start + bad.start())
                 prefix, _, local = value.partition(":")
                 value = (prefix, local)
-        elif kind == _STRING:
-            value = value[1:-1]
-            if "\\" in value:
-                value = self._unescape(value, start + 1)
         elif kind == _IRIREF:
             value = value[1:-1]
             bad = _BAD_IRI_CHARS.search(value)
@@ -503,9 +502,14 @@ class _TurtleParser:
             self._error(f"expected {value!r}", token.pos)
 
     def parse(self) -> TripleStore:
-        self.pos = self._fast_statements()
-        self.lookahead = self._read()
-        while (token := self.lookahead).kind != _EOF:
+        """The fast path reads statements until it declines one; the general
+        reader reads that one, and the fast path goes on at the token after it."""
+        pos = 0
+        while True:
+            self.pos = self._fast_statements(pos)
+            token = self.lookahead = self._read()
+            if token.kind == _EOF:
+                return self.store
             if token.kind == _ATWORD:
                 if token.value.lower() == "prefix":
                     self._next()
@@ -521,19 +525,16 @@ class _TurtleParser:
                 self._error("BASE directive", token.pos, UnsupportedConstructError)
             else:
                 self._triples()
-        return self.store
+            pos = self.lookahead.pos
 
-    def _fast_statements(self) -> int:
-        """Add the pairs of the leading statements the fast path reads; return
-        the offset of the first one left to the general reader.  That reader
-        reads a statement handed over midway from its start, and adds again,
-        as no-ops, the pairs added here."""
+    def _fast_statements(self, pos: int) -> int:
+        """Add the pairs of the statements from pos on that the fast path reads;
+        return the offset of the first one it declines, or the text's end.  It
+        never raises.  The general reader reads a statement declined midway
+        from its start, and adds again, as no-ops, the pairs added here."""
         text = self.text
         match, item = _STATEMENT_RE.match, _ITEM_RE.match
-        partition = self.partition
-        cook = self._fast_term
-        terms: dict[str, Term] = {"a": RDF_TYPE}  # token -> term, valid while prefixes hold
-        pos = 0
+        partition, cook, terms = self.partition, self._fast_term, self.terms
         while True:
             m = match(text, pos)
             if m is None:
@@ -542,61 +543,57 @@ class _TurtleParser:
                     return pos
                 pos = resume
                 continue
-            name, namespace, s = m.groups()
+            name, namespace, s, p, o, last = m.groups()
             if namespace is not None:
-                self.prefixes[name or ""] = namespace[1:-1]
-                terms = {"a": RDF_TYPE}
+                self._bind(name or "", namespace[1:-1])
+                terms = self.terms
                 pos = m.end()
                 continue
-            # at the first unknown prefix hand the statement over before cooking a
-            # later string: the general reader reads it again and decides which of
-            # the two errors comes first
-            subject = terms.get(s) or cook(s, m.start(3), terms)
+            subject = terms.get(s) or cook(s)
             if subject is None:
                 return pos
-            at, read, last = m.end(), _VERB_OBJECT_RE.match, None
-            while last is None:
-                i = read(text, at)
-                if i is None:
-                    return pos
-                p, o, last = i.groups()
+            while True:
                 if p is not None:
-                    predicate = terms.get(p) or cook(p, i.start(1), terms)
+                    predicate = terms.get(p) or cook(p)
                     if predicate is None:
                         return pos
                     pairs = partition[predicate]
-                obj = terms.get(o) or cook(o, i.start(2), terms)
+                obj = terms.get(o) or cook(o)
                 if obj is None:
                     return pos
                 if pairs is not None:
                     pairs[subject, obj] = None
-                at, read = i.end(), item
-            pos = at
+                if last is not None:
+                    break
+                m = item(text, m.end())
+                if m is None:
+                    return pos
+                p, o, last = m.groups()
+            pos = m.end()
 
-    def _fast_term(self, token: str, pos: int, terms: dict[str, Term]) -> Term | None:
-        """Term for a token a fast-path regex matched at pos, or None when it names an
-        unknown prefix (the general reader then reports it)."""
+    def _fast_term(self, token: str) -> Term | None:
+        """Term for a token a fast-path regex matched, or None when it names an
+        unknown prefix or holds a bad percent escape (the general reader then
+        reports it)."""
         if token[0] == "<":
             term = self._intern(token[1:-1])
         elif token[0] == '"':
-            end = token.rindex('"')
-            body = token[1:end]
-            lexical = self._unescape(body, pos + 1) if "\\" in body else body
+            end = token.index('"', 1)
             suffix = token[end + 1 :]
             if suffix.startswith("^^"):
-                datatype = self._fast_term(suffix[2:], pos + end + 3, terms)
+                datatype = self._fast_term(suffix[2:])
                 if datatype is None:
                     return None
-                term = TypedLiteral(lexical, datatype)
+                term = TypedLiteral(token[1:end], datatype)
             else:
-                term = PlainLiteral(lexical, suffix[1:] or None)
+                term = PlainLiteral(token[1:end], suffix[1:] or None)
         else:
             prefix, _, local = token.partition(":")
             namespace = self.prefixes.get(prefix)
-            if namespace is None:
+            if namespace is None or "%" in local and _BAD_PERCENT_RE.search(local):
                 return None
             term = self._intern(namespace + local)
-        terms[token] = term
+        self.terms[token] = term
         return term
 
     def _directive(self, needs_dot: bool):
@@ -607,7 +604,7 @@ class _TurtleParser:
         if iri.kind != _IRIREF:
             self._error("expected an IRI", iri.pos)
         self._check_absolute(iri)
-        self.prefixes[name.value[0]] = iri.value
+        self._bind(name.value[0], iri.value)
         if needs_dot:
             self._expect_punct(".")
 

@@ -198,6 +198,7 @@ class TestConvert:
             {"case_id_key": ["x"]},
             {"case_object_type": "\ud800"},
             {"object_rules": [{"xes_key": "k", "object_type": "t\udc80", "eo_qualifier": "q"}]},
+            {"object_rules": [{"xes_key": "k", "object_type": "t", "eo_qualifier": "q", "oo_qualifier": ""}]},
         ],
         ids=lambda fields: json.dumps(fields),
     )

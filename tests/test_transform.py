@@ -251,6 +251,11 @@ class TestConfigValidation:
         with pytest.raises(ConfigError):
             MappingConfig(case_object_type="")
 
+    def test_empty_oo_qualifier_rejected_and_null_asks_for_no_relation(self):
+        with pytest.raises(ConfigError, match="incomplete object rule"):
+            MappingConfig(object_rules=[ObjectRule("org:group", "team", "q", "")])
+        assert MappingConfig(object_rules=[ObjectRule("org:group", "team", "q", None)]).validate() is None
+
 
 class TestConfigFile:
     def test_round_trip_through_json(self, tmp_path):

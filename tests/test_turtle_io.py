@@ -1,4 +1,5 @@
 import random
+import re
 import tracemalloc
 from datetime import datetime, timedelta, timezone
 from pathlib import Path
@@ -27,7 +28,7 @@ from oced_forge import (
     write_turtle,
 )
 from oced_forge.cli import main
-from oced_forge.terms import EX, EXT, OCEDO, RDF, XSD
+from oced_forge.terms import EX, EXT, OCEDO, PREFIXES, RDF, XSD
 from oced_forge.triple_query import TripleStore
 from oced_forge.turtle_io import _TurtleParser
 
@@ -362,8 +363,9 @@ class TestRoundTrip:
                     assert pattern.match(obj.lexical), obj.lexical
 
 
-# A SPARQL-style PREFIX line is outside the statement fast path, so
-# prepending one makes the general reader read the whole document.
+# A SPARQL-style PREFIX line, which only the general reader reads.  The
+# documents that general_outcome reads start with one, so that their lines
+# and columns are those of the documents the fast path reads, plus one line.
 GENERAL = "PREFIX g: <http://g.example/>\n"
 
 SYNTAX, UNSUPPORTED = TurtleSyntaxError, UnsupportedConstructError
@@ -375,6 +377,29 @@ def outcome(doc: str, keep=None):
         return list(parse_turtle(doc, keep))
     except TurtleSyntaxError as exc:
         return type(exc), str(exc).rsplit(" (line ", 1)[0], exc.line, exc.column
+
+
+def general_outcome(doc: str, keep=None):
+    """outcome(doc) with the fast path declining every statement, so that the
+    general reader reads them all."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(_TurtleParser, "_fast_statements", lambda self, pos: pos)
+        return outcome(doc, keep)
+
+
+def declined(doc: str) -> list[str]:
+    """The statements of doc that the fast path declines, so that the general
+    reader reads them, without the blanks around them."""
+    spans, fast = [], _TurtleParser._fast_statements
+
+    def recording(self, pos):
+        spans.append((pos, fast(self, pos)))
+        return spans[-1][1]
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(_TurtleParser, "_fast_statements", recording)
+        outcome(doc)
+    return [doc[stop:resume].strip() for (_, stop), (resume, _) in zip(spans, spans[1:])]
 
 
 @pytest.fixture
@@ -440,7 +465,7 @@ class TestFastPath:
         rng = random.Random(4040)
         for _ in range(200):
             text = write_turtle(graph_to_triples(random_oced_graph(rng)))
-            assert list(parse_turtle(text)) == list(parse_turtle(GENERAL + text))
+            assert list(parse_turtle(text)) == general_outcome(GENERAL + text)
 
     def test_canonical_line_shapes_read_by_fast_path(self):
         doc = (
@@ -460,9 +485,9 @@ class TestFastPath:
             "ex:s ex:p ex:o .\n"
             ":s ex:p ex:o ."
         )
-        assert _TurtleParser(doc)._fast_statements() == len(doc)
+        assert declined(doc) == ['ex:s ex:p "q\\"uote \\\\ back\\nline\\ttab \\u00e9" .']
         triples = list(parse_turtle(doc))
-        assert triples == list(parse_turtle(GENERAL + doc))
+        assert triples == general_outcome(GENERAL + doc)
         assert Triple(Iri(EX + "s"), Iri(EX + "p"), PlainLiteral('q"uote \\ back\nline\ttab \u00e9')) in triples
         assert Triple(Iri(EX + "s"), Iri(EX + "p"), PlainLiteral("hallo", lang="de-AT")) in triples
         p, o = Iri("http://redefined.example/p"), Iri("http://redefined.example/o")
@@ -483,13 +508,13 @@ class TestFastPath:
     def test_local_name_with_an_inner_dot_is_one_term(self, line):
         doc = "@prefix ex: <http://e/> .\n" + line + "\n"
         triples = outcome(doc)
-        assert triples == outcome(GENERAL + doc)
+        assert triples == general_outcome(GENERAL + doc)
         assert len(triples) == 1 + line.count(",") + line.count(";")
 
     @pytest.mark.parametrize("line, column", CANONICAL_TAILS)
     def test_error_after_1000_canonical_lines_keeps_class_line_and_column(self, line, column):
         doc = canonical_doc(line)
-        fast, general = outcome(doc), outcome(GENERAL + doc)
+        fast, general = outcome(doc), general_outcome(GENERAL + doc)
         assert fast[2:] == (1007, column)
         assert fast == (general[0], general[1], general[2] - 1, general[3])
 
@@ -501,7 +526,7 @@ class TestFastPath:
             "ex:c ex:p ex:d .\n"
         )
         triples = list(parse_turtle(doc))
-        assert triples == list(parse_turtle(GENERAL + doc))
+        assert triples == general_outcome(GENERAL + doc)
         assert len(triples) == 4
 
     @pytest.mark.parametrize(
@@ -509,7 +534,7 @@ class TestFastPath:
     )
     def test_escape_outside_unicode_scalar_values_is_a_syntax_error(self, escape):
         doc = '@prefix ex: <http://e/> .\nex:s ex:p ex:o .\nex:s ex:p "ab' + escape + '" .\n'
-        fast, general = outcome(doc), outcome(GENERAL + doc)
+        fast, general = outcome(doc), general_outcome(GENERAL + doc)
         assert fast == (TurtleSyntaxError, f"{escape} is not a Unicode scalar value", 3, 14)
         assert fast == (general[0], general[1], general[2] - 1, general[3])
 
@@ -518,7 +543,7 @@ class TestFastPath:
     )
     def test_escapes_next_to_the_excluded_ranges_are_read(self, escape, char):
         doc = '@prefix ex: <http://e/> .\nex:s ex:p "' + escape + '" .\n'
-        assert outcome(doc) == outcome(GENERAL + doc) == [
+        assert outcome(doc) == general_outcome(GENERAL + doc) == [
             Triple(Iri("http://e/s"), Iri("http://e/p"), PlainLiteral(char))
         ]
 
@@ -527,7 +552,7 @@ class TestFastPath:
     )
     def test_unknown_prefix_and_bad_escape_on_one_line_fail_as_on_general_path(self, line):
         doc = "@prefix ex: <http://e/> .\nex:s ex:p ex:o .\n" + line + "\n"
-        fast, general = outcome(doc), outcome(GENERAL + doc)
+        fast, general = outcome(doc), general_outcome(GENERAL + doc)
         assert fast[2] == 3
         assert fast == (general[0], general[1], general[2] - 1, general[3])
 
@@ -536,19 +561,17 @@ class TestFastPath:
         for _ in range(200):
             canonical = write_turtle(graph_to_triples(random_oced_graph(rng)))
             doc = group_turtle(canonical)
-            assert _TurtleParser(doc)._fast_statements() == len(doc)
+            # the general reader reads only statements with an escaped string
+            assert all("\\" in statement for statement in declined(doc))
             triples = list(parse_turtle(doc))
-            assert triples == list(parse_turtle(GENERAL + doc)) == list(parse_turtle(canonical))
+            assert triples == general_outcome(GENERAL + doc) == list(parse_turtle(canonical))
 
     @pytest.mark.parametrize("tail, expected", GROUPED_TAILS, ids=GROUPED_TAIL_IDS)
     def test_error_after_1000_grouped_statements_keeps_class_line_and_column(self, tail, expected):
         doc = grouped_doc(tail)
-        try:
-            handed_over = _TurtleParser(doc)._fast_statements()
-        except TurtleSyntaxError:
-            handed_over = None  # the fast path raised the error itself
-        assert handed_over in (None, len(doc) - len(tail))
-        fast, general = outcome(doc), outcome(GENERAL + doc)
+        # the fast path raises nothing: it declines the tail, which the general reader reads
+        assert _TurtleParser(doc)._fast_statements(0) == len(doc) - len(tail)
+        fast, general = outcome(doc), general_outcome(GENERAL + doc)
         if isinstance(expected, int):
             assert len(fast) == expected
             assert fast == general
@@ -557,13 +580,62 @@ class TestFastPath:
             assert fast == (*expected[:2], 3007 + expected[2], expected[3])
             assert fast == (general[0], general[1], general[2] - 1, general[3])
 
+    def test_declined_statements_read_one_at_a_time_200_graphs(self, group_turtle):
+        rng = random.Random(4343)
+        tails = [(tail, expected) for tail, expected in GROUPED_TAILS if not isinstance(expected, int)]
+        declines = 0
+        for _ in range(200):
+            canonical = write_turtle(graph_to_triples(random_oced_graph(rng)))
+            triples = list(parse_turtle(canonical))
+            for doc in (_declined_forms(canonical, rng), _declined_forms(group_turtle(canonical), rng)):
+                assert outcome(doc) == general_outcome(doc) == triples
+                declines += len(declined(doc))
+                tail, expected = rng.choice(tails)
+                with_tail = doc + tail
+                assert outcome(with_tail) == general_outcome(with_tail)
+                assert outcome(with_tail) == (*expected[:2], doc.count("\n") + expected[2], expected[3])
+        assert declines > 4000
+
+
+_LITERAL = re.compile(r'"((?:[^"\\\n]|\\.)*)"')
+
+
+def _declined_forms(text: str, rng: random.Random) -> str:
+    """text, with some of its statements written in a form the fast path
+    declines that means the same triples: a string's first character as a
+    \\u escape, a comment inside the statement, a trailing ';', or a PREFIX
+    line before it that binds a namespace to the IRI it has."""
+    out, statement = [], ""
+    for line in text.splitlines(keepends=True):
+        if not statement and (line.startswith(("@prefix", "#")) or not line.strip()):
+            out.append(line)
+            continue
+        statement += line
+        if not line.endswith(" .\n"):
+            continue
+        literal = _LITERAL.search(statement)
+        form = rng.choice(["escape", "comment", "semicolon", "prefix", "as-is", "as-is"])
+        if form == "escape" and literal is not None and literal[1][:1] not in ("", "\\"):
+            char = literal[1][0]
+            escape = f"\\u{ord(char):04X}" if ord(char) <= 0xFFFF else f"\\U{ord(char):08X}"
+            statement = statement[: literal.start(1)] + escape + statement[literal.start(1) + 1 :]
+        elif form == "comment":
+            statement = statement.replace(" ", " # inside\n    ", 1)
+        elif form == "semicolon":
+            statement = statement[:-3] + " ;\n    .\n"
+        elif form == "prefix":
+            statement = "PREFIX {}: <{}>\n".format(*rng.choice(PREFIXES)) + statement
+        out.append(statement)
+        statement = ""
+    return "".join(out)
+
 
 def _one(lexical, datatype):
     return [Triple(Iri("http://e/s"), Iri("http://e/p"), TypedLiteral(lexical, Iri(XSD + datatype)))]
 
 
 class TestGeneralReader:
-    """Each branch of the general reader, read after a leading PREFIX line."""
+    """Each branch of the general reader, reading every statement."""
 
     @pytest.mark.parametrize(
         "body, expected",
@@ -597,7 +669,7 @@ class TestGeneralReader:
         ],
     )
     def test_branch_outcome(self, body, expected):
-        assert outcome(GENERAL + "@prefix ex: <http://e/> .\n" + body) == expected
+        assert general_outcome(GENERAL + "@prefix ex: <http://e/> .\n" + body) == expected
 
     @pytest.mark.parametrize(
         "header, body, expected",
@@ -614,11 +686,12 @@ class TestGeneralReader:
     )
     def test_run_of_comment_lines_is_skipped_in_bounded_memory(self, header, body, expected):
         doc = header + "#\n" * 50_000 + body
-        if not doc.startswith(GENERAL):
-            assert _TurtleParser(doc)._fast_statements() == len(doc)
+        read = general_outcome if doc.startswith(GENERAL) else outcome
+        if read is outcome:
+            assert _TurtleParser(doc)._fast_statements(0) == len(doc)
         tracemalloc.start()
         try:
-            result = outcome(doc)
+            result = read(doc)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -650,12 +723,13 @@ def _shape(name, document, expected, bound=5, defect=None):
     return pytest.param(document, expected, bound, id=name, marks=marks)
 
 
-_PER_ESCAPE = "_FAST_LITERAL and the general reader's string token repeat one regex group per escape"
 _ESCAPES = f'ex:s ex:p "{chr(92) * 2 * (_MB2 // 20)}" .\n'
+_PERCENT_NAME = f"ex:s ex:p ex:{'%41' * (_MB2 // 3)} .\n"
 
 # each builds a document of about 2 MB, except that an escape run is 0.2 MB
-# (it costs over 100 times its size), and gives the expected outcome; a shape
-# whose outcome holds no copy of its text may peak at half its size
+# (each escape is one match of its own), and gives the expected outcome; a
+# shape whose outcome holds no copy of its text may peak at half its size.
+# A shape whose document starts with GENERAL is read by the general reader.
 HOSTILE_SHAPES = [
     _shape("blanks", lambda: GENERAL + " " * _MB2 + "²", (SYNTAX, "unexpected character '²'", 2, _MB2 + 1), 0.5),
     _shape(
@@ -676,6 +750,17 @@ HOSTILE_SHAPES = [
     _shape("iri", lambda: _EX + f"ex:s ex:p <http://e/{'i' * _MB2}> .\n", _s_p(Iri("http://e/" + "i" * _MB2))),
     _shape("prefixed-name", lambda: _EX + f"ex:s ex:p ex:{'n' * _MB2} .\n", _s_p(Iri("http://e/" + "n" * _MB2))),
     _shape(
+        "prefixed-name-general-reader",
+        lambda: GENERAL + _EX + f"ex:s ex:p ex:{'n' * _MB2} .\n",
+        _s_p(Iri("http://e/" + "n" * _MB2)),
+    ),
+    _shape("percent-name-fast-path", lambda: _EX + _PERCENT_NAME, _s_p(Iri("http://e/" + "%41" * (_MB2 // 3)))),
+    _shape(
+        "percent-name-general-reader",
+        lambda: GENERAL + _EX + _PERCENT_NAME,
+        _s_p(Iri("http://e/" + "%41" * (_MB2 // 3))),
+    ),
+    _shape(
         "prefix-redefinitions", lambda: _EX * (_MB2 // len(_EX)) + "ex:s ex:p ex:o .\n", _s_p(Iri("http://e/o")), 0.5
     ),
     _shape(
@@ -683,13 +768,8 @@ HOSTILE_SHAPES = [
         lambda: _nested_xes('<string key="k" value="v">', "</string>"),
         ([({"k": TypedValue("string", "v")},)], ()),
     ),
-    _shape("escapes-fast-path", lambda: _EX + _ESCAPES, _s_p(PlainLiteral(chr(92) * (_MB2 // 20))), defect=_PER_ESCAPE),
-    _shape(
-        "escapes-general-reader",
-        lambda: GENERAL + _EX + _ESCAPES,
-        _s_p(PlainLiteral(chr(92) * (_MB2 // 20))),
-        defect=_PER_ESCAPE,
-    ),
+    _shape("escapes-fast-path", lambda: _EX + _ESCAPES, _s_p(PlainLiteral(chr(92) * (_MB2 // 20)))),
+    _shape("escapes-general-reader", lambda: GENERAL + _EX + _ESCAPES, _s_p(PlainLiteral(chr(92) * (_MB2 // 20)))),
     _shape(
         "xes-nested-unknown-elements",
         lambda: _nested_xes("<a>", "</a>"),
@@ -704,7 +784,10 @@ def test_hostile_shape_is_read_in_bounded_memory(document, expected, bound):
     """Each shape's outcome, at a tracemalloc peak under a small multiple of
     its size: no regex repeat keeps engine state per blank, item or character."""
     doc = document()
-    read = _xes_outcome if isinstance(doc, bytes) else outcome
+    if isinstance(doc, bytes):
+        read = _xes_outcome
+    else:
+        read = general_outcome if doc.startswith(GENERAL) else outcome
     tracemalloc.start()
     try:
         result = read(doc)
@@ -727,6 +810,8 @@ class TestKeepRule:
             canonical = write_turtle(graph_to_triples(random_oced_graph(rng)))
             for doc in (canonical, group_turtle(canonical), GENERAL + canonical):
                 assert outcome(doc, keep) == [t for t in parse_turtle(doc) if keep(t.predicate)]
+            full = general_outcome(GENERAL + canonical)
+            assert general_outcome(GENERAL + canonical, keep) == [t for t in full if keep(t.predicate)]
 
     @pytest.mark.parametrize("keep", KEEPS.values(), ids=KEEPS.keys())
     @pytest.mark.parametrize(
@@ -734,9 +819,9 @@ class TestKeepRule:
     )
     def test_error_tails_do_not_depend_on_the_keep_rule(self, doc_of, tails, keep):
         for tail, _ in tails:
-            for doc in (doc_of(tail), GENERAL + doc_of(tail)):
-                full = outcome(doc)
+            for read, doc in ((outcome, doc_of(tail)), (general_outcome, GENERAL + doc_of(tail))):
+                full = read(doc)
                 if isinstance(full, list):
-                    assert outcome(doc, keep) == [t for t in full if keep(t.predicate)]
+                    assert read(doc, keep) == [t for t in full if keep(t.predicate)]
                 else:
-                    assert outcome(doc, keep) == full
+                    assert read(doc, keep) == full
