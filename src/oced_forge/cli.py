@@ -16,7 +16,10 @@ because it counts them), with the cyclic GC off during the load.
 Exit codes: 0 success (also with skipped-event warnings), 2 unreadable or
 invalid input file (a bad gzip stream or config encoding too) or input that
 cannot be converted (colliding ids), 3 parse error (XML or Turtle, with
-location), 64 usage error, 65 unrecognized input format for stats.
+location, and XES nested deeper than the reader's limit), 64 usage error,
+65 unrecognized input format for stats.  convert writes its Turtle through
+graph_to_turtle, which renders and sorts every row before it opens
+--output, so a failed convert leaves that file alone.
 """
 
 import argparse
@@ -90,8 +93,9 @@ def build_parser() -> argparse.ArgumentParser:
         prog="oced-forge",
         description="Convert XES event logs to object-centric event data in Turtle "
         "and run object-centric analyses over them.",
-        epilog="exit codes: 0 ok, 2 unreadable or unconvertible input, 3 parse error, 64 usage, "
-        "65 unrecognized format. Warnings go to stderr; OCED_FORGE_LOG=error silences them.",
+        epilog="exit codes: 0 ok, 2 unreadable or unconvertible input, 3 parse error (also XES "
+        "with more than 1000 elements open at once), 64 usage, 65 unrecognized format. "
+        "Warnings go to stderr; OCED_FORGE_LOG=error silences them.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -190,8 +194,11 @@ def cmd_convert(args) -> int:
     graph, report = transform_log(log, config)
     traces, log_warnings = len(log.traces), len(log.warnings)
     del log  # the graph holds everything the Turtle needs
-    text, triples = graph_to_turtle(graph)
-    _write_text(args.output, text)
+    if args.output is None or args.output == "-":
+        triples = graph_to_turtle(graph, sys.stdout)
+        sys.stdout.flush()
+    else:
+        triples = graph_to_turtle(graph, args.output)
     if not args.quiet:
         print(
             f"convert: {traces} traces, {report.events_emitted} events emitted, "

@@ -13,16 +13,20 @@ from dataclasses import dataclass, field
 from datetime import datetime
 
 from .errors import GraphIntegrityError
+from .terms import BAD_PERCENT_RE
 from .terms import escape_id, unescape_id  # noqa: F401  (part of this module's API)
 from .timeutil import to_utc_millis
 
-_ID_RE = re.compile(r"^(?:[A-Za-z0-9_\-]|%[0-9A-Fa-f]{2})+$")
+# the escaped id alphabet, where a '%' must start a %XX escape
+# (BAD_PERCENT_RE); one character class, as a repeated alternation would
+# keep engine state per character
+_ID_RE = re.compile(r"[A-Za-z0-9_%\-]+")
 
 
 def _check_id(value: str, what: str):
     if not isinstance(value, str) or not value:
         raise ValueError(f"{what} id must be a non-empty string")
-    if not _ID_RE.match(value):
+    if not _ID_RE.fullmatch(value) or "%" in value and BAD_PERCENT_RE.search(value):
         raise ValueError(
             f"{what} id {value!r} contains characters outside the escaped id alphabet; "
             f"apply escape_id() first"

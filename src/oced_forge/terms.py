@@ -14,10 +14,13 @@ to each other: an IRI is a 1-tuple, a literal a pair whose second field is an
 Iri (typed) or a str or None (plain).
 """
 
+import re
 from collections.abc import Container, Iterator
 from typing import NamedTuple, Union
 
 _SAFE = frozenset("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789_-")
+# a '%' in an escaped id or a local name that two hex digits do not follow
+BAD_PERCENT_RE = re.compile(r"%(?![0-9A-Fa-f]{2})")
 
 
 def escape_id(raw: str) -> str:

@@ -4,6 +4,10 @@ All timestamps in this package are timezone-aware datetimes.  XES keeps the
 zone offset found in the source document; everything downstream of the
 XES-to-OCED transform is normalized to UTC at millisecond precision so that
 temporal comparisons are total and zone-independent.
+
+parse_instant is on the XES reader's path and on the analyses' (once per
+distinct time literal): one regex match gives every field, and each
+distinct offset text makes its tzinfo once.
 """
 
 import re
@@ -16,6 +20,16 @@ _ISO_RE = re.compile(
 )
 
 
+# tzinfo by offset text, each made once; a log holds few distinct offsets
+_ZONES = {"Z": timezone.utc, "z": timezone.utc}
+
+
+def _zone(offset: str) -> timezone:
+    sign = -1 if offset[0] == "-" else 1
+    zone = _ZONES[offset] = timezone(sign * timedelta(hours=int(offset[1:3]), minutes=int(offset[-2:])))
+    return zone
+
+
 def parse_instant(text: str) -> datetime:
     """Parse an ISO-8601 timestamp with a mandatory zone offset.
 
@@ -26,18 +40,10 @@ def parse_instant(text: str) -> datetime:
     m = _ISO_RE.match(text.strip())
     if m is None:
         raise ValueError(f"not an ISO-8601 timestamp with zone offset: {text!r}")
-    year, month, day, hour, minute, second = (int(g) for g in m.groups()[:6])
-    frac = m.group(7) or ""
-    micros = int(frac.ljust(6, "0")[:6]) if frac else 0
-    off = m.group(8)
-    if off in ("Z", "z"):
-        tz = timezone.utc
-    else:
-        sign = 1 if off[0] == "+" else -1
-        oh = int(off[1:3])
-        om = int(off[-2:])
-        tz = timezone(sign * timedelta(hours=oh, minutes=om))
-    return datetime(year, month, day, hour, minute, second, micros, tzinfo=tz)
+    year, month, day, hour, minute, second, frac, offset = m.groups()
+    micros = int(frac[:6].ljust(6, "0")) if frac else 0
+    zone = _ZONES.get(offset) or _zone(offset)
+    return datetime(int(year), int(month), int(day), int(hour), int(minute), int(second), micros, zone)
 
 
 def to_utc_millis(dt: datetime) -> datetime:

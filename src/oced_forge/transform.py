@@ -230,6 +230,8 @@ def transform_log(log_: XesLog, config: MappingConfig | None = None) -> tuple[Oc
         case_ids.append(case_id)
 
     rule_oo_seen: set[tuple[str, str]] = set()
+    # per rule, the object id of each distinct value text, escaped once
+    rule_ids: list[dict[str, str]] = [{} for _ in config.object_rules]
     ordinal = 0
     for ti, trace in enumerate(log_.traces):
         case_id = case_ids[ti]
@@ -270,12 +272,14 @@ def transform_log(log_: XesLog, config: MappingConfig | None = None) -> tuple[Oc
             report.events_emitted += 1
             graph.relate_event_object(oced_event.id, case_id, config.case_eo_qualifier)
 
-            for rule in config.object_rules:
+            for rule, ids in zip(config.object_rules, rule_ids):
                 attr = event.get(rule.xes_key)
                 if attr is None:
                     continue
                 value_text = _attribute_text(attr)
-                object_id = f"{escape_id(rule.object_type)}_{escape_id(value_text)}"
+                object_id = ids.get(value_text)
+                if object_id is None:
+                    object_id = ids[value_text] = f"{escape_id(rule.object_type)}_{escape_id(value_text)}"
                 existing = graph.objects.get(object_id)
                 if existing is None:
                     graph.add_object(OcedObject(id=object_id, object_type=rule.object_type))

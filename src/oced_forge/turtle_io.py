@@ -3,15 +3,19 @@ this tool emits.
 
 Serialization is deterministic: prefixes are declared in a fixed order
 (ocedo, ext, xsd, rdf, ex), triples are sorted lexicographically by their
-rendered (subject, predicate, object) tokens, and all dateTime lexical forms
-are UTC with milliseconds.
+rendered `S P O .` rows, and all dateTime lexical forms are UTC with
+milliseconds.  Sorting rows as strings is sorting their (subject,
+predicate, object) tokens: a subject or predicate token holds no character
+at or below ' ', and an object token that is a proper prefix of another is
+followed there by '^', '@' or a name character, not by the ' ' that ends it.
 
-One generator lists a graph's statements.  graph_to_turtle renders them
-straight to text, with no triple store: each distinct IRI is rendered once,
-a statement emitted twice is written once, and the rows are sorted and
-joined once.  graph_to_triples collects the same statements into a
-TripleStore for querying, and write_turtle renders any store with the same
-renderer, so write_turtle(graph_to_triples(g)) is graph_to_turtle(g)'s text.
+One generator lists a graph's statements.  graph_to_turtle renders them to
+rows with no triple store: each distinct IRI is rendered once, each row is
+one string, a statement emitted twice is written once, and the rows are
+sorted once and written to a text stream in chunks.  graph_to_triples
+collects the same statements into a TripleStore for querying, and
+write_turtle renders any store's rows the same way, so
+write_turtle(graph_to_triples(g)) is the text graph_to_turtle writes.
 
 Event-object relations are emitted twice on purpose: once as a reified
 ext:EventObject node (ext:event / ext:object / ext:classifier) and once as a
@@ -50,12 +54,15 @@ triples without error, so the triples, their order and every error
 message, line and column are those of the general reader alone.
 """
 
+import io
+import os
 import re
 from collections.abc import Callable, Iterator
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, TextIO
 
 from .errors import SerializationError, TurtleSyntaxError, UnsupportedConstructError
 from .terms import (
+    BAD_PERCENT_RE,
     EX,
     EXT,
     EXT_CLASSIFIER,
@@ -84,11 +91,15 @@ from .triple_query import TripleStore
 if TYPE_CHECKING:  # the reader runs without the graph model
     from .oced_model import OcedGraph, TypedValue
 
-_PN_LOCAL_RE = re.compile(
-    r"^(?:[A-Za-z0-9_]|%[0-9A-Fa-f]{2})(?:[A-Za-z0-9_\-]|%[0-9A-Fa-f]{2})*$"
-)
+# a local name the writer prefixes, where a '%' must start a %XX escape
+# (BAD_PERCENT_RE); one character class, as a repeated alternation would
+# keep engine state per character
+_PN_LOCAL_RE = re.compile(r"[A-Za-z0-9_%][A-Za-z0-9_%\-]*")
 _ABSOLUTE_IRI_RE = re.compile(r"^[A-Za-z][A-Za-z0-9+.\-]*:")
 _BAD_IRI_CHARS = re.compile(r'[\x00-\x20<>"{}|^`\\]')
+# most IRIs written are instances, so ex: is tried first; no namespace
+# starts another, so the order cannot change a token
+_TOKEN_PREFIXES = PREFIXES[-1:] + PREFIXES[:-1]
 
 
 # -- graph -> statements ----------------------------------------------------
@@ -224,10 +235,10 @@ def _escape_literal(text: str) -> str:
 
 
 def _iri_token(value: str) -> str:
-    for prefix, namespace in PREFIXES:
+    for prefix, namespace in _TOKEN_PREFIXES:
         if value.startswith(namespace):
             local = value[len(namespace):]
-            if local and _PN_LOCAL_RE.match(local):
+            if _PN_LOCAL_RE.fullmatch(local) and ("%" not in local or not BAD_PERCENT_RE.search(local)):
                 return f"{prefix}:{local}"
     if _BAD_IRI_CHARS.search(value):
         raise SerializationError(f"IRI contains characters illegal in Turtle: {value!r}")
@@ -252,41 +263,57 @@ def render_term(term: Term, iri_token: Callable[[str], str] = _iri_token) -> str
     raise TypeError(f"not a term: {term!r}")
 
 
-def _document(rows: list[tuple[str, str, str]]) -> str:
-    """Fixed prefix header, then one `S P O .` line per row, in order."""
-    header = "".join(f"@prefix {prefix}: <{namespace}> .\n" for prefix, namespace in PREFIXES)
-    if not rows:
-        return header
-    return header + "\n" + "".join([f"{s} {p} {o} .\n" for s, p, o in rows])
+_HEADER = "".join(f"@prefix {prefix}: <{namespace}> .\n" for prefix, namespace in PREFIXES)
+_CHUNK = 8192  # rows per write
 
 
-def graph_to_turtle(graph: "OcedGraph") -> tuple[str, int]:
-    """Turtle text of a graph and its number of distinct triples.
+def _write_document(rows: list[str], out: TextIO):
+    """The fixed prefix header, then the rows (each `S P O .\n`), in order."""
+    out.write(_HEADER)
+    if rows:
+        out.write("\n")
+    for i in range(0, len(rows), _CHUNK):
+        out.write("".join(rows[i : i + _CHUNK]))
 
-    Equal to write_turtle(graph_to_triples(graph)) and its length, without
-    the store: each distinct IRI is rendered once, and repeated statements
-    (say, a passthrough attribute keyed event_type that equals the event
-    type) are written once.
+
+def graph_to_turtle(graph: "OcedGraph", out: TextIO | str | os.PathLike) -> int:
+    """Write a graph's Turtle text to out, a text stream or a file path, and
+    return its number of distinct triples.
+
+    The text is write_turtle(graph_to_triples(graph)), built without the
+    store: each distinct IRI is rendered once, each row is rendered as one
+    string, and repeated statements (say, a passthrough attribute keyed
+    event_type that equals the event type) are written once.  Every row is
+    rendered and sorted before out is written, or opened when it is a path,
+    so a graph that cannot be serialized leaves out untouched.
     """
     iri = _Memo(_iri_token)
     rows = sorted(
         {
-            (iri[s], iri[p], iri[o] if o.__class__ is str else _literal_token(o[0], o[1] and iri[o[1]]))
+            f"{iri[s]} {iri[p]} {iri[o] if o.__class__ is str else _literal_token(o[0], o[1] and iri[o[1]])} .\n"
             for s, p, o in _statements(graph)
         }
     )
-    return _document(rows), len(rows)
+    if isinstance(out, (str, os.PathLike)):
+        with open(out, "w", encoding="utf-8", newline="") as fh:
+            _write_document(rows, fh)
+    else:
+        _write_document(rows, out)
+    return len(rows)
 
 
 def write_turtle(store: TripleStore) -> str:
     """Deterministic Turtle text: fixed prefix header, sorted triples."""
     iri = _Memo(_iri_token).__getitem__
-    return _document(
+    out = io.StringIO()
+    _write_document(
         sorted(
-            (render_term(t.subject, iri), render_term(t.predicate, iri), render_term(t.object, iri))
+            f"{render_term(t.subject, iri)} {render_term(t.predicate, iri)} {render_term(t.object, iri)} .\n"
             for t in store
-        )
+        ),
+        out,
     )
+    return out.getvalue()
 
 
 # -- parsing -----------------------------------------------------------------
@@ -322,8 +349,6 @@ _TOKEN_RE = re.compile(
 # one escape in a string and the run of plain characters after it
 _ESCAPE_RUN_RE = re.compile(r'\\.[^"\\\n]*')
 _ESCAPES = frozenset('\\"nrtbf')
-# a '%' in a local name that two hex digits do not follow
-_BAD_PERCENT_RE = re.compile(r"%(?![0-9A-Fa-f]{2})")
 # the start of text that no token matches, and its error
 _UNMATCHED = (
     ('"""', "long string literal", UnsupportedConstructError),
@@ -473,7 +498,7 @@ class _TurtleParser:
                 self.pos -= len(value) - len(stripped)
                 value = stripped
             if kind == _PNAME:
-                if "%" in value and (bad := _BAD_PERCENT_RE.search(value)) is not None:
+                if "%" in value and (bad := BAD_PERCENT_RE.search(value)) is not None:
                     self._error("bad percent escape in local name", start + bad.start())
                 prefix, _, local = value.partition(":")
                 value = (prefix, local)
@@ -590,7 +615,7 @@ class _TurtleParser:
         else:
             prefix, _, local = token.partition(":")
             namespace = self.prefixes.get(prefix)
-            if namespace is None or "%" in local and _BAD_PERCENT_RE.search(local):
+            if namespace is None or "%" in local and BAD_PERCENT_RE.search(local):
                 return None
             term = self._intern(namespace + local)
         self.terms[token] = term

@@ -14,10 +14,16 @@ The XML is read in one expat pass, with no element tree: the start handler
 keeps one entry per open element (the log, a trace, an event, an element
 whose attributes are only checked, or one that is skipped with its content)
 and fills the trace's and event's dicts as the tags go by; the end handler
-closes events and traces.  The first structural error is held until the
-whole document has been read, so malformed XML anywhere in it is reported
-instead.  A reference to an undeclared or an external entity is an
-"undefined entity" parse error, as in ElementTree; no DTD or entity is read.
+closes events and traces.  An attribute of an event, most of a log's
+elements, is the start handler's first case, read in place; every other
+element is one dispatch on its parent's entry.  The first structural error
+is held until the whole document has been read, so malformed XML anywhere
+in it is reported instead.  The one exception is depth: a start tag that
+would make more than MAX_OPEN_ELEMENTS elements open raises
+XesStructureError at once and ends the parse, since expat keeps state for
+each open element whatever the handlers do.  A reference to an undeclared
+or an external entity is an "undefined entity" parse error, as in
+ElementTree; no DTD or entity is read.
 """
 
 import gzip
@@ -32,6 +38,9 @@ from .timeutil import format_offset_millis, parse_instant
 VALUE_KINDS = ("string", "date", "int", "float", "boolean", "id")
 _LIST_TAGS = ("list", "container", "values")
 _INT64_MAX = 2**63 - 1
+
+# the most elements open at once; a deeper document is an error at once
+MAX_OPEN_ELEMENTS = 1000
 
 # what an open element is, by the entry the reader keeps for it
 _LOG, _TRACE, _EVENT, _CHECK, _SKIP = "log", "trace", "event", "check", "skip"
@@ -100,7 +109,8 @@ class _Reader:
     """The element handlers for one document.  stack holds the kind of each
     open element, innermost last; an event attribute that repeats a key is
     entered as its error, raised at its end tag so that the attributes
-    nested in it are checked first."""
+    nested in it are checked first.  Once an error is held, every element
+    is entered as skipped."""
 
     def __init__(self):
         self.stack: list = [None]  # None stands for the document, the root's parent
@@ -113,47 +123,55 @@ class _Reader:
         self.event: dict[str, TypedValue] = {}
 
     def start(self, name: str, attrs: dict[str, str]):
-        if self.held is None:
-            try:
-                self.stack.append(self._kind(name.rpartition("}")[2], attrs, self.stack[-1]))
-            except XesStructureError as exc:
-                self.held = exc
+        stack = self.stack
+        if len(stack) > MAX_OPEN_ELEMENTS:
+            raise XesStructureError(f"more than {MAX_OPEN_ELEMENTS} elements open at once")
+        parent = stack[-1]
+        tag = name.rpartition("}")[2]
+        try:
+            # the common case first: an attribute of an event
+            if parent is _EVENT and tag in VALUE_KINDS and self.held is None:
+                key = attrs.get("key")
+                raw = attrs.get("value")
+                if not key or raw is None:
+                    self._attribute(tag, attrs)  # raises the missing part's error
+                value = TypedValue(tag, raw if tag == "string" else parse_value(tag, key, raw))
+                if key in self.event:
+                    stack.append(XesStructureError(f"duplicate key {key!r} in event"))
+                else:
+                    self.event[key] = value
+                    stack.append(_CHECK)
+            elif parent is _SKIP or self.held is not None:
+                stack.append(_SKIP)
+            elif parent is None:
+                if tag != "log":
+                    raise XesStructureError(f"root element is <{tag}>, expected <log>")
+                if not attrs.get("xes.version"):
+                    self.warnings.append("log element has no xes.version attribute")
+                stack.append(_LOG)
+            elif parent is _LOG:
+                stack.append(self._log_child(tag, attrs))
+            elif parent is _TRACE and tag == "event":
+                self.event = {}
+                stack.append(_EVENT)
+            else:  # an attribute of a trace or of an attribute, or not an attribute
+                parsed = self._attribute(tag, attrs)
+                if parsed is not None and parent is _TRACE:
+                    self.trace_attributes.setdefault(*parsed)
+                stack.append(_SKIP if parsed is None else _CHECK)
+        except XesStructureError as exc:
+            self.held = exc
+            stack.append(_SKIP)
 
     def end(self, name: str):
+        kind = self.stack.pop()
         if self.held is None:
-            kind = self.stack.pop()
             if kind is _EVENT:
                 self.events.append(self.event)
             elif kind is _TRACE:
                 self.traces.append(XesTrace(self.trace_attributes, tuple(self.events)))
             elif isinstance(kind, XesStructureError):
                 self.held = kind
-
-    def _kind(self, tag: str, attrs: dict[str, str], parent):
-        if parent is _SKIP:
-            return _SKIP
-        if parent is None:
-            if tag != "log":
-                raise XesStructureError(f"root element is <{tag}>, expected <log>")
-            if not attrs.get("xes.version"):
-                self.warnings.append("log element has no xes.version attribute")
-            return _LOG
-        if parent is _LOG:
-            return self._log_child(tag, attrs)
-        if parent is _TRACE and tag == "event":
-            self.event = {}
-            return _EVENT
-        parsed = self._attribute(tag, attrs)
-        if parsed is None:
-            return _SKIP
-        if parent is _EVENT:
-            key, value = parsed
-            if key in self.event:
-                return XesStructureError(f"duplicate key {key!r} in event")
-            self.event[key] = value
-        elif parent is _TRACE:
-            self.trace_attributes.setdefault(*parsed)
-        return _CHECK
 
     def _log_child(self, tag: str, attrs: dict[str, str]):
         if tag == "trace":

@@ -1,12 +1,21 @@
+import io
 from pathlib import Path
 
 import pytest
 
 import oced_forge
+from oced_forge.turtle_io import graph_to_turtle
 
 # Directory holding the oced_forge package this test process imported:
 # ``src`` in a source checkout, site-packages after an install.
 PACKAGE_ROOT = str(Path(oced_forge.__file__).resolve().parent.parent)
+
+
+def turtle_text(graph) -> tuple[str, int]:
+    """graph_to_turtle's text, written to a string, and its triple count."""
+    out = io.StringIO()
+    count = graph_to_turtle(graph, out)
+    return out.getvalue(), count
 
 
 def cli_env(**extra: str) -> dict:

@@ -7,14 +7,16 @@ implementations are checked against a path they share no code with.
 
 import gzip
 import random
+import re
 import zlib
 from datetime import datetime, timedelta, timezone
 from xml.etree import ElementTree
 
 from oced_forge.errors import XesParseError, XesStructureError
 from oced_forge.oced_model import OcedEvent, OcedGraph, OcedObject, TypedValue, escape_id
-from oced_forge.terms import EX
+from oced_forge.terms import EX, PREFIXES
 from oced_forge.triple_query import TriplePattern, Var
+from oced_forge.turtle_io import _iri_token, _literal_token, _Memo, _statements
 from oced_forge.xes_parser import VALUE_KINDS, XesLog, XesTrace, parse_value
 
 BASE_TIME = datetime(2012, 1, 1, tzinfo=timezone.utc)
@@ -412,3 +414,52 @@ def fromstring_parse_xes(data: bytes) -> XesLog:
         else:
             _tree_checked_attribute(child, warnings)
     return XesLog(traces=tuple(traces), warnings=tuple(warnings))
+
+
+# -- convert's Turtle rows in token-tuple order ---------------------------------
+
+
+def tuple_order_turtle(graph: OcedGraph) -> tuple[str, int]:
+    """Reference for graph_to_turtle: the graph's distinct rows sorted as
+    (subject, predicate, object) token tuples, then joined after the prefix
+    header; and the number of rows."""
+    iri = _Memo(_iri_token)
+    rows = sorted(
+        {
+            (iri[s], iri[p], iri[o] if o.__class__ is str else _literal_token(o[0], o[1] and iri[o[1]]))
+            for s, p, o in _statements(graph)
+        }
+    )
+    header = "".join(f"@prefix {prefix}: <{namespace}> .\n" for prefix, namespace in PREFIXES)
+    if not rows:
+        return header, 0
+    return header + "\n" + "".join(f"{s} {p} {o} .\n" for s, p, o in rows), len(rows)
+
+
+# -- timestamps ---------------------------------------------------------------
+
+_ISO_RE = re.compile(
+    r"^(\d{4})-(\d{2})-(\d{2})[Tt](\d{2}):(\d{2}):(\d{2})"
+    r"(?:\.(\d{1,9}))?"
+    r"(Z|z|[+-]\d{2}:?\d{2})$"
+)
+
+
+def reference_parse_instant(text: str) -> datetime:
+    """Reference for timeutil.parse_instant: each field converted on its own
+    and a new tzinfo per call."""
+    m = _ISO_RE.match(text.strip())
+    if m is None:
+        raise ValueError(f"not an ISO-8601 timestamp with zone offset: {text!r}")
+    year, month, day, hour, minute, second = (int(g) for g in m.groups()[:6])
+    frac = m.group(7) or ""
+    micros = int(frac.ljust(6, "0")[:6]) if frac else 0
+    off = m.group(8)
+    if off in ("Z", "z"):
+        tz = timezone.utc
+    else:
+        sign = 1 if off[0] == "+" else -1
+        oh = int(off[1:3])
+        om = int(off[-2:])
+        tz = timezone(sign * timedelta(hours=oh, minutes=om))
+    return datetime(year, month, day, hour, minute, second, micros, tzinfo=tz)

@@ -20,6 +20,7 @@ from oced_forge import (
     write_turtle,
 )
 from oced_forge.cli import main
+from oced_forge.xes_parser import MAX_OPEN_ELEMENTS
 
 from conftest import BPIC_STYLE_XES, cli_env
 
@@ -242,8 +243,25 @@ class TestConvert:
             "ids share one IRI namespace in Turtle output\n"
         )
 
+    def test_failed_convert_leaves_the_output_file_alone(self, tmp_path, capsys):
+        xes = tmp_path / "e1.xes"
+        xes.write_text(
+            '<log xes.version="1.0"><trace><string key="concept:name" value="e1"/><event>'
+            '<date key="time:timestamp" value="2012-01-01T00:00:00.000Z"/></event></trace></log>'
+        )
+        absent, existing = tmp_path / "absent.ttl", tmp_path / "existing.ttl"
+        existing.write_bytes(b"@prefix ex: <http://example.org/oced/> .\nex:a ex:b ex:c .\n")
+        for output in (absent, existing):
+            code, out, err = run(["convert", str(xes), "--output", str(output)], capsys)
+            assert (code, out) == (2, "")
+            assert err.startswith("oced-forge: id 'e1' is used as both event and object")
+        assert not absent.exists()
+        assert existing.read_bytes() == b"@prefix ex: <http://example.org/oced/> .\nex:a ex:b ex:c .\n"
+
     def test_deeply_nested_attribute_is_checked_without_recursion(self, tmp_path, capsys):
-        depth = 5000
+        # <log>, <trace>, <event>, the nested attributes and the innermost
+        # element fill the reader's limit exactly
+        depth = MAX_OPEN_ELEMENTS - 4
         xes = tmp_path / "deep.xes"
 
         def write(inner):
@@ -267,6 +285,10 @@ class TestConvert:
         write('<int key="n" value="1.5"/>')
         code, out, err = run(["convert", str(xes)], capsys)
         assert (code, out, err) == (3, "", "oced-forge: unparseable int for key 'n': '1.5'\n")
+        write("<widget><gadget/></widget>")
+        for command in ("convert", "stats"):
+            code, out, err = run([command, str(xes)], capsys)
+            assert (code, out, err) == (3, "", "oced-forge: more than 1000 elements open at once\n")
 
 
 @pytest.mark.parametrize("command", ["convert", "stats"])

@@ -1,6 +1,7 @@
 """Property tests: hostile Turtle input ends in a result or one error line
-for every read command, and every timestamp the tool writes reads back as
-the same instant.
+for every read command, every timestamp the tool writes reads back as the
+same instant, parse_instant agrees with its reference, and sorting rendered
+rows as strings gives the order of sorting them as token tuples.
 
 Needs hypothesis; without it the module is skipped.
 """
@@ -15,6 +16,7 @@ pytest.importorskip("hypothesis")
 
 from hypothesis import assume, example, given, settings, strategies as st  # noqa: E402
 
+from oced_forge import OcedEvent, OcedGraph, OcedObject, SerializationError, TypedValue, escape_id  # noqa: E402
 from oced_forge.cli import main  # noqa: E402
 from oced_forge.turtle_io import _TurtleParser  # noqa: E402
 from oced_forge.timeutil import (  # noqa: E402
@@ -23,6 +25,9 @@ from oced_forge.timeutil import (  # noqa: E402
     parse_instant,
     to_utc_millis,
 )
+
+from conftest import turtle_text  # noqa: E402
+from oracles import reference_parse_instant, tuple_order_turtle  # noqa: E402
 
 _code_points = st.one_of(
     st.integers(0xD7F0, 0xE010),  # around the surrogates
@@ -166,3 +171,119 @@ def test_read_commands_never_crash(tmp_path_factory, events):
         assert code in (0, 3), err
         if code == 3:
             assert err.startswith("oced-forge: ") and err.count("\n") == 1, err
+
+
+# Digits as \\d reads them: mostly ASCII, some Arabic-Indic and fullwidth,
+# and a superscript, which \\d does not read.
+_digit = st.one_of(st.sampled_from("0123456789"), st.sampled_from("٠١٢٣٩０９²"))
+
+
+def _number(width: int, low: int, high: int):
+    return st.one_of(
+        st.integers(low, high).map(lambda n: f"{n:0{width}d}"),
+        st.lists(_digit, min_size=width, max_size=width).map("".join),
+    )
+
+
+_offset_texts = st.one_of(
+    st.sampled_from(["Z", "z", "-00:00", "+00:00", "+0100", "-0530", "+23:59", "+24:00", "+1:00", "", "+01:0"]),
+    st.tuples(st.sampled_from("+-"), _number(2, 0, 25), st.sampled_from(["", ":"]), _number(2, 0, 61)).map("".join),
+)
+_instant_texts = st.tuples(
+    st.sampled_from(["", " ", "\t", "\n "]),
+    _number(4, 0, 10000),
+    st.just("-"),
+    _number(2, 0, 13),
+    st.just("-"),
+    _number(2, 0, 32),
+    st.sampled_from("Tt "),
+    _number(2, 0, 24),
+    st.just(":"),
+    _number(2, 0, 60),
+    st.just(":"),
+    _number(2, 0, 61),
+    st.one_of(st.just(""), st.lists(_digit, min_size=0, max_size=10).map(lambda ds: "." + "".join(ds))),
+    _offset_texts,
+    st.sampled_from(["", " ", "\n", "x"]),
+).map("".join)
+
+
+def _instant_outcome(parse, text):
+    try:
+        moment = parse(text)
+    except ValueError as exc:
+        return ValueError, str(exc)
+    return moment, moment.utcoffset()
+
+
+@example(text="2012-01-01T00:00:00.123456789Z")
+@example(text=" 2012-01-01t00:00:00.1-00:00\n")
+@example(text="٢٠١٢-٠١-٠١T٠٠:٠٠:٠٠.٥+٠١:٠٠")
+@example(text="2012-01-01T00:00:00+24:00")
+@settings(max_examples=1000, derandomize=True, deadline=None)
+@given(text=_instant_texts)
+def test_parse_instant_equals_its_reference(text):
+    assert _instant_outcome(parse_instant, text) == _instant_outcome(reference_parse_instant, text)
+
+
+# characters at and below ' ' (some escaped in literals, some not), and
+# quote, backslash and the IRI-illegal ones
+_odd_text = st.text(st.sampled_from(["a", "Z", "0", "_", "-", "%", "é", " ", "\t", "\n", "\r", "\x00", "\x01",
+                                     "\x1f", '"', "\\", "<", ">", ":", "."]), min_size=1, max_size=5)
+_graph_ids = st.one_of(
+    _odd_text.map(escape_id),
+    st.from_regex(r"-[A-Za-z0-9_\-]{0,3}", fullmatch=True),  # not a prefixed name: written as <...>
+    st.from_regex(r"(%[0-9A-Fa-f]{2}){1,2}[a-z]?", fullmatch=True),
+)
+_values = st.one_of(
+    _odd_text.map(lambda text: TypedValue("string", text)),
+    _odd_text.map(lambda text: TypedValue("id", text)),
+    st.integers(-(2**63), 2**63 - 1).map(lambda n: TypedValue("int", n)),
+    st.floats().map(lambda x: TypedValue("float", x)),
+    st.booleans().map(lambda b: TypedValue("boolean", b)),
+    st.datetimes(min_value=datetime(2, 1, 1), max_value=datetime(9998, 1, 1), timezones=_offsets).map(
+        lambda moment: TypedValue("date", moment)
+    ),
+)
+
+
+@st.composite
+def _graphs(draw):
+    graph = OcedGraph()
+    objects = draw(st.lists(_graph_ids, unique=True, max_size=4))
+    for object_id in objects:
+        graph.add_object(OcedObject(object_id, draw(_odd_text)))
+    events = draw(st.lists(_graph_ids, unique=True, max_size=4))
+    for event_id in events:
+        event_type = draw(_odd_text)
+        attributes = draw(st.dictionaries(_odd_text, _values, max_size=3))
+        if draw(st.booleans()):  # a passthrough attribute that repeats the event's ext:event_type
+            attributes["event_type"] = TypedValue("string", event_type)
+        moment = draw(st.datetimes(min_value=datetime(2, 1, 1), max_value=datetime(9998, 1, 1), timezones=_offsets))
+        graph.add_event(OcedEvent(event_id, event_type, moment, attributes))
+    if events and objects:
+        for event_id, object_id, qualifier in draw(
+            st.lists(
+                st.tuples(st.sampled_from(events), st.sampled_from(objects), st.none() | _odd_text),
+                unique=True,
+                max_size=4,
+            )
+        ):
+            graph.relate_event_object(event_id, object_id, qualifier)
+    if len(objects) >= 2:
+        for source, target in draw(st.lists(st.permutations(objects).map(lambda ids: ids[:2]), max_size=3)):
+            graph.relate_objects(source, target, draw(_odd_text))
+    return graph
+
+
+def _turtle_outcome(render, graph):
+    try:
+        return render(graph)
+    except SerializationError as exc:  # an id used by an event and an object, say
+        return SerializationError, str(exc)
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(graph=_graphs())
+def test_rows_sorted_as_strings_are_in_token_tuple_order(graph):
+    assert _turtle_outcome(turtle_text, graph) == _turtle_outcome(tuple_order_turtle, graph)

@@ -10,13 +10,13 @@ from pathlib import Path
 
 import pytest
 
-from oced_forge import cli, parse_turtle, parse_xes, transform_log
+from oced_forge import cli, parse_turtle, parse_xes, transform_log, turtle_io
 from oced_forge.analyses import records
 from oced_forge.dot_export import PATTERNS, store_to_dot
 from oced_forge.triple_query import TripleStore, Var
-from oced_forge.turtle_io import _TurtleParser, graph_to_turtle
+from oced_forge.turtle_io import _TurtleParser
 
-from conftest import BPIC_STYLE_XES, cli_env
+from conftest import BPIC_STYLE_XES, cli_env, turtle_text
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 BENCH = Path(__file__).resolve().parents[1] / "bench"
@@ -39,12 +39,12 @@ def bench_turtle():
         from grouped import group_turtle
         from loggen import generate, to_xes
 
-        canonical, _ = graph_to_turtle(transform_log(parse_xes(to_xes(generate(1, 40)).encode()))[0])
+        canonical, _ = turtle_text(transform_log(parse_xes(to_xes(generate(1, 40)).encode()))[0])
         return {"canonical": canonical, "grouped": group_turtle(canonical)}
 
 
 def _fixture_turtle() -> str:
-    return graph_to_turtle(transform_log(parse_xes(BPIC_STYLE_XES.encode()))[0])[0]
+    return turtle_text(transform_log(parse_xes(BPIC_STYLE_XES.encode()))[0])[0]
 
 
 SOURCES = ["canonical", "grouped", "hostile", "fixture", "general"]
@@ -179,8 +179,12 @@ def test_a_load_restores_the_cyclic_gc_state(enabled, turtle, xes, tmp_path, mon
     ttl, log = tmp_path / "in.ttl", tmp_path / "in.xes"
     ttl.write_text("@prefix ex: <http://e/> .\n" + turtle, "utf-8")
     log.write_text(xes, "utf-8")
-    written, write = [], cli._write_text
+    written, write, write_graph = [], cli._write_text, turtle_io.graph_to_turtle
     monkeypatch.setattr(cli, "_write_text", lambda *args: written.append(gc.isenabled()) or write(*args))
+    # convert writes through graph_to_turtle
+    monkeypatch.setattr(
+        turtle_io, "graph_to_turtle", lambda *args: written.append(gc.isenabled()) or write_graph(*args)
+    )
     was = gc.isenabled()
     (gc.enable if enabled else gc.disable)()
     try:
