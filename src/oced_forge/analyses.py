@@ -15,7 +15,8 @@ witnessing triples as a secondary metric.
 Each analysis returns named tuples, so its schema is declared once: the
 row type's fields are the output columns (the *_COLUMNS), and records()
 turns rows into tuples of output cells that records_to_csv and
-records_to_jsonl write in that order.
+records_to_jsonl write in that order.  A cell read from a term holds the
+term's text, its field 0 (see terms), and None when the variable is unbound.
 """
 
 import csv
@@ -37,9 +38,6 @@ from .terms import (
     EXT_OBJECT_TYPE,
     OBSERVED_AT,
     RDF_TYPE,
-    Iri,
-    Term,
-    TypedLiteral,
 )
 from .timeutil import format_utc_millis
 from .triple_query import BindingSet, TriplePattern, TripleStore, Var, datetime_value
@@ -69,19 +67,8 @@ class TeamInvolvement(NamedTuple):
     witness_count: int
 
 
-def _key(term: Term) -> str:
-    if isinstance(term, Iri):
-        return term.value
-    if isinstance(term, TypedLiteral):
-        return term.lexical
-    return term.value
-
-
-def _text(term: Term | None) -> str | None:
-    return None if term is None else _key(term)
-
-
 _EVENT, _OBJECT, _NODE = Var("event"), Var("object"), Var("node")
+_UNBOUND = (None,)  # field 0 is an unbound variable's text
 
 # The patterns each analysis reads; a load for one analysis keeps only
 # their predicates' triples.  Joins run in the order written, which decides
@@ -121,8 +108,8 @@ def _team_times(store: TripleStore) -> dict[str, dict[str, list[datetime]]]:
     for sol in solutions:
         time = datetime_value(sol["time"])
         if time is not None:
-            teams = cases.setdefault(_key(sol["case"]), {})
-            teams.setdefault(_key(sol["team"]), []).append(time)
+            teams = cases.setdefault(sol["case"][0], {})
+            teams.setdefault(sol["team"][0], []).append(time)
     for teams in cases.values():
         for times in teams.values():
             times.sort()
@@ -203,7 +190,7 @@ def enumerate_event_objects(store: TripleStore) -> list[EventObjectRow]:
         with_event = {sol["node"] for sol in store.match_pattern(_HAS_EVENT)}
         for n in skipped:
             lacks = "ext:object" if n in with_event else "ext:event"
-            log.warning("EventObject %s lacks %s; skipped", _key(n), lacks)
+            log.warning("EventObject %s lacks %s; skipped", n[0], lacks)
 
     rows = []
     times = {None: None}  # each distinct literal decoded once; an event has a row per object
@@ -213,12 +200,12 @@ def enumerate_event_objects(store: TripleStore) -> list[EventObjectRow]:
             times[time_term] = datetime_value(time_term)
         rows.append(
             EventObjectRow(
-                _key(sol["event"]),
-                _key(sol["object"]),
-                _text(sol.get("classifier")),
-                _text(sol.get("event_type")),
+                sol["event"][0],
+                sol["object"][0],
+                sol.get("classifier", _UNBOUND)[0],
+                sol.get("event_type", _UNBOUND)[0],
                 times[time_term],
-                _text(sol.get("object_type")),
+                sol.get("object_type", _UNBOUND)[0],
             )
         )
     rows.sort(

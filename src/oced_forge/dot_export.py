@@ -4,7 +4,9 @@ Events render as boxes labeled with event type and time, objects as
 ellipses labeled with object type and id, event-object edges come from the
 reified ext:EventObject nodes (labeled with the classifier when present),
 and object-object edges from qualifier predicates between objects.  Output
-order is fully deterministic.
+order is fully deterministic.  A label is a literal's text, its field 0;
+only a plain-literal classifier labels its edge, and a qualifier is shown
+unescaped, or as written when unescape_id raises ValueError for it.
 
 store_to_dot reads the triples of PATTERNS' predicates and of every
 qualifier predicate (terms.is_qualifier), so a load for it may keep only
@@ -19,7 +21,6 @@ from .terms import (
     OBSERVED_AT,
     Iri,
     PlainLiteral,
-    TypedLiteral,
     object_object_triples,
     unescape_id,
 )
@@ -41,14 +42,8 @@ def _labels(store: TripleStore, predicate: Iri) -> dict[Iri, str | None]:
     insertion order (None when every object is an IRI)."""
     labels: dict[Iri, str | None] = {}
     for subject, value in store.pairs(predicate):
-        if labels.get(subject) is not None:
-            continue
-        if isinstance(value, PlainLiteral):
-            labels[subject] = value.value
-        elif isinstance(value, TypedLiteral):
-            labels[subject] = value.lexical
-        else:
-            labels[subject] = None
+        if labels.get(subject) is None:
+            labels[subject] = None if value.__class__ is Iri else value[0]
     return labels
 
 

@@ -3,30 +3,24 @@ qualified event-object and object-object relations.
 
 Entity ids live in two independent namespaces (events vs objects) and must
 be IRI-safe: anything outside [A-Za-z0-9_-] is percent-encoded via
-`escape_id` before an id is handed to the graph.  Relation ids are minted by
-the graph itself as eo_<n> / oo_<n> in insertion order so serialization is
-reproducible.
+`escape_id` before an id is handed to the graph, which checks each id with
+`terms.is_escaped_id`.  Relation ids are minted by the graph itself as
+eo_<n> / oo_<n> in insertion order so serialization is reproducible.
 """
 
-import re
 from dataclasses import dataclass, field
 from datetime import datetime
 
 from .errors import GraphIntegrityError
-from .terms import BAD_PERCENT_RE
+from .terms import is_escaped_id
 from .terms import escape_id, unescape_id  # noqa: F401  (part of this module's API)
 from .timeutil import to_utc_millis
-
-# the escaped id alphabet, where a '%' must start a %XX escape
-# (BAD_PERCENT_RE); one character class, as a repeated alternation would
-# keep engine state per character
-_ID_RE = re.compile(r"[A-Za-z0-9_%\-]+")
 
 
 def _check_id(value: str, what: str):
     if not isinstance(value, str) or not value:
         raise ValueError(f"{what} id must be a non-empty string")
-    if not _ID_RE.fullmatch(value) or "%" in value and BAD_PERCENT_RE.search(value):
+    if not is_escaped_id(value):
         raise ValueError(
             f"{what} id {value!r} contains characters outside the escaped id alphabet; "
             f"apply escape_id() first"

@@ -1,12 +1,14 @@
 """RDF terms and the fixed vocabulary used by the graph serialization.
 
 Three term kinds exist: IRIs, typed literals, and plain literals (optionally
-language-tagged).  Triples restrict subject and predicate to IRIs.  Entity
-ids and qualifier names enter IRIs through escape_id and leave them through
-unescape_id; both live here, beside the terms, so the Turtle reader and the
-DOT export need nothing from the graph model.  is_qualifier tells a
-data-derived ext: predicate from the fixed vocabulary; object-object
-relations have one, and a load for the DOT export keeps them all.
+language-tagged).  A term's text is its field 0: an IRI's value, or a
+literal's lexical form.  Triples restrict subject and predicate to IRIs.
+Entity ids and qualifier names enter IRIs through escape_id, leave them
+through unescape_id and are checked by is_escaped_id; the escaped-id alphabet
+is written once, here, so the Turtle reader and writer and the DOT export
+need nothing from the graph model.  is_qualifier tells a data-derived ext:
+predicate from the fixed vocabulary; object-object relations have one, and
+a load for the DOT export keeps them all.
 
 Terms and triples are named tuples, so they hash and compare as tuples, in C
 (also with plain tuples: Iri("x") == ("x",)).  The kinds never compare equal
@@ -18,35 +20,44 @@ import re
 from collections.abc import Container, Iterator
 from typing import NamedTuple, Union
 
-_SAFE = frozenset("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789_-")
+# the characters an escaped id holds as themselves
+_SAFE = "ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789_-"
 # a '%' in an escaped id or a local name that two hex digits do not follow
 BAD_PERCENT_RE = re.compile(r"%(?![0-9A-Fa-f]{2})")
+# An escaped id is a run of one character class that BAD_PERCENT_RE does not
+# match, and a run of %XX escapes ends at the first escape no '%' follows; a
+# repeated group instead of a class would keep engine state per character.
+_ESCAPED_ID_RE = re.compile(f"[{re.escape(_SAFE)}%]+")
+_ESCAPE_RUN_RE = re.compile(r"%[%0-9A-Fa-f]*?(?<=%[0-9A-Fa-f]{2})(?!%)")
+
+
+class _EscapeTable(dict):
+    """escape_id's str.translate table of the ASCII codes; any other code's
+    UTF-8 escapes are made on lookup and not stored, so the table stays small."""
+
+    def __missing__(self, code: int) -> str:
+        return "".join(f"%{b:02X}" for b in chr(code).encode("utf-8"))
+
+
+_ESCAPE_TABLE = _EscapeTable((c, chr(c) if chr(c) in _SAFE else f"%{c:02X}") for c in range(128))
 
 
 def escape_id(raw: str) -> str:
     """Percent-encode every character outside [A-Za-z0-9_-], reversibly."""
-    out = []
-    for ch in raw:
-        if ch in _SAFE:
-            out.append(ch)
-        else:
-            out.extend(f"%{b:02X}" for b in ch.encode("utf-8"))
-    return "".join(out)
+    return raw.translate(_ESCAPE_TABLE)
+
+
+def is_escaped_id(text: str) -> bool:
+    """Whether text is a non-empty run of [A-Za-z0-9_-] and %XX escapes."""
+    return _ESCAPED_ID_RE.fullmatch(text) is not None and ("%" not in text or not BAD_PERCENT_RE.search(text))
 
 
 def unescape_id(escaped: str) -> str:
-    """Inverse of escape_id."""
-    data = bytearray()
-    i = 0
-    while i < len(escaped):
-        ch = escaped[i]
-        if ch == "%":
-            data.append(int(escaped[i + 1 : i + 3], 16))
-            i += 3
-        else:
-            data.extend(ch.encode("utf-8"))
-            i += 1
-    return data.decode("utf-8")
+    """Inverse of escape_id; ValueError for a '%' that two hex digits do not
+    follow, or for a run of %XX escapes that is not UTF-8."""
+    if bad := BAD_PERCENT_RE.search(escaped):
+        raise ValueError(f"'%' at {bad.start()} does not start a %XX escape")
+    return _ESCAPE_RUN_RE.sub(lambda run: bytes.fromhex(run[0].replace("%", "")).decode("utf-8"), escaped)
 
 
 # Namespace IRIs.  The ocedo/ext pair is fixed by the vocabulary this tool

@@ -84,6 +84,7 @@ from .terms import (
     Term,
     TypedLiteral,
     escape_id,
+    is_escaped_id,
 )
 from .timeutil import format_utc_millis
 from .triple_query import TripleStore
@@ -91,12 +92,10 @@ from .triple_query import TripleStore
 if TYPE_CHECKING:  # the reader runs without the graph model
     from .oced_model import OcedGraph, TypedValue
 
-# a local name the writer prefixes, where a '%' must start a %XX escape
-# (BAD_PERCENT_RE); one character class, as a repeated alternation would
-# keep engine state per character
-_PN_LOCAL_RE = re.compile(r"[A-Za-z0-9_%][A-Za-z0-9_%\-]*")
 _ABSOLUTE_IRI_RE = re.compile(r"^[A-Za-z][A-Za-z0-9+.\-]*:")
 _BAD_IRI_CHARS = re.compile(r'[\x00-\x20<>"{}|^`\\]')
+# the language tag both readers accept
+_LANG_RE = re.compile(r"[A-Za-z][A-Za-z0-9\-]*")
 # most IRIs written are instances, so ex: is tried first; no namespace
 # starts another, so the order cannot change a token
 _TOKEN_PREFIXES = PREFIXES[-1:] + PREFIXES[:-1]
@@ -238,7 +237,7 @@ def _iri_token(value: str) -> str:
     for prefix, namespace in _TOKEN_PREFIXES:
         if value.startswith(namespace):
             local = value[len(namespace):]
-            if _PN_LOCAL_RE.fullmatch(local) and ("%" not in local or not BAD_PERCENT_RE.search(local)):
+            if is_escaped_id(local) and local[0] != "-":
                 return f"{prefix}:{local}"
     if _BAD_IRI_CHARS.search(value):
         raise SerializationError(f"IRI contains characters illegal in Turtle: {value!r}")
@@ -249,6 +248,8 @@ def _literal_token(lexical: str, datatype_token: str | None = None, lang: str | 
     rendered = f'"{_escape_literal(lexical)}"'
     if datatype_token is not None:
         return f"{rendered}^^{datatype_token}"
+    if lang and not _LANG_RE.fullmatch(lang):
+        raise SerializationError(f"language tag {lang!r} is not [A-Za-z][A-Za-z0-9-]*")
     return f"{rendered}@{lang}" if lang else rendered
 
 

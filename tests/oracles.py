@@ -463,3 +463,52 @@ def reference_parse_instant(text: str) -> datetime:
         om = int(off[-2:])
         tz = timezone(sign * timedelta(hours=oh, minutes=om))
     return datetime(year, month, day, hour, minute, second, micros, tzinfo=tz)
+
+
+# -- escaped ids: the rules each module wrote for itself before terms held them
+
+
+_REFERENCE_SAFE = frozenset("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789_-")
+_REFERENCE_BAD_PERCENT_RE = re.compile(r"%(?![0-9A-Fa-f]{2})")
+_REFERENCE_ID_RE = re.compile(r"[A-Za-z0-9_%\-]+")
+_REFERENCE_PN_LOCAL_RE = re.compile(r"[A-Za-z0-9_%][A-Za-z0-9_%\-]*")
+
+
+def reference_escape_id(raw: str) -> str:
+    """Reference for terms.escape_id: one list entry per character."""
+    out = []
+    for ch in raw:
+        if ch in _REFERENCE_SAFE:
+            out.append(ch)
+        else:
+            out.extend(f"%{b:02X}" for b in ch.encode("utf-8"))
+    return "".join(out)
+
+
+def reference_unescape_id(escaped: str) -> str:
+    """Reference for terms.unescape_id: a loop over characters, each '%'
+    read with the two characters after it as one byte."""
+    data = bytearray()
+    i = 0
+    while i < len(escaped):
+        ch = escaped[i]
+        if ch == "%":
+            data.append(int(escaped[i + 1 : i + 3], 16))
+            i += 3
+        else:
+            data.extend(ch.encode("utf-8"))
+            i += 1
+    return data.decode("utf-8")
+
+
+def reference_is_escaped_id(value: str) -> bool:
+    """Reference for terms.is_escaped_id: the id check of the graph model."""
+    return bool(_REFERENCE_ID_RE.fullmatch(value)) and not ("%" in value and _REFERENCE_BAD_PERCENT_RE.search(value))
+
+
+def reference_prefixes_local(local: str) -> bool:
+    """Reference for the Turtle writer's choice to write namespace + local as
+    a prefixed name."""
+    return bool(_REFERENCE_PN_LOCAL_RE.fullmatch(local)) and not (
+        "%" in local and _REFERENCE_BAD_PERCENT_RE.search(local)
+    )

@@ -718,7 +718,8 @@ class TestExportDot:
         assert code == 64
 
     @pytest.mark.parametrize(
-        "qualifier, label", [("<https://w3id.org/ocedo/ext#q%ZZ>", "q%ZZ"), ("ext:q%FF", "q%FF")]
+        "qualifier, label",
+        [("<https://w3id.org/ocedo/ext#q%ZZ>", "q%ZZ"), ("ext:q%FF", "q%FF"), ("<https://w3id.org/ocedo/ext#q%4>", "q%4")],
     )
     def test_malformed_qualifier_escape_labels_the_edge_as_written(
         self, qualifier, label, tmp_path, capsys

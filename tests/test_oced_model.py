@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from datetime import datetime, timezone
 
 import pytest
@@ -11,6 +12,7 @@ from oced_forge import (
     escape_id,
     unescape_id,
 )
+from oced_forge.timeutil import format_offset_millis, to_utc_millis
 
 T0 = datetime(2012, 1, 1, 9, 0, tzinfo=timezone.utc)
 
@@ -36,6 +38,36 @@ class TestEscaping:
             raw = "".join(rng.choice(alphabet) for _ in range(rng.randint(1, 12)))
             assert unescape_id(escape_id(raw)) == raw
 
+    def test_lone_surrogate_cannot_be_escaped(self):
+        with pytest.raises(UnicodeEncodeError):
+            escape_id("a\udc80")
+
+    @pytest.mark.parametrize("escaped", ["q%4", "%", "a%G0", "%%41", "%FF", "%C3", "%C3x"])
+    def test_malformed_escape_raises_value_error(self, escaped):
+        with pytest.raises(ValueError):
+            unescape_id(escaped)
+
+    @pytest.mark.parametrize(
+        "code, text",
+        [(escape_id, " " * 200_000), (escape_id, "a" * 2_000_000), (escape_id, "é" * 200_000),
+         (escape_id, "".join(map(chr, range(0x4E00, 0x9FA6)))),
+         (unescape_id, "%20" * 700_000), (unescape_id, "%C3%A9" * 350_000)],
+        ids=["escape-spaces", "escape-letters", "escape-non-ascii", "escape-distinct-non-ascii",
+             "unescape-spaces", "unescape-non-ascii"],
+    )
+    def test_peak_is_a_small_multiple_of_the_longer_text(self, code, text):
+        """No list entry per character, no table entry kept per non-ASCII
+        character, no regex engine state per escape."""
+        tracemalloc.start()
+        try:
+            out = code(text)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        inverse = unescape_id if code is escape_id else escape_id
+        assert inverse(out) == text
+        assert peak < 2 * max(len(text), len(out.encode("utf-8")))
+
 
 class TestEntities:
     def test_invalid_id_rejected(self):
@@ -53,6 +85,11 @@ class TestEntities:
     def test_naive_timestamp_rejected(self):
         with pytest.raises(ValueError, match="observed_at"):
             OcedEvent(id="e1", event_type="t", observed_at=datetime(2012, 1, 1))
+
+    @pytest.mark.parametrize("convert", [to_utc_millis, format_offset_millis])
+    def test_timeutil_rejects_a_naive_datetime(self, convert):
+        with pytest.raises(ValueError, match="naive datetime"):
+            convert(datetime(2012, 1, 1))
 
     def test_observed_at_normalized_to_utc_millis(self):
         event = OcedEvent(
@@ -134,6 +171,11 @@ class TestRelateEventObject:
         with pytest.raises(GraphIntegrityError, match="duplicate"):
             graph.relate_event_object("e1", "o1", "event_case")
 
+    def test_empty_qualifier_rejected(self):
+        graph = self._graph()
+        with pytest.raises(GraphIntegrityError, match="None or non-empty"):
+            graph.relate_event_object("e1", "o1", "")
+
     def test_same_pair_different_qualifier_allowed(self):
         graph = self._graph()
         graph.relate_event_object("e1", "o1", "event_case")
@@ -158,6 +200,11 @@ class TestRelateObjects:
         graph = self._graph()
         with pytest.raises(GraphIntegrityError, match="self-relation"):
             graph.relate_objects("c1", "c1", "loop")
+
+    def test_dangling_source_rejected(self):
+        graph = self._graph()
+        with pytest.raises(GraphIntegrityError, match="'nowhere' is not a known object"):
+            graph.relate_objects("nowhere", "t1", "involves_team")
 
     def test_dangling_target_rejected(self):
         graph = self._graph()

@@ -1,13 +1,15 @@
 """Property tests: hostile Turtle input ends in a result or one error line
 for every read command, every timestamp the tool writes reads back as the
-same instant, parse_instant agrees with its reference, and sorting rendered
-rows as strings gives the order of sorting them as token tuples.
+same instant, parse_instant agrees with its reference, sorting rendered
+rows as strings gives the order of sorting them as token tuples, and the
+escaped-id rules in terms agree with the copies each module kept before.
 
 Needs hypothesis; without it the module is skipped.
 """
 
 import contextlib
 import io
+import re
 from datetime import datetime, timedelta, timezone
 
 import pytest
@@ -18,7 +20,8 @@ from hypothesis import assume, example, given, settings, strategies as st  # noq
 
 from oced_forge import OcedEvent, OcedGraph, OcedObject, SerializationError, TypedValue, escape_id  # noqa: E402
 from oced_forge.cli import main  # noqa: E402
-from oced_forge.turtle_io import _TurtleParser  # noqa: E402
+from oced_forge.terms import EX, is_escaped_id, unescape_id  # noqa: E402
+from oced_forge.turtle_io import _iri_token, _TurtleParser  # noqa: E402
 from oced_forge.timeutil import (  # noqa: E402
     format_offset_millis,
     format_utc_millis,
@@ -27,7 +30,14 @@ from oced_forge.timeutil import (  # noqa: E402
 )
 
 from conftest import turtle_text  # noqa: E402
-from oracles import reference_parse_instant, tuple_order_turtle  # noqa: E402
+from oracles import (  # noqa: E402
+    reference_escape_id,
+    reference_is_escaped_id,
+    reference_parse_instant,
+    reference_prefixes_local,
+    reference_unescape_id,
+    tuple_order_turtle,
+)
 
 _code_points = st.one_of(
     st.integers(0xD7F0, 0xE010),  # around the surrogates
@@ -287,3 +297,64 @@ def _turtle_outcome(render, graph):
 @given(graph=_graphs())
 def test_rows_sorted_as_strings_are_in_token_tuple_order(graph):
     assert _turtle_outcome(turtle_text, graph) == _turtle_outcome(tuple_order_turtle, graph)
+
+
+# -- escaped ids -------------------------------------------------------------
+
+# pieces around the rules' edges: a '%' without two hex digits, lower-case
+# hex, escapes that are not UTF-8, a leading '-', characters outside the alphabet
+_ID_PIECES = ["a", "Z", "0", "f", "F", "g", "_", "-", "%", "%4", "%41", "%C3", "%a9", "%e2%82%ac", "%FF", "%25",
+              "é", " ", "\n", "/"]
+_id_texts = st.lists(st.sampled_from(_ID_PIECES), max_size=8).map("".join)
+
+
+def _unicode_outcome(code, text):
+    try:
+        return code(text)
+    except UnicodeError as exc:
+        return type(exc)
+
+
+@example(raw="a\udc80")
+@example(raw="\U0010ffff\x7f\x80")
+@settings(max_examples=1000, derandomize=True, deadline=None)
+@given(raw=st.text(st.one_of(st.characters(), st.sampled_from(["\ud800", "\udfff", "%", "-"]))))
+def test_escape_id_equals_its_reference(raw):
+    assert _unicode_outcome(escape_id, raw) == _unicode_outcome(reference_escape_id, raw)
+
+
+@example(text="")
+@example(text="-")
+@example(text="a\n")
+@settings(max_examples=1000, derandomize=True, deadline=None)
+@given(text=_id_texts)
+def test_is_escaped_id_accepts_what_the_graph_model_accepted(text):
+    assert is_escaped_id(text) == reference_is_escaped_id(text)
+
+
+def _prefixed(local: str) -> bool:
+    try:
+        return _iri_token(EX + local).startswith("ex:")
+    except SerializationError:  # written as <...>, which holds a character Turtle forbids
+        return False
+
+
+@example(local="-a")
+@example(local="a-")
+@settings(max_examples=1000, derandomize=True, deadline=None)
+@given(local=_id_texts)
+def test_writer_prefixes_the_local_names_it_prefixed(local):
+    assert _prefixed(local) == reference_prefixes_local(local)
+
+
+@example(text="q%4")
+@example(text="%C3%A9%C3")
+@example(text="é%C3%A9%41A-%e2%82%ac")
+@settings(max_examples=1000, derandomize=True, deadline=None)
+@given(text=_id_texts)
+def test_unescape_id_equals_its_reference_or_rejects_a_bad_percent(text):
+    if any(not re.fullmatch("[0-9A-Fa-f]{2}", text[i + 1 : i + 3]) for i, c in enumerate(text) if c == "%"):
+        with pytest.raises(ValueError, match="does not start a %XX escape"):
+            unescape_id(text)
+    else:
+        assert _unicode_outcome(unescape_id, text) == _unicode_outcome(reference_unescape_id, text)

@@ -78,6 +78,10 @@ class TestDeriveEventType:
         event = string_event(**{"concept:name": "Queued"})
         assert derive_event_type(event, default_bpic2013_config()) == "Queued"
 
+    def test_boolean_and_float_values_as_xes_text(self):
+        event = {"concept:name": TypedValue("boolean", False), "lifecycle:transition": TypedValue("float", 0.1)}
+        assert derive_event_type(event, default_bpic2013_config()) == "false+0.1"
+
 
 class TestTransform:
     def test_hand_enumerated_example(self):
@@ -220,6 +224,32 @@ class TestTransform:
             outputs.add(write_turtle(graph_to_triples(graph)))
         assert len(outputs) == 1
 
+    @staticmethod
+    def _two_rule_log(first: str, second: str) -> bytes:
+        return f"""<log xes.version="1.0"><trace><string key="concept:name" value="c"/><event>
+          <date key="time:timestamp" value="2012-01-01T00:00:00.000Z"/>
+          <string key="k1" value="{first}"/><string key="k2" value="{second}"/>
+        </event></trace></log>""".encode()
+
+    def test_rules_minting_one_id_for_two_object_types_skip_the_second(self):
+        # object type a_b with value c and object type a with value b_c both give a_b_c
+        config = MappingConfig(object_rules=[ObjectRule("k1", "a_b", "q1"), ObjectRule("k2", "a", "q2")])
+        graph, report = transform_log(parse_xes(self._two_rule_log("c", "b_c")), config)
+        assert graph.objects["a_b_c"].object_type == "a_b"
+        assert report.warnings == [
+            "trace 0 event 0: id 'a_b_c' already names a 'a_b' object; rule for 'k2' skipped"
+        ]
+        assert [(r.object, r.qualifier) for r in graph.event_object_relations] == [("c", "event_case"), ("a_b_c", "q1")]
+
+    def test_rules_minting_one_id_of_one_type_with_one_qualifier_relate_once(self):
+        config = MappingConfig(object_rules=[ObjectRule("k1", "team", "q"), ObjectRule("k2", "team", "q")])
+        graph, report = transform_log(parse_xes(self._two_rule_log("x", "x")), config)
+        assert list(graph.objects) == ["c", "team_x"]
+        assert report.warnings == [
+            "trace 0 event 0: duplicate event-object relation ('e1', 'team_x', 'q')"
+        ]
+        assert [(r.object, r.qualifier) for r in graph.event_object_relations] == [("c", "event_case"), ("team_x", "q")]
+
     def test_ids_are_escaped(self):
         doc = b"""<log xes.version="1.0"><trace>
           <string key="concept:name" value="case 1/a"/>
@@ -307,6 +337,28 @@ class TestConfigFile:
         path = tmp_path / "mapping.json"
         path.write_text(json.dumps({"config_version": 1, "case_objct_type": "typo"}))
         with pytest.raises(ConfigError, match="unknown keys"):
+            load_mapping_config(str(path))
+
+    @pytest.mark.parametrize(
+        "data, message",
+        [
+            ([1], "top level must be a JSON object"),
+            ({"config_version": 1, "object_rules": ["k"]}, r"object_rules\[0\] must be an object"),
+            (
+                {"config_version": 1, "object_rules": [{"xes_key": "k", "object_type": "t", "eo_qualifier": "q", "x": 1}]},
+                r"object_rules\[0\] has unknown keys \['x'\]",
+            ),
+            (
+                {"config_version": 1, "object_rules": [{"xes_key": "k", "object_type": "t"}]},
+                r"object_rules\[0\]: .*eo_qualifier",
+            ),
+        ],
+        ids=["top-level-not-an-object", "rule-not-an-object", "unknown-rule-key", "missing-rule-key"],
+    )
+    def test_config_of_the_wrong_shape_rejected(self, tmp_path, data, message):
+        path = tmp_path / "mapping.json"
+        path.write_text(json.dumps(data))
+        with pytest.raises(ConfigError, match=message):
             load_mapping_config(str(path))
 
     def test_bad_json_rejected(self, tmp_path):

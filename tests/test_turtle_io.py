@@ -98,6 +98,8 @@ class TestGraphToTriples:
                     "impact": TypedValue("string", "Medium"),
                     "count": TypedValue("int", 7),
                     "ratio": TypedValue("float", 0.5),
+                    "high": TypedValue("float", float("inf")),
+                    "low": TypedValue("float", float("-inf")),
                     "open": TypedValue("boolean", True),
                     "seen": TypedValue("date", T0),
                 },
@@ -108,6 +110,8 @@ class TestGraphToTriples:
         assert Triple(subject, Iri(EXT + "impact"), PlainLiteral("Medium")) in store
         assert Triple(subject, Iri(EXT + "count"), TypedLiteral("7", Iri(XSD + "integer"))) in store
         assert Triple(subject, Iri(EXT + "ratio"), TypedLiteral("0.5", Iri(XSD + "double"))) in store
+        assert Triple(subject, Iri(EXT + "high"), TypedLiteral("INF", Iri(XSD + "double"))) in store
+        assert Triple(subject, Iri(EXT + "low"), TypedLiteral("-INF", Iri(XSD + "double"))) in store
         assert Triple(subject, Iri(EXT + "open"), TypedLiteral("true", Iri(XSD + "boolean"))) in store
         assert (
             Triple(
@@ -259,6 +263,24 @@ class TestWriteTurtle:
             [Triple(Iri(EX + "e1"), Iri(RDF + "type"), Iri(EXT + "Accepted%2BIn%20Progress"))]
         )
         assert "ext:Accepted%2BIn%20Progress" in write_turtle(store)
+
+    def test_iri_holding_a_space_is_a_serialization_error(self):
+        store = TripleStore([Triple(Iri("http://other.example/a b"), Iri(EXT + "p"), PlainLiteral("v"))])
+        with pytest.raises(SerializationError, match="illegal in Turtle"):
+            write_turtle(store)
+
+    @pytest.mark.parametrize("lang", ["en us", "en\n", "1en", "-en", "en_US", "é"])
+    def test_language_tag_the_readers_reject_is_a_serialization_error(self, lang):
+        store = TripleStore([Triple(Iri(EX + "s"), Iri(EXT + "p"), PlainLiteral("x", lang))])
+        with pytest.raises(SerializationError, match="language tag"):
+            write_turtle(store)
+
+    @pytest.mark.parametrize("lang", ["en", "en-US", "x-1-a", "Z"])
+    def test_valid_language_tag_round_trips(self, lang):
+        triple = Triple(Iri(EX + "s"), Iri(EXT + "p"), PlainLiteral("x", lang))
+        text = write_turtle(TripleStore([triple]))
+        assert f'"x"@{lang} .' in text
+        assert list(parse_turtle(text)) == [triple]
 
 
 class TestParseTurtle:
@@ -715,14 +737,14 @@ def _nested_xes(open_tag: str, close_tag: str) -> bytes:
 
 
 class _ShortRuns:
-    """A text stream that keeps what is written with each run of Q or J
-    shortened to the letter and an ellipsis."""
+    """A text stream that keeps what is written with each run of Q, J or %20
+    shortened to its first one and an ellipsis."""
 
     def __init__(self):
         self.parts = []
 
     def write(self, text: str):
-        self.parts.append(re.sub("Q+|J+", lambda run: run[0][0] + "…", text))
+        self.parts.append(re.sub("(Q)Q*|(J)J*|(%20)[%20]*", lambda run: run[run.lastindex] + "…", text))
 
 
 def _convert_outcome(data: bytes):
@@ -744,12 +766,12 @@ def _shape(name, document, expected, bound=5):
 _DEPTH_ERROR = (XesStructureError, f"more than {MAX_OPEN_ELEMENTS} elements open at once")
 
 
-def _big_ids_xes() -> bytes:
-    """A trace id of Qs and an org:group value of Js, 2 MB each."""
+def _big_ids_xes(case_id: str = "Q" * _MB2, group: str = "J" * _MB2) -> bytes:
+    """A trace id and an org:group value, by default of Qs and of Js, 2 MB each."""
     return (
-        f'<log xes.version="1.0"><trace><string key="concept:name" value="{"Q" * _MB2}"/><event>'
+        f'<log xes.version="1.0"><trace><string key="concept:name" value="{case_id}"/><event>'
         '<string key="concept:name" value="A"/><date key="time:timestamp" value="2012-01-01T00:00:00.000Z"/>'
-        f'<string key="org:group" value="{"J" * _MB2}"/></event></trace></log>'
+        f'<string key="org:group" value="{group}"/></event></trace></log>'
     ).encode()
 
 
@@ -821,6 +843,14 @@ HOSTILE_SHAPES = [
     # each id is in five rows, each row one string, and the write joins them
     # once more: 2 MB ids cost a dozen copies, not one state per character
     _shape("xes-big-ids-converted", _big_ids_xes, (18, _BIG_IDS_TURTLE), 20),
+    # a trace id of 2 MB of spaces: escape_id makes a 6 MB id, whose rows
+    # and their join cost a dozen copies of it
+    _shape(
+        "xes-big-unsafe-ids-converted",
+        lambda: _big_ids_xes(" " * _MB2, "J"),
+        (18, _BIG_IDS_TURTLE.replace("ex:Q…", "ex:%20…")),
+        45,
+    ),
 ]
 
 

@@ -149,6 +149,13 @@ def test_digit_separators_and_non_ascii_digits_rejected(kind, raw):
         parse_xes(doc)
 
 
+@pytest.mark.parametrize("kind, raw", [("float", "abc"), ("boolean", "yes")])
+def test_unparseable_float_and_boolean_name_key_and_text(kind, raw):
+    doc = f'<log xes.version="1.0"><{kind} key="org:group" value="{raw}"/></log>'.encode()
+    with pytest.raises(XesStructureError, match=f"unparseable {kind} for key 'org:group': '{raw}'"):
+        parse_xes(doc)
+
+
 @pytest.mark.parametrize(
     "kind, raw, value",
     [("int", " 12 ", 12), ("int", "+7", 7), ("float", "inf", float("inf")), ("float", "-1.5e3 ", -1500.0)],
