@@ -5,13 +5,16 @@ event-objects / teams as CSV or JSONL), stats (XES or Turtle counts), and
 export-dot (Turtle -> Graphviz DOT).  Data goes to stdout or --output;
 diagnostics go to stderr, so output is pipe-safe and byte-deterministic.
 
-A command imports only the modules it runs: the XES reader, the transform
-and the graph model for convert and XES stats, the DOT writer for
-export-dot.  An input is read whole and inflated once when it is gzip
-(_read_input); the XES reader is then given the XML as it is.  The read
-commands load Turtle with a keep rule made of the IRI predicates of the
-patterns their queries look up (see _keep_rule; stats keeps every triple,
-because it counts them), with the cyclic GC off during the load.
+Every command loads this module's imports: the Turtle reader and writer,
+the triple store and the analyses (with csv and json; _ANALYSES gives
+--analysis its choices).  convert and XES stats also load the XES reader,
+the transform and the graph model, and export-dot the DOT writer.  An input
+is read whole and inflated once when it is gzip (_read_input); the XES
+reader is then given the XML as it is.  analyze loads Turtle with a keep
+rule made of the IRI predicates of the patterns its query looks up (see
+_keep_rule).  stats keeps every triple, because it counts them, and so does
+export-dot, which reads or would keep every predicate convert writes (see
+dot_export).  The cyclic GC is off during every command.
 
 Exit codes: 0 success (also with skipped-event warnings), 2 unreadable or
 invalid input file (a bad gzip stream or config encoding too) or input that
@@ -58,7 +61,6 @@ from .terms import (
     EXT_OBJECT_TYPE,
     RDF_TYPE,
     Iri,
-    is_qualifier,
     object_object_triples,
 )
 from .triple_query import TriplePattern, TripleStore
@@ -151,14 +153,10 @@ def _write_text(path: str | None, text: str):
             fh.write(text)
 
 
-def _keep_rule(patterns: list[TriplePattern], qualifiers: bool = False) -> Callable[[Iri], bool]:
-    """parse_turtle's keep rule for a command that reads patterns: their
-    predicates (each an IRI), and with qualifiers every data-derived ext:
-    predicate (what object_object_triples reads)."""
-    predicates = frozenset(pattern.predicate for pattern in patterns)
-    if qualifiers:
-        return lambda predicate: predicate in predicates or is_qualifier(predicate)
-    return predicates.__contains__
+def _keep_rule(patterns: list[TriplePattern]) -> Callable[[Iri], bool]:
+    """parse_turtle's keep rule for an analysis: the predicates (each an IRI)
+    of the patterns it reads."""
+    return frozenset(pattern.predicate for pattern in patterns).__contains__
 
 
 def _parse_store(text: str, keep: Callable[[Iri], bool] | None = None) -> TripleStore:
@@ -166,7 +164,7 @@ def _parse_store(text: str, keep: Callable[[Iri], bool] | None = None) -> Triple
     return parse_turtle(text, keep).freeze()
 
 
-def _load_store(path: str, keep: Callable[[Iri], bool]) -> TripleStore:
+def _load_store(path: str, keep: Callable[[Iri], bool] | None = None) -> TripleStore:
     try:
         text = _read_input(path).decode("utf-8")
     except UnicodeDecodeError as exc:
@@ -287,10 +285,9 @@ def cmd_stats(args) -> int:
 
 
 def cmd_export_dot(args) -> int:
-    from .dot_export import PATTERNS, store_to_dot
+    from .dot_export import store_to_dot
 
-    store = _load_store(args.input, _keep_rule(PATTERNS, qualifiers=True))
-    _write_text(args.output, store_to_dot(store))
+    _write_text(args.output, store_to_dot(_load_store(args.input)))
     return EXIT_OK
 
 

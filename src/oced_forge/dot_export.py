@@ -8,12 +8,14 @@ order is fully deterministic.  A label is a literal's text, its field 0;
 only a plain-literal classifier labels its edge, and a qualifier is shown
 unescaped, or as written when unescape_id raises ValueError for it.
 
-store_to_dot reads the triples of PATTERNS' predicates and of every
-qualifier predicate (terms.is_qualifier), so a load for it may keep only
-those.
+store_to_dot reads the event and object label predicates, the
+event-object block and every qualifier predicate (terms.is_qualifier).
+Every predicate convert writes is rdf:type, ocedo:observed_at or an ext:
+predicate, all of which it reads or a keep rule for it would keep, so
+export-dot loads every triple, as stats does.
 """
 
-from .analyses import EVENT_OBJECT_BLOCK, event_object_solutions
+from .analyses import event_object_solutions
 from .terms import (
     EXT,
     EXT_EVENT_TYPE,
@@ -24,13 +26,8 @@ from .terms import (
     object_object_triples,
     unescape_id,
 )
-from .triple_query import TriplePattern, TripleStore, Var
+from .triple_query import TripleStore
 from .turtle_io import render_term
-
-
-# ?s P ?v for each predicate _labels reads, then the event-object block
-_LABELED = (EXT_EVENT_TYPE, OBSERVED_AT, EXT_OBJECT_TYPE)
-PATTERNS = [*(TriplePattern(Var("s"), p, Var("v")) for p in _LABELED), *EVENT_OBJECT_BLOCK]
 
 
 def _dot_quote(text: str) -> str:

@@ -8,7 +8,7 @@ through unescape_id and are checked by is_escaped_id; the escaped-id alphabet
 is written once, here, so the Turtle reader and writer and the DOT export
 need nothing from the graph model.  is_qualifier tells a data-derived ext:
 predicate from the fixed vocabulary; object-object relations have one, and
-a load for the DOT export keeps them all.
+the DOT export draws them as edges.
 
 Terms and triples are named tuples, so they hash and compare as tuples, in C
 (also with plain tuples: Iri("x") == ("x",)).  The kinds never compare equal

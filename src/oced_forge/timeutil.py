@@ -54,6 +54,17 @@ def to_utc_millis(dt: datetime) -> datetime:
     return dt.replace(microsecond=(dt.microsecond // 1000) * 1000)
 
 
+def has_utc_instant(dt: datetime) -> bool:
+    """Whether an aware datetime's instant has a UTC time in datetime's years
+    1..9999: the rule by which the transform skips an event and the analyses
+    drop a time literal."""
+    try:
+        to_utc_millis(dt)
+    except OverflowError:
+        return False
+    return True
+
+
 def format_utc_millis(dt: datetime) -> str:
     """Render an aware datetime as ISO-8601 UTC with milliseconds: ...T...sss'Z'."""
     return to_utc_millis(dt).isoformat(timespec="milliseconds")[:-6] + "Z"  # "+00:00" -> "Z"

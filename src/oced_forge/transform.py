@@ -13,12 +13,11 @@ README for the schema.
 import json
 import logging
 from dataclasses import dataclass, field
-from datetime import datetime
 
 from .errors import ConfigError, GraphIntegrityError
 from .oced_model import OcedEvent, OcedGraph, OcedObject, TypedValue
 from .terms import escape_id
-from .timeutil import to_utc_millis
+from .timeutil import has_utc_instant
 from .xes_parser import XesLog, _attribute_text
 
 log = logging.getLogger(__name__)
@@ -196,14 +195,6 @@ def trace_case_ids(log_: XesLog, config: MappingConfig) -> list[tuple[str, str]]
     return ids
 
 
-def _has_utc_instant(value: datetime) -> bool:
-    try:
-        to_utc_millis(value)
-    except OverflowError:  # the instant in UTC falls outside datetime's years 1..9999
-        return False
-    return True
-
-
 def transform_log(log_: XesLog, config: MappingConfig | None = None) -> tuple[OcedGraph, TransformReport]:
     """Build an OcedGraph from a parsed XES log.
 
@@ -244,7 +235,7 @@ def transform_log(log_: XesLog, config: MappingConfig | None = None) -> tuple[Oc
             if ts.kind != "date":
                 report.events_skipped.append(SkippedEvent(ti, ei, "timestamp not a date"))
                 continue
-            if not _has_utc_instant(ts.value):
+            if not has_utc_instant(ts.value):
                 report.events_skipped.append(SkippedEvent(ti, ei, "timestamp out of range"))
                 continue
             attributes = {}
@@ -253,7 +244,7 @@ def transform_log(log_: XesLog, config: MappingConfig | None = None) -> tuple[Oc
                 attr = event.get(key)
                 if attr is None:
                     continue
-                if attr.kind == "date" and not _has_utc_instant(attr.value):
+                if attr.kind == "date" and not has_utc_instant(attr.value):
                     dates_out_of_range.append(key)
                     continue
                 attributes[key] = attr

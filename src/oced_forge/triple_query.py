@@ -32,11 +32,11 @@ There are no FILTER expressions: callers decode the literals they compare
 
 from collections import defaultdict
 from collections.abc import KeysView
-from datetime import datetime, timezone
+from datetime import datetime
 from operator import itemgetter
 
 from .terms import Iri, Term, Triple, TypedLiteral, XSD_DATETIME
-from .timeutil import parse_instant
+from .timeutil import has_utc_instant, parse_instant
 
 
 class Var:
@@ -101,14 +101,14 @@ Rows = tuple[tuple[str, ...], list[tuple]]
 
 def datetime_value(term: Term) -> datetime | None:
     """Instant of an xsd:dateTime literal, or None when term is not one or
-    has no UTC instant in datetime's years 1..9999 (the transform's rule)."""
+    has no UTC instant in datetime's years 1..9999 (has_utc_instant, the
+    transform's rule)."""
     if isinstance(term, TypedLiteral) and term.datatype == XSD_DATETIME:
         try:
             instant = parse_instant(term.lexical)
-            instant.astimezone(timezone.utc)
-        except (ValueError, OverflowError):
+        except ValueError:
             return None
-        return instant
+        return instant if has_utc_instant(instant) else None
     return None
 
 

@@ -39,19 +39,20 @@ no control character, space or any of <>"{}|^`\\ (RDF 1.1 Turtle's IRIREF,
 and the rule the writer checks), and no escape sequence.
 
 Parsing picks a reader per statement.  A statement fast path reads the
-shape write_turtle emits and the subject-grouped shape of general RDF
-tools, one regex match for a statement's subject and first `V O` and one
-per further item: after blank lines and whole-line comments (skipped by
-_past_comments, one str.find per line), a `@prefix p: <absolute-iri> .`
-directive or a statement of prefixed names, absolute IRIs and strings
-without escapes, with `a`, `;` and `,` abbreviations, ending its line.  It
-declines any other statement (escaped strings, numbers, booleans, `PREFIX`
-lines, comments inside a statement, unknown prefixes) without raising.  The
-general reader, one token regex at `pos` with one token of lookahead, reads
-that one statement, and the fast path resumes at the token after it.  The
-fast path accepts only statements the general reader reads as the same
-triples without error, so the triples, their order and every error
-message, line and column are those of the general reader alone.
+triple statements write_turtle emits and the subject-grouped shape of
+general RDF tools, one regex match for a statement's subject and first
+`V O` and one per further item: after blank lines and whole-line comments
+(skipped by _past_comments, one str.find per line), a statement of
+prefixed names, absolute IRIs and strings without escapes, with `a`, `;`
+and `,` abbreviations, ending its line.  It declines any other statement
+(directives, escaped strings, numbers, booleans, comments inside a
+statement, unknown prefixes) without raising.  The general reader, one
+token regex at `pos` with one token of lookahead, reads that one statement,
+and the fast path resumes at the token after it; it reads every directive,
+which in a file convert writes are the five header lines only.  The fast
+path accepts only statements the general reader reads as the same triples
+without error, so the triples, their order and every error message, line
+and column are those of the general reader alone.
 """
 
 import io
@@ -253,12 +254,12 @@ def _literal_token(lexical: str, datatype_token: str | None = None, lang: str | 
     return f"{rendered}@{lang}" if lang else rendered
 
 
-def render_term(term: Term, iri_token: Callable[[str], str] = _iri_token) -> str:
+def render_term(term: Term) -> str:
     """Turtle token for one term, using the fixed prefixes where possible."""
     if isinstance(term, Iri):
-        return iri_token(term.value)
+        return _iri_token(term.value)
     if isinstance(term, TypedLiteral):
-        return _literal_token(term.lexical, iri_token(term.datatype.value))
+        return _literal_token(term.lexical, _iri_token(term.datatype.value))
     if isinstance(term, PlainLiteral):
         return _literal_token(term.value, lang=term.lang)
     raise TypeError(f"not a term: {term!r}")
@@ -305,15 +306,9 @@ def graph_to_turtle(graph: "OcedGraph", out: TextIO | str | os.PathLike) -> int:
 
 def write_turtle(store: TripleStore) -> str:
     """Deterministic Turtle text: fixed prefix header, sorted triples."""
-    iri = _Memo(_iri_token).__getitem__
+    term = _Memo(render_term)
     out = io.StringIO()
-    _write_document(
-        sorted(
-            f"{render_term(t.subject, iri)} {render_term(t.predicate, iri)} {render_term(t.object, iri)} .\n"
-            for t in store
-        ),
-        out,
-    )
+    _write_document(sorted(f"{term[s]} {term[p]} {term[o]} .\n" for s, p, o in store), out)
     return out.getvalue()
 
 
@@ -396,11 +391,10 @@ class _Token:
         self.pos = pos
 
 
-# The statement fast path reads what write_turtle emits and the
-# subject-grouped layout of general RDF tools.  After blanks (and the
-# comment lines _past_comments skips when a match fails), _STATEMENT_RE
-# reads a `@prefix p: <iri> .` directive, or a statement's subject S and
-# its first `V O`.  Then _ITEM_RE reads each `; V O` or `, O` after it, one
+# The statement fast path reads the triple statements write_turtle emits
+# and the subject-grouped layout of general RDF tools.  After blanks (and
+# the comment lines _past_comments skips when a match fails), _STATEMENT_RE
+# reads a statement's subject S and its first `V O`.  Then _ITEM_RE reads each `; V O` or `, O` after it, one
 # match per item, until an item ends with the `.` that ends its line; a verb
 # V is an IRI or `a`.  No regex repeats a group per item, so a long item
 # list holds no engine state per item.  It accepts only statements the
@@ -420,11 +414,7 @@ _END = r"\.[ \t\r]*(?:\n|\Z)"
 # its pair is added at once
 _FAST_ITEM_OBJECT = rf"({_FAST_OBJECT})(?=[ \t\r\n;,]|{_END})[ \t\r\n]*({_END})?"
 _ITEM_RE = re.compile(rf"(?:;[ \t\r\n]*({_FAST_VERB})[ \t\r\n]+|,[ \t\r\n]*){_FAST_ITEM_OBJECT}")
-_STATEMENT_RE = re.compile(
-    r"[ \t\r\n]*"
-    rf"(?:@prefix[ \t]+([A-Za-z][A-Za-z0-9_\-]*)?:[ \t]+({_FAST_IRIREF})[ \t]*{_END}"
-    rf"|({_FAST_IRI})[ \t\r\n]+({_FAST_VERB})[ \t\r\n]+{_FAST_ITEM_OBJECT})"
-)
+_STATEMENT_RE = re.compile(rf"[ \t\r\n]*({_FAST_IRI})[ \t\r\n]+({_FAST_VERB})[ \t\r\n]+{_FAST_ITEM_OBJECT}")
 
 
 class _TurtleParser:
@@ -569,12 +559,7 @@ class _TurtleParser:
                     return pos
                 pos = resume
                 continue
-            name, namespace, s, p, o, last = m.groups()
-            if namespace is not None:
-                self._bind(name or "", namespace[1:-1])
-                terms = self.terms
-                pos = m.end()
-                continue
+            s, p, o, last = m.groups()
             subject = terms.get(s) or cook(s)
             if subject is None:
                 return pos

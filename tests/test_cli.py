@@ -243,6 +243,30 @@ class TestConvert:
             "ids share one IRI namespace in Turtle output\n"
         )
 
+    def test_case_named_like_an_object_object_relation_id_is_an_ordinary_case(self, tmp_path, capsys):
+        """Object-object relations are written as direct qualifier triples, so
+        their minted oo_<n> ids never reach the Turtle and a case may take one."""
+        events = "".join(
+            f'<event><date key="time:timestamp" value="2012-01-01T{hour}:00:00.000Z"/>'
+            f'<string key="org:group" value="{team}"/></event>'
+            for hour, team in (("10", "A"), ("11", "B"), ("12", "A"))
+        )
+        xes = tmp_path / "oo_1.xes"
+        xes.write_text(
+            f'<log xes.version="1.0"><trace><string key="concept:name" value="oo_1"/>{events}</trace></log>'
+        )
+        ttl = tmp_path / "oo_1.ttl"
+        code, out, err = run(["convert", str(xes), "--output", str(ttl)], capsys)
+        assert (code, out) == (0, "")
+        assert err == "convert: 1 traces, 3 events emitted, 0 skipped, 3 objects, 47 triples, 0 warnings\n"
+        assert "ex:oo_1 ext:involves_team ex:support_team_A .\n" in ttl.read_text()
+        code, out, err = run(["analyze", str(ttl), "--analysis", "ping-pong", "--quiet"], capsys)
+        assert (code, err) == (0, "")
+        assert out.splitlines() == [
+            "case,has_ping_pong,min_time,max_time",
+            "http://example.org/oced/oo_1,true,2012-01-01T10:00:00.000Z,2012-01-01T12:00:00.000Z",
+        ]
+
     def test_failed_convert_leaves_the_output_file_alone(self, tmp_path, capsys):
         xes = tmp_path / "e1.xes"
         xes.write_text(

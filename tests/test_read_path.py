@@ -1,7 +1,9 @@
-"""The read commands (analyze, Turtle stats, export-dot) load only what they
-read: the modules their command runs, and the triples of the predicates
-their queries look up.  A kept-predicate load must give every query the
-same answer as a full load."""
+"""The read commands (analyze, Turtle stats, export-dot) load no module of
+the write path, and analyze loads only the triples of the predicates its
+query looks up.  A kept-predicate load must give every query the same
+answer as a full load.  stats and export-dot keep every triple: stats
+counts them, and every predicate convert writes is one export-dot reads or
+a keep rule for it would keep."""
 
 import gc
 import subprocess
@@ -12,7 +14,6 @@ import pytest
 
 from oced_forge import cli, parse_turtle, parse_xes, transform_log, turtle_io
 from oced_forge.analyses import records
-from oced_forge.dot_export import PATTERNS, store_to_dot
 from oced_forge.triple_query import TripleStore, Var
 from oced_forge.turtle_io import _TurtleParser
 
@@ -65,7 +66,6 @@ def _rules():
     """(name, keep rule, query) for each read command that loads with a rule."""
     for name, (analysis, _, patterns) in cli._ANALYSES.items():
         yield name, cli._keep_rule(patterns), lambda store, analysis=analysis: records(analysis(store))
-    yield "export-dot", cli._keep_rule(PATTERNS, qualifiers=True), store_to_dot
 
 
 @pytest.mark.parametrize("source", SOURCES)
@@ -142,10 +142,7 @@ def test_every_pattern_a_read_command_looks_up_is_kept(source, rules, tmp_path, 
 
     monkeypatch.setattr(TripleStore, "_scan", scanned)
     monkeypatch.setattr(TripleStore, "pairs", read)
-    for command in (
-        *(["analyze", "--analysis", analysis] for analysis in cli._ANALYSES),
-        ["export-dot"],
-    ):
+    for command in (["analyze", "--analysis", analysis] for analysis in cli._ANALYSES):
         rules.clear()
         lookups.clear()
         assert cli.main([command[0], str(path), *command[1:]]) == 0
@@ -168,6 +165,9 @@ def test_stats_keeps_every_triple_and_builds_no_binding_dicts(rules, tmp_path, m
     assert cli.main(["stats", str(path)]) == 0
     assert rules == [None]
     assert f"triples       {len(parse_turtle(text))}\n" in capsys.readouterr().out
+    # export-dot keeps every triple too
+    assert cli.main(["export-dot", str(path)]) == 0
+    assert rules == [None, None]
 
 
 @pytest.mark.parametrize("enabled", [True, False])

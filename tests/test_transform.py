@@ -16,6 +16,9 @@ from oced_forge import (
     write_turtle,
 )
 from oced_forge.oced_model import TypedValue
+from oced_forge.terms import XSD_DATETIME, TypedLiteral
+from oced_forge.timeutil import has_utc_instant, parse_instant
+from oced_forge.triple_query import datetime_value
 
 from oracles import random_xes
 
@@ -138,6 +141,31 @@ class TestTransform:
         ]
         assert list(graph.events) == ["e2"]
         assert report.events_emitted == 1
+
+    @pytest.mark.parametrize(
+        "text, in_range",
+        [
+            ("0001-01-01T00:30:00+01:00", False),
+            ("0001-01-01T01:00:00+01:00", True),
+            ("9999-12-31T23:30:00-01:00", False),
+            ("9999-12-31T22:59:59-01:00", True),
+            ("0001-01-01T13:59:59+14:00", False),
+            ("0001-01-01T14:00:00+14:00", True),
+            ("9999-12-31T10:00:00-14:00", False),
+            ("9999-12-31T09:59:59-14:00", True),
+        ],
+    )
+    def test_utc_range_edge_decided_alike_by_transform_and_analyses(self, text, in_range):
+        """One rule, has_utc_instant, decides whether an instant has a UTC time
+        in years 1..9999: the transform skips its event, the analyses drop its
+        literal."""
+        assert has_utc_instant(parse_instant(text)) is in_range
+        doc = f'<log><trace><event><date key="time:timestamp" value="{text}"/></event></trace></log>'
+        _, report = transform_log(parse_xes(doc.encode()))
+        assert report.events_emitted == in_range
+        assert [s.reason for s in report.events_skipped] == ([] if in_range else ["timestamp out of range"])
+        value = datetime_value(TypedLiteral(text, XSD_DATETIME))
+        assert value == (parse_instant(text) if in_range else None)
 
     def test_passthrough_date_out_of_range_left_out_with_warning(self):
         doc = b"""<log xes.version="1.0"><trace>

@@ -426,6 +426,20 @@ def declined(doc: str) -> list[str]:
     return [doc[stop:resume].strip() for (_, stop), (resume, _) in zip(spans, spans[1:])]
 
 
+# the five directives every file convert writes opens with, one a line
+HEADER_LINES = write_turtle(TripleStore()).splitlines()
+
+
+def fast_stop(doc: str, start: int, prefixes=PREFIXES) -> int:
+    """Where the fast path, started at start with prefixes bound (as the
+    general reader binds a header's directives), declines a statement, or
+    the text's end."""
+    parser = _TurtleParser(doc)
+    for prefix, namespace in prefixes:
+        parser._bind(prefix, namespace)
+    return parser._fast_statements(start)
+
+
 @pytest.fixture
 def group_turtle(monkeypatch):
     """bench/grouped.py's canonical-to-subject-grouped rewriter, read-only."""
@@ -509,7 +523,14 @@ class TestFastPath:
             "ex:s ex:p ex:o .\n"
             ":s ex:p ex:o ."
         )
-        assert declined(doc) == ['ex:s ex:p "q\\"uote \\\\ back\\nline\\ttab \\u00e9" .']
+        # the general reader reads every directive
+        assert declined(doc) == [
+            "@prefix ex: <http://example.org/oced/> .",
+            "@prefix xsd: <http://www.w3.org/2001/XMLSchema#> .",
+            'ex:s ex:p "q\\"uote \\\\ back\\nline\\ttab \\u00e9" .',
+            "@prefix ex: <http://redefined.example/> .",
+            "@prefix : <http://empty.example/> .",
+        ]
         triples = list(parse_turtle(doc))
         assert triples == general_outcome(GENERAL + doc)
         assert Triple(Iri(EX + "s"), Iri(EX + "p"), PlainLiteral('q"uote \\ back\nline\ttab \u00e9')) in triples
@@ -519,6 +540,18 @@ class TestFastPath:
             Triple(Iri("http://redefined.example/s"), p, o),
             Triple(Iri("http://empty.example/s"), p, o),
         ]
+
+    def test_convert_output_past_its_header_is_read_by_fast_path(self, monkeypatch):
+        """The general reader reads only the five directives of a file convert
+        writes, the fixture's and a 200-case bench-shaped log's: every triple
+        goes through the fast path."""
+        monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "bench"))
+        from loggen import generate, to_xes
+
+        for xes in (BPIC_STYLE_XES, to_xes(generate(1, 200))):
+            text, triples = turtle_text(transform_log(parse_xes(xes.encode()))[0])
+            assert triples > 20
+            assert declined(text) == HEADER_LINES
 
     @pytest.mark.parametrize(
         "line",
@@ -585,16 +618,22 @@ class TestFastPath:
         for _ in range(200):
             canonical = write_turtle(graph_to_triples(random_oced_graph(rng)))
             doc = group_turtle(canonical)
-            # the general reader reads only statements with an escaped string
-            assert all("\\" in statement for statement in declined(doc))
+            # the general reader reads only the header's directives (and the
+            # comment line it skips to the token after them) and statements
+            # with an escaped string
+            statements, comment = declined(doc), doc.split("\n")[6]
+            assert comment.startswith("# ")
+            assert statements[:5] == [*HEADER_LINES[:4], HEADER_LINES[4] + "\n\n" + comment]
+            assert all("\\" in statement for statement in statements[5:])
             triples = list(parse_turtle(doc))
             assert triples == general_outcome(GENERAL + doc) == list(parse_turtle(canonical))
 
     @pytest.mark.parametrize("tail, expected", GROUPED_TAILS, ids=GROUPED_TAIL_IDS)
     def test_error_after_1000_grouped_statements_keeps_class_line_and_column(self, tail, expected):
         doc = grouped_doc(tail)
-        # the fast path raises nothing: it declines the tail, which the general reader reads
-        assert _TurtleParser(doc)._fast_statements(0) == len(doc) - len(tail)
+        # the fast path raises nothing: after the header it declines the tail,
+        # which the general reader reads
+        assert fast_stop(doc, len(write_turtle(TripleStore()))) == len(doc) - len(tail)
         fast, general = outcome(doc), general_outcome(GENERAL + doc)
         if isinstance(expected, int):
             assert len(fast) == expected
@@ -712,7 +751,8 @@ class TestGeneralReader:
         doc = header + "#\n" * 50_000 + body
         read = general_outcome if doc.startswith(GENERAL) else outcome
         if read is outcome:
-            assert _TurtleParser(doc)._fast_statements(0) == len(doc)
+            # after the directive line, the fast path skips every comment line
+            assert fast_stop(doc, doc.index("\n") + 1, [("ex", "http://e/")]) == len(doc)
         tracemalloc.start()
         try:
             result = read(doc)
