@@ -17,6 +17,9 @@ row type's fields are the output columns (the *_COLUMNS), and records()
 turns rows into tuples of output cells that records_to_csv and
 records_to_jsonl write in that order.  A cell read from a term holds the
 term's text, its field 0 (see terms), and None when the variable is unbound.
+Each output value is built once: the analyses read join rows (see
+triple_query), a time literal is decoded once, records formats each distinct
+instant once, and records_to_jsonl encodes each distinct cell of a column once.
 """
 
 import csv
@@ -24,7 +27,10 @@ import io
 import json
 import logging
 from bisect import bisect_left, bisect_right
+from collections.abc import Iterator
 from datetime import datetime
+from itertools import repeat
+from operator import itemgetter
 from typing import NamedTuple, get_args
 
 from .terms import (
@@ -40,7 +46,7 @@ from .terms import (
     RDF_TYPE,
 )
 from .timeutil import format_utc_millis
-from .triple_query import BindingSet, TriplePattern, TripleStore, Var, datetime_value
+from .triple_query import Rows, TriplePattern, TripleStore, Var, datetime_value
 
 log = logging.getLogger(__name__)
 
@@ -68,7 +74,6 @@ class TeamInvolvement(NamedTuple):
 
 
 _EVENT, _OBJECT, _NODE = Var("event"), Var("object"), Var("node")
-_UNBOUND = (None,)  # field 0 is an unbound variable's text
 
 # The patterns each analysis reads; a load for one analysis keeps only
 # their predicates' triples.  Joins run in the order written, which decides
@@ -85,15 +90,20 @@ _IS_EVENT_OBJECT = TriplePattern(_NODE, RDF_TYPE, EXT_EVENT_OBJECT_CLASS)
 _EVENT_OBJECT = [_HAS_EVENT, TriplePattern(_NODE, EXT_OBJECT, _OBJECT), _IS_EVENT_OBJECT]
 # OPTIONAL { ?node ext:classifier ?classifier }
 _CLASSIFIER = TriplePattern(_NODE, EXT_CLASSIFIER, Var("classifier"))
-# event_object_solutions without further groups
-EVENT_OBJECT_BLOCK = [*_EVENT_OBJECT, _CLASSIFIER]
 # enumerate_event_objects' further OPTIONAL groups, one pattern each
 _EVENT_OBJECT_DETAILS = [
     TriplePattern(_EVENT, EXT_EVENT_TYPE, Var("event_type")),
     TriplePattern(_EVENT, OBSERVED_AT, Var("time")),
     TriplePattern(_OBJECT, EXT_OBJECT_TYPE, Var("object_type")),
 ]
-EVENT_OBJECTS = [*EVENT_OBJECT_BLOCK, *_EVENT_OBJECT_DETAILS]
+EVENT_OBJECTS = [*_EVENT_OBJECT, _CLASSIFIER, *_EVENT_OBJECT_DETAILS]
+
+
+def _select(solutions: Rows, *names: str) -> Iterator[tuple]:
+    """The named variables' terms of each row, in the order named (None
+    where unbound)."""
+    columns, rows = solutions
+    return map(itemgetter(*map(columns.index, names)), rows)
 
 
 def _team_times(store: TripleStore) -> dict[str, dict[str, list[datetime]]]:
@@ -103,13 +113,12 @@ def _team_times(store: TripleStore) -> dict[str, dict[str, list[datetime]]]:
     ?time; ext:handled_by_team ?team`; solutions whose time literal is not a
     parseable xsd:dateTime are dropped.
     """
-    solutions = store.match_bgp(TEAM_TIMES)
     cases: dict[str, dict[str, list[datetime]]] = {}
-    for sol in solutions:
-        time = datetime_value(sol["time"])
+    for team, case, time in _select(store._bgp(TEAM_TIMES), "team", "case", "time"):
+        time = datetime_value(time)
         if time is not None:
-            teams = cases.setdefault(sol["case"][0], {})
-            teams.setdefault(sol["team"][0], []).append(time)
+            teams = cases.setdefault(case[0], {})
+            teams.setdefault(team[0], []).append(time)
     for teams in cases.values():
         for times in teams.values():
             times.sort()
@@ -168,11 +177,13 @@ def team_involvement(store: TripleStore) -> list[TeamInvolvement]:
     return ranking
 
 
-def event_object_solutions(store: TripleStore, *groups: list[TriplePattern]) -> list[BindingSet]:
-    """Solutions of the EventObject block, binding ?node, ?event and ?object,
-    each extended by ?classifier and by the given OPTIONAL groups where they
-    match."""
-    return store.match_optional(required=_EVENT_OBJECT, optional_groups=[[_CLASSIFIER], *groups])
+def event_object_rows(
+    store: TripleStore, names: tuple[str, ...], *groups: list[TriplePattern]
+) -> Iterator[tuple]:
+    """The named variables of each solution of the EventObject block, which
+    binds ?node, ?event and ?object, extended by ?classifier and by the given
+    OPTIONAL groups where they match."""
+    return _select(store._optional_rows(_EVENT_OBJECT, [[_CLASSIFIER], *groups]), *names)
 
 
 def enumerate_event_objects(store: TripleStore) -> list[EventObjectRow]:
@@ -182,8 +193,9 @@ def enumerate_event_objects(store: TripleStore) -> list[EventObjectRow]:
     and left unbound otherwise; nodes lacking ext:event or ext:object are
     skipped with a warning.
     """
-    solutions = event_object_solutions(store, *([pattern] for pattern in _EVENT_OBJECT_DETAILS))
-    joined = {sol["node"] for sol in solutions}
+    details = ([pattern] for pattern in _EVENT_OBJECT_DETAILS)
+    solutions = list(event_object_rows(store, ("node", *EVENT_OBJECT_COLUMNS), *details))
+    joined = {solution[0] for solution in solutions}
     nodes = store.match_pattern(_IS_EVENT_OBJECT)
     skipped = [sol["node"] for sol in nodes if sol["node"] not in joined]
     if skipped:  # one read of ext:event tells the two warnings apart for every node
@@ -194,29 +206,20 @@ def enumerate_event_objects(store: TripleStore) -> list[EventObjectRow]:
 
     rows = []
     times = {None: None}  # each distinct literal decoded once; an event has a row per object
-    for sol in solutions:
-        time_term = sol.get("time")
-        if time_term not in times:
-            times[time_term] = datetime_value(time_term)
+    for _, event, obj, classifier, event_type, time, object_type in solutions:
+        if time not in times:
+            times[time] = datetime_value(time)
         rows.append(
             EventObjectRow(
-                sol["event"][0],
-                sol["object"][0],
-                sol.get("classifier", _UNBOUND)[0],
-                sol.get("event_type", _UNBOUND)[0],
-                times[time_term],
-                sol.get("object_type", _UNBOUND)[0],
+                event[0],
+                obj[0],
+                classifier and classifier[0],
+                event_type and event_type[0],
+                times[time],
+                object_type and object_type[0],
             )
         )
-    rows.sort(
-        key=lambda r: (
-            r.event,
-            r.object,
-            r.classifier or "",
-            r.event_type or "",
-            r.object_type or "",
-        )
-    )
+    rows.sort(key=lambda r: (r.event, r.object, r.classifier or "", r.event_type or "", r.object_type or ""))
     return rows
 
 
@@ -235,17 +238,14 @@ def records(rows: list[tuple]) -> list[tuple]:
         return []
     hints = type(rows[0]).__annotations__.values()
     instants = [i for i, hint in enumerate(hints) if datetime in (hint, *get_args(hint))]
+    columns = list(zip(*rows))
     texts: dict[datetime | None, str | None] = {None: None}
-    out = []
-    for row in rows:
-        cells = list(row)
-        for i in instants:
-            instant = cells[i]
+    for i in instants:
+        for instant in columns[i]:
             if instant not in texts:
                 texts[instant] = format_utc_millis(instant)
-            cells[i] = texts[instant]
-        out.append(tuple(cells))
-    return out
+        columns[i] = map(texts.__getitem__, columns[i])
+    return list(zip(*columns))
 
 
 # one name per analysis, all the same function
@@ -271,7 +271,18 @@ def records_to_csv(records: list[tuple], columns: tuple[str, ...]) -> str:
 
 
 def records_to_jsonl(records: list[tuple], columns: tuple[str, ...]) -> str:
-    """One UTF-8 JSON object per line, keys in column order."""
-    return "".join(
-        json.dumps(dict(zip(columns, record)), ensure_ascii=False) + "\n" for record in records
-    )
+    """One UTF-8 JSON object per line, keys in column order.
+
+    A column encodes each distinct cell once, with its key in front; the
+    memo is keyed on the cell's type as well as its value, because True ==
+    1 and False == 0 print differently.  Cells are what records gives:
+    str, int, bool or None."""
+    encode = json.JSONEncoder(ensure_ascii=False).encode
+    heads = [("{" if i == 0 else ", ") + encode(column) + ": " for i, column in enumerate(columns)]
+    texts = []
+    for head, cells in zip(heads, zip(*records)):
+        keys = list(zip(map(type, cells), cells))
+        memo = {key: head + encode(key[1]) for key in dict.fromkeys(keys)}
+        texts.append(map(memo.__getitem__, keys))
+    texts.append(repeat("}\n", len(records)))
+    return "".join(map("".join, zip(*texts)))

@@ -273,7 +273,8 @@ def cmd_stats(args) -> int:
         try:
             store = _parse_store(text)
         except TurtleSyntaxError:
-            if text.lstrip("\ufeff \t\r\n").startswith(("@prefix", "@PREFIX", "PREFIX", "prefix", "#")):
+            header = text.lstrip("\ufeff \t\r\n")[:7].lower()  # directive keywords are read in any case
+            if header.startswith(("@prefix", "prefix", "@base", "base", "#")):
                 raise  # Turtle by its header: a parse error, exit 3
             print(f"stats: {args.input}: not XES or Turtle", file=sys.stderr)
             return EXIT_BAD_FORMAT

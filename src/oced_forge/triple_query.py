@@ -24,7 +24,9 @@ constants and repeated variable.  Each join step is a hash join: the
 pattern or group is scanned once, unsubstituted, its rows are keyed on the
 variables already bound, and a row is extended by tuple concatenation.
 match_pattern, match_bgp and match_optional build binding dicts once, from
-the final rows; an unbound variable is an absent key.
+the final rows, for library callers; an unbound variable is an absent key.
+The analyses and store_to_dot read the rows of _bgp and _optional_rows and
+build no dict, but for one match_pattern read of the EventObject nodes.
 
 There are no FILTER expressions: callers decode the literals they compare
 (datetime_value) and compare the values themselves.
@@ -214,18 +216,23 @@ class TripleStore:
                     f"OPTIONAL group {group!r} joins on ?{', ?'.join(shared)}, which only an earlier group binds"
                 )
             earlier |= variables
+        names, rows = self._optional_rows(required, optional_groups)
+        return [{name: term for name, term in zip(names, row) if term is not None} for row in rows]
+
+    def _optional_rows(self, required, optional_groups) -> Rows:
+        """match_optional's solutions as rows, its groups unchecked."""
         names, rows = self._bgp(required)
         for group in optional_groups:
             names, rows = self._join(names, rows, group, optional=True)
-        return [{name: term for name, term in zip(names, row) if term is not None} for row in rows]
+        return names, rows
 
     def _bgp(self, patterns) -> Rows:
-        """match_bgp's solutions as rows."""
+        """match_bgp's solutions as rows; the names are every pattern's
+        variables even when a join leaves no row (a join of no rows scans
+        nothing)."""
         names, rows = (), [()]
         for pattern in patterns:
             names, rows = self._join(names, rows, [pattern], optional=False)
-            if not rows:
-                break
         return names, rows
 
     def _join(self, names, rows, group: list[TriplePattern], optional: bool) -> Rows:
@@ -261,12 +268,11 @@ class TripleStore:
         """The group's matches, as their values for carried, listed in match
         order under their values for keyed."""
         names, rows = self._scan(group[0]) if len(group) == 1 else self._bgp(group)
+        key = _key([names.index(name) for name in keyed])
+        value = _columns([names.index(name) for name in carried])
         table: defaultdict = defaultdict(list)
-        if rows:  # a group BGP that ends early has not bound all its names
-            key = _key([names.index(name) for name in keyed])
-            value = _columns([names.index(name) for name in carried])
-            for row in rows:
-                table[key(row)].append(value(row))
+        for row in rows:
+            table[key(row)].append(value(row))
         return table
 
 

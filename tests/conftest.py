@@ -22,9 +22,12 @@ def cli_env(**extra: str) -> dict:
     """Environment for a ``python -m oced_forge`` child process.
 
     Holds only ``PATH``, a ``PYTHONPATH`` that finds the package under test,
-    and the given variables, so runs differ only in what a test sets.
+    ``PYTHONDONTWRITEBYTECODE=1`` and the given variables, so runs differ
+    only in what a test sets, and a test run writes no ``__pycache__`` into
+    the package: a tree that was tested compiles its sources as an untested
+    one does.
     """
-    return {"PATH": "/usr/bin:/bin", "PYTHONPATH": PACKAGE_ROOT, **extra}
+    return {"PATH": "/usr/bin:/bin", "PYTHONPATH": PACKAGE_ROOT, "PYTHONDONTWRITEBYTECODE": "1", **extra}
 
 
 # BPIC-2013-incidents-style log: three traces, team handovers on org:group,

@@ -6,6 +6,7 @@ implementations are checked against a path they share no code with.
 """
 
 import gzip
+import json
 import random
 import re
 import zlib
@@ -512,3 +513,12 @@ def reference_prefixes_local(local: str) -> bool:
     return bool(_REFERENCE_PN_LOCAL_RE.fullmatch(local)) and not (
         "%" in local and _REFERENCE_BAD_PERCENT_RE.search(local)
     )
+
+
+# -- JSONL -------------------------------------------------------------------
+
+
+def reference_records_to_jsonl(records, columns) -> str:
+    """Reference for analyses.records_to_jsonl: one dict and one json.dumps
+    per record."""
+    return "".join(json.dumps(dict(zip(columns, record)), ensure_ascii=False) + "\n" for record in records)

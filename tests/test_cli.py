@@ -716,6 +716,25 @@ class TestStats:
         assert out == ""
         assert err == "oced-forge: mismatched tag (line 1, column 14)\n"
 
+    @pytest.mark.parametrize(
+        "text, error",
+        [
+            ("@prefix ex: <http://e/> .\nex:s ex:p $ .\n", "unexpected character '$' (line 2, column 11)"),
+            ("@Prefix ex: <http://e/> .\nex:s ex:p $ .\n", "unexpected character '$' (line 2, column 11)"),
+            ("@base <http://e/> .\n", "@base directive (line 1, column 1)"),
+            ("BASE <http://e/>\n", "BASE directive (line 1, column 1)"),
+        ],
+        ids=["@prefix", "@Prefix", "@base", "BASE"],
+    )
+    def test_turtle_by_its_header_keeps_the_readers_error(self, text, error, tmp_path, capsys):
+        """A directive keyword opens Turtle in any case, as both readers take
+        it, so stats reports the reader's error (exit 3) as analyze does."""
+        ttl = tmp_path / "header.ttl"
+        ttl.write_text(text)
+        expected = (3, "", f"oced-forge: {error}\n")
+        assert run(["stats", str(ttl)], capsys) == expected
+        assert run(["analyze", str(ttl), "--analysis", "teams"], capsys) == expected
+
     def test_binary_junk_exits_65(self, tmp_path, capsys):
         junk = tmp_path / "junk.bin"
         junk.write_bytes(bytes(range(256)))

@@ -2,7 +2,7 @@ import random
 import re
 from datetime import timedelta
 
-from oced_forge import TripleStore, graph_to_triples, store_to_dot
+from oced_forge import TripleStore, dot_export, graph_to_triples, store_to_dot
 
 from oracles import BASE_TIME, build_handoff_graph, random_oced_graph
 
@@ -67,3 +67,26 @@ def test_random_graphs_are_valid_and_deterministic():
         dot = store_to_dot(store)
         assert_valid_dot(dot)
         assert store_to_dot(store) == dot
+
+
+def test_each_distinct_term_is_rendered_once(monkeypatch):
+    """An event or object appears in its node line and in every edge it
+    ends; store_to_dot renders its term once, and the bytes are the same."""
+    rng = random.Random(9)
+    stores = [graph_to_triples(random_oced_graph(rng)).freeze() for _ in range(10)]
+    handoffs = [(f"case_{i % 3}", f"team_{i % 2}", BASE_TIME + timedelta(minutes=i)) for i in range(12)]
+    stores.append(graph_to_triples(build_handoff_graph(handoffs)).freeze())
+    expected = [store_to_dot(store) for store in stores]
+    rendered = []
+
+    def counting(term):
+        rendered.append(term)
+        return render_term(term)
+
+    render_term = dot_export.render_term
+    monkeypatch.setattr(dot_export, "render_term", counting)
+    for store, dot in zip(stores, expected):
+        rendered.clear()
+        assert store_to_dot(store) == dot
+        assert len(rendered) == len(set(rendered))
+    assert sum(dot.count(" -> ") for dot in expected) > 20  # so terms recur: each edge names two nodes

@@ -1,8 +1,9 @@
 """Property tests: hostile Turtle input ends in a result or one error line
 for every read command, every timestamp the tool writes reads back as the
 same instant, parse_instant agrees with its reference, sorting rendered
-rows as strings gives the order of sorting them as token tuples, and the
-escaped-id rules in terms agree with the copies each module kept before.
+rows as strings gives the order of sorting them as token tuples, the
+escaped-id rules in terms agree with the copies each module kept before,
+and the JSONL writer agrees with one json.dumps per record.
 
 Needs hypothesis; without it the module is skipped.
 """
@@ -19,6 +20,7 @@ pytest.importorskip("hypothesis")
 from hypothesis import assume, example, given, settings, strategies as st  # noqa: E402
 
 from oced_forge import OcedEvent, OcedGraph, OcedObject, SerializationError, TypedValue, escape_id  # noqa: E402
+from oced_forge.analyses import records_to_jsonl  # noqa: E402
 from oced_forge.cli import main  # noqa: E402
 from oced_forge.terms import EX, is_escaped_id, unescape_id  # noqa: E402
 from oced_forge.turtle_io import _iri_token, _TurtleParser  # noqa: E402
@@ -35,6 +37,7 @@ from oracles import (  # noqa: E402
     reference_is_escaped_id,
     reference_parse_instant,
     reference_prefixes_local,
+    reference_records_to_jsonl,
     reference_unescape_id,
     tuple_order_turtle,
 )
@@ -358,3 +361,26 @@ def test_unescape_id_equals_its_reference_or_rejects_a_bad_percent(text):
             unescape_id(text)
     else:
         assert _unicode_outcome(unescape_id, text) == _unicode_outcome(reference_unescape_id, text)
+
+
+# -- JSONL -------------------------------------------------------------------
+
+# few characters and short texts, so cells repeat and the writer's memo is
+# hit: non-ASCII, quotes, backslashes, control characters, U+2028
+_JSON_CHARACTERS = ["a", "é", '"', "\\", "\x00", "\x1f", "\x7f", "\u2028", "💡"]
+_JSON_TEXTS = st.one_of(st.none(), st.text(st.sampled_from(_JSON_CHARACTERS), max_size=3))
+_JSON_COLUMNS = ("text", "one", "zero", 'k\u00e9y"\\')
+# True == 1 and False == 0 hash alike, so a memo keyed on the value alone
+# would write one where the other is
+_JSON_RECORDS = st.lists(
+    st.tuples(_JSON_TEXTS, st.sampled_from([True, 1, 2, None]), st.sampled_from([False, 0, None]), _JSON_TEXTS),
+    max_size=12,
+)
+
+
+@example(records=[("a", True, False, None), ("a", 1, 0, None), ("a", True, False, None)])
+@example(records=[("a", 1, 0, None), ("a", True, False, None)])
+@settings(max_examples=500, derandomize=True, deadline=None)
+@given(records=_JSON_RECORDS)
+def test_records_to_jsonl_equals_one_dumps_per_record(records):
+    assert records_to_jsonl(records, _JSON_COLUMNS) == reference_records_to_jsonl(records, _JSON_COLUMNS)

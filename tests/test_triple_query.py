@@ -406,6 +406,24 @@ class TestMatchOptional:
         # group binds the same ones of its variables
         assert features["mixed shapes"] == 0
 
+    def test_rows_as_dicts_equal_match_optional(self):
+        """The analyses read match_optional's rows.  On the random queries of
+        the oracle test, the rows turned into dicts are its list exactly, and
+        the names are every variable of the query once, also when the
+        required block has no solution before its last pattern."""
+        ended_early = 0
+        rng = random.Random(29)
+        for _ in range(400):
+            store, _, required, groups = _random_optional_query(rng)
+            names, rows = store._optional_rows(required, groups)
+            dicts = [{name: term for name, term in zip(names, row) if term is not None} for row in rows]
+            assert dicts == store.match_optional(required, groups)
+            assert all(len(row) == len(names) for row in rows)
+            patterns = [*required, *(pattern for group in groups for pattern in group)]
+            assert sorted(names) == sorted(set().union(*(pattern.variables() for pattern in patterns)))
+            ended_early += any(not store.match_bgp(required[:k]) for k in range(1, len(required)))
+        assert ended_early >= 20
+
 
 class TestJoinSteps:
     """Each join step scans its pattern or group once, however many
