@@ -5,10 +5,12 @@ event-objects / teams as CSV or JSONL), stats (XES or Turtle counts), and
 export-dot (Turtle -> Graphviz DOT).  Data goes to stdout or --output;
 diagnostics go to stderr, so output is pipe-safe and byte-deterministic.
 
-Every command loads this module's imports: the Turtle reader and writer,
-the triple store and the analyses (with csv and json; _ANALYSES gives
---analysis its choices).  convert and XES stats also load the XES reader,
-the transform and the graph model, and export-dot the DOT writer.  An input
+Each command loads only the modules of its own path.  convert loads the
+XES reader, the graph model, the transform and the Turtle writer (json only
+with --config), and no triple store, analyses or csv.  The read commands
+load the Turtle reader and the triple store; analyze also the analyses
+(with csv and json), and export-dot the DOT writer, which uses the
+analyses' join rows.  Turtle stats loads no analyses.  An input
 is read whole and inflated once when it is gzip (_read_input); the XES
 reader is then given the XML as it is.  analyze loads Turtle with a keep
 rule made of the IRI predicates of the patterns its query looks up (see
@@ -35,25 +37,7 @@ import zlib
 from collections.abc import Callable
 from typing import TYPE_CHECKING
 
-from .analyses import (
-    EVENT_OBJECT_COLUMNS,
-    EVENT_OBJECTS,
-    PING_PONG_COLUMNS,
-    TEAM_COLUMNS,
-    TEAM_TIMES,
-    detect_ping_pong,
-    enumerate_event_objects,
-    records,
-    records_to_csv,
-    records_to_jsonl,
-    team_involvement,
-)
-from .errors import (
-    OcedForgeError,
-    TurtleSyntaxError,
-    XesParseError,
-    XesStructureError,
-)
+from .errors import OcedForgeError, TurtleSyntaxError, XesParseError, XesStructureError
 from .terms import (
     EXT_EVENT_CASE,
     EXT_EVENT_OBJECT_CLASS,
@@ -63,10 +47,9 @@ from .terms import (
     Iri,
     object_object_triples,
 )
-from .triple_query import TriplePattern, TripleStore
-from .turtle_io import parse_turtle
 
-if TYPE_CHECKING:  # the read commands run without the XES reader
+if TYPE_CHECKING:  # each command loads only the modules of its own path
+    from .triple_query import TriplePattern, TripleStore
     from .xes_parser import XesLog
 
 EXIT_OK = 0
@@ -75,12 +58,18 @@ EXIT_PARSE = 3
 EXIT_USAGE = 64
 EXIT_BAD_FORMAT = 65
 
-# analysis -> (function, output columns, the patterns it reads)
-_ANALYSES = {
-    "ping-pong": (detect_ping_pong, PING_PONG_COLUMNS, TEAM_TIMES),
-    "event-objects": (enumerate_event_objects, EVENT_OBJECT_COLUMNS, EVENT_OBJECTS),
-    "teams": (team_involvement, TEAM_COLUMNS, TEAM_TIMES),
-}
+_ANALYSES = ("ping-pong", "event-objects", "teams")
+
+
+def _analysis(name: str) -> tuple[Callable, tuple[str, ...], list["TriplePattern"]]:
+    """An analysis's function, output columns and the patterns it reads."""
+    from . import analyses as a
+
+    return {
+        "ping-pong": (a.detect_ping_pong, a.PING_PONG_COLUMNS, a.TEAM_TIMES),
+        "event-objects": (a.enumerate_event_objects, a.EVENT_OBJECT_COLUMNS, a.EVENT_OBJECTS),
+        "teams": (a.team_involvement, a.TEAM_COLUMNS, a.TEAM_TIMES),
+    }[name]
 
 
 class _Parser(argparse.ArgumentParser):
@@ -153,18 +142,20 @@ def _write_text(path: str | None, text: str):
             fh.write(text)
 
 
-def _keep_rule(patterns: list[TriplePattern]) -> Callable[[Iri], bool]:
+def _keep_rule(patterns: list["TriplePattern"]) -> Callable[[Iri], bool]:
     """parse_turtle's keep rule for an analysis: the predicates (each an IRI)
     of the patterns it reads."""
     return frozenset(pattern.predicate for pattern in patterns).__contains__
 
 
-def _parse_store(text: str, keep: Callable[[Iri], bool] | None = None) -> TripleStore:
+def _parse_store(text: str, keep: Callable[[Iri], bool] | None = None) -> "TripleStore":
     """A frozen store of the text's triples (see parse_turtle's keep)."""
+    from .turtle_io import parse_turtle
+
     return parse_turtle(text, keep).freeze()
 
 
-def _load_store(path: str, keep: Callable[[Iri], bool] | None = None) -> TripleStore:
+def _load_store(path: str, keep: Callable[[Iri], bool] | None = None) -> "TripleStore":
     try:
         text = _read_input(path).decode("utf-8")
     except UnicodeDecodeError as exc:
@@ -214,7 +205,9 @@ def cmd_convert(args) -> int:
 
 
 def cmd_analyze(args) -> int:
-    analysis, columns, patterns = _ANALYSES[args.analysis]
+    from .analyses import records, records_to_csv, records_to_jsonl
+
+    analysis, columns, patterns = _analysis(args.analysis)
     rows = records(analysis(_load_store(args.input, _keep_rule(patterns))))
     write = records_to_csv if args.format == "csv" else records_to_jsonl
     _write_text(args.output, write(rows, columns))
@@ -223,7 +216,7 @@ def cmd_analyze(args) -> int:
     return EXIT_OK
 
 
-def _turtle_summary(store: TripleStore) -> list[tuple[str, int | str]]:
+def _turtle_summary(store: "TripleStore") -> list[tuple[str, int | str]]:
     typed_events = store.pairs(EXT_EVENT_TYPE)
     typed_objects = store.pairs(EXT_OBJECT_TYPE)
     objects = {s for s, _ in typed_objects}

@@ -5,11 +5,12 @@ Entity ids live in two independent namespaces (events vs objects) and must
 be IRI-safe: anything outside [A-Za-z0-9_-] is percent-encoded via
 `escape_id` before an id is handed to the graph, which checks each id with
 `terms.is_escaped_id`.  Relation ids are minted by the graph itself as
-eo_<n> / oo_<n> in insertion order so serialization is reproducible.
+eo_<n> / oo_<n> in insertion order so serialization is reproducible.  The
+records are named tuples; OcedEvent and OcedObject check their fields.
 """
 
-from dataclasses import dataclass, field
 from datetime import datetime
+from typing import NamedTuple
 
 from .errors import GraphIntegrityError
 from .terms import is_escaped_id
@@ -27,8 +28,7 @@ def _check_id(value: str, what: str):
         )
 
 
-@dataclass(frozen=True, slots=True)
-class TypedValue:
+class TypedValue(NamedTuple):
     """Attribute value with its XES kind tag (string, date, int, float,
     boolean, or id).  Dates are aware datetimes."""
 
@@ -36,43 +36,55 @@ class TypedValue:
     value: object
 
 
-@dataclass(frozen=True)
-class OcedEvent:
+class _OcedEvent(NamedTuple):
     id: str
     event_type: str
     observed_at: datetime
-    attributes: dict[str, TypedValue] = field(default_factory=dict)
-
-    def __post_init__(self):
-        _check_id(self.id, "event")
-        if not self.event_type:
-            raise ValueError(f"event {self.id!r} has an empty event type")
-        if not isinstance(self.observed_at, datetime) or self.observed_at.tzinfo is None:
-            raise ValueError(f"event {self.id!r} needs an aware observed_at timestamp")
-        object.__setattr__(self, "observed_at", to_utc_millis(self.observed_at))
+    attributes: dict[str, TypedValue]
 
 
-@dataclass(frozen=True)
-class OcedObject:
+class OcedEvent(_OcedEvent):
+    """observed_at, which must be aware, is kept as UTC milliseconds."""
+
+    __slots__ = ()
+
+    def __new__(cls, id: str, event_type: str, observed_at: datetime, attributes: dict | None = None):
+        _check_id(id, "event")
+        if not event_type:
+            raise ValueError(f"event {id!r} has an empty event type")
+        if not isinstance(observed_at, datetime) or observed_at.tzinfo is None:
+            raise ValueError(f"event {id!r} needs an aware observed_at timestamp")
+        attributes = {} if attributes is None else attributes
+        return tuple.__new__(cls, (id, event_type, to_utc_millis(observed_at), attributes))
+
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so that _replace checks too
+
+
+class _OcedObject(NamedTuple):
     id: str
     object_type: str
 
-    def __post_init__(self):
-        _check_id(self.id, "object")
-        if not self.object_type:
-            raise ValueError(f"object {self.id!r} has an empty object type")
+
+class OcedObject(_OcedObject):
+    __slots__ = ()
+
+    def __new__(cls, id: str, object_type: str):
+        _check_id(id, "object")
+        if not object_type:
+            raise ValueError(f"object {id!r} has an empty object type")
+        return tuple.__new__(cls, (id, object_type))
+
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so that _replace checks too
 
 
-@dataclass(frozen=True)
-class EventObjectRelation:
+class EventObjectRelation(NamedTuple):
     id: str
     event: str
     object: str
     qualifier: str | None = None
 
 
-@dataclass(frozen=True)
-class ObjectObjectRelation:
+class ObjectObjectRelation(NamedTuple):
     id: str
     source: str
     target: str
@@ -120,12 +132,8 @@ class OcedGraph:
             raise GraphIntegrityError(
                 f"duplicate event-object relation ({event_id!r}, {object_id!r}, {qualifier!r})"
             )
-        relation = EventObjectRelation(
-            id=f"eo_{len(self.event_object_relations) + 1}",
-            event=event_id,
-            object=object_id,
-            qualifier=qualifier,
-        )
+        number = len(self.event_object_relations) + 1
+        relation = EventObjectRelation(f"eo_{number}", event_id, object_id, qualifier)
         self._eo_seen.add(key)
         self.event_object_relations.append(relation)
         return relation
@@ -141,11 +149,7 @@ class OcedGraph:
             raise GraphIntegrityError("object-object relations require a qualifier")
         if source_id == target_id:
             raise GraphIntegrityError(f"self-relation on object {source_id!r} rejected")
-        relation = ObjectObjectRelation(
-            id=f"oo_{len(self.object_object_relations) + 1}",
-            source=source_id,
-            target=target_id,
-            qualifier=qualifier,
-        )
+        number = len(self.object_object_relations) + 1
+        relation = ObjectObjectRelation(f"oo_{number}", source_id, target_id, qualifier)
         self.object_object_relations.append(relation)
         return relation

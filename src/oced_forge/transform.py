@@ -10,13 +10,13 @@ Configurations are loadable from JSON files carrying config_version 1; see
 README for the schema.
 """
 
-import json
 import logging
-from dataclasses import dataclass, field
+from types import SimpleNamespace
+from typing import NamedTuple
 
 from .errors import ConfigError, GraphIntegrityError
 from .oced_model import OcedEvent, OcedGraph, OcedObject, TypedValue
-from .terms import escape_id
+from .terms import EXT, EXT_FIXED_PREDICATES, Iri, escape_id
 from .timeutil import has_utc_instant
 from .xes_parser import XesLog, _attribute_text
 
@@ -36,8 +36,7 @@ def _is_text(value) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class ObjectRule:
+class ObjectRule(NamedTuple):
     """Turn an event attribute into a shared object plus a qualified
     event-object relation; oo_qualifier additionally links case to object."""
 
@@ -47,28 +46,35 @@ class ObjectRule:
     oo_qualifier: str | None = None
 
 
-@dataclass
-class MappingConfig:
-    case_object_type: str = "case"
-    case_id_key: str = "concept:name"
-    event_type_keys: list[str] = field(
-        default_factory=lambda: ["concept:name", "lifecycle:transition"]
-    )
-    timestamp_key: str = "time:timestamp"
-    object_rules: list[ObjectRule] = field(
-        default_factory=lambda: [
-            ObjectRule(
-                xes_key="org:group",
-                object_type="support_team",
-                eo_qualifier="handled_by_support_team",
-                oo_qualifier="involves_team",
-            )
-        ]
-    )
-    case_eo_qualifier: str = "event_case"
-    attribute_passthrough: list[str] = field(default_factory=list)
+_TEAM_RULE = ObjectRule("org:group", "support_team", "handled_by_support_team", "involves_team")
+_DEFAULT = object()  # a list field left out: it gets a new default list
 
-    def __post_init__(self):
+
+class MappingConfig(SimpleNamespace):
+    """Each field left out takes its BPIC 2013 default; a config is
+    validated when built, compared by value, and unhashable."""
+
+    def __init__(
+        self,
+        case_object_type: str = "case",
+        case_id_key: str = "concept:name",
+        event_type_keys: list[str] = _DEFAULT,
+        timestamp_key: str = "time:timestamp",
+        object_rules: list[ObjectRule] = _DEFAULT,
+        case_eo_qualifier: str = "event_case",
+        attribute_passthrough: list[str] = _DEFAULT,
+    ):
+        super().__init__(
+            case_object_type=case_object_type,
+            case_id_key=case_id_key,
+            event_type_keys=(
+                ["concept:name", "lifecycle:transition"] if event_type_keys is _DEFAULT else event_type_keys
+            ),
+            timestamp_key=timestamp_key,
+            object_rules=[_TEAM_RULE] if object_rules is _DEFAULT else object_rules,
+            case_eo_qualifier=case_eo_qualifier,
+            attribute_passthrough=[] if attribute_passthrough is _DEFAULT else attribute_passthrough,
+        )
         self.validate()
 
     def validate(self):
@@ -90,32 +96,38 @@ class MappingConfig:
                 and all(_is_text(v) for v in (rule.xes_key, rule.object_type, rule.eo_qualifier))
                 and (rule.oo_qualifier is None or _is_text(rule.oo_qualifier))
             ):
-                raise ConfigError(
-                    f"object rule fields must be strings (oo_qualifier may be null): {rule!r}"
-                )
+                raise ConfigError(f"object rule fields must be strings (oo_qualifier may be null): {rule!r}")
         keys = [rule.xes_key for rule in self.object_rules]
         if len(set(keys)) != len(keys):
             raise ConfigError("object_rules xes_keys must be distinct")
         if self.timestamp_key in keys:
             raise ConfigError(f"timestamp key {self.timestamp_key!r} cannot also be an object rule")
-        for rule in self.object_rules:
+        # each qualifier is written as the predicate ext:<escaped name>
+        qualifiers = {"case_eo_qualifier": self.case_eo_qualifier}
+        for i, rule in enumerate(self.object_rules):
             if not (rule.xes_key and rule.object_type and rule.eo_qualifier) or rule.oo_qualifier == "":
                 raise ConfigError(f"incomplete object rule: {rule}")
+            qualifiers[f"object_rules[{i}].eo_qualifier"] = rule.eo_qualifier
+            qualifiers[f"object_rules[{i}].oo_qualifier"] = rule.oo_qualifier
+        for name, value in qualifiers.items():
+            if value is not None and Iri(EXT + escape_id(value)) in EXT_FIXED_PREDICATES:
+                raise ConfigError(f"{name} {value!r} names a fixed ext: predicate")
 
 
-@dataclass(frozen=True)
-class SkippedEvent:
+class SkippedEvent(NamedTuple):
     trace_index: int
     event_index: int
     reason: str
 
 
-@dataclass
-class TransformReport:
-    events_emitted: int = 0
-    objects_emitted: int = 0
-    events_skipped: list[SkippedEvent] = field(default_factory=list)
-    warnings: list[str] = field(default_factory=list)
+class TransformReport(SimpleNamespace):
+    def __init__(self, events_emitted=0, objects_emitted=0, events_skipped=_DEFAULT, warnings=_DEFAULT):
+        super().__init__(
+            events_emitted=events_emitted,
+            objects_emitted=objects_emitted,
+            events_skipped=[] if events_skipped is _DEFAULT else events_skipped,
+            warnings=[] if warnings is _DEFAULT else warnings,
+        )
 
 
 def default_bpic2013_config() -> MappingConfig:
@@ -131,6 +143,8 @@ def load_mapping_config(path: str) -> MappingConfig:
     Absent keys fall back to the BPIC 2013 defaults; unknown keys are
     rejected so typos do not silently map to defaults.
     """
+    import json  # only a config file is JSON
+
     with open(path, "r", encoding="utf-8") as fh:
         try:
             data = json.load(fh)
@@ -143,32 +157,30 @@ def load_mapping_config(path: str) -> MappingConfig:
     if not isinstance(data, dict):
         raise ConfigError(f"{path}: top level must be a JSON object")
     version = data.pop("config_version", None)
-    if version != CONFIG_VERSION:
-        raise ConfigError(
-            f"{path}: config_version must be {CONFIG_VERSION}, got {version!r}"
-        )
-    known = {f: True for f in MappingConfig.__dataclass_fields__}
-    unknown = [k for k in data if k not in known]
+    if version.__class__ is not int or version != CONFIG_VERSION:  # not True, not 1.0
+        raise ConfigError(f"{path}: config_version must be {CONFIG_VERSION}, got {version!r}")
+    fields = vars(default_bpic2013_config())  # a config's fields are its attributes
+    unknown = [k for k in data if k not in fields]
     if unknown:
         raise ConfigError(f"{path}: unknown keys {unknown}")
     rules = data.pop("object_rules", None)
-    kwargs = dict(data)
     if isinstance(rules, list):
         parsed_rules = []
         for i, raw in enumerate(rules):
             if not isinstance(raw, dict):
                 raise ConfigError(f"{path}: object_rules[{i}] must be an object")
-            extra = set(raw) - {"xes_key", "object_type", "eo_qualifier", "oo_qualifier"}
+            extra = set(raw) - set(ObjectRule._fields)
             if extra:
                 raise ConfigError(f"{path}: object_rules[{i}] has unknown keys {sorted(extra)}")
             try:
                 parsed_rules.append(ObjectRule(**raw))
-            except TypeError as exc:
-                raise ConfigError(f"{path}: object_rules[{i}]: {exc}") from exc
-        kwargs["object_rules"] = parsed_rules
+            except TypeError as exc:  # a required key left out, named as ObjectRule.__init__() names it
+                message = str(exc).replace("ObjectRule.__new__()", "ObjectRule.__init__()")
+                raise ConfigError(f"{path}: object_rules[{i}]: {message}") from exc
+        data["object_rules"] = parsed_rules
     elif rules is not None:
-        kwargs["object_rules"] = rules  # not a list: validate() rejects it
-    return MappingConfig(**kwargs)
+        data["object_rules"] = rules  # not a list: validate() rejects it
+    return MappingConfig(**data)
 
 
 def derive_event_type(event: dict[str, TypedValue], config: MappingConfig) -> str:
@@ -248,12 +260,7 @@ def transform_log(log_: XesLog, config: MappingConfig | None = None) -> tuple[Oc
                     dates_out_of_range.append(key)
                     continue
                 attributes[key] = attr
-            oced_event = OcedEvent(
-                id=f"e{ordinal}",
-                event_type=derive_event_type(event, config),
-                observed_at=ts.value,
-                attributes=attributes,
-            )
+            oced_event = OcedEvent(f"e{ordinal}", derive_event_type(event, config), ts.value, attributes)
             for key in dates_out_of_range:
                 report.warnings.append(
                     f"trace {ti} event {ei}: date attribute {key!r} has no UTC instant "

@@ -29,7 +29,7 @@ rule, a function of the predicate, drops it; the kept pairs go in the
 order a full parse adds them.  Both readers still read and cook every
 statement, so every error keeps its class, message, line and column.  The
 reader needs nothing from the graph model (oced_model is an annotation
-only).
+only), and triple_query is loaded only where a store is built.
 
 The parser supports prefix declarations, IRIs, prefixed names, plain / typed
 / language-tagged literals, numeric and boolean shorthand, the ';' and ','
@@ -88,10 +88,10 @@ from .terms import (
     is_escaped_id,
 )
 from .timeutil import format_utc_millis
-from .triple_query import TripleStore
 
-if TYPE_CHECKING:  # the reader runs without the graph model
+if TYPE_CHECKING:  # the reader runs without the graph model, the writer without the store
     from .oced_model import OcedGraph, TypedValue
+    from .triple_query import TripleStore
 
 _ABSOLUTE_IRI_RE = re.compile(r"^[A-Za-z][A-Za-z0-9+.\-]*:")
 _BAD_IRI_CHARS = re.compile(r'[\x00-\x20<>"{}|^`\\]')
@@ -206,8 +206,10 @@ def _statements(graph: "OcedGraph") -> Iterator[tuple[str, str, str | tuple[str,
         yield EX + rel.source, ext_iri[rel.qualifier], EX + rel.target
 
 
-def graph_to_triples(graph: "OcedGraph") -> TripleStore:
+def graph_to_triples(graph: "OcedGraph") -> "TripleStore":
     """The graph's Turtle-level triples as a store (see _statements)."""
+    from .triple_query import TripleStore
+
     iri = _Memo(Iri)
     store = TripleStore()
     for s, p, o in _statements(graph):
@@ -304,7 +306,7 @@ def graph_to_turtle(graph: "OcedGraph", out: TextIO | str | os.PathLike) -> int:
     return len(rows)
 
 
-def write_turtle(store: TripleStore) -> str:
+def write_turtle(store: "TripleStore") -> str:
     """Deterministic Turtle text: fixed prefix header, sorted triples."""
     term = _Memo(render_term)
     out = io.StringIO()
@@ -419,6 +421,8 @@ _STATEMENT_RE = re.compile(rf"[ \t\r\n]*({_FAST_IRI})[ \t\r\n]+({_FAST_VERB})[ \
 
 class _TurtleParser:
     def __init__(self, text: str, keep: Callable[[Iri], bool] | None = None):
+        from .triple_query import TripleStore
+
         self.text = text
         self.pos = 0  # where the general reader reads its next token
         self.prefixes: dict[str, str] = {}
@@ -517,7 +521,7 @@ class _TurtleParser:
         if token.kind != _PUNCT or token.value != value:
             self._error(f"expected {value!r}", token.pos)
 
-    def parse(self) -> TripleStore:
+    def parse(self) -> "TripleStore":
         """The fast path reads statements until it declines one; the general
         reader reads that one, and the fast path goes on at the token after it."""
         pos = 0
@@ -694,7 +698,7 @@ class _TurtleParser:
             self._error("expected ';', ',' or '.'", nxt.pos)
 
 
-def parse_turtle(text: str, keep: Callable[[Iri], bool] | None = None) -> TripleStore:
+def parse_turtle(text: str, keep: Callable[[Iri], bool] | None = None) -> "TripleStore":
     """Parse the supported Turtle subset into a triple store.
 
     With keep, the store holds only the triples whose predicate keep(predicate)

@@ -28,7 +28,7 @@ ElementTree; no DTD or entity is read.
 
 import gzip
 import zlib
-from dataclasses import dataclass, field
+from typing import NamedTuple
 from xml.parsers import expat
 
 from .errors import XesParseError, XesStructureError
@@ -46,16 +46,23 @@ MAX_OPEN_ELEMENTS = 1000
 _LOG, _TRACE, _EVENT, _CHECK, _SKIP = "log", "trace", "event", "check", "skip"
 
 
-@dataclass(frozen=True)
-class XesTrace:
+class XesTrace(NamedTuple):
     attributes: dict[str, TypedValue]
     events: tuple[dict[str, TypedValue], ...]
 
 
-@dataclass(frozen=True)
-class XesLog:
+class XesLog(NamedTuple):
     traces: tuple[XesTrace, ...]
-    warnings: tuple[str, ...] = field(default=(), compare=False)
+    warnings: tuple[str, ...] = ()  # the reader's; equality and hash ignore them
+
+    def __eq__(self, other):
+        return self.traces == other.traces if isinstance(other, XesLog) else NotImplemented
+
+    def __ne__(self, other):
+        return self.traces != other.traces if isinstance(other, XesLog) else NotImplemented
+
+    def __hash__(self):
+        return hash(self.traces)
 
     @property
     def event_count(self) -> int:

@@ -181,12 +181,31 @@ class TestConvert:
         assert "ex:support%20team_G1 rdf:type ext:support%20team ." in out
         assert "ex:e1 ext:handled ex:support%20team_G1 ." in out
 
-    def test_invalid_config_exits_2(self, bpic_xes_path, tmp_path, capsys):
+    @pytest.mark.parametrize("version, shown", [(7, "7"), (True, "True"), (1.0, "1.0")])
+    def test_invalid_config_exits_2(self, version, shown, bpic_xes_path, tmp_path, capsys):
         config = tmp_path / "map.json"
-        config.write_text(json.dumps({"config_version": 7}))
-        code, _, err = run(["convert", str(bpic_xes_path), "--config", str(config)], capsys)
+        config.write_text(json.dumps({"config_version": version}))
+        code, out, err = run(["convert", str(bpic_xes_path), "--config", str(config)], capsys)
         assert code == 2
-        assert "config_version" in err
+        assert out == ""
+        assert err == f"oced-forge: {config}: config_version must be 1, got {shown}\n"
+
+    @pytest.mark.parametrize("field", ["case_eo_qualifier", "eo_qualifier", "oo_qualifier"])
+    @pytest.mark.parametrize("name", ["object_type", "event_type", "classifier"])
+    def test_qualifier_named_like_a_fixed_predicate_exits_2(self, field, name, bpic_xes_path, tmp_path, capsys):
+        rule = {"xes_key": "org:group", "object_type": "team", "eo_qualifier": "handled", "oo_qualifier": "involves"}
+        if field == "case_eo_qualifier":
+            fields, shown = {"case_eo_qualifier": name}, field
+        else:
+            fields, shown = {"object_rules": [{**rule, field: name}]}, f"object_rules[0].{field}"
+        config = tmp_path / "map.json"
+        config.write_text(json.dumps({"config_version": 1, **fields}))
+        out_path = tmp_path / "out.ttl"
+        code, out, err = run(["convert", str(bpic_xes_path), "--config", str(config), "-o", str(out_path)], capsys)
+        assert code == 2
+        assert out == ""
+        assert err == f"oced-forge: {shown} {name!r} names a fixed ext: predicate\n"
+        assert not out_path.exists()
 
     @pytest.mark.parametrize(
         "fields",
@@ -195,6 +214,8 @@ class TestConvert:
             {"case_object_type": 5},
             {"attribute_passthrough": 7},
             {"event_type_keys": "concept:name"},
+            {"event_type_keys": None},
+            {"attribute_passthrough": None},
             {"object_rules": [{"xes_key": 5, "object_type": "team", "eo_qualifier": "q"}]},
             {"case_id_key": ["x"]},
             {"case_object_type": "\ud800"},

@@ -1,9 +1,11 @@
-"""The read commands (analyze, Turtle stats, export-dot) load no module of
-the write path, and analyze loads only the triples of the predicates its
-query looks up.  A kept-predicate load must give every query the same
-answer as a full load.  stats and export-dot keep every triple: stats
-counts them, and every predicate convert writes is one export-dot reads or
-a keep rule for it would keep."""
+"""Each command loads only its own path: the read commands (analyze,
+Turtle stats, export-dot) load no module of the write path, convert and XES
+stats none of the read path, and no command loads dataclasses.  analyze
+loads only the triples of the predicates its query looks up.  A
+kept-predicate load must give every query the same answer as a full load.
+stats and export-dot keep every triple: stats counts them, and every
+predicate convert writes is one export-dot reads or a keep rule for it
+would keep."""
 
 import gc
 import subprocess
@@ -64,7 +66,8 @@ def _text(source: str, bench_turtle, monkeypatch) -> str:
 
 def _rules():
     """(name, keep rule, query) for each read command that loads with a rule."""
-    for name, (analysis, _, patterns) in cli._ANALYSES.items():
+    for name in cli._ANALYSES:
+        analysis, _, patterns = cli._analysis(name)
         yield name, cli._keep_rule(patterns), lambda store, analysis=analysis: records(analysis(store))
 
 
@@ -78,7 +81,7 @@ def test_kept_predicate_load_gives_every_query_the_full_load_answer(source, benc
         assert kept.triples() == [t for t in full if keep(t.predicate)], name
         assert query(kept) == query(full), name
     if source in ("canonical", "grouped", "general"):
-        ping_pong = cli._keep_rule(cli._ANALYSES["ping-pong"][2])
+        ping_pong = cli._keep_rule(cli._analysis("ping-pong")[2])
         assert 0 < len(parse_turtle(text, ping_pong)) < len(full) / 2
 
 
@@ -111,13 +114,14 @@ def test_keep_is_called_once_per_distinct_predicate(bench_turtle):
 @pytest.fixture
 def rules(monkeypatch) -> list:
     """The keep rule of each parse_turtle call the CLI makes."""
-    rules, parse = [], cli.parse_turtle
+    rules, parse = [], turtle_io.parse_turtle
 
     def parse_recording_keep(text, keep=None):
         rules.append(keep)
         return parse(text, keep)
 
-    monkeypatch.setattr(cli, "parse_turtle", parse_recording_keep)
+    # the CLI looks parse_turtle up in turtle_io when it loads a store
+    monkeypatch.setattr(turtle_io, "parse_turtle", parse_recording_keep)
     return rules
 
 
@@ -209,7 +213,9 @@ except SystemExit as exit:
     assert exit.code == 0, exit.code
 print(" ".join(sorted(sys.modules)))
 """
-_WRITE_PATH = {"oced_forge.xes_parser", "oced_forge.transform", "oced_forge.oced_model", "dataclasses"}
+_WRITE_PATH = {"oced_forge.xes_parser", "oced_forge.transform", "oced_forge.oced_model"}
+# what convert runs none of: the read path, and json without --config
+_READ_PATH = {"oced_forge.analyses", "oced_forge.triple_query", "oced_forge.dot_export", "csv", "json"}
 
 
 def _loaded(*argv) -> set[str]:
@@ -237,7 +243,11 @@ def test_read_commands_load_no_write_path_module(command, tmp_path):
     loaded = _loaded(command[0], str(path), *command[1:], "--output", str(tmp_path / "out"))
     assert "oced_forge.cli" in loaded
     assert loaded & _WRITE_PATH == set()
+    assert "dataclasses" not in loaded
     assert ("oced_forge.dot_export" in loaded) == (command == ["export-dot"])
+    # Turtle stats counts triples with no query
+    assert ("oced_forge.analyses" in loaded) == (command != ["stats"])
+    assert "oced_forge.triple_query" in loaded
     assert (tmp_path / "out").stat().st_size > 0
 
 
@@ -245,4 +255,12 @@ def test_convert_loads_the_write_path(bpic_xes_path, tmp_path):
     """The check above can fail: convert loads every module it names."""
     loaded = _loaded("convert", str(bpic_xes_path), "--output", str(tmp_path / "out"), "--quiet")
     assert loaded >= _WRITE_PATH
-    assert "oced_forge.dot_export" not in loaded
+    assert loaded & _READ_PATH == set()
+    assert "dataclasses" not in loaded
+
+
+def test_xes_stats_loads_no_query_module(bpic_xes_path, tmp_path):
+    loaded = _loaded("stats", str(bpic_xes_path), "--output", str(tmp_path / "out"))
+    assert loaded >= {"oced_forge.xes_parser", "oced_forge.transform"}
+    assert loaded & {*_READ_PATH, "oced_forge.turtle_io", "dataclasses"} == set()
+    assert (tmp_path / "out").read_text().startswith("format  xes\n")

@@ -314,6 +314,31 @@ class TestConfigValidation:
             MappingConfig(object_rules=[ObjectRule("org:group", "team", "q", "")])
         assert MappingConfig(object_rules=[ObjectRule("org:group", "team", "q", None)]).validate() is None
 
+    @pytest.mark.parametrize("name", ["event", "object", "classifier", "event_type", "object_type"])
+    @pytest.mark.parametrize(
+        "field, config",
+        [
+            ("case_eo_qualifier", lambda q: MappingConfig(case_eo_qualifier=q)),
+            ("object_rules[0].eo_qualifier", lambda q: MappingConfig(object_rules=[ObjectRule("k", "t", q)])),
+            (
+                "object_rules[1].oo_qualifier",
+                lambda q: MappingConfig(object_rules=[ObjectRule("k", "t", "q"), ObjectRule("k2", "t", "q2", q)]),
+            ),
+        ],
+        ids=["case", "eo", "oo"],
+    )
+    def test_qualifier_named_like_a_fixed_ext_predicate_rejected(self, name, field, config):
+        """A qualifier is written as ext:<name>, so one of these names would
+        add triples to a fixed predicate and change what the queries count."""
+        with pytest.raises(ConfigError) as caught:
+            config(name)
+        assert str(caught.value) == f"{field} {name!r} names a fixed ext: predicate"
+
+    @pytest.mark.parametrize("name", ["Event", "event_case", "EventObject", "events", "observed_at", "object type"])
+    def test_qualifier_near_a_fixed_name_accepted(self, name):
+        config = MappingConfig(case_eo_qualifier=name, object_rules=[ObjectRule("k", "t", name, name)])
+        assert config.validate() is None
+
 
 class TestConfigFile:
     def test_round_trip_through_json(self, tmp_path):
@@ -354,6 +379,14 @@ class TestConfigFile:
         path.write_text(json.dumps({"config_version": 2}))
         with pytest.raises(ConfigError, match="config_version"):
             load_mapping_config(str(path))
+
+    @pytest.mark.parametrize("version, shown", [(True, "True"), (1.0, "1.0"), ("1", "'1'")])
+    def test_version_that_only_equals_1_rejected(self, version, shown, tmp_path):
+        path = tmp_path / "mapping.json"
+        path.write_text(json.dumps({"config_version": version}))
+        with pytest.raises(ConfigError) as caught:
+            load_mapping_config(str(path))
+        assert str(caught.value) == f"{path}: config_version must be 1, got {shown}"
 
     def test_missing_version_rejected(self, tmp_path):
         path = tmp_path / "mapping.json"
