@@ -1,10 +1,11 @@
-"""Byte-exact outputs of convert, the event-objects analysis and the DOT
-export.
+"""Byte-exact outputs of convert, the three analyses and the DOT export.
 
 The files under tests/golden/ hold stdout and stderr of
 ``python -m oced_forge`` for each command below.  ``convert`` reads the test
 fixture log and tests/golden/hostile.xes (with hostile.config.json); the
 other commands read the converted fixture log and tests/golden/hostile.ttl.
+The analyses also read tests/golden/times.ttl, whose events carry every
+time form the read side accepts or drops.
 Refresh them with
 ``PYTHONPATH=src python tests/test_golden.py`` only when an output change
 is intended.
@@ -25,8 +26,12 @@ COMMANDS = {
     "event-objects.csv": ["analyze", "--analysis", "event-objects"],
     "event-objects.jsonl": ["analyze", "--analysis", "event-objects", "--format", "jsonl"],
     "export-dot": ["export-dot"],
+    "ping-pong.csv": ["analyze", "--analysis", "ping-pong"],
+    "teams.csv": ["analyze", "--analysis", "teams"],
 }
+ANALYSES = [name for name, command in COMMANDS.items() if command[0] == "analyze"]
 CASES = [(source, name) for source in ("fixture", "hostile") for name in COMMANDS]
+CASES += [("times", name) for name in ANALYSES]
 
 
 def _cli(*argv, stdin=None):
@@ -39,8 +44,8 @@ def _cli(*argv, stdin=None):
 
 
 def _input_path(source: str, workdir: Path) -> Path:
-    if source == "hostile":
-        return GOLDEN / "hostile.ttl"
+    if source != "fixture":
+        return GOLDEN / f"{source}.ttl"
     path = workdir / "fixture.ttl"
     if not path.exists():
         result = _cli("convert", "-", "--quiet", "-o", str(path), stdin=BPIC_STYLE_XES.encode())
