@@ -163,7 +163,7 @@ def load_mapping_config(path: str) -> MappingConfig:
     unknown = [k for k in data if k not in fields]
     if unknown:
         raise ConfigError(f"{path}: unknown keys {unknown}")
-    rules = data.pop("object_rules", None)
+    rules = data.get("object_rules")  # null stays, for validate() to reject
     if isinstance(rules, list):
         parsed_rules = []
         for i, raw in enumerate(rules):
@@ -178,8 +178,6 @@ def load_mapping_config(path: str) -> MappingConfig:
                 message = str(exc).replace("ObjectRule.__new__()", "ObjectRule.__init__()")
                 raise ConfigError(f"{path}: object_rules[{i}]: {message}") from exc
         data["object_rules"] = parsed_rules
-    elif rules is not None:
-        data["object_rules"] = rules  # not a list: validate() rejects it
     return MappingConfig(**data)
 
 
