@@ -13,13 +13,14 @@ appear in at least one witnessing event triple, with the total number of
 witnessing triples as a secondary metric.
 
 Each analysis returns named tuples, so its schema is declared once: the
-row type's fields are the output columns (the *_COLUMNS), and records()
-turns rows into tuples of output cells that records_to_csv and
-records_to_jsonl write in that order.  A cell read from a term holds the
-term's text, its field 0 (see terms), and None when the variable is unbound.
-Each output value is built once: the analyses read join rows (see
-triple_query), a time literal is decoded once, records formats each distinct
-instant once, and records_to_jsonl encodes each distinct cell of a column once.
+row type's fields are the output columns (the *_COLUMNS) and its values the
+output cells, which records_to_csv and records_to_jsonl write in that order.
+A cell read from a term holds the term's text, its field 0 (see terms), and
+None when the variable is unbound.  A time stays text (late
+materialization): timeutil.utc_key keys each distinct time literal once,
+the analyses sort and compare the fixed-width keys, and a time cell is its
+key cut to milliseconds.  The analyses read join rows (see triple_query),
+and records_to_jsonl encodes each distinct cell of a column once.
 """
 
 import csv
@@ -28,10 +29,9 @@ import json
 import logging
 from bisect import bisect_left, bisect_right
 from collections.abc import Iterator
-from datetime import datetime
 from itertools import repeat
 from operator import itemgetter
-from typing import NamedTuple, get_args
+from typing import NamedTuple
 
 from .terms import (
     EXT_CLASSIFIER,
@@ -44,9 +44,12 @@ from .terms import (
     EXT_OBJECT_TYPE,
     OBSERVED_AT,
     RDF_TYPE,
+    XSD_DATETIME,
+    Term,
+    TypedLiteral,
 )
-from .timeutil import format_utc_millis
-from .triple_query import Rows, TriplePattern, TripleStore, Var, datetime_value
+from .timeutil import utc_key
+from .triple_query import Rows, TriplePattern, TripleStore, Var
 
 log = logging.getLogger(__name__)
 
@@ -56,15 +59,15 @@ class EventObjectRow(NamedTuple):
     object: str
     classifier: str | None = None
     event_type: str | None = None
-    time: datetime | None = None
+    time: str | None = None
     object_type: str | None = None
 
 
 class PingPongRow(NamedTuple):
     case: str
     has_ping_pong: bool
-    min_time: datetime
-    max_time: datetime
+    min_time: str
+    max_time: str
 
 
 class TeamInvolvement(NamedTuple):
@@ -106,16 +109,24 @@ def _select(solutions: Rows, *names: str) -> Iterator[tuple]:
     return map(itemgetter(*map(columns.index, names)), rows)
 
 
-def _team_times(store: TripleStore) -> dict[str, dict[str, list[datetime]]]:
-    """Case -> team -> sorted times of the team's events in the case.
+def _time_key(term: Term | None) -> str | None:
+    """utc_key of an xsd:dateTime literal's text; None for any other term."""
+    return utc_key(term.lexical) if isinstance(term, TypedLiteral) and term.datatype == XSD_DATETIME else None
+
+
+def _team_times(store: TripleStore) -> dict[str, dict[str, list[str]]]:
+    """Case -> team -> sorted time keys of the team's events in the case.
 
     One entry per solution of `?event ext:event_case ?case; ocedo:observedAt
     ?time; ext:handled_by_team ?team`; solutions whose time literal is not a
-    parseable xsd:dateTime are dropped.
+    parseable xsd:dateTime are dropped.  Each distinct literal is keyed once.
     """
-    cases: dict[str, dict[str, list[datetime]]] = {}
+    cases: dict[str, dict[str, list[str]]] = {}
+    keys: dict[Term, str | None] = {}
     for team, case, time in _select(store._bgp(TEAM_TIMES), "team", "case", "time"):
-        time = datetime_value(time)
+        if time not in keys:
+            keys[time] = _time_key(time)
+        time = keys[time]
         if time is not None:
             teams = cases.setdefault(case[0], {})
             teams.setdefault(team[0], []).append(time)
@@ -132,8 +143,8 @@ def detect_ping_pong(store: TripleStore) -> list[PingPongRow]:
         PingPongRow(
             case,
             bool(_case_witness_counts(teams)),
-            min(times[0] for times in teams.values()),
-            max(times[-1] for times in teams.values()),
+            min(times[0] for times in teams.values())[:23] + "Z",  # a key cut to milliseconds
+            max(times[-1] for times in teams.values())[:23] + "Z",
         )
         for case, teams in _team_times(store).items()
     ]
@@ -141,9 +152,9 @@ def detect_ping_pong(store: TripleStore) -> list[PingPongRow]:
     return out
 
 
-def _case_witness_counts(teams: dict[str, list[datetime]]) -> dict[str, int]:
+def _case_witness_counts(teams: dict[str, list[str]]) -> dict[str, int]:
     """Witnessing-triple count per team for one case, from its team -> sorted
-    times map.
+    time keys map.
 
     A witness is an ordered event triple (e1, e2, e3) with team(e1) =
     team(e3) != team(e2) and time(e1) < time(e2) < time(e3); it counts once
@@ -205,10 +216,11 @@ def enumerate_event_objects(store: TripleStore) -> list[EventObjectRow]:
             log.warning("EventObject %s lacks %s; skipped", n[0], lacks)
 
     rows = []
-    times = {None: None}  # each distinct literal decoded once; an event has a row per object
+    times = {None: None}  # each distinct literal keyed once; an event has a row per object
     for _, event, obj, classifier, event_type, time, object_type in solutions:
         if time not in times:
-            times[time] = datetime_value(time)
+            key = _time_key(time)
+            times[time] = key and key[:23] + "Z"
         rows.append(
             EventObjectRow(
                 event[0],
@@ -230,26 +242,9 @@ EVENT_OBJECT_COLUMNS = EventObjectRow._fields
 TEAM_COLUMNS = TeamInvolvement._fields
 
 
-def records(rows: list[tuple]) -> list[tuple]:
-    """Rows of one row type as tuples of output cells in column order: each
-    field declared a datetime becomes its UTC millisecond text, each distinct
-    instant formatted once, and every other value stays as it is."""
-    if not rows:
-        return []
-    hints = type(rows[0]).__annotations__.values()
-    instants = [i for i, hint in enumerate(hints) if datetime in (hint, *get_args(hint))]
-    columns = list(zip(*rows))
-    texts: dict[datetime | None, str | None] = {None: None}
-    for i in instants:
-        for instant in columns[i]:
-            if instant not in texts:
-                texts[instant] = format_utc_millis(instant)
-        columns[i] = map(texts.__getitem__, columns[i])
-    return list(zip(*columns))
-
-
-# one name per analysis, all the same function
-ping_pong_records = event_object_records = team_records = records
+# records(rows) is the rows as a list: a row's fields already are its output
+# cells (str, int, bool or None; a time is UTC millisecond text).
+records = ping_pong_records = event_object_records = team_records = list
 
 
 def _cell(value) -> str:

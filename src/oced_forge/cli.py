@@ -205,10 +205,10 @@ def cmd_convert(args) -> int:
 
 
 def cmd_analyze(args) -> int:
-    from .analyses import records, records_to_csv, records_to_jsonl
+    from .analyses import records_to_csv, records_to_jsonl
 
     analysis, columns, patterns = _analysis(args.analysis)
-    rows = records(analysis(_load_store(args.input, _keep_rule(patterns))))
+    rows = analysis(_load_store(args.input, _keep_rule(patterns)))
     write = records_to_csv if args.format == "csv" else records_to_jsonl
     _write_text(args.output, write(rows, columns))
     if not args.quiet:

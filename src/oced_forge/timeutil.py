@@ -5,9 +5,10 @@ zone offset found in the source document; everything downstream of the
 XES-to-OCED transform is normalized to UTC at millisecond precision so that
 temporal comparisons are total and zone-independent.
 
-parse_instant is on the XES reader's path and on the analyses' (once per
-distinct time literal): one regex match gives every field, and each
-distinct offset text makes its tzinfo once.
+parse_instant is on the XES reader's path: one regex match gives every
+field, and each distinct offset text makes its tzinfo once.  The analyses
+compare utc_key's fixed-width UTC text, which sorts in time order (RFC 3339
+section 5.1) and needs no parse for the form convert writes.
 """
 
 import re
@@ -18,6 +19,9 @@ _ISO_RE = re.compile(
     r"(?:\.(\d{1,9}))?"
     r"(Z|z|[+-]\d{2}:?\d{2})$"
 )
+
+# the form convert writes: UTC, milliseconds, ASCII digits
+_CANONICAL_RE = re.compile(r"\d{4}-\d\d-\d\dT\d\d:\d\d:\d\d\.\d{3}Z", re.ASCII)
 
 
 # tzinfo by offset text, each made once; a log holds few distinct offsets
@@ -75,3 +79,20 @@ def format_offset_millis(dt: datetime) -> str:
     if dt.tzinfo is None:
         raise ValueError("naive datetime; a zone offset is required")
     return dt.isoformat(timespec="milliseconds")
+
+
+def utc_key(text: str) -> str | None:
+    """A timestamp's instant as 'YYYY-MM-DDTHH:MM:SS.ffffffZ' in UTC, so keys
+    sort in time order and key[:23] + 'Z' is format_utc_millis' text; None
+    when parse_instant raises or has_utc_instant is False.  The canonical
+    form ...SS.mmmZ is only checked for a valid date and time, then sliced."""
+    try:
+        if _CANONICAL_RE.fullmatch(text):
+            datetime.fromisoformat(text[:23])  # without the 'Z', which Python 3.10 rejects
+            return text[:23] + "000Z"
+        instant = parse_instant(text)
+    except ValueError:
+        return None
+    if not has_utc_instant(instant):
+        return None
+    return instant.astimezone(timezone.utc).isoformat(timespec="microseconds")[:-6] + "Z"

@@ -29,16 +29,15 @@ The analyses and store_to_dot read the rows of _bgp and _optional_rows and
 build no dict, but for one match_pattern read of the EventObject nodes.
 
 There are no FILTER expressions: callers decode the literals they compare
-(datetime_value) and compare the values themselves.
+(the analyses key time literals with timeutil.utc_key) and compare the
+values themselves.
 """
 
 from collections import defaultdict
 from collections.abc import KeysView
-from datetime import datetime
 from operator import itemgetter
 
-from .terms import Iri, Term, Triple, TypedLiteral, XSD_DATETIME
-from .timeutil import has_utc_instant, parse_instant
+from .terms import Iri, Term, Triple
 
 
 class Var:
@@ -99,19 +98,6 @@ class TriplePattern:
 BindingSet = dict[str, Term]
 # variable names, and one row of terms per solution (see the module docstring)
 Rows = tuple[tuple[str, ...], list[tuple]]
-
-
-def datetime_value(term: Term) -> datetime | None:
-    """Instant of an xsd:dateTime literal, or None when term is not one or
-    has no UTC instant in datetime's years 1..9999 (has_utc_instant, the
-    transform's rule)."""
-    if isinstance(term, TypedLiteral) and term.datatype == XSD_DATETIME:
-        try:
-            instant = parse_instant(term.lexical)
-        except ValueError:
-            return None
-        return instant if has_utc_instant(instant) else None
-    return None
 
 
 class TripleStore:

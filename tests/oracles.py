@@ -16,6 +16,7 @@ from xml.etree import ElementTree
 from oced_forge.errors import XesParseError, XesStructureError
 from oced_forge.oced_model import OcedEvent, OcedGraph, OcedObject, TypedValue, escape_id
 from oced_forge.terms import EX, PREFIXES
+from oced_forge.timeutil import format_utc_millis, has_utc_instant, parse_instant, utc_key
 from oced_forge.triple_query import TriplePattern, Var
 from oced_forge.turtle_io import _iri_token, _literal_token, _Memo, _statements
 from oced_forge.xes_parser import VALUE_KINDS, XesLog, XesTrace, parse_value
@@ -465,6 +466,33 @@ def reference_parse_instant(text: str) -> datetime:
         tz = timezone(sign * timedelta(hours=oh, minutes=om))
     return datetime(year, month, day, hour, minute, second, micros, tzinfo=tz)
 
+
+
+def assert_utc_key_contract(texts):
+    """timeutil.utc_key against the datetime path it replaces on the read
+    side: over the texts, a key is None exactly when parse_instant raises or
+    has_utc_instant is False; otherwise it is the instant's UTC text to the
+    microsecond, its cut to milliseconds is format_utc_millis' text, and key
+    order (and equality) is the order of the parsed instants.  Plain asserts, so a script can run
+    it on a Python with no test tools installed."""
+    keyed = []
+    for text in texts:
+        key = utc_key(text)
+        try:
+            instant = parse_instant(text)
+        except ValueError:
+            instant = None
+        if instant is None or not has_utc_instant(instant):
+            assert key is None, (text, key)
+            continue
+        utc = instant.astimezone(timezone.utc)
+        assert key == utc.isoformat(timespec="microseconds")[:-6] + "Z", (text, key)
+        assert key[:23] + "Z" == format_utc_millis(instant), (text, key)
+        keyed.append((key, instant, text))
+    for key, instant, text in keyed:
+        for other_key, other_instant, other_text in keyed:
+            assert (key < other_key) == (instant < other_instant), (text, other_text)
+            assert (key == other_key) == (instant == other_instant), (text, other_text)
 
 # -- escaped ids: the rules each module wrote for itself before terms held them
 

@@ -27,6 +27,7 @@ from oced_forge import (
     write_turtle,
 )
 from oced_forge.terms import EX, EXT, RDF
+from oced_forge.timeutil import format_utc_millis
 from oced_forge.xes_parser import _attribute_text
 
 from conftest import cli_env
@@ -58,8 +59,8 @@ def test_ping_pong_oracle_equivalence_500_graphs():
         for case, rows in records.items():
             has, lo, hi = brute_force_ping_pong(rows)
             assert result[case].has_ping_pong == has
-            assert result[case].min_time == lo
-            assert result[case].max_time == hi
+            assert result[case].min_time == format_utc_millis(lo)
+            assert result[case].max_time == format_utc_millis(hi)
             times = [t for _, t in rows]
             total_rows += len(times)
             duplicate_rows += len(times) - len(set(times))

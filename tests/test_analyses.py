@@ -1,7 +1,9 @@
 import logging
 import random
-from datetime import datetime, timedelta, timezone
+from datetime import datetime, timedelta
 from itertools import permutations
+
+import pytest
 
 from oced_forge import (
     Iri,
@@ -15,7 +17,7 @@ from oced_forge import (
     store_to_dot,
     team_involvement,
 )
-from oced_forge import analyses, triple_query
+from oced_forge import analyses
 from oced_forge.analyses import (
     EVENT_OBJECT_COLUMNS,
     PING_PONG_COLUMNS,
@@ -30,6 +32,8 @@ from oced_forge.analyses import (
 from oced_forge.terms import EX, EXT, OBSERVED_AT, OCEDO, RDF, XSD
 from oced_forge.timeutil import format_utc_millis
 
+DT = Iri(XSD + "dateTime")
+
 from oracles import (
     BASE_TIME,
     brute_force_ping_pong,
@@ -42,6 +46,24 @@ from oracles import (
 
 def ts(minutes: int) -> datetime:
     return BASE_TIME + timedelta(minutes=minutes)
+
+
+def utc(minutes: int) -> str:
+    """ts(minutes) as an analysis row holds it: UTC millisecond text."""
+    return format_utc_millis(ts(minutes))
+
+
+def _count_calls(monkeypatch, module, name: str) -> list:
+    """Replace module.name by a wrapper that records each call's argument;
+    returns the list it appends to."""
+    calls, fn = [], getattr(module, name)
+
+    def counted(arg):
+        calls.append(arg)
+        return fn(arg)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
 
 
 def store_for(handoffs) -> TripleStore:
@@ -65,8 +87,8 @@ class TestDetectPingPong:
         store = store_for([("c1", "A", ts(1)), ("c1", "B", ts(2)), ("c1", "A", ts(3))])
         (row,) = detect_ping_pong(store)
         assert row.has_ping_pong is True
-        assert row.min_time == ts(1)
-        assert row.max_time == ts(3)
+        assert row.min_time == utc(1)
+        assert row.max_time == utc(3)
 
     def test_two_events_cannot_ping_pong(self):
         store = store_for([("c1", "A", ts(1)), ("c1", "B", ts(2))])
@@ -116,7 +138,7 @@ class TestDetectPingPong:
         # second event has no team relation: not a qualifying event
         store = store_for([("c1", "A", ts(5)), ("c1", None, ts(1))])
         (row,) = detect_ping_pong(store)
-        assert row.min_time == ts(5)
+        assert row.min_time == utc(5)
 
     def test_case_without_qualifying_events_absent(self):
         store = store_for([("c1", None, ts(1))])
@@ -137,8 +159,8 @@ class TestDetectPingPong:
         )
         (row,) = detect_ping_pong(store)
         assert row.has_ping_pong is False
-        assert row.min_time == datetime(2012, 1, 1, 9, 30, tzinfo=timezone.utc)
-        assert row.max_time == datetime(2012, 1, 1, 10, 45, tzinfo=timezone.utc)
+        assert row.min_time == "2012-01-01T09:30:00.000Z"
+        assert row.max_time == "2012-01-01T10:45:00.000Z"
 
     def test_malformed_time_literal_is_ignored(self):
         store = with_time_lexicals(
@@ -147,8 +169,19 @@ class TestDetectPingPong:
         )
         (row,) = detect_ping_pong(store)
         assert row.has_ping_pong is False
-        assert (row.min_time, row.max_time) == (ts(1), ts(3))
+        assert (row.min_time, row.max_time) == (utc(1), utc(3))
         assert team_involvement(store) == []
+
+    def test_each_time_literal_is_keyed_once(self, monkeypatch):
+        """Events sharing a time literal share its key: _team_times keys each
+        distinct term once, not once per solution."""
+        store = store_for([("c1", "A", ts(1)), ("c1", "B", ts(1)), ("c2", "A", ts(1)), ("c2", "B", ts(2))])
+        keyed = _count_calls(monkeypatch, analyses, "utc_key")
+        assert [(row.min_time, row.max_time) for row in detect_ping_pong(store)] == [
+            (utc(1), utc(1)),
+            (utc(1), utc(2)),
+        ]
+        assert sorted(keyed) == [utc(1), utc(2)]
 
     def test_rows_independent_of_triple_insertion_order(self):
         rng = random.Random(77)
@@ -170,8 +203,8 @@ class TestDetectPingPong:
             for case, rows in records.items():
                 has, lo, hi = brute_force_ping_pong(rows)
                 assert result[case].has_ping_pong == has, case
-                assert result[case].min_time == lo
-                assert result[case].max_time == hi
+                assert result[case].min_time == format_utc_millis(lo)
+                assert result[case].max_time == format_utc_millis(hi)
 
     def test_adding_events_never_clears_ping_pong(self):
         rng = random.Random(31)
@@ -282,19 +315,19 @@ class TestEnumerateEventObjects:
         assert row.event == EX + "e1"
         assert row.object == EX + "c1"
         assert row.classifier == "event_case"
-        assert row.time == ts(0)
+        assert row.time == utc(0)
         assert row.event_type == "handover"
         assert row.object_type == "case"
 
     def test_each_time_literal_is_decoded_once(self, monkeypatch):
         """Every event has three ext:EventObject nodes, so three rows share its
-        time literal; each distinct literal is parsed once, and the rows keep
-        every field."""
+        time literal; each distinct literal is keyed once, and the rows keep
+        every field, the time as UTC millisecond text."""
         times = {
-            "e0": ("2012-01-01T00:00:00.000Z", datetime(2012, 1, 1, tzinfo=timezone.utc)),
-            # e0's instant written another way: a distinct literal, decoded on its own
-            "e1": ("2012-01-01T01:00:00.000+01:00", datetime(2012, 1, 1, tzinfo=timezone.utc)),
-            "e2": ("2012-01-02T00:00:00.500Z", datetime(2012, 1, 2, 0, 0, 0, 500000, tzinfo=timezone.utc)),
+            "e0": ("2012-01-01T00:00:00.000Z", "2012-01-01T00:00:00.000Z"),
+            # e0's instant written another way: a distinct literal, keyed on its own
+            "e1": ("2012-01-01T01:00:00.000+01:00", "2012-01-01T00:00:00.000Z"),
+            "e2": ("2012-01-02T00:00:00.500Z", "2012-01-02T00:00:00.500Z"),
             "e3": ("not a time", None),
             "e4": (None, None),
         }
@@ -309,16 +342,9 @@ class TestEnumerateEventObjects:
                 _eo_node(store, f"{event}_n{k}", event=event, obj=obj, classifier=f"q{k}")
                 store.insert(Triple(Iri(EX + obj), Iri(EXT + "object_type"), PlainLiteral("team")))
                 expected.append(EventObjectRow(EX + event, EX + obj, f"q{k}", "handover", instant, "team"))
-        parsed = []
-        parse_instant = triple_query.parse_instant
-
-        def counted(text):
-            parsed.append(text)
-            return parse_instant(text)
-
-        monkeypatch.setattr(triple_query, "parse_instant", counted)
+        keyed = _count_calls(monkeypatch, analyses, "utc_key")
         rows = enumerate_event_objects(store.freeze())
-        assert sorted(parsed) == sorted(lexical for lexical, _ in times.values() if lexical is not None)
+        assert sorted(keyed) == sorted(lexical for lexical, _ in times.values() if lexical is not None)
         assert rows == expected
 
     def test_empty_store(self):
@@ -354,7 +380,7 @@ class TestEnumerateEventObjects:
         assert rows[EX + "e1"].classifier == "linked"
         assert rows[EX + "e1"].event_type == "Accepted"
         assert rows[EX + "e1"].time is None
-        assert rows[EX + "e2"].time == datetime(2012, 1, 1, tzinfo=timezone.utc)
+        assert rows[EX + "e2"].time == "2012-01-01T00:00:00.000Z"
         assert rows[EX + "e2"].classifier is None
         assert rows[EX + "e3"].object_type == "case"
 
@@ -463,27 +489,20 @@ class TestRecords:
         assert TeamInvolvement("t", 2, 5) == ("t", 2, 5)
         assert EventObjectRow("e", "o") == ("e", "o", None, None, None, None)
 
-    def test_each_distinct_instant_is_formatted_once(self, monkeypatch):
-        formatted = []
-
-        def counting(instant):
-            formatted.append(instant)
-            return format_utc_millis(instant)
-
-        monkeypatch.setattr(analyses, "format_utc_millis", counting)
-        same_instant = ts(0).astimezone(timezone(timedelta(hours=1)))
-        rows = [PingPongRow("c1", True, ts(0), ts(5)), PingPongRow("c2", False, same_instant, ts(5))]
+    def test_records_are_the_rows_own_cells(self):
+        """A row's fields already are its output cells, a time its UTC
+        millisecond text, so records gives the rows as a list."""
+        rows = [PingPongRow("c1", True, utc(0), utc(5)), PingPongRow("c2", False, utc(0), utc(5))]
         assert records(rows) == [
             ("c1", True, "2012-01-01T00:00:00.000Z", "2012-01-01T00:05:00.000Z"),
             ("c2", False, "2012-01-01T00:00:00.000Z", "2012-01-01T00:05:00.000Z"),
         ]
-        assert len(formatted) == 2
-        row = EventObjectRow("e", "o", time=ts(5))
-        assert records([row]) == [("e", "o", None, None, "2012-01-01T00:05:00.000Z", None)]
+        row = EventObjectRow("e", "o", time=utc(5))
+        assert records(iter([row])) == [("e", "o", None, None, "2012-01-01T00:05:00.000Z", None)]
         assert records([]) == []
 
     def test_csv_and_jsonl_write_cells_in_column_order(self):
-        cells = records([EventObjectRow("e1", "o1", "q,x", None, ts(0), 'typ"e')])
+        cells = records([EventObjectRow("e1", "o1", "q,x", None, utc(0), 'typ"e')])
         assert records_to_csv(cells, EVENT_OBJECT_COLUMNS) == (
             "event,object,classifier,event_type,time,object_type\r\n"
             'e1,o1,"q,x",,2012-01-01T00:00:00.000Z,"typ""e"\r\n'
@@ -492,3 +511,43 @@ class TestRecords:
             '{"event": "e1", "object": "o1", "classifier": "q,x", "event_type": null, '
             '"time": "2012-01-01T00:00:00.000Z", "object_type": "typ\\"e"}\n'
         )
+
+
+class TestTimeKey:
+    """The analyses' reading of a time term (analyses._time_key): the
+    fixed-width UTC key of an xsd:dateTime literal, or None."""
+
+    def test_key_ordering(self):
+        early = analyses._time_key(TypedLiteral("2012-01-01T10:00:00.000Z", DT))
+        late = analyses._time_key(TypedLiteral("2012-01-01T11:00:00.000Z", DT))
+        assert early < late
+
+    def test_same_instant_different_zones_equal(self):
+        a = analyses._time_key(TypedLiteral("2012-01-01T10:00:00.000+01:00", DT))
+        b = analyses._time_key(TypedLiteral("2012-01-01T09:00:00.000Z", DT))
+        assert a == b == "2012-01-01T09:00:00.000000Z"
+
+    def test_string_literals_are_not_datetimes(self):
+        lexical = "2012-01-01T10:00:00.000Z"
+        assert analyses._time_key(PlainLiteral(lexical)) is None
+        assert analyses._time_key(TypedLiteral(lexical, Iri(XSD + "string"))) is None
+
+    def test_iri_is_not_a_datetime(self):
+        assert analyses._time_key(Iri("http://t/2012-01-01T10:00:00.000Z")) is None
+
+    def test_malformed_datetime_is_none(self):
+        for lexical in ("not a date", "2012-01-01T10:00:00.000", "2012-13-01T10:00:00.000Z"):
+            assert analyses._time_key(TypedLiteral(lexical, DT)) is None, lexical
+
+    @pytest.mark.parametrize(
+        "lexical", ["0001-01-01T00:30:00.000+01:00", "9999-12-31T23:30:00.000-01:00"]
+    )
+    def test_instant_outside_years_1_to_9999_in_utc_is_none(self, lexical):
+        assert analyses._time_key(TypedLiteral(lexical, DT)) is None
+
+    def test_extreme_instants_inside_the_range_keep_sub_millisecond_order(self):
+        first = analyses._time_key(TypedLiteral("0001-01-01T00:30:00.0001+00:30", DT))
+        second = analyses._time_key(TypedLiteral("0001-01-01T00:00:00.0002Z", DT))
+        last = analyses._time_key(TypedLiteral("9999-12-31T23:59:59.9999999Z", DT))
+        assert first < second < last
+        assert last == "9999-12-31T23:59:59.999999Z"

@@ -1,6 +1,7 @@
 """Property tests: hostile Turtle input ends in a result or one error line
 for every read command, every timestamp the tool writes reads back as the
-same instant, parse_instant agrees with its reference, sorting rendered
+same instant, parse_instant agrees with its reference, utc_key orders and
+prints every timestamp text as the instant parse_instant reads, sorting rendered
 rows as strings gives the order of sorting them as token tuples, the
 escaped-id rules in terms agree with the copies each module kept before,
 and the JSONL writer agrees with one json.dumps per record.
@@ -33,6 +34,7 @@ from oced_forge.timeutil import (  # noqa: E402
 
 from conftest import turtle_text  # noqa: E402
 from oracles import (  # noqa: E402
+    assert_utc_key_contract,
     reference_escape_id,
     reference_is_escaped_id,
     reference_parse_instant,
@@ -219,6 +221,43 @@ _instant_texts = st.tuples(
     _offset_texts,
     st.sampled_from(["", " ", "\n", "x"]),
 ).map("".join)
+
+
+@st.composite
+def _timestamp_texts(draw):
+    """An aware datetime written as a timestamp text: 0-9 fraction digits,
+    and a zone as Z, z, +HH:MM or +HHMM."""
+    moment = draw(st.datetimes(timezones=st.one_of(st.just(timezone.utc), _offsets)))
+    digits = draw(st.integers(0, 9))
+    fraction = (f"{moment.microsecond:06d}" + draw(st.text("0123456789", min_size=3, max_size=3)))[:digits]
+    minutes = moment.utcoffset() // timedelta(minutes=1)
+    sign, (hours, minutes) = "-" if minutes < 0 else "+", divmod(abs(minutes), 60)
+    zones = [f"{sign}{hours:02d}:{minutes:02d}", f"{sign}{hours:02d}{minutes:02d}"]
+    zone = draw(st.sampled_from(zones if hours or minutes else [*zones, "Z", "z"]))
+    return moment.replace(tzinfo=None).isoformat(timespec="seconds") + ("." + fraction if fraction else "") + zone
+
+
+# the form convert writes, with fields that may name no date or time
+_canonical_shaped = st.tuples(
+    st.sampled_from(["0000", "0001", "2011", "2012", "9999"]),
+    st.sampled_from(["00", "01", "02", "12", "13"]),
+    st.sampled_from(["00", "01", "28", "29", "30", "31", "32"]),
+    st.sampled_from(["00", "23", "24"]),
+    st.sampled_from(["00", "59", "60"]),
+    st.sampled_from(["00", "59", "60"]),
+    _number(3, 0, 999),
+).map(lambda fields: "{}-{}-{}T{}:{}:{}.{}Z".format(*fields))
+
+
+@example(texts=["0000-01-01T00:00:00.000Z", "2011-01-01T24:00:00.000Z", "2011-13-01T00:00:00.000Z"])
+@example(texts=["2011-02-30T00:00:00.000Z", "2012-02-29T23:59:59.999Z", "2012-03-01T00:59:59.9995+01:00"])
+@example(texts=["0001-01-01T00:30:00.0001+00:30", "0001-01-01T00:00:00.0002Z", "9999-12-31T23:59:59.9999999Z"])
+@example(texts=["9999-12-31T23:30:00.000-01:00", "0001-01-01T00:30:00.000+01:00", "٢٠١١-٠٥-٠٢T08:00:00.000Z"])
+@example(texts=["2012-01-01T10:00:00.000Z", "2012-01-01T11:00:00+01:00", "2012-01-01t10:00:00.000z"])
+@settings(max_examples=1000, derandomize=True, deadline=None)
+@given(texts=st.lists(st.one_of(_timestamp_texts(), _canonical_shaped, _instant_texts), min_size=1, max_size=4))
+def test_utc_key_orders_and_prints_as_the_instant(texts):
+    assert_utc_key_contract(texts)
 
 
 def _instant_outcome(parse, text):

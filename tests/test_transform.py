@@ -17,8 +17,8 @@ from oced_forge import (
 )
 from oced_forge.oced_model import TypedValue
 from oced_forge.terms import XSD_DATETIME, TypedLiteral
-from oced_forge.timeutil import has_utc_instant, parse_instant
-from oced_forge.triple_query import datetime_value
+from oced_forge.analyses import _time_key
+from oced_forge.timeutil import format_utc_millis, has_utc_instant, parse_instant
 
 from oracles import random_xes
 
@@ -164,8 +164,9 @@ class TestTransform:
         _, report = transform_log(parse_xes(doc.encode()))
         assert report.events_emitted == in_range
         assert [s.reason for s in report.events_skipped] == ([] if in_range else ["timestamp out of range"])
-        value = datetime_value(TypedLiteral(text, XSD_DATETIME))
-        assert value == (parse_instant(text) if in_range else None)
+        key = _time_key(TypedLiteral(text, XSD_DATETIME))
+        assert (key is not None) is in_range
+        assert key is None or key[:23] + "Z" == format_utc_millis(parse_instant(text))
 
     def test_passthrough_date_out_of_range_left_out_with_warning(self):
         doc = b"""<log xes.version="1.0"><trace>

@@ -16,7 +16,6 @@ from oced_forge import (
     graph_to_triples,
 )
 from oced_forge.oced_model import OcedEvent, OcedGraph, OcedObject
-from oced_forge.triple_query import datetime_value
 from oced_forge.terms import EX, EXT, OCEDO, XSD, XSD_INTEGER
 
 from oracles import BASE_TIME, as_bag, build_handoff_graph, nested_loop_bgp, nested_loop_optional
@@ -577,40 +576,3 @@ def _per_solution_optional(store, required, groups):
                 extended.append(solution)
         solutions = extended
     return solutions
-
-
-class TestDatetimeValue:
-    def test_datetime_ordering(self):
-        early = datetime_value(TypedLiteral("2012-01-01T10:00:00.000Z", DT))
-        late = datetime_value(TypedLiteral("2012-01-01T11:00:00.000Z", DT))
-        assert early < late
-
-    def test_same_instant_different_zones_equal(self):
-        a = datetime_value(TypedLiteral("2012-01-01T10:00:00.000+01:00", DT))
-        b = datetime_value(TypedLiteral("2012-01-01T09:00:00.000Z", DT))
-        assert a == b == datetime(2012, 1, 1, 9, tzinfo=timezone.utc)
-
-    def test_string_literals_are_not_datetimes(self):
-        lexical = "2012-01-01T10:00:00.000Z"
-        assert datetime_value(PlainLiteral(lexical)) is None
-        assert datetime_value(TypedLiteral(lexical, Iri(XSD + "string"))) is None
-
-    def test_iri_is_not_a_datetime(self):
-        assert datetime_value(iri("2012-01-01T10:00:00.000Z")) is None
-
-    def test_malformed_datetime_is_none(self):
-        for lexical in ("not a date", "2012-01-01T10:00:00.000", "2012-13-01T10:00:00.000Z"):
-            assert datetime_value(TypedLiteral(lexical, DT)) is None, lexical
-
-    @pytest.mark.parametrize(
-        "lexical", ["0001-01-01T00:30:00.000+01:00", "9999-12-31T23:30:00.000-01:00"]
-    )
-    def test_instant_outside_years_1_to_9999_in_utc_is_none(self, lexical):
-        assert datetime_value(TypedLiteral(lexical, DT)) is None
-
-    def test_extreme_instants_inside_the_range_keep_sub_millisecond_order(self):
-        first = datetime_value(TypedLiteral("0001-01-01T00:30:00.0001+00:30", DT))
-        second = datetime_value(TypedLiteral("0001-01-01T00:00:00.0002Z", DT))
-        last = datetime_value(TypedLiteral("9999-12-31T23:59:59.9999999Z", DT))
-        assert first < second < last
-        assert last.microsecond == 999999
