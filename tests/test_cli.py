@@ -211,6 +211,7 @@ class TestConvert:
         "fields",
         [
             {"object_rules": 5},
+            {"object_rules": None},
             {"case_object_type": 5},
             {"attribute_passthrough": 7},
             {"event_type_keys": "concept:name"},
@@ -231,16 +232,6 @@ class TestConvert:
         assert code == 2
         assert out == ""
         assert err.startswith("oced-forge: ") and err.count("\n") == 1, err
-
-    def test_null_object_rules_exit_2_rather_than_take_the_default(self, bpic_xes_path, tmp_path, capsys):
-        """null is not an absent key: it reaches validate(), as null does
-        for event_type_keys and attribute_passthrough."""
-        config = tmp_path / "map.json"
-        config.write_text(json.dumps({"config_version": 1, "object_rules": None}))
-        out_path = tmp_path / "out.ttl"
-        code, out, err = run(["convert", str(bpic_xes_path), "--config", str(config), "-o", str(out_path)], capsys)
-        assert (code, out, err) == (2, "", "oced-forge: object_rules must be a list, got None\n")
-        assert not out_path.exists()
 
     def test_config_not_utf8_exits_2(self, bpic_xes_path, tmp_path, capsys):
         config = tmp_path / "map.json"
