@@ -14,13 +14,12 @@ witnessing triples as a secondary metric.
 
 Each analysis returns named tuples, so its schema is declared once: the
 row type's fields are the output columns (the *_COLUMNS) and its values the
-output cells, which records_to_csv and records_to_jsonl write in that order.
-A cell read from a term holds the term's text, its field 0 (see terms), and
-None when the variable is unbound.  A time stays text (late
-materialization): timeutil.utc_key keys each distinct time literal once,
-the analyses sort and compare the fixed-width keys, and a time cell is its
-key cut to milliseconds.  The analyses read join rows (see triple_query),
-and records_to_jsonl encodes each distinct cell of a column once.
+cells records_to_csv and records_to_jsonl write, in that order.  A cell read
+from a term holds the term's text, its field 0 (see terms), and None when
+the variable is unbound.  Times stay text (late materialization):
+timeutil.utc_key keys each distinct time literal once, the analyses sort
+and compare the fixed-width keys, and a time cell is its key cut to
+milliseconds, the literal itself when canonical.
 """
 
 import csv
@@ -220,7 +219,8 @@ def enumerate_event_objects(store: TripleStore) -> list[EventObjectRow]:
     for _, event, obj, classifier, event_type, time, object_type in solutions:
         if time not in times:
             key = _time_key(time)
-            times[time] = key and key[:23] + "Z"
+            cell = key and key[:23] + "Z"
+            times[time] = time[0] if cell == time[0] else cell  # no copy of a canonical literal
         rows.append(
             EventObjectRow(
                 event[0],
