@@ -1,6 +1,6 @@
 """Timestamp handling shared by the XES parser, Turtle serializer, and analyses.
 
-All timestamps in this package are timezone-aware datetimes.  XES keeps the
+The write side holds timestamps as timezone-aware datetimes.  XES keeps the
 zone offset found in the source document; everything downstream of the
 XES-to-OCED transform is normalized to UTC at millisecond precision so that
 temporal comparisons are total and zone-independent.
