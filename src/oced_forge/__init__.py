@@ -46,7 +46,8 @@ _MODULES = {
         "transform_log",
     ),
     "triple_query": ("TriplePattern", "TripleStore", "Var"),
-    "turtle_io": ("graph_to_triples", "graph_to_turtle", "parse_turtle", "write_turtle"),
+    "turtle_io": ("graph_to_triples", "graph_to_turtle", "write_turtle"),
+    "turtle_parser": ("parse_turtle",),
     "xes_parser": ("XesLog", "XesTrace", "parse_xes"),
 }
 _HOME = {name: module for module, names in _MODULES.items() for name in names}

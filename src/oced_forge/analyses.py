@@ -14,7 +14,8 @@ witnessing triples as a secondary metric.
 
 Each analysis returns named tuples, so its schema is declared once: the
 row type's fields are the output columns (the *_COLUMNS) and its values the
-cells records_to_csv and records_to_jsonl write, in that order.  A cell read
+cells records_to_csv and records_to_jsonl write, in that order; each imports
+csv or json, its format's module, only when called.  A cell read
 from a term holds the term's text, its field 0 (see terms), and None when
 the variable is unbound.  Times stay text (late materialization):
 timeutil.utc_key keys each distinct time literal once, the analyses sort
@@ -22,16 +23,14 @@ and compare the fixed-width keys, and a time cell is its key cut to
 milliseconds, the literal itself when canonical.
 """
 
-import csv
 import io
-import json
-import logging
 from bisect import bisect_left, bisect_right
 from collections.abc import Iterator
 from itertools import repeat
 from operator import itemgetter
 from typing import NamedTuple
 
+from .errors import warn
 from .terms import (
     EXT_CLASSIFIER,
     EXT_EVENT,
@@ -49,8 +48,6 @@ from .terms import (
 )
 from .timeutil import utc_key
 from .triple_query import Rows, TriplePattern, TripleStore, Var
-
-log = logging.getLogger(__name__)
 
 
 class EventObjectRow(NamedTuple):
@@ -212,7 +209,7 @@ def enumerate_event_objects(store: TripleStore) -> list[EventObjectRow]:
         with_event = {sol["node"] for sol in store.match_pattern(_HAS_EVENT)}
         for n in skipped:
             lacks = "ext:object" if n in with_event else "ext:event"
-            log.warning("EventObject %s lacks %s; skipped", n[0], lacks)
+            warn(__name__, "EventObject %s lacks %s; skipped", n[0], lacks)
 
     rows = []
     times = {None: None}  # each distinct literal keyed once; an event has a row per object
@@ -258,6 +255,8 @@ def _cell(value) -> str:
 def records_to_csv(records: list[tuple], columns: tuple[str, ...]) -> str:
     """RFC 4180 CSV (CRLF line endings) with a header row; each record's
     cells are in column order."""
+    import csv  # each format loads only its own module
+
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\r\n")
     writer.writerow(columns)
@@ -272,6 +271,8 @@ def records_to_jsonl(records: list[tuple], columns: tuple[str, ...]) -> str:
     memo is keyed on the cell's type as well as its value, because True ==
     1 and False == 0 print differently.  Cells are what records gives:
     str, int, bool or None."""
+    import json
+
     encode = json.JSONEncoder(ensure_ascii=False).encode
     heads = [("{" if i == 0 else ", ") + encode(column) + ": " for i, column in enumerate(columns)]
     texts = []

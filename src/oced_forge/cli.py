@@ -5,39 +5,43 @@ event-objects / teams as CSV or JSONL), stats (XES or Turtle counts), and
 export-dot (Turtle -> Graphviz DOT).  Data goes to stdout or --output;
 diagnostics go to stderr, so output is pipe-safe and byte-deterministic.
 
-Each command loads only the modules of its own path.  convert loads the
-XES reader, the graph model, the transform and the Turtle writer (json only
-with --config), and no triple store, analyses or csv.  The read commands
-load the Turtle reader and the triple store; analyze also the analyses
-(with csv and json), and export-dot the DOT writer, which uses the
-analyses' join rows.  Turtle stats loads no analyses.  An input
-is read whole and inflated once when it is gzip (_read_input); the XES
-reader is then given the XML as it is.  analyze loads Turtle with a keep
-rule made of the IRI predicates of the patterns its query looks up (see
-_keep_rule).  stats keeps every triple, because it counts them, and so does
-export-dot, which reads or would keep every predicate convert writes (see
-dot_export).  The cyclic GC is off during every command.
+Each command loads only what it runs.  convert loads the XES reader, the
+graph model, the transform and the Turtle writer (json only with --config),
+and no Turtle reader, triple store, analyses or csv.  The read commands load
+the Turtle reader (turtle_parser) and the triple store, and no writer
+module; analyze also the analyses, with csv or json for its --format only,
+and export-dot the DOT writer and turtle_io's render_term.  Turtle stats
+loads no analyses.  logging is loaded, and set up, at the first warning
+(errors.warn).  An input is read whole and inflated once when it is gzip
+(_read_input); the XES reader is then given the XML as it is.  analyze
+loads Turtle with a keep rule made of the IRI predicates of the patterns
+its query looks up (see _keep_rule).  stats keeps every triple, because it
+counts them, and so does export-dot, which reads or would keep every
+predicate convert writes (see dot_export).  The cyclic GC is off during
+every command.
 
 Exit codes: 0 success (also with skipped-event warnings), 2 unreadable or
 invalid input file (a bad gzip stream or config encoding too) or input that
 cannot be converted (colliding ids), 3 parse error (XML or Turtle, with
 location, and XES nested deeper than the reader's limit), 64 usage error,
-65 unrecognized input format for stats.  convert writes its Turtle through
-graph_to_turtle, which renders and sorts every row before it opens
---output, so a failed convert leaves that file alone.
+65 unrecognized input format for stats, 130 interrupted (SIGINT), 141
+stdout closed by its reader (the rest of the output is dropped, as after
+SIGPIPE).  convert writes its Turtle through graph_to_turtle, which renders
+and sorts every row before it opens --output, so a failed convert leaves
+that file alone.
 """
 
 import argparse
 import gc
 import gzip
-import logging
 import os
 import sys
 import zlib
 from collections.abc import Callable
 from typing import TYPE_CHECKING
 
-from .errors import OcedForgeError, TurtleSyntaxError, XesParseError, XesStructureError
+from . import errors
+from .errors import OcedForgeError, TurtleSyntaxError, XesParseError, XesStructureError, warn
 from .terms import (
     EXT_EVENT_CASE,
     EXT_EVENT_OBJECT_CLASS,
@@ -57,6 +61,8 @@ EXIT_UNREADABLE = 2
 EXIT_PARSE = 3
 EXIT_USAGE = 64
 EXIT_BAD_FORMAT = 65
+EXIT_INTERRUPTED = 130  # 128 + SIGINT
+EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE
 
 _ANALYSES = ("ping-pong", "event-objects", "teams")
 
@@ -85,7 +91,8 @@ def build_parser() -> argparse.ArgumentParser:
         description="Convert XES event logs to object-centric event data in Turtle "
         "and run object-centric analyses over them.",
         epilog="exit codes: 0 ok, 2 unreadable or unconvertible input, 3 parse error (also XES "
-        "with more than 1000 elements open at once), 64 usage, 65 unrecognized format. "
+        "with more than 1000 elements open at once), 64 usage, 65 unrecognized format, 130 "
+        "interrupted, 141 stdout closed by its reader (the rest of the output is dropped). "
         "Warnings go to stderr; OCED_FORGE_LOG=error silences them.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
@@ -150,7 +157,7 @@ def _keep_rule(patterns: list["TriplePattern"]) -> Callable[[Iri], bool]:
 
 def _parse_store(text: str, keep: Callable[[Iri], bool] | None = None) -> "TripleStore":
     """A frozen store of the text's triples (see parse_turtle's keep)."""
-    from .turtle_io import parse_turtle
+    from .turtle_parser import parse_turtle
 
     return parse_turtle(text, keep).freeze()
 
@@ -170,7 +177,7 @@ def _parse_xes_logged(data: bytes) -> "XesLog":
 
     log = parse_xes_xml(data)
     for warning in log.warnings:
-        logging.getLogger("oced_forge.xes_parser").warning("%s", warning)
+        warn("oced_forge.xes_parser", "%s", warning)
     return log
 
 
@@ -195,12 +202,8 @@ def cmd_convert(args) -> int:
             f"{triples} triples, {len(report.warnings) + log_warnings} warnings",
             file=sys.stderr,
         )
-        for skipped in report.events_skipped:
-            print(
-                f"  skipped trace {skipped.trace_index} event {skipped.event_index}: "
-                f"{skipped.reason}",
-                file=sys.stderr,
-            )
+        for trace_index, event_index, reason in report.events_skipped:
+            print(f"  skipped trace {trace_index} event {event_index}: {reason}", file=sys.stderr)
     return EXIT_OK
 
 
@@ -286,17 +289,14 @@ def cmd_export_dot(args) -> int:
 
 
 def _configure_logging():
-    name = os.environ.get("OCED_FORGE_LOG", "WARNING").upper()
-    level = getattr(logging, name, None)
-    if not isinstance(level, int):
-        level = logging.WARNING
-    logging.basicConfig(
-        level=level, stream=sys.stderr, format="%(levelname)s %(name)s: %(message)s"
-    )
+    import logging
+
+    level = getattr(logging, os.environ.get("OCED_FORGE_LOG", "WARNING").upper(), None)
+    level = level if isinstance(level, int) else logging.WARNING  # an unknown name too
+    logging.basicConfig(level=level, stream=sys.stderr, format="%(levelname)s %(name)s: %(message)s")
 
 
 def main(argv=None) -> int:
-    _configure_logging()
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
@@ -306,15 +306,24 @@ def main(argv=None) -> int:
     # collecting: the cyclic GC would only walk them all again, once per pass
     enabled = gc.isenabled()
     gc.disable()
+    errors.on_first_warning.append(_configure_logging)  # so logging loads only to warn
     try:
         return args.func(args)
     except (XesParseError, XesStructureError, TurtleSyntaxError) as exc:
         print(f"oced-forge: {exc}", file=sys.stderr)
         return EXIT_PARSE
+    except BrokenPipeError:
+        # the reader closed stdout: drop what is left, as Python's SIGPIPE note shows
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_BROKEN_PIPE
     except (OSError, OcedForgeError) as exc:
         print(f"oced-forge: {exc}", file=sys.stderr)
         return EXIT_UNREADABLE
+    except KeyboardInterrupt:
+        print("oced-forge: interrupted", file=sys.stderr)
+        return EXIT_INTERRUPTED
     finally:
+        errors.on_first_warning.clear()
         if enabled:
             gc.enable()
 

@@ -24,11 +24,12 @@ from .terms import (
     OBSERVED_AT,
     Iri,
     PlainLiteral,
+    _Memo,
     object_object_triples,
     unescape_id,
 )
 from .triple_query import TripleStore
-from .turtle_io import _Memo, render_term
+from .turtle_io import render_term
 
 
 def _dot_quote(text: str) -> str:

@@ -1,4 +1,15 @@
-"""Exception hierarchy for oced-forge."""
+"""Exception hierarchy for oced-forge, and warn, the one way it logs: a
+warning on logging.getLogger(<module name>), with logging imported only then."""
+
+on_first_warning: list = []  # each called once, before the first warning (the CLI's set-up)
+
+
+def warn(logger: str, message: str, *args):
+    import logging
+
+    while on_first_warning:
+        on_first_warning.pop()()
+    logging.getLogger(logger).warning(message, *args)
 
 
 class OcedForgeError(Exception):

@@ -29,6 +29,19 @@ BAD_PERCENT_RE = re.compile(r"%(?![0-9A-Fa-f]{2})")
 # repeated group instead of a class would keep engine state per character.
 _ESCAPED_ID_RE = re.compile(f"[{re.escape(_SAFE)}%]+")
 _ESCAPE_RUN_RE = re.compile(r"%[%0-9A-Fa-f]*?(?<=%[0-9A-Fa-f]{2})(?!%)")
+# what an IRI may not hold: RDF 1.1 Turtle's IRIREF, checked by reader and writer
+_BAD_IRI_CHARS = re.compile(r'[\x00-\x20<>"{}|^`\\]')
+
+
+class _Memo(dict):
+    """fn(key), computed once per distinct key."""
+
+    def __init__(self, fn):
+        self.fn = fn
+
+    def __missing__(self, key):
+        value = self[key] = self.fn(key)
+        return value
 
 
 class _EscapeTable(dict):

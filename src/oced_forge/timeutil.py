@@ -51,7 +51,10 @@ def parse_instant(text: str) -> datetime:
 
 
 def to_utc_millis(dt: datetime) -> datetime:
-    """Normalize an aware datetime to UTC, truncated to millisecond precision."""
+    """Normalize an aware datetime to UTC, truncated to millisecond precision;
+    one that already is comes back as it is."""
+    if dt.tzinfo is timezone.utc and not dt.microsecond % 1000:
+        return dt
     if dt.tzinfo is None:
         raise ValueError("naive datetime; a zone offset is required")
     dt = dt.astimezone(timezone.utc)
@@ -90,9 +93,7 @@ def utc_key(text: str) -> str | None:
         if _CANONICAL_RE.fullmatch(text):
             datetime.fromisoformat(text[:23])  # without the 'Z', which Python 3.10 rejects
             return text[:23] + "000Z"
-        instant = parse_instant(text)
-    except ValueError:
+        instant = parse_instant(text).astimezone(timezone.utc)
+    except (ValueError, OverflowError):  # OverflowError: has_utc_instant is False
         return None
-    if not has_utc_instant(instant):
-        return None
-    return instant.astimezone(timezone.utc).isoformat(timespec="microseconds")[:-6] + "Z"
+    return instant.isoformat(timespec="microseconds")[:-6] + "Z"

@@ -10,17 +10,14 @@ Configurations are loadable from JSON files carrying config_version 1; see
 README for the schema.
 """
 
-import logging
 from types import SimpleNamespace
 from typing import NamedTuple
 
-from .errors import ConfigError, GraphIntegrityError
+from .errors import ConfigError, GraphIntegrityError, warn
 from .oced_model import OcedEvent, OcedGraph, OcedObject, TypedValue
 from .terms import EXT, EXT_FIXED_PREDICATES, Iri, escape_id
-from .timeutil import has_utc_instant
+from .timeutil import has_utc_instant, to_utc_millis
 from .xes_parser import XesLog, _attribute_text
-
-log = logging.getLogger(__name__)
 
 CONFIG_VERSION = 1
 
@@ -185,12 +182,8 @@ def derive_event_type(event: dict[str, TypedValue], config: MappingConfig) -> st
     """Join the values at event_type_keys with '+', skipping absent keys;
     'unknown' when that gives the empty string (every key absent, or the
     only value present empty)."""
-    parts = []
-    for key in config.event_type_keys:
-        attr = event.get(key)
-        if attr is not None:
-            parts.append(_attribute_text(attr))
-    return "+".join(parts) or "unknown"
+    attrs = (event.get(key) for key in config.event_type_keys)
+    return "+".join(_attribute_text(attr) for attr in attrs if attr is not None) or "unknown"
 
 
 def trace_case_ids(log_: XesLog, config: MappingConfig) -> list[tuple[str, str]]:
@@ -245,7 +238,9 @@ def transform_log(log_: XesLog, config: MappingConfig | None = None) -> tuple[Oc
             if ts.kind != "date":
                 report.events_skipped.append(SkippedEvent(ti, ei, "timestamp not a date"))
                 continue
-            if not has_utc_instant(ts.value):
+            try:
+                observed_at = to_utc_millis(ts.value)  # normalized once: OcedEvent keeps it as it is
+            except OverflowError:
                 report.events_skipped.append(SkippedEvent(ti, ei, "timestamp out of range"))
                 continue
             attributes = {}
@@ -258,7 +253,7 @@ def transform_log(log_: XesLog, config: MappingConfig | None = None) -> tuple[Oc
                     dates_out_of_range.append(key)
                     continue
                 attributes[key] = attr
-            oced_event = OcedEvent(f"e{ordinal}", derive_event_type(event, config), ts.value, attributes)
+            oced_event = OcedEvent(f"e{ordinal}", derive_event_type(event, config), observed_at, attributes)
             for key in dates_out_of_range:
                 report.warnings.append(
                     f"trace {ti} event {ei}: date attribute {key!r} has no UTC instant "
@@ -300,5 +295,5 @@ def transform_log(log_: XesLog, config: MappingConfig | None = None) -> tuple[Oc
                     graph.relate_objects(case_id, object_id, rule.oo_qualifier)
 
     for warning in report.warnings:
-        log.warning("%s", warning)
+        warn(__name__, "%s", warning)
     return graph, report

@@ -142,7 +142,7 @@ class _Reader:
                 raw = attrs.get("value")
                 if not key or raw is None:
                     self._attribute(tag, attrs)  # raises the missing part's error
-                value = TypedValue(tag, raw if tag == "string" else parse_value(tag, key, raw))
+                value = tuple.__new__(TypedValue, (tag, raw if tag == "string" else parse_value(tag, key, raw)))
                 if key in self.event:
                     stack.append(XesStructureError(f"duplicate key {key!r} in event"))
                 else:

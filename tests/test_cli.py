@@ -1,7 +1,11 @@
+import errno
 import gzip
 import json
+import os
+import signal
 import subprocess
 import sys
+import time
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -893,3 +897,92 @@ class TestDiagnostics:
         assert b"lacks ext:object" in result.stderr
         # data on stdout stays clean: header only
         assert result.stdout == b"event,object,classifier,event_type,time,object_type\r\n"
+
+    @pytest.mark.parametrize(
+        "level, shown",
+        [("error", False), ("critical", False), ("Critical", False), ("debug", True), ("info", True)]
+        + [("warning", True), ("loud", True), (None, True)],
+    )
+    def test_oced_forge_log_rule_holds_with_logging_set_up_at_the_first_warning(self, level, shown):
+        """Nothing is logged below WARNING, so every level up to it, an
+        unknown one and none print the default lines; ERROR and CRITICAL
+        silence them."""
+        golden = Path(__file__).parent / "golden"
+        result = subprocess.run(
+            [sys.executable, "-m", "oced_forge", "convert", str(golden / "hostile.xes")]
+            + ["--config", str(golden / "hostile.config.json")],
+            env=cli_env() if level is None else cli_env(OCED_FORGE_LOG=level),
+            capture_output=True,
+        )
+        assert result.returncode == 0
+        default = (golden / "hostile.convert.stderr").read_bytes()
+        silenced = b"".join(line for line in default.splitlines(True) if not line.startswith(b"WARNING "))
+        assert silenced != default
+        assert result.stderr == (default if shown else silenced)
+        assert result.stdout == (golden / "hostile.convert.stdout").read_bytes()
+
+
+@pytest.fixture(scope="module")
+def bench_log(tmp_path_factory) -> dict[str, Path]:
+    """The benchmark's seeded log at 60 cases as XES and as Turtle; every
+    command's output on it is several times a pipe's 64 KiB buffer."""
+    bench = Path(__file__).resolve().parents[1] / "bench"
+    with pytest.MonkeyPatch.context() as patch:
+        patch.syspath_prepend(str(bench))
+        from loggen import generate, to_xes
+
+        xes = to_xes(generate(1, 60)).encode()
+    directory = tmp_path_factory.mktemp("bench_log")
+    paths = {"xes": directory / "log.xes", "ttl": directory / "log.ttl"}
+    paths["xes"].write_bytes(xes)
+    graph, _ = transform_log(parse_xes(xes))
+    paths["ttl"].write_text(write_turtle(graph_to_triples(graph)), "utf-8")
+    return paths
+
+
+class TestProcessFailures:
+    """Failures that come from outside the input end in a documented code,
+    with no traceback.  Each test acts only on the child process it starts."""
+
+    @pytest.mark.parametrize(
+        "command",
+        [["convert", "xes"], ["analyze", "ttl", "--analysis", "event-objects"], ["export-dot", "ttl"]],
+        ids=lambda command: command[0],
+    )
+    def test_a_reader_that_closes_stdout_early_gets_exit_141(self, command, bench_log):
+        argv = [sys.executable, "-m", "oced_forge", command[0], str(bench_log[command[1]]), *command[2:]]
+        with subprocess.Popen(argv, env=cli_env(), stdout=subprocess.PIPE, stderr=subprocess.PIPE) as child:
+            assert child.stdout.readline()
+            child.stdout.close()  # the output left is bigger than the pipe's buffer
+            stderr = child.stderr.read()
+        assert (child.returncode, stderr) == (141, b"")
+
+    def test_sigint_prints_one_line_and_exits_130(self, tmp_path):
+        fifo = tmp_path / "input.xes"
+        os.mkfifo(fifo)
+        with subprocess.Popen(
+            [sys.executable, "-m", "oced_forge", "convert", str(fifo)],
+            env=cli_env(),
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            # a shell that runs the tests in the background passes SIGINT on ignored
+            preexec_fn=lambda: signal.signal(signal.SIGINT, signal.SIG_DFL),
+        ) as child:
+            writer = None
+            try:
+                # the FIFO opens for writing once convert opens it to read its
+                # input, so the signal reaches the command while it runs
+                deadline = time.monotonic() + 60
+                while writer is None:
+                    try:
+                        writer = os.open(fifo, os.O_WRONLY | os.O_NONBLOCK)
+                    except OSError as exc:
+                        assert exc.errno == errno.ENXIO and child.poll() is None and time.monotonic() < deadline
+                        time.sleep(0.01)
+                child.send_signal(signal.SIGINT)
+                stdout, stderr = child.communicate(timeout=60)
+            finally:
+                if writer is not None:
+                    os.close(writer)
+                child.kill()
+        assert (child.returncode, stdout, stderr) == (130, b"", b"oced-forge: interrupted\n")

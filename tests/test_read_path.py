@@ -1,11 +1,12 @@
-"""Each command loads only its own path: the read commands (analyze,
-Turtle stats, export-dot) load no module of the write path, convert and XES
-stats none of the read path, and no command loads dataclasses.  analyze
-loads only the triples of the predicates its query looks up.  A
-kept-predicate load must give every query the same answer as a full load.
-stats and export-dot keep every triple: stats counts them, and every
-predicate convert writes is one export-dot reads or a keep rule for it
-would keep."""
+"""Each command loads only what it runs: the read commands (analyze,
+Turtle stats, export-dot) load no module of the write path (export-dot only
+the writer's render_term), convert and XES stats none of the read path,
+analyze only the csv or json module of its format, no command dataclasses,
+and a run logging no warning no logging.  analyze loads only the triples
+of the predicates its query looks up.  A kept-predicate load must give
+every query the same answer as a full load.  stats and export-dot keep
+every triple: stats counts them, and every predicate convert writes is one
+export-dot reads or a keep rule for it would keep."""
 
 import gc
 import subprocess
@@ -14,7 +15,7 @@ from pathlib import Path
 
 import pytest
 
-from oced_forge import cli, parse_turtle, parse_xes, transform_log, turtle_io
+from oced_forge import cli, parse_turtle, parse_xes, transform_log, turtle_io, turtle_parser
 from oced_forge.analyses import records
 from oced_forge.triple_query import TripleStore, Var
 from oced_forge.turtle_io import _TurtleParser
@@ -114,14 +115,14 @@ def test_keep_is_called_once_per_distinct_predicate(bench_turtle):
 @pytest.fixture
 def rules(monkeypatch) -> list:
     """The keep rule of each parse_turtle call the CLI makes."""
-    rules, parse = [], turtle_io.parse_turtle
+    rules, parse = [], turtle_parser.parse_turtle
 
     def parse_recording_keep(text, keep=None):
         rules.append(keep)
         return parse(text, keep)
 
-    # the CLI looks parse_turtle up in turtle_io when it loads a store
-    monkeypatch.setattr(turtle_io, "parse_turtle", parse_recording_keep)
+    # the CLI looks parse_turtle up in turtle_parser when it loads a store
+    monkeypatch.setattr(turtle_parser, "parse_turtle", parse_recording_keep)
     return rules
 
 
@@ -213,17 +214,29 @@ except SystemExit as exit:
     assert exit.code == 0, exit.code
 print(" ".join(sorted(sys.modules)))
 """
-_WRITE_PATH = {"oced_forge.xes_parser", "oced_forge.transform", "oced_forge.oced_model"}
-# what convert runs none of: the read path, and json without --config
-_READ_PATH = {"oced_forge.analyses", "oced_forge.triple_query", "oced_forge.dot_export", "csv", "json"}
+# what only convert runs: the XES path and the Turtle writer
+_WRITE_PATH = {"oced_forge.xes_parser", "oced_forge.transform", "oced_forge.oced_model", "oced_forge.turtle_io"}
+# what convert runs none of: the read path, json without --config, and
+# logging with no warning to print
+_READ_PATH = {
+    "oced_forge.turtle_parser",
+    "oced_forge.analyses",
+    "oced_forge.triple_query",
+    "oced_forge.dot_export",
+    "csv",
+    "json",
+    "logging",
+}
 
 
 def _loaded(*argv) -> set[str]:
-    result = subprocess.run(
-        [sys.executable, "-c", _LOADED, *argv], env=cli_env(), capture_output=True, text=True
-    )
+    return _loaded_and_stderr(*argv)[0]
+
+
+def _loaded_and_stderr(*argv) -> tuple[set[str], bytes]:
+    result = subprocess.run([sys.executable, "-c", _LOADED, *argv], env=cli_env(), capture_output=True)
     assert result.returncode == 0, result.stderr
-    return set(result.stdout.split())
+    return set(result.stdout.decode().split()), result.stderr
 
 
 @pytest.mark.parametrize(
@@ -232,22 +245,28 @@ def _loaded(*argv) -> set[str]:
         ["analyze", "--analysis", "ping-pong"],
         ["analyze", "--analysis", "teams"],
         ["analyze", "--analysis", "event-objects"],
+        ["analyze", "--analysis", "event-objects", "--format", "jsonl"],
         ["stats"],
         ["export-dot"],
     ],
-    ids=lambda command: command[-1],
+    ids=lambda command: "-".join(command[2::2]) or command[0],
 )
 def test_read_commands_load_no_write_path_module(command, tmp_path):
     path = tmp_path / "fixture.ttl"
     path.write_text(_fixture_turtle(), "utf-8")
     loaded = _loaded(command[0], str(path), *command[1:], "--output", str(tmp_path / "out"))
     assert "oced_forge.cli" in loaded
-    assert loaded & _WRITE_PATH == set()
+    # export-dot renders its terms with the writer's render_term
+    assert loaded & _WRITE_PATH == ({"oced_forge.turtle_io"} if command == ["export-dot"] else set())
     assert "dataclasses" not in loaded
     assert ("oced_forge.dot_export" in loaded) == (command == ["export-dot"])
     # Turtle stats counts triples with no query
     assert ("oced_forge.analyses" in loaded) == (command != ["stats"])
-    assert "oced_forge.triple_query" in loaded
+    assert {"oced_forge.turtle_parser", "oced_forge.triple_query"} <= loaded
+    # each analyze format loads only its own module, and no warning loads logging
+    jsonl = command[-1] == "jsonl"
+    assert ("csv" in loaded, "json" in loaded) == (command[0] == "analyze" and not jsonl, jsonl)
+    assert "logging" not in loaded
     assert (tmp_path / "out").stat().st_size > 0
 
 
@@ -264,3 +283,17 @@ def test_xes_stats_loads_no_query_module(bpic_xes_path, tmp_path):
     assert loaded >= {"oced_forge.xes_parser", "oced_forge.transform"}
     assert loaded & {*_READ_PATH, "oced_forge.turtle_io", "dataclasses"} == set()
     assert (tmp_path / "out").read_text().startswith("format  xes\n")
+
+
+@pytest.mark.parametrize("golden", ["hostile.convert", "hostile.event-objects.csv"])
+def test_a_run_that_warns_loads_logging_and_prints_the_golden_stderr(golden, tmp_path):
+    """The check above can fail too: logging is loaded at the first warning,
+    and the lines it prints are the ones logging set up at start printed."""
+    if golden == "hostile.convert":
+        argv = ["convert", str(GOLDEN / "hostile.xes"), "--config", str(GOLDEN / "hostile.config.json")]
+    else:
+        argv = ["analyze", str(GOLDEN / "hostile.ttl"), "--analysis", "event-objects"]
+    loaded, stderr = _loaded_and_stderr(*argv, "--output", str(tmp_path / "out"))
+    assert "logging" in loaded
+    assert stderr == (GOLDEN / f"{golden}.stderr").read_bytes()
+    assert (tmp_path / "out").read_bytes() == (GOLDEN / f"{golden}.stdout").read_bytes()
