@@ -24,11 +24,14 @@ Exit codes: 0 success (also with skipped-event warnings), 2 unreadable or
 invalid input file (a bad gzip stream or config encoding too) or input that
 cannot be converted (colliding ids), 3 parse error (XML or Turtle, with
 location, and XES nested deeper than the reader's limit), 64 usage error,
-65 unrecognized input format for stats, 130 interrupted (SIGINT), 141
+65 unrecognized input format for stats, 71 out of memory (one line naming
+the command), 74 output not written (its open, write or flush failed: a
+full disk, or a missing --output directory), 130 interrupted (SIGINT), 141
 stdout closed by its reader (the rest of the output is dropped, as after
-SIGPIPE).  convert writes its Turtle through graph_to_turtle, which renders
-and sorts every row before it opens --output, so a failed convert leaves
-that file alone.
+SIGPIPE).  64, 65, 71 and 74 are the sysexits codes EX_USAGE, EX_DATAERR,
+EX_OSERR and EX_IOERR.  convert writes its Turtle through graph_to_turtle,
+which renders and sorts every row before it opens --output, so a failed
+convert leaves that file alone.
 """
 
 import argparse
@@ -61,6 +64,8 @@ EXIT_UNREADABLE = 2
 EXIT_PARSE = 3
 EXIT_USAGE = 64
 EXIT_BAD_FORMAT = 65
+EXIT_NO_MEMORY = 71  # sysexits EX_OSERR
+EXIT_OUTPUT = 74  # sysexits EX_IOERR
 EXIT_INTERRUPTED = 130  # 128 + SIGINT
 EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE
 
@@ -91,8 +96,9 @@ def build_parser() -> argparse.ArgumentParser:
         description="Convert XES event logs to object-centric event data in Turtle "
         "and run object-centric analyses over them.",
         epilog="exit codes: 0 ok, 2 unreadable or unconvertible input, 3 parse error (also XES "
-        "with more than 1000 elements open at once), 64 usage, 65 unrecognized format, 130 "
-        "interrupted, 141 stdout closed by its reader (the rest of the output is dropped). "
+        "with more than 1000 elements open at once), 64 usage, 65 unrecognized format, 71 out of "
+        "memory, 74 output not written (its open, write or flush failed), 130 interrupted, 141 "
+        "stdout closed by its reader (the rest of the output is dropped). "
         "Warnings go to stderr; OCED_FORGE_LOG=error silences them.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
@@ -140,13 +146,42 @@ def _read_input(path: str) -> bytes:
     return data
 
 
+class _OutputError(Exception):
+    """A failed open, write or flush of a command's output."""
+
+
+def _drop_stdout():
+    """Point stdout at the null device, so that what it still buffers is
+    dropped instead of failing again at exit (Python's SIGPIPE note)."""
+    os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+
+
+class _Output:
+    """A command's output step, to stdout or to the file at path: an OSError
+    raised in it, other than a closed stdout (BrokenPipeError, which main
+    handles), is an _OutputError."""
+
+    def __init__(self, path: str | None):
+        self.to_stdout = path is None or path == "-"
+
+    def __enter__(self) -> bool:
+        return self.to_stdout
+
+    def __exit__(self, kind, exc, traceback):
+        if isinstance(exc, OSError) and not isinstance(exc, BrokenPipeError):
+            if self.to_stdout:
+                _drop_stdout()
+            raise _OutputError(exc) from None
+
+
 def _write_text(path: str | None, text: str):
-    if path is None or path == "-":
-        sys.stdout.write(text)
-        sys.stdout.flush()
-    else:
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+    with _Output(path) as to_stdout:
+        if to_stdout:
+            sys.stdout.write(text)
+            sys.stdout.flush()
+        else:
+            with open(path, "w", encoding="utf-8", newline="") as fh:
+                fh.write(text)
 
 
 def _keep_rule(patterns: list["TriplePattern"]) -> Callable[[Iri], bool]:
@@ -190,11 +225,12 @@ def cmd_convert(args) -> int:
     graph, report = transform_log(log, config)
     traces, log_warnings = len(log.traces), len(log.warnings)
     del log  # the graph holds everything the Turtle needs
-    if args.output is None or args.output == "-":
-        triples = graph_to_turtle(graph, sys.stdout)
-        sys.stdout.flush()
-    else:
-        triples = graph_to_turtle(graph, args.output)
+    with _Output(args.output) as to_stdout:
+        if to_stdout:
+            triples = graph_to_turtle(graph, sys.stdout)
+            sys.stdout.flush()
+        else:
+            triples = graph_to_turtle(graph, args.output)
     if not args.quiet:
         print(
             f"convert: {traces} traces, {report.events_emitted} events emitted, "
@@ -313,19 +349,25 @@ def main(argv=None) -> int:
         print(f"oced-forge: {exc}", file=sys.stderr)
         return EXIT_PARSE
     except BrokenPipeError:
-        # the reader closed stdout: drop what is left, as Python's SIGPIPE note shows
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        _drop_stdout()  # the reader closed stdout
         return EXIT_BROKEN_PIPE
+    except _OutputError as exc:
+        print(f"oced-forge: {exc}", file=sys.stderr)
+        return EXIT_OUTPUT
     except (OSError, OcedForgeError) as exc:
         print(f"oced-forge: {exc}", file=sys.stderr)
         return EXIT_UNREADABLE
     except KeyboardInterrupt:
         print("oced-forge: interrupted", file=sys.stderr)
         return EXIT_INTERRUPTED
+    except MemoryError:
+        pass  # reported below, once the frames that held the memory are gone
     finally:
         errors.on_first_warning.clear()
         if enabled:
             gc.enable()
+    print(f"oced-forge: out of memory in {args.command}", file=sys.stderr)
+    return EXIT_NO_MEMORY
 
 
 def entrypoint():

@@ -9,11 +9,13 @@ at or below ' ', and an object token that is a proper prefix of another is
 followed there by '^', '@' or a name character, not by the ' ' that ends it.
 
 One generator lists a graph's statements.  graph_to_turtle renders them to
-rows with no triple store: each distinct IRI and literal is rendered once,
-each row is one string, a statement emitted twice is written once, and the
-rows are sorted once and written to a text stream in chunks.  graph_to_triples
-collects the same statements into a TripleStore for querying, and
-write_turtle renders any store's rows the same way, so
+rows with no triple store: each distinct IRI and literal is rendered once
+and each row is one string.  The rows are listed in emission order, in which
+each entity's rows form one nearly sorted run, and sorted in place, which
+merges those runs.  A row equal to the one before it (a statement emitted
+twice) is dropped, and the rows are written to a text stream in chunks.
+graph_to_triples collects the same statements into a TripleStore for
+querying, and write_turtle renders any store's rows the same way, so
 write_turtle(graph_to_triples(g)) is the text graph_to_turtle writes.
 
 Event-object relations are emitted twice on purpose: once as a reified
@@ -29,6 +31,7 @@ import io
 import os
 import re
 from collections.abc import Iterator
+from itertools import groupby
 from typing import TYPE_CHECKING, TextIO
 
 from .errors import SerializationError
@@ -237,15 +240,19 @@ def graph_to_turtle(graph: "OcedGraph", out: TextIO | str | os.PathLike) -> int:
     store: each distinct IRI and literal is rendered once, each row is
     rendered as one string, and repeated statements (say, a passthrough
     attribute keyed event_type that equals the event type) are written
-    once.  Every row is
-    rendered and sorted before out is written, or opened when it is a path,
-    so a graph that cannot be serialized leaves out untouched.
+    once.  Every row is rendered and sorted before out is written, or
+    opened when it is a path, so a graph that cannot be serialized leaves
+    out untouched.
     """
     iri = _Memo(_iri_token)
     literal = _Memo(lambda o: _literal_token(o[0], o[1] and iri[o[1]]))  # keyed on (lexical, datatype)
-    rows = sorted(
-        {f"{iri[s]} {iri[p]} {iri[o] if o.__class__ is str else literal[o]} .\n" for s, p, o in _statements(graph)}
-    )
+    rows = [
+        f"{iri[s]} {iri[p]} {iri[o] if o.__class__ is str else literal[o]} .\n" for s, p, o in _statements(graph)
+    ]
+    # emission order is long sorted runs (one entity's rows each), which the
+    # sort merges; a statement emitted twice ends up as two adjacent rows
+    rows.sort()
+    rows = [row for row, _ in groupby(rows)]
     if isinstance(out, (str, os.PathLike)):
         with open(out, "w", encoding="utf-8", newline="") as fh:
             _write_document(rows, fh)

@@ -23,7 +23,14 @@ would make more than MAX_OPEN_ELEMENTS elements open raises
 XesStructureError at once and ends the parse, since expat keeps state for
 each open element whatever the handlers do.  A reference to an undeclared
 or an external entity is an "undefined entity" parse error, as in
-ElementTree; no DTD or entity is read.
+ElementTree; no DTD or entity is read.  expat failing to allocate memory
+raises MemoryError, not a parse error.
+
+Per document, the reader keeps one TypedValue per distinct string value and
+one key string per distinct event-attribute key.  The events that repeat a
+value (a team, a product, an activity) share its object instead of each
+holding its own key, text and tuple; values are immutable, so sharing them
+changes no result.
 """
 
 import gzip
@@ -41,6 +48,9 @@ _INT64_MAX = 2**63 - 1
 
 # the most elements open at once; a deeper document is an error at once
 MAX_OPEN_ELEMENTS = 1000
+
+# expat's own allocation failure, which is no fault of the document
+_EXPAT_NO_MEMORY = expat.errors.codes[expat.errors.XML_ERROR_NO_MEMORY]
 
 # what an open element is, by the entry the reader keeps for it
 _LOG, _TRACE, _EVENT, _CHECK, _SKIP = "log", "trace", "event", "check", "skip"
@@ -128,6 +138,9 @@ class _Reader:
         self.trace_attributes: dict[str, TypedValue] = {}
         self.events: list[dict[str, TypedValue]] = []
         self.event: dict[str, TypedValue] = {}
+        # one object per distinct string value and per distinct event key
+        self.strings: dict[str, TypedValue] = {}
+        self.keys: dict[str, str] = {}
 
     def start(self, name: str, attrs: dict[str, str]):
         stack = self.stack
@@ -142,7 +155,13 @@ class _Reader:
                 raw = attrs.get("value")
                 if not key or raw is None:
                     self._attribute(tag, attrs)  # raises the missing part's error
-                value = tuple.__new__(TypedValue, (tag, raw if tag == "string" else parse_value(tag, key, raw)))
+                if tag == "string":
+                    value = self.strings.get(raw)
+                    if value is None:
+                        value = self.strings[raw] = tuple.__new__(TypedValue, (tag, raw))
+                else:
+                    value = tuple.__new__(TypedValue, (tag, parse_value(tag, key, raw)))
+                key = self.keys.setdefault(key, key)
                 if key in self.event:
                     stack.append(XesStructureError(f"duplicate key {key!r} in event"))
                 else:
@@ -271,6 +290,8 @@ def parse_xes_xml(data: bytes) -> XesLog:
     try:
         parser.Parse(data, True)
     except expat.ExpatError as exc:
+        if exc.code == _EXPAT_NO_MEMORY:
+            raise MemoryError from exc
         raise XesParseError(expat.ErrorString(exc.code), exc.lineno, exc.offset) from exc
     except (LookupError, ValueError) as exc:
         # an encoding the XML declaration names that expat cannot read

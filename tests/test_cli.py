@@ -2,6 +2,7 @@ import errno
 import gzip
 import json
 import os
+import resource
 import signal
 import subprocess
 import sys
@@ -59,6 +60,16 @@ class TestConvert:
         code, _, err = run(["convert", "/no/such/file.xes"], capsys)
         assert code == 2
         assert "file" in err.lower()
+
+    @pytest.mark.parametrize("command", [["convert", "xes"], ["analyze", "ttl", "--analysis", "teams"]])
+    def test_output_in_a_missing_directory_exits_74(
+        self, command, bpic_xes_path, converted_ttl, tmp_path, capsys
+    ):
+        source = bpic_xes_path if command[1] == "xes" else converted_ttl
+        target = tmp_path / "missing" / "out"
+        code, out, err = run([command[0], str(source), *command[2:], "-o", str(target), "-q"], capsys)
+        assert (code, out) == (74, "")
+        assert err == f"oced-forge: [Errno {errno.ENOENT}] {os.strerror(errno.ENOENT)}: {str(target)!r}\n"
 
     def test_bad_xml_exits_3_with_location(self, tmp_path, capsys):
         bad = tmp_path / "bad.xes"
@@ -956,6 +967,56 @@ class TestProcessFailures:
             child.stdout.close()  # the output left is bigger than the pipe's buffer
             stderr = child.stderr.read()
         assert (child.returncode, stderr) == (141, b"")
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    @pytest.mark.parametrize(
+        "argv, to_stdout",
+        [
+            (["convert", "hostile.xes", "--config", "hostile.config.json", "-o", "/dev/full"], False),
+            (["convert", "hostile.xes", "--config", "hostile.config.json"], True),
+            (["analyze", "hostile.ttl", "--analysis", "event-objects"], True),
+        ],
+        ids=["convert-output", "convert-stdout", "analyze-stdout"],
+    )
+    def test_a_full_output_device_prints_one_line_and_exits_74(self, argv, to_stdout):
+        golden = Path(__file__).parent / "golden"
+        argv = [str(golden / arg) if arg.startswith("hostile.") else arg for arg in argv]
+        with open("/dev/full", "wb") as full:
+            result = subprocess.run(
+                [sys.executable, "-m", "oced_forge", *argv],
+                env=cli_env(OCED_FORGE_LOG="error"),  # the inputs' own warnings
+                stdout=full if to_stdout else subprocess.PIPE,
+                stderr=subprocess.PIPE,
+            )
+        assert (result.returncode, result.stdout or b"", result.stderr) == (
+            74,
+            b"",
+            f"oced-forge: [Errno {errno.ENOSPC}] {os.strerror(errno.ENOSPC)}\n".encode(),
+        )
+
+    @pytest.mark.parametrize("stage", ["inflate", "xes-parse"])
+    def test_running_out_of_memory_prints_one_line_and_exits_71(self, stage, tmp_path):
+        """The child's own address space is capped at 128 MiB: it starts in
+        about 20 MiB, and either input needs more than 200 MiB.  A gzip
+        stream of 1 GiB of spaces runs out while it is inflated; a 48 MiB
+        attribute value runs out in expat's own buffers."""
+        if stage == "inflate":
+            data = gzip.compress(b" " * (4 << 20)) * 256  # 256 gzip members
+        else:
+            value = b"x" * (48 << 20)
+            data = b'<log xes.version="1.0"><trace><event><string key="k" value="%s"/></event></trace></log>' % value
+        source = tmp_path / "input"
+        source.write_bytes(data)
+        del data
+        limit = 128 << 20
+        result = subprocess.run(
+            [sys.executable, "-m", "oced_forge", "convert", str(source)],
+            env=cli_env(),
+            capture_output=True,
+            preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)),
+        )
+        assert (result.returncode, result.stderr) == (71, b"oced-forge: out of memory in convert\n")
+        assert result.stdout == b""
 
     def test_sigint_prints_one_line_and_exits_130(self, tmp_path):
         fifo = tmp_path / "input.xes"

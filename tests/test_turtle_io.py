@@ -231,6 +231,26 @@ class TestGraphToTurtle:
         assert capsys.readouterr().err == f"oced-forge: {message}\n"
 
 
+class TestRowOrder:
+    """graph_to_turtle sorts its rows in emission order and drops each row
+    equal to the one before it."""
+
+    def test_a_statement_emitted_far_from_its_twin_is_written_and_counted_once(self):
+        graph = OcedGraph()
+        for event_id in ("e2", "e1"):
+            # the passthrough event_type repeats the event's own ext:event_type
+            # statement; the keys sorting before it are emitted between the two
+            attributes = {key: TypedValue("string", "Accepted") for key in ("a", "event", "event_typ", "event_type")}
+            graph.add_event(OcedEvent(id=event_id, event_type="Accepted", observed_at=T0, attributes=attributes))
+        text, count = turtle_text(graph)
+        rows = text.split("\n\n", 1)[1].splitlines()
+        assert rows == sorted(set(rows))
+        assert count == len(rows) == 2 * 6
+        for event_id in ("e1", "e2"):
+            assert rows.count(f'ex:{event_id} ext:event_type "Accepted" .') == 1
+        TestGraphToTurtle.assert_same_as_store_path(graph)
+
+
 class TestWriteTurtle:
     def test_empty_store_is_exactly_the_prefix_header(self):
         lines = write_turtle(TripleStore()).splitlines()

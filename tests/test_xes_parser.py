@@ -1,11 +1,16 @@
 import gzip
+import itertools
 import random
+import re
+import tracemalloc
 import zlib
 from datetime import datetime, timedelta, timezone
+from pathlib import Path
 
 import pytest
 
 from oced_forge import TypedValue, XesParseError, XesStructureError, parse_xes
+from oced_forge.xes_parser import parse_xes_xml
 
 from conftest import BPIC_STYLE_XES
 from oracles import fromstring_parse_xes
@@ -356,3 +361,54 @@ class TestStreamingReader:
         assert kinds.count(XesParseError) >= 100
         assert kinds.count(XesStructureError) >= 5
         assert kinds.count("parsed") >= 20
+
+
+def _retained_per_event(parse, data: bytes) -> float:
+    """Traced bytes that parse's result still holds, per event."""
+    tracemalloc.start()
+    try:
+        log = parse(data)
+        retained = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    return retained / log.event_count
+
+
+@pytest.fixture(scope="module")
+def bench_xes() -> str:
+    """The benchmark's seeded log at 200 cases."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "bench"))
+        from loggen import generate, to_xes
+
+        return to_xes(generate(1, 200))
+
+
+class TestRepeatedValues:
+    """The reader keeps one TypedValue per distinct string value and one key
+    string per distinct event key, per document."""
+
+    def test_equal_string_values_and_keys_are_one_object(self):
+        log = parse_xes(_many_traces(2))
+        first, second = log.traces[0].events[0], log.traces[3].events[0]
+        assert first["org:group"] == second["org:group"] == TypedValue("string", "V3_2")
+        assert first["org:group"] is second["org:group"]
+        assert first["impact"] is second["impact"]
+        for key_a, key_b in zip(first, second):
+            assert key_a == key_b and key_a is key_b
+
+    def test_bench_shaped_log_retains_under_1000_bytes_per_event(self, bench_xes):
+        # an own key and value object per attribute would hold about 1,768
+        assert _retained_per_event(parse_xes_xml, bench_xes.encode()) < 1000
+
+    def test_all_distinct_string_values_cost_at_most_a_tenth_more(self, bench_xes):
+        """Where no value repeats, the reader retains at most 10 % more than
+        the whole-document reader, which keeps its own object for every key
+        and value as this reader did before it shared them."""
+        serial = itertools.count()
+        distinct = re.sub(r'(<string key="[^"]*" value="[^"]*)"', lambda m: f'{m[1]}#{next(serial)}"', bench_xes)
+        data = distinct.encode()
+        log = parse_xes(data)
+        values = [v for t in log.traces for e in t.events for v in e.values() if v.kind == "string"]
+        assert len({v.value for v in values}) == len(values) > 10_000
+        assert _retained_per_event(parse_xes_xml, data) <= 1.1 * _retained_per_event(fromstring_parse_xes, data)
