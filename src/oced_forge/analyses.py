@@ -86,16 +86,17 @@ TEAM_TIMES = [
 # ?node ext:event ?event; ext:object ?object; a ext:EventObject
 _HAS_EVENT = TriplePattern(_NODE, EXT_EVENT, _EVENT)
 _IS_EVENT_OBJECT = TriplePattern(_NODE, RDF_TYPE, EXT_EVENT_OBJECT_CLASS)
-_EVENT_OBJECT = [_HAS_EVENT, TriplePattern(_NODE, EXT_OBJECT, _OBJECT), _IS_EVENT_OBJECT]
-# OPTIONAL { ?node ext:classifier ?classifier }
-_CLASSIFIER = TriplePattern(_NODE, EXT_CLASSIFIER, Var("classifier"))
-# enumerate_event_objects' further OPTIONAL groups, one pattern each
-_EVENT_OBJECT_DETAILS = [
-    TriplePattern(_EVENT, EXT_EVENT_TYPE, Var("event_type")),
-    TriplePattern(_EVENT, OBSERVED_AT, Var("time")),
-    TriplePattern(_OBJECT, EXT_OBJECT_TYPE, Var("object_type")),
-]
-EVENT_OBJECTS = [*_EVENT_OBJECT, _CLASSIFIER, *_EVENT_OBJECT_DETAILS]
+# The EventObject query: its required block and OPTIONAL groups, one pattern
+# each, the classifier first (store_to_dot reads only that group).
+EVENT_OBJECTS = (
+    [_HAS_EVENT, TriplePattern(_NODE, EXT_OBJECT, _OBJECT), _IS_EVENT_OBJECT],
+    [
+        [TriplePattern(_NODE, EXT_CLASSIFIER, Var("classifier"))],
+        [TriplePattern(_EVENT, EXT_EVENT_TYPE, Var("event_type"))],
+        [TriplePattern(_EVENT, OBSERVED_AT, Var("time"))],
+        [TriplePattern(_OBJECT, EXT_OBJECT_TYPE, Var("object_type"))],
+    ],
+)
 
 
 def _select(solutions: Rows, *names: str) -> Iterator[tuple]:
@@ -119,7 +120,7 @@ def _team_times(store: TripleStore) -> dict[str, dict[str, list[str]]]:
     """
     cases: dict[str, dict[str, list[str]]] = {}
     keys: dict[Term, str | None] = {}
-    for team, case, time in _select(store._bgp(TEAM_TIMES), "team", "case", "time"):
+    for team, case, time in _select(store._solutions(TEAM_TIMES), "team", "case", "time"):
         if time not in keys:
             keys[time] = _time_key(time)
         time = keys[time]
@@ -184,15 +185,6 @@ def team_involvement(store: TripleStore) -> list[TeamInvolvement]:
     return ranking
 
 
-def event_object_rows(
-    store: TripleStore, names: tuple[str, ...], *groups: list[TriplePattern]
-) -> Iterator[tuple]:
-    """The named variables of each solution of the EventObject block, which
-    binds ?node, ?event and ?object, extended by ?classifier and by the given
-    OPTIONAL groups where they match."""
-    return _select(store._optional_rows(_EVENT_OBJECT, [[_CLASSIFIER], *groups]), *names)
-
-
 def enumerate_event_objects(store: TripleStore) -> list[EventObjectRow]:
     """One row per well-formed ext:EventObject node.
 
@@ -200,9 +192,9 @@ def enumerate_event_objects(store: TripleStore) -> list[EventObjectRow]:
     and left unbound otherwise; nodes lacking ext:event or ext:object are
     skipped with a warning.
     """
-    details = ([pattern] for pattern in _EVENT_OBJECT_DETAILS)
-    solutions = list(event_object_rows(store, ("node", *EVENT_OBJECT_COLUMNS), *details))
+    solutions = list(_select(store._solutions(*EVENT_OBJECTS), "node", *EVENT_OBJECT_COLUMNS))
     joined = {solution[0] for solution in solutions}
+    # a match_pattern read, kept while bench/layertrace.py divides by match_pattern_calls
     nodes = store.match_pattern(_IS_EVENT_OBJECT)
     skipped = [sol["node"] for sol in nodes if sol["node"] not in joined]
     if skipped:  # one read of ext:event tells the two warnings apart for every node

@@ -56,7 +56,7 @@ from .terms import (
 )
 
 if TYPE_CHECKING:  # each command loads only the modules of its own path
-    from .triple_query import TriplePattern, TripleStore
+    from .triple_query import TripleStore
     from .xes_parser import XesLog
 
 EXIT_OK = 0
@@ -72,14 +72,15 @@ EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE
 _ANALYSES = ("ping-pong", "event-objects", "teams")
 
 
-def _analysis(name: str) -> tuple[Callable, tuple[str, ...], list["TriplePattern"]]:
-    """An analysis's function, output columns and the patterns it reads."""
+def _analysis(name: str) -> tuple[Callable, tuple[str, ...], tuple]:
+    """An analysis's function, output columns and its query: the required
+    block and OPTIONAL groups it reads."""
     from . import analyses as a
 
     return {
-        "ping-pong": (a.detect_ping_pong, a.PING_PONG_COLUMNS, a.TEAM_TIMES),
+        "ping-pong": (a.detect_ping_pong, a.PING_PONG_COLUMNS, (a.TEAM_TIMES, [])),
         "event-objects": (a.enumerate_event_objects, a.EVENT_OBJECT_COLUMNS, a.EVENT_OBJECTS),
-        "teams": (a.team_involvement, a.TEAM_COLUMNS, a.TEAM_TIMES),
+        "teams": (a.team_involvement, a.TEAM_COLUMNS, (a.TEAM_TIMES, [])),
     }[name]
 
 
@@ -184,10 +185,11 @@ def _write_text(path: str | None, text: str):
                 fh.write(text)
 
 
-def _keep_rule(patterns: list["TriplePattern"]) -> Callable[[Iri], bool]:
+def _keep_rule(query: tuple) -> Callable[[Iri], bool]:
     """parse_turtle's keep rule for an analysis: the predicates (each an IRI)
-    of the patterns it reads."""
-    return frozenset(pattern.predicate for pattern in patterns).__contains__
+    of its query's patterns, required and OPTIONAL."""
+    required, groups = query
+    return frozenset(pattern.predicate for block in (required, *groups) for pattern in block).__contains__
 
 
 def _parse_store(text: str, keep: Callable[[Iri], bool] | None = None) -> "TripleStore":
@@ -246,8 +248,8 @@ def cmd_convert(args) -> int:
 def cmd_analyze(args) -> int:
     from .analyses import records_to_csv, records_to_jsonl
 
-    analysis, columns, patterns = _analysis(args.analysis)
-    rows = analysis(_load_store(args.input, _keep_rule(patterns)))
+    analysis, columns, query = _analysis(args.analysis)
+    rows = analysis(_load_store(args.input, _keep_rule(query)))
     write = records_to_csv if args.format == "csv" else records_to_jsonl
     _write_text(args.output, write(rows, columns))
     if not args.quiet:

@@ -16,7 +16,7 @@ predicate, all of which it reads or a keep rule for it would keep, so
 export-dot loads every triple, as stats does.
 """
 
-from .analyses import event_object_rows
+from . import analyses
 from .terms import (
     EXT,
     EXT_EVENT_TYPE,
@@ -64,7 +64,9 @@ def store_to_dot(store: TripleStore) -> str:
         lines.append(f"  {quote(token(iri))} [shape=ellipse, label={_dot_quote(label)}];")
 
     edges: list[tuple[str, str, str | None]] = []
-    for event, obj, classifier in event_object_rows(store, ("event", "object", "classifier")):
+    required, groups = analyses.EVENT_OBJECTS
+    solutions = store._solutions(required, groups[:1])  # the classifier group only
+    for event, obj, classifier in analyses._select(solutions, "event", "object", "classifier"):
         label = classifier.value if isinstance(classifier, PlainLiteral) else None
         edges.append((token(event), token(obj), label))
 

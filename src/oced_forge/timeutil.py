@@ -28,25 +28,29 @@ _CANONICAL_RE = re.compile(r"\d{4}-\d\d-\d\dT\d\d:\d\d:\d\d\.\d{3}Z", re.ASCII)
 _ZONES = {"Z": timezone.utc, "z": timezone.utc}
 
 
-def _zone(offset: str) -> timezone:
+def _zone(offset: str) -> timezone | None:
+    """The offset's tzinfo; None for minutes past 59, which name no offset."""
+    minutes = int(offset[-2:])
+    if minutes > 59:
+        return None
     sign = -1 if offset[0] == "-" else 1
-    zone = _ZONES[offset] = timezone(sign * timedelta(hours=int(offset[1:3]), minutes=int(offset[-2:])))
+    zone = _ZONES[offset] = timezone(sign * timedelta(hours=int(offset[1:3]), minutes=minutes))
     return zone
 
 
 def parse_instant(text: str) -> datetime:
     """Parse an ISO-8601 timestamp with a mandatory zone offset.
 
-    Accepts 'Z' or '+HH:MM'/'-HH:MM' (colon optional) offsets and a fractional
-    second part of up to nine digits, truncated to microseconds.  Raises
-    ValueError on anything else.
+    Accepts 'Z' or '+HH:MM'/'-HH:MM' (colon optional, MM at most 59)
+    offsets and a fractional second part of up to nine digits, truncated to
+    microseconds.  Raises ValueError on anything else.
     """
     m = _ISO_RE.match(text.strip())
-    if m is None:
+    zone = m and (_ZONES.get(m[8]) or _zone(m[8]))
+    if zone is None:
         raise ValueError(f"not an ISO-8601 timestamp with zone offset: {text!r}")
-    year, month, day, hour, minute, second, frac, offset = m.groups()
+    year, month, day, hour, minute, second, frac, _ = m.groups()
     micros = int(frac[:6].ljust(6, "0")) if frac else 0
-    zone = _ZONES.get(offset) or _zone(offset)
     return datetime(int(year), int(month), int(day), int(hour), int(minute), int(second), micros, zone)
 
 

@@ -12,21 +12,24 @@ first-seen order, each predicate's triples in insertion order.  No order
 anywhere is hash order, so query results are deterministic across
 processes.
 
-The query language is what the analyses ask: a BGP joins its patterns in
-the order written, and match_optional left-joins each OPTIONAL group onto
-the required block's solutions.  A group joins on variables the required
-patterns bind, never on one that only an earlier group binds.
+The query language is what the analyses ask: a required block of patterns
+joined in the order written, then OPTIONAL groups, each left-joined onto
+the solutions so far (SPARQL's Join, then LeftJoin).  A group joins on
+variables the required patterns bind, never on one that only an earlier
+group binds.  Every query, match_pattern's one pattern included, runs
+through one row join, _solutions, which makes that check.
 
 Inside the store a solution is a row: a tuple of terms aligned to a tuple of
 variable names, with None where an OPTIONAL group left a variable unbound
 (no term is None).  A pattern is read by one row scan, which applies its
-constants and repeated variable.  Each join step is a hash join: the
-pattern or group is scanned once, unsubstituted, its rows are keyed on the
-variables already bound, and a row is extended by tuple concatenation.
-match_pattern, match_bgp and match_optional build binding dicts once, from
-the final rows, for library callers; an unbound variable is an absent key.
-The analyses and store_to_dot read the rows of _bgp and _optional_rows and
-build no dict, but for one match_pattern read of the EventObject nodes.
+constants and repeated variable.  The required block starts from its first
+pattern's rows; each later join step is a hash join: the pattern or group
+is scanned once, unsubstituted, its rows are keyed on the variables already
+bound, and a row is extended by tuple concatenation.  match_pattern,
+match_bgp and match_optional build binding dicts once, from the final rows,
+for library callers; an unbound variable is an absent key.  The analyses
+and store_to_dot read the rows and build none, but for one match_pattern
+read of the EventObject nodes.
 
 There are no FILTER expressions: callers decode the literals they compare
 (the analyses key time literals with timeutil.utc_key) and compare the
@@ -173,13 +176,11 @@ class TripleStore:
 
     def match_pattern(self, pattern: TriplePattern) -> list[BindingSet]:
         """One binding set per matching triple; equals an exhaustive scan."""
-        names, rows = self._scan(pattern)
-        return [dict(zip(names, row)) for row in rows]
+        return _binding_sets(self._solutions([pattern]))
 
     def match_bgp(self, patterns: list[TriplePattern]) -> list[BindingSet]:
         """Natural join of the patterns' matches, in the order written."""
-        names, rows = self._bgp(patterns)
-        return [dict(zip(names, row)) for row in rows]
+        return _binding_sets(self._solutions(patterns))
 
     def match_optional(
         self,
@@ -192,6 +193,13 @@ class TripleStore:
 
         A group may share with earlier groups only variables that the
         required patterns bind; ValueError otherwise."""
+        return _binding_sets(self._solutions(required, optional_groups))
+
+    def _solutions(self, required, optional_groups=()) -> Rows:
+        """The solutions of the required block, each group left-joined on in
+        turn, as rows; the names are every variable of the query even when a
+        join leaves no row (a join of no rows scans nothing).  ValueError for
+        a group that shares a variable only an earlier group binds."""
         required_names = {name for pattern in required for name in pattern.variables()}
         earlier: set[str] = set()
         for group in optional_groups:
@@ -202,23 +210,11 @@ class TripleStore:
                     f"OPTIONAL group {group!r} joins on ?{', ?'.join(shared)}, which only an earlier group binds"
                 )
             earlier |= variables
-        names, rows = self._optional_rows(required, optional_groups)
-        return [{name: term for name, term in zip(names, row) if term is not None} for row in rows]
-
-    def _optional_rows(self, required, optional_groups) -> Rows:
-        """match_optional's solutions as rows, its groups unchecked."""
-        names, rows = self._bgp(required)
+        names, rows = self._scan(required[0]) if required else ((), [()])
+        for pattern in required[1:]:
+            names, rows = self._join(names, rows, [pattern], optional=False)
         for group in optional_groups:
             names, rows = self._join(names, rows, group, optional=True)
-        return names, rows
-
-    def _bgp(self, patterns) -> Rows:
-        """match_bgp's solutions as rows; the names are every pattern's
-        variables even when a join leaves no row (a join of no rows scans
-        nothing)."""
-        names, rows = (), [()]
-        for pattern in patterns:
-            names, rows = self._join(names, rows, [pattern], optional=False)
         return names, rows
 
     def _join(self, names, rows, group: list[TriplePattern], optional: bool) -> Rows:
@@ -229,8 +225,8 @@ class TripleStore:
         The group is scanned once, unsubstituted, and its matches are keyed
         on the variables the rows already bind, so extending a row is one
         dict lookup and a tuple concatenation per match.  Every row binds
-        every such variable: match_optional lets a group share only
-        required ones."""
+        every such variable: _solutions lets a group share only required
+        ones."""
         variables = dict.fromkeys(
             term.name for pattern in group for term in pattern.positions() if isinstance(term, Var)
         )
@@ -253,13 +249,19 @@ class TripleStore:
     def _matches(self, group: list[TriplePattern], keyed: list[str], carried: tuple[str, ...]):
         """The group's matches, as their values for carried, listed in match
         order under their values for keyed."""
-        names, rows = self._scan(group[0]) if len(group) == 1 else self._bgp(group)
+        names, rows = self._solutions(group)
         key = _key([names.index(name) for name in keyed])
         value = _columns([names.index(name) for name in carried])
         table: defaultdict = defaultdict(list)
         for row in rows:
             table[key(row)].append(value(row))
         return table
+
+
+def _binding_sets(solutions: Rows) -> list[BindingSet]:
+    """One dict per row; a variable the row leaves unbound is an absent key."""
+    names, rows = solutions
+    return [{name: term for name, term in zip(names, row) if term is not None} for row in rows]
 
 
 def _no_columns(row):

@@ -14,9 +14,10 @@ The XML is read in one expat pass, with no element tree: the start handler
 keeps one entry per open element (the log, a trace, an event, an element
 whose attributes are only checked, or one that is skipped with its content)
 and fills the trace's and event's dicts as the tags go by; the end handler
-closes events and traces.  An attribute of an event, most of a log's
-elements, is the start handler's first case, read in place; every other
-element is one dispatch on its parent's entry.  The first structural error
+closes events and traces.  An attribute element, at any level, is the
+start handler's first case after skipped content: one branch checks and
+parses it and keeps an event's or a trace's value; every other element is
+one dispatch on its parent's entry.  The first structural error
 is held until the whole document has been read, so malformed XML anywhere
 in it is reported instead.  The one exception is depth: a start tag that
 would make more than MAX_OPEN_ELEMENTS elements open raises
@@ -27,10 +28,10 @@ ElementTree; no DTD or entity is read.  expat failing to allocate memory
 raises MemoryError, not a parse error.
 
 Per document, the reader keeps one TypedValue per distinct string value and
-one key string per distinct event-attribute key.  The events that repeat a
-value (a team, a product, an activity) share its object instead of each
-holding its own key, text and tuple; values are immutable, so sharing them
-changes no result.
+one key string per distinct event-attribute key.  The events and traces
+that repeat a value (a team, a product, an activity) share its object
+instead of each holding its own key, text and tuple; values are immutable,
+so sharing them changes no result.
 """
 
 import gzip
@@ -149,26 +150,33 @@ class _Reader:
         parent = stack[-1]
         tag = name.rpartition("}")[2]
         try:
-            # the common case first: an attribute of an event
-            if parent is _EVENT and tag in VALUE_KINDS and self.held is None:
+            if parent is _SKIP or self.held is not None:
+                stack.append(_SKIP)
+            # the common case: an attribute, of an event, a trace, the log or
+            # an attribute; only an event's or a trace's is kept
+            elif tag in VALUE_KINDS and parent is not None:
                 key = attrs.get("key")
+                if not key:
+                    raise XesStructureError(f"<{tag}> element without a key")
                 raw = attrs.get("value")
-                if not key or raw is None:
-                    self._attribute(tag, attrs)  # raises the missing part's error
+                if raw is None:
+                    raise XesStructureError(f"<{tag}> element for key {key!r} without a value")
                 if tag == "string":
                     value = self.strings.get(raw)
                     if value is None:
                         value = self.strings[raw] = tuple.__new__(TypedValue, (tag, raw))
                 else:
                     value = tuple.__new__(TypedValue, (tag, parse_value(tag, key, raw)))
-                key = self.keys.setdefault(key, key)
-                if key in self.event:
-                    stack.append(XesStructureError(f"duplicate key {key!r} in event"))
-                else:
-                    self.event[key] = value
-                    stack.append(_CHECK)
-            elif parent is _SKIP or self.held is not None:
-                stack.append(_SKIP)
+                entry = _CHECK
+                if parent is _EVENT:
+                    key = self.keys.setdefault(key, key)
+                    if key in self.event:
+                        entry = XesStructureError(f"duplicate key {key!r} in event")
+                    else:
+                        self.event[key] = value
+                elif parent is _TRACE:
+                    self.trace_attributes.setdefault(key, value)
+                stack.append(entry)
             elif parent is None:
                 if tag != "log":
                     raise XesStructureError(f"root element is <{tag}>, expected <log>")
@@ -180,11 +188,8 @@ class _Reader:
             elif parent is _TRACE and tag == "event":
                 self.event = {}
                 stack.append(_EVENT)
-            else:  # an attribute of a trace or of an attribute, or not an attribute
-                parsed = self._attribute(tag, attrs)
-                if parsed is not None and parent is _TRACE:
-                    self.trace_attributes.setdefault(*parsed)
-                stack.append(_SKIP if parsed is None else _CHECK)
+            else:  # not an attribute
+                stack.append(self._not_attribute(tag, attrs))
         except XesStructureError as exc:
             self.held = exc
             stack.append(_SKIP)
@@ -222,25 +227,17 @@ class _Reader:
             if not (attrs.get("name") and attrs.get("keys")):
                 self.warnings.append("skipped classifier element missing name/keys")
             return _SKIP
-        return _SKIP if self._attribute(tag, attrs) is None else _CHECK
+        return self._not_attribute(tag, attrs)
 
-    def _attribute(self, tag: str, attrs: dict[str, str]) -> tuple[str, TypedValue] | None:
-        """(key, value) of an attribute element; None, with a warning, for
-        an element that is not one."""
+    def _not_attribute(self, tag: str, attrs: dict[str, str]):
+        """_SKIP, with a warning, for an unknown element; a list element is
+        an error."""
         if tag in _LIST_TAGS:
             raise XesStructureError(
                 f"list attributes are not supported (element <{tag}>, key={attrs.get('key')!r})"
             )
-        if tag not in VALUE_KINDS:
-            self.warnings.append(f"skipped unknown element <{tag}>")
-            return None
-        key = attrs.get("key")
-        if not key:
-            raise XesStructureError(f"<{tag}> element without a key")
-        raw = attrs.get("value")
-        if raw is None:
-            raise XesStructureError(f"<{tag}> element for key {key!r} without a value")
-        return key, TypedValue(tag, parse_value(tag, key, raw))
+        self.warnings.append(f"skipped unknown element <{tag}>")
+        return _SKIP
 
 
 def parse_xes(data: bytes) -> XesLog:

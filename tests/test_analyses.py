@@ -448,9 +448,10 @@ class TestEnumerateEventObjects:
 def test_pattern_order_decides_no_output(monkeypatch):
     """Joins run in the order written, so the order of an analysis's
     patterns decides only its speed: every permutation of TEAM_TIMES and of
-    the EventObject block gives the same records and DOT bytes.  Each store
-    holds its triples shuffled, so its partitions list subjects in different
-    orders and each join order yields the solutions in a different order."""
+    the required block of EVENT_OBJECTS gives the same records and DOT
+    bytes.  Each store holds its triples shuffled, so its partitions list
+    subjects in different orders and each join order yields the solutions in
+    a different order."""
     rng = random.Random(23)
     graphs = [random_handoff_graph(rng, max_cases=8)[0] for _ in range(10)]
     graphs += [random_oced_graph(rng) for _ in range(30)]
@@ -470,10 +471,11 @@ def test_pattern_order_decides_no_output(monkeypatch):
     expected = [outputs(store) for store in stores]
     assert any(out[0] for out in expected) and any(out[1] for out in expected)
     assert any(out[2] for out in expected)
+    required, groups = analyses.EVENT_OBJECTS
     for team_times in permutations(analyses.TEAM_TIMES):
-        for event_object in permutations(analyses._EVENT_OBJECT):
+        for event_object in permutations(required):
             monkeypatch.setattr(analyses, "TEAM_TIMES", list(team_times))
-            monkeypatch.setattr(analyses, "_EVENT_OBJECT", list(event_object))
+            monkeypatch.setattr(analyses, "EVENT_OBJECTS", (list(event_object), groups))
             assert [outputs(store) for store in stores] == expected, (team_times, event_object)
 
 
@@ -536,7 +538,9 @@ class TestTimeKey:
         assert analyses._time_key(Iri("http://t/2012-01-01T10:00:00.000Z")) is None
 
     def test_malformed_datetime_is_none(self):
-        for lexical in ("not a date", "2012-01-01T10:00:00.000", "2012-13-01T10:00:00.000Z"):
+        for lexical in (
+            "not a date", "2012-01-01T10:00:00.000", "2012-13-01T10:00:00.000Z", "2012-01-01T10:00:00.000+01:99",
+        ):
             assert analyses._time_key(TypedLiteral(lexical, DT)) is None, lexical
 
     @pytest.mark.parametrize(

@@ -416,6 +416,34 @@ def test_time_without_utc_instant_in_years_1_to_9999_is_left_out(lexical, tmp_pa
     assert [line.split(",")[4] for line in e3] == ["", ""]
 
 
+def test_offset_minutes_past_59_are_no_date(tmp_path, capsys):
+    """`+01:99` names no offset: the XES reader rejects it, and the read
+    side drops such a literal as it drops "not a date", so the case's
+    events G1, G2, G1 do not show ping-pong."""
+    times = ("2012-01-01T10:00:00.000+01:99", "2012-01-01T09:00:00.000Z", "2012-01-01T10:00:00.000Z")
+    events = "".join(
+        f'<event><date key="time:timestamp" value="{time}"/><string key="org:group" value="{team}"/></event>'
+        for time, team in zip(times, ("G1", "G2", "G1"))
+    )
+    trace = f'<trace><string key="concept:name" value="c1"/>{events}</trace>'
+    xes = tmp_path / "c1.xes"
+    xes.write_text(f'<log xes.version="1.0">{trace}</log>')
+    code, out, err = run(["convert", str(xes), "--quiet"], capsys)
+    assert (code, out) == (3, "")
+    assert "unparseable date for key 'time:timestamp'" in err
+    stand_in = "2012-01-01T08:00:00.000Z"
+    xes.write_text(f'<log xes.version="1.0">{trace.replace(times[0], stand_in)}</log>')
+    ttl = tmp_path / "c1.ttl"
+    assert main(["convert", str(xes), "--output", str(ttl), "--quiet"]) == 0
+    ttl.write_text(ttl.read_text().replace(stand_in, times[0]))
+    code, out, err = run(["analyze", str(ttl), "--analysis", "ping-pong", "--quiet"], capsys)
+    assert (code, err) == (0, "")
+    assert out.splitlines() == [
+        "case,has_ping_pong,min_time,max_time",
+        "http://example.org/oced/c1,false,2012-01-01T09:00:00.000Z,2012-01-01T10:00:00.000Z",
+    ]
+
+
 @pytest.fixture
 def converted_ttl(bpic_xes_path, tmp_path):
     path = tmp_path / "sample.ttl"

@@ -272,6 +272,7 @@ def _instant_outcome(parse, text):
 @example(text=" 2012-01-01t00:00:00.1-00:00\n")
 @example(text="٢٠١٢-٠١-٠١T٠٠:٠٠:٠٠.٥+٠١:٠٠")
 @example(text="2012-01-01T00:00:00+24:00")
+@example(text="2012-01-01T00:00:00.000+01:99")
 @settings(max_examples=1000, derandomize=True, deadline=None)
 @given(text=_instant_texts)
 def test_parse_instant_equals_its_reference(text):

@@ -330,8 +330,11 @@ class TestMatchOptional:
             [TriplePattern(k, iri("weight"), Var("w"))],
             [TriplePattern(c, iri("label"), Var("l")), TriplePattern(k, iri("weight"), Var("l"))],
         ):
-            with pytest.raises(ValueError, match=r"joins on \?k, which only an earlier group binds"):
-                store.match_optional(required, [[TriplePattern(e, iri("classifier"), k)], later])
+            groups = [[TriplePattern(e, iri("classifier"), k)], later]
+            # both match_optional and the row join the analyses read check it
+            for query in (store.match_optional, store._solutions):
+                with pytest.raises(ValueError, match=r"joins on \?k, which only an earlier group binds"):
+                    query(required, groups)
         # a variable the required patterns bind joins however many groups share it
         required.append(TriplePattern(e, iri("classifier"), k))
         groups = [[TriplePattern(c, iri("label"), k)], [TriplePattern(c, iri("label"), Var("l"))]]
@@ -406,15 +409,16 @@ class TestMatchOptional:
         assert features["mixed shapes"] == 0
 
     def test_rows_as_dicts_equal_match_optional(self):
-        """The analyses read match_optional's rows.  On the random queries of
-        the oracle test, the rows turned into dicts are its list exactly, and
-        the names are every variable of the query once, also when the
-        required block has no solution before its last pattern."""
+        """The analyses read the rows of the one row join.  On the random
+        queries of the oracle test, the rows turned into dicts are
+        match_optional's list exactly, and the names are every variable of
+        the query once, also when the required block has no solution before
+        its last pattern."""
         ended_early = 0
         rng = random.Random(29)
         for _ in range(400):
             store, _, required, groups = _random_optional_query(rng)
-            names, rows = store._optional_rows(required, groups)
+            names, rows = store._solutions(required, groups)
             dicts = [{name: term for name, term in zip(names, row) if term is not None} for row in rows]
             assert dicts == store.match_optional(required, groups)
             assert all(len(row) == len(names) for row in rows)

@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 from oced_forge import TypedValue, XesParseError, XesStructureError, parse_xes
+from oced_forge.timeutil import parse_instant
 from oced_forge.xes_parser import parse_xes_xml
 
 from conftest import BPIC_STYLE_XES
@@ -85,6 +86,18 @@ def test_date_requires_zone_offset():
     doc = b'<log xes.version="1.0"><trace><event><date key="t" value="2012-01-01T10:00:00.000"/></event></trace></log>'
     with pytest.raises(XesStructureError):
         parse_xes(doc)
+
+
+def test_offset_minutes_past_59_are_unparseable():
+    """`+01:99` is no offset, not `+02:39`; minutes up to 59 parse, in any
+    digits parse_instant reads."""
+    for minutes in ("60", "99", "٦٠"):
+        value = f"2012-01-01T10:00:00.000+01:{minutes}"
+        doc = f'<log xes.version="1.0"><trace><event><date key="time:timestamp" value="{value}"/></event></trace></log>'
+        with pytest.raises(XesStructureError, match="unparseable date for key 'time:timestamp'"):
+            parse_xes(doc.encode())
+    assert parse_instant("2012-01-01T10:00:00+01:59").utcoffset() == timedelta(hours=1, minutes=59)
+    assert parse_instant("2012-01-01T10:00:00+01:٣٠").utcoffset() == timedelta(hours=1, minutes=30)
 
 
 def test_list_attribute_rejected():
@@ -385,8 +398,9 @@ def bench_xes() -> str:
 
 
 class TestRepeatedValues:
-    """The reader keeps one TypedValue per distinct string value and one key
-    string per distinct event key, per document."""
+    """The reader keeps one TypedValue per distinct string value, events' and
+    traces' alike, and one key string per distinct event key, per
+    document."""
 
     def test_equal_string_values_and_keys_are_one_object(self):
         log = parse_xes(_many_traces(2))
@@ -396,6 +410,14 @@ class TestRepeatedValues:
         assert first["impact"] is second["impact"]
         for key_a, key_b in zip(first, second):
             assert key_a == key_b and key_a is key_b
+
+    def test_trace_values_share_the_events_objects(self):
+        doc = (
+            b'<log xes.version="1.0"><trace><string key="owner" value="V3_2"/>'
+            b'<event><string key="org:group" value="V3_2"/></event></trace></log>'
+        )
+        [trace] = parse_xes(doc).traces
+        assert trace.attributes["owner"] is trace.events[0]["org:group"]
 
     def test_bench_shaped_log_retains_under_1000_bytes_per_event(self, bench_xes):
         # an own key and value object per attribute would hold about 1,768
