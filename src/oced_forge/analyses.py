@@ -45,6 +45,7 @@ from .terms import (
     XSD_DATETIME,
     Term,
     TypedLiteral,
+    _Memo,
 )
 from .timeutil import utc_key
 from .triple_query import Rows, TriplePattern, TripleStore, Var
@@ -111,6 +112,14 @@ def _time_key(term: Term | None) -> str | None:
     return utc_key(term.lexical) if isinstance(term, TypedLiteral) and term.datatype == XSD_DATETIME else None
 
 
+def _time_cell(term: Term | None) -> str | None:
+    """A time cell: _time_key cut to milliseconds, the literal's own text
+    when that is the same (no copy of a canonical literal)."""
+    key = _time_key(term)
+    cell = key and key[:23] + "Z"
+    return term[0] if cell and cell == term[0] else cell
+
+
 def _team_times(store: TripleStore) -> dict[str, dict[str, list[str]]]:
     """Case -> team -> sorted time keys of the team's events in the case.
 
@@ -119,10 +128,8 @@ def _team_times(store: TripleStore) -> dict[str, dict[str, list[str]]]:
     parseable xsd:dateTime are dropped.  Each distinct literal is keyed once.
     """
     cases: dict[str, dict[str, list[str]]] = {}
-    keys: dict[Term, str | None] = {}
+    keys = _Memo(_time_key)
     for team, case, time in _select(store._solutions(TEAM_TIMES), "team", "case", "time"):
-        if time not in keys:
-            keys[time] = _time_key(time)
         time = keys[time]
         if time is not None:
             teams = cases.setdefault(case[0], {})
@@ -204,12 +211,8 @@ def enumerate_event_objects(store: TripleStore) -> list[EventObjectRow]:
             warn(__name__, "EventObject %s lacks %s; skipped", n[0], lacks)
 
     rows = []
-    times = {None: None}  # each distinct literal keyed once; an event has a row per object
+    times = _Memo(_time_cell)  # each distinct literal once; an event has a row per object
     for _, event, obj, classifier, event_type, time, object_type in solutions:
-        if time not in times:
-            key = _time_key(time)
-            cell = key and key[:23] + "Z"
-            times[time] = time[0] if cell == time[0] else cell  # no copy of a canonical literal
         rows.append(
             EventObjectRow(
                 event[0],

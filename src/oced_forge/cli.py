@@ -11,14 +11,15 @@ and no Turtle reader, triple store, analyses or csv.  The read commands load
 the Turtle reader (turtle_parser) and the triple store, and no writer
 module; analyze also the analyses, with csv or json for its --format only,
 and export-dot the DOT writer and turtle_io's render_term.  Turtle stats
-loads no analyses.  logging is loaded, and set up, at the first warning
-(errors.warn).  An input is read whole and inflated once when it is gzip
-(_read_input); the XES reader is then given the XML as it is.  analyze
-loads Turtle with a keep rule made of the IRI predicates of the patterns
-its query looks up (see _keep_rule).  stats keeps every triple, because it
-counts them, and so does export-dot, which reads or would keep every
-predicate convert writes (see dot_export).  The cyclic GC is off during
-every command.
+loads no analyses.  Each layer logs its own warnings (the XES reader, the
+transform and the event-objects analysis, through errors.warn), and logging
+is loaded, and set up, at the first one.  An input is read whole and
+inflated once when it is gzip (_read_input); the XES reader (parse_xes_xml)
+is then given the XML as it is.  analyze loads Turtle with a keep rule made
+of the IRI predicates of the patterns its query looks up (see _keep_rule).
+stats keeps every triple, because it counts them, and so does export-dot,
+which reads or would keep every predicate convert writes (see dot_export).
+The cyclic GC is off during every command.
 
 Exit codes: 0 success (also with skipped-event warnings), 2 unreadable or
 invalid input file (a bad gzip stream or config encoding too) or input that
@@ -44,7 +45,7 @@ from collections.abc import Callable
 from typing import TYPE_CHECKING
 
 from . import errors
-from .errors import OcedForgeError, TurtleSyntaxError, XesParseError, XesStructureError, warn
+from .errors import OcedForgeError, TurtleSyntaxError, XesParseError, XesStructureError
 from .terms import (
     EXT_EVENT_CASE,
     EXT_EVENT_OBJECT_CLASS,
@@ -207,22 +208,12 @@ def _load_store(path: str, keep: Callable[[Iri], bool] | None = None) -> "Triple
     return _parse_store(text, keep)
 
 
-def _parse_xes_logged(data: bytes) -> "XesLog":
-    """The XES reader on bytes _read_input has already inflated (so never
-    inflated twice), with each of the reader's warnings logged."""
-    from .xes_parser import parse_xes_xml
-
-    log = parse_xes_xml(data)
-    for warning in log.warnings:
-        warn("oced_forge.xes_parser", "%s", warning)
-    return log
-
-
 def cmd_convert(args) -> int:
     from .transform import default_bpic2013_config, load_mapping_config, transform_log
     from .turtle_io import graph_to_turtle
+    from .xes_parser import parse_xes_xml
 
-    log = _parse_xes_logged(_read_input(args.input))
+    log = parse_xes_xml(_read_input(args.input))
     config = load_mapping_config(args.config) if args.config else default_bpic2013_config()
     graph, report = transform_log(log, config)
     traces, log_warnings = len(log.traces), len(log.warnings)
@@ -291,8 +282,10 @@ def cmd_stats(args) -> int:
     text_start = data.removeprefix("\ufeff".encode()).lstrip(b" \t\r\n")
     if text_start.startswith(b"<") or data.startswith((b"\xff\xfe", b"\xfe\xff")):
         # XES (UTF-16 by its BOM), or Turtle whose first statement starts with an absolute <iri>
+        from .xes_parser import parse_xes_xml
+
         try:
-            rows = _xes_summary(_parse_xes_logged(data))
+            rows = _xes_summary(parse_xes_xml(data))
         except XesParseError as xml_error:
             try:
                 rows = _turtle_summary(_parse_store(data.decode("utf-8")))

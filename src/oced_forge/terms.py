@@ -29,8 +29,13 @@ BAD_PERCENT_RE = re.compile(r"%(?![0-9A-Fa-f]{2})")
 # repeated group instead of a class would keep engine state per character.
 _ESCAPED_ID_RE = re.compile(f"[{re.escape(_SAFE)}%]+")
 _ESCAPE_RUN_RE = re.compile(r"%[%0-9A-Fa-f]*?(?<=%[0-9A-Fa-f]{2})(?!%)")
-# what an IRI may not hold: RDF 1.1 Turtle's IRIREF, checked by reader and writer
-_BAD_IRI_CHARS = re.compile(r'[\x00-\x20<>"{}|^`\\]')
+# RDF 1.1 Turtle's token shapes (section 6.5) as regex source, for the
+# writer and both readers: the characters an IRIREF may not hold, the
+# scheme that makes an IRI absolute, and a language tag
+_IRI_ILLEGAL = r'\x00-\x20<>"{}|^`\\'
+_IRI_SCHEME = r"[A-Za-z][A-Za-z0-9+.\-]*:"
+_LANGTAG = r"[A-Za-z][A-Za-z0-9\-]*"
+_BAD_IRI_CHARS = re.compile(f"[{_IRI_ILLEGAL}]")
 
 
 class _Memo(dict):

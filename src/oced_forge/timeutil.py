@@ -14,6 +14,8 @@ section 5.1) and needs no parse for the form convert writes.
 import re
 from datetime import datetime, timedelta, timezone
 
+from .terms import _Memo
+
 _ISO_RE = re.compile(
     r"^(\d{4})-(\d{2})-(\d{2})[Tt](\d{2}):(\d{2}):(\d{2})"
     r"(?:\.(\d{1,9}))?"
@@ -24,29 +26,31 @@ _ISO_RE = re.compile(
 _CANONICAL_RE = re.compile(r"\d{4}-\d\d-\d\dT\d\d:\d\d:\d\d\.\d{3}Z", re.ASCII)
 
 
-# tzinfo by offset text, each made once; a log holds few distinct offsets
-_ZONES = {"Z": timezone.utc, "z": timezone.utc}
-
-
 def _zone(offset: str) -> timezone | None:
-    """The offset's tzinfo; None for minutes past 59, which name no offset."""
-    minutes = int(offset[-2:])
-    if minutes > 59:
+    """The tzinfo of a ±HH:MM offset (colon optional); None for minutes past
+    59 or an offset past 14:00 either way, which name no xsd:dateTime zone."""
+    hours, minutes = int(offset[1:3]), int(offset[-2:])
+    if minutes > 59 or hours * 60 + minutes > 14 * 60:
         return None
     sign = -1 if offset[0] == "-" else 1
-    zone = _ZONES[offset] = timezone(sign * timedelta(hours=int(offset[1:3]), minutes=minutes))
-    return zone
+    return timezone(sign * timedelta(hours=hours, minutes=minutes))
+
+
+# tzinfo by offset text, each made once; a log holds few distinct offsets
+_ZONES = _Memo(_zone)
+_ZONES["Z"] = _ZONES["z"] = timezone.utc
 
 
 def parse_instant(text: str) -> datetime:
     """Parse an ISO-8601 timestamp with a mandatory zone offset.
 
-    Accepts 'Z' or '+HH:MM'/'-HH:MM' (colon optional, MM at most 59)
-    offsets and a fractional second part of up to nine digits, truncated to
-    microseconds.  Raises ValueError on anything else.
+    Accepts 'Z' or '+HH:MM'/'-HH:MM' offsets (colon optional, MM at most
+    59, at most 14:00 either way) and a fractional second part of up to
+    nine digits, truncated to microseconds.  Raises ValueError on anything
+    else.
     """
     m = _ISO_RE.match(text.strip())
-    zone = m and (_ZONES.get(m[8]) or _zone(m[8]))
+    zone = m and _ZONES[m[8]]
     if zone is None:
         raise ValueError(f"not an ISO-8601 timestamp with zone offset: {text!r}")
     year, month, day, hour, minute, second, frac, _ = m.groups()

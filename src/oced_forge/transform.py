@@ -15,7 +15,7 @@ from typing import NamedTuple
 
 from .errors import ConfigError, GraphIntegrityError, warn
 from .oced_model import OcedEvent, OcedGraph, OcedObject, TypedValue
-from .terms import EXT, EXT_FIXED_PREDICATES, Iri, escape_id
+from .terms import EXT, EXT_FIXED_PREDICATES, Iri, _Memo, escape_id
 from .timeutil import has_utc_instant, to_utc_millis
 from .xes_parser import XesLog, _attribute_text
 
@@ -220,12 +220,14 @@ def transform_log(log_: XesLog, config: MappingConfig | None = None) -> tuple[Oc
             )
         else:
             graph.add_object(OcedObject(id=case_id, object_type=config.case_object_type))
-            report.objects_emitted += 1
         case_ids.append(case_id)
 
     rule_oo_seen: set[tuple[str, str]] = set()
     # per rule, the object id of each distinct value text, escaped once
-    rule_ids: list[dict[str, str]] = [{} for _ in config.object_rules]
+    rule_ids = [
+        _Memo(lambda text, prefix=f"{escape_id(rule.object_type)}_": prefix + escape_id(text))
+        for rule in config.object_rules
+    ]
     ordinal = 0
     for ti, trace in enumerate(log_.traces):
         case_id = case_ids[ti]
@@ -244,37 +246,29 @@ def transform_log(log_: XesLog, config: MappingConfig | None = None) -> tuple[Oc
                 report.events_skipped.append(SkippedEvent(ti, ei, "timestamp out of range"))
                 continue
             attributes = {}
-            dates_out_of_range = []
             for key in config.attribute_passthrough:
                 attr = event.get(key)
                 if attr is None:
                     continue
                 if attr.kind == "date" and not has_utc_instant(attr.value):
-                    dates_out_of_range.append(key)
+                    report.warnings.append(
+                        f"trace {ti} event {ei}: date attribute {key!r} has no UTC instant "
+                        f"in years 1..9999; attribute left out"
+                    )
                     continue
                 attributes[key] = attr
             oced_event = OcedEvent(f"e{ordinal}", derive_event_type(event, config), observed_at, attributes)
-            for key in dates_out_of_range:
-                report.warnings.append(
-                    f"trace {ti} event {ei}: date attribute {key!r} has no UTC instant "
-                    f"in years 1..9999; attribute left out"
-                )
             graph.add_event(oced_event)
-            report.events_emitted += 1
             graph.relate_event_object(oced_event.id, case_id, config.case_eo_qualifier)
 
             for rule, ids in zip(config.object_rules, rule_ids):
                 attr = event.get(rule.xes_key)
                 if attr is None:
                     continue
-                value_text = _attribute_text(attr)
-                object_id = ids.get(value_text)
-                if object_id is None:
-                    object_id = ids[value_text] = f"{escape_id(rule.object_type)}_{escape_id(value_text)}"
+                object_id = ids[_attribute_text(attr)]
                 existing = graph.objects.get(object_id)
                 if existing is None:
                     graph.add_object(OcedObject(id=object_id, object_type=rule.object_type))
-                    report.objects_emitted += 1
                 elif existing.object_type != rule.object_type:
                     report.warnings.append(
                         f"trace {ti} event {ei}: id {object_id!r} already names a "
@@ -294,6 +288,7 @@ def transform_log(log_: XesLog, config: MappingConfig | None = None) -> tuple[Oc
                     rule_oo_seen.add((case_id, object_id))
                     graph.relate_objects(case_id, object_id, rule.oo_qualifier)
 
+    report.events_emitted, report.objects_emitted = len(graph.events), len(graph.objects)
     for warning in report.warnings:
         warn(__name__, "%s", warning)
     return graph, report

@@ -37,6 +37,8 @@ from typing import TYPE_CHECKING, TextIO
 from .errors import SerializationError
 from .terms import (
     _BAD_IRI_CHARS,
+    _IRI_SCHEME,
+    _LANGTAG,
     EX,
     EXT,
     EXT_CLASSIFIER,
@@ -66,8 +68,6 @@ if TYPE_CHECKING:  # annotations only: graph_to_turtle loads neither module
     from .oced_model import OcedGraph, TypedValue
     from .triple_query import TripleStore
 
-# the language tag the reader accepts
-_LANG_RE = re.compile(r"[A-Za-z][A-Za-z0-9\-]*")
 # most IRIs written are instances, so ex: is tried first; no namespace
 # starts another, so the order cannot change a token
 _TOKEN_PREFIXES = PREFIXES[-1:] + PREFIXES[:-1]
@@ -196,6 +196,8 @@ def _iri_token(value: str) -> str:
                 return f"{prefix}:{local}"
     if _BAD_IRI_CHARS.search(value):
         raise SerializationError(f"IRI contains characters illegal in Turtle: {value!r}")
+    if not re.match(_IRI_SCHEME, value):
+        raise SerializationError(f"relative IRI {value!r}: Turtle output holds only absolute IRIs")
     return f"<{value}>"
 
 
@@ -203,7 +205,7 @@ def _literal_token(lexical: str, datatype_token: str | None = None, lang: str | 
     rendered = f'"{_escape_literal(lexical)}"'
     if datatype_token is not None:
         return f"{rendered}^^{datatype_token}"
-    if lang and not _LANG_RE.fullmatch(lang):
+    if lang and not re.fullmatch(_LANGTAG, lang):
         raise SerializationError(f"language tag {lang!r} is not [A-Za-z][A-Za-z0-9-]*")
     return f"{rendered}@{lang}" if lang else rendered
 

@@ -5,9 +5,12 @@ compiles its regexes; turtle_io forwards parse_turtle and _TurtleParser here.
 The parser supports prefix declarations, IRIs, prefixed names, plain / typed
 / language-tagged literals, numeric and boolean shorthand, the ';' and ','
 abbreviations, and 'a' for rdf:type.  Blank nodes, collections, long
-strings, and @base are rejected as unsupported constructs.  An IRI holds
-no control character, space or any of <>"{}|^`\\ (RDF 1.1 Turtle's IRIREF,
-and the rule the writer checks), and no escape sequence.
+strings, and @base are rejected as unsupported constructs.  An IRI is
+absolute and holds no control character, space or any of <>"{}|^`\\, and
+no escape sequence.  The shapes of an IRIREF, its scheme and a language tag
+(RDF 1.1 Turtle section 6.5) are terms', from which the fast path, the
+general reader and the writer each build their patterns, so what one
+writes the others read.
 
 Parsing picks a reader per statement.  A statement fast path reads the
 triple statements write_turtle emits and the subject-grouped shape of
@@ -39,6 +42,9 @@ from collections.abc import Callable
 from .errors import TurtleSyntaxError, UnsupportedConstructError
 from .terms import (
     _BAD_IRI_CHARS,
+    _IRI_ILLEGAL,
+    _IRI_SCHEME,
+    _LANGTAG,
     BAD_PERCENT_RE,
     RDF_TYPE,
     XSD_BOOLEAN,
@@ -53,7 +59,7 @@ from .terms import (
 )
 from .triple_query import TripleStore
 
-_ABSOLUTE_IRI_RE = re.compile(r"^[A-Za-z][A-Za-z0-9+.\-]*:")
+_starts_with_scheme = re.compile(_IRI_SCHEME).match  # what makes an IRIREF absolute
 
 _IRIREF, _PNAME, _STRING, _NUMBER, _WORD, _ATWORD = "iriref", "pname", "string", "number", "word", "atword"
 _PUNCT = "punct"  # . ; , ^^
@@ -79,7 +85,7 @@ _TOKEN_RE = re.compile(
     r"|(?P<word>[A-Za-z][A-Za-z0-9_.\-]*)"
     r"|(?P<iriref><[^>\n]*>)"
     r"|(?P<number>[+-]?[0-9]+(?:\.[0-9]+)?(?:[eE][+-]?[0-9]+)?)"
-    r"|(?P<atword>@[A-Za-z][A-Za-z0-9\-]*)"
+    rf"|(?P<atword>@{_LANGTAG})"
     r"|(?P<eof>\Z)"
     r"|)"
 )
@@ -143,10 +149,9 @@ class _Token:
 # '.' in the local part (and _fast_term declines a bad '%'), IRIs are
 # absolute and free of _BAD_IRI_CHARS, strings hold no escape, and
 # whitespace separates subject, verb and object.
-_FAST_IRIREF = r'<[A-Za-z][A-Za-z0-9+.\-]*:[^\x00-\x20<>"{}|^`\\]*>'
 _FAST_PNAME = r"(?:[A-Za-z][A-Za-z0-9_\-]*)?:[A-Za-z0-9_%\-]*"
-_FAST_IRI = rf"(?:{_FAST_PNAME}|{_FAST_IRIREF})"
-_FAST_LITERAL = rf'"[^"\\\n]*"(?:\^\^{_FAST_IRI}|@[A-Za-z][A-Za-z0-9\-]*)?'
+_FAST_IRI = rf"(?:{_FAST_PNAME}|<{_IRI_SCHEME}[^{_IRI_ILLEGAL}]*>)"  # a pname or an absolute IRIREF
+_FAST_LITERAL = rf'"[^"\\\n]*"(?:\^\^{_FAST_IRI}|@{_LANGTAG})?'
 _FAST_VERB = rf"{_FAST_IRI}|a"
 _FAST_OBJECT = rf"{_FAST_IRI}|{_FAST_LITERAL}"
 _END = r"\.[ \t\r]*(?:\n|\Z)"
@@ -355,20 +360,20 @@ class _TurtleParser:
         iri = self._next()
         if iri.kind != _IRIREF:
             self._error("expected an IRI", iri.pos)
-        self._check_absolute(iri)
-        self._bind(name.value[0], iri.value)
+        self._bind(name.value[0], self._absolute(iri))
         if needs_dot:
             self._expect_punct(".")
 
-    def _check_absolute(self, token):
-        if not _ABSOLUTE_IRI_RE.match(token.value):
+    def _absolute(self, token: _Token) -> str:
+        """An IRIREF token's text, which must start with a scheme."""
+        if not _starts_with_scheme(token.value):
             self._error(f"relative IRI {token.value!r} (no base support)", token.pos)
+        return token.value
 
     def _iri(self, role: str) -> Iri:
         token = self._next()
         if token.kind == _IRIREF:
-            self._check_absolute(token)
-            return self._intern(token.value)
+            return self._intern(self._absolute(token))
         if token.kind == _PNAME:
             prefix, local = token.value
             if prefix not in self.prefixes:

@@ -7,8 +7,9 @@ dict of TypedValue; a repeated key in an event is an error.  A trace keeps
 the first value of a repeated key; later repeats are still checked.  The
 log header (extensions, globals, classifiers, log-level attributes) and
 attributes nested in other attributes are checked but not kept; the XES
-list/container construct is rejected.  Unknown elements are skipped and
-recorded as warnings on the returned log.
+list/container construct is rejected.  Unknown elements are skipped with a
+warning: once a document is read, each warning is logged (errors.warn,
+under this module's name) and kept on the returned log.
 
 The XML is read in one expat pass, with no element tree: the start handler
 keeps one entry per open element (the log, a trace, an event, an element
@@ -39,8 +40,9 @@ import zlib
 from typing import NamedTuple
 from xml.parsers import expat
 
-from .errors import XesParseError, XesStructureError
+from .errors import XesParseError, XesStructureError, warn
 from .oced_model import TypedValue
+from .terms import _Memo
 from .timeutil import format_offset_millis, parse_instant
 
 VALUE_KINDS = ("string", "date", "int", "float", "boolean", "id")
@@ -140,7 +142,7 @@ class _Reader:
         self.events: list[dict[str, TypedValue]] = []
         self.event: dict[str, TypedValue] = {}
         # one object per distinct string value and per distinct event key
-        self.strings: dict[str, TypedValue] = {}
+        self.strings = _Memo(lambda raw: tuple.__new__(TypedValue, ("string", raw)))
         self.keys: dict[str, str] = {}
 
     def start(self, name: str, attrs: dict[str, str]):
@@ -162,9 +164,7 @@ class _Reader:
                 if raw is None:
                     raise XesStructureError(f"<{tag}> element for key {key!r} without a value")
                 if tag == "string":
-                    value = self.strings.get(raw)
-                    if value is None:
-                        value = self.strings[raw] = tuple.__new__(TypedValue, (tag, raw))
+                    value = self.strings[raw]
                 else:
                     value = tuple.__new__(TypedValue, (tag, parse_value(tag, key, raw)))
                 entry = _CHECK
@@ -258,6 +258,8 @@ def parse_xes_xml(data: bytes) -> XesLog:
     XesStructureError for XES-level violations.  The first structural error
     is raised only once the whole document has been read, so malformed XML
     anywhere in it is reported instead, as a whole-document parse would.
+    The reader's warnings are logged once the document is read, so a
+    document that raises logs none.
     """
     reader = _Reader()
     parser = expat.ParserCreate(namespace_separator="}")
@@ -297,4 +299,6 @@ def parse_xes_xml(data: bytes) -> XesLog:
         parser = None  # drop the cycle through the entity handlers, which hold it
     if reader.held is not None:
         raise reader.held
+    for warning in reader.warnings:
+        warn(__name__, "%s", warning)
     return XesLog(traces=tuple(reader.traces), warnings=tuple(reader.warnings))

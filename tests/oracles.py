@@ -449,9 +449,13 @@ _ISO_RE = re.compile(
 
 def reference_parse_instant(text: str) -> datetime:
     """Reference for timeutil.parse_instant: each field converted on its own
-    and a new tzinfo per call.  Offset minutes past 59 name no offset."""
+    and a new tzinfo per call.  Offset minutes past 59 name no offset, and
+    nor does an offset past 14:00 either way (xsd:dateTime's zone range)."""
     m = _ISO_RE.match(text.strip())
-    if m is None or (m.group(8) not in ("Z", "z") and int(m.group(8)[-2:]) > 59):
+    if m is None or (
+        m.group(8) not in ("Z", "z")
+        and (int(m.group(8)[-2:]) > 59 or (int(m.group(8)[1:3]), int(m.group(8)[-2:])) > (14, 0))
+    ):
         raise ValueError(f"not an ISO-8601 timestamp with zone offset: {text!r}")
     year, month, day, hour, minute, second = (int(g) for g in m.groups()[:6])
     frac = m.group(7) or ""

@@ -540,6 +540,7 @@ class TestTimeKey:
     def test_malformed_datetime_is_none(self):
         for lexical in (
             "not a date", "2012-01-01T10:00:00.000", "2012-13-01T10:00:00.000Z", "2012-01-01T10:00:00.000+01:99",
+            "2012-01-01T10:00:00.000+15:00", "2012-01-01T10:00:00.000-23:00",
         ):
             assert analyses._time_key(TypedLiteral(lexical, DT)) is None, lexical
 

@@ -20,10 +20,24 @@ pytest.importorskip("hypothesis")
 
 from hypothesis import assume, example, given, settings, strategies as st  # noqa: E402
 
-from oced_forge import OcedEvent, OcedGraph, OcedObject, SerializationError, TypedValue, escape_id  # noqa: E402
+from oced_forge import (  # noqa: E402
+    Iri,
+    OcedEvent,
+    OcedGraph,
+    OcedObject,
+    PlainLiteral,
+    SerializationError,
+    Triple,
+    TypedLiteral,
+    TypedValue,
+    escape_id,
+    parse_turtle,
+    write_turtle,
+)
 from oced_forge.analyses import records_to_jsonl  # noqa: E402
 from oced_forge.cli import main  # noqa: E402
-from oced_forge.terms import EX, is_escaped_id, unescape_id  # noqa: E402
+from oced_forge.terms import EX, PREFIXES, is_escaped_id, unescape_id  # noqa: E402
+from oced_forge.triple_query import TripleStore  # noqa: E402
 from oced_forge.turtle_io import _iri_token, _TurtleParser  # noqa: E402
 from oced_forge.timeutil import (  # noqa: E402
     format_offset_millis,
@@ -125,7 +139,11 @@ def test_formatted_instants_parse_back_truncated(moment):
     except OverflowError:  # the UTC instant falls outside years 1..9999
         assume(False)
     assert parse_instant(format_utc_millis(moment)) == truncated
-    assert parse_instant(format_offset_millis(moment)) == truncated
+    if abs(moment.utcoffset()) <= timedelta(hours=14):
+        assert parse_instant(format_offset_millis(moment)) == truncated
+    else:  # past xsd:dateTime's zone range
+        with pytest.raises(ValueError):
+            parse_instant(format_offset_millis(moment))
 
 
 _TIMES = [
@@ -133,8 +151,8 @@ _TIMES = [
     "2012-01-01T11:00:00.000+01:00",
     "0001-01-01T00:30:00.000+01:00",  # UTC instant in year 0
     "9999-12-31T23:30:00.000-01:00",  # UTC instant in year 10000
-    "0001-01-01T23:59:00-23:59",
-    "9999-12-31T00:00:00.0001+23:59",
+    "0001-01-01T00:00:00-14:00",
+    "9999-12-31T23:59:59.9999+14:00",
     "not a date",
 ]
 _OBJECTS = st.one_of(
@@ -388,6 +406,52 @@ def _prefixed(local: str) -> bool:
 @given(local=_id_texts)
 def test_writer_prefixes_the_local_names_it_prefixed(local):
     assert _prefixed(local) == reference_prefixes_local(local)
+
+
+# absolute IRIs (RFC 3986's scheme, then RDF 1.1 Turtle's IRIREF characters),
+# literal text the writer escapes nothing in, and RDF 1.1 Turtle's LANGTAG
+_absolute_iris = st.builds(
+    str.__add__,
+    st.from_regex(r"[A-Za-z][A-Za-z0-9+.\-]*:", fullmatch=True),
+    st.text(st.characters(min_codepoint=0x21, exclude_categories=("Cs",), exclude_characters='<>"{}|^`\\')),
+).map(Iri)
+_unescaped_text = st.text(st.characters(exclude_categories=("Cs",), exclude_characters='"\\\n\r\t'))
+_written_terms = st.one_of(
+    _absolute_iris,
+    st.builds(TypedLiteral, _unescaped_text, _absolute_iris),
+    st.builds(PlainLiteral, _unescaped_text, st.from_regex(r"[A-Za-z]+(-[A-Za-z0-9]+)*", fullmatch=True)),
+)
+
+
+def _fast_path(text: str) -> _TurtleParser:
+    """A parser of text, the table's prefixes bound, whose fast path has
+    read what it reads of text."""
+    parser = _TurtleParser(text)
+    for prefix, namespace in PREFIXES:
+        parser._bind(prefix, namespace)
+    parser.pos = parser._fast_statements(0)
+    return parser
+
+
+@settings(max_examples=500, derandomize=True, deadline=None)
+@given(subject=_absolute_iris, term=_written_terms)
+def test_both_readers_read_each_written_token_as_its_term(subject, term):
+    """The writer's tokens for an IRI, a typed literal and a language-tagged
+    literal read back as the same terms by the fast path, and by the general
+    reader when an escaped string first in the statement makes the fast path
+    decline it."""
+    triple = Triple(subject, Iri(EX + "p"), term)
+    text = write_turtle(TripleStore([triple]))
+    row = text.rpartition("\n\n")[2]
+    fast = _fast_path(row)
+    assert fast.pos == len(row)
+    assert set(fast.store) == {triple}
+
+    subject_token, predicate_token, rest = row.split(" ", 2)
+    declined = f'{subject_token} {predicate_token} "\\t", {rest}'
+    assert _fast_path(declined).pos == 0
+    general = parse_turtle(text.replace(row, declined))
+    assert set(general) == {triple, (subject, triple.predicate, PlainLiteral("\t"))}
 
 
 @example(text="q%4")

@@ -289,6 +289,14 @@ class TestWriteTurtle:
         with pytest.raises(SerializationError, match="illegal in Turtle"):
             write_turtle(store)
 
+    @pytest.mark.parametrize("iri", ["a", "rel/x", ":x", "1http://e/x", "é:x"])
+    def test_relative_iri_the_readers_reject_is_a_serialization_error(self, iri):
+        store = TripleStore([Triple(Iri(EX + "s"), Iri(EXT + "p"), Iri(iri))])
+        with pytest.raises(SerializationError, match="relative IRI"):
+            write_turtle(store)
+        with pytest.raises(TurtleSyntaxError, match="relative IRI"):
+            parse_turtle(f"<{EX}s> <{EXT}p> <{iri}> .\n")
+
     @pytest.mark.parametrize("lang", ["en us", "en\n", "1en", "-en", "en_US", "é"])
     def test_language_tag_the_readers_reject_is_a_serialization_error(self, lang):
         store = TripleStore([Triple(Iri(EX + "s"), Iri(EXT + "p"), PlainLiteral("x", lang))])

@@ -1,5 +1,6 @@
 import gzip
 import itertools
+import logging
 import random
 import re
 import tracemalloc
@@ -89,15 +90,34 @@ def test_date_requires_zone_offset():
 
 
 def test_offset_minutes_past_59_are_unparseable():
-    """`+01:99` is no offset, not `+02:39`; minutes up to 59 parse, in any
-    digits parse_instant reads."""
-    for minutes in ("60", "99", "٦٠"):
-        value = f"2012-01-01T10:00:00.000+01:{minutes}"
+    """`+01:99` is no offset, not `+02:39`, and neither is one past 14:00
+    either way (xsd:dateTime's zone range); minutes up to 59 parse, in any
+    digits parse_instant reads, and so does ±14:00."""
+    for offset in ("+01:60", "+01:99", "+01:٦٠", "+15:00", "-23:00", "+14:01"):
+        value = f"2012-01-01T10:00:00.000{offset}"
         doc = f'<log xes.version="1.0"><trace><event><date key="time:timestamp" value="{value}"/></event></trace></log>'
         with pytest.raises(XesStructureError, match="unparseable date for key 'time:timestamp'"):
             parse_xes(doc.encode())
     assert parse_instant("2012-01-01T10:00:00+01:59").utcoffset() == timedelta(hours=1, minutes=59)
     assert parse_instant("2012-01-01T10:00:00+01:٣٠").utcoffset() == timedelta(hours=1, minutes=30)
+    assert parse_instant("2012-01-01T10:00:00+14:00").utcoffset() == timedelta(hours=14)
+    assert parse_instant("2012-01-01T10:00:00-14:00").utcoffset() == -timedelta(hours=14)
+
+
+def test_parse_xes_logs_each_warning_once(caplog):
+    """The reader logs its own warnings, once each, under its module's name,
+    once the document is read; a document that raises logs none."""
+    doc = b'<log><mystery/><trace><other/><event><string key="k" value="v"/></event></trace></log>'
+    with caplog.at_level(logging.WARNING):
+        log = parse_xes(doc)
+    assert len(log.warnings) == 3
+    assert [(r.name, r.levelno, r.getMessage()) for r in caplog.records] == [
+        ("oced_forge.xes_parser", logging.WARNING, warning) for warning in log.warnings
+    ]
+    caplog.clear()
+    with caplog.at_level(logging.WARNING), pytest.raises(XesStructureError):
+        parse_xes(b'<log><mystery/><trace><event><list key="l"/></event></trace></log>')
+    assert caplog.records == []
 
 
 def test_list_attribute_rejected():
