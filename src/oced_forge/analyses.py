@@ -12,7 +12,9 @@ Team involvement ranks teams by the number of distinct cases in which they
 appear in at least one witnessing event triple, with the total number of
 witnessing triples as a secondary metric.
 
-Each analysis returns named tuples, so its schema is declared once: the
+Each analysis reads its query's solutions through TripleStore.select, one
+tuple of terms per solution in the order it names the variables, and builds
+no binding dict.  It returns named tuples, so its schema is declared once: the
 row type's fields are the output columns (the *_COLUMNS) and its values the
 cells records_to_csv and records_to_jsonl write, in that order; each imports
 csv or json, its format's module, only when called.  A cell read
@@ -25,9 +27,7 @@ milliseconds, the literal itself when canonical.
 
 import io
 from bisect import bisect_left, bisect_right
-from collections.abc import Iterator
 from itertools import repeat
-from operator import itemgetter
 from typing import NamedTuple
 
 from .errors import warn
@@ -48,7 +48,7 @@ from .terms import (
     _Memo,
 )
 from .timeutil import utc_key
-from .triple_query import Rows, TriplePattern, TripleStore, Var
+from .triple_query import TriplePattern, TripleStore, Var
 
 
 class EventObjectRow(NamedTuple):
@@ -84,13 +84,12 @@ TEAM_TIMES = [
     TriplePattern(_EVENT, EXT_EVENT_CASE, Var("case")),
     TriplePattern(_EVENT, OBSERVED_AT, Var("time")),
 ]
-# ?node ext:event ?event; ext:object ?object; a ext:EventObject
-_HAS_EVENT = TriplePattern(_NODE, EXT_EVENT, _EVENT)
 _IS_EVENT_OBJECT = TriplePattern(_NODE, RDF_TYPE, EXT_EVENT_OBJECT_CLASS)
 # The EventObject query: its required block and OPTIONAL groups, one pattern
 # each, the classifier first (store_to_dot reads only that group).
+# ?node ext:event ?event; ext:object ?object; a ext:EventObject
 EVENT_OBJECTS = (
-    [_HAS_EVENT, TriplePattern(_NODE, EXT_OBJECT, _OBJECT), _IS_EVENT_OBJECT],
+    [TriplePattern(_NODE, EXT_EVENT, _EVENT), TriplePattern(_NODE, EXT_OBJECT, _OBJECT), _IS_EVENT_OBJECT],
     [
         [TriplePattern(_NODE, EXT_CLASSIFIER, Var("classifier"))],
         [TriplePattern(_EVENT, EXT_EVENT_TYPE, Var("event_type"))],
@@ -98,13 +97,6 @@ EVENT_OBJECTS = (
         [TriplePattern(_OBJECT, EXT_OBJECT_TYPE, Var("object_type"))],
     ],
 )
-
-
-def _select(solutions: Rows, *names: str) -> Iterator[tuple]:
-    """The named variables' terms of each row, in the order named (None
-    where unbound)."""
-    columns, rows = solutions
-    return map(itemgetter(*map(columns.index, names)), rows)
 
 
 def _time_key(term: Term | None) -> str | None:
@@ -129,7 +121,7 @@ def _team_times(store: TripleStore) -> dict[str, dict[str, list[str]]]:
     """
     cases: dict[str, dict[str, list[str]]] = {}
     keys = _Memo(_time_key)
-    for team, case, time in _select(store._solutions(TEAM_TIMES), "team", "case", "time"):
+    for team, case, time in store.select(("team", "case", "time"), TEAM_TIMES):
         time = keys[time]
         if time is not None:
             teams = cases.setdefault(case[0], {})
@@ -199,13 +191,13 @@ def enumerate_event_objects(store: TripleStore) -> list[EventObjectRow]:
     and left unbound otherwise; nodes lacking ext:event or ext:object are
     skipped with a warning.
     """
-    solutions = list(_select(store._solutions(*EVENT_OBJECTS), "node", *EVENT_OBJECT_COLUMNS))
+    solutions = list(store.select(("node", *EVENT_OBJECT_COLUMNS), *EVENT_OBJECTS))
     joined = {solution[0] for solution in solutions}
     # a match_pattern read, kept while bench/layertrace.py divides by match_pattern_calls
     nodes = store.match_pattern(_IS_EVENT_OBJECT)
     skipped = [sol["node"] for sol in nodes if sol["node"] not in joined]
-    if skipped:  # one read of ext:event tells the two warnings apart for every node
-        with_event = {sol["node"] for sol in store.match_pattern(_HAS_EVENT)}
+    if skipped:  # the subjects of ext:event tell the two warnings apart for every node
+        with_event = {node for node, _ in store.pairs(EXT_EVENT)}
         for n in skipped:
             lacks = "ext:object" if n in with_event else "ext:event"
             warn(__name__, "EventObject %s lacks %s; skipped", n[0], lacks)

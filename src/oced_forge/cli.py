@@ -15,8 +15,11 @@ loads no analyses.  Each layer logs its own warnings (the XES reader, the
 transform and the event-objects analysis, through errors.warn), and logging
 is loaded, and set up, at the first one.  An input is read whole and
 inflated once when it is gzip (_read_input); the XES reader (parse_xes_xml)
-is then given the XML as it is.  analyze loads Turtle with a keep rule made
-of the IRI predicates of the patterns its query looks up (see _keep_rule).
+is then given the XML as it is.  Every read command, stats included,
+decodes and parses Turtle in _parse_store, so text that is not UTF-8 is
+one TurtleSyntaxError for all of them.  analyze loads Turtle with a keep
+rule made of the IRI predicates of the patterns its query looks up (see
+_keep_rule).
 stats keeps every triple, because it counts them, and so does export-dot,
 which reads or would keep every predicate convert writes (see dot_export).
 The cyclic GC is off during every command.
@@ -193,19 +196,17 @@ def _keep_rule(query: tuple) -> Callable[[Iri], bool]:
     return frozenset(pattern.predicate for block in (required, *groups) for pattern in block).__contains__
 
 
-def _parse_store(text: str, keep: Callable[[Iri], bool] | None = None) -> "TripleStore":
-    """A frozen store of the text's triples (see parse_turtle's keep)."""
+def _parse_store(path: str, data: bytes, keep: Callable[[Iri], bool] | None = None) -> "TripleStore":
+    """A frozen store of the triples of data, the input at path, read as
+    UTF-8 Turtle (see parse_turtle's keep).  The one place Turtle text is
+    decoded: bytes that are not UTF-8 are a TurtleSyntaxError."""
     from .turtle_parser import parse_turtle
 
-    return parse_turtle(text, keep).freeze()
-
-
-def _load_store(path: str, keep: Callable[[Iri], bool] | None = None) -> "TripleStore":
     try:
-        text = _read_input(path).decode("utf-8")
+        text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
         raise TurtleSyntaxError(f"{path}: not UTF-8 text: {exc}") from exc
-    return _parse_store(text, keep)
+    return parse_turtle(text, keep).freeze()
 
 
 def cmd_convert(args) -> int:
@@ -240,7 +241,7 @@ def cmd_analyze(args) -> int:
     from .analyses import records_to_csv, records_to_jsonl
 
     analysis, columns, query = _analysis(args.analysis)
-    rows = analysis(_load_store(args.input, _keep_rule(query)))
+    rows = analysis(_parse_store(args.input, _read_input(args.input), _keep_rule(query)))
     write = records_to_csv if args.format == "csv" else records_to_jsonl
     _write_text(args.output, write(rows, columns))
     if not args.quiet:
@@ -288,24 +289,19 @@ def cmd_stats(args) -> int:
             rows = _xes_summary(parse_xes_xml(data))
         except XesParseError as xml_error:
             try:
-                rows = _turtle_summary(_parse_store(data.decode("utf-8")))
-            except (UnicodeDecodeError, TurtleSyntaxError):
+                rows = _turtle_summary(_parse_store(args.input, data))
+            except TurtleSyntaxError:
                 raise xml_error from None
     else:
         try:
-            text = data.decode("utf-8")
-        except UnicodeDecodeError:
-            print(f"stats: {args.input}: not XES or Turtle", file=sys.stderr)
-            return EXIT_BAD_FORMAT
-        try:
-            store = _parse_store(text)
+            rows = _turtle_summary(_parse_store(args.input, data))
         except TurtleSyntaxError:
-            header = text.lstrip("\ufeff \t\r\n")[:7].lower()  # directive keywords are read in any case
+            # the header of text that may not be UTF-8; directive keywords are read in any case
+            header = data.decode("utf-8", "replace").lstrip("\ufeff \t\r\n")[:7].lower()
             if header.startswith(("@prefix", "prefix", "@base", "base", "#")):
                 raise  # Turtle by its header: a parse error, exit 3
             print(f"stats: {args.input}: not XES or Turtle", file=sys.stderr)
             return EXIT_BAD_FORMAT
-        rows = _turtle_summary(store)
 
     width = max(len(name) for name, _ in rows)
     _write_text(args.output, "".join(f"{name:<{width}}  {value}\n" for name, value in rows))
@@ -315,7 +311,7 @@ def cmd_stats(args) -> int:
 def cmd_export_dot(args) -> int:
     from .dot_export import store_to_dot
 
-    _write_text(args.output, store_to_dot(_load_store(args.input)))
+    _write_text(args.output, store_to_dot(_parse_store(args.input, _read_input(args.input))))
     return EXIT_OK
 
 

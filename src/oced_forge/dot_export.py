@@ -10,7 +10,9 @@ unescaped, or as written when unescape_id raises ValueError for it.  Each
 distinct term is rendered, and each distinct token quoted, once per call.
 
 store_to_dot reads the event and object label predicates, the
-event-object block and every qualifier predicate (terms.is_qualifier).
+event-object block with its classifier group (the analyses' EventObject
+query, through TripleStore.select) and every qualifier predicate
+(terms.is_qualifier).
 Every predicate convert writes is rdf:type, ocedo:observed_at or an ext:
 predicate, all of which it reads or a keep rule for it would keep, so
 export-dot loads every triple, as stats does.
@@ -65,8 +67,8 @@ def store_to_dot(store: TripleStore) -> str:
 
     edges: list[tuple[str, str, str | None]] = []
     required, groups = analyses.EVENT_OBJECTS
-    solutions = store._solutions(required, groups[:1])  # the classifier group only
-    for event, obj, classifier in analyses._select(solutions, "event", "object", "classifier"):
+    # the classifier group only
+    for event, obj, classifier in store.select(("event", "object", "classifier"), required, groups[:1]):
         label = classifier.value if isinstance(classifier, PlainLiteral) else None
         edges.append((token(event), token(obj), label))
 

@@ -34,7 +34,11 @@ _ESCAPE_RUN_RE = re.compile(r"%[%0-9A-Fa-f]*?(?<=%[0-9A-Fa-f]{2})(?!%)")
 # scheme that makes an IRI absolute, and a language tag
 _IRI_ILLEGAL = r'\x00-\x20<>"{}|^`\\'
 _IRI_SCHEME = r"[A-Za-z][A-Za-z0-9+.\-]*:"
-_LANGTAG = r"[A-Za-z][A-Za-z0-9\-]*"
+# LANGTAG, [a-zA-Z]+ ('-' [a-zA-Z0-9]+)*, matched only as a whole run of
+# letters, digits and '-': letters, then no '--' and no '-' at the end.  It
+# repeats no group, which would cost the engine state per subtag, and its
+# lookaheads stop each run from being retried at every shorter length.
+_LANGTAG = r"[A-Za-z]+(?![A-Za-z])(?![A-Za-z0-9\-]*--)(?:-[A-Za-z0-9\-]*[A-Za-z0-9])?(?![A-Za-z0-9\-])"
 _BAD_IRI_CHARS = re.compile(f"[{_IRI_ILLEGAL}]")
 
 

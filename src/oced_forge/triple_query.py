@@ -27,9 +27,10 @@ pattern's rows; each later join step is a hash join: the pattern or group
 is scanned once, unsubstituted, its rows are keyed on the variables already
 bound, and a row is extended by tuple concatenation.  match_pattern,
 match_bgp and match_optional build binding dicts once, from the final rows,
-for library callers; an unbound variable is an absent key.  The analyses
-and store_to_dot read the rows and build none, but for one match_pattern
-read of the EventObject nodes.
+for library callers; an unbound variable is an absent key.  select projects
+the rows onto the variables it is asked for and builds no dict; the
+analyses and store_to_dot read their solutions through it, so the row
+layout is known to this module only.
 
 There are no FILTER expressions: callers decode the literals they compare
 (the analyses key time literals with timeutil.utc_key) and compare the
@@ -37,7 +38,7 @@ values themselves.
 """
 
 from collections import defaultdict
-from collections.abc import KeysView
+from collections.abc import Iterator, KeysView, Sequence
 from operator import itemgetter
 
 from .terms import Iri, Term, Triple
@@ -194,6 +195,18 @@ class TripleStore:
         A group may share with earlier groups only variables that the
         required patterns bind; ValueError otherwise."""
         return _binding_sets(self._solutions(required, optional_groups))
+
+    def select(
+        self,
+        names: Sequence[str],
+        required: list[TriplePattern],
+        optional_groups: Sequence[list[TriplePattern]] = (),
+    ) -> Iterator[tuple]:
+        """match_optional's solutions as tuples: the named variables' terms,
+        in the order named, None where an OPTIONAL group left one unbound.
+        The query runs, and raises, at the call."""
+        columns, rows = self._solutions(required, optional_groups)
+        return map(_columns([columns.index(name) for name in names]), rows)
 
     def _solutions(self, required, optional_groups=()) -> Rows:
         """The solutions of the required block, each group left-joined on in

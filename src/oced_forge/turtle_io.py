@@ -23,8 +23,9 @@ ext:EventObject node (ext:event / ext:object / ext:classifier) and once as a
 direct qualifier predicate from the event to the object, so both the
 reified and the direct query styles work against the same file.
 
-The reader is turtle_parser; parse_turtle and _TurtleParser, still found
-here, load it on first access (PEP 562), so the writer's callers never do.
+The reader is turtle_parser.  parse_turtle is still found here for callers
+that read and write through this module: it loads the reader on first
+access (PEP 562), so the writer's callers never do.
 """
 
 import io
@@ -206,7 +207,7 @@ def _literal_token(lexical: str, datatype_token: str | None = None, lang: str | 
     if datatype_token is not None:
         return f"{rendered}^^{datatype_token}"
     if lang and not re.fullmatch(_LANGTAG, lang):
-        raise SerializationError(f"language tag {lang!r} is not [A-Za-z][A-Za-z0-9-]*")
+        raise SerializationError(f"language tag {lang!r} is not [A-Za-z]+(-[A-Za-z0-9]+)*")
     return f"{rendered}@{lang}" if lang else rendered
 
 
@@ -272,8 +273,8 @@ def write_turtle(store: "TripleStore") -> str:
 
 
 def __getattr__(name: str):
-    if name in ("parse_turtle", "_TurtleParser"):
-        from . import turtle_parser
+    if name == "parse_turtle":
+        from .turtle_parser import parse_turtle
 
-        return getattr(turtle_parser, name)
+        return parse_turtle
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -1,6 +1,6 @@
 """The reader of the Turtle subset turtle_io writes: parse_turtle.  It is a
 module of its own so that convert, which only writes, never loads it or
-compiles its regexes; turtle_io forwards parse_turtle and _TurtleParser here.
+compiles its regexes; turtle_io forwards parse_turtle here.
 
 The parser supports prefix declarations, IRIs, prefixed names, plain / typed
 / language-tagged literals, numeric and boolean shorthand, the ';' and ','
@@ -10,7 +10,9 @@ absolute and holds no control character, space or any of <>"{}|^`\\, and
 no escape sequence.  The shapes of an IRIREF, its scheme and a language tag
 (RDF 1.1 Turtle section 6.5) are terms', from which the fast path, the
 general reader and the writer each build their patterns, so what one
-writes the others read.
+writes the others read.  The general reader takes the name after an '@' as
+one run and checks a tag against LANGTAG, so a bad tag is an error naming
+it.
 
 Parsing picks a reader per statement.  A statement fast path reads the
 triple statements write_turtle emits and the subject-grouped shape of
@@ -60,6 +62,7 @@ from .terms import (
 from .triple_query import TripleStore
 
 _starts_with_scheme = re.compile(_IRI_SCHEME).match  # what makes an IRIREF absolute
+_is_langtag = re.compile(_LANGTAG).fullmatch
 
 _IRIREF, _PNAME, _STRING, _NUMBER, _WORD, _ATWORD = "iriref", "pname", "string", "number", "word", "atword"
 _PUNCT = "punct"  # . ; , ^^
@@ -76,7 +79,8 @@ _HEX = "0123456789abcdefABCDEF"
 # kind fits, the empty last alternative matches: at a '#' _past_comments
 # skips the comment lines, and otherwise _UNMATCHED names the error.  Every
 # repeat is of one character class (a run of blanks, a local name), which
-# the engine matches without keeping state per character.
+# the engine matches without keeping state per character.  An atword is a
+# directive keyword or a language tag, which _object checks.
 _TOKEN_RE = re.compile(
     r"[ \t\r\n]*"
     r"(?:(?P<pname>(?:[A-Za-z][A-Za-z0-9_.\-]*)?:[A-Za-z0-9_.%\-]*)"
@@ -85,7 +89,7 @@ _TOKEN_RE = re.compile(
     r"|(?P<word>[A-Za-z][A-Za-z0-9_.\-]*)"
     r"|(?P<iriref><[^>\n]*>)"
     r"|(?P<number>[+-]?[0-9]+(?:\.[0-9]+)?(?:[eE][+-]?[0-9]+)?)"
-    rf"|(?P<atword>@{_LANGTAG})"
+    r"|(?P<atword>@[A-Za-z][A-Za-z0-9\-]*)"
     r"|(?P<eof>\Z)"
     r"|)"
 )
@@ -397,6 +401,8 @@ class _TurtleParser:
             nxt = self.lookahead
             if nxt.kind == _ATWORD:
                 self._next()
+                if not _is_langtag(nxt.value):
+                    self._error(f"language tag {nxt.value!r} is not [A-Za-z]+(-[A-Za-z0-9]+)*", nxt.pos)
                 return PlainLiteral(token.value, lang=nxt.value)
             if nxt.kind == _PUNCT and nxt.value == "^^":
                 self._next()

@@ -547,6 +547,22 @@ def reference_prefixes_local(local: str) -> bool:
     )
 
 
+_REFERENCE_LETTERS = "ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz"
+
+
+def reference_langtag(tag: str) -> bool:
+    """Reference for terms._LANGTAG, from RDF 1.1 Turtle's production
+    LANGTAG ::= '@' [a-zA-Z]+ ('-' [a-zA-Z0-9]+)* without its '@': split at
+    each '-', the first subtag is ASCII letters and every later one ASCII
+    letters and digits, none of them empty."""
+    first, *rest = tag.split("-")
+    return (
+        first != ""
+        and all(ch in _REFERENCE_LETTERS for ch in first)
+        and all(sub != "" and all(ch in _REFERENCE_LETTERS or ch in "0123456789" for ch in sub) for sub in rest)
+    )
+
+
 # -- JSONL -------------------------------------------------------------------
 
 

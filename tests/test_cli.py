@@ -803,6 +803,19 @@ class TestStats:
         assert run(["stats", str(ttl)], capsys) == expected
         assert run(["analyze", str(ttl), "--analysis", "teams"], capsys) == expected
 
+    @pytest.mark.parametrize(
+        "command", [["stats"], ["analyze", "--analysis", "teams"], ["export-dot"]], ids=lambda c: c[0]
+    )
+    def test_turtle_that_is_not_utf8_exits_3_for_every_read(self, command, tmp_path, capsys):
+        """Every read command decodes Turtle text in one place, so a file that
+        opens as Turtle and holds a byte that is not UTF-8 is one parse error."""
+        ttl = tmp_path / "latin1.ttl"
+        ttl.write_bytes(b'@prefix ex: <http://example.org/oced/> .\nex:a ex:p "caf\xe9" .\n')
+        code, out, err = run([command[0], str(ttl), *command[1:]], capsys)
+        assert (code, out) == (3, "")
+        assert err.startswith(f"oced-forge: {ttl}: not UTF-8 text: ")
+        assert err.count("\n") == 1
+
     def test_binary_junk_exits_65(self, tmp_path, capsys):
         junk = tmp_path / "junk.bin"
         junk.write_bytes(bytes(range(256)))

@@ -36,9 +36,10 @@ from oced_forge import (  # noqa: E402
 )
 from oced_forge.analyses import records_to_jsonl  # noqa: E402
 from oced_forge.cli import main  # noqa: E402
-from oced_forge.terms import EX, PREFIXES, is_escaped_id, unescape_id  # noqa: E402
+from oced_forge.terms import _LANGTAG, EX, PREFIXES, is_escaped_id, unescape_id  # noqa: E402
 from oced_forge.triple_query import TripleStore  # noqa: E402
-from oced_forge.turtle_io import _iri_token, _TurtleParser  # noqa: E402
+from oced_forge.turtle_io import _iri_token  # noqa: E402
+from oced_forge.turtle_parser import _TurtleParser  # noqa: E402
 from oced_forge.timeutil import (  # noqa: E402
     format_offset_millis,
     format_utc_millis,
@@ -51,6 +52,7 @@ from oracles import (  # noqa: E402
     assert_utc_key_contract,
     reference_escape_id,
     reference_is_escaped_id,
+    reference_langtag,
     reference_parse_instant,
     reference_prefixes_local,
     reference_records_to_jsonl,
@@ -465,6 +467,22 @@ def test_unescape_id_equals_its_reference_or_rejects_a_bad_percent(text):
             unescape_id(text)
     else:
         assert _unicode_outcome(unescape_id, text) == _unicode_outcome(reference_unescape_id, text)
+
+
+# -- language tags -----------------------------------------------------------
+
+# pieces around LANGTAG's edges: an empty, doubled or trailing '-', a digit in
+# the first subtag, characters outside ASCII letters and digits
+_TAG_PIECES = ["a", "Z", "en", "0", "9", "-", "_", " ", "é", "\n"]
+
+
+@example(tag="en-")
+@example(tag="x1")
+@example(tag="de-CH-1996")
+@settings(max_examples=1000, derandomize=True, deadline=None)
+@given(tag=st.lists(st.sampled_from(_TAG_PIECES), max_size=8).map("".join))
+def test_langtag_equals_its_reference(tag):
+    assert (re.fullmatch(_LANGTAG, tag) is not None) == reference_langtag(tag)
 
 
 # -- JSONL -------------------------------------------------------------------

@@ -18,7 +18,7 @@ import pytest
 from oced_forge import cli, parse_turtle, parse_xes, transform_log, turtle_io, turtle_parser
 from oced_forge.analyses import records
 from oced_forge.triple_query import TripleStore, Var
-from oced_forge.turtle_io import _TurtleParser
+from oced_forge.turtle_parser import _TurtleParser
 
 from conftest import BPIC_STYLE_XES, cli_env, turtle_text
 

@@ -1,6 +1,7 @@
 import random
 from collections import Counter
 from datetime import datetime, timedelta, timezone
+from functools import partial
 
 import pytest
 
@@ -331,8 +332,8 @@ class TestMatchOptional:
             [TriplePattern(c, iri("label"), Var("l")), TriplePattern(k, iri("weight"), Var("l"))],
         ):
             groups = [[TriplePattern(e, iri("classifier"), k)], later]
-            # both match_optional and the row join the analyses read check it
-            for query in (store.match_optional, store._solutions):
+            # match_optional, the row join and select, which the analyses read, all check it
+            for query in (store.match_optional, store._solutions, partial(store.select, ())):
                 with pytest.raises(ValueError, match=r"joins on \?k, which only an earlier group binds"):
                     query(required, groups)
         # a variable the required patterns bind joins however many groups share it
@@ -409,11 +410,11 @@ class TestMatchOptional:
         assert features["mixed shapes"] == 0
 
     def test_rows_as_dicts_equal_match_optional(self):
-        """The analyses read the rows of the one row join.  On the random
-        queries of the oracle test, the rows turned into dicts are
-        match_optional's list exactly, and the names are every variable of
-        the query once, also when the required block has no solution before
-        its last pattern."""
+        """The analyses read the rows of the one row join, through select.
+        On the random queries of the oracle test, the rows turned into dicts
+        are match_optional's list exactly, and the names are every variable
+        of the query once, also when the required block has no solution
+        before its last pattern."""
         ended_early = 0
         rng = random.Random(29)
         for _ in range(400):
@@ -422,6 +423,8 @@ class TestMatchOptional:
             dicts = [{name: term for name, term in zip(names, row) if term is not None} for row in rows]
             assert dicts == store.match_optional(required, groups)
             assert all(len(row) == len(names) for row in rows)
+            # select hands out the rows projected in the order named
+            assert list(store.select(names[::-1], required, groups)) == [row[::-1] for row in rows]
             patterns = [*required, *(pattern for group in groups for pattern in group)]
             assert sorted(names) == sorted(set().union(*(pattern.variables() for pattern in patterns)))
             ended_early += any(not store.match_bgp(required[:k]) for k in range(1, len(required)))

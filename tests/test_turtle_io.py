@@ -1,3 +1,4 @@
+import io
 import random
 import re
 import tracemalloc
@@ -30,8 +31,9 @@ from oced_forge import (
 )
 from oced_forge.cli import main
 from oced_forge.terms import EX, EXT, OCEDO, PREFIXES, RDF, XSD
-from oced_forge.triple_query import TripleStore
-from oced_forge.turtle_io import _TurtleParser
+from oced_forge.triple_query import TripleStore, Var
+from oced_forge.turtle_io import render_term
+from oced_forge.turtle_parser import _TurtleParser
 from oced_forge.xes_parser import MAX_OPEN_ELEMENTS
 
 from conftest import BPIC_STYLE_XES, turtle_text
@@ -230,6 +232,15 @@ class TestGraphToTurtle:
         assert main(["convert", str(xes)]) == 2
         assert capsys.readouterr().err == f"oced-forge: {message}\n"
 
+    def test_attribute_value_of_an_unknown_kind_raises_the_same_error(self):
+        graph = OcedGraph()
+        graph.add_event(OcedEvent(id="e1", event_type="t", observed_at=T0, attributes={"k": TypedValue("list", [1])}))
+        out = io.StringIO()
+        for render in (graph_to_triples, lambda g: graph_to_turtle(g, out)):
+            with pytest.raises(SerializationError, match=r"^attribute value kind 'list' cannot be serialized$"):
+                render(graph)
+        assert out.getvalue() == ""  # nothing written
+
 
 class TestRowOrder:
     """graph_to_turtle sorts its rows in emission order and drops each row
@@ -297,13 +308,18 @@ class TestWriteTurtle:
         with pytest.raises(TurtleSyntaxError, match="relative IRI"):
             parse_turtle(f"<{EX}s> <{EXT}p> <{iri}> .\n")
 
-    @pytest.mark.parametrize("lang", ["en us", "en\n", "1en", "-en", "en_US", "é"])
+    @pytest.mark.parametrize("lang", ["en us", "en\n", "1en", "-en", "en_US", "é", "en-", "en--us", "x1-", "x1"])
     def test_language_tag_the_readers_reject_is_a_serialization_error(self, lang):
         store = TripleStore([Triple(Iri(EX + "s"), Iri(EXT + "p"), PlainLiteral("x", lang))])
         with pytest.raises(SerializationError, match="language tag"):
             write_turtle(store)
 
-    @pytest.mark.parametrize("lang", ["en", "en-US", "x-1-a", "Z"])
+    @pytest.mark.parametrize("value", ["ex:s", ("http://e/s",), Var("s"), None])
+    def test_render_term_of_something_not_a_term_is_a_type_error(self, value):
+        with pytest.raises(TypeError, match="^not a term: "):
+            render_term(value)
+
+    @pytest.mark.parametrize("lang", ["en", "en-US", "x-1-a", "Z", "de-CH-1996"])
     def test_valid_language_tag_round_trips(self, lang):
         triple = Triple(Iri(EX + "s"), Iri(EXT + "p"), PlainLiteral("x", lang))
         text = write_turtle(TripleStore([triple]))
@@ -641,6 +657,19 @@ class TestFastPath:
         assert fast[2] == 3
         assert fast == (general[0], general[1], general[2] - 1, general[3])
 
+    def test_typed_literal_of_an_unknown_datatype_prefix_fails_as_on_general_path(self):
+        # _fast_term declines the literal, and the general reader names the prefix
+        line = 'ex:s ex:p "x"^^zz:t .\n'
+        assert fast_stop(line, 0) == 0
+        doc = "@prefix ex: <http://e/> .\n" + line
+        assert outcome(doc) == general_outcome(doc) == (SYNTAX, "unknown prefix 'zz:'", 2, 16)
+
+    @pytest.mark.parametrize("tag", ["en-", "en--us", "x1-", "x1", "en-US-", "a-b--c"])
+    def test_language_tag_outside_langtag_fails_as_on_general_path(self, tag):
+        doc = f'@prefix ex: <http://e/> .\nex:s ex:p "x"@{tag} .\n'
+        error = (SYNTAX, f"language tag {tag!r} is not [A-Za-z]+(-[A-Za-z0-9]+)*", 2, 14)
+        assert outcome(doc) == general_outcome(doc) == error
+
     def test_grouped_layout_same_triples_in_same_order_200_graphs(self, group_turtle):
         rng = random.Random(4141)
         for _ in range(200):
@@ -865,6 +894,7 @@ ex:support_team_J… rdf:type ext:support_team .
 """
 
 _ESCAPES = f'ex:s ex:p "{chr(92) * 2 * (_MB2 // 20)}" .\n'
+_LONG_TAG = "a-" * (_MB2 // 2) + "a"
 _PERCENT_NAME = f"ex:s ex:p ex:{'%41' * (_MB2 // 3)} .\n"
 
 # each builds a document of about 2 MB, except that an escape run is 0.2 MB
@@ -907,6 +937,19 @@ HOSTILE_SHAPES = [
     _shape("xes-nested-attributes", lambda: _nested_xes('<string key="k" value="v">', "</string>"), _DEPTH_ERROR),
     _shape("escapes-fast-path", lambda: _EX + _ESCAPES, _s_p(PlainLiteral(chr(92) * (_MB2 // 20)))),
     _shape("escapes-general-reader", lambda: GENERAL + _EX + _ESCAPES, _s_p(PlainLiteral(chr(92) * (_MB2 // 20)))),
+    _shape(
+        "language-tag-fast-path", lambda: _EX + f'ex:s ex:p "x"@{_LONG_TAG} .\n', _s_p(PlainLiteral("x", _LONG_TAG))
+    ),
+    _shape(
+        "language-tag-general-reader",
+        lambda: GENERAL + _EX + f'ex:s ex:p "x"@{_LONG_TAG} .\n',
+        _s_p(PlainLiteral("x", _LONG_TAG)),
+    ),
+    _shape(
+        "bad-language-tag",
+        lambda: _EX + f'ex:s ex:p "x"@{_LONG_TAG}- .\n',
+        (SYNTAX, f"language tag {_LONG_TAG + '-'!r} is not [A-Za-z]+(-[A-Za-z0-9]+)*", 2, 14),
+    ),
     _shape("xes-nested-unknown-elements", lambda: _nested_xes("<a>", "</a>"), _DEPTH_ERROR),
     # each id is in five rows, each row one string, and the write joins them
     # once more: 2 MB ids cost a dozen copies, not one state per character
