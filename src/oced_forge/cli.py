@@ -4,6 +4,10 @@ Commands: convert (XES -> Turtle), analyze (Turtle -> ping-pong /
 event-objects / teams as CSV or JSONL), stats (XES or Turtle counts), and
 export-dot (Turtle -> Graphviz DOT).  Data goes to stdout or --output;
 diagnostics go to stderr, so output is pipe-safe and byte-deterministic.
+Stdout carries the bytes --output writes, UTF-8 with no newline
+translation, whatever the locale: main switches a TextIOWrapper stdout to
+them before the command runs (an in-process caller's StringIO stays as it
+is).  Stderr keeps the locale's encoding, with backslash escapes.
 
 Each command loads only what it runs.  convert loads the XES reader, the
 graph model, the transform and the Turtle writer (json only with --config),
@@ -41,6 +45,7 @@ convert leaves that file alone.
 import argparse
 import gc
 import gzip
+import io
 import os
 import sys
 import zlib
@@ -334,6 +339,8 @@ def main(argv=None) -> int:
     enabled = gc.isenabled()
     gc.disable()
     errors.on_first_warning.append(_configure_logging)  # so logging loads only to warn
+    if isinstance(sys.stdout, io.TextIOWrapper):
+        sys.stdout.reconfigure(encoding="utf-8", newline="")  # the bytes --output writes
     try:
         return args.func(args)
     except (XesParseError, XesStructureError, TurtleSyntaxError) as exc:

@@ -15,7 +15,10 @@ each entity's rows form one nearly sorted run, and sorted in place, which
 merges those runs.  A row equal to the one before it (a statement emitted
 twice) is dropped, and the rows are written to a text stream in chunks.
 graph_to_triples collects the same statements into a TripleStore for
-querying, and write_turtle renders any store's rows the same way, so
+querying, building terms as graph_to_turtle builds tokens: one memo makes
+each distinct IRI once, and one keyed on (lexical form, datatype) each
+distinct literal, its datatype taken from the first, so each distinct term
+is one object.  write_turtle renders any store's rows the same way, so
 write_turtle(graph_to_triples(g)) is the text graph_to_turtle writes.
 
 Event-object relations are emitted twice on purpose: once as a reified
@@ -160,20 +163,16 @@ def _statements(graph: "OcedGraph") -> Iterator[tuple[str, str, str | tuple[str,
 
 
 def graph_to_triples(graph: "OcedGraph") -> "TripleStore":
-    """The graph's Turtle-level triples as a store (see _statements)."""
+    """The graph's Turtle-level triples as a store (see _statements).  Terms
+    are built as graph_to_turtle builds tokens: each distinct IRI and literal
+    is one object, made once."""
     from .triple_query import TripleStore
 
     iri = _Memo(Iri)
-    store = TripleStore()
-    for s, p, o in _statements(graph):
-        if o.__class__ is str:
-            o = iri[o]
-        elif o[1] is None:
-            o = PlainLiteral(o[0])
-        else:
-            o = TypedLiteral(o[0], iri[o[1]])
-        store.insert((iri[s], iri[p], o))
-    return store
+    literal = _Memo(lambda o: TypedLiteral(o[0], iri[o[1]]) if o[1] else PlainLiteral(o[0]))  # (lexical, datatype)
+    return TripleStore(
+        (iri[s], iri[p], iri[o] if o.__class__ is str else literal[o]) for s, p, o in _statements(graph)
+    )
 
 
 # -- rendering ---------------------------------------------------------------

@@ -25,10 +25,15 @@ and `,` abbreviations, ending its line.  It declines any other statement
 statement, unknown prefixes) without raising.  The general reader, one
 token regex at `pos` with one token of lookahead, reads that one statement,
 and the fast path resumes at the token after it; it reads every directive,
-which in a file convert writes are the five header lines only.  The fast
-path accepts only statements the general reader reads as the same triples
-without error, so the triples, their order and every error message, line
-and column are those of the general reader alone.
+which in a file convert writes are the five header lines only.  Its
+tokens carry their grammar's kinds: a punctuation token ('.', ';', ',' or
+'^^', each a terminal of its own) has its text as its kind, so every token
+is tested by its kind alone, and one dispatch on the lower-cased keyword
+of a WORD or @word token reads the five directive forms (@prefix, @base,
+any other @word, PREFIX, BASE).  The fast path accepts only statements the
+general reader reads as the same triples without error, so the triples,
+their order and every error message, line and column are those of the
+general reader alone.
 
 Both readers add each (subject, object) pair straight to its predicate's
 partition in the store (see triple_query) and build no Triple.  One memo
@@ -65,14 +70,14 @@ _starts_with_scheme = re.compile(_IRI_SCHEME).match  # what makes an IRIREF abso
 _is_langtag = re.compile(_LANGTAG).fullmatch
 
 _IRIREF, _PNAME, _STRING, _NUMBER, _WORD, _ATWORD = "iriref", "pname", "string", "number", "word", "atword"
-_PUNCT = "punct"  # . ; , ^^
 _EOF = "eof"
 
 _HEX = "0123456789abcdefABCDEF"
 
 # One match skips blanks, then reads one token; the named group that
-# matched is the token's kind.  The shapes are those of RDF 1.1 Turtle
-# section 6.5, cut to the supported subset (numbers are ASCII digits).
+# matched is the token's kind, except that a punct token takes its text
+# ('.', ';', ',' or '^^') as its kind.  The shapes are those of RDF 1.1
+# Turtle section 6.5, cut to the supported subset (numbers are ASCII digits).
 # pname is tried before word, which matches its leading letters; a `"""`
 # and a '.' before a digit match no kind.  A string token is its opening
 # quote and first run; _read walks its escapes and closing quote.  When no
@@ -253,6 +258,8 @@ class _TurtleParser:
                 self._error(f"character {bad.group(0)!r} is illegal inside an IRI", pos)
         elif kind == _ATWORD:
             value = value[1:]
+        elif kind == "punct":
+            kind = value
         return _Token(kind, value, start)
 
     def _next(self) -> _Token:
@@ -261,11 +268,6 @@ class _TurtleParser:
         if token.kind != _EOF:
             self.lookahead = self._read()
         return token
-
-    def _expect_punct(self, value):
-        token = self._next()
-        if token.kind != _PUNCT or token.value != value:
-            self._error(f"expected {value!r}", token.pos)
 
     def parse(self) -> TripleStore:
         """The fast path reads statements until it declines one; the general
@@ -276,19 +278,17 @@ class _TurtleParser:
             token = self.lookahead = self._read()
             if token.kind == _EOF:
                 return self.store
-            if token.kind == _ATWORD:
-                if token.value.lower() == "prefix":
-                    self._next()
-                    self._directive(needs_dot=True)
-                elif token.value.lower() == "base":
-                    self._error("@base directive", token.pos, UnsupportedConstructError)
-                else:
-                    self._error(f"unexpected @{token.value}", token.pos)
-            elif token.kind == _WORD and token.value.lower() == "prefix":
+            # a directive keyword is read in any case: @prefix, @base and any
+            # other @word, or the SPARQL-style PREFIX and BASE
+            at = token.kind == _ATWORD
+            keyword = token.value.lower() if at or token.kind == _WORD else None
+            if keyword == "prefix":
                 self._next()
-                self._directive(needs_dot=False)
-            elif token.kind == _WORD and token.value.lower() == "base":
-                self._error("BASE directive", token.pos, UnsupportedConstructError)
+                self._directive(needs_dot=at)
+            elif keyword == "base":
+                self._error(f"{'@base' if at else 'BASE'} directive", token.pos, UnsupportedConstructError)
+            elif at:
+                self._error(f"unexpected @{token.value}", token.pos)
             else:
                 self._triples()
             pos = self.lookahead.pos
@@ -365,8 +365,8 @@ class _TurtleParser:
         if iri.kind != _IRIREF:
             self._error("expected an IRI", iri.pos)
         self._bind(name.value[0], self._absolute(iri))
-        if needs_dot:
-            self._expect_punct(".")
+        if needs_dot and (dot := self._next()).kind != ".":
+            self._error("expected '.'", dot.pos)
 
     def _absolute(self, token: _Token) -> str:
         """An IRIREF token's text, which must start with a scheme."""
@@ -404,7 +404,7 @@ class _TurtleParser:
                 if not _is_langtag(nxt.value):
                     self._error(f"language tag {nxt.value!r} is not [A-Za-z]+(-[A-Za-z0-9]+)*", nxt.pos)
                 return PlainLiteral(token.value, lang=nxt.value)
-            if nxt.kind == _PUNCT and nxt.value == "^^":
+            if nxt.kind == "^^":
                 self._next()
                 return TypedLiteral(token.value, self._iri("datatype"))
             return PlainLiteral(token.value)
@@ -429,19 +429,17 @@ class _TurtleParser:
                 obj = self._object()
                 if pairs is not None:
                     pairs[subject, obj] = None
-                nxt = self.lookahead
-                if nxt.kind == _PUNCT and nxt.value == ",":
-                    self._next()
-                    continue
-                break
+                if self.lookahead.kind != ",":
+                    break
+                self._next()
             nxt = self._next()
-            if nxt.kind == _PUNCT and nxt.value == ";":
+            if nxt.kind == ";":
                 # tolerate trailing ';' before the final dot
-                if self.lookahead.kind == _PUNCT and self.lookahead.value == ".":
+                if self.lookahead.kind == ".":
                     self._next()
                     return
                 continue
-            if nxt.kind == _PUNCT and nxt.value == ".":
+            if nxt.kind == ".":
                 return
             self._error("expected ';', ',' or '.'", nxt.pos)
 

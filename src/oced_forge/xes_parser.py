@@ -9,7 +9,9 @@ log header (extensions, globals, classifiers, log-level attributes) and
 attributes nested in other attributes are checked but not kept; the XES
 list/container construct is rejected.  Unknown elements are skipped with a
 warning: once a document is read, each warning is logged (errors.warn,
-under this module's name) and kept on the returned log.
+under this module's name) and kept on the returned log.  A boolean value is
+read as xs:boolean is spelled: true, false, 1 or 0, in any case and with
+surrounding whitespace trimmed; any other text is an error.
 
 The XML is read in one expat pass, with no element tree: the start handler
 keeps one entry per open element (the log, a trace, an event, an element
@@ -46,6 +48,8 @@ from .terms import _Memo
 from .timeutil import format_offset_millis, parse_instant
 
 VALUE_KINDS = ("string", "date", "int", "float", "boolean", "id")
+# xs:boolean's lexical space, in any case and trimmed
+_BOOLEANS = {"true": True, "false": False, "1": True, "0": False}
 _LIST_TAGS = ("list", "container", "values")
 _INT64_MAX = 2**63 - 1
 
@@ -119,10 +123,10 @@ def parse_value(kind: str, key: str, raw: str):
             return float(raw)
         except ValueError:
             raise XesStructureError(f"unparseable float for key {key!r}: {raw!r}") from None
-    lowered = raw.strip().lower()
-    if lowered not in ("true", "false"):
+    value = _BOOLEANS.get(raw.strip().lower())
+    if value is None:
         raise XesStructureError(f"unparseable boolean for key {key!r}: {raw!r}")
-    return lowered == "true"
+    return value
 
 
 class _Reader:

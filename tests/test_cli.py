@@ -917,6 +917,18 @@ class TestDeterminismAcrossProcesses:
         assert result.returncode == 0, result.stderr.decode("utf-8", "replace")
         assert b"@prefix ocedo:" in result.stdout
 
+    def test_stdout_holds_the_bytes_output_writes_under_an_ascii_locale(self, tmp_path):
+        ttl, out = tmp_path / "cafe.ttl", tmp_path / "out.csv"
+        hostile = (Path(__file__).parent / "golden" / "hostile.ttl").read_text("utf-8")
+        ttl.write_text(hostile.replace('"first"', '"café"'), "utf-8")
+        argv = [sys.executable, "-m", "oced_forge", "analyze", str(ttl), "--analysis", "event-objects"]
+        env = cli_env(PYTHONIOENCODING="ascii")
+        result = subprocess.run(argv, env=env, capture_output=True)
+        assert result.returncode == 0, result.stderr.decode("utf-8", "replace")
+        assert subprocess.run([*argv, "-o", str(out)], env=env).returncode == 0
+        assert "café".encode() in result.stdout
+        assert result.stdout == out.read_bytes()
+
 
 class TestPipelineComposition:
     def test_analyze_file_equals_in_memory_analysis(self, bpic_xes_path, converted_ttl, capsys):

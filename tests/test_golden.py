@@ -6,6 +6,9 @@ fixture log and tests/golden/hostile.xes (with hostile.config.json); the
 other commands read the converted fixture log and tests/golden/hostile.ttl.
 The analyses also read tests/golden/times.ttl, whose events carry every
 time form the read side accepts or drops.
+Each command also runs with PYTHONIOENCODING set to ascii and to latin-1:
+stdout holds the same UTF-8 bytes whatever the locale's encoding, and every
+golden stderr is ASCII, so stderr is compared too.
 Refresh them with
 ``PYTHONPATH=src python tests/test_golden.py`` only when an output change
 is intended.
@@ -32,13 +35,15 @@ COMMANDS = {
 ANALYSES = [name for name, command in COMMANDS.items() if command[0] == "analyze"]
 CASES = [(source, name) for source in ("fixture", "hostile") for name in COMMANDS]
 CASES += [("times", name) for name in ANALYSES]
+# the locale's encoding of stdio, as PYTHONIOENCODING sets it; None leaves it unset
+ENCODINGS = (None, "ascii", "latin-1")
 
 
-def _cli(*argv, stdin=None):
+def _cli(*argv, stdin=None, encoding=None):
     return subprocess.run(
         [sys.executable, "-m", "oced_forge", *argv],
         input=stdin,
-        env=cli_env(),
+        env=cli_env(**({} if encoding is None else {"PYTHONIOENCODING": encoding})),
         capture_output=True,
     )
 
@@ -53,18 +58,23 @@ def _input_path(source: str, workdir: Path) -> Path:
     return path
 
 
-def _run(source: str, name: str, workdir: Path):
+def _run(source: str, name: str, workdir: Path, encoding: str | None = None):
     if name == "convert":
         if source == "hostile":
-            return _cli("convert", str(GOLDEN / "hostile.xes"), "--config", str(GOLDEN / "hostile.config.json"))
-        return _cli("convert", "-", stdin=BPIC_STYLE_XES.encode())
+            config = str(GOLDEN / "hostile.config.json")
+            return _cli("convert", str(GOLDEN / "hostile.xes"), "--config", config, encoding=encoding)
+        return _cli("convert", "-", stdin=BPIC_STYLE_XES.encode(), encoding=encoding)
     command = COMMANDS[name]
-    return _cli(command[0], str(_input_path(source, workdir)), *command[1:])
+    return _cli(command[0], str(_input_path(source, workdir)), *command[1:], encoding=encoding)
 
 
-@pytest.mark.parametrize("source, name", CASES, ids=[f"{s}-{n}" for s, n in CASES])
-def test_output_matches_golden(source, name, tmp_path):
-    result = _run(source, name, tmp_path)
+@pytest.mark.parametrize(
+    "source, name, encoding",
+    [(s, n, e) for s, n in CASES for e in ENCODINGS],
+    ids=[f"{s}-{n}" + (f"-{e}" if e else "") for s, n in CASES for e in ENCODINGS],
+)
+def test_output_matches_golden(source, name, encoding, tmp_path):
+    result = _run(source, name, tmp_path, encoding)
     assert result.returncode == 0, result.stderr.decode("utf-8", "replace")
     assert result.stdout == (GOLDEN / f"{source}.{name}.stdout").read_bytes()
     assert result.stderr == (GOLDEN / f"{source}.{name}.stderr").read_bytes()

@@ -102,6 +102,44 @@ def test_a_load_frees_its_parser_without_the_cyclic_gc(source, bench_turtle, mon
         (gc.enable if was else gc.disable)()
 
 
+@pytest.mark.parametrize("source", ["fixture", "hostile"])
+def test_every_stage_frees_what_it_builds_without_the_cyclic_gc(source, tmp_path):
+    """What each stage builds, its memos included, is freed by reference
+    counting alone: convert's `del log` and the writers' and reader's memos
+    rely on it, as every command runs with the cyclic GC off."""
+    from oced_forge.analyses import records_to_csv, records_to_jsonl
+    from oced_forge.dot_export import store_to_dot
+    from oced_forge.transform import load_mapping_config
+
+    if source == "hostile":
+        xes, config = (GOLDEN / "hostile.xes").read_bytes(), load_mapping_config(str(GOLDEN / "hostile.config.json"))
+        turtle = (GOLDEN / "hostile.ttl").read_bytes()
+    else:
+        xes, config, turtle = BPIC_STYLE_XES.encode(), None, _fixture_turtle().encode()
+
+    def no_garbage(stage, *args):
+        result = stage(*args)
+        assert gc.collect() == 0, stage.__name__
+        return result
+
+    was = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    try:
+        graph, _ = no_garbage(transform_log, no_garbage(parse_xes, xes), config)
+        no_garbage(turtle_io.graph_to_turtle, graph, tmp_path / "out.ttl")
+        no_garbage(turtle_io.write_turtle, no_garbage(turtle_io.graph_to_triples, graph))
+        store = no_garbage(cli._parse_store, source, turtle)
+        for name in cli._ANALYSES:
+            analysis, columns, _ = cli._analysis(name)
+            rows = no_garbage(analysis, store)
+            no_garbage(records_to_csv, rows, columns)
+            no_garbage(records_to_jsonl, rows, columns)
+        no_garbage(store_to_dot, store)
+    finally:
+        (gc.enable if was else gc.disable)()
+
+
 def test_keep_is_called_once_per_distinct_predicate(bench_turtle):
     for text in (bench_turtle["canonical"], GENERAL + bench_turtle["grouped"]):
         with pytest.MonkeyPatch.context() as patch:

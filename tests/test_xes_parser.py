@@ -178,6 +178,15 @@ def test_boolean_and_float_values():
 
 
 @pytest.mark.parametrize(
+    "raw, value",
+    [("true", True), ("false", False), ("1", True), ("0", False), (" TRUE ", True), ("False", False), (" 0", False)],
+)
+def test_boolean_reads_the_xs_boolean_spellings(raw, value):
+    """xs:boolean's lexical space is true, false, 1 and 0."""
+    assert _event_attributes(f'<boolean key="b" value="{raw}"/>')["b"].value is value
+
+
+@pytest.mark.parametrize(
     "kind, raw",
     [("int", "1_2"), ("int", "١٢"), ("int", "１２"), ("float", "1_000.5"), ("float", "١.٥")],
 )
@@ -187,7 +196,9 @@ def test_digit_separators_and_non_ascii_digits_rejected(kind, raw):
         parse_xes(doc)
 
 
-@pytest.mark.parametrize("kind, raw", [("float", "abc"), ("boolean", "yes")])
+@pytest.mark.parametrize(
+    "kind, raw", [("float", "abc"), ("boolean", "yes"), ("boolean", "2"), ("boolean", "01"), ("boolean", "")]
+)
 def test_unparseable_float_and_boolean_name_key_and_text(kind, raw):
     doc = f'<log xes.version="1.0"><{kind} key="org:group" value="{raw}"/></log>'.encode()
     with pytest.raises(XesStructureError, match=f"unparseable {kind} for key 'org:group': '{raw}'"):
