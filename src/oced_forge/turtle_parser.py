@@ -19,21 +19,23 @@ triple statements write_turtle emits and the subject-grouped shape of
 general RDF tools, one regex match for a statement's subject and first
 `V O` and one per further item: after blank lines and whole-line comments
 (skipped by _past_comments, one str.find per line), a statement of
-prefixed names, absolute IRIs and strings without escapes, with `a`, `;`
-and `,` abbreviations, ending its line.  It declines any other statement
-(directives, escaped strings, numbers, booleans, comments inside a
-statement, unknown prefixes) without raising.  The general reader, one
-token regex at `pos` with one token of lookahead, reads that one statement,
-and the fast path resumes at the token after it; it reads every directive,
-which in a file convert writes are the five header lines only.  Its
-tokens carry their grammar's kinds: a punctuation token ('.', ';', ',' or
-'^^', each a terminal of its own) has its text as its kind, so every token
-is tested by its kind alone, and one dispatch on the lower-cased keyword
-of a WORD or @word token reads the five directive forms (@prefix, @base,
-any other @word, PREFIX, BASE).  The fast path accepts only statements the
-general reader reads as the same triples without error, so the triples,
-their order and every error message, line and column are those of the
-general reader alone.
+prefixed names, absolute IRIs, strings without escapes, numbers and
+booleans, with `a`, `;` and `,` abbreviations, ending its line.  Its
+regexes match each token's outline, and one memo (_FastTerms) cooks each
+distinct token once and checks there what the outline leaves out.  It
+declines any other statement (directives, escaped strings, comments inside
+a statement, unknown prefixes, relative IRIs) without raising.  The
+general reader, one token regex at `pos` with one token of lookahead,
+reads that one statement, and the fast path resumes at the token after it;
+it reads every directive, which in a file convert writes are the five
+header lines only.  Its tokens carry their grammar's kinds: a punctuation
+token ('.', ';', ',' or '^^', each a terminal of its own) has its text as
+its kind, so every token is tested by its kind alone, and one dispatch on
+the lower-cased keyword of a WORD or @word token reads the five directive
+forms (@prefix, @base, any other @word, PREFIX, BASE).  The fast path
+accepts only statements the general reader reads as the same triples
+without error, so the triples, their order and every error message, line
+and column are those of the general reader alone.
 
 Both readers add each (subject, object) pair straight to its predicate's
 partition in the store (see triple_query) and build no Triple.  One memo
@@ -73,6 +75,10 @@ _IRIREF, _PNAME, _STRING, _NUMBER, _WORD, _ATWORD = "iriref", "pname", "string",
 _EOF = "eof"
 
 _HEX = "0123456789abcdefABCDEF"
+# RDF 1.1 Turtle's INTEGER, DECIMAL and DOUBLE cut to the supported subset:
+# ASCII digits, and a digit before any '.'
+_NUMBER_SHAPE = r"[+-]?[0-9]+(?:\.[0-9]+)?(?:[eE][+-]?[0-9]+)?"
+_new = tuple.__new__  # builds a term tuple without its class's Python __new__
 
 # One match skips blanks, then reads one token; the named group that
 # matched is the token's kind, except that a punct token takes its text
@@ -93,7 +99,7 @@ _TOKEN_RE = re.compile(
     r'|(?P<string>"(?!"")[^"\\\n]*)'
     r"|(?P<word>[A-Za-z][A-Za-z0-9_.\-]*)"
     r"|(?P<iriref><[^>\n]*>)"
-    r"|(?P<number>[+-]?[0-9]+(?:\.[0-9]+)?(?:[eE][+-]?[0-9]+)?)"
+    rf"|(?P<number>{_NUMBER_SHAPE})"
     r"|(?P<atword>@[A-Za-z][A-Za-z0-9\-]*)"
     r"|(?P<eof>\Z)"
     r"|)"
@@ -150,26 +156,82 @@ class _Token:
 # The statement fast path reads the triple statements write_turtle emits
 # and the subject-grouped layout of general RDF tools.  After blanks (and
 # the comment lines _past_comments skips when a match fails), _STATEMENT_RE
-# reads a statement's subject S and its first `V O`.  Then _ITEM_RE reads each `; V O` or `, O` after it, one
-# match per item, until an item ends with the `.` that ends its line; a verb
-# V is an IRI or `a`.  No regex repeats a group per item, so a long item
-# list holds no engine state per item.  It accepts only statements the
-# general reader reads as the same triples without error: pnames have no
-# '.' in the local part (and _fast_term declines a bad '%'), IRIs are
-# absolute and free of _BAD_IRI_CHARS, strings hold no escape, and
-# whitespace separates subject, verb and object.
-_FAST_PNAME = r"(?:[A-Za-z][A-Za-z0-9_\-]*)?:[A-Za-z0-9_%\-]*"
-_FAST_IRI = rf"(?:{_FAST_PNAME}|<{_IRI_SCHEME}[^{_IRI_ILLEGAL}]*>)"  # a pname or an absolute IRIREF
+# reads a statement's subject S and its first `V O`.  Then _ITEM_RE reads
+# each `; V O` or `, O` after it, one match per item, until an item ends
+# with the `.` that ends its line; a verb V is an IRI or `a`.  No regex
+# repeats a group per item, so a long item list holds no engine state per
+# item.  The regexes check a token's outline only, each part a run of one
+# character class: a pname is `prefix:local` with no '.' in either part,
+# an IRIREF a run free of _IRI_ILLEGAL between '<' and '>', a string holds
+# no escape, and an object may also be a number or `true` / `false`.  An
+# object must end where the general reader's token ends (`ex:o.x` is one
+# name there), so after it and its blanks come `;`, `,` or the statement's
+# end.  _FastTerms checks the rest once per distinct token, declining a
+# token whose prefix is unbound, whose local name holds a bad '%' or whose
+# IRIREF has no scheme.  A prefix the general reader binds starts with a
+# letter (or is empty), so the unbound-prefix check also declines `1a:` or
+# `_:`.  So the fast path accepts only statements the general reader reads
+# as the same triples without error.
+_FAST_PNAME = r"[A-Za-z0-9_\-]*:[A-Za-z0-9_%\-]*"
+_FAST_IRI = rf"(?:{_FAST_PNAME}|<[^{_IRI_ILLEGAL}]*>)"
 _FAST_LITERAL = rf'"[^"\\\n]*"(?:\^\^{_FAST_IRI}|@{_LANGTAG})?'
 _FAST_VERB = rf"{_FAST_IRI}|a"
-_FAST_OBJECT = rf"{_FAST_IRI}|{_FAST_LITERAL}"
+_FAST_OBJECT = rf"{_FAST_IRI}|{_FAST_LITERAL}|{_NUMBER_SHAPE}|true|false"
 _END = r"\.[ \t\r]*(?:\n|\Z)"
-# a `V O` item's object, with the statement's end when it follows; O must
-# end where the general reader's token ends (`ex:o.x` is one name there), as
-# its pair is added at once
-_FAST_ITEM_OBJECT = rf"({_FAST_OBJECT})(?=[ \t\r\n;,]|{_END})[ \t\r\n]*({_END})?"
+# a `V O` item's object, then the statement's end or the next item's ; or ,
+_FAST_ITEM_OBJECT = rf"({_FAST_OBJECT})[ \t\r\n]*(?:({_END})|(?=[;,]))"
 _ITEM_RE = re.compile(rf"(?:;[ \t\r\n]*({_FAST_VERB})[ \t\r\n]+|,[ \t\r\n]*){_FAST_ITEM_OBJECT}")
 _STATEMENT_RE = re.compile(rf"[ \t\r\n]*({_FAST_IRI})[ \t\r\n]+({_FAST_VERB})[ \t\r\n]+{_FAST_ITEM_OBJECT}")
+
+
+def _shorthand(lexeme: str) -> TypedLiteral:
+    """The literal a number or `true` / `false` token stands for."""
+    if lexeme == "true" or lexeme == "false":
+        datatype = XSD_BOOLEAN
+    elif "e" in lexeme or "E" in lexeme:
+        datatype = XSD_DOUBLE
+    elif "." in lexeme:
+        datatype = XSD_DECIMAL
+    else:
+        datatype = XSD_INTEGER
+    return _new(TypedLiteral, (lexeme, datatype))
+
+
+class _FastTerms(dict):
+    """Fast-path token -> its term, cooked on the first lookup, or None for
+    a token the fast path declines (the general reader then reports it).
+    It holds the bound prefixes and the IRI intern, not the parser, so it
+    makes no reference cycle, and is valid while the prefixes hold."""
+
+    def __init__(self, prefixes: dict[str, str], intern: Callable[[str], Iri]):
+        super().__init__(a=RDF_TYPE)
+        self.prefixes = prefixes
+        self.intern = intern
+
+    def __missing__(self, token: str) -> Term | None:
+        first = token[0]
+        if first == "<":
+            iri = token[1:-1]
+            term = self.intern(iri) if _starts_with_scheme(iri) else None
+        elif first == '"':
+            end = token.index('"', 1)
+            suffix = token[end + 1 :]
+            if suffix.startswith("^^"):
+                datatype = self[suffix[2:]]
+                term = None if datatype is None else _new(TypedLiteral, (token[1:end], datatype))
+            else:
+                term = _new(PlainLiteral, (token[1:end], suffix[1:] or None))
+        elif ":" in token:
+            prefix, _, local = token.partition(":")
+            namespace = self.prefixes.get(prefix)
+            if namespace is None or "%" in local and BAD_PERCENT_RE.search(local):
+                term = None
+            else:
+                term = self.intern(namespace + local)
+        else:
+            term = _shorthand(token)
+        self[token] = term
+        return term
 
 
 class _TurtleParser:
@@ -177,9 +239,9 @@ class _TurtleParser:
         self.text = text
         self.pos = 0  # where the general reader reads its next token
         self.prefixes: dict[str, str] = {}
-        self.terms: dict[str, Term] = {"a": RDF_TYPE}  # fast-path token -> term, while prefixes hold
         self.store = TripleStore()
-        self._intern = _Memo(Iri).__getitem__
+        self._intern = _Memo(lambda value: _new(Iri, (value,))).__getitem__
+        self.terms = _FastTerms(self.prefixes, self._intern)
         # predicate -> its pair set in the store, or None when keep drops it
         partition = self.store._partition  # a closure over self would make a cycle
         self.partition = _Memo(lambda p: partition(p) if keep is None or keep(p) else None)
@@ -189,7 +251,7 @@ class _TurtleParser:
 
     def _bind(self, prefix: str, namespace: str):
         self.prefixes[prefix] = namespace
-        self.terms = {"a": RDF_TYPE}
+        self.terms = _FastTerms(self.prefixes, self._intern)
 
     def _unescape(self, body: str, start: int) -> str:
         """body's escapes, checked in order, then decoded by the codec for
@@ -300,7 +362,7 @@ class _TurtleParser:
         from its start, and adds again, as no-ops, the pairs added here."""
         text = self.text
         match, item = _STATEMENT_RE.match, _ITEM_RE.match
-        partition, cook, terms = self.partition, self._fast_term, self.terms
+        partition, terms = self.partition, self.terms
         while True:
             m = match(text, pos)
             if m is None:
@@ -310,16 +372,16 @@ class _TurtleParser:
                 pos = resume
                 continue
             s, p, o, last = m.groups()
-            subject = terms.get(s) or cook(s)
+            subject = terms[s]
             if subject is None:
                 return pos
             while True:
                 if p is not None:
-                    predicate = terms.get(p) or cook(p)
+                    predicate = terms[p]
                     if predicate is None:
                         return pos
                     pairs = partition[predicate]
-                obj = terms.get(o) or cook(o)
+                obj = terms[o]
                 if obj is None:
                     return pos
                 if pairs is not None:
@@ -331,31 +393,6 @@ class _TurtleParser:
                     return pos
                 p, o, last = m.groups()
             pos = m.end()
-
-    def _fast_term(self, token: str) -> Term | None:
-        """Term for a token a fast-path regex matched, or None when it names an
-        unknown prefix or holds a bad percent escape (the general reader then
-        reports it)."""
-        if token[0] == "<":
-            term = self._intern(token[1:-1])
-        elif token[0] == '"':
-            end = token.index('"', 1)
-            suffix = token[end + 1 :]
-            if suffix.startswith("^^"):
-                datatype = self._fast_term(suffix[2:])
-                if datatype is None:
-                    return None
-                term = TypedLiteral(token[1:end], datatype)
-            else:
-                term = PlainLiteral(token[1:end], suffix[1:] or None)
-        else:
-            prefix, _, local = token.partition(":")
-            namespace = self.prefixes.get(prefix)
-            if namespace is None or "%" in local and BAD_PERCENT_RE.search(local):
-                return None
-            term = self._intern(namespace + local)
-        self.terms[token] = term
-        return term
 
     def _directive(self, needs_dot: bool):
         name = self._next()
@@ -408,17 +445,9 @@ class _TurtleParser:
                 self._next()
                 return TypedLiteral(token.value, self._iri("datatype"))
             return PlainLiteral(token.value)
-        if token.kind == _NUMBER:
+        if token.kind == _NUMBER or token.kind == _WORD and token.value in ("true", "false"):
             self._next()
-            lexeme = token.value
-            if "e" in lexeme or "E" in lexeme:
-                return TypedLiteral(lexeme, XSD_DOUBLE)
-            if "." in lexeme:
-                return TypedLiteral(lexeme, XSD_DECIMAL)
-            return TypedLiteral(lexeme, XSD_INTEGER)
-        if token.kind == _WORD and token.value in ("true", "false"):
-            self._next()
-            return TypedLiteral(token.value, XSD_BOOLEAN)
+            return _shorthand(token.value)
         self._error("expected an IRI or literal object", token.pos)
 
     def _triples(self):

@@ -109,7 +109,7 @@ def _run(argv) -> tuple[int, str]:
     return code, stderr.getvalue()
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=300, derandomize=True, deadline=None)
 @given(
     body=_body,
     layout=st.sampled_from(["lines", "grouped", "general"]),

@@ -750,6 +750,154 @@ def _declined_forms(text: str, rng: random.Random) -> str:
     return "".join(out)
 
 
+# Tokens at the edges of the fast path's shapes, each with whether the fast
+# path reads it.  The fast path's regexes match a token's outline, and it
+# declines a token the general reader does not read as the same term.
+EDGE_PREFIXES = [("ex", "http://e/"), ("a.b", "http://ab/")]
+EDGE_HEADER = "@prefix ex: <http://e/> .\nPREFIX a.b: <http://ab/>\n"
+EDGE_IRIS = {
+    "ex:o": True,
+    "ex:": True,
+    "ex:o%41": True,
+    "<http://e/a;b>": True,
+    "<http://e/a,b>": True,
+    "<http://e/a.b>": True,
+    "1a:x": False,
+    "_:b": False,
+    "-a:x": False,
+    "a.b:x": False,
+    ":x": False,
+    "zz:x": False,
+    "ex:o%4": False,
+    "<rel>": False,
+    "<1x:y>": False,
+    "ex:o.x": False,
+    "ex:o#c": False,
+    "ex:o:y": False,
+}
+EDGE_OBJECTS = {
+    **EDGE_IRIS,
+    '"v"': True,
+    '"v"^^ex:t': True,
+    '"v"@en-US': True,
+    '"v"^^1a:t': False,
+    '"v"^^<rel>': False,
+    '"v"@en-': False,
+    "5": True,
+    "+1": True,
+    "-1.5E-3": True,
+    "0.5": True,
+    "1E3": True,
+    "true": True,
+    "false": True,
+    "5.": False,
+    "5.e3": False,
+    "1e": False,
+    "trueX": False,
+    "TRUE": False,
+}
+
+
+def assert_read_as_by_general(doc: str):
+    """outcome(doc) is the general reader's: the same triples in the same
+    order, or the same error class, message and column on the line one
+    higher (GENERAL adds a line)."""
+    fast, general = outcome(doc), general_outcome(GENERAL + doc)
+    if isinstance(general, list):
+        assert fast == general
+    else:
+        assert fast == (*general[:2], general[2] - 1, general[3])
+
+
+def _edge_statements(token: str, layout: str) -> str:
+    """Statements holding token in each place it may stand, in a layout."""
+    iri = token in EDGE_IRIS
+    if layout == "canonical":
+        lines = [f"ex:s ex:p {token} ."]
+        if iri:
+            lines += [f"{token} ex:p ex:o .", f"ex:s {token} ex:o ."]
+        return "\n".join(lines) + "\n"
+    verb = token if iri else "ex:q"
+    statement = f"ex:s ex:p ex:o ,\n    {token} ;\n    {verb} {token} .\n"
+    return statement + (f"{token} a ex:T ;\n    ex:p ex:o .\n" if iri else "")
+
+
+class TestFastPathEdges:
+    @pytest.mark.parametrize("layout", ["canonical", "grouped"])
+    @pytest.mark.parametrize("token, read", EDGE_OBJECTS.items(), ids=list(EDGE_OBJECTS))
+    def test_edge_token_read_as_by_general_reader(self, token, read, layout):
+        body = _edge_statements(token, layout)
+        assert_read_as_by_general(EDGE_HEADER + body)
+        assert (fast_stop(body, 0, EDGE_PREFIXES) == len(body)) == read
+
+    @pytest.mark.parametrize(
+        "line",
+        [
+            "ex:s ex:p 5.\n",
+            "ex:s ex:p 5.5.\n",
+            "ex:s ex:p true.\n",
+            "ex:s\tex:p\t-1.5E-3\t.\r\n",
+            "ex:s\rex:p\r+1\r;\rex:q\rfalse,\r2 .\r\n",
+            "ex:s ex:p 1,2;ex:q 3.\n",
+        ],
+    )
+    def test_shorthand_at_a_statement_edge_is_read_by_fast_path(self, line):
+        doc = EDGE_HEADER + line
+        assert_read_as_by_general(doc)
+        assert declined(doc) == EDGE_HEADER.splitlines()
+
+    def test_shorthand_objects_are_typed_as_the_general_reader_types_them(self):
+        doc = EDGE_HEADER + "ex:s ex:p 7 , -0.5 , 1e3 , true , false .\n"
+        assert outcome(doc) == [
+            Triple(Iri("http://e/s"), Iri("http://e/p"), TypedLiteral(lexical, Iri(XSD + datatype)))
+            for lexical, datatype in [
+                ("7", "integer"),
+                ("-0.5", "decimal"),
+                ("1e3", "double"),
+                ("true", "boolean"),
+                ("false", "boolean"),
+            ]
+        ]
+        assert declined(doc) == EDGE_HEADER.splitlines()
+
+    def test_numeric_shorthand_file_is_read_whole_by_fast_path(self):
+        shapes = ["{}", "-{}.5", "{}e3", "+{}", "true"]
+        body = "".join(f"ex:s{i} ext:p {shapes[i % 5].format(i)} .\n" for i in range(1003))
+        doc = write_turtle(TripleStore()) + body
+        assert declined(doc) == HEADER_LINES
+        assert len(outcome(doc)) == 1003
+        assert_read_as_by_general(doc)
+
+    def test_edge_statements_read_as_by_general_reader_hypothesis(self):
+        """Statements of edge tokens, separators and statement ends drawn at
+        random, in both layouts."""
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+        subjects = st.sampled_from(sorted(EDGE_IRIS))
+        verbs = st.sampled_from(["a", "ex:p", *sorted(EDGE_IRIS)])
+        objects = st.sampled_from(sorted(EDGE_OBJECTS))
+        seps = st.sampled_from([" ", "\t", "\r", " \r\n    "])
+        ends = st.sampled_from([" .", ".", "\t.\r", " ;\n    ."])
+        items = st.lists(st.tuples(verbs, st.lists(objects, min_size=1, max_size=2)), min_size=1, max_size=3)
+        statements = st.lists(st.tuples(subjects, items, seps, ends), min_size=1, max_size=3)
+
+        @hypothesis.settings(max_examples=300, derandomize=True, deadline=None)
+        @hypothesis.given(statements=statements)
+        def check(statements):
+            canonical = grouped = ""
+            for subject, items, sep, end in statements:
+                canonical += "".join(
+                    f"{subject}{sep}{verb}{sep}{obj}{end}\n" for verb, objs in items for obj in objs
+                )
+                grouped += f"{subject}{sep}" + f"{sep};\n    ".join(
+                    f"{verb}{sep}" + f"{sep},{sep}".join(objs) for verb, objs in items
+                ) + f"{end}\n"
+            assert_read_as_by_general(EDGE_HEADER + canonical)
+            assert_read_as_by_general(EDGE_HEADER + grouped)
+
+        check()
+
+
 def _one(lexical, datatype):
     return [Triple(Iri("http://e/s"), Iri("http://e/p"), TypedLiteral(lexical, Iri(XSD + datatype)))]
 
