@@ -22,7 +22,9 @@ from a term holds the term's text, its field 0 (see terms), and None when
 the variable is unbound.  Times stay text (late materialization):
 timeutil.utc_key keys each distinct time literal once, the analyses sort
 and compare the fixed-width keys, and a time cell is its key cut to
-milliseconds, the literal itself when canonical.
+milliseconds, the literal itself when canonical.  records_to_jsonl encodes
+each distinct cell of a column once: a column of str and None cells is
+memoized on the cell itself, any other on the cell's type and value.
 """
 
 import io
@@ -251,21 +253,29 @@ def records_to_csv(records: list[tuple], columns: tuple[str, ...]) -> str:
     return buf.getvalue()
 
 
+_TEXT_CELLS = {str, type(None)}
+
+
 def records_to_jsonl(records: list[tuple], columns: tuple[str, ...]) -> str:
     """One UTF-8 JSON object per line, keys in column order.
 
-    A column encodes each distinct cell once, with its key in front; the
-    memo is keyed on the cell's type as well as its value, because True ==
-    1 and False == 0 print differently.  Cells are what records gives:
-    str, int, bool or None."""
+    A column encodes each distinct cell once, with its key in front.  A
+    column whose cells are all str or None is memoized on the cell itself,
+    where no two distinct cells compare equal.  Any other column's memo is
+    keyed on the cell's type as well as its value, because True == 1 and
+    False == 0 print differently.  Cells are what records gives: str, int,
+    bool or None."""
     import json
 
     encode = json.JSONEncoder(ensure_ascii=False).encode
     heads = [("{" if i == 0 else ", ") + encode(column) + ": " for i, column in enumerate(columns)]
     texts = []
     for head, cells in zip(heads, zip(*records)):
-        keys = list(zip(map(type, cells), cells))
-        memo = {key: head + encode(key[1]) for key in dict.fromkeys(keys)}
-        texts.append(map(memo.__getitem__, keys))
+        if set(map(type, cells)) <= _TEXT_CELLS:
+            memo = {cell: head + encode(cell) for cell in dict.fromkeys(cells)}
+        else:
+            cells = list(zip(map(type, cells), cells))
+            memo = {key: head + encode(key[1]) for key in dict.fromkeys(cells)}
+        texts.append(map(memo.__getitem__, cells))
     texts.append(repeat("}\n", len(records)))
     return "".join(map("".join, zip(*texts)))

@@ -19,18 +19,25 @@ variables the required patterns bind, never on one that only an earlier
 group binds.  Every query, match_pattern's one pattern included, runs
 through one row join, _solutions, which makes that check.
 
-Inside the store a solution is a row: a tuple of terms aligned to a tuple of
-variable names, with None where an OPTIONAL group left a variable unbound
-(no term is None).  A pattern is read by one row scan, which applies its
-constants and repeated variable.  The required block starts from its first
-pattern's rows; each later join step is a hash join: the pattern or group
-is scanned once, unsubstituted, its rows are keyed on the variables already
-bound, and a row is extended by tuple concatenation.  match_pattern,
-match_bgp and match_optional build binding dicts once, from the final rows,
-for library callers; an unbound variable is an absent key.  select projects
-the rows onto the variables it is asked for and builds no dict; the
-analyses and store_to_dot read their solutions through it, so the row
-layout is known to this module only.
+Inside the store a solution is a row: a tuple of terms aligned to a tuple
+of variable names, with None where an OPTIONAL group left a variable
+unbound (no term is None).  A pattern is read by one row scan, which
+applies its constants and repeated variable.  The required block starts
+from its first pattern's rows; each later join step is a hash join: the
+pattern or group is scanned once, unsubstituted, its rows are keyed on the
+variables already bound, and a row is extended by tuple concatenation.
+When each key has one match, as in every join the analyses and store_to_dot
+run, the rows are extended by C loops with no Python code per row: an
+OPTIONAL group adds table.get(key, pad) to each row, and a required step
+compresses the rows to those whose key the table holds and adds their
+match.  A key with several matches keeps a list of them; the rows and their
+order are the same either way.  Rows and keys are projected with
+itemgetter, never a Python function per row.  match_pattern, match_bgp and
+match_optional build binding dicts once, from the final rows, for library
+callers; an unbound variable is an absent key.  select projects the rows
+onto the variables it is asked for and builds no dict; the analyses and
+store_to_dot read their solutions through it, so the row layout is known to
+this module only.
 
 There are no FILTER expressions: callers decode the literals they compare
 (the analyses key time literals with timeutil.utc_key) and compare the
@@ -39,7 +46,8 @@ values themselves.
 
 from collections import defaultdict
 from collections.abc import Iterator, KeysView, Sequence
-from operator import itemgetter
+from itertools import compress, repeat
+from operator import add, itemgetter
 
 from .terms import Iri, Term, Triple
 
@@ -172,7 +180,7 @@ class TripleStore:
                 rows = [row for row in rows if row[0] == row[1]]
         columns = tuple(first.values())
         if columns != (0, 1):
-            rows = map(_columns(columns), rows)
+            rows = _project(rows, columns)
         return tuple(first), list(rows)
 
     def match_pattern(self, pattern: TriplePattern) -> list[BindingSet]:
@@ -206,7 +214,7 @@ class TripleStore:
         in the order named, None where an OPTIONAL group left one unbound.
         The query runs, and raises, at the call."""
         columns, rows = self._solutions(required, optional_groups)
-        return map(_columns([columns.index(name) for name in names]), rows)
+        return _project(rows, [columns.index(name) for name in names])
 
     def _solutions(self, required, optional_groups=()) -> Rows:
         """The solutions of the required block, each group left-joined on in
@@ -235,11 +243,12 @@ class TripleStore:
         an optional group keeps a row it has no match for, its new variables
         unbound (None).
 
-        The group is scanned once, unsubstituted, and its matches are keyed
-        on the variables the rows already bind, so extending a row is one
-        dict lookup and a tuple concatenation per match.  Every row binds
-        every such variable: _solutions lets a group share only required
-        ones."""
+        The group is scanned once, unsubstituted, and its matches' new
+        values are keyed on the variables the rows already bind: one value
+        per key when each key has one match (extended by C loops, see the
+        module docstring), else a list per key in match order.  Every row
+        binds every keyed variable: _solutions lets a group share only
+        required ones."""
         variables = dict.fromkeys(
             term.name for pattern in group for term in pattern.positions() if isinstance(term, Var)
         )
@@ -247,28 +256,32 @@ class TripleStore:
         new = tuple(name for name in variables if name not in names)
         if not rows:
             return names + new, rows
-        table = self._matches(group, keyed, new)
-        row_key, pad = _key([names.index(name) for name in keyed]), (None,) * len(new)
+        group_names, matches = self._solutions(group)
+        match_key = [group_names.index(name) for name in keyed]
+        values = list(_project(matches, [group_names.index(name) for name in new]))
+        table = dict(zip(_keys(matches, match_key), values))
+        keys = list(_keys(rows, [names.index(name) for name in keyed]))
+        pad = (None,) * len(new)
+        if len(table) == len(matches):  # one match per key
+            if optional:
+                return names + new, list(map(add, rows, map(table.get, keys, repeat(pad))))
+            found = list(map(table.__contains__, keys))
+            rows = compress(rows, found)
+            if new:
+                rows = map(add, rows, map(table.__getitem__, compress(keys, found)))
+            return names + new, list(rows)
+        lists: defaultdict = defaultdict(list)
+        for key, value in zip(_keys(matches, match_key), values):
+            lists[key].append(value)
         extended: list[tuple] = []
-        for row in rows:
-            matches = table.get(row_key(row))
-            if matches:
-                for match in matches:
-                    extended.append(row + match)
+        for row, key in zip(rows, keys):
+            found = lists.get(key)
+            if found:
+                for value in found:
+                    extended.append(row + value)
             elif optional:
                 extended.append(row + pad)
         return names + new, extended
-
-    def _matches(self, group: list[TriplePattern], keyed: list[str], carried: tuple[str, ...]):
-        """The group's matches, as their values for carried, listed in match
-        order under their values for keyed."""
-        names, rows = self._solutions(group)
-        key = _key([names.index(name) for name in keyed])
-        value = _columns([names.index(name) for name in carried])
-        table: defaultdict = defaultdict(list)
-        for row in rows:
-            table[key(row)].append(value(row))
-        return table
 
 
 def _binding_sets(solutions: Rows) -> list[BindingSet]:
@@ -277,18 +290,15 @@ def _binding_sets(solutions: Rows) -> list[BindingSet]:
     return [{name: term for name, term in zip(names, row) if term is not None} for row in rows]
 
 
-def _no_columns(row):
-    return ()
+def _keys(rows, columns):
+    """Each row's join key: its values at columns, the bare term for one
+    column, () for none."""
+    return map(itemgetter(*columns), rows) if columns else repeat((), len(rows))
 
 
-def _key(columns):
-    """Row -> its values at columns; the bare term for one column."""
-    return itemgetter(*columns) if columns else _no_columns
-
-
-def _columns(columns):
-    """Row -> the tuple of its values at columns."""
+def _project(rows, columns):
+    """Each row's values at columns, as a tuple, by C callables only (no
+    Python call per row)."""
     if len(columns) == 1:
-        (column,) = columns
-        return lambda row: (row[column],)
-    return _key(columns)
+        return zip(map(itemgetter(*columns), rows))
+    return _keys(rows, columns)

@@ -75,23 +75,26 @@ _IRIREF, _PNAME, _STRING, _NUMBER, _WORD, _ATWORD = "iriref", "pname", "string",
 _EOF = "eof"
 
 _HEX = "0123456789abcdefABCDEF"
-# RDF 1.1 Turtle's INTEGER, DECIMAL and DOUBLE cut to the supported subset:
-# ASCII digits, and a digit before any '.'
-_NUMBER_SHAPE = r"[+-]?[0-9]+(?:\.[0-9]+)?(?:[eE][+-]?[0-9]+)?"
+# RDF 1.1 Turtle's DOUBLE, DECIMAL and INTEGER (section 6.5), longest
+# first: the first alternative that matches is taken, so `5.e3` is one
+# DOUBLE, while `5.` before a blank is INTEGER `5` and the statement's `.`
+_EXPONENT = r"[eE][+-]?[0-9]+"
+_NUMBER_SHAPE = rf"[+-]?(?:[0-9]+\.[0-9]*{_EXPONENT}|\.?[0-9]+{_EXPONENT}|[0-9]*\.[0-9]+|[0-9]+)"
 _new = tuple.__new__  # builds a term tuple without its class's Python __new__
 
 # One match skips blanks, then reads one token; the named group that
 # matched is the token's kind, except that a punct token takes its text
 # ('.', ';', ',' or '^^') as its kind.  The shapes are those of RDF 1.1
-# Turtle section 6.5, cut to the supported subset (numbers are ASCII digits).
-# pname is tried before word, which matches its leading letters; a `"""`
-# and a '.' before a digit match no kind.  A string token is its opening
-# quote and first run; _read walks its escapes and closing quote.  When no
-# kind fits, the empty last alternative matches: at a '#' _past_comments
-# skips the comment lines, and otherwise _UNMATCHED names the error.  Every
-# repeat is of one character class (a run of blanks, a local name), which
-# the engine matches without keeping state per character.  An atword is a
-# directive keyword or a language tag, which _object checks.
+# Turtle section 6.5, cut to the supported subset (numbers are ASCII
+# digits).  pname is tried before word, which matches its leading letters;
+# a `"""` matches no kind, and a '.' before a digit starts a number.  A
+# string token is its opening quote and first run; _read walks its escapes
+# and closing quote.  When no kind fits, the empty last alternative
+# matches: at a '#' _past_comments skips the comment lines, and otherwise
+# _UNMATCHED names the error.  Every repeat is of one character class (a
+# run of blanks, a local name), which the engine matches without keeping
+# state per character.  An atword is a directive keyword or a language
+# tag, which _object checks.
 _TOKEN_RE = re.compile(
     r"[ \t\r\n]*"
     r"(?:(?P<pname>(?:[A-Za-z][A-Za-z0-9_.\-]*)?:[A-Za-z0-9_.%\-]*)"
@@ -185,7 +188,9 @@ _STATEMENT_RE = re.compile(rf"[ \t\r\n]*({_FAST_IRI})[ \t\r\n]+({_FAST_VERB})[ \
 
 
 def _shorthand(lexeme: str) -> TypedLiteral:
-    """The literal a number or `true` / `false` token stands for."""
+    """The literal a number or `true` / `false` token stands for: a number
+    with an exponent is a DOUBLE (`5.e3` and `.5e3` too), else one with a
+    '.' a DECIMAL (`.5` too)."""
     if lexeme == "true" or lexeme == "false":
         datatype = XSD_BOOLEAN
     elif "e" in lexeme or "E" in lexeme:

@@ -134,6 +134,7 @@ _offsets = st.integers(-(24 * 60 - 1), 24 * 60 - 1).map(
 
 
 @example(datetime(999, 12, 31, 23, 59, 59, 999999, tzinfo=timezone(timedelta(hours=-5))))
+@settings(max_examples=500, derandomize=True, deadline=None)
 @given(moment=st.datetimes(timezones=_offsets))
 def test_formatted_instants_parse_back_truncated(moment):
     try:
@@ -502,6 +503,11 @@ _JSON_RECORDS = st.lists(
 
 @example(records=[("a", True, False, None), ("a", 1, 0, None), ("a", True, False, None)])
 @example(records=[("a", 1, 0, None), ("a", True, False, None)])
+# columns of str and None cells are memoized on the cell alone: an all-None
+# column, and text that reads like the bool beside it
+@example(records=[(None, None, None, None), (None, 2, 0, None)])
+@example(records=[("true", True, False, "1"), ("1", 1, 0, "true"), ("true", True, None, "false")])
+@example(records=[])
 @settings(max_examples=500, derandomize=True, deadline=None)
 @given(records=_JSON_RECORDS)
 def test_records_to_jsonl_equals_one_dumps_per_record(records):

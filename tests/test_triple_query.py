@@ -394,6 +394,7 @@ class TestMatchOptional:
                 assert store.match_bgp(patterns) == _per_solution_bgp(store, patterns)
             if all(len(group) == 1 for group in groups):
                 features["order checked"] += 1
+                features.update(_join_step_kinds(store, required, groups))
                 assert actual == _per_solution_optional(store, required, groups)
         assert features["checked"] >= 300
         for feature in (
@@ -403,6 +404,11 @@ class TestMatchOptional:
             "constant-only group",
             "repeated variable",
             "joined on a required variable",
+            # both join tables, on order-checked queries
+            "required step, one match per key",
+            "required step, several matches per key",
+            "optional step, one match per key",
+            "optional step, several matches per key",
         ):
             assert features[feature] >= 20, (feature, features)
         # groups join on required variables only, so every solution before a
@@ -480,6 +486,62 @@ class TestJoinSteps:
         assert as_bag(solutions) == as_bag(nested_loop_optional(triples, required, groups))
 
 
+class TestJoinTables:
+    """A join step whose group has one match per key extends the rows by C
+    loops alone; a key with several matches lists them.  Both give the rows
+    of a per-solution join, in its order."""
+
+    _TRIPLES = (
+        [t(f"e{i}", "event_case", f"c{i % 2}") for i in range(4)]
+        + [t(f"e{i}", "a", "C") for i in (0, 2, 3)]
+        + [t("e1", "a", "D")]
+        + [t(f"e{i}", "classifier", f"k{i}") for i in (3, 1)]
+        + [t("c0", "label", "l0")]
+    )
+
+    def _solutions(self, required, groups=(), extra=()):
+        """The solutions, checked against both oracles, as sorted (name,
+        local name) pairs."""
+        triples = [*self._TRIPLES, *extra]
+        store = TripleStore(triples)
+        solutions = store.match_optional(required, list(groups))
+        assert solutions == _per_solution_optional(store, required, groups)
+        assert as_bag(solutions) == as_bag(nested_loop_optional(triples, required, groups))
+        local = len("http://t/")
+        return [tuple(sorted((name, term.value[local:]) for name, term in sol.items())) for sol in solutions]
+
+    def test_optional_predicate_with_two_objects_for_one_key_keeps_their_order(self):
+        e = Var("e")
+        solutions = self._solutions(
+            [TriplePattern(e, iri("event_case"), Var("c"))],
+            [[TriplePattern(e, iri("classifier"), Var("k"))]],
+            extra=[t("e1", "classifier", "k0")],
+        )
+        assert [dict(sol).get("k") for sol in solutions] == [None, "k1", "k0", None, "k3"]
+
+    def test_required_type_step_drops_rows_with_no_match(self):
+        e = Var("e")
+        cases = TriplePattern(e, iri("event_case"), Var("c"))
+        solutions = self._solutions([cases, TriplePattern(e, iri("a"), iri("C"))])
+        assert [dict(sol)["e"] for sol in solutions] == ["e0", "e2", "e3"]
+        # a required step that binds a new variable keeps the match beside its row
+        solutions = self._solutions([cases, TriplePattern(e, iri("classifier"), Var("k"))])
+        assert solutions == [(("c", "c1"), ("e", "e1"), ("k", "k1")), (("c", "c1"), ("e", "e3"), ("k", "k3"))]
+
+    @pytest.mark.parametrize("labels", [1, 3])
+    def test_group_sharing_no_variable_extends_every_row(self, labels):
+        extra = [t("c1", "label", f"l{i}") for i in range(1, labels)]
+        required = [TriplePattern(Var("e"), iri("event_case"), Var("c"))]
+        group = [TriplePattern(Var("x"), iri("label"), Var("l"))]
+        optional = self._solutions(required, [group], extra)
+        assert len(optional) == 4 * labels
+        assert [dict(sol)["l"] for sol in optional[:labels]] == [f"l{i}" for i in range(labels)]
+        assert self._solutions([*required, *group], extra=extra) == optional
+        # a group with no match at all leaves every row unbound
+        missing = [TriplePattern(Var("x"), iri("missing"), Var("l"))]
+        assert self._solutions(required, [missing]) == self._solutions(required)
+
+
 _OPTIONAL_VARIABLES = [Var(v) for v in "wxyz"]
 
 
@@ -550,6 +612,22 @@ def _optional_features(triples, required, groups):
         if len({frozenset(names & sol.keys()) for sol in before}) > 1:
             found.add("mixed shapes")
     return found
+
+
+def _join_step_kinds(store, required, groups):
+    """The join table of each step of the query that has rows to extend:
+    one match per key of the variables the rows bind, or several."""
+    steps = [("required", required[:k], [], [required[k]]) for k in range(1, len(required))]
+    steps += [("optional", required, groups[:k], group) for k, group in enumerate(groups)]
+    kinds = []
+    for kind, block, earlier, group in steps:
+        if not store.match_optional(block, earlier):
+            continue  # no rows: the step scans nothing
+        bound = set().union(*(p.variables() for p in [*block, *(p for g in earlier for p in g)]))
+        keyed = sorted(bound & set().union(*(p.variables() for p in group)))
+        keys = [tuple(match[name] for name in keyed) for match in store.match_bgp(group)]
+        kinds.append(f"{kind} step, {'several matches' if len(set(keys)) < len(keys) else 'one match'} per key")
+    return kinds
 
 
 def _substituted(pattern, solution):

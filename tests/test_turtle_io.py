@@ -510,7 +510,8 @@ GROUPED_TAILS = [
     ("ex:s ab ex:o .\n", (SYNTAX, "expected an IRI as predicate", 1, 6)),
     ("ex:s ext:p ex:o ; # ext:q ex:r .\n", (SYNTAX, "expected an IRI as predicate", 2, 1)),
     ("ex:s ext:p # c\n    ex:o .\n", 3001),
-    ("ex:s ext:p ex:o .5\n", (SYNTAX, "unexpected character '.'", 1, 17)),
+    # `.5` is one DECIMAL token, which cannot follow an object
+    ("ex:s ext:p ex:o .5\n", (SYNTAX, "expected ';', ',' or '.'", 1, 17)),
     ("ex:s ext:p [ ] .\n", (UNSUPPORTED, "blank node", 1, 12)),
     ("ex:s ext:p ex:o ;" + " " * 200_000 + "$ .\n", (SYNTAX, "unexpected character '$'", 1, 200_018)),
     ("ex:s ext:p ex:o" + " " * 200_000 + "$ .\n", (SYNTAX, "unexpected character '$'", 1, 200_016)),
@@ -788,10 +789,13 @@ EDGE_OBJECTS = {
     "-1.5E-3": True,
     "0.5": True,
     "1E3": True,
+    ".5": True,
+    ".5e3": True,
+    "-.5E+3": True,
+    "5.e3": True,
     "true": True,
     "false": True,
     "5.": False,
-    "5.e3": False,
     "1e": False,
     "trueX": False,
     "TRUE": False,
@@ -858,6 +862,24 @@ class TestFastPathEdges:
                 ("false", "boolean"),
             ]
         ]
+        assert declined(doc) == EDGE_HEADER.splitlines()
+
+    def test_numbers_with_no_digit_on_one_side_of_the_dot_are_typed_by_their_production(self):
+        # RDF 1.1 Turtle section 6.5: DECIMAL may start at its '.', and a
+        # DOUBLE's mantissa may end at it
+        doc = EDGE_HEADER + "ex:s ex:p .5 , -.5 , .5e3 , -.5E+3 , 5.e3 , +5.E-3 .\n"
+        assert outcome(doc) == [
+            Triple(Iri("http://e/s"), Iri("http://e/p"), TypedLiteral(lexical, Iri(XSD + datatype)))
+            for lexical, datatype in [
+                (".5", "decimal"),
+                ("-.5", "decimal"),
+                (".5e3", "double"),
+                ("-.5E+3", "double"),
+                ("5.e3", "double"),
+                ("+5.E-3", "double"),
+            ]
+        ]
+        assert_read_as_by_general(doc)
         assert declined(doc) == EDGE_HEADER.splitlines()
 
     def test_numeric_shorthand_file_is_read_whole_by_fast_path(self):
