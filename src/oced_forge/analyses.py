@@ -12,12 +12,13 @@ Team involvement ranks teams by the number of distinct cases in which they
 appear in at least one witnessing event triple, with the total number of
 witnessing triples as a secondary metric.
 
-Each analysis reads its query's solutions through TripleStore.select, one
-tuple of terms per solution in the order it names the variables, and builds
-no binding dict.  It returns named tuples, so its schema is declared once: the
-row type's fields are the output columns (the *_COLUMNS) and its values the
-cells records_to_csv and records_to_jsonl write, in that order; each imports
-csv or json, its format's module, only when called.  A cell read
+Each analysis reads the solutions of its query (queries.TEAM_TIMES or
+queries.EVENT_OBJECTS, looked up at the call) through TripleStore.select,
+one tuple of terms per solution in the order it names the variables, and
+builds no binding dict.  It returns named tuples, so its schema is declared
+once: the row type's fields are the output columns (the *_COLUMNS) and its
+values the cells records_to_csv and records_to_jsonl write, in that order;
+each imports csv or json, its format's module, only when called.  A cell read
 from a term holds the term's text, its field 0 (see terms), and None when
 the variable is unbound.  Times stay text (late materialization):
 timeutil.utc_key keys each distinct time literal once, the analyses sort
@@ -32,25 +33,11 @@ from bisect import bisect_left, bisect_right
 from itertools import repeat
 from typing import NamedTuple
 
+from . import queries
 from .errors import warn
-from .terms import (
-    EXT_CLASSIFIER,
-    EXT_EVENT,
-    EXT_EVENT_CASE,
-    EXT_EVENT_OBJECT_CLASS,
-    EXT_EVENT_TYPE,
-    EXT_HANDLED_BY_TEAM,
-    EXT_OBJECT,
-    EXT_OBJECT_TYPE,
-    OBSERVED_AT,
-    RDF_TYPE,
-    XSD_DATETIME,
-    Term,
-    TypedLiteral,
-    _Memo,
-)
+from .terms import EXT_EVENT, XSD_DATETIME, Term, TypedLiteral, _Memo
 from .timeutil import utc_key
-from .triple_query import TriplePattern, TripleStore, Var
+from .triple_query import TripleStore
 
 
 class EventObjectRow(NamedTuple):
@@ -75,32 +62,6 @@ class TeamInvolvement(NamedTuple):
     witness_count: int
 
 
-_EVENT, _OBJECT, _NODE = Var("event"), Var("object"), Var("node")
-
-# The patterns each analysis reads; a load for one analysis keeps only
-# their predicates' triples.  Joins run in the order written, which decides
-# only speed; each block reads its smallest partitions first.
-# ?event ext:handled_by_support_team ?team; ext:event_case ?case; ocedo:observed_at ?time
-TEAM_TIMES = [
-    TriplePattern(_EVENT, EXT_HANDLED_BY_TEAM, Var("team")),
-    TriplePattern(_EVENT, EXT_EVENT_CASE, Var("case")),
-    TriplePattern(_EVENT, OBSERVED_AT, Var("time")),
-]
-_IS_EVENT_OBJECT = TriplePattern(_NODE, RDF_TYPE, EXT_EVENT_OBJECT_CLASS)
-# The EventObject query: its required block and OPTIONAL groups, one pattern
-# each, the classifier first (store_to_dot reads only that group).
-# ?node ext:event ?event; ext:object ?object; a ext:EventObject
-EVENT_OBJECTS = (
-    [TriplePattern(_NODE, EXT_EVENT, _EVENT), TriplePattern(_NODE, EXT_OBJECT, _OBJECT), _IS_EVENT_OBJECT],
-    [
-        [TriplePattern(_NODE, EXT_CLASSIFIER, Var("classifier"))],
-        [TriplePattern(_EVENT, EXT_EVENT_TYPE, Var("event_type"))],
-        [TriplePattern(_EVENT, OBSERVED_AT, Var("time"))],
-        [TriplePattern(_OBJECT, EXT_OBJECT_TYPE, Var("object_type"))],
-    ],
-)
-
-
 def _time_key(term: Term | None) -> str | None:
     """utc_key of an xsd:dateTime literal's text; None for any other term."""
     return utc_key(term.lexical) if isinstance(term, TypedLiteral) and term.datatype == XSD_DATETIME else None
@@ -123,7 +84,7 @@ def _team_times(store: TripleStore) -> dict[str, dict[str, list[str]]]:
     """
     cases: dict[str, dict[str, list[str]]] = {}
     keys = _Memo(_time_key)
-    for team, case, time in store.select(("team", "case", "time"), TEAM_TIMES):
+    for team, case, time in store.select(("team", "case", "time"), queries.TEAM_TIMES):
         time = keys[time]
         if time is not None:
             teams = cases.setdefault(case[0], {})
@@ -193,10 +154,10 @@ def enumerate_event_objects(store: TripleStore) -> list[EventObjectRow]:
     and left unbound otherwise; nodes lacking ext:event or ext:object are
     skipped with a warning.
     """
-    solutions = list(store.select(("node", *EVENT_OBJECT_COLUMNS), *EVENT_OBJECTS))
+    solutions = list(store.select(("node", *EVENT_OBJECT_COLUMNS), *queries.EVENT_OBJECTS))
     joined = {solution[0] for solution in solutions}
     # a match_pattern read, kept while bench/layertrace.py divides by match_pattern_calls
-    nodes = store.match_pattern(_IS_EVENT_OBJECT)
+    nodes = store.match_pattern(queries._IS_EVENT_OBJECT)
     skipped = [sol["node"] for sol in nodes if sol["node"] not in joined]
     if skipped:  # the subjects of ext:event tell the two warnings apart for every node
         with_event = {node for node, _ in store.pairs(EXT_EVENT)}

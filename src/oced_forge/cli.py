@@ -11,19 +11,20 @@ is).  Stderr keeps the locale's encoding, with backslash escapes.
 
 Each command loads only what it runs.  convert loads the XES reader, the
 graph model, the transform and the Turtle writer (json only with --config),
-and no Turtle reader, triple store, analyses or csv.  The read commands load
-the Turtle reader (turtle_parser) and the triple store, and no writer
-module; analyze also the analyses, with csv or json for its --format only,
-and export-dot the DOT writer and turtle_io's render_term.  Turtle stats
-loads no analyses.  Each layer logs its own warnings (the XES reader, the
-transform and the event-objects analysis, through errors.warn), and logging
-is loaded, and set up, at the first one.  An input is read whole and
-inflated once when it is gzip (_read_input); the XES reader (parse_xes_xml)
-is then given the XML as it is.  Every read command, stats included,
-decodes and parses Turtle in _parse_store, so text that is not UTF-8 is
-one TurtleSyntaxError for all of them.  analyze loads Turtle with a keep
-rule made of the IRI predicates of the patterns its query looks up (see
-_keep_rule).
+and no Turtle reader, triple store, queries, analyses or csv.  The read
+commands load the Turtle reader (turtle_parser) and the triple store, and
+no writer module; analyze also the queries and the analyses, with csv or
+json for its --format only, and export-dot the queries and the DOT writer
+and nothing else of the package (no analyses, timeutil or datetime).
+Turtle stats loads no queries.  Each layer logs its own warnings (the XES
+reader, the transform and the event-objects analysis, through errors.warn),
+and logging is loaded, and set up, at the first one.  An input is read
+whole and inflated once when it is gzip (_read_input), and gzip is loaded
+only then; the XES reader (parse_xes_xml) is then given the XML as it is.
+Every read command, stats included, decodes and parses Turtle in
+_parse_store, so text that is not UTF-8 is one TurtleSyntaxError for all of
+them.  analyze loads Turtle with a keep rule made of the IRI predicates of
+the patterns its query (see queries) looks up (see _keep_rule).
 stats keeps every triple, because it counts them, and so does export-dot,
 which reads or would keep every predicate convert writes (see dot_export).
 The cyclic GC is off during every command.
@@ -44,11 +45,9 @@ convert leaves that file alone.
 
 import argparse
 import gc
-import gzip
 import io
 import os
 import sys
-import zlib
 from collections.abc import Callable
 from typing import TYPE_CHECKING
 
@@ -84,12 +83,12 @@ _ANALYSES = ("ping-pong", "event-objects", "teams")
 def _analysis(name: str) -> tuple[Callable, tuple[str, ...], tuple]:
     """An analysis's function, output columns and its query: the required
     block and OPTIONAL groups it reads."""
-    from . import analyses as a
+    from . import analyses as a, queries as q
 
     return {
-        "ping-pong": (a.detect_ping_pong, a.PING_PONG_COLUMNS, (a.TEAM_TIMES, [])),
-        "event-objects": (a.enumerate_event_objects, a.EVENT_OBJECT_COLUMNS, a.EVENT_OBJECTS),
-        "teams": (a.team_involvement, a.TEAM_COLUMNS, (a.TEAM_TIMES, [])),
+        "ping-pong": (a.detect_ping_pong, a.PING_PONG_COLUMNS, (q.TEAM_TIMES, [])),
+        "event-objects": (a.enumerate_event_objects, a.EVENT_OBJECT_COLUMNS, q.EVENT_OBJECTS),
+        "teams": (a.team_involvement, a.TEAM_COLUMNS, (q.TEAM_TIMES, [])),
     }[name]
 
 
@@ -149,6 +148,9 @@ def _read_input(path: str) -> bytes:
         with open(path, "rb") as fh:
             data = fh.read()
     if data[:2] == b"\x1f\x8b":
+        import gzip  # only gzip input loads it
+        import zlib
+
         try:
             return gzip.decompress(data)
         except (OSError, EOFError, zlib.error) as exc:

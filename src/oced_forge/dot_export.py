@@ -10,15 +10,17 @@ unescaped, or as written when unescape_id raises ValueError for it.  Each
 distinct term is rendered, and each distinct token quoted, once per call.
 
 store_to_dot reads the event and object label predicates, the
-event-object block with its classifier group (the analyses' EventObject
-query, through TripleStore.select) and every qualifier predicate
-(terms.is_qualifier).
+event-object block with its classifier group (queries.EVENT_OBJECTS, the
+EventObject query, through TripleStore.select) and every qualifier
+predicate (terms.is_qualifier).  A node is named by its Turtle token
+(terms.render_term), so the DOT writer loads neither the analyses nor the
+Turtle writer.
 Every predicate convert writes is rdf:type, ocedo:observed_at or an ext:
 predicate, all of which it reads or a keep rule for it would keep, so
 export-dot loads every triple, as stats does.
 """
 
-from . import analyses
+from . import queries
 from .terms import (
     EXT,
     EXT_EVENT_TYPE,
@@ -28,10 +30,10 @@ from .terms import (
     PlainLiteral,
     _Memo,
     object_object_triples,
+    render_term,
     unescape_id,
 )
 from .triple_query import TripleStore
-from .turtle_io import render_term
 
 
 def _dot_quote(text: str) -> str:
@@ -66,7 +68,7 @@ def store_to_dot(store: TripleStore) -> str:
         lines.append(f"  {quote(token(iri))} [shape=ellipse, label={_dot_quote(label)}];")
 
     edges: list[tuple[str, str, str | None]] = []
-    required, groups = analyses.EVENT_OBJECTS
+    required, groups = queries.EVENT_OBJECTS
     # the classifier group only
     for event, obj, classifier in store.select(("event", "object", "classifier"), required, groups[:1]):
         label = classifier.value if isinstance(classifier, PlainLiteral) else None

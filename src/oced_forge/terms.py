@@ -6,9 +6,13 @@ literal's lexical form.  Triples restrict subject and predicate to IRIs.
 Entity ids and qualifier names enter IRIs through escape_id, leave them
 through unescape_id and are checked by is_escaped_id; the escaped-id alphabet
 is written once, here, so the Turtle reader and writer and the DOT export
-need nothing from the graph model.  is_qualifier tells a data-derived ext:
-predicate from the fixed vocabulary; object-object relations have one, and
-the DOT export draws them as edges.
+need nothing from the graph model.  So is each Turtle token: render_term
+writes a term's token, through _iri_token (a fixed prefix where the local
+name allows, else <iri>) and _literal_token, for the Turtle writer and the
+DOT export alike; an IRI or language tag that Turtle cannot hold is a
+SerializationError.  is_qualifier tells a data-derived ext: predicate from
+the fixed vocabulary; object-object relations have one, and the DOT export
+draws them as edges.
 
 Terms and triples are named tuples, so they hash and compare as tuples, in C
 (also with plain tuples: Iri("x") == ("x",)).  The kinds never compare equal
@@ -19,6 +23,8 @@ Iri (typed) or a str or None (plain).
 import re
 from collections.abc import Container, Iterator
 from typing import NamedTuple, Union
+
+from .errors import SerializationError
 
 # the characters an escaped id holds as themselves
 _SAFE = "ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789_-"
@@ -194,3 +200,53 @@ def object_object_triples(store, objects: Container[Term]) -> Iterator[Triple]:
             for subject, obj in store.pairs(predicate):
                 if subject in objects and obj in objects:
                     yield Triple(subject, predicate, obj)
+
+
+# -- Turtle tokens -------------------------------------------------------------
+
+# most IRIs written are instances, so ex: is tried first; no namespace
+# starts another, so the order cannot change a token
+_TOKEN_PREFIXES = PREFIXES[-1:] + PREFIXES[:-1]
+
+
+def _escape_literal(text: str) -> str:
+    return (
+        text.replace("\\", "\\\\")
+        .replace('"', '\\"')
+        .replace("\n", "\\n")
+        .replace("\r", "\\r")
+        .replace("\t", "\\t")
+    )
+
+
+def _iri_token(value: str) -> str:
+    for prefix, namespace in _TOKEN_PREFIXES:
+        if value.startswith(namespace):
+            local = value[len(namespace):]
+            if is_escaped_id(local) and local[0] != "-":
+                return f"{prefix}:{local}"
+    if _BAD_IRI_CHARS.search(value):
+        raise SerializationError(f"IRI contains characters illegal in Turtle: {value!r}")
+    if not re.match(_IRI_SCHEME, value):
+        raise SerializationError(f"relative IRI {value!r}: Turtle output holds only absolute IRIs")
+    return f"<{value}>"
+
+
+def _literal_token(lexical: str, datatype_token: str | None = None, lang: str | None = None) -> str:
+    rendered = f'"{_escape_literal(lexical)}"'
+    if datatype_token is not None:
+        return f"{rendered}^^{datatype_token}"
+    if lang and not re.fullmatch(_LANGTAG, lang):
+        raise SerializationError(f"language tag {lang!r} is not [A-Za-z]+(-[A-Za-z0-9]+)*")
+    return f"{rendered}@{lang}" if lang else rendered
+
+
+def render_term(term: Term) -> str:
+    """Turtle token for one term, using the fixed prefixes where possible."""
+    if isinstance(term, Iri):
+        return _iri_token(term.value)
+    if isinstance(term, TypedLiteral):
+        return _literal_token(term.lexical, _iri_token(term.datatype.value))
+    if isinstance(term, PlainLiteral):
+        return _literal_token(term.value, lang=term.lang)
+    raise TypeError(f"not a term: {term!r}")

@@ -26,23 +26,21 @@ ext:EventObject node (ext:event / ext:object / ext:classifier) and once as a
 direct qualifier predicate from the event to the object, so both the
 reified and the direct query styles work against the same file.
 
-The reader is turtle_parser.  parse_turtle is still found here for callers
-that read and write through this module: it loads the reader on first
-access (PEP 562), so the writer's callers never do.
+Each token is written by terms (render_term, and the IRI and literal
+token writers it calls), which the DOT export shares; render_term is still
+found here.  The reader is turtle_parser.  parse_turtle is still found here
+for callers that read and write through this module: it loads the reader on
+first access (PEP 562), so the writer's callers never do.
 """
 
 import io
 import os
-import re
 from collections.abc import Iterator
 from itertools import groupby
 from typing import TYPE_CHECKING, TextIO
 
 from .errors import SerializationError
 from .terms import (
-    _BAD_IRI_CHARS,
-    _IRI_SCHEME,
-    _LANGTAG,
     EX,
     EXT,
     EXT_CLASSIFIER,
@@ -60,22 +58,18 @@ from .terms import (
     XSD_INTEGER,
     Iri,
     PlainLiteral,
-    Term,
     TypedLiteral,
     _Memo,
+    _iri_token,
+    _literal_token,
     escape_id,
-    is_escaped_id,
+    render_term,
 )
 from .timeutil import format_utc_millis
 
 if TYPE_CHECKING:  # annotations only: graph_to_turtle loads neither module
     from .oced_model import OcedGraph, TypedValue
     from .triple_query import TripleStore
-
-# most IRIs written are instances, so ex: is tried first; no namespace
-# starts another, so the order cannot change a token
-_TOKEN_PREFIXES = PREFIXES[-1:] + PREFIXES[:-1]
-
 
 # -- graph -> statements ----------------------------------------------------
 
@@ -175,51 +169,7 @@ def graph_to_triples(graph: "OcedGraph") -> "TripleStore":
     )
 
 
-# -- rendering ---------------------------------------------------------------
-
-
-def _escape_literal(text: str) -> str:
-    return (
-        text.replace("\\", "\\\\")
-        .replace('"', '\\"')
-        .replace("\n", "\\n")
-        .replace("\r", "\\r")
-        .replace("\t", "\\t")
-    )
-
-
-def _iri_token(value: str) -> str:
-    for prefix, namespace in _TOKEN_PREFIXES:
-        if value.startswith(namespace):
-            local = value[len(namespace):]
-            if is_escaped_id(local) and local[0] != "-":
-                return f"{prefix}:{local}"
-    if _BAD_IRI_CHARS.search(value):
-        raise SerializationError(f"IRI contains characters illegal in Turtle: {value!r}")
-    if not re.match(_IRI_SCHEME, value):
-        raise SerializationError(f"relative IRI {value!r}: Turtle output holds only absolute IRIs")
-    return f"<{value}>"
-
-
-def _literal_token(lexical: str, datatype_token: str | None = None, lang: str | None = None) -> str:
-    rendered = f'"{_escape_literal(lexical)}"'
-    if datatype_token is not None:
-        return f"{rendered}^^{datatype_token}"
-    if lang and not re.fullmatch(_LANGTAG, lang):
-        raise SerializationError(f"language tag {lang!r} is not [A-Za-z]+(-[A-Za-z0-9]+)*")
-    return f"{rendered}@{lang}" if lang else rendered
-
-
-def render_term(term: Term) -> str:
-    """Turtle token for one term, using the fixed prefixes where possible."""
-    if isinstance(term, Iri):
-        return _iri_token(term.value)
-    if isinstance(term, TypedLiteral):
-        return _literal_token(term.lexical, _iri_token(term.datatype.value))
-    if isinstance(term, PlainLiteral):
-        return _literal_token(term.value, lang=term.lang)
-    raise TypeError(f"not a term: {term!r}")
-
+# -- writing -----------------------------------------------------------------
 
 _HEADER = "".join(f"@prefix {prefix}: <{namespace}> .\n" for prefix, namespace in PREFIXES)
 _CHUNK = 8192  # rows per write

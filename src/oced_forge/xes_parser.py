@@ -37,8 +37,6 @@ instead of each holding its own key, text and tuple; values are immutable,
 so sharing them changes no result.
 """
 
-import gzip
-import zlib
 from typing import NamedTuple
 from xml.parsers import expat
 
@@ -248,6 +246,9 @@ def parse_xes(data: bytes) -> XesLog:
     """Parse XES XML bytes (gzip-compressed input is detected and inflated,
     once); see parse_xes_xml."""
     if data[:2] == b"\x1f\x8b":
+        import gzip  # only gzip input loads it
+        import zlib
+
         try:
             data = gzip.decompress(data)
         except (OSError, EOFError, zlib.error) as exc:

@@ -15,10 +15,10 @@ from xml.etree import ElementTree
 
 from oced_forge.errors import XesParseError, XesStructureError
 from oced_forge.oced_model import OcedEvent, OcedGraph, OcedObject, TypedValue, escape_id
-from oced_forge.terms import EX, PREFIXES
+from oced_forge.terms import EX, PREFIXES, _iri_token, _literal_token, _Memo
 from oced_forge.timeutil import format_utc_millis, has_utc_instant, parse_instant, utc_key
 from oced_forge.triple_query import TriplePattern, Var
-from oced_forge.turtle_io import _iri_token, _literal_token, _Memo, _statements
+from oced_forge.turtle_io import _statements
 from oced_forge.xes_parser import VALUE_KINDS, XesLog, XesTrace, parse_value
 
 BASE_TIME = datetime(2012, 1, 1, tzinfo=timezone.utc)

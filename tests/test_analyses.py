@@ -17,7 +17,7 @@ from oced_forge import (
     store_to_dot,
     team_involvement,
 )
-from oced_forge import analyses
+from oced_forge import analyses, cli, queries
 from oced_forge.analyses import (
     EVENT_OBJECT_COLUMNS,
     PING_PONG_COLUMNS,
@@ -448,10 +448,12 @@ class TestEnumerateEventObjects:
 def test_pattern_order_decides_no_output(monkeypatch):
     """Joins run in the order written, so the order of an analysis's
     patterns decides only its speed: every permutation of TEAM_TIMES and of
-    the required block of EVENT_OBJECTS gives the same records and DOT
-    bytes.  Each store holds its triples shuffled, so its partitions list
-    subjects in different orders and each join order yields the solutions in
-    a different order."""
+    the required block of EVENT_OBJECTS gives the same records, DOT bytes
+    and kept predicates.  The permutations are set on the queries module,
+    which the analyses, store_to_dot and the CLI's keep rules all read.
+    Each store holds its triples shuffled, so its partitions list subjects
+    in different orders and each join order yields the solutions in a
+    different order."""
     rng = random.Random(23)
     graphs = [random_handoff_graph(rng, max_cases=8)[0] for _ in range(10)]
     graphs += [random_oced_graph(rng) for _ in range(30)]
@@ -460,23 +462,41 @@ def test_pattern_order_decides_no_output(monkeypatch):
         triples = graph_to_triples(graph).triples()
         stores.append(TripleStore(rng.sample(triples, len(triples))).freeze())
 
+    def kept(store):
+        """Each analysis's kept predicates of the store, by the CLI's rule."""
+        rules = [cli._keep_rule(cli._analysis(name)[2]) for name in cli._ANALYSES]
+        return [list(filter(keep, store.predicates())) for keep in rules]
+
     def outputs(store):
         return (
             records(detect_ping_pong(store)),
             records(team_involvement(store)),
             records(enumerate_event_objects(store)),
             store_to_dot(store),
+            kept(store),
         )
 
     expected = [outputs(store) for store in stores]
     assert any(out[0] for out in expected) and any(out[1] for out in expected)
     assert any(out[2] for out in expected)
-    required, groups = analyses.EVENT_OBJECTS
-    for team_times in permutations(analyses.TEAM_TIMES):
+    ran, select = set(), TripleStore.select
+
+    def recorded(self, names, required, *groups):
+        """select, noting the required block run, to see that the permutation ran."""
+        ran.add(tuple(required))
+        return select(self, names, required, *groups)
+
+    monkeypatch.setattr(TripleStore, "select", recorded)
+    required, groups = queries.EVENT_OBJECTS
+    for team_times in permutations(queries.TEAM_TIMES):
         for event_object in permutations(required):
-            monkeypatch.setattr(analyses, "TEAM_TIMES", list(team_times))
-            monkeypatch.setattr(analyses, "EVENT_OBJECTS", (list(event_object), groups))
+            monkeypatch.setattr(queries, "TEAM_TIMES", list(team_times))
+            monkeypatch.setattr(queries, "EVENT_OBJECTS", (list(event_object), groups))
+            ran.clear()
             assert [outputs(store) for store in stores] == expected, (team_times, event_object)
+            assert ran == {team_times, event_object}
+            assert cli._analysis("teams")[2] == (list(team_times), [])
+            assert cli._analysis("event-objects")[2] == (list(event_object), groups)
 
 
 class TestRecords:

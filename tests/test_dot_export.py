@@ -2,7 +2,7 @@ import random
 import re
 from datetime import timedelta
 
-from oced_forge import TripleStore, dot_export, graph_to_triples, store_to_dot
+from oced_forge import TripleStore, dot_export, graph_to_triples, store_to_dot, terms
 
 from oracles import BASE_TIME, build_handoff_graph, random_oced_graph
 
@@ -83,7 +83,9 @@ def test_each_distinct_term_is_rendered_once(monkeypatch):
         rendered.append(term)
         return render_term(term)
 
+    # the DOT writer renders with the Turtle token writer of terms
     render_term = dot_export.render_term
+    assert render_term is terms.render_term
     monkeypatch.setattr(dot_export, "render_term", counting)
     for store, dot in zip(stores, expected):
         rendered.clear()

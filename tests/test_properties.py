@@ -36,9 +36,8 @@ from oced_forge import (  # noqa: E402
 )
 from oced_forge.analyses import records_to_jsonl  # noqa: E402
 from oced_forge.cli import main  # noqa: E402
-from oced_forge.terms import _LANGTAG, EX, PREFIXES, is_escaped_id, unescape_id  # noqa: E402
+from oced_forge.terms import _LANGTAG, EX, PREFIXES, _iri_token, is_escaped_id, unescape_id  # noqa: E402
 from oced_forge.triple_query import TripleStore  # noqa: E402
-from oced_forge.turtle_io import _iri_token  # noqa: E402
 from oced_forge.turtle_parser import _TurtleParser  # noqa: E402
 from oced_forge.timeutil import (  # noqa: E402
     format_offset_millis,

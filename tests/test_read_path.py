@@ -1,14 +1,17 @@
 """Each command loads only what it runs: the read commands (analyze,
-Turtle stats, export-dot) load no module of the write path (export-dot only
-the writer's render_term), convert and XES stats none of the read path,
-analyze only the csv or json module of its format, no command dataclasses,
-and a run logging no warning no logging.  analyze loads only the triples
+Turtle stats, export-dot) load no module of the write path, convert and XES
+stats none of the read path, only analyze the analyses, and analyze only
+the csv or json module of its format.  export-dot loads the Turtle reader,
+the store, the queries and the DOT writer and no other module of the
+package.  No command loads dataclasses, gzip but for gzip input, or
+logging in a run that logs no warning.  analyze loads only the triples
 of the predicates its query looks up.  A kept-predicate load must give
 every query the same answer as a full load.  stats and export-dot keep
 every triple: stats counts them, and every predicate convert writes is one
 export-dot reads or a keep rule for it would keep."""
 
 import gc
+import gzip
 import subprocess
 import sys
 from pathlib import Path
@@ -258,6 +261,7 @@ _WRITE_PATH = {"oced_forge.xes_parser", "oced_forge.transform", "oced_forge.oced
 # logging with no warning to print
 _READ_PATH = {
     "oced_forge.turtle_parser",
+    "oced_forge.queries",
     "oced_forge.analyses",
     "oced_forge.triple_query",
     "oced_forge.dot_export",
@@ -277,6 +281,23 @@ def _loaded_and_stderr(*argv) -> tuple[set[str], bytes]:
     return set(result.stdout.decode().split()), result.stderr
 
 
+# the package modules export-dot runs, and no others
+_DOT_PATH = {
+    "oced_forge",
+    "oced_forge.cli",
+    "oced_forge.errors",
+    "oced_forge.terms",
+    "oced_forge.turtle_parser",
+    "oced_forge.triple_query",
+    "oced_forge.queries",
+    "oced_forge.dot_export",
+}
+
+
+def _command_id(command: list[str]) -> str:
+    return "-".join(command[2::2]) or command[0]
+
+
 @pytest.mark.parametrize(
     "command",
     [
@@ -287,20 +308,23 @@ def _loaded_and_stderr(*argv) -> tuple[set[str], bytes]:
         ["stats"],
         ["export-dot"],
     ],
-    ids=lambda command: "-".join(command[2::2]) or command[0],
+    ids=_command_id,
 )
 def test_read_commands_load_no_write_path_module(command, tmp_path):
     path = tmp_path / "fixture.ttl"
     path.write_text(_fixture_turtle(), "utf-8")
     loaded = _loaded(command[0], str(path), *command[1:], "--output", str(tmp_path / "out"))
     assert "oced_forge.cli" in loaded
-    # export-dot renders its terms with the writer's render_term
-    assert loaded & _WRITE_PATH == ({"oced_forge.turtle_io"} if command == ["export-dot"] else set())
-    assert "dataclasses" not in loaded
+    assert loaded & _WRITE_PATH == set()
+    assert loaded & {"dataclasses", "gzip"} == set()
     assert ("oced_forge.dot_export" in loaded) == (command == ["export-dot"])
-    # Turtle stats counts triples with no query
-    assert ("oced_forge.analyses" in loaded) == (command != ["stats"])
+    # only analyze runs an analysis; Turtle stats counts triples with no query
+    assert ("oced_forge.analyses" in loaded) == (command[0] == "analyze")
+    assert ("oced_forge.queries" in loaded) == (command != ["stats"])
     assert {"oced_forge.turtle_parser", "oced_forge.triple_query"} <= loaded
+    if command == ["export-dot"]:
+        assert {name for name in loaded if name.startswith("oced_forge")} == _DOT_PATH
+        assert loaded & {"oced_forge.timeutil", "datetime"} == set()
     # each analyze format loads only its own module, and no warning loads logging
     jsonl = command[-1] == "jsonl"
     assert ("csv" in loaded, "json" in loaded) == (command[0] == "analyze" and not jsonl, jsonl)
@@ -308,18 +332,33 @@ def test_read_commands_load_no_write_path_module(command, tmp_path):
     assert (tmp_path / "out").stat().st_size > 0
 
 
+@pytest.mark.parametrize(
+    "command", [["export-dot"], ["analyze", "--analysis", "event-objects", "--format", "jsonl"]], ids=_command_id
+)
+def test_gzip_turtle_alone_loads_gzip(command, tmp_path):
+    """The check above can fail: a gzip copy of the fixture loads gzip, and
+    the package modules and output of the plain file."""
+    plain, packed = tmp_path / "fixture.ttl", tmp_path / "fixture.ttl.gz"
+    plain.write_text(_fixture_turtle(), "utf-8")
+    packed.write_bytes(gzip.compress(plain.read_bytes()))
+    runs = [_loaded(command[0], str(path), *command[1:], "--output", str(path) + ".out") for path in (plain, packed)]
+    assert ["gzip" in loaded for loaded in runs] == [False, True]
+    assert len({frozenset(name for name in loaded if name.startswith("oced_forge")) for loaded in runs}) == 1
+    assert Path(str(plain) + ".out").read_bytes() == Path(str(packed) + ".out").read_bytes()
+
+
 def test_convert_loads_the_write_path(bpic_xes_path, tmp_path):
     """The check above can fail: convert loads every module it names."""
     loaded = _loaded("convert", str(bpic_xes_path), "--output", str(tmp_path / "out"), "--quiet")
     assert loaded >= _WRITE_PATH
     assert loaded & _READ_PATH == set()
-    assert "dataclasses" not in loaded
+    assert loaded & {"dataclasses", "gzip"} == set()
 
 
 def test_xes_stats_loads_no_query_module(bpic_xes_path, tmp_path):
     loaded = _loaded("stats", str(bpic_xes_path), "--output", str(tmp_path / "out"))
     assert loaded >= {"oced_forge.xes_parser", "oced_forge.transform"}
-    assert loaded & {*_READ_PATH, "oced_forge.turtle_io", "dataclasses"} == set()
+    assert loaded & {*_READ_PATH, "oced_forge.turtle_io", "dataclasses", "gzip"} == set()
     assert (tmp_path / "out").read_text().startswith("format  xes\n")
 
 

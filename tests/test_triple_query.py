@@ -541,6 +541,24 @@ class TestJoinTables:
         missing = [TriplePattern(Var("x"), iri("missing"), Var("l"))]
         assert self._solutions(required, [missing]) == self._solutions(required)
 
+    def test_constant_subject_keeps_its_pairs_in_order(self):
+        """A pattern's constant subject or object filters its partition's
+        pairs, which keep their insertion order, wherever the pattern runs."""
+        extra = [t("e1", "a", "C"), t("e3", "a", "D")]
+        types = TriplePattern(iri("e1"), iri("a"), Var("type"))
+        solutions = self._solutions([types], extra=extra)
+        assert [dict(sol)["type"] for sol in solutions] == ["D", "C"]
+        # in a later required step and in an OPTIONAL group, constant object too
+        cases = TriplePattern(Var("e"), iri("event_case"), Var("c"))
+        later = self._solutions([cases, types], extra=extra)
+        assert [(dict(sol)["e"], dict(sol)["type"]) for sol in later[:2]] == [("e0", "D"), ("e0", "C")]
+        assert len(later) == 8
+        label = [TriplePattern(iri("c0"), iri("label"), Var("l"))]
+        assert len(self._solutions([cases], [label, [types]], extra)) == 8
+        ground = TriplePattern(iri("e3"), iri("a"), iri("D"))
+        assert self._solutions([cases, ground], extra=extra) == self._solutions([cases])
+        assert self._solutions([cases, TriplePattern(iri("e1"), iri("a"), iri("E"))], extra=extra) == []
+
 
 _OPTIONAL_VARIABLES = [Var(v) for v in "wxyz"]
 

@@ -30,9 +30,8 @@ from oced_forge import (
     write_turtle,
 )
 from oced_forge.cli import main
-from oced_forge.terms import EX, EXT, OCEDO, PREFIXES, RDF, XSD
+from oced_forge.terms import EX, EXT, OCEDO, PREFIXES, RDF, XSD, render_term
 from oced_forge.triple_query import TripleStore, Var
-from oced_forge.turtle_io import render_term
 from oced_forge.turtle_parser import _TurtleParser
 from oced_forge.xes_parser import MAX_OPEN_ELEMENTS
 
