@@ -23,8 +23,10 @@ whole and inflated once when it is gzip (_read_input), and gzip is loaded
 only then; the XES reader (parse_xes_xml) is then given the XML as it is.
 Every read command, stats included, decodes and parses Turtle in
 _parse_store, so text that is not UTF-8 is one TurtleSyntaxError for all of
-them.  analyze loads Turtle with a keep rule made of the IRI predicates of
-the patterns its query (see queries) looks up (see _keep_rule).
+them; analyze and export-dot drop the input bytes there once decoded, and
+stats keeps them for its XES fallback.  analyze loads Turtle with a keep
+rule made of the IRI predicates of the patterns its query (see queries)
+looks up (see _keep_rule).
 stats keeps every triple, because it counts them, and so does export-dot,
 which reads or would keep every predicate convert writes (see dot_export).
 The cyclic GC is off during every command.
@@ -213,6 +215,7 @@ def _parse_store(path: str, data: bytes, keep: Callable[[Iri], bool] | None = No
         text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
         raise TurtleSyntaxError(f"{path}: not UTF-8 text: {exc}") from exc
+    del data  # its last reference but the caller's, so the parse peaks without it
     return parse_turtle(text, keep).freeze()
 
 

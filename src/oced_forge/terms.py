@@ -30,21 +30,20 @@ from .errors import SerializationError
 _SAFE = "ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789_-"
 # a '%' in an escaped id or a local name that two hex digits do not follow
 BAD_PERCENT_RE = re.compile(r"%(?![0-9A-Fa-f]{2})")
-# An escaped id is a run of one character class that BAD_PERCENT_RE does not
-# match, and a run of %XX escapes ends at the first escape no '%' follows; a
-# repeated group instead of a class would keep engine state per character.
-_ESCAPED_ID_RE = re.compile(f"[{re.escape(_SAFE)}%]+")
-_ESCAPE_RUN_RE = re.compile(r"%[%0-9A-Fa-f]*?(?<=%[0-9A-Fa-f]{2})(?!%)")
+# An escaped id is safe characters and %XX escapes, and an escape run is
+# %XX escapes in a row; each repeat is possessive, so the engine keeps no
+# state per repeat and never retries one.
+_ESCAPED_ID_RE = re.compile(f"(?:[{re.escape(_SAFE)}]++|%[0-9A-Fa-f]{{2}})++")
+_ESCAPE_RUN_RE = re.compile(r"(?:%[0-9A-Fa-f]{2})++")
 # RDF 1.1 Turtle's token shapes (section 6.5) as regex source, for the
 # writer and both readers: the characters an IRIREF may not hold, the
 # scheme that makes an IRI absolute, and a language tag
 _IRI_ILLEGAL = r'\x00-\x20<>"{}|^`\\'
 _IRI_SCHEME = r"[A-Za-z][A-Za-z0-9+.\-]*:"
 # LANGTAG, [a-zA-Z]+ ('-' [a-zA-Z0-9]+)*, matched only as a whole run of
-# letters, digits and '-': letters, then no '--' and no '-' at the end.  It
-# repeats no group, which would cost the engine state per subtag, and its
-# lookaheads stop each run from being retried at every shorter length.
-_LANGTAG = r"[A-Za-z]+(?![A-Za-z])(?![A-Za-z0-9\-]*--)(?:-[A-Za-z0-9\-]*[A-Za-z0-9])?(?![A-Za-z0-9\-])"
+# letters, digits and '-'.  Its repeats are possessive, so a subtag costs
+# the engine no state and no run is retried at a shorter length.
+_LANGTAG = r"[A-Za-z]++(?:-[A-Za-z0-9]++)*+(?![A-Za-z0-9\-])"
 _BAD_IRI_CHARS = re.compile(f"[{_IRI_ILLEGAL}]")
 
 
@@ -77,7 +76,7 @@ def escape_id(raw: str) -> str:
 
 def is_escaped_id(text: str) -> bool:
     """Whether text is a non-empty run of [A-Za-z0-9_-] and %XX escapes."""
-    return _ESCAPED_ID_RE.fullmatch(text) is not None and ("%" not in text or not BAD_PERCENT_RE.search(text))
+    return _ESCAPED_ID_RE.fullmatch(text) is not None
 
 
 def unescape_id(escaped: str) -> str:

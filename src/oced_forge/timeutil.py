@@ -99,7 +99,7 @@ def utc_key(text: str) -> str | None:
     form ...SS.mmmZ is only checked for a valid date and time, then sliced."""
     try:
         if _CANONICAL_RE.fullmatch(text):
-            datetime.fromisoformat(text[:23])  # without the 'Z', which Python 3.10 rejects
+            datetime.fromisoformat(text)
             return text[:23] + "000Z"
         instant = parse_instant(text).astimezone(timezone.utc)
     except (ValueError, OverflowError):  # OverflowError: has_utc_instant is False

@@ -18,24 +18,29 @@ Parsing picks a reader per statement.  A statement fast path reads the
 triple statements write_turtle emits and the subject-grouped shape of
 general RDF tools, one regex match for a statement's subject and first
 `V O` and one per further item: after blank lines and whole-line comments
-(skipped by _past_comments, one str.find per line), a statement of
-prefixed names, absolute IRIs, strings without escapes, numbers and
-booleans, with `a`, `;` and `,` abbreviations, ending its line.  Its
-regexes match each token's outline, and one memo (_FastTerms) cooks each
-distinct token once and checks there what the outline leaves out.  It
-declines any other statement (directives, escaped strings, comments inside
-a statement, unknown prefixes, relative IRIs) without raising.  The
-general reader, one token regex at `pos` with one token of lookahead,
-reads that one statement, and the fast path resumes at the token after it;
-it reads every directive, which in a file convert writes are the five
-header lines only.  Its tokens carry their grammar's kinds: a punctuation
-token ('.', ';', ',' or '^^', each a terminal of its own) has its text as
-its kind, so every token is tested by its kind alone, and one dispatch on
-the lower-cased keyword of a WORD or @word token reads the five directive
+(skipped by one _COMMENTS_RE match), a statement of prefixed names,
+absolute IRIs, strings without escapes, numbers and booleans, with `a`,
+`;` and `,` abbreviations, ending its line.  Its regexes match each
+token's outline, and one memo (_FastTerms) cooks each distinct token once
+and checks there what the outline leaves out.  It declines any other
+statement (directives, escaped strings, comments inside a statement,
+unknown prefixes, relative IRIs) without raising.  The general reader, one
+token regex at `pos` with one token of lookahead, reads that one
+statement, and the fast path resumes at the token after it; it reads
+every directive, which in a file convert writes are the five header lines
+only.  Its tokens carry their grammar's kinds: a punctuation token ('.',
+';', ',' or '^^', each a terminal of its own) has its text as its kind, so
+every token is tested by its kind alone, and one dispatch on the
+lower-cased keyword of a WORD or @word token reads the five directive
 forms (@prefix, @base, any other @word, PREFIX, BASE).  The fast path
 accepts only statements the general reader reads as the same triples
 without error, so the triples, their order and every error message, line
 and column are those of the general reader alone.
+
+Each token shape is one regex, and every repeated group in it is
+possessive (`*+`, `++`, Python 3.11): the engine keeps no state per repeat
+and never retries one, so a run of comment lines or escapes, however long,
+is read in memory bounded by its size.
 
 Both readers add each (subject, object) pair straight to its predicate's
 partition in the store (see triple_query) and build no Triple.  One memo
@@ -82,33 +87,32 @@ _EXPONENT = r"[eE][+-]?[0-9]+"
 _NUMBER_SHAPE = rf"[+-]?(?:[0-9]+\.[0-9]*{_EXPONENT}|\.?[0-9]+{_EXPONENT}|[0-9]*\.[0-9]+|[0-9]+)"
 _new = tuple.__new__  # builds a term tuple without its class's Python __new__
 
-# One match skips blanks, then reads one token; the named group that
-# matched is the token's kind, except that a punct token takes its text
-# ('.', ';', ',' or '^^') as its kind.  The shapes are those of RDF 1.1
-# Turtle section 6.5, cut to the supported subset (numbers are ASCII
+# One match skips blanks and comments, then reads one token; the named
+# group that matched is the token's kind, except that a punct token takes
+# its text ('.', ';', ',' or '^^') as its kind.  The shapes are those of RDF
+# 1.1 Turtle section 6.5, cut to the supported subset (numbers are ASCII
 # digits).  pname is tried before word, which matches its leading letters;
-# a `"""` matches no kind, and a '.' before a digit starts a number.  A
-# string token is its opening quote and first run; _read walks its escapes
-# and closing quote.  When no kind fits, the empty last alternative
-# matches: at a '#' _past_comments skips the comment lines, and otherwise
-# _UNMATCHED names the error.  Every repeat is of one character class (a
-# run of blanks, a local name), which the engine matches without keeping
-# state per character.  An atword is a directive keyword or a language
-# tag, which _object checks.
+# both end before a trailing '.', which ends the statement.  A string token
+# runs to its closing quote, escapes included, and a `"""` matches no kind;
+# a '.' before a digit starts a number.  When no kind fits, the empty last
+# alternative matches and _UNMATCHED names the error.  Every repeated group
+# is possessive, so the engine keeps no state per comment line or escape,
+# and every other repeat is of one character class.  An atword is a
+# directive keyword or a language tag, which _object checks.
 _TOKEN_RE = re.compile(
-    r"[ \t\r\n]*"
-    r"(?:(?P<pname>(?:[A-Za-z][A-Za-z0-9_.\-]*)?:[A-Za-z0-9_.%\-]*)"
+    r"(?:[ \t\r\n]++|#[^\n]*+)*+"
+    r"(?:(?P<pname>(?:[A-Za-z][A-Za-z0-9_.\-]*)?:[A-Za-z0-9_.%\-]*(?<!\.))"
     r"|(?P<punct>[;,]|\.(?!\d)|\^\^)"
-    r'|(?P<string>"(?!"")[^"\\\n]*)'
-    r"|(?P<word>[A-Za-z][A-Za-z0-9_.\-]*)"
+    r'|(?P<string>"(?!"")(?:[^"\\\n]++|\\.)*+")'
+    r"|(?P<word>[A-Za-z][A-Za-z0-9_.\-]*(?<!\.))"
     r"|(?P<iriref><[^>\n]*>)"
     rf"|(?P<number>{_NUMBER_SHAPE})"
     r"|(?P<atword>@[A-Za-z][A-Za-z0-9\-]*)"
     r"|(?P<eof>\Z)"
     r"|)"
 )
-# one escape in a string and the run of plain characters after it
-_ESCAPE_RUN_RE = re.compile(r'\\.[^"\\\n]*')
+# an escape in a string's body
+_ESCAPE_RE = re.compile(r"\\.")
 _ESCAPES = frozenset('\\"nrtbf')
 # the start of text that no token matches, and its error
 _UNMATCHED = (
@@ -123,23 +127,8 @@ _UNMATCHED = (
     ("^", "expected '^^'", TurtleSyntaxError),
 )
 
-_BLANKS_RE = re.compile(r"[ \t\r\n]*")
-
-
-def _past_comments(text: str, pos: int) -> int:
-    """The offset past the blanks and whole comment lines at pos, or pos when
-    no comment follows its blanks.  One str.find per comment line: as a
-    repeated regex group, each line would hold engine state until the match
-    ended, about 200 bytes a line."""
-    end = _BLANKS_RE.match(text, pos).end()
-    if not text.startswith("#", end):
-        return pos
-    while text.startswith("#", end):
-        newline = text.find("\n", end)
-        if newline < 0:
-            return len(text)
-        end = _BLANKS_RE.match(text, newline + 1).end()
-    return end
+# blanks and then at least one whole comment line, as the fast path skips them
+_COMMENTS_RE = re.compile(r"[ \t\r\n]*+(?:#[^\n]*+[ \t\r\n]*+)++")
 
 
 def _line_col(text: str, pos: int) -> tuple[int, int]:
@@ -158,18 +147,19 @@ class _Token:
 
 # The statement fast path reads the triple statements write_turtle emits
 # and the subject-grouped layout of general RDF tools.  After blanks (and
-# the comment lines _past_comments skips when a match fails), _STATEMENT_RE
+# the comment lines _COMMENTS_RE skips when a match fails), _STATEMENT_RE
 # reads a statement's subject S and its first `V O`.  Then _ITEM_RE reads
 # each `; V O` or `, O` after it, one match per item, until an item ends
-# with the `.` that ends its line; a verb V is an IRI or `a`.  No regex
-# repeats a group per item, so a long item list holds no engine state per
-# item.  The regexes check a token's outline only, each part a run of one
-# character class: a pname is `prefix:local` with no '.' in either part,
-# an IRIREF a run free of _IRI_ILLEGAL between '<' and '>', a string holds
-# no escape, and an object may also be a number or `true` / `false`.  An
-# object must end where the general reader's token ends (`ex:o.x` is one
-# name there), so after it and its blanks come `;`, `,` or the statement's
-# end.  _FastTerms checks the rest once per distinct token, declining a
+# with the `.` that ends its line; a verb V is an IRI or `a`.  One match
+# per item, not a repeated group, keeps each match short; _STATEMENT_RE
+# skips plain blanks itself, not comments, as a skip group would run once
+# per statement.  The regexes check a token's outline only, each part a
+# run of one character class: a pname is `prefix:local` with no '.' in
+# either part, an IRIREF a run free of _IRI_ILLEGAL between '<' and '>', a
+# string holds no escape, and an object may also be a number or `true` /
+# `false`.  An object must end where the general reader's token ends
+# (`ex:o.x` is one name there), so after it and its blanks come `;`, `,` or
+# the statement's end.  _FastTerms checks the rest once per distinct token, declining a
 # token whose prefix is unbound, whose local name holds a bad '%' or whose
 # IRIREF has no scheme.  A prefix the general reader binds starts with a
 # letter (or is empty), so the unbound-prefix check also declines `1a:` or
@@ -262,7 +252,7 @@ class _TurtleParser:
         """body's escapes, checked in order, then decoded by the codec for
         Python's escapes, which match Turtle's once checked; a list of pieces
         would hold a pointer per escape."""
-        for escape in _ESCAPE_RUN_RE.finditer(body):
+        for escape in _ESCAPE_RE.finditer(body):
             i = escape.start()
             esc = body[i + 1]
             if esc == "u" or esc == "U":
@@ -285,36 +275,21 @@ class _TurtleParser:
         kind = m.lastgroup
         if kind is None:
             start = m.end()
-            if text.startswith("#", start):
-                self.pos = _past_comments(text, start)
-                return self._read()
             for opening, message, cls in _UNMATCHED:
                 if text.startswith(opening, start):
                     self._error(message, start, cls)
             self._error(f"unexpected character {text[start]!r}", start)
-        start, end = m.start(kind), m.end()
+        start, value = m.start(kind), m[kind]
+        self.pos = m.end()
         if kind == _STRING:
-            # one match per escape: a repeated regex group would keep state per escape
-            while (escape := _ESCAPE_RUN_RE.match(text, end)) is not None:
-                end = escape.end()
-            if not text.startswith('"', end):
-                self._error("unterminated string literal", start)
-            self.pos = end + 1
-            value = text[start + 1 : end]
-            return _Token(kind, self._unescape(value, start + 1) if "\\" in value else value, start)
-        value = m[kind]
-        self.pos = end
-        if kind == _PNAME or kind == _WORD:
-            # a trailing dot terminates the statement, not the name
-            if value.endswith("."):
-                stripped = value.rstrip(".")
-                self.pos -= len(value) - len(stripped)
-                value = stripped
-            if kind == _PNAME:
-                if "%" in value and (bad := BAD_PERCENT_RE.search(value)) is not None:
-                    self._error("bad percent escape in local name", start + bad.start())
-                prefix, _, local = value.partition(":")
-                value = (prefix, local)
+            value = value[1:-1]
+            if "\\" in value:
+                value = self._unescape(value, start + 1)
+        elif kind == _PNAME:
+            if "%" in value and (bad := BAD_PERCENT_RE.search(value)) is not None:
+                self._error("bad percent escape in local name", start + bad.start())
+            prefix, _, local = value.partition(":")
+            value = (prefix, local)
         elif kind == _IRIREF:
             value = value[1:-1]
             bad = _BAD_IRI_CHARS.search(value)
@@ -366,15 +341,15 @@ class _TurtleParser:
         never raises.  The general reader reads a statement declined midway
         from its start, and adds again, as no-ops, the pairs added here."""
         text = self.text
-        match, item = _STATEMENT_RE.match, _ITEM_RE.match
+        match, item, skip = _STATEMENT_RE.match, _ITEM_RE.match, _COMMENTS_RE.match
         partition, terms = self.partition, self.terms
         while True:
             m = match(text, pos)
             if m is None:
-                resume = _past_comments(text, pos)
-                if resume == pos:
+                m = skip(text, pos)
+                if m is None:
                     return pos
-                pos = resume
+                pos = m.end()
                 continue
             s, p, o, last = m.groups()
             subject = terms[s]
