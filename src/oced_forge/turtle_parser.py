@@ -4,7 +4,8 @@ compiles its regexes; turtle_io forwards parse_turtle here.
 
 The parser supports prefix declarations, IRIs, prefixed names, plain / typed
 / language-tagged literals, numeric and boolean shorthand, the ';' and ','
-abbreviations, and 'a' for rdf:type.  Blank nodes, collections, long
+abbreviations (a ';' may repeat, as in RDF 1.1 Turtle rule [7]), and 'a'
+for rdf:type.  Blank nodes, collections, long
 strings, and @base are rejected as unsupported constructs.  An IRI is
 absolute and holds no control character, space or any of <>"{}|^`\\, and
 no escape sequence.  The shapes of an IRIREF, its scheme and a language tag
@@ -17,25 +18,27 @@ it.
 Parsing picks a reader per statement.  A statement fast path reads the
 triple statements write_turtle emits and the subject-grouped shape of
 general RDF tools, one regex match for a statement's subject and first
-`V O` and one per further item: after blank lines and whole-line comments
-(skipped by one _COMMENTS_RE match), a statement of prefixed names,
-absolute IRIs, strings without escapes, numbers and booleans, with `a`,
-`;` and `,` abbreviations, ending its line.  Its regexes match each
-token's outline, and one memo (_FastTerms) cooks each distinct token once
-and checks there what the outline leaves out.  It declines any other
-statement (directives, escaped strings, comments inside a statement,
-unknown prefixes, relative IRIs) without raising.  The general reader, one
-token regex at `pos` with one token of lookahead, reads that one
-statement, and the fast path resumes at the token after it; it reads
-every directive, which in a file convert writes are the five header lines
-only.  Its tokens carry their grammar's kinds: a punctuation token ('.',
-';', ',' or '^^', each a terminal of its own) has its text as its kind, so
-every token is tested by its kind alone, and one dispatch on the
-lower-cased keyword of a WORD or @word token reads the five directive
-forms (@prefix, @base, any other @word, PREFIX, BASE).  The fast path
-accepts only statements the general reader reads as the same triples
-without error, so the triples, their order and every error message, line
-and column are those of the general reader alone.
+`V O` and one per further item: after blanks and comments, a statement of
+prefixed names, absolute IRIs, strings without escapes, numbers and
+booleans, with `a`, `;` and `,` abbreviations, ending its line.  Its
+regexes match each token's outline, and one memo (_FastTerms) cooks each
+distinct token once and checks there what the outline leaves out.  It
+declines any other statement (directives, escaped strings, comments inside
+a statement, unknown prefixes, relative IRIs, a repeated ';') without
+raising, and hands it over from before the blanks and comments ahead of it.
+The general reader, one token regex at `pos` with one token of lookahead,
+reads that one statement, and the fast path resumes at the token after it;
+it reads every directive, which in a file convert writes are the five
+header lines only.  Both readers skip blanks and comments by one pattern,
+_SKIP, the head of the fast path's statement regex and of the general
+reader's token regex.  The general reader's tokens carry their grammar's
+kinds: a punctuation token ('.', ';', ',' or '^^', each a terminal of its
+own) has its text as its kind, so every token is tested by its kind alone,
+and one dispatch on the lower-cased keyword of a WORD or @word token reads
+the five directive forms (@prefix, @base, any other @word, PREFIX, BASE).
+The fast path accepts only statements the general reader reads as the same
+triples without error, so the triples, their order and every error
+message, line and column are those of the general reader alone.
 
 Each token shape is one regex, and every repeated group in it is
 possessive (`*+`, `++`, Python 3.11): the engine keeps no state per repeat
@@ -87,6 +90,11 @@ _EXPONENT = r"[eE][+-]?[0-9]+"
 _NUMBER_SHAPE = rf"[+-]?(?:[0-9]+\.[0-9]*{_EXPONENT}|\.?[0-9]+{_EXPONENT}|[0-9]*\.[0-9]+|[0-9]+)"
 _new = tuple.__new__  # builds a term tuple without its class's Python __new__
 
+# Blanks and `#` comments, as both readers skip them before a token or a
+# statement.  The repeat is possessive, so the engine keeps no state per
+# comment line, however long the run.
+_SKIP = r"(?:[ \t\r\n]++|#[^\n]*+)*+"
+
 # One match skips blanks and comments, then reads one token; the named
 # group that matched is the token's kind, except that a punct token takes
 # its text ('.', ';', ',' or '^^') as its kind.  The shapes are those of RDF
@@ -96,12 +104,11 @@ _new = tuple.__new__  # builds a term tuple without its class's Python __new__
 # runs to its closing quote, escapes included, and a `"""` matches no kind;
 # a '.' before a digit starts a number.  When no kind fits, the empty last
 # alternative matches and _UNMATCHED names the error.  Every repeated group
-# is possessive, so the engine keeps no state per comment line or escape,
-# and every other repeat is of one character class.  An atword is a
-# directive keyword or a language tag, which _object checks.
+# is possessive, so the engine keeps no state per escape, and every other
+# repeat is of one character class.  An atword is a directive keyword or a
+# language tag, which _object checks.
 _TOKEN_RE = re.compile(
-    r"(?:[ \t\r\n]++|#[^\n]*+)*+"
-    r"(?:(?P<pname>(?:[A-Za-z][A-Za-z0-9_.\-]*)?:[A-Za-z0-9_.%\-]*(?<!\.))"
+    rf"{_SKIP}(?:(?P<pname>(?:[A-Za-z][A-Za-z0-9_.\-]*)?:[A-Za-z0-9_.%\-]*(?<!\.))"
     r"|(?P<punct>[;,]|\.(?!\d)|\^\^)"
     r'|(?P<string>"(?!"")(?:[^"\\\n]++|\\.)*+")'
     r"|(?P<word>[A-Za-z][A-Za-z0-9_.\-]*(?<!\.))"
@@ -127,9 +134,6 @@ _UNMATCHED = (
     ("^", "expected '^^'", TurtleSyntaxError),
 )
 
-# blanks and then at least one whole comment line, as the fast path skips them
-_COMMENTS_RE = re.compile(r"[ \t\r\n]*+(?:#[^\n]*+[ \t\r\n]*+)++")
-
 
 def _line_col(text: str, pos: int) -> tuple[int, int]:
     line = text.count("\n", 0, pos) + 1
@@ -146,16 +150,15 @@ class _Token:
 
 
 # The statement fast path reads the triple statements write_turtle emits
-# and the subject-grouped layout of general RDF tools.  After blanks (and
-# the comment lines _COMMENTS_RE skips when a match fails), _STATEMENT_RE
-# reads a statement's subject S and its first `V O`.  Then _ITEM_RE reads
-# each `; V O` or `, O` after it, one match per item, until an item ends
-# with the `.` that ends its line; a verb V is an IRI or `a`.  One match
-# per item, not a repeated group, keeps each match short; _STATEMENT_RE
-# skips plain blanks itself, not comments, as a skip group would run once
-# per statement.  The regexes check a token's outline only, each part a
-# run of one character class: a pname is `prefix:local` with no '.' in
-# either part, an IRIREF a run free of _IRI_ILLEGAL between '<' and '>', a
+# and the subject-grouped layout of general RDF tools.  After the blanks and
+# comments _SKIP skips, _STATEMENT_RE reads a statement's subject S and its
+# first `V O`.  Then _ITEM_RE reads each `; V O` or `, O` after it, one
+# match per item, until an item ends with the `.` that ends its line; a
+# verb V is an IRI or `a`.  One match per item, not a repeated group, keeps
+# each match short; _ITEM_RE skips blanks only, so a comment inside a
+# statement declines it.  The regexes check a token's outline only, each
+# part a run of one character class: a pname is `prefix:local` with no '.'
+# in either part, an IRIREF a run free of _IRI_ILLEGAL between '<' and '>', a
 # string holds no escape, and an object may also be a number or `true` /
 # `false`.  An object must end where the general reader's token ends
 # (`ex:o.x` is one name there), so after it and its blanks come `;`, `,` or
@@ -174,7 +177,7 @@ _END = r"\.[ \t\r]*(?:\n|\Z)"
 # a `V O` item's object, then the statement's end or the next item's ; or ,
 _FAST_ITEM_OBJECT = rf"({_FAST_OBJECT})[ \t\r\n]*(?:({_END})|(?=[;,]))"
 _ITEM_RE = re.compile(rf"(?:;[ \t\r\n]*({_FAST_VERB})[ \t\r\n]+|,[ \t\r\n]*){_FAST_ITEM_OBJECT}")
-_STATEMENT_RE = re.compile(rf"[ \t\r\n]*({_FAST_IRI})[ \t\r\n]+({_FAST_VERB})[ \t\r\n]+{_FAST_ITEM_OBJECT}")
+_STATEMENT_RE = re.compile(rf"{_SKIP}({_FAST_IRI})[ \t\r\n]+({_FAST_VERB})[ \t\r\n]+{_FAST_ITEM_OBJECT}")
 
 
 def _shorthand(lexeme: str) -> TypedLiteral:
@@ -337,20 +340,17 @@ class _TurtleParser:
 
     def _fast_statements(self, pos: int) -> int:
         """Add the pairs of the statements from pos on that the fast path reads;
-        return the offset of the first one it declines, or the text's end.  It
-        never raises.  The general reader reads a statement declined midway
-        from its start, and adds again, as no-ops, the pairs added here."""
+        return the offset of the first one it declines, before the blanks and
+        comments ahead of it, or the text's end.  It never raises.  The
+        general reader reads a statement declined midway from its start, and
+        adds again, as no-ops, the pairs added here."""
         text = self.text
-        match, item, skip = _STATEMENT_RE.match, _ITEM_RE.match, _COMMENTS_RE.match
+        match, item = _STATEMENT_RE.match, _ITEM_RE.match
         partition, terms = self.partition, self.terms
         while True:
             m = match(text, pos)
             if m is None:
-                m = skip(text, pos)
-                if m is None:
-                    return pos
-                pos = m.end()
-                continue
+                return pos
             s, p, o, last = m.groups()
             subject = terms[s]
             if subject is None:
@@ -443,7 +443,10 @@ class _TurtleParser:
                 self._next()
             nxt = self._next()
             if nxt.kind == ";":
-                # tolerate trailing ';' before the final dot
+                # RDF 1.1 Turtle [7]: a ';' may be followed by more ';' and
+                # by the statement's '.'
+                while self.lookahead.kind == ";":
+                    self._next()
                 if self.lookahead.kind == ".":
                     self._next()
                     return

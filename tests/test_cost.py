@@ -22,7 +22,7 @@ from re import _constants, _parser
 import pytest
 
 import oced_forge
-from oced_forge import cli, parse_xes, queries, transform_log
+from oced_forge import analyses, cli, parse_xes, queries, timeutil, transform_log
 from oced_forge.turtle_parser import parse_turtle
 
 from conftest import turtle_text
@@ -87,13 +87,14 @@ def turtle_40() -> dict[str, str]:
     return {"canonical": canonical, "grouped": group_turtle(canonical)}
 
 
-def _calls(fn, *args) -> int:
-    """The Python-level calls fn(*args) makes, itself included."""
+def _calls(fn, *args, code=None) -> int:
+    """The Python-level calls fn(*args) makes, itself included; with code,
+    only the calls of the function whose code object it is."""
     count = 0
 
     def profile(frame, event, arg):
         nonlocal count
-        count += event == "call"
+        count += event == "call" and (code is None or frame.f_code is code)
 
     sys.setprofile(profile)
     try:
@@ -114,6 +115,90 @@ def test_load_calls_python_per_distinct_token_not_per_statement(layout, turtle_4
     assert triples == 4_634
     calls = _calls(parse_turtle, text, cli._keep_rule((queries.TEAM_TIMES, [])))
     assert calls < 0.9 * triples
+
+
+@pytest.fixture(scope="module")
+def bench_stores(turtle_40, turtle_200) -> dict:
+    """Full loads of the canonical Turtle at 40 and at 200 cases."""
+    return {40: parse_turtle(turtle_40["canonical"]), 200: parse_turtle(turtle_200.read_text("utf-8"))}
+
+
+# (names, query, bound on its calls, rows at 40 and at 200 cases): each
+# query's select, its rows listed, measured at 168 and 63 Python calls at
+# both sizes; each bound is about a fifth above its measurement
+SELECT_CALLS = {
+    "event-objects": (("node", *analyses.EVENT_OBJECT_COLUMNS), queries.EVENT_OBJECTS, 200, (675, 3_362)),
+    "team-times": (("team", "case", "time"), (queries.TEAM_TIMES,), 76, (335, 1_662)),
+}
+
+
+@pytest.mark.parametrize("name", SELECT_CALLS)
+def test_select_makes_no_python_call_per_row(name, bench_stores):
+    """A query's join steps run in C loops (see triple_query): its Python
+    calls are the same at 40 and at 200 cases while its rows grow fivefold."""
+    names, query, bound, rows = SELECT_CALLS[name]
+    counts = []
+    for cases, expected_rows in zip((40, 200), rows):
+        store = bench_stores[cases]
+        assert len(list(store.select(names, *query))) == expected_rows
+        counts.append(_calls(lambda: list(store.select(names, *query))))
+    assert counts[0] == counts[1] < bound, counts
+
+
+# (analysis, the select of its query, the column of its time literals):
+# measured at 200 cases, 1,640 and 1,608 utc_key calls, one per distinct
+# literal; the bound has no margin, as a second call for a literal is the cost
+# the memo removes
+UTC_KEY_CALLS = {
+    "event-objects": (analyses.enumerate_event_objects, SELECT_CALLS["event-objects"], 5),
+    "ping-pong": (analyses.detect_ping_pong, SELECT_CALLS["team-times"], 2),
+}
+
+
+@pytest.mark.parametrize("name", UTC_KEY_CALLS)
+def test_analysis_keys_each_distinct_time_literal_once(name, bench_stores):
+    analysis, (names, query, _, _), column = UTC_KEY_CALLS[name]
+    store = bench_stores[200]
+    literals = {row[column] for row in store.select(names, *query)} - {None}
+    assert len(literals) > 1_000
+    assert _calls(analysis, store, code=timeutil.utc_key.__code__) == len(literals)
+
+
+_EX = "@prefix ex: <http://e/> .\n"
+# the reader's hostile shapes at size n, each with its triple count
+READER_SHAPES = {
+    "comma-objects": lambda n: (_EX + "ex:s ex:p " + " , ".join(f"ex:o{i}" for i in range(n)) + " .\n", n),
+    "semicolon-items": lambda n: (_EX + "ex:s " + " ;\n    ".join(f"ex:p{i} ex:o{i}" for i in range(n)) + " .\n", n),
+    "prefix-directives": lambda n: (
+        "".join(f"@prefix p{i}: <http://e/{i}/> .\np{i}:s p{i}:p p{i}:o .\n" for i in range(n)),
+        n,
+    ),
+    "string-escapes": lambda n: (_EX + 'ex:s ex:p "' + "\\u00e9\\n" * n + '" .\n', 1),
+    "comment-run-before-statement": lambda n: (_EX + "# c\n" * n + "ex:s ex:p ex:o .\n", 1),
+    "comment-run-before-directive": lambda n: ("# c\n" * n + _EX + "ex:s ex:p ex:o .\n", 1),
+    "comments-inside-statement": lambda n: (
+        _EX + "ex:s ex:p " + "".join(f"ex:o{i} , # c\n" for i in range(n)) + "ex:o .\n",
+        n + 1,
+    ),
+}
+
+
+@pytest.mark.parametrize("name", READER_SHAPES)
+def test_reader_calls_at_most_double_when_a_hostile_shape_doubles(name):
+    """Measured from 2,000 to 4,000: 1.99-2.00 times the calls for each shape
+    that grows the reader's work, and a constant 41 calls for a comment run,
+    which _SKIP reads in C.  Work per item that grew with the item's
+    position would give about 4 times the calls."""
+    shape = READER_SHAPES[name]
+    parse_turtle(shape(10)[0])  # warm-up, so that no first-use cost is counted
+    counts = []
+    for n in (2_000, 4_000):
+        text, triples = shape(n)
+        assert len(parse_turtle(text)) == triples
+        counts.append(_calls(parse_turtle, text))
+    assert counts[1] <= 2.1 * counts[0], counts
+    if name.startswith("comment-run"):
+        assert counts[1] == counts[0], counts
 
 
 def _package_patterns() -> dict[int, tuple[str, re.Pattern]]:
@@ -182,7 +267,7 @@ def test_no_package_regex_repeats_a_group_without_a_possessive_repeat():
     state per repeat.  This reaches shapes no hostile-input test reads, such
     as timeutil's _ISO_RE and _CANONICAL_RE and the number shape."""
     patterns = _package_patterns()
-    assert len(patterns) >= 13
+    assert len(patterns) >= 12  # so the walk still finds every module's patterns
     flagged = {
         name: found
         for name, pattern in patterns.values()

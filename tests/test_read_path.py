@@ -24,6 +24,7 @@ from oced_forge.triple_query import TripleStore, Var
 from oced_forge.turtle_parser import _TurtleParser
 
 from conftest import BPIC_STYLE_XES, cli_env, turtle_text
+from test_turtle_io import HEADER_LINES, declined
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 BENCH = Path(__file__).resolve().parents[1] / "bench"
@@ -151,6 +152,18 @@ def test_keep_is_called_once_per_distinct_predicate(bench_turtle):
             asked = []
             parse_turtle(text, lambda predicate: asked.append(predicate) or False)
             assert len(asked) == len(set(asked)) == len({t.predicate for t in parse_turtle(text)})
+
+
+@pytest.mark.parametrize("layout", ["canonical", "grouped"])
+def test_the_benchmark_turtle_past_its_directives_is_read_by_the_fast_path(layout, bench_turtle):
+    """The general reader reads the five @prefix directives of each
+    workload's Turtle and nothing else, so no reader change moves either
+    workload onto the slow reader unseen.  The last directive's span also
+    holds what the general reader skips after it: the blank line and, in the
+    grouped layout, its comment line."""
+    text = bench_turtle[layout]
+    last = HEADER_LINES[4] + ("\n\n" + text.split("\n")[6] if layout == "grouped" else "")
+    assert declined(text) == [*HEADER_LINES[:4], last]
 
 
 @pytest.fixture

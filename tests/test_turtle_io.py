@@ -952,6 +952,10 @@ class TestGeneralReader:
             ("@prefix x: <http://e/>", (SYNTAX, "expected '.'", 3, 23)),
             ("ex:s ex:p ; .", (SYNTAX, "expected an IRI or literal object", 3, 11)),
             ("ex:s ex:p ex:o ; .", [Triple(Iri("http://e/s"), Iri("http://e/p"), Iri("http://e/o"))]),
+            # a ';' where RDF 1.1 Turtle rule [7] allows none
+            ("ex:s ; ex:p ex:o .", (SYNTAX, "expected an IRI as predicate", 3, 6)),
+            ("ex:s ex:p ex:o ; , ex:q .", (SYNTAX, "expected an IRI as predicate", 3, 18)),
+            ("ex:s ex:p ex:o ;", (SYNTAX, "expected an IRI as predicate", 3, 17)),
             # numbers are ASCII digits, as in the Turtle INTEGER/DECIMAL/DOUBLE productions
             ("ex:s ex:p ² .", (SYNTAX, "unexpected character '²'", 3, 11)),
             ("ex:s ex:p ٣ .", (SYNTAX, "unexpected character '٣'", 3, 11)),
@@ -978,7 +982,9 @@ class TestGeneralReader:
         read = general_outcome if doc.startswith(GENERAL) else outcome
         if read is outcome:
             # after the directive line, the fast path skips every comment line
-            assert fast_stop(doc, doc.index("\n") + 1, [("ex", "http://e/")]) == len(doc)
+            # and reads the statement; a comment run after the last statement
+            # is left to the general reader, which skips it too
+            assert fast_stop(doc, doc.index("\n") + 1, [("ex", "http://e/")]) == doc.rindex(" .\n") + 3
         tracemalloc.start()
         try:
             result = read(doc)
@@ -987,6 +993,28 @@ class TestGeneralReader:
             tracemalloc.stop()
         assert result == expected
         assert peak < len(doc)  # one regex repeat per comment line held about 200 bytes each
+
+
+# RDF 1.1 Turtle rule [7], predicateObjectList ::= verb objectList
+# (';' (verb objectList)?)*, as in the W3C suite's repeated_semis_at_end and
+# repeated_semis_not_at_end: each body and the (predicate, object) local
+# names of its triples, all of subject ex:s
+REPEATED_SEMICOLONS = [
+    ("ex:s ex:p ex:o ; ; .", [("p", "o")]),
+    ("ex:s ex:p ex:o ;; ex:q ex:r .", [("p", "o"), ("q", "r")]),
+    ("ex:s ex:p ex:o ;\n ; ex:q ex:r .", [("p", "o"), ("q", "r")]),
+]
+
+
+@pytest.mark.parametrize("body, pairs", REPEATED_SEMICOLONS, ids=["at-end", "adjacent", "across-lines"])
+def test_repeated_semicolons_read_as_their_triples(body, pairs, tmp_path, capsys):
+    doc = "@prefix ex: <http://e/> .\n" + body + "\n"
+    expected = [Triple(Iri("http://e/s"), Iri("http://e/" + p), Iri("http://e/" + o)) for p, o in pairs]
+    assert outcome(doc) == general_outcome(GENERAL + doc) == expected
+    path = tmp_path / "semicolons.ttl"
+    path.write_text(doc, "utf-8")
+    assert main(["stats", str(path)]) == 0
+    assert f"triples       {len(pairs)}\n" in capsys.readouterr().out
 
 
 _MB2 = 2_000_000
